@@ -114,6 +114,59 @@ func MustFromEdges(numSets, numElems int, edges []Edge) *Graph {
 	return g
 }
 
+// FromElemCSR builds a Graph from its element side in CSR form:
+// elemAdj[elemOff[e]:elemOff[e+1]] lists the sets containing element e,
+// strictly ascending. The graph adopts both slices as they are — the
+// caller must not modify them afterwards — and derives the set side in
+// one counting pass; visiting elements in ascending order leaves every
+// set's list sorted and duplicate-free, so nothing is sorted or
+// compacted. Malformed input (non-monotone or out-of-range offsets, a
+// set id outside [0, numSets), an unsorted or repeated id within a
+// list) is an error.
+func FromElemCSR(numSets int, elemOff []int64, elemAdj []uint32) (*Graph, error) {
+	if numSets < 0 {
+		return nil, fmt.Errorf("bipartite: negative dimension n=%d", numSets)
+	}
+	if len(elemOff) == 0 || elemOff[0] != 0 || elemOff[len(elemOff)-1] != int64(len(elemAdj)) {
+		return nil, fmt.Errorf("bipartite: element offsets do not span the %d-entry adjacency array", len(elemAdj))
+	}
+	numElems := len(elemOff) - 1
+	counts := make([]int64, numSets+1)
+	for e := 0; e < numElems; e++ {
+		lo, hi := elemOff[e], elemOff[e+1]
+		if lo > hi || hi > int64(len(elemAdj)) {
+			return nil, fmt.Errorf("bipartite: element %d has offsets [%d,%d) outside the adjacency array", e, lo, hi)
+		}
+		for i := lo; i < hi; i++ {
+			s := elemAdj[i]
+			if int(s) >= numSets {
+				return nil, fmt.Errorf("bipartite: edge set id %d out of range [0,%d)", s, numSets)
+			}
+			if i > lo && elemAdj[i-1] >= s {
+				return nil, fmt.Errorf("bipartite: element %d lists its sets out of order", e)
+			}
+			counts[s+1]++
+		}
+	}
+	for s := 0; s < numSets; s++ {
+		counts[s+1] += counts[s]
+	}
+	adj := make([]uint32, len(elemAdj))
+	next := make([]int64, numSets)
+	copy(next, counts[:numSets])
+	for e := 0; e < numElems; e++ {
+		for _, s := range elemAdj[elemOff[e]:elemOff[e+1]] {
+			adj[next[s]] = uint32(e)
+			next[s]++
+		}
+	}
+	return &Graph{
+		numSets: numSets, numElems: numElems,
+		setOff: counts, setAdj: adj,
+		elemOff: elemOff, elemAdj: elemAdj,
+	}, nil
+}
+
 // FromSets builds a Graph from explicit element lists, one per set.
 func FromSets(numElems int, sets [][]uint32) (*Graph, error) {
 	total := 0

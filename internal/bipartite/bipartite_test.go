@@ -300,3 +300,88 @@ func TestCoverageSubmodular(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFromElemCSREqualsFromEdges hands FromElemCSR the element side of
+// random graphs and expects the graph FromEdges builds, both indexes.
+func TestFromElemCSREqualsFromEdges(t *testing.T) {
+	check := func(seed uint64) bool {
+		rng := hashing.NewRNG(seed)
+		n, m := 1+rng.Intn(12), rng.Intn(40)
+		var edges []Edge
+		for i := rng.Intn(6 * (m + 1)); i > 0 && m > 0; i-- {
+			edges = append(edges, Edge{Set: uint32(rng.Intn(n)), Elem: uint32(rng.Intn(m))})
+		}
+		want := MustFromEdges(n, m, edges)
+		got, err := FromElemCSR(n, want.elemOff, want.elemAdj)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if got.NumSets() != n || got.NumElems() != m || got.NumEdges() != want.NumEdges() {
+			return false
+		}
+		for s := 0; s < n; s++ {
+			a, b := got.Set(s), want.Set(s)
+			if len(a) != len(b) {
+				return false
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					return false
+				}
+			}
+		}
+		for e := 0; e < m; e++ {
+			if len(got.Elem(e)) != len(want.Elem(e)) {
+				return false
+			}
+		}
+		return got.Coverage([]int{0}) == want.Coverage([]int{0})
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFromElemCSRRejectsMalformed: every way the arrays can be
+// inconsistent is an error, never a panic or a silently wrong graph.
+func TestFromElemCSRRejectsMalformed(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		off  []int64
+		adj  []uint32
+	}{
+		{"negative set count", -1, []int64{0}, nil},
+		{"no offsets", 3, nil, nil},
+		{"offsets do not start at zero", 3, []int64{1, 2}, []uint32{0, 1}},
+		{"offsets stop short of the array", 3, []int64{0, 1}, []uint32{0, 1}},
+		{"offsets run past the array", 3, []int64{0, 1, 5}, []uint32{0, 1}},
+		{"interior offset past the array", 3, []int64{0, 9, 2}, []uint32{0, 1}},
+		{"non-monotone offsets", 3, []int64{0, 2, 1, 3}, []uint32{0, 1, 2}},
+		{"negative offset", 3, []int64{0, -1, 2}, []uint32{0, 1}},
+		{"set id equal to n", 3, []int64{0, 2}, []uint32{1, 3}},
+		{"set id far past n", 3, []int64{0, 1}, []uint32{1 << 31}},
+		{"unsorted set list", 3, []int64{0, 2}, []uint32{2, 1}},
+		{"duplicated set id", 3, []int64{0, 2}, []uint32{1, 1}},
+		{"second element unsorted", 3, []int64{0, 1, 3}, []uint32{2, 1, 0}},
+	}
+	for _, c := range cases {
+		if g, err := FromElemCSR(c.n, c.off, c.adj); err == nil {
+			t.Errorf("%s: accepted (%d sets, %d elems, %d edges)", c.name, g.NumSets(), g.NumElems(), g.NumEdges())
+		}
+	}
+	// Lists may restart lower at an element boundary, and empty elements
+	// and an empty graph are fine.
+	for _, ok := range []struct {
+		off []int64
+		adj []uint32
+	}{
+		{[]int64{0, 2, 2, 3}, []uint32{1, 2, 0}},
+		{[]int64{0}, nil},
+	} {
+		if _, err := FromElemCSR(3, ok.off, ok.adj); err != nil {
+			t.Errorf("well-formed input %v/%v rejected: %v", ok.off, ok.adj, err)
+		}
+	}
+}

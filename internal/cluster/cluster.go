@@ -107,9 +107,9 @@ func (o Options) maxStateBytes() int64 {
 // good state — unreachable peers degrade to last-known, not to empty).
 type remoteState struct {
 	etag     string
-	edges    int64             // ingested-edge total the state reflects
-	state    server.ShardState // decoded blob in the namespace's engine mode
-	version  uint64            // node-unique; drives cluster-view invalidation
+	edges    int64              // ingested-edge total the state reflects
+	state    server.FrozenState // decoded blob in the namespace's engine mode
+	version  uint64             // node-unique; drives cluster-view invalidation
 	pulledAt time.Time
 }
 
@@ -499,22 +499,17 @@ func (n *Node) snapshot(name string, e *server.Engine, fresh bool) (*server.Snap
 		return v.snap, nil
 	}
 
-	// Mode.MergeStates never modifies its inputs, so the local snapshot
-	// state and the stored remote states can be folded without defensive
-	// clones; the merged output is privately owned.
-	mode := e.EngineMode()
+	// Frozen states are only read by the fold, so the local snapshot state
+	// and the stored remote states go in as they are; the merged output is
+	// privately owned.
 	edges := local.IngestedEdges
-	states := make([]server.ShardState, 0, len(remotes)+1)
+	states := make([]server.FrozenState, 0, len(remotes)+1)
 	states = append(states, local.State())
 	for _, st := range remotes {
 		states = append(states, st.state)
 		edges += st.edges
 	}
-	merged, err := mode.MergeStates(states)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := server.NewStateSnapshot(mode, n.viewSeq.Add(1), edges, merged)
+	snap, err := server.MergeSnapshot(e.EngineMode(), n.viewSeq.Add(1), edges, states)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/bipartite"
@@ -49,13 +48,12 @@ func (s *Sketch) ForEachEdge(fn func(e bipartite.Edge)) {
 // other discarded edges above its own bar; the prefix below them already
 // carries a full budget, so Definition 2.1 excludes them anyway.
 //
-// Stream-accounting note: folding other's kept edges goes through the
-// internal absorb path, which does NOT touch the stream counters —
-// s.Stats().EdgesSeen still reports only the edges s itself consumed
-// from a stream, never re-folded kept edges. A coordinator that needs
-// the cluster-wide consumed total sums the inputs' EdgesSeen (as
-// internal/distributed.Stats and the server engine do) or overrides it
-// with SetEdgesSeen before persisting.
+// Stream-accounting note: folding other's kept edges does NOT touch the
+// stream counters — s.Stats().EdgesSeen still reports only the edges s
+// itself consumed from a stream, never re-folded kept edges. A
+// coordinator that needs the cluster-wide consumed total sums the
+// inputs' EdgesSeen (as internal/distributed.Stats and the server engine
+// do) and passes it to MergeViews, or overrides it with SetEdgesSeen.
 func (s *Sketch) Merge(other *Sketch) error {
 	if other == nil {
 		return nil
@@ -64,320 +62,94 @@ func (s *Sketch) Merge(other *Sketch) error {
 		return fmt.Errorf("core: cannot merge incompatible sketches (params %+v vs %+v)",
 			s.params, other.params)
 	}
-	// Batched fold: absorbFrom defers budget enforcement to slack
-	// boundaries; foldBar/shrink below restore Definition 2.1 at the end.
-	s.absorbFrom(other)
-	if other.evicted {
-		s.foldBar(other.barHash, other.barElem)
-	} else {
-		s.shrink()
+	for _, osi := range other.heap {
+		sl := &other.slots[osi]
+		s.absorbElem(sl.hash, sl.elem, sl.sets)
 	}
+	s.foldBar(other.evicted, other.barHash, other.barElem)
 	return nil
 }
 
-// absorbFrom folds other's kept slots into s with the same kept-edge
-// policy as the per-edge absorb path but at slot granularity: the
-// element hash is already stored in the slot, so an element at or above
-// s's eviction bar is skipped whole at one comparison — no SplitMix64
-// call per edge — and an admitted element's set list inserts into one
+// absorbElem folds one kept element of another summary into s with the
+// kept-edge policy of the per-edge absorb path but at element
+// granularity: the hash is already known, so an element at or above s's
+// eviction bar is skipped whole at one comparison — no SplitMix64 call
+// per edge — and an admitted element's set list inserts into one
 // resolved slot. Interleaving budget enforcement at element instead of
 // edge boundaries is covered by the deferred-shrink argument (DESIGN.md
 // §6): any schedule ending in shrink reaches the same fixed point.
-// Stream accounting is untouched, as for absorb.
-func (s *Sketch) absorbFrom(other *Sketch) {
-	for _, osi := range other.heap {
-		sl := &other.slots[osi]
-		if s.evicted && !priorityLess(sl.hash, sl.elem, s.barHash, s.barElem) {
-			continue
-		}
-		si, ok := s.index[sl.elem]
-		if !ok {
-			si = s.alloc(sl.elem, sl.hash)
-		}
-		for _, set := range sl.sets {
-			s.addToSlot(si, set, false)
-		}
-		if s.totalEdges >= s.budget+s.slack {
-			s.shrink()
-		}
+// Stream accounting is untouched, as for absorb; callers finish with
+// foldBar.
+func (s *Sketch) absorbElem(hash uint64, elem uint32, sets []uint32) {
+	if s.evicted && !priorityLess(hash, elem, s.barHash, s.barElem) {
+		return
+	}
+	si, ok := s.index[elem]
+	if !ok {
+		si = s.alloc(elem, hash)
+	}
+	for _, set := range sets {
+		s.addToSlot(si, set, false)
+	}
+	if s.totalEdges >= s.budget+s.slack {
+		s.shrink()
 	}
 }
 
-// foldBar lowers the eviction bar to at most (h, e), evicts every kept
-// element at or above the new bar, and re-enforces the budget. Shared by
-// Merge and by snapshot restore (serialize.go).
-func (s *Sketch) foldBar(h uint64, e uint32) {
-	if !s.evicted || priorityLess(h, e, s.barHash, s.barElem) {
-		s.evicted = true
-		s.barHash = h
-		s.barElem = e
+// foldBar finishes absorbing a summary whose eviction bar was (evicted,
+// h, e): it lowers s's bar to at most that, evicts every kept element
+// at or above the new bar, and re-enforces the budget. Shared by Merge,
+// MergeView and snapshot restore (serialize.go).
+func (s *Sketch) foldBar(evicted bool, h uint64, e uint32) {
+	if evicted {
+		if !s.evicted || priorityLess(h, e, s.barHash, s.barElem) {
+			s.evicted = true
+			s.barHash = h
+			s.barElem = e
+		}
+		for len(s.heap) > 0 {
+			top := &s.slots[s.heap[0]]
+			if priorityLess(top.hash, top.elem, s.barHash, s.barElem) {
+				break
+			}
+			s.evict(s.heap[0])
+		}
 	}
-	s.evictAboveBar()
 	s.shrink()
-}
-
-// evictAboveBar removes every kept element whose priority is at or above
-// the current eviction bar.
-func (s *Sketch) evictAboveBar() {
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		sl := &s.slots[top]
-		if priorityLess(sl.hash, sl.elem, s.barHash, s.barElem) {
-			return
-		}
-		s.evict(top)
-	}
 }
 
 // MergeAll builds a sketch with the given parameters holding the merge
 // of every input. Inputs must all be compatible with params and are
-// never modified.
-//
-// With three or more inputs the fold is a parallel tree reduction: one
-// goroutine per pair at each level, leaves merging into fresh sketches
-// and higher levels folding the right intermediate into the left one
-// (intermediates are owned here, so reusing them as accumulation
-// targets is safe). Merging is order-invariant — the sketch is a
-// function of the absorbed edge set (see the argument at the top of
-// this file) — so the tree reduce returns the same sketch as the
-// sequential left fold: exactly when degree caps never bind at merge
-// time, and up to the cap-subset choice Definition 2.1 allows
-// otherwise, as for any fold order (both pinned by
-// TestMergeAllTreeEqualsSequential). The coordinator refresh of
-// internal/server rides this: its
-// wall-clock merge cost drops from the sum of the shard merges to the
-// depth of the tree.
+// never modified. The fold runs on the canonical form: every input is
+// frozen (concurrently — freezing is the bulk of the work and the inputs
+// are independent), MergeViews walks the views to the budget cut, and
+// the merged view is thawed into a fresh sketch — the same sketch the
+// sequential Merge left fold builds (see MergeViews), exactly when
+// degree caps never bind at merge time and up to the cap-subset choice
+// Definition 2.1 allows otherwise.
 func MergeAll(params Params, sketches ...*Sketch) (*Sketch, error) {
-	live := make([]*Sketch, 0, len(sketches))
-	for _, sk := range sketches {
+	views := make([]*View, len(sketches)) // nil inputs stay nil, which MergeViews skips
+	var wg sync.WaitGroup
+	for i, sk := range sketches {
 		if sk != nil {
-			live = append(live, sk)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				views[i] = sk.Freeze()
+			}()
 		}
 	}
-	if len(live) < 3 {
-		out, err := NewSketch(params)
-		if err != nil {
-			return nil, err
-		}
-		for _, sk := range live {
-			if err := out.Merge(sk); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	barH, barE, seeded, cutByCum := mergeBar(params, live)
-	out, err := mergeFold(params, live, barH, barE, seeded)
+	wg.Wait()
+	merged, err := MergeViews(params, 0, views...)
 	if err != nil {
 		return nil, err
 	}
-	if cutByCum && out.totalEdges < out.budget {
-		// The presift bar was computed from per-input degree sums; inputs
-		// that overlap on (set, elem) pairs inflate those sums, which can
-		// only push the presift bar too low (never too high), and that
-		// manifests exactly as a merged sketch below budget. Redo the fold
-		// without the presift; the unseeded fold is correct for any inputs.
-		return mergeFold(params, live, 0, 0, false)
-	}
-	return out, nil
-}
-
-// mergeFold folds the inputs with the strategy fitting the hardware:
-// the goroutine-per-pair tree when there is parallelism to exploit,
-// otherwise a sequential fold into a single (optionally presift-seeded)
-// target — the same result either way by merge order-invariance.
-func mergeFold(params Params, live []*Sketch, barH uint64, barE uint32, seeded bool) (*Sketch, error) {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return mergeTree(params, live, barH, barE, seeded)
-	}
-	return mergeSeq(params, live, barH, barE, seeded)
-}
-
-// mergeSeq folds the inputs sequentially into one fresh target, seeded
-// with the presift bar when available.
-func mergeSeq(params Params, live []*Sketch, barH uint64, barE uint32, seeded bool) (*Sketch, error) {
 	out, err := NewSketch(params)
 	if err != nil {
 		return nil, err
 	}
-	if seeded {
-		out.foldBar(barH, barE)
-	}
-	for _, sk := range live {
-		if err := out.Merge(sk); err != nil {
-			return nil, err
-		}
+	if err := out.MergeView(merged); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// mergeBar presifts the fold: it predicts the merged sketch's eviction
-// bar from the inputs' kept-slot summaries so absorption can drop
-// excluded elements at one comparison instead of inserting and then
-// evicting them. The final kept set is the minimal ascending-priority
-// prefix of the inputs' elements whose capped degrees sum to at least
-// the budget (Definition 2.1), and the final bar is the smaller of the
-// folded input bars and the first excluded element's priority. Degrees
-// are summed across inputs (capped at D), which is exact when inputs
-// are edge-disjoint — the engine's hash-partitioned shards — and an
-// overestimate otherwise; MergeAll detects the overestimated case and
-// falls back (see above). cutByCum reports whether the returned bar
-// came from the budget cut rather than the input bars alone.
-func mergeBar(params Params, inputs []*Sketch) (barH uint64, barE uint32, seeded, cutByCum bool) {
-	for _, sk := range inputs {
-		if sk.evicted && (!seeded || priorityLess(sk.barHash, sk.barElem, barH, barE)) {
-			barH, barE, seeded = sk.barHash, sk.barElem, true
-		}
-	}
-	total := 0
-	for _, sk := range inputs {
-		total += len(sk.heap)
-	}
-	cands := make([]mergeCand, 0, total)
-	for _, sk := range inputs {
-		for _, si := range sk.heap {
-			sl := &sk.slots[si]
-			if seeded && !priorityLess(sl.hash, sl.elem, barH, barE) {
-				continue // at or above a folded input bar: excluded regardless
-			}
-			cands = append(cands, mergeCand{hash: sl.hash, elem: sl.elem, deg: int32(len(sl.sets))})
-		}
-	}
-	// Selection, not a full sort: only the minimal prefix matters, which
-	// is typically a small fraction of the candidates (every shard keeps
-	// the same low-priority elements, so the budget is met after
-	// ~budget/Σdeg of them). A manual min-heap pops candidates in
-	// ascending priority until the budget cut.
-	candHeapify(cands)
-	budget := params.EffectiveEdgeBudget()
-	degCap := params.EffectiveDegreeCap()
-	cum := 0
-	for len(cands) > 0 {
-		top := cands[0]
-		if cum >= budget {
-			// First element beyond the minimal prefix: the bar drops to it.
-			barH, barE, seeded, cutByCum = top.hash, top.elem, true, true
-			break
-		}
-		// Coalesce the element across inputs, capping the summed degree.
-		deg := 0
-		for len(cands) > 0 && cands[0].elem == top.elem && cands[0].hash == top.hash {
-			deg += int(cands[0].deg)
-			cands = candPop(cands)
-		}
-		if deg > degCap {
-			deg = degCap
-		}
-		cum += deg
-	}
-	return barH, barE, seeded, cutByCum
-}
-
-// mergeCand is one presift candidate: a kept element of one input with
-// its per-input degree.
-type mergeCand struct {
-	hash uint64
-	elem uint32
-	deg  int32
-}
-
-// candHeapify builds a min-heap by (hash, elem) in place.
-func candHeapify(c []mergeCand) {
-	for i := len(c)/2 - 1; i >= 0; i-- {
-		candSiftDown(c, i)
-	}
-}
-
-// candPop removes the minimum and returns the shrunk heap.
-func candPop(c []mergeCand) []mergeCand {
-	last := len(c) - 1
-	c[0] = c[last]
-	c = c[:last]
-	candSiftDown(c, 0)
-	return c
-}
-
-func candSiftDown(c []mergeCand, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < len(c) && priorityLess(c[l].hash, c[l].elem, c[least].hash, c[least].elem) {
-			least = l
-		}
-		if r < len(c) && priorityLess(c[r].hash, c[r].elem, c[least].hash, c[least].elem) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		c[i], c[least] = c[least], c[i]
-		i = least
-	}
-}
-
-// mergeTree is the parallel reduction over ≥ 3 input sketches. cur
-// holds the working list; owned[i] marks intermediates allocated here
-// (mutable accumulation targets) as opposed to caller inputs (read-only).
-// When seeded, fresh targets start with their eviction bar at (barH,
-// barE) — the presift prediction — so excluded elements drop on arrival.
-func mergeTree(params Params, cur []*Sketch, barH uint64, barE uint32, seeded bool) (*Sketch, error) {
-	owned := make([]bool, len(cur))
-	for len(cur) > 1 {
-		pairs := len(cur) / 2
-		next := make([]*Sketch, (len(cur)+1)/2)
-		nextOwned := make([]bool, len(next))
-		errs := make([]error, pairs)
-		var wg sync.WaitGroup
-		for p := 0; p < pairs; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				a, b := cur[2*p], cur[2*p+1]
-				switch {
-				case owned[2*p]:
-					errs[p] = a.Merge(b)
-					next[p], nextOwned[p] = a, true
-				case owned[2*p+1]:
-					errs[p] = b.Merge(a)
-					next[p], nextOwned[p] = b, true
-				default:
-					out, err := NewSketch(params)
-					if err == nil {
-						if seeded {
-							out.foldBar(barH, barE)
-						}
-						err = out.Merge(a)
-					}
-					if err == nil {
-						err = out.Merge(b)
-					}
-					next[p], nextOwned[p], errs[p] = out, true, err
-				}
-			}(p)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(cur)%2 == 1 { // odd leftover rides up a level unchanged
-			next[pairs] = cur[len(cur)-1]
-			nextOwned[pairs] = owned[len(cur)-1]
-		}
-		cur, owned = next, nextOwned
-	}
-	if !owned[0] {
-		// Single caller-owned survivor (cannot happen with ≥ 3 inputs, but
-		// keep the invariant local): copy into a fresh sketch.
-		out, err := NewSketch(params)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.Merge(cur[0]); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	return cur[0], nil
 }

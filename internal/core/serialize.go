@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/bipartite"
 )
 
-// This file adds the persistence and duplication primitives the serving
-// path needs: a sketch can be deep-copied (Clone), written to a compact
-// binary snapshot (WriteTo) and reconstructed from one (ReadSketch).
+// This file adds the persistence and duplication primitives: a sketch
+// can be deep-copied (Clone), written to a compact binary snapshot
+// (WriteTo) and reconstructed from one (ReadSketch).
 // Restore relies on the same order-invariance as merging: the sketch is a
 // deterministic function of its kept-edge set plus the eviction bar, so
 // replaying the kept edges and folding the stored bar reproduces the
@@ -28,8 +27,8 @@ const SketchMagic = "SKCH1"
 
 // Clone returns a deep copy of the sketch. The copy shares only the
 // (stateless, read-only) hash function with the original; mutating one
-// never affects the other. Cloning is how the serving path takes a
-// consistent cut of a shard's state without stalling its ingest loop.
+// never affects the other. (The serving path cuts a shard's state with
+// the cheaper read-only Freeze; the weighted class bank still clones.)
 func (s *Sketch) Clone() *Sketch {
 	c := &Sketch{
 		params:     s.params,
@@ -69,63 +68,10 @@ func (s *Sketch) SetEdgesSeen(n int64) { s.edgesSeen = n }
 
 // WriteTo serializes the sketch — parameters, eviction bar, stream
 // accounting and every kept edge — in a compact little-endian binary
-// format readable by ReadSketch. It implements io.WriterTo.
+// format readable by ReadSketch: the bytes of its canonical view (see
+// View.WriteTo). It only reads the sketch and implements io.WriterTo.
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	put := func(v interface{}) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if _, err := bw.WriteString(SketchMagic); err != nil {
-		return n, err
-	}
-	n += int64(len(SketchMagic))
-	p := s.params
-	fields := []interface{}{
-		int64(p.NumSets), int64(p.NumElems), int64(p.K),
-		math.Float64bits(p.Eps), math.Float64bits(p.DeltaPP),
-		int64(p.EdgeBudget), int64(p.DegreeCap), math.Float64bits(p.SpaceFactor),
-		p.Seed, uint8(p.Hash),
-		boolByte(s.evicted), s.barHash, s.barElem,
-		s.edgesSeen, uint32(len(s.heap)),
-	}
-	for _, f := range fields {
-		if err := put(f); err != nil {
-			return n, err
-		}
-	}
-	// Canonical element order: the heap's layout depends on insertion
-	// history (a merged sketch and a streamed sketch with identical
-	// content interleave differently), so persist elements in ascending
-	// (hash, elem) priority — the same order Graph materializes — and
-	// equal sketches serialize to equal bytes however they were built.
-	kept := append([]int32(nil), s.heap...)
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := &s.slots[kept[i]], &s.slots[kept[j]]
-		return priorityLess(a.hash, a.elem, b.hash, b.elem)
-	})
-	for _, si := range kept {
-		sl := &s.slots[si]
-		// Canonical bytes: the hot ingest path keeps set lists in arrival
-		// order; persist them sorted so equal sketches serialize equally.
-		sl.normalize()
-		if err := put(sl.elem); err != nil {
-			return n, err
-		}
-		if err := put(uint32(len(sl.sets))); err != nil {
-			return n, err
-		}
-		for _, set := range sl.sets {
-			if err := put(set); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, bw.Flush()
+	return s.Freeze().WriteTo(w)
 }
 
 // ReadSketch reconstructs a sketch written by WriteTo. The result is
@@ -197,11 +143,7 @@ func ReadSketch(r io.Reader) (*Sketch, error) {
 			s.absorb(bipartite.Edge{Set: set, Elem: elem})
 		}
 	}
-	if evicted != 0 {
-		s.foldBar(barHash, barElem)
-	} else {
-		s.shrink()
-	}
+	s.foldBar(evicted != 0, barHash, barElem)
 	s.edgesSeen = edgesSeen
 	s.peakEdges = s.totalEdges
 	return s, nil

@@ -502,34 +502,10 @@ func (s *Sketch) EstimateCoverage(sets []int) float64 {
 // Graph materializes the sketch as a bipartite graph: set ids are
 // preserved; kept elements are renumbered 0..Elements()-1 in increasing
 // hash order (the order is irrelevant to coverage). The second return
-// value maps new element ids back to original ones.
+// value maps new element ids back to original ones. It only reads the
+// sketch: the graph is built from its canonical view (see View.Graph).
 func (s *Sketch) Graph() (*bipartite.Graph, []uint32) {
-	type kv struct {
-		hash uint64
-		si   int32
-	}
-	kept := make([]kv, 0, len(s.heap))
-	for _, si := range s.heap {
-		kept = append(kept, kv{hash: s.slots[si].hash, si: si})
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := &s.slots[kept[i].si], &s.slots[kept[j].si]
-		return priorityLess(a.hash, a.elem, b.hash, b.elem)
-	})
-	ids := make([]uint32, len(kept))
-	edges := make([]bipartite.Edge, 0, s.totalEdges)
-	for newID, e := range kept {
-		sl := &s.slots[e.si]
-		// Normalize while extracting: a sketch that has been graphed (every
-		// published server snapshot) is fully sorted, so subsequent readers
-		// like SetsOf are pure reads and safe to share.
-		sl.normalize()
-		ids[newID] = sl.elem
-		for _, set := range sl.sets {
-			edges = append(edges, bipartite.Edge{Set: set, Elem: uint32(newID)})
-		}
-	}
-	g, err := bipartite.FromEdges(s.params.NumSets, len(kept), edges)
+	g, ids, err := s.Freeze().Graph()
 	if err != nil {
 		panic("core: sketch graph construction failed: " + err.Error())
 	}

@@ -1,0 +1,352 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"math/bits"
+	"slices"
+
+	"repro/internal/bipartite"
+	"repro/internal/hashing"
+)
+
+// View is the immutable canonical form of an H≤n sketch: the kept
+// elements in ascending (hash, elem) priority, each with its ascending
+// set list, stored flat, plus the eviction bar and the parameters.
+// Definition 2.1 says a sketch is nothing more than that — the elements
+// in hash order with their capped set lists, up to the first prefix
+// whose degrees reach the budget — so the view is the exchange form
+// everything downstream of ingest works on: merging views is a sorted
+// merge that stops at the budget (MergeViews), the flat lists are
+// already the element side of the query graph (Graph), and walking the
+// arrays in order emits the serialized bytes (WriteTo).
+//
+// A View is never modified after construction and may be shared freely
+// between goroutines; the graph returned by Graph aliases its storage.
+type View struct {
+	params Params
+
+	hashes []uint64 // ascending (hashes[i], elems[i])
+	elems  []uint32
+	off    []int64  // len(elems)+1; sets[off[i]:off[i+1]] belongs to elems[i]
+	sets   []uint32 // ascending and distinct within each element
+
+	// Eviction bar: every kept element compares strictly below it.
+	evicted bool
+	barHash uint64
+	barElem uint32
+
+	edgesSeen int64
+}
+
+// Freeze returns the sketch's canonical view. It only reads the sketch
+// (slot lists kept in arrival order are sorted in the copy, not in
+// place) and the view shares no storage with it, so further ingest
+// never shows through.
+func (s *Sketch) Freeze() *View {
+	n := len(s.heap)
+	v := &View{
+		params:    s.params,
+		hashes:    make([]uint64, n),
+		elems:     make([]uint32, n),
+		off:       make([]int64, n+1),
+		sets:      make([]uint32, s.totalEdges),
+		evicted:   s.evicted,
+		barHash:   s.barHash,
+		barElem:   s.barElem,
+		edgesSeen: s.edgesSeen,
+	}
+	if n == 0 {
+		return v
+	}
+	// Order the kept slots by priority with a counting sort on the top
+	// bits of the hash: kept hashes are uniform below the bar, so with as
+	// many buckets as elements nearly every element lands in its final
+	// position and the insertion pass below only settles neighbours. Until
+	// the last pass v.elems holds slot indices, not element ids.
+	maxHash := s.barHash // every kept hash is at most the bar's
+	if !s.evicted {
+		for i := range s.slots {
+			if sl := &s.slots[i]; sl.hpos >= 0 && sl.hash > maxHash {
+				maxHash = sl.hash
+			}
+		}
+	}
+	up := bits.LeadingZeros64(maxHash | 1)
+	down := 64 - bits.Len(uint(n))
+	next := make([]int32, (1<<(64-down))+1)
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.hpos >= 0 {
+			next[(sl.hash<<up)>>down+1]++
+		}
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.hpos >= 0 {
+			b := (sl.hash << up) >> down
+			v.hashes[next[b]], v.elems[next[b]] = sl.hash, uint32(i)
+			next[b]++
+		}
+	}
+	for i := 1; i < n; i++ {
+		h, si := v.hashes[i], v.elems[i]
+		j := i
+		for j > 0 && (v.hashes[j-1] > h ||
+			v.hashes[j-1] == h && s.slots[v.elems[j-1]].elem > s.slots[si].elem) {
+			v.hashes[j], v.elems[j] = v.hashes[j-1], v.elems[j-1]
+			j--
+		}
+		v.hashes[j], v.elems[j] = h, si
+	}
+	w := 0
+	for i, si := range v.elems {
+		sl := &s.slots[si]
+		v.elems[i] = sl.elem
+		seg := v.sets[w : w+len(sl.sets)]
+		copy(seg, sl.sets)
+		if !sl.sorted {
+			sortSets(seg)
+		}
+		w += len(seg)
+		v.off[i+1] = int64(w)
+	}
+	return v
+}
+
+// PStar returns the sampling probability p*: the fraction of hash space
+// below the eviction bar, or 1 when nothing was evicted.
+func (v *View) PStar() float64 {
+	if !v.evicted {
+		return 1
+	}
+	return hashing.ToUnit(v.barHash)
+}
+
+// Stats reports the view's accounting in the sketch's shape. The
+// per-run drop counters describe a stream, not a summary, and stay zero.
+func (v *View) Stats() Stats {
+	n, e := int64(len(v.elems)), int64(len(v.sets))
+	return Stats{
+		EdgesSeen:    v.edgesSeen,
+		EdgesKept:    len(v.sets),
+		PeakEdges:    len(v.sets),
+		ElementsKept: len(v.elems),
+		Budget:       v.params.EffectiveEdgeBudget(),
+		DegreeCap:    v.params.EffectiveDegreeCap(),
+		PStar:        v.PStar(),
+		Bytes:        20*n + 8 + 4*e, // hash, id and offset per element; one id per edge
+	}
+}
+
+// Graph renders the view as a bipartite graph: set ids are preserved,
+// kept elements are numbered from 0 in priority order, and the
+// second return value maps those numbers back to original element ids.
+// The view's own flat lists become the graph's element side, so both
+// results alias the view and must not be modified. The only possible
+// error is a set id outside [0, NumSets), which a sketch fed unvalidated
+// edges can hold.
+func (v *View) Graph() (*bipartite.Graph, []uint32, error) {
+	g, err := bipartite.FromElemCSR(v.params.NumSets, v.off, v.sets)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: sketch graph: %w", err)
+	}
+	return g, v.elems, nil
+}
+
+// WriteTo serializes the view — parameters, eviction bar, consumed-edge
+// total and every kept edge — in the compact little-endian format
+// ReadSketch reads. Elements and set lists are already in the canonical
+// order, so equal sketches serialize to equal bytes however they were
+// built. It implements io.WriterTo.
+func (v *View) WriteTo(w io.Writer) (int64, error) {
+	p := v.params
+	le := binary.LittleEndian
+	buf := make([]byte, 0, len(SketchMagic)+98+8*len(v.elems)+4*len(v.sets))
+	buf = append(buf, SketchMagic...)
+	for _, f := range [...]uint64{
+		uint64(p.NumSets), uint64(p.NumElems), uint64(p.K),
+		math.Float64bits(p.Eps), math.Float64bits(p.DeltaPP),
+		uint64(p.EdgeBudget), uint64(p.DegreeCap), math.Float64bits(p.SpaceFactor),
+		p.Seed,
+	} {
+		buf = le.AppendUint64(buf, f)
+	}
+	buf = append(buf, uint8(p.Hash), boolByte(v.evicted))
+	buf = le.AppendUint64(buf, v.barHash)
+	buf = le.AppendUint32(buf, v.barElem)
+	buf = le.AppendUint64(buf, uint64(v.edgesSeen))
+	buf = le.AppendUint32(buf, uint32(len(v.elems)))
+	for i, elem := range v.elems {
+		sets := v.sets[v.off[i]:v.off[i+1]]
+		buf = le.AppendUint32(buf, elem)
+		buf = le.AppendUint32(buf, uint32(len(sets)))
+		for _, set := range sets {
+			buf = le.AppendUint32(buf, set)
+		}
+	}
+	n, err := w.Write(buf)
+	return int64(n), err
+}
+
+// MergeViews folds views of sketches built with parameters compatible
+// with params into the view of the merged sketch; edgesSeen is the
+// consumed-edge total the result reports. Inputs are only read.
+//
+// A view is the Definition 2.1 prefix, so the merge is a k-way walk in
+// priority order that stops at the cut: an element's merged set list is
+// the sorted union of its input lists (capped at the D smallest ids —
+// any D-subset is allowed, this one is canonical), elements are taken
+// while the degrees so far stay below the budget, and the walk never
+// reaches an input's bar, above which that input's lists may be
+// incomplete. The merged bar is the smaller of the input bars and the
+// first element the budget excluded. That is exactly what folding the
+// sketches one by one with Merge arrives at: Merge evicts an element
+// only when the prefix below it already holds a full budget, and later
+// inputs only grow that prefix.
+func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	out := &View{params: params, edgesSeen: edgesSeen}
+	var (
+		heads       []viewCursor
+		elems, sets int
+	)
+	for _, v := range views {
+		if v == nil {
+			continue
+		}
+		if !params.sketchCompatible(v.params) {
+			return nil, fmt.Errorf("core: cannot merge incompatible sketches (params %+v vs %+v)",
+				params, v.params)
+		}
+		if v.evicted && (!out.evicted || priorityLess(v.barHash, v.barElem, out.barHash, out.barElem)) {
+			out.evicted, out.barHash, out.barElem = true, v.barHash, v.barElem
+		}
+		if len(v.elems) > 0 {
+			heads = append(heads, viewCursor{v: v})
+		}
+		elems += len(v.elems)
+		sets += len(v.sets)
+	}
+	budget, degCap := params.EffectiveEdgeBudget(), params.EffectiveDegreeCap()
+	// Size the output for the cut, not for the inputs: at most budget+D
+	// edges survive, and the prefix holding them has the inputs' average
+	// degree. append absorbs a misestimate.
+	if cut := budget + degCap; sets > cut {
+		elems = int(float64(elems)*float64(cut)/float64(sets)) + elems/8 + 1
+		sets = cut
+	}
+	out.hashes = make([]uint64, 0, elems)
+	out.elems = make([]uint32, 0, elems)
+	out.off = append(make([]int64, 0, elems+1), 0)
+	out.sets = make([]uint32, 0, sets)
+
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftCursor(heads, i)
+	}
+	for len(heads) > 0 {
+		h, e := heads[0].head()
+		if out.evicted && !priorityLess(h, e, out.barHash, out.barElem) {
+			break
+		}
+		if len(out.sets) >= budget {
+			out.evicted, out.barHash, out.barElem = true, h, e
+			break
+		}
+		start, lists := len(out.sets), 0
+		for len(heads) > 0 {
+			c := &heads[0]
+			if ch, ce := c.head(); ch != h || ce != e {
+				break
+			}
+			out.sets = append(out.sets, c.v.sets[c.v.off[c.i]:c.v.off[c.i+1]]...)
+			lists++
+			if c.i++; c.i == len(c.v.elems) {
+				heads[0] = heads[len(heads)-1]
+				heads = heads[:len(heads)-1]
+			}
+			siftCursor(heads, 0)
+		}
+		if lists > 1 {
+			seg := out.sets[start:]
+			sortSets(seg)
+			out.sets = out.sets[:start+len(slices.Compact(seg))]
+		}
+		if len(out.sets)-start > degCap {
+			out.sets = out.sets[:start+degCap]
+		}
+		out.hashes = append(out.hashes, h)
+		out.elems = append(out.elems, e)
+		out.off = append(out.off, int64(len(out.sets)))
+	}
+	return out, nil
+}
+
+// sortSets sorts a set list ascending. The lists a sketch keeps in
+// arrival order are at most sortedInsertThreshold long and an element's
+// union across shards is rarely longer, so the short case is an inline
+// insertion sort; the generic sort takes the rest.
+func sortSets(a []uint32) {
+	if len(a) > 32 {
+		slices.Sort(a)
+		return
+	}
+	for i := 1; i < len(a); i++ {
+		x, j := a[i], i
+		for ; j > 0 && a[j-1] > x; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
+	}
+}
+
+// viewCursor is one input's position in the k-way walk.
+type viewCursor struct {
+	v *View
+	i int
+}
+
+func (c viewCursor) head() (uint64, uint32) { return c.v.hashes[c.i], c.v.elems[c.i] }
+
+// siftCursor restores the min-heap order (by head priority) below i.
+func siftCursor(h []viewCursor, i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) {
+				ch, ce := h[c].head()
+				lh, le := h[least].head()
+				if priorityLess(ch, ce, lh, le) {
+					least = c
+				}
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// MergeView folds a view's kept elements and eviction bar into s, with
+// the semantics of Merge. Stream accounting is untouched.
+func (s *Sketch) MergeView(v *View) error {
+	if v == nil {
+		return nil
+	}
+	if !s.params.sketchCompatible(v.params) {
+		return fmt.Errorf("core: cannot merge incompatible sketches (params %+v vs %+v)",
+			s.params, v.params)
+	}
+	for i, elem := range v.elems {
+		s.absorbElem(v.hashes[i], elem, v.sets[v.off[i]:v.off[i+1]])
+	}
+	s.foldBar(v.evicted, v.barHash, v.barElem)
+	return nil
+}

@@ -161,31 +161,11 @@ func (e *Engine) Checkpoint() (*Snapshot, error) {
 		e.refreshSkips.Add(1)
 		return snap, nil
 	}
-	replies := make([]chan shardReply, len(e.shards))
-	for i, sh := range e.shards {
-		replies[i] = make(chan shardReply, 1)
-		sh.mail <- shardMsg{reply: replies[i], wantClone: true}
-	}
+	replies := e.requestStates(true)
 	// The cut is placed; later Ingests order behind it in every mailbox,
 	// so gathering can proceed without blocking them.
 	e.ingestMu.Unlock()
-	applied := e.restored
-	states := make([]ShardState, len(replies))
-	for i, ch := range replies {
-		rep := <-ch
-		applied += rep.stats.EdgesSeen
-		states[i] = rep.clone
-	}
-	merged, err := e.mode.MergeStates(states)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := NewStateSnapshot(e.mode, e.seq.Add(1), applied, merged)
-	if err != nil {
-		return nil, err
-	}
-	e.publish(snap)
-	return snap, nil
+	return e.buildSnapshot(replies)
 }
 
 // truncateWAL drops WAL segments fully covered by a durable snapshot

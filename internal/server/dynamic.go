@@ -83,11 +83,11 @@ func (d *dynamicState) ApplyOps(ops []bipartite.Op) error {
 	return nil
 }
 
-func (d *dynamicState) CloneState() ShardState {
+func (d *dynamicState) Freeze() FrozenState {
 	return &dynamicState{sam: d.sam.Clone(), opsSeen: d.opsSeen, deletes: d.deletes}
 }
 
-func (d *dynamicState) MergeFrom(other ShardState) error {
+func (d *dynamicState) MergeFrom(other FrozenState) error {
 	o, ok := other.(*dynamicState)
 	if !ok {
 		return fmt.Errorf("server: cannot merge %T state into a dynamic engine", other)
@@ -115,8 +115,6 @@ func (d *dynamicState) Stats() core.Stats {
 	}
 	return st
 }
-
-func (d *dynamicState) SetEdgesSeen(n int64) { d.opsSeen = n }
 
 // dynMagic frames the dynamic state: op counters, then the sampler's
 // own self-checksummed bytes.
@@ -153,8 +151,8 @@ func (m dynamicMode) NewShardState() (ShardState, error) {
 	return &dynamicState{sam: l0.NewSampler(m.params)}, nil
 }
 
-func (m dynamicMode) MergeStates(states []ShardState) (ShardState, error) {
-	merged := &dynamicState{sam: l0.NewSampler(m.params)}
+func (m dynamicMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
+	merged := &dynamicState{sam: l0.NewSampler(m.params), opsSeen: edges}
 	for _, st := range states {
 		s, ok := st.(*dynamicState)
 		if !ok {
@@ -163,13 +161,12 @@ func (m dynamicMode) MergeStates(states []ShardState) (ShardState, error) {
 		if err := merged.sam.Merge(s.sam); err != nil {
 			return nil, err
 		}
-		merged.opsSeen += s.opsSeen
 		merged.deletes += s.deletes
 	}
 	return merged, nil
 }
 
-func (m dynamicMode) ReadState(r io.Reader) (ShardState, error) {
+func (m dynamicMode) ReadState(r io.Reader) (FrozenState, error) {
 	hdr := make([]byte, len(dynMagic)+20)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("decoding dynamic state header: %w", err)
@@ -195,7 +192,7 @@ func (m dynamicMode) ReadState(r io.Reader) (ShardState, error) {
 	}, nil
 }
 
-func (m dynamicMode) Materialize(st ShardState) (*materialized, error) {
+func (m dynamicMode) Materialize(st FrozenState) (*materialized, error) {
 	d, ok := st.(*dynamicState)
 	if !ok {
 		return nil, fmt.Errorf("server: cannot materialize %T state on a dynamic engine", st)

@@ -6,18 +6,24 @@
 // by the engine's Mode with identical parameters. Edge batches are
 // hash-routed to shards over bounded channels; each shard applies its
 // batches sequentially, so no state is ever touched by two goroutines.
-// Queries never read shard states directly: a coordinator merge —
-// triggered periodically, on demand, or lazily by the first query —
-// asks every shard for a consistent clone of its state (a message in
-// the same mailbox as the batches, so it observes every batch sent
-// before it), folds the clones into one merged state (Mode.MergeStates;
-// a parallel tree reduction for the sketch mode), and publishes the
-// result as an immutable Snapshot behind an atomic pointer. Queries run
-// greedy algorithms against the current snapshot without stalling
-// ingest; for the default sketch mode, merge-composability
-// (internal/core/merge.go) makes the snapshot identical to the sketch a
+// Queries never read shard states directly: a coordinator refresh —
+// triggered periodically, on demand, or lazily by the first query — is
+// freeze → merge → adopt. Every shard answers a state request (a
+// message in the same mailbox as the batches, so it observes every
+// batch sent before it) with a read-only cut of its state; the
+// coordinator folds the cuts into one merged state (Mode.MergeStates)
+// and publishes it, materialized, as an immutable Snapshot behind an
+// atomic pointer. For the default sketch mode no sketch is rebuilt on
+// that path: the shard freezes its sketch into the canonical flat
+// core.View (elements in hash order with sorted set lists — Definition
+// 2.1's prefix written down), core.MergeViews walks the shard views in
+// priority order up to the budget cut, which is exactly the sketch a
 // single machine would have built over every edge ingested before the
-// merge.
+// request (internal/core/merge.go, view.go), and the merged view's own
+// arrays are adopted as the element side of the query graph and walked
+// once more to emit the snapshot bytes. The other modes freeze by deep
+// copy. Queries run greedy algorithms against the current snapshot
+// without stalling ingest.
 //
 // The query plane is engineered for read-heavy traffic (DESIGN.md §7):
 // snapshots carry a precomputed bitset coverage index so greedy
@@ -122,11 +128,11 @@ type Config struct {
 	// previously persisted class bank (see weighted.ReadBank); requires
 	// Weights. NewFromSnapshot fills the right field from raw bytes.
 	RestoreWeighted *weighted.Bank
-	// RestoreState, when non-nil, seeds the engine with a decoded shard
-	// state of the configured mode — the mode-generic restore slot the
-	// sieve engine uses (ReadRestore fills it). The typed Restore /
+	// RestoreState, when non-nil, seeds the engine with a decoded state
+	// of the configured mode — the mode-generic restore slot the sieve
+	// and dynamic engines use (ReadRestore fills it). The typed Restore /
 	// RestoreWeighted fields remain for the two original modes.
-	RestoreState ShardState
+	RestoreState FrozenState
 }
 
 func (c Config) shards() int {
@@ -195,16 +201,16 @@ type shardMsg struct {
 	// set.
 	ops   *[]bipartite.Op
 	reply chan shardReply // non-nil: respond with the shard's state
-	// wantClone asks for a deep copy of the state (a merge is coming);
+	// freeze asks for a read-only cut of the state (a merge is coming);
 	// stats-only requests leave it false and skip the O(budget) copy.
-	wantClone bool
+	freeze bool
 }
 
 // shardReply is a shard's answer to a state request: its accounting,
-// plus a deep clone of its state when one was asked for.
+// plus a frozen cut of its state when one was asked for.
 type shardReply struct {
-	clone ShardState // nil unless wantClone
-	stats core.Stats
+	frozen FrozenState // nil unless freeze
+	stats  core.Stats
 }
 
 type shard struct {
@@ -221,8 +227,8 @@ func (sh *shard) run(st ShardState) {
 	for msg := range sh.mail {
 		if msg.reply != nil {
 			rep := shardReply{stats: st.Stats()}
-			if msg.wantClone {
-				rep.clone = st.CloneState()
+			if msg.freeze {
+				rep.frozen = st.Freeze()
 			}
 			msg.reply <- rep
 			continue
@@ -252,8 +258,8 @@ type Snapshot struct {
 	CreatedAt time.Time
 	// IngestedEdges is the number of edges the merged state actually
 	// reflects: the sum of edges the shards had applied when the
-	// coordinator collected their clones, plus any restored edges. It is
-	// captured from the same mailbox replies as the clones themselves,
+	// coordinator collected their frozen cuts, plus any restored edges. It
+	// is captured from the same mailbox replies as the cuts themselves,
 	// so it can never disagree with the merged state — every Ingest
 	// call that returned before the merge was requested is included (the
 	// mailbox ordering guarantee), and nothing the state missed is
@@ -261,7 +267,7 @@ type Snapshot struct {
 	IngestedEdges int64
 
 	mode    Mode             // the engine mode the state belongs to
-	state   ShardState       // merged state (sketch / bank / sieve buffer)
+	state   FrozenState      // merged state (sketch view / bank / sieve buffer / sampler)
 	weights []float64        // weighted: scaled union element weights
 	graph   *bipartite.Graph // materialized (union) graph queries run on
 	ids     []uint32         // graph element id -> original element id
@@ -273,18 +279,8 @@ func (s *Snapshot) Mode() Mode { return s.mode }
 // ModeName returns the snapshot's engine-mode name.
 func (s *Snapshot) ModeName() ModeName { return s.mode.Name() }
 
-// State returns the snapshot's merged shard state. Callers must not
-// mutate it (ShardState's read verbs — Stats, WriteTo — are safe).
-func (s *Snapshot) State() ShardState { return s.state }
-
-// Sketch returns the merged H≤n sketch (nil unless the snapshot came
-// from the sketch mode). Callers must not mutate it.
-func (s *Snapshot) Sketch() *core.Sketch {
-	if st, ok := s.state.(sketchState); ok {
-		return st.sk
-	}
-	return nil
-}
+// State returns the snapshot's merged state.
+func (s *Snapshot) State() FrozenState { return s.state }
 
 // Bank returns the merged weight-class bank (nil unless the snapshot
 // came from the weighted mode). Callers must not mutate it.
@@ -320,24 +316,26 @@ func (s *Snapshot) Graph() *bipartite.Graph { return s.graph }
 // format (v1 sketch, weighted.BankMagic bank, or sieve.Magic buffer).
 // These are the exact bytes Engine.WriteSnapshot persists and
 // /v1/cluster/sketch serves — one wire format for disk and peers. Safe
-// on a published snapshot: WriteTo only reads, and any lazy
-// normalization already ran when the snapshot's graph was materialized.
+// on a published snapshot: a frozen state's WriteTo only reads.
 func (s *Snapshot) WriteState(w io.Writer) error {
 	_, err := s.state.WriteTo(w)
 	return err
 }
 
-// NewStateSnapshot materializes a queryable Snapshot from a merged
-// shard state of the given mode. It is the snapshot-building tail of a
-// coordinator refresh, exported so the cluster layer can publish a
-// cluster-wide view (local state folded with decoded peer states via
-// Mode.MergeStates) that queries exactly like an engine snapshot.
-// edges is the ingested-edge total the state reflects (a merged state
-// only counts the kept edges it replayed, so the caller pins the true
-// total).
-func NewStateSnapshot(mode Mode, seq uint64, edges int64, st ShardState) (*Snapshot, error) {
-	st.SetEdgesSeen(edges)
-	mat, err := mode.Materialize(st)
+// MergeSnapshot folds frozen states of the given mode into one merged
+// state and materializes it as a queryable Snapshot. It is the
+// snapshot-building tail of a coordinator refresh, exported so the
+// cluster layer can publish a cluster-wide view (local state folded with
+// decoded peer states) that queries exactly like an engine snapshot.
+// edges is the ingested-edge total the states reflect together (a merge
+// only replays kept edges, so the caller supplies the true total). The
+// inputs are only read.
+func MergeSnapshot(mode Mode, seq uint64, edges int64, states []FrozenState) (*Snapshot, error) {
+	merged, err := mode.MergeStates(states, edges)
+	if err != nil {
+		return nil, err
+	}
+	mat, err := mode.Materialize(merged)
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +348,7 @@ func NewStateSnapshot(mode Mode, seq uint64, edges int64, st ShardState) (*Snaps
 		CreatedAt:     time.Now(),
 		IngestedEdges: edges,
 		mode:          mode,
-		state:         st,
+		state:         merged,
 		weights:       mat.weights,
 		graph:         mat.graph,
 		ids:           mat.ids,
@@ -396,9 +394,12 @@ type Engine struct {
 
 	cache     *queryCache // nil when disabled
 	cacheHits atomic.Int64
-	// refreshes counts coordinator merges that actually ran; refreshSkips
-	// counts Refresh calls satisfied by the idle short-circuit.
+	// refreshes counts coordinator merges that actually ran and
+	// refreshNanos sums the time they took (gather → merge → materialize →
+	// publish); refreshSkips counts Refresh calls satisfied by the idle
+	// short-circuit, which add no time.
 	refreshes    atomic.Int64
+	refreshNanos atomic.Int64
 	refreshSkips atomic.Int64
 	// refreshErrors counts background (merge-ticker) refreshes that
 	// failed; refreshErrOnce gates the Config.OnRefreshError callback.
@@ -442,7 +443,7 @@ func New(cfg Config) (*Engine, error) {
 		if restore != nil {
 			return nil, fmt.Errorf("server: Restore and RestoreState are mutually exclusive")
 		}
-		restore = sketchState{cfg.Restore}
+		restore = cfg.Restore.Freeze()
 	}
 	if cfg.RestoreWeighted != nil {
 		if restore != nil {
@@ -725,33 +726,36 @@ func (e *Engine) IngestOps(ops []bipartite.Op) (int, error) {
 	return len(ops), nil
 }
 
-// collect asks every shard for a consistent view of its state (with a
-// deep clone of the state when wantClone). The request rides the same
-// mailbox as the batches, so each reply reflects every batch enqueued
-// to that shard before the call.
-func (e *Engine) collect(wantClone bool) ([]shardReply, error) {
+// requestStates places one state request (asking for a frozen cut when
+// freeze) in every shard mailbox and returns the reply channels. A
+// request rides the same mailbox as the batches, so each reply reflects
+// every batch enqueued to that shard before it. The caller holds
+// ingestMu (shared or exclusive) and has checked e.closed.
+func (e *Engine) requestStates(freeze bool) []chan shardReply {
+	replies := make([]chan shardReply, len(e.shards))
+	for i, sh := range e.shards {
+		replies[i] = make(chan shardReply, 1)
+		sh.mail <- shardMsg{reply: replies[i], freeze: freeze}
+	}
+	return replies
+}
+
+// placeStateRequests is requestStates for callers that may cut through
+// a concurrent Ingest: it takes the ingest lock shared.
+func (e *Engine) placeStateRequests(freeze bool) ([]chan shardReply, error) {
 	e.ingestMu.RLock()
 	defer e.ingestMu.RUnlock()
 	if e.closed {
 		return nil, ErrClosed
 	}
-	replies := make([]chan shardReply, len(e.shards))
-	for i, sh := range e.shards {
-		replies[i] = make(chan shardReply, 1)
-		sh.mail <- shardMsg{reply: replies[i], wantClone: wantClone}
-	}
-	out := make([]shardReply, len(replies))
-	for i, ch := range replies {
-		out[i] = <-ch
-	}
-	return out, nil
+	return e.requestStates(freeze), nil
 }
 
 // Refresh publishes a snapshot reflecting every edge whose Ingest call
 // returned before Refresh was called. When the ingested-edge counter
 // has not moved since the current snapshot was published, that snapshot
 // already reflects everything and is returned as-is — an idle Refresh
-// costs two atomic loads instead of a full clone-and-merge.
+// costs two atomic loads instead of a full freeze-and-merge.
 func (e *Engine) Refresh() (*Snapshot, error) {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
@@ -770,50 +774,45 @@ func (e *Engine) refreshLocked() (*Snapshot, error) {
 		e.refreshSkips.Add(1)
 		return snap, nil
 	}
-	replies, err := e.collect(true)
+	// The counter read above is only the idle check — a batch accepted
+	// between it and the requests is legitimately included.
+	replies, err := e.placeStateRequests(true)
 	if err != nil {
 		return nil, err
 	}
-	// Capture the ingested-edge total from the same replies as the
-	// clones: the count and the merged state describe the exact same cut
-	// of the mailboxes, so the snapshot's accounting can neither lag a
-	// batch the merge contains nor claim one it missed. (The counter
-	// read above is only the idle check — a batch accepted between it
-	// and collect() is legitimately included here.)
-	applied := e.restored
-	states := make([]ShardState, len(replies))
-	for i, rep := range replies {
-		applied += rep.stats.EdgesSeen
-		states[i] = rep.clone
-	}
-	// Fold the shard clones into one merged state (the clones are owned
-	// here and discarded after the fold).
-	merged, err := e.mode.MergeStates(states)
-	if err != nil {
-		return nil, err
-	}
-	// NewStateSnapshot pins the captured applied total on the merged
-	// state (a merged state only counts the kept edges it replayed;
-	// restored edges already ride `applied`), so the snapshot reports the
-	// true consumed count and WriteSnapshot persists it without a fix-up
-	// clone.
-	snap, err := NewStateSnapshot(e.mode, e.seq.Add(1), applied, merged)
-	if err != nil {
-		return nil, err
-	}
-	e.publish(snap)
-	return snap, nil
+	return e.buildSnapshot(replies)
 }
 
-// publish stores a freshly built snapshot and bumps the merge-plane
-// counters (a dynamic-mode snapshot implies one successful sampler
-// decode — Materialize would have failed the build otherwise).
-func (e *Engine) publish(snap *Snapshot) {
+// buildSnapshot is the snapshot-building tail shared by Refresh and
+// Checkpoint: gather the frozen cuts the placed requests produce, fold
+// them, publish. The caller holds refreshMu.
+func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
+	start := time.Now()
+	// The ingested-edge total comes from the same replies as the cuts:
+	// the count and the merged state describe the exact same cut of the
+	// mailboxes, so the snapshot's accounting can neither lag a batch the
+	// merge contains nor claim one it missed. Restored edges never passed
+	// a shard's stream counter and ride e.restored.
+	applied := e.restored
+	states := make([]FrozenState, len(replies))
+	for i, ch := range replies {
+		rep := <-ch
+		applied += rep.stats.EdgesSeen
+		states[i] = rep.frozen
+	}
+	snap, err := MergeSnapshot(e.mode, e.seq.Add(1), applied, states)
+	if err != nil {
+		return nil, err
+	}
 	e.snap.Store(snap)
 	e.refreshes.Add(1)
+	e.refreshNanos.Add(int64(time.Since(start)))
 	if e.mode.Name() == ModeDynamic {
+		// A dynamic-mode snapshot implies one successful sampler decode —
+		// Materialize would have failed the build otherwise.
 		e.samplerRecoveries.Add(1)
 	}
+	return snap, nil
 }
 
 // Snapshot returns the current snapshot, building the first one on
@@ -880,8 +879,11 @@ type Counters struct {
 	// Queries / QueryCacheHits account the query plane.
 	Queries        int64
 	QueryCacheHits int64
-	// Refreshes / RefreshSkips / RefreshErrors account the merge plane.
+	// Refreshes / RefreshSkips / RefreshErrors account the merge plane;
+	// RefreshNanos sums the wall time of the Refreshes builds (skips add
+	// nothing), so RefreshNanos / Refreshes is the mean refresh time.
 	Refreshes     int64
+	RefreshNanos  int64
 	RefreshSkips  int64
 	RefreshErrors int64
 	// SnapshotSeq / SnapshotEdges identify the published snapshot (zero
@@ -901,6 +903,7 @@ func (e *Engine) Counters() Counters {
 		Queries:           e.queries.Load(),
 		QueryCacheHits:    e.cacheHits.Load(),
 		Refreshes:         e.refreshes.Load(),
+		RefreshNanos:      e.refreshNanos.Load(),
 		RefreshSkips:      e.refreshSkips.Load(),
 		RefreshErrors:     e.refreshErrors.Load(),
 	}
@@ -1025,7 +1028,7 @@ func ValidateQuery(q Query, mode ModeName) error {
 // ExecuteQuery runs a validated query against a snapshot — the greedy
 // dispatch of Engine.Query without the engine: no cache, no refresh,
 // no counters. The cluster layer uses it to answer queries on merged
-// cluster-view snapshots (NewStateSnapshot) with byte-for-byte the
+// cluster-view snapshots (MergeSnapshot) with byte-for-byte the
 // result shape a local engine produces. q.Refresh is ignored (there is
 // no engine to refresh); the caller picks the snapshot.
 func ExecuteQuery(snap *Snapshot, q Query) (*QueryResult, error) {
@@ -1112,10 +1115,9 @@ func (e *Engine) WriteSnapshot(w io.Writer) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	// No clone needed in any mode: the refresh already pinned the merged
-	// state's consumed-edge counter to the snapshot's applied total, and
-	// WriteState only reads, so serializing the published state races
-	// with nothing.
+	// The merged state was built with the snapshot's applied total as its
+	// consumed-edge counter and is frozen, so serializing the published
+	// state races with nothing.
 	if err := snap.WriteState(w); err != nil {
 		return nil, err
 	}
@@ -1133,19 +1135,27 @@ func ReadRestore(cfg Config, r io.Reader) (Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	st, err := mode.ReadState(r)
-	if err != nil {
+	wrap := func(err error) (Config, error) {
 		if mode.Name() == ModeWeighted {
 			return cfg, fmt.Errorf("server: restoring weighted snapshot: %w", err)
 		}
 		return cfg, fmt.Errorf("server: restoring snapshot: %w", err)
 	}
-	switch s := st.(type) {
-	case sketchState:
-		cfg.Restore = s.sk
-	case bankState:
+	if m, ok := mode.(sketchMode); ok {
+		// Config.Restore is typed as the sketch itself, so stop one step
+		// short of ReadState's freeze; New freezes it.
+		if cfg.Restore, err = m.readSketch(r); err != nil {
+			return wrap(err)
+		}
+		return cfg, nil
+	}
+	st, err := mode.ReadState(r)
+	if err != nil {
+		return wrap(err)
+	}
+	if s, ok := st.(bankState); ok {
 		cfg.RestoreWeighted = s.bank
-	default:
+	} else {
 		cfg.RestoreState = st
 	}
 	return cfg, nil
@@ -1222,7 +1232,7 @@ type Stats struct {
 // Stats returns a consistent per-shard and snapshot accounting. It rides
 // the shard mailboxes, so it reflects all previously ingested batches.
 func (e *Engine) Stats() (*Stats, error) {
-	replies, err := e.collect(false)
+	replies, err := e.placeStateRequests(false)
 	if err != nil {
 		return nil, err
 	}
@@ -1246,8 +1256,8 @@ func (e *Engine) Stats() (*Stats, error) {
 	if e.cache != nil {
 		st.QueryCacheEntries = e.cache.len()
 	}
-	for _, rep := range replies {
-		st.ShardStats = append(st.ShardStats, rep.stats)
+	for _, ch := range replies {
+		st.ShardStats = append(st.ShardStats, (<-ch).stats)
 	}
 	if snap := e.snap.Load(); snap != nil {
 		st.SnapshotSeq = snap.Seq

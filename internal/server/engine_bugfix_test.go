@@ -187,7 +187,7 @@ func TestIngestRefreshAccountingConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kept := int64(snap.Sketch().Edges()); kept != snap.IngestedEdges {
+		if kept := int64(snap.State().Stats().EdgesKept); kept != snap.IngestedEdges {
 			t.Fatalf("snapshot seq %d reports %d ingested edges but its merged sketch holds %d",
 				snap.Seq, snap.IngestedEdges, kept)
 		}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"time"
 )
 
 // This file is the observability plane: GET /metrics in the Prometheus
@@ -114,6 +115,7 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Counter("covserved_queries_total", "Queries served (cache hits included).", ns, float64(c.Queries))
 		w.Counter("covserved_query_cache_hits_total", "Queries answered from the memoized result cache.", ns, float64(c.QueryCacheHits))
 		w.Counter("covserved_refreshes_total", "Coordinator merges that actually ran.", ns, float64(c.Refreshes))
+		w.Counter("covserved_refresh_seconds_total", "Time spent in the coordinator merges that ran (idle skips add none).", ns, time.Duration(c.RefreshNanos).Seconds())
 		w.Counter("covserved_refresh_skips_total", "Refresh calls satisfied by the idle short-circuit.", ns, float64(c.RefreshSkips))
 		w.Counter("covserved_refresh_errors_total", "Background merge failures.", ns, float64(c.RefreshErrors))
 		w.Gauge("covserved_snapshot_seq", "Current merged snapshot sequence number.", ns, float64(c.SnapshotSeq))

@@ -160,6 +160,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"covserved_queries_total":          "counter",
 		"covserved_query_cache_hits_total": "counter",
 		"covserved_refreshes_total":        "counter",
+		"covserved_refresh_seconds_total":  "counter",
 		"covserved_refresh_skips_total":    "counter",
 		"covserved_refresh_errors_total":   "counter",
 		"covserved_snapshot_seq":           "gauge",
@@ -189,6 +190,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := s1.value(t, `covserved_snapshot_edges{ns="alpha"}`); got != 200 {
 		t.Fatalf("alpha snapshot edges = %v, want 200", got)
+	}
+	// One dirty refresh ran on alpha (the explicit Refresh after it was an
+	// idle skip), none on beta: refresh time is summed around builds only.
+	if got := s1.value(t, `covserved_refreshes_total{ns="alpha"}`); got != 1 {
+		t.Fatalf("alpha refreshes = %v, want 1", got)
+	}
+	if got := s1.value(t, `covserved_refresh_seconds_total{ns="alpha"}`); !(got > 0 && got < 60) {
+		t.Fatalf("alpha refresh seconds = %v, want a small positive time", got)
+	}
+	if got := s1.value(t, `covserved_refresh_seconds_total{ns="beta"}`); got != 0 {
+		t.Fatalf("beta refresh seconds = %v, want 0", got)
 	}
 	// Label values are escaped.
 	if _, ok := s1.samples[`covserved_test_extra_total{src="quo\"te"}`]; !ok {
@@ -222,8 +234,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := s2.value(t, `covserved_queries_total{ns="alpha"}`); got != 3 {
 		t.Fatalf("alpha queries after second scrape = %v, want 3", got)
 	}
-	if extra.calls != 2 {
-		t.Fatalf("extra source invoked %d times, want 2", extra.calls)
+	if v1, v2 := s1.value(t, `covserved_refresh_seconds_total{ns="alpha"}`), s2.value(t, `covserved_refresh_seconds_total{ns="alpha"}`); v2 <= v1 {
+		t.Fatalf("alpha refresh seconds did not grow across a dirty refresh: %v → %v", v1, v2)
+	}
+	// An idle refresh is a skip and costs no refresh time.
+	if _, err := alpha.Refresh(); err != nil {
+		t.Fatalf("idle Refresh: %v", err)
+	}
+	s3 := scrape()
+	if v2, v3 := s2.value(t, `covserved_refresh_seconds_total{ns="alpha"}`), s3.value(t, `covserved_refresh_seconds_total{ns="alpha"}`); v3 != v2 {
+		t.Fatalf("idle refresh moved refresh seconds: %v → %v", v2, v3)
+	}
+	if v2, v3 := s2.value(t, `covserved_refresh_skips_total{ns="alpha"}`), s3.value(t, `covserved_refresh_skips_total{ns="alpha"}`); v3 != v2+1 {
+		t.Fatalf("idle refresh not counted as a skip: %v → %v", v2, v3)
+	}
+	if extra.calls != 3 {
+		t.Fatalf("extra source invoked %d times, want 3", extra.calls)
 	}
 
 	// Method handling: POST is refused, HEAD answers headers only.

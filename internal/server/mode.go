@@ -6,15 +6,15 @@ package server
 // cluster blob validation; every branch point now dispatches through
 // two interfaces instead:
 //
-//   - ShardState is the per-shard (and per-snapshot) state object with
-//     the lifecycle verbs all modes share: batched ingest, deep clone,
-//     merge, uniform accounting, the consumed-edge override the
-//     coordinator uses to pin true totals, and serialization.
+//   - ShardState is the mutable state a shard goroutine owns: batched
+//     ingest, restore merge, uniform accounting, and Freeze, which cuts
+//     a FrozenState — the read-only half (accounting and serialization)
+//     that crosses goroutines, rides Snapshots and is never modified.
 //   - Mode is the engine-mode singleton: it names the mode, fingerprints
-//     its configuration for cluster compatibility, constructs / merges /
-//     decodes shard states, materializes a merged state into the
-//     queryable graph, and executes validated queries against a
-//     Snapshot.
+//     its configuration for cluster compatibility, constructs shard
+//     states, merges / decodes frozen states, materializes a merged
+//     state into the queryable graph, and executes validated queries
+//     against a Snapshot.
 //
 // Three modes implement the plane: "sketch" (the paper's H≤n sketch,
 // the default), "weighted" (PR 5's per-weight-class bank, selected by
@@ -77,36 +77,43 @@ func rejectDeletes(name ModeName, add func([]bipartite.Edge), ops []bipartite.Op
 	return nil
 }
 
-// ShardState is the state a single ingest shard owns — and, after a
-// coordinator merge, the state a Snapshot carries. The three engine
-// modes (H≤n sketch, weighted class bank, sieve swap buffer) implement
-// it with the lifecycle verbs they already shared.
+// ShardState is the mutable state a single ingest shard owns; only the
+// owning shard goroutine (or New, before the goroutines start) calls
+// its methods. The four engine modes (H≤n sketch, weighted class bank,
+// sieve swap buffer, L0 sampler) implement it.
 type ShardState interface {
-	// AddEdges absorbs one routed batch of inserts. Only the owning
-	// shard goroutine calls it.
+	// AddEdges absorbs one routed batch of inserts.
 	AddEdges(edges []bipartite.Edge)
 	// ApplyOps absorbs one routed op batch (inserts and deletes).
 	// Append-only modes return ErrDeletesUnsupported (wrapped) if the
 	// batch contains a delete; the engine gates op routing on
 	// Mode.SupportsDeletes so shard goroutines never see that error.
 	ApplyOps(ops []bipartite.Op) error
-	// CloneState returns a deep copy, taken inside the shard mailbox so
-	// it is a consistent cut of the shard's stream.
-	CloneState() ShardState
-	// MergeFrom folds other (a state of the same mode and configuration)
-	// into the receiver. The receiver's consumed-edge counter is left
-	// untouched — replayed kept edges were already counted upstream.
-	MergeFrom(other ShardState) error
+	// MergeFrom folds a frozen state of the same mode and configuration
+	// (a restored snapshot) into the receiver. The receiver's
+	// consumed-edge counter is left untouched — replayed kept edges were
+	// already counted upstream.
+	MergeFrom(other FrozenState) error
 	// Stats reports the state's accounting in the uniform core.Stats
 	// shape (EdgesSeen/EdgesKept/ElementsKept/PStar/…).
 	Stats() core.Stats
-	// SetEdgesSeen pins the consumed-edge counter: a merged state only
-	// replays kept edges, so the coordinator overrides it with the true
-	// ingested total before publishing or persisting.
-	SetEdgesSeen(n int64)
+	// Freeze returns a read-only cut of the state that later ingest never
+	// shows through. Taken inside the shard mailbox, it is a consistent
+	// cut of the shard's stream.
+	Freeze() FrozenState
+}
+
+// FrozenState is a state nobody mutates any more: what Freeze,
+// Mode.MergeStates and Mode.ReadState return, what a Snapshot carries
+// and what the cluster layer stores per peer. Its consumed-edge total is
+// fixed when it is built. The sketch mode's frozen state is the
+// canonical *core.View; the other modes hand out private copies of their
+// shard-state types.
+type FrozenState interface {
+	// Stats reports the state's accounting (see ShardState.Stats).
+	Stats() core.Stats
 	// WriteTo serializes the state — exactly the bytes WriteSnapshot
-	// persists and /v1/cluster/sketch serves. Pure reads on a published
-	// state.
+	// persists and /v1/cluster/sketch serves.
 	WriteTo(w io.Writer) (int64, error)
 }
 
@@ -137,14 +144,16 @@ type Mode interface {
 	Signature() uint64
 	// NewShardState returns an empty state for one ingest shard.
 	NewShardState() (ShardState, error)
-	// MergeStates folds shard states (owned by the caller) into one
-	// merged state without modifying the inputs.
-	MergeStates(states []ShardState) (ShardState, error)
+	// MergeStates folds frozen states into one merged state without
+	// modifying the inputs. edges is the ingested-edge total the result
+	// reports: a merge only replays kept edges, so the caller supplies
+	// the true consumed count.
+	MergeStates(states []FrozenState, edges int64) (FrozenState, error)
 	// ReadState decodes WriteTo bytes, validating that the blob was
 	// built with this mode's configuration.
-	ReadState(r io.Reader) (ShardState, error)
+	ReadState(r io.Reader) (FrozenState, error)
 	// Materialize renders a merged state queryable.
-	Materialize(st ShardState) (*materialized, error)
+	Materialize(st FrozenState) (*materialized, error)
 	// Execute runs a validated query against a snapshot of this mode.
 	Execute(s *Snapshot, q Query) (*QueryResult, error)
 }
@@ -198,25 +207,24 @@ func (c Config) engineName() ModeName {
 
 // ---- sketch mode (unweighted H≤n sketch, the default) ----
 
+// sketchState is the shard-owned half; the frozen half is *core.View,
+// which the refresh merges, materializes and serializes without ever
+// rebuilding a sketch.
 type sketchState struct{ sk *core.Sketch }
 
 func (s sketchState) AddEdges(edges []bipartite.Edge) { s.sk.AddEdges(edges) }
 func (s sketchState) ApplyOps(ops []bipartite.Op) error {
 	return rejectDeletes(ModeSketch, s.AddEdges, ops)
 }
-func (s sketchState) CloneState() ShardState { return sketchState{s.sk.Clone()} }
-func (s sketchState) Stats() core.Stats      { return s.sk.Stats() }
-func (s sketchState) SetEdgesSeen(n int64)   { s.sk.SetEdgesSeen(n) }
-func (s sketchState) WriteTo(w io.Writer) (int64, error) {
-	return s.sk.WriteTo(w)
-}
+func (s sketchState) Stats() core.Stats   { return s.sk.Stats() }
+func (s sketchState) Freeze() FrozenState { return s.sk.Freeze() }
 
-func (s sketchState) MergeFrom(other ShardState) error {
-	o, ok := other.(sketchState)
+func (s sketchState) MergeFrom(other FrozenState) error {
+	v, ok := other.(*core.View)
 	if !ok {
 		return fmt.Errorf("server: cannot merge %T state into a sketch engine", other)
 	}
-	return s.sk.Merge(o.sk)
+	return s.sk.MergeView(v)
 }
 
 type sketchMode struct{ params core.Params }
@@ -233,24 +241,22 @@ func (m sketchMode) NewShardState() (ShardState, error) {
 	return sketchState{sk}, nil
 }
 
-func (m sketchMode) MergeStates(states []ShardState) (ShardState, error) {
-	sketches := make([]*core.Sketch, len(states))
+func (m sketchMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
+	views := make([]*core.View, len(states))
 	for i, st := range states {
-		s, ok := st.(sketchState)
+		v, ok := st.(*core.View)
 		if !ok {
 			return nil, fmt.Errorf("server: cannot merge %T state into a sketch engine", st)
 		}
-		sketches[i] = s.sk
+		views[i] = v
 	}
-	// Parallel tree reduction (core.MergeAll); the inputs are read-only.
-	merged, err := core.MergeAll(m.params, sketches...)
-	if err != nil {
-		return nil, err
-	}
-	return sketchState{merged}, nil
+	return core.MergeViews(m.params, edges, views...)
 }
 
-func (m sketchMode) ReadState(r io.Reader) (ShardState, error) {
+// readSketch decodes a v1 sketch blob and checks it against the mode's
+// parameters. core.ReadSketch is the tolerant decoder: it normalizes
+// non-canonical legacy blobs by rebuilding the sketch.
+func (m sketchMode) readSketch(r io.Reader) (*core.Sketch, error) {
 	sk, err := core.ReadSketch(r)
 	if err != nil {
 		return nil, err
@@ -258,15 +264,26 @@ func (m sketchMode) ReadState(r io.Reader) (ShardState, error) {
 	if sk.Params() != m.params {
 		return nil, fmt.Errorf("sketch parameter mismatch (peer built with different options)")
 	}
-	return sketchState{sk}, nil
+	return sk, nil
 }
 
-func (m sketchMode) Materialize(st ShardState) (*materialized, error) {
-	s, ok := st.(sketchState)
+func (m sketchMode) ReadState(r io.Reader) (FrozenState, error) {
+	sk, err := m.readSketch(r)
+	if err != nil {
+		return nil, err
+	}
+	return sk.Freeze(), nil
+}
+
+func (m sketchMode) Materialize(st FrozenState) (*materialized, error) {
+	v, ok := st.(*core.View)
 	if !ok {
 		return nil, fmt.Errorf("server: cannot materialize %T state on a sketch engine", st)
 	}
-	g, ids := s.sk.Graph()
+	g, ids, err := v.Graph()
+	if err != nil {
+		return nil, err
+	}
 	return &materialized{graph: g, ids: ids}, nil
 }
 
@@ -308,14 +325,13 @@ func (s bankState) AddEdges(edges []bipartite.Edge) { s.bank.AddEdges(edges) }
 func (s bankState) ApplyOps(ops []bipartite.Op) error {
 	return rejectDeletes(ModeWeighted, s.AddEdges, ops)
 }
-func (s bankState) CloneState() ShardState { return bankState{s.bank.Clone()} }
-func (s bankState) Stats() core.Stats      { return s.bank.Stats() }
-func (s bankState) SetEdgesSeen(n int64)   { s.bank.SetEdgesSeen(n) }
+func (s bankState) Freeze() FrozenState { return bankState{s.bank.Clone()} }
+func (s bankState) Stats() core.Stats   { return s.bank.Stats() }
 func (s bankState) WriteTo(w io.Writer) (int64, error) {
 	return s.bank.WriteTo(w)
 }
 
-func (s bankState) MergeFrom(other ShardState) error {
+func (s bankState) MergeFrom(other FrozenState) error {
 	o, ok := other.(bankState)
 	if !ok {
 		return fmt.Errorf("server: cannot merge %T state into a weighted engine", other)
@@ -342,7 +358,7 @@ func (m weightedMode) NewShardState() (ShardState, error) {
 	return bankState{bk}, nil
 }
 
-func (m weightedMode) MergeStates(states []ShardState) (ShardState, error) {
+func (m weightedMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
 	banks := make([]*weighted.Bank, len(states))
 	for i, st := range states {
 		s, ok := st.(bankState)
@@ -355,10 +371,11 @@ func (m weightedMode) MergeStates(states []ShardState) (ShardState, error) {
 	if err != nil {
 		return nil, err
 	}
+	merged.SetEdgesSeen(edges)
 	return bankState{merged}, nil
 }
 
-func (m weightedMode) ReadState(r io.Reader) (ShardState, error) {
+func (m weightedMode) ReadState(r io.Reader) (FrozenState, error) {
 	bk, err := weighted.ReadBank(r, m.numSets, m.k, m.opt, m.fn)
 	if err != nil {
 		return nil, err
@@ -366,7 +383,7 @@ func (m weightedMode) ReadState(r io.Reader) (ShardState, error) {
 	return bankState{bk}, nil
 }
 
-func (m weightedMode) Materialize(st ShardState) (*materialized, error) {
+func (m weightedMode) Materialize(st FrozenState) (*materialized, error) {
 	s, ok := st.(bankState)
 	if !ok {
 		return nil, fmt.Errorf("server: cannot materialize %T state on a weighted engine", st)
@@ -402,14 +419,13 @@ func (s sieveState) AddEdges(edges []bipartite.Edge) { s.buf.AddEdges(edges) }
 func (s sieveState) ApplyOps(ops []bipartite.Op) error {
 	return rejectDeletes(ModeSieve, s.AddEdges, ops)
 }
-func (s sieveState) CloneState() ShardState { return sieveState{s.buf.Clone()} }
-func (s sieveState) Stats() core.Stats      { return s.buf.Stats() }
-func (s sieveState) SetEdgesSeen(n int64)   { s.buf.SetEdgesSeen(n) }
+func (s sieveState) Freeze() FrozenState { return sieveState{s.buf.Clone()} }
+func (s sieveState) Stats() core.Stats   { return s.buf.Stats() }
 func (s sieveState) WriteTo(w io.Writer) (int64, error) {
 	return s.buf.WriteTo(w)
 }
 
-func (s sieveState) MergeFrom(other ShardState) error {
+func (s sieveState) MergeFrom(other FrozenState) error {
 	o, ok := other.(sieveState)
 	if !ok {
 		return fmt.Errorf("server: cannot merge %T state into a sieve engine", other)
@@ -431,7 +447,7 @@ func (m sieveMode) NewShardState() (ShardState, error) {
 	return sieveState{buf}, nil
 }
 
-func (m sieveMode) MergeStates(states []ShardState) (ShardState, error) {
+func (m sieveMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
 	fresh, err := sieve.NewBuffer(m.numSets, m.k)
 	if err != nil {
 		return nil, err
@@ -451,10 +467,11 @@ func (m sieveMode) MergeStates(states []ShardState) (ShardState, error) {
 			return nil, err
 		}
 	}
+	fresh.SetEdgesSeen(edges)
 	return sieveState{fresh}, nil
 }
 
-func (m sieveMode) ReadState(r io.Reader) (ShardState, error) {
+func (m sieveMode) ReadState(r io.Reader) (FrozenState, error) {
 	buf, err := sieve.ReadBuffer(r, m.numSets, m.k)
 	if err != nil {
 		return nil, err
@@ -462,7 +479,7 @@ func (m sieveMode) ReadState(r io.Reader) (ShardState, error) {
 	return sieveState{buf}, nil
 }
 
-func (m sieveMode) Materialize(st ShardState) (*materialized, error) {
+func (m sieveMode) Materialize(st FrozenState) (*materialized, error) {
 	s, ok := st.(sieveState)
 	if !ok {
 		return nil, fmt.Errorf("server: cannot materialize %T state on a sieve engine", st)

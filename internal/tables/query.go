@@ -107,9 +107,10 @@ func RunQueryThroughput(cfg Config) []*stats.Table {
 		}
 	}
 
+	st := snap.State().Stats()
 	qt := &stats.Table{
 		Title: fmt.Sprintf("query throughput — kcover k=%d on %s snapshot (%d elements, %d kept edges)",
-			queryBenchK, inst.Name, snap.Sketch().Elements(), snap.Sketch().Edges()),
+			queryBenchK, inst.Name, st.ElementsKept, st.EdgesKept),
 		Cols: []string{"mode", "us/query", "queries/sec", "speedup"},
 		Notes: []string{
 			"dense-degree workload; every mode returns the identical greedy solution",
@@ -149,8 +150,9 @@ func RunQueryThroughput(cfg Config) []*stats.Table {
 		qt.AddRow(mode.name, perQuery*1e6, qps, ratio(qps, baseline))
 	}
 
-	// Snapshot merge: sequential left fold vs the parallel tree
-	// reduction, over the same per-shard sketches the engine would clone.
+	// Snapshot merge: sequential left fold vs core.MergeAll (freeze,
+	// k-way view merge, thaw), over the same per-shard sketches the engine
+	// would freeze.
 	params := algorithms.KCoverParams(n, queryBenchK, algorithms.Options{
 		Eps: 0.3, Seed: cfg.seed(), NumElems: m, EdgeBudget: 200 * n,
 	})
@@ -191,7 +193,7 @@ func RunQueryThroughput(cfg Config) []*stats.Table {
 		// must survive rounding in the recorded trajectory.
 		Cols: []string{"mode", "us", "speedup"},
 		Notes: []string{
-			fmt.Sprintf("merge rows fold %d shard sketches; engine rows include clone, merge, graph + cover index build", shards),
+			fmt.Sprintf("merge rows fold %d shard sketches; engine rows include freeze, merge, graph + cover index build", shards),
 			fmt.Sprintf("best of %d trials (%d merges per trial); speedup is vs the sequential row", cfg.trials(), merges),
 		},
 	}
@@ -215,7 +217,7 @@ func RunQueryThroughput(cfg Config) []*stats.Table {
 	})
 	mt.AddRow("sequential pairwise merge (pre-refactor baseline)",
 		seqBest.Seconds()*1e6, 1.0)
-	mt.AddRow(fmt.Sprintf("core.MergeAll (presift + parallel tree, %d shards)", shards),
+	mt.AddRow(fmt.Sprintf("core.MergeAll (freeze + view merge + thaw, %d shards)", shards),
 		parBest.Seconds()*1e6, ratio(seqBest.Seconds(), parBest.Seconds()))
 
 	// Engine refresh: dirty (one new edge re-arms the merge) vs the idle

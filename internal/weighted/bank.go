@@ -265,10 +265,9 @@ func (b *Bank) Merge(other *Bank) error {
 }
 
 // MergeBanks builds a bank holding the merge of every input (inputs are
-// never modified). Each class folds through core.MergeAll, so classes
-// with three or more contributing shards get the presifted parallel
-// tree reduction. By per-class merge-composability the result equals
-// the bank a single pass over the concatenated streams would build.
+// never modified). Each class folds through core.MergeAll. By per-class
+// merge-composability the result equals the bank a single pass over
+// the concatenated streams would build.
 func MergeBanks(numSets, k int, opt Options, weightOf func(uint32) float64, banks ...*Bank) (*Bank, error) {
 	out, err := NewBank(numSets, k, opt, weightOf)
 	if err != nil {
@@ -338,10 +337,7 @@ func (b *Bank) Assemble() (*Instance, []uint32, error) {
 			// A class whose bar collapsed to priority zero keeps (at most)
 			// the single hash-zero element and estimates nothing: scaling by
 			// 1/p* would produce infinite weights, so the class is excluded
-			// from the union rather than poisoning the greedy. Materialize
-			// it anyway: Graph normalizes the slot set-lists, upholding
-			// Assemble's contract that a later WriteTo is a pure read.
-			sk.Graph()
+			// from the union rather than poisoning the greedy.
 			continue
 		}
 		scale := 1 / ps
