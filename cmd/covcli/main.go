@@ -37,7 +37,7 @@
 // With -wire, covcli replays the instance over covserved's binary wire
 // ingest protocol (-wire-addr; DESIGN.md §13) instead of JSON posts: one
 // persistent connection streams CRC-framed batches with pipelined acks,
-// typically an order of magnitude faster (see covbench wire-throughput).
+// typically an order of magnitude faster (see bench/README.md).
 // Queries and -compare still go over HTTP via -server:
 //
 //	covserved -n 200 -k 10 -eps 0.4 -seed 7 -budget 10000 \

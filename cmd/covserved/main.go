@@ -56,10 +56,10 @@
 // the engine's pooled ingest buffers, with backpressure via TCP flow
 // control when shard mailboxes fill and periodic acks carrying the
 // ingested-edge watermark, so producers get an order of magnitude more
-// throughput than JSON posts (BENCH_wire.json) without losing the
-// exactly-once contract — named streams resume from the acknowledged
-// watermark after a reconnect. covcli -wire and covbench wire-throughput
-// drive it.
+// throughput than JSON posts (bench/: ingest_edges_per_s against
+// http_ingest_edges_per_s) without losing the exactly-once contract —
+// named streams resume from the acknowledged watermark after a
+// reconnect. covcli -wire and the bench/ harness drive it.
 //
 // With -peers, covserved runs as a cluster node (internal/cluster):
 // each node ingests its own stream partition, pulls its peers'

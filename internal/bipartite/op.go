@@ -28,6 +28,28 @@ type Op struct {
 	Edge Edge
 }
 
+// OpDeleteBit is the one definition of the 8-byte op record every
+// serialized plane shares (WAL op frames, wire op-batch frames): a
+// (set, elem) uint32 pair whose set word carries the kind in its top
+// bit. A set id therefore has to stay below 1<<31, which server.New
+// enforces on Config.NumSets.
+const OpDeleteBit uint32 = 1 << 31
+
+// PackOp returns the set word of op's record: its set id, with
+// OpDeleteBit raised for a delete. The elem word is op.Edge.Elem as is.
+func PackOp(op Op) uint32 {
+	if op.Kind == OpDelete {
+		return op.Edge.Set | OpDeleteBit
+	}
+	return op.Edge.Set
+}
+
+// UnpackOp is PackOp's inverse over a record's two words.
+func UnpackOp(set, elem uint32) Op {
+	// OpInsert is 0 and OpDelete is 1, so the kind is the flag bit itself.
+	return Op{Kind: OpKind(set >> 31), Edge: Edge{Set: set &^ OpDeleteBit, Elem: elem}}
+}
+
 // Inserts wraps a batch of edges as insert ops.
 func Inserts(edges []Edge) []Op {
 	ops := make([]Op, len(edges))

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/bipartite"
-	"repro/internal/distributed"
 	"repro/internal/wal"
 )
 
@@ -61,61 +60,40 @@ func (d *WALConfig) clone() *WALConfig {
 // was never captured in a snapshot container.
 const walConfigName = "config.json"
 
-// openEngineWAL opens (and replays) an engine's write-ahead log during
-// New, before the shard goroutines start: surviving frames past seed —
-// the edge total the restored snapshot state already reflects — are
-// routed through the same partitioner and applied with the same
-// per-shard sub-batch boundaries as the original Ingest calls, so the
-// shard states end up exactly as if those Ingests had re-run. Returns
-// the log and the recovered edge total (seed + replayed).
-func openEngineWAL(cfg Config, part distributed.Partitioner, states []ShardState, seed int64) (*wal.Log, int64, error) {
-	d := cfg.WAL
+// openWAL opens (and replays) the engine's write-ahead log during New,
+// before the shard goroutines start: every surviving frame past seed —
+// the edge total the restored snapshot state already reflects — goes
+// through submit in replay mode, so it is validated, routed and cut
+// into per-shard sub-batches by the very code that handled the original
+// Ingest call, and the shard states end up exactly as if those calls
+// had re-run. A delete frame replayed into an append-only engine fails
+// recovery with the typed ErrDeletesUnsupported (the WAL belongs to a
+// dynamic engine — a config mismatch, not data loss).
+func (e *Engine) openWAL(states []ShardState, seed int64) error {
+	d := e.cfg.WAL
 	policy, err := wal.ParsePolicy(d.Fsync)
 	if err != nil {
-		return nil, 0, fmt.Errorf("server: Config.WAL: %w", err)
+		return fmt.Errorf("server: Config.WAL: %w", err)
 	}
-	buckets := make([][]bipartite.Op, len(states))
 	wlog, err := wal.OpenOps(wal.Options{
 		Dir:          d.Dir,
 		Policy:       policy,
 		Interval:     d.FsyncInterval,
 		SegmentBytes: d.SegmentBytes,
 		OpenWrite:    d.OpenWrite,
-	}, seed, func(off int64, ops []bipartite.Op) error {
-		for i := range buckets {
-			buckets[i] = buckets[i][:0]
-		}
-		for _, op := range ops {
-			if int(op.Edge.Set) >= cfg.NumSets {
-				return fmt.Errorf("edge set id %d out of range [0,%d)", op.Edge.Set, cfg.NumSets)
-			}
-			w := part.Route(op.Edge)
-			buckets[w] = append(buckets[w], op)
-		}
-		for i, b := range buckets {
-			if len(b) == 0 {
-				continue
-			}
-			// Insert-only batches reach AddEdges through the states' own
-			// ApplyOps adapters, preserving the exact per-shard sub-batch
-			// boundaries of the original Ingest calls; a delete frame
-			// replayed into an append-only engine fails recovery with the
-			// typed ErrDeletesUnsupported (the WAL belongs to a dynamic
-			// engine — a config mismatch, not data loss).
-			if err := states[i].ApplyOps(b); err != nil {
-				return err
-			}
-		}
-		return nil
+	}, seed, func(_ int64, ops []bipartite.Op) error {
+		_, err := e.submit(batch{ops: ops}, states)
+		return err
 	})
 	if err != nil {
-		return nil, 0, fmt.Errorf("server: recovering WAL: %w", err)
+		return fmt.Errorf("server: recovering WAL: %w", err)
 	}
-	if err := writeWALConfig(d.Dir, cfg); err != nil {
+	if err := writeWALConfig(d.Dir, e.cfg); err != nil {
 		wlog.Close()
-		return nil, 0, err
+		return err
 	}
-	return wlog, wlog.NextOffset(), nil
+	e.wal = wlog
+	return nil
 }
 
 // writeWALConfig persists the engine's configFrame beside its segments.

@@ -2,8 +2,12 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -505,5 +509,70 @@ func TestAtomicWriteSyncsBeforeRename(t *testing.T) {
 	}
 	if data, err := os.ReadFile(path); err != nil || string(data) != "payload" {
 		t.Fatalf("written file = %q, %v", data, err)
+	}
+}
+
+// TestNumSetsBoundaryWALRoundTrip: the serialized record spends the set
+// word's top bit on the op kind, so set ids must stay below 1<<31. At
+// the boundary (NumSets = 1<<31) the largest legal id survives a WAL
+// round trip with every acknowledged batch around it; one past it the
+// config is refused — the pre-fix engine accepted it, logged such an id
+// verbatim, and at recovery the reader took the frame (and everything
+// behind it) for a torn tail.
+func TestNumSetsBoundaryWALRoundTrip(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("NumSets cannot reach 1<<31 on a 32-bit int")
+	}
+	top := int64(1) << 31
+	cfg := Config{NumSets: int(top), K: 2, Eps: 0.5, Seed: 1, Shards: 2,
+		WAL: &WALConfig{Dir: t.TempDir(), Fsync: "off"}}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New at the boundary: %v", err)
+	}
+	for _, set := range []uint32{5, uint32(top - 1), 6} {
+		if _, err := e.Ingest([]bipartite.Edge{{Set: set, Elem: 1}}); err != nil {
+			t.Fatalf("Ingest set %d: %v", set, err)
+		}
+	}
+	if _, err := e.Ingest([]bipartite.Edge{{Set: uint32(top), Elem: 1}}); err == nil {
+		t.Fatal("set id 1<<31 accepted with NumSets 1<<31")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err = New(cfg)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer e.Close()
+	if got := e.IngestedEdges(); got != 3 {
+		t.Fatalf("recovered %d of 3 acknowledged edges", got)
+	}
+	st, err := e.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var applied int64
+	for _, sh := range st.ShardStats {
+		applied += sh.EdgesSeen
+	}
+	if applied != 3 {
+		t.Fatalf("shards replayed %d of 3 edges", applied)
+	}
+
+	cfg.NumSets = int(top + 1)
+	cfg.WAL = nil
+	if _, err := New(cfg); !errors.Is(err, ErrNumSetsRange) {
+		t.Fatalf("New with NumSets 1<<31+1: err = %v, want ErrNumSetsRange", err)
+	}
+	// The namespace API surfaces the same refusal as a 400.
+	m := NewMulti("")
+	defer m.Close()
+	ts := httptest.NewServer(NewMultiHandler(m, HTTPOptions{}))
+	defer ts.Close()
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/ns", fmt.Sprintf(`{"name":"big","num_sets":%d,"k":2}`, top+1))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /v1/ns with num_sets 1<<31+1: status %d (%s), want 400", resp.StatusCode, body)
 	}
 }

@@ -72,7 +72,7 @@ func (d *dynamicState) AddEdges(edges []bipartite.Edge) {
 	d.opsSeen += int64(len(edges))
 }
 
-func (d *dynamicState) ApplyOps(ops []bipartite.Op) error {
+func (d *dynamicState) ApplyOps(ops []bipartite.Op) {
 	d.sam.Apply(ops)
 	d.opsSeen += int64(len(ops))
 	for i := range ops {
@@ -80,7 +80,6 @@ func (d *dynamicState) ApplyOps(ops []bipartite.Op) error {
 			d.deletes++
 		}
 	}
-	return nil
 }
 
 func (d *dynamicState) Freeze() FrozenState {
@@ -143,9 +142,8 @@ type dynamicMode struct {
 	params  l0.SamplerParams
 }
 
-func (m dynamicMode) Name() ModeName        { return ModeDynamic }
-func (m dynamicMode) SupportsDeletes() bool { return true }
-func (m dynamicMode) Signature() uint64     { return 0 }
+func (m dynamicMode) Name() ModeName    { return ModeDynamic }
+func (m dynamicMode) Signature() uint64 { return 0 }
 
 func (m dynamicMode) NewShardState() (ShardState, error) {
 	return &dynamicState{sam: l0.NewSampler(m.params)}, nil

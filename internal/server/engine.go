@@ -189,17 +189,40 @@ func (c Config) WeightedOptions() weighted.Options {
 // ErrClosed is returned by every engine operation after Close.
 var ErrClosed = errors.New("server: engine closed")
 
-// shardMsg is a mailbox entry: an edge batch, an op batch, or a state
-// request.
+// ErrNumSetsRange is returned (wrapped) by New for a Config.NumSets
+// above 1<<31. The serialized op record (WAL op frames, wire op batches)
+// spends the set word's top bit on the op kind (bipartite.OpDeleteBit),
+// and the WAL reader treats that bit in a v1 edge frame as corruption —
+// so a set id at or above 1<<31 would be acknowledged and then silently
+// dropped, or read back as a delete, at recovery.
+var ErrNumSetsRange = errors.New("server: NumSets out of range")
+
+// subBatch is one shard's share of a routed batch: the mailbox payload
+// and the pooled buffer in one. The shard returns it to the engine's
+// pool after applying it, so steady-state ingest recycles buffers
+// instead of allocating per submission. An insert-only batch fills
+// edges, whichever record type it arrived as; only a batch that carries
+// a delete fills ops.
+type subBatch struct {
+	edges []bipartite.Edge
+	ops   []bipartite.Op
+}
+
+// applyTo hands the sub-batch to a shard state in one batched pass
+// (e.g. the sketch's deferred-shrink core.Sketch.AddEdges). ops is
+// non-empty only on an engine whose states are opAppliers: check
+// refuses deletes everywhere else before anything is logged or routed.
+func (b *subBatch) applyTo(st ShardState) {
+	if len(b.ops) > 0 {
+		st.(opApplier).ApplyOps(b.ops)
+		return
+	}
+	st.AddEdges(b.edges)
+}
+
+// shardMsg is a mailbox entry: a routed sub-batch or a state request.
 type shardMsg struct {
-	// batch is a pooled per-shard buffer owned by the message: the shard
-	// returns it to the engine's pool after applying it, so steady-state
-	// ingest recycles buffers instead of allocating per submission.
-	batch *[]bipartite.Edge
-	// ops is the op-batch analog of batch (IngestOps routes through it
-	// when the batch carries deletes); exactly one of batch/ops/reply is
-	// set.
-	ops   *[]bipartite.Op
+	batch *subBatch       // owned by the message; exactly one of batch/reply is set
 	reply chan shardReply // non-nil: respond with the shard's state
 	// freeze asks for a read-only cut of the state (a merge is coming);
 	// stats-only requests leave it false and skip the O(budget) copy.
@@ -214,10 +237,9 @@ type shardReply struct {
 }
 
 type shard struct {
-	mail   chan shardMsg
-	done   chan struct{}
-	pool   *sync.Pool // shared with the engine; receives applied batches
-	opPool *sync.Pool // likewise for op-batch buffers
+	mail chan shardMsg
+	done chan struct{}
+	pool *sync.Pool // shared with the engine; receives applied sub-batches
 }
 
 // run is a shard's ingest loop; st is the shard's private state (built
@@ -233,17 +255,7 @@ func (sh *shard) run(st ShardState) {
 			msg.reply <- rep
 			continue
 		}
-		if msg.ops != nil {
-			// Op batches only reach shards whose mode supports every op in
-			// them (IngestOps gates deletes on Mode.SupportsDeletes before
-			// logging or routing), so ApplyOps cannot fail here.
-			_ = st.ApplyOps(*msg.ops)
-			sh.opPool.Put(msg.ops)
-			continue
-		}
-		// Batched ingest: one pass over the whole batch (e.g. the sketch's
-		// deferred-shrink core.Sketch.AddEdges) instead of per-edge updates.
-		st.AddEdges(*msg.batch)
+		msg.batch.applyTo(st)
 		sh.pool.Put(msg.batch)
 	}
 }
@@ -384,9 +396,8 @@ type Engine struct {
 	// deletes counts delete ops accepted by IngestOps (always 0 on
 	// append-only modes, which reject them before any counter moves).
 	deletes atomic.Int64
-	// samplerRecoveries counts published dynamic-mode snapshots — each
-	// one ran a successful L0 sampler decode in Materialize.
-	samplerRecoveries atomic.Int64
+	// deletable: the mode's shard states implement opApplier.
+	deletable bool
 	// ingestStalls counts shard-mailbox sends that found the mailbox
 	// full and had to wait — the engine's backpressure events. The wire
 	// ingest plane surfaces them as its stall metric.
@@ -406,11 +417,9 @@ type Engine struct {
 	refreshErrors  atomic.Int64
 	refreshErrOnce sync.Once
 
-	// batchPool recycles the per-shard sub-batch buffers that Ingest
-	// routes edges into; shards return applied buffers here. opPool is
-	// the op-batch analog for IngestOps.
-	batchPool sync.Pool
-	opPool    sync.Pool
+	// pool recycles the per-shard sub-batch buffers submit routes records
+	// into; shards return applied buffers here.
+	pool sync.Pool
 
 	stopTicker chan struct{}
 	tickerDone chan struct{}
@@ -421,6 +430,9 @@ type Engine struct {
 func New(cfg Config) (*Engine, error) {
 	if cfg.NumSets <= 0 || cfg.K <= 0 {
 		return nil, fmt.Errorf("server: Config needs positive NumSets and K")
+	}
+	if int64(cfg.NumSets) > int64(bipartite.OpDeleteBit) {
+		return nil, fmt.Errorf("%w: %d sets (set ids must stay below 1<<31)", ErrNumSetsRange, cfg.NumSets)
 	}
 	if err := cfg.Weights.Validate(); err != nil {
 		return nil, err
@@ -482,25 +494,23 @@ func New(cfg Config) (*Engine, error) {
 		cache:    newQueryCache(cfg.queryCache()),
 		restored: restoredEdges,
 	}
+	_, e.deletable = states[0].(opApplier)
 	// Recovery: replay the WAL tail the restore state does not cover into
 	// the still-private shard states (no goroutines yet, so the replay is
 	// exactly as deterministic as the original sequential Ingest calls),
 	// then log new batches from the recovered offset.
 	total := restoredEdges
 	if cfg.WAL != nil {
-		wlog, recovered, err := openEngineWAL(cfg, e.part, states, restoredEdges)
-		if err != nil {
+		if err := e.openWAL(states, restoredEdges); err != nil {
 			return nil, err
 		}
-		e.wal = wlog
-		total = recovered
+		total = e.wal.NextOffset()
 	}
 	for i := range e.shards {
 		sh := &shard{
-			mail:   make(chan shardMsg, cfg.queueDepth()),
-			done:   make(chan struct{}),
-			pool:   &e.batchPool,
-			opPool: &e.opPool,
+			mail: make(chan shardMsg, cfg.queueDepth()),
+			done: make(chan struct{}),
+			pool: &e.pool,
 		}
 		e.shards[i] = sh
 		go sh.run(states[i])
@@ -522,10 +532,10 @@ func (e *Engine) EngineMode() Mode { return e.mode }
 // ModeName returns the engine's mode name ("sketch", "weighted", "sieve").
 func (e *Engine) ModeName() ModeName { return e.mode.Name() }
 
-// SupportsDeletes reports whether the engine's mode accepts delete ops
-// (today only "dynamic") — the gate the ingest planes check before
-// accepting an op-speaking client that may delete.
-func (e *Engine) SupportsDeletes() bool { return e.mode.SupportsDeletes() }
+// SupportsDeletes reports whether the engine accepts delete ops — its
+// mode's shard states are opAppliers (today only "dynamic"). The gate
+// the ingest planes check before accepting a client that may delete.
+func (e *Engine) SupportsDeletes() bool { return e.deletable }
 
 // Weighted reports whether the engine runs the weighted query plane —
 // a single comparison, unlike Config(), which deep-copies the weight
@@ -559,26 +569,14 @@ func (e *Engine) mergeLoop(every time.Duration) {
 	}
 }
 
-// getBatchBuf returns an empty pooled edge buffer.
-func (e *Engine) getBatchBuf() *[]bipartite.Edge {
-	if v := e.batchPool.Get(); v != nil {
-		b := v.(*[]bipartite.Edge)
-		*b = (*b)[:0]
+// getSubBatch returns an empty pooled sub-batch buffer.
+func (e *Engine) getSubBatch() *subBatch {
+	if v := e.pool.Get(); v != nil {
+		b := v.(*subBatch)
+		b.edges, b.ops = b.edges[:0], b.ops[:0]
 		return b
 	}
-	b := make([]bipartite.Edge, 0, 256)
-	return &b
-}
-
-// getOpBuf returns an empty pooled op buffer.
-func (e *Engine) getOpBuf() *[]bipartite.Op {
-	if v := e.opPool.Get(); v != nil {
-		b := v.(*[]bipartite.Op)
-		*b = (*b)[:0]
-		return b
-	}
-	b := make([]bipartite.Op, 0, 256)
-	return &b
+	return &subBatch{edges: make([]bipartite.Edge, 0, 256)}
 }
 
 // Ingest routes one batch of edges to the shard states and returns the
@@ -587,61 +585,7 @@ func (e *Engine) getOpBuf() *[]bipartite.Op {
 // into pooled per-shard buffers before Ingest returns, so callers may
 // reuse it immediately.
 func (e *Engine) Ingest(edges []bipartite.Edge) (int, error) {
-	if len(edges) == 0 {
-		return 0, nil
-	}
-	for _, ed := range edges {
-		if int(ed.Set) >= e.cfg.NumSets {
-			return 0, fmt.Errorf("server: edge set id %d out of range [0,%d)", ed.Set, e.cfg.NumSets)
-		}
-	}
-	e.ingestMu.RLock()
-	defer e.ingestMu.RUnlock()
-	if e.closed {
-		return 0, ErrClosed
-	}
-	// Durability first: the batch must be in the log before any shard can
-	// observe it, so a crash never leaves applied-but-unlogged edges. The
-	// fsync policy decides whether "in the log" means stable storage
-	// (always) or the kernel (interval/off) by the time Ingest returns. A
-	// log failure rejects the batch: no shard has seen it, so the engine
-	// stays consistent with the log's acknowledged prefix.
-	if e.wal != nil {
-		if _, err := e.wal.Append(edges); err != nil {
-			return 0, err
-		}
-	}
-	// Route into pooled sub-batch buffers (ownership passes to the shard,
-	// which recycles them after its batched AddEdges pass).
-	buckets := make([]*[]bipartite.Edge, len(e.shards))
-	for _, ed := range edges {
-		w := e.part.Route(ed)
-		if buckets[w] == nil {
-			buckets[w] = e.getBatchBuf()
-		}
-		*buckets[w] = append(*buckets[w], ed)
-	}
-	// Count before enqueueing: the accepted-edge counter must never lag a
-	// batch that a concurrent Refresh can already observe through the
-	// shard mailboxes, so the idle short-circuit's "counter unchanged ⇒
-	// snapshot complete" reasoning stays sound.
-	e.ingested.Add(int64(len(edges)))
-	e.batches.Add(1)
-	for w, b := range buckets {
-		if b == nil {
-			continue
-		}
-		// Fast path: the mailbox has room. A full mailbox is counted as a
-		// backpressure stall before the blocking send — the signal the
-		// wire plane and /metrics surface as ingest_stalls.
-		select {
-		case e.shards[w].mail <- shardMsg{batch: b}:
-		default:
-			e.ingestStalls.Add(1)
-			e.shards[w].mail <- shardMsg{batch: b}
-		}
-	}
-	return len(edges), nil
+	return e.submit(batch{edges: edges}, nil)
 }
 
 // IngestOps routes one batch of ops (inserts and deletes) to the shard
@@ -649,81 +593,161 @@ func (e *Engine) Ingest(edges []bipartite.Edge) (int, error) {
 // take exactly the Ingest path — same WAL frame bytes, same mailbox
 // shape — so an op-speaking client pointed at an append-only engine
 // behaves byte-identically to an edge-speaking one as long as it never
-// deletes. A batch containing deletes requires a mode whose ApplyOps
-// accepts them (Mode.SupportsDeletes, today only "dynamic"); on any
-// other engine the whole batch is rejected with ErrDeletesUnsupported
-// before anything is logged, counted or routed. All-or-nothing like
-// Ingest; offsets/watermarks count ops, deletes included.
+// deletes. A batch containing deletes requires a mode whose shard states
+// apply them (SupportsDeletes, today only "dynamic"); on any other
+// engine the whole batch is rejected with ErrDeletesUnsupported before
+// anything is logged, counted or routed. All-or-nothing like Ingest;
+// offsets/watermarks count ops, deletes included.
 func (e *Engine) IngestOps(ops []bipartite.Op) (int, error) {
-	if len(ops) == 0 {
-		return 0, nil
-	}
-	hasDeletes := false
-	for i := range ops {
-		if int(ops[i].Edge.Set) >= e.cfg.NumSets {
-			return 0, fmt.Errorf("server: edge set id %d out of range [0,%d)", ops[i].Edge.Set, e.cfg.NumSets)
+	return e.submit(batch{ops: ops}, nil)
+}
+
+// batch is what submit takes: the record type as a parameter at batch
+// granularity. Exactly one field is set. The loops that touch every
+// record (check, route) are written per field over the concrete slice —
+// no per-record conversion, allocation or indirect call — and every
+// decision around them is written once, in submit.
+type batch struct {
+	edges []bipartite.Edge // Ingest
+	ops   []bipartite.Op   // IngestOps, and every replayed WAL frame
+}
+
+// check validates a batch before anything is logged, counted or routed,
+// and returns the number of delete ops it carries.
+func (e *Engine) check(b batch) (deletes int64, err error) {
+	for _, ed := range b.edges {
+		if int(ed.Set) >= e.cfg.NumSets {
+			return 0, e.setRangeError(ed.Set)
 		}
-		switch ops[i].Kind {
+	}
+	for i := range b.ops {
+		if int(b.ops[i].Edge.Set) >= e.cfg.NumSets {
+			return 0, e.setRangeError(b.ops[i].Edge.Set)
+		}
+		switch b.ops[i].Kind {
 		case bipartite.OpInsert:
 		case bipartite.OpDelete:
-			hasDeletes = true
+			deletes++
 		default:
-			return 0, fmt.Errorf("server: unknown op kind %d", ops[i].Kind)
+			return 0, fmt.Errorf("server: unknown op kind %d", b.ops[i].Kind)
 		}
 	}
-	if !hasDeletes {
-		edges := make([]bipartite.Edge, len(ops))
-		for i := range ops {
-			edges[i] = ops[i].Edge
-		}
-		return e.Ingest(edges)
-	}
-	if !e.mode.SupportsDeletes() {
+	if deletes > 0 && !e.deletable {
 		return 0, fmt.Errorf("server: engine %q: %w", e.ModeName(), ErrDeletesUnsupported)
+	}
+	return deletes, nil
+}
+
+func (e *Engine) setRangeError(set uint32) error {
+	return fmt.Errorf("server: edge set id %d out of range [0,%d)", set, e.cfg.NumSets)
+}
+
+// route copies b into pooled per-shard sub-batches (ownership passes to
+// the shard that applies them). An insert-only batch lands in the edges
+// buffers whichever record type it arrived as, so the shards run their
+// batched AddEdges pass; only a batch with deletes travels as ops.
+func (e *Engine) route(b batch, hasDeletes bool) []*subBatch {
+	buckets := make([]*subBatch, len(e.shards))
+	for _, ed := range b.edges {
+		w := e.part.Route(ed)
+		if buckets[w] == nil {
+			buckets[w] = e.getSubBatch()
+		}
+		buckets[w].edges = append(buckets[w].edges, ed)
+	}
+	for _, op := range b.ops {
+		// Route on the edge, ignoring the kind: an edge's delete lands on
+		// the shard that holds its insert, so per-shard samplers see
+		// well-formed sub-streams.
+		w := e.part.Route(op.Edge)
+		if buckets[w] == nil {
+			buckets[w] = e.getSubBatch()
+		}
+		if hasDeletes {
+			buckets[w].ops = append(buckets[w].ops, op)
+		} else {
+			buckets[w].edges = append(buckets[w].edges, op.Edge)
+		}
+	}
+	return buckets
+}
+
+// submit is the ingest pipeline, written once for both record types and
+// for recovery: validate → log → route → count → enqueue. It returns the
+// number of records accepted; a batch is accepted or rejected whole.
+//
+// replay is nil on the live path. During recovery (openWAL, inside New)
+// it holds the still-private shard states: the batch came out of the
+// log, so it is not logged again, not counted (New seeds the counter
+// from the log's offset) and, with no shard goroutine running yet, its
+// sub-batches are applied in place — the same sub-batches, cut by the
+// same route, that the original call put in the mailboxes.
+func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
+	n := len(b.edges) + len(b.ops)
+	if n == 0 {
+		return 0, nil
+	}
+	deletes, err := e.check(b)
+	if err != nil {
+		return 0, err
+	}
+	if replay != nil {
+		for w, sb := range e.route(b, deletes > 0) {
+			if sb != nil {
+				sb.applyTo(replay[w])
+				e.pool.Put(sb)
+			}
+		}
+		return n, nil
 	}
 	e.ingestMu.RLock()
 	defer e.ingestMu.RUnlock()
 	if e.closed {
 		return 0, ErrClosed
 	}
-	// Durability first, exactly as in Ingest; delete-carrying batches
-	// are logged as op frames (wal.AppendOps), which old-format readers
-	// reject rather than misread.
+	// Durability first: the batch must be in the log before any shard can
+	// observe it, so a crash never leaves applied-but-unlogged records. The
+	// fsync policy decides whether "in the log" means stable storage
+	// (always) or the kernel (interval/off) by the time submit returns. A
+	// log failure rejects the batch: no shard has seen it, so the engine
+	// stays consistent with the log's acknowledged prefix. An op batch is
+	// logged as a v1 edge frame unless it carries a delete (wal.AppendOps),
+	// and an op frame is one old-format readers reject rather than misread.
 	if e.wal != nil {
-		if _, err := e.wal.AppendOps(ops); err != nil {
+		if b.ops != nil {
+			_, err = e.wal.AppendOps(b.ops)
+		} else {
+			_, err = e.wal.Append(b.edges)
+		}
+		if err != nil {
 			return 0, err
 		}
 	}
-	buckets := make([]*[]bipartite.Op, len(e.shards))
-	deletes := int64(0)
-	for _, op := range ops {
-		if op.Kind == bipartite.OpDelete {
-			deletes++
-		}
-		// Route on the edge, ignoring the kind: an edge's delete lands on
-		// the shard that holds its insert, so per-shard samplers see
-		// well-formed sub-streams.
-		w := e.part.Route(op.Edge)
-		if buckets[w] == nil {
-			buckets[w] = e.getOpBuf()
-		}
-		*buckets[w] = append(*buckets[w], op)
+	buckets := e.route(b, deletes > 0)
+	// Count before enqueueing: the accepted-record counter must never lag
+	// a batch that a concurrent Refresh can already observe through the
+	// shard mailboxes, so the idle short-circuit's "counter unchanged ⇒
+	// snapshot complete" reasoning stays sound.
+	e.ingested.Add(int64(n))
+	if deletes > 0 {
+		e.deletes.Add(deletes)
 	}
-	e.ingested.Add(int64(len(ops)))
-	e.deletes.Add(deletes)
 	e.batches.Add(1)
-	for w, b := range buckets {
-		if b == nil {
+	for w, sb := range buckets {
+		if sb == nil {
 			continue
 		}
+		// Fast path: the mailbox has room. A full mailbox is counted as a
+		// backpressure stall before the blocking send — the signal the
+		// wire plane and /metrics surface as ingest_stalls.
 		select {
-		case e.shards[w].mail <- shardMsg{ops: b}:
+		case e.shards[w].mail <- shardMsg{batch: sb}:
 		default:
 			e.ingestStalls.Add(1)
-			e.shards[w].mail <- shardMsg{ops: b}
+			e.shards[w].mail <- shardMsg{batch: sb}
 		}
 	}
-	return len(ops), nil
+	return n, nil
 }
 
 // requestStates places one state request (asking for a frozen cut when
@@ -807,11 +831,6 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 	e.snap.Store(snap)
 	e.refreshes.Add(1)
 	e.refreshNanos.Add(int64(time.Since(start)))
-	if e.mode.Name() == ModeDynamic {
-		// A dynamic-mode snapshot implies one successful sampler decode —
-		// Materialize would have failed the build otherwise.
-		e.samplerRecoveries.Add(1)
-	}
 	return snap, nil
 }
 
@@ -859,10 +878,6 @@ func (e *Engine) IngestedEdges() int64 { return e.ingested.Load() }
 // load, safe at any frequency.
 func (e *Engine) IngestStalls() int64 { return e.ingestStalls.Load() }
 
-// DeletedEdges reports the number of delete ops accepted so far (always
-// 0 on append-only modes). A single atomic load.
-func (e *Engine) DeletedEdges() int64 { return e.deletes.Load() }
-
 // Counters is the cheap subset of Stats: every field is an atomic read,
 // no message rides the shard mailboxes, so a metrics scrape can collect
 // it per namespace at high frequency without perturbing ingest.
@@ -872,10 +887,8 @@ type Counters struct {
 	Batches       int64
 	IngestStalls  int64
 	// DeletedEdges counts accepted delete ops (IngestOps); always 0 on
-	// append-only modes. SamplerRecoveries counts published dynamic-mode
-	// snapshots (one successful L0 decode each); 0 on other modes.
-	DeletedEdges      int64
-	SamplerRecoveries int64
+	// append-only modes.
+	DeletedEdges int64
 	// Queries / QueryCacheHits account the query plane.
 	Queries        int64
 	QueryCacheHits int64
@@ -895,17 +908,16 @@ type Counters struct {
 // Counters returns the engine's cheap counters (see Counters).
 func (e *Engine) Counters() Counters {
 	c := Counters{
-		IngestedEdges:     e.ingested.Load(),
-		Batches:           e.batches.Load(),
-		IngestStalls:      e.ingestStalls.Load(),
-		DeletedEdges:      e.deletes.Load(),
-		SamplerRecoveries: e.samplerRecoveries.Load(),
-		Queries:           e.queries.Load(),
-		QueryCacheHits:    e.cacheHits.Load(),
-		Refreshes:         e.refreshes.Load(),
-		RefreshNanos:      e.refreshNanos.Load(),
-		RefreshSkips:      e.refreshSkips.Load(),
-		RefreshErrors:     e.refreshErrors.Load(),
+		IngestedEdges:  e.ingested.Load(),
+		Batches:        e.batches.Load(),
+		IngestStalls:   e.ingestStalls.Load(),
+		DeletedEdges:   e.deletes.Load(),
+		Queries:        e.queries.Load(),
+		QueryCacheHits: e.cacheHits.Load(),
+		Refreshes:      e.refreshes.Load(),
+		RefreshNanos:   e.refreshNanos.Load(),
+		RefreshSkips:   e.refreshSkips.Load(),
+		RefreshErrors:  e.refreshErrors.Load(),
 	}
 	if snap := e.snap.Load(); snap != nil {
 		c.SnapshotSeq = snap.Seq
@@ -1183,12 +1195,9 @@ type Stats struct {
 	// full and had to wait — backpressure events, the signal the wire
 	// ingest plane propagates to producers by pausing socket reads.
 	IngestStalls int64 `json:"ingest_stalls"`
-	// DeletedEdges counts accepted delete ops; SamplerRecoveries counts
-	// published dynamic-mode snapshots (one successful L0 decode each).
-	// Both omitted when zero — the legacy modes' stats shape predates
-	// the op plane.
-	DeletedEdges      int64 `json:"deleted_edges,omitempty"`
-	SamplerRecoveries int64 `json:"sampler_recoveries,omitempty"`
+	// DeletedEdges counts accepted delete ops. Omitted when zero — the
+	// legacy modes' stats shape predates the op plane.
+	DeletedEdges int64 `json:"deleted_edges,omitempty"`
 	// Queries is the number of queries served (cache hits included).
 	Queries int64 `json:"queries"`
 	// QueryCacheHits counts queries answered from the memoized result
@@ -1237,18 +1246,17 @@ func (e *Engine) Stats() (*Stats, error) {
 		return nil, err
 	}
 	st := &Stats{
-		Shards:            len(e.shards),
-		IngestedEdges:     e.ingested.Load(),
-		Batches:           e.batches.Load(),
-		IngestStalls:      e.ingestStalls.Load(),
-		DeletedEdges:      e.deletes.Load(),
-		SamplerRecoveries: e.samplerRecoveries.Load(),
-		Queries:           e.queries.Load(),
-		QueryCacheHits:    e.cacheHits.Load(),
-		Refreshes:         e.refreshes.Load(),
-		RefreshSkips:      e.refreshSkips.Load(),
-		RefreshErrors:     e.refreshErrors.Load(),
-		Weighted:          e.Weighted(),
+		Shards:         len(e.shards),
+		IngestedEdges:  e.ingested.Load(),
+		Batches:        e.batches.Load(),
+		IngestStalls:   e.ingestStalls.Load(),
+		DeletedEdges:   e.deletes.Load(),
+		Queries:        e.queries.Load(),
+		QueryCacheHits: e.cacheHits.Load(),
+		Refreshes:      e.refreshes.Load(),
+		RefreshSkips:   e.refreshSkips.Load(),
+		RefreshErrors:  e.refreshErrors.Load(),
+		Weighted:       e.Weighted(),
 	}
 	if name := e.mode.Name(); name != ModeSketch && name != ModeWeighted {
 		st.Engine = name

@@ -209,11 +209,7 @@ func (a *api) engineRoutes(mux *http.ServeMux, prefix string, resolve func(*http
 			ErrorJSON(w, StatusFor(err), "%v", err)
 			return
 		}
-		if r.Method == http.MethodDelete {
-			a.handleDelete(e, w, r)
-			return
-		}
-		a.handleIngest(e, w, r)
+		a.handleMutation(e, w, r)
 	})
 	mux.HandleFunc(prefix+"/query", withEngine(http.MethodGet, "GET", a.handleQuery))
 	mux.HandleFunc(prefix+"/stats", withEngine(http.MethodGet, "GET", a.handleStats))
@@ -315,85 +311,75 @@ func registerHealthz(mux *http.ServeMux) {
 	})
 }
 
-func (a *api) handleIngest(e *Engine, w http.ResponseWriter, r *http.Request) {
+// decodeJSONBody reads r's body as exactly one JSON document of at most
+// limit bytes into v. On failure it has written the error response
+// (413 for an oversized body, 400 otherwise) and returns false.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v interface{}) bool {
 	// Bound the body before decoding: a misbehaving client cannot make
 	// the decoder buffer an unbounded payload.
-	r.Body = http.MaxBytesReader(w, r.Body, a.opt.maxBodyBytes())
-	var body ingestRequest
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&body); err != nil {
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			ErrorJSON(w, http.StatusRequestEntityTooLarge,
 				"body exceeds limit of %d bytes", tooLarge.Limit)
-			return
+			return false
 		}
-		ErrorJSON(w, http.StatusBadRequest, "bad ingest body: %v", err)
-		return
+		ErrorJSON(w, http.StatusBadRequest, "bad %s body: %v", what, err)
+		return false
 	}
 	// One JSON document per request: trailing tokens after the body
 	// are a malformed request, not silently ignorable garbage.
 	if _, err := dec.Token(); err != io.EOF {
 		ErrorJSON(w, http.StatusBadRequest, "trailing data after JSON body")
+		return false
+	}
+	return true
+}
+
+// handleMutation is POST and DELETE …/edges: one body decoder and one
+// set of limits for both. POST ingests the body's edges, or its ops;
+// DELETE retracts the body's edges as delete ops. Engines whose mode
+// cannot apply deletes answer 409 with the typed ErrDeletesUnsupported
+// message.
+func (a *api) handleMutation(e *Engine, w http.ResponseWriter, r *http.Request) {
+	retract := r.Method == http.MethodDelete
+	what := "ingest"
+	if retract {
+		what = "delete"
+	}
+	var body ingestRequest
+	if !decodeJSONBody(w, r, a.opt.maxBodyBytes(), what, &body) {
 		return
 	}
-	if len(body.Edges) > 0 && len(body.Ops) > 0 {
+	switch max := a.opt.maxBatch(); {
+	case retract && len(body.Ops) > 0:
+		ErrorJSON(w, http.StatusBadRequest, `DELETE takes "edges" only; POST an "ops" batch for mixed mutations`)
+		return
+	case len(body.Edges) > 0 && len(body.Ops) > 0:
 		ErrorJSON(w, http.StatusBadRequest, `body mixes "edges" and "ops"; send one or the other`)
 		return
-	}
-	if max := a.opt.maxBatch(); len(body.Edges) > max || len(body.Ops) > max {
+	case len(body.Edges) > max || len(body.Ops) > max:
 		ErrorJSON(w, http.StatusRequestEntityTooLarge,
 			"batch of %d edges exceeds limit %d", len(body.Edges)+len(body.Ops), max)
 		return
 	}
-	var n int
-	var err error
-	if len(body.Ops) > 0 {
+	var (
+		n   int
+		err error
+	)
+	switch {
+	case retract:
+		n, err = e.IngestOps(bipartite.Deletes(body.edges()))
+	case len(body.Ops) > 0:
 		var ops []bipartite.Op
 		if ops, err = body.ops(); err == nil {
 			n, err = e.IngestOps(ops)
 		}
-	} else {
+	default:
 		n, err = e.Ingest(body.edges())
 	}
-	if err != nil {
-		ErrorJSON(w, StatusFor(err), "%v", err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, ingestResponse{Accepted: n, IngestedTotal: e.IngestedEdges()})
-}
-
-// handleDelete is DELETE …/edges: the body's edges are retracted as
-// delete ops. Engines whose mode cannot apply deletes answer 409 with
-// the typed ErrDeletesUnsupported message.
-func (a *api) handleDelete(e *Engine, w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, a.opt.maxBodyBytes())
-	var body ingestRequest
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			ErrorJSON(w, http.StatusRequestEntityTooLarge,
-				"body exceeds limit of %d bytes", tooLarge.Limit)
-			return
-		}
-		ErrorJSON(w, http.StatusBadRequest, "bad delete body: %v", err)
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		ErrorJSON(w, http.StatusBadRequest, "trailing data after JSON body")
-		return
-	}
-	if len(body.Ops) > 0 {
-		ErrorJSON(w, http.StatusBadRequest, `DELETE takes "edges" only; POST an "ops" batch for mixed mutations`)
-		return
-	}
-	if len(body.Edges) > a.opt.maxBatch() {
-		ErrorJSON(w, http.StatusRequestEntityTooLarge,
-			"batch of %d edges exceeds limit %d", len(body.Edges), a.opt.maxBatch())
-		return
-	}
-	n, err := e.IngestOps(bipartite.Deletes(body.edges()))
 	if err != nil {
 		ErrorJSON(w, StatusFor(err), "%v", err)
 		return
@@ -475,21 +461,8 @@ func (a *api) handleSnapshot(e *Engine, w http.ResponseWriter, r *http.Request) 
 func (a *api) handleCreateNamespace(m *Multi, w http.ResponseWriter, r *http.Request) {
 	// Larger than the other control bodies: a weighted namespace carries
 	// its element-weight table inline (~20 JSON bytes per element).
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<24)
 	var req createNamespaceRequest
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			ErrorJSON(w, http.StatusRequestEntityTooLarge,
-				"body exceeds limit of %d bytes", tooLarge.Limit)
-			return
-		}
-		ErrorJSON(w, http.StatusBadRequest, "bad namespace body: %v", err)
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		ErrorJSON(w, http.StatusBadRequest, "trailing data after JSON body")
+	if !decodeJSONBody(w, r, 1<<24, "namespace", &req) {
 		return
 	}
 	e, err := m.Create(req.Name, req.config())

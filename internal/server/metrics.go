@@ -111,6 +111,7 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		ns := []Label{{"ns", name}}
 		w.Counter("covserved_ingested_edges_total", "Edges accepted by Ingest.", ns, float64(c.IngestedEdges))
 		w.Counter("covserved_ingest_batches_total", "Ingest calls that delivered edges.", ns, float64(c.Batches))
+		w.Counter("covserved_deleted_edges_total", "Delete ops accepted by IngestOps (0 on append-only engines).", ns, float64(c.DeletedEdges))
 		w.Counter("covserved_ingest_stalls_total", "Shard-mailbox sends that found the mailbox full (backpressure).", ns, float64(c.IngestStalls))
 		w.Counter("covserved_queries_total", "Queries served (cache hits included).", ns, float64(c.Queries))
 		w.Counter("covserved_query_cache_hits_total", "Queries answered from the memoized result cache.", ns, float64(c.QueryCacheHits))

@@ -108,7 +108,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	m := NewMulti("")
 	defer m.Close()
 	cfg := Config{NumSets: 32, K: 4, Eps: 0.5, Seed: 1, Shards: 2}
-	for _, ns := range []string{"alpha", "beta"} {
+	// beta is a dynamic engine, so the scrape covers a namespace that can
+	// move the delete counter beside one that cannot.
+	for ns, engine := range map[string]ModeName{"alpha": ModeSketch, "beta": ModeDynamic} {
+		cfg.Engine = engine
 		if _, err := m.Create(ns, cfg); err != nil {
 			t.Fatalf("Create(%q): %v", ns, err)
 		}
@@ -156,6 +159,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"covserved_namespaces":             "gauge",
 		"covserved_ingested_edges_total":   "counter",
 		"covserved_ingest_batches_total":   "counter",
+		"covserved_deleted_edges_total":    "counter",
 		"covserved_ingest_stalls_total":    "counter",
 		"covserved_queries_total":          "counter",
 		"covserved_query_cache_hits_total": "counter",
@@ -181,6 +185,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := s1.value(t, `covserved_ingested_edges_total{ns="beta"}`); got != 0 {
 		t.Fatalf("beta ingested = %v, want 0", got)
+	}
+	if got := s1.value(t, `covserved_deleted_edges_total{ns="beta"}`); got != 0 {
+		t.Fatalf("beta deleted = %v, want 0", got)
 	}
 	if got := s1.value(t, `covserved_queries_total{ns="alpha"}`); got != 2 {
 		t.Fatalf("alpha queries = %v, want 2", got)
@@ -215,6 +222,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := alpha.Query(Query{Algo: AlgoKCover, K: 2, Refresh: true}); err != nil {
 		t.Fatalf("Query 3: %v", err)
 	}
+	beta, _ := m.Get("beta")
+	if _, err := beta.IngestOps(append(bipartite.Inserts(edges[:2]), bipartite.Deletes(edges[:1])...)); err != nil {
+		t.Fatalf("IngestOps: %v", err)
+	}
 	s2 := scrape()
 	for key, v1 := range s1.samples {
 		family := key
@@ -230,6 +241,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := s2.value(t, `covserved_ingested_edges_total{ns="alpha"}`); got != 250 {
 		t.Fatalf("alpha ingested after second scrape = %v, want 250", got)
+	}
+	if got := s2.value(t, `covserved_deleted_edges_total{ns="beta"}`); got != 1 {
+		t.Fatalf("beta deleted after second scrape = %v, want 1", got)
+	}
+	if got := s2.value(t, `covserved_deleted_edges_total{ns="alpha"}`); got != 0 {
+		t.Fatalf("alpha deleted after second scrape = %v, want 0", got)
+	}
+	if got := s2.value(t, `covserved_ingested_edges_total{ns="beta"}`); got != 3 {
+		t.Fatalf("beta ingested after second scrape = %v, want 3", got)
 	}
 	if got := s2.value(t, `covserved_queries_total{ns="alpha"}`); got != 3 {
 		t.Fatalf("alpha queries after second scrape = %v, want 3", got)

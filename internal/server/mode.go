@@ -52,7 +52,7 @@ const (
 	ModeSieve ModeName = "sieve"
 	// ModeDynamic serves insert/delete (turnstile) streams with the
 	// leveled L0 edge sampler (internal/l0), after Chakrabarti–McGregor–
-	// Wirth. The only mode whose ApplyOps accepts deletes.
+	// Wirth. The only mode whose shard states apply deletes.
 	ModeDynamic ModeName = "dynamic"
 )
 
@@ -66,17 +66,6 @@ const (
 // sampler supports retraction.
 var ErrDeletesUnsupported = errors.New("deletes unsupported")
 
-// rejectDeletes is the shared ApplyOps implementation for the
-// append-only modes: insert-only batches forward to AddEdges, any
-// delete fails the whole batch with the typed error.
-func rejectDeletes(name ModeName, add func([]bipartite.Edge), ops []bipartite.Op) error {
-	if bipartite.HasDeletes(ops) {
-		return fmt.Errorf("server: engine %q: %w", name, ErrDeletesUnsupported)
-	}
-	add(bipartite.InsertEdges(make([]bipartite.Edge, 0, len(ops)), ops))
-	return nil
-}
-
 // ShardState is the mutable state a single ingest shard owns; only the
 // owning shard goroutine (or New, before the goroutines start) calls
 // its methods. The four engine modes (H≤n sketch, weighted class bank,
@@ -84,11 +73,6 @@ func rejectDeletes(name ModeName, add func([]bipartite.Edge), ops []bipartite.Op
 type ShardState interface {
 	// AddEdges absorbs one routed batch of inserts.
 	AddEdges(edges []bipartite.Edge)
-	// ApplyOps absorbs one routed op batch (inserts and deletes).
-	// Append-only modes return ErrDeletesUnsupported (wrapped) if the
-	// batch contains a delete; the engine gates op routing on
-	// Mode.SupportsDeletes so shard goroutines never see that error.
-	ApplyOps(ops []bipartite.Op) error
 	// MergeFrom folds a frozen state of the same mode and configuration
 	// (a restored snapshot) into the receiver. The receiver's
 	// consumed-edge counter is left untouched — replayed kept edges were
@@ -101,6 +85,15 @@ type ShardState interface {
 	// shows through. Taken inside the shard mailbox, it is a consistent
 	// cut of the shard's stream.
 	Freeze() FrozenState
+}
+
+// opApplier is the narrow extra a delete-capable shard state (today
+// only the dynamic mode's) implements beside ShardState. Implementing
+// it is what makes an engine accept deletes (Engine.SupportsDeletes):
+// append-only modes reject them before any state mutates.
+type opApplier interface {
+	// ApplyOps absorbs one routed op batch (inserts and deletes).
+	ApplyOps(ops []bipartite.Op)
 }
 
 // FrozenState is a state nobody mutates any more: what Freeze,
@@ -134,10 +127,6 @@ type materialized struct {
 type Mode interface {
 	// Name is the mode's wire name.
 	Name() ModeName
-	// SupportsDeletes reports whether ApplyOps accepts delete ops. The
-	// engine, the HTTP plane and the wire server gate op ingest on it
-	// so append-only modes reject deletes before any state mutates.
-	SupportsDeletes() bool
 	// Signature fingerprints mode configuration that the serialized
 	// state cannot carry itself (the weighted mode's weight table; 0
 	// otherwise). Cluster peers refuse blobs whose signature disagrees.
@@ -213,11 +202,8 @@ func (c Config) engineName() ModeName {
 type sketchState struct{ sk *core.Sketch }
 
 func (s sketchState) AddEdges(edges []bipartite.Edge) { s.sk.AddEdges(edges) }
-func (s sketchState) ApplyOps(ops []bipartite.Op) error {
-	return rejectDeletes(ModeSketch, s.AddEdges, ops)
-}
-func (s sketchState) Stats() core.Stats   { return s.sk.Stats() }
-func (s sketchState) Freeze() FrozenState { return s.sk.Freeze() }
+func (s sketchState) Stats() core.Stats               { return s.sk.Stats() }
+func (s sketchState) Freeze() FrozenState             { return s.sk.Freeze() }
 
 func (s sketchState) MergeFrom(other FrozenState) error {
 	v, ok := other.(*core.View)
@@ -229,9 +215,8 @@ func (s sketchState) MergeFrom(other FrozenState) error {
 
 type sketchMode struct{ params core.Params }
 
-func (m sketchMode) Name() ModeName        { return ModeSketch }
-func (m sketchMode) SupportsDeletes() bool { return false }
-func (m sketchMode) Signature() uint64     { return 0 }
+func (m sketchMode) Name() ModeName    { return ModeSketch }
+func (m sketchMode) Signature() uint64 { return 0 }
 
 func (m sketchMode) NewShardState() (ShardState, error) {
 	sk, err := core.NewSketch(m.params)
@@ -322,11 +307,8 @@ func (m sketchMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 type bankState struct{ bank *weighted.Bank }
 
 func (s bankState) AddEdges(edges []bipartite.Edge) { s.bank.AddEdges(edges) }
-func (s bankState) ApplyOps(ops []bipartite.Op) error {
-	return rejectDeletes(ModeWeighted, s.AddEdges, ops)
-}
-func (s bankState) Freeze() FrozenState { return bankState{s.bank.Clone()} }
-func (s bankState) Stats() core.Stats   { return s.bank.Stats() }
+func (s bankState) Freeze() FrozenState             { return bankState{s.bank.Clone()} }
+func (s bankState) Stats() core.Stats               { return s.bank.Stats() }
 func (s bankState) WriteTo(w io.Writer) (int64, error) {
 	return s.bank.WriteTo(w)
 }
@@ -346,9 +328,8 @@ type weightedMode struct {
 	sig        uint64
 }
 
-func (m weightedMode) Name() ModeName        { return ModeWeighted }
-func (m weightedMode) SupportsDeletes() bool { return false }
-func (m weightedMode) Signature() uint64     { return m.sig }
+func (m weightedMode) Name() ModeName    { return ModeWeighted }
+func (m weightedMode) Signature() uint64 { return m.sig }
 
 func (m weightedMode) NewShardState() (ShardState, error) {
 	bk, err := weighted.NewBank(m.numSets, m.k, m.opt, m.fn)
@@ -416,11 +397,8 @@ func (m weightedMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 type sieveState struct{ buf *sieve.Buffer }
 
 func (s sieveState) AddEdges(edges []bipartite.Edge) { s.buf.AddEdges(edges) }
-func (s sieveState) ApplyOps(ops []bipartite.Op) error {
-	return rejectDeletes(ModeSieve, s.AddEdges, ops)
-}
-func (s sieveState) Freeze() FrozenState { return sieveState{s.buf.Clone()} }
-func (s sieveState) Stats() core.Stats   { return s.buf.Stats() }
+func (s sieveState) Freeze() FrozenState             { return sieveState{s.buf.Clone()} }
+func (s sieveState) Stats() core.Stats               { return s.buf.Stats() }
 func (s sieveState) WriteTo(w io.Writer) (int64, error) {
 	return s.buf.WriteTo(w)
 }
@@ -435,9 +413,8 @@ func (s sieveState) MergeFrom(other FrozenState) error {
 
 type sieveMode struct{ numSets, k int }
 
-func (m sieveMode) Name() ModeName        { return ModeSieve }
-func (m sieveMode) SupportsDeletes() bool { return false }
-func (m sieveMode) Signature() uint64     { return 0 }
+func (m sieveMode) Name() ModeName    { return ModeSieve }
+func (m sieveMode) Signature() uint64 { return 0 }
 
 func (m sieveMode) NewShardState() (ShardState, error) {
 	buf, err := sieve.NewBuffer(m.numSets, m.k)

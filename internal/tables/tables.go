@@ -78,8 +78,6 @@ func Experiments() map[string]Runner {
 		"cluster-throughput": RunClusterThroughput,
 		"mode-comparison":    RunModeComparison,
 		"dynamic-throughput": RunDynamicThroughput,
-		"wal-overhead":       RunWALOverhead,
-		"wire-throughput":    RunWireThroughput,
 	}
 }
 

@@ -16,7 +16,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"ingest-throughput", "lem22-accuracy", "mode-comparison",
 		"query-throughput", "table1-kcover", "table1-outliers",
 		"table1-setcover", "thm12-lb", "thm13-oracle", "thm31-kcover",
-		"thm33-outliers", "thm34-setcover", "wal-overhead", "wire-throughput",
+		"thm33-outliers", "thm34-setcover",
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("have %d experiments, want %d: %v", len(ids), len(want), ids)

@@ -188,7 +188,7 @@ func TestOpFrameFlagBeyondLegacyBound(t *testing.T) {
 	if opFrameFlag <= maxFrameBody {
 		t.Fatalf("opFrameFlag %#x within legacy frame bound %#x: old readers would decode op frames", opFrameFlag, maxFrameBody)
 	}
-	if opDeleteBit <= uint32(0x7fffffff)>>1 {
-		t.Fatalf("opDeleteBit %#x must be the set word's top bit", opDeleteBit)
+	if bipartite.OpDeleteBit <= uint32(0x7fffffff)>>1 {
+		t.Fatalf("OpDeleteBit %#x must be the set word's top bit", bipartite.OpDeleteBit)
 	}
 }

@@ -131,17 +131,14 @@ func decodeBody(body []byte, opFrame bool, dst []bipartite.Op) (int64, []biparti
 		dst = make([]bipartite.Op, n)
 	}
 	dst = dst[:n]
+	rec := body[8:]
 	for i := range dst {
-		set := getU32(body[8+8*i:])
-		kind := bipartite.OpInsert
-		if set&opDeleteBit != 0 {
-			if !opFrame {
-				return 0, dst[:0], fmt.Errorf("%w: delete flag in a v1 edge frame", ErrCorruptRecord)
-			}
-			kind = bipartite.OpDelete
-			set &^= opDeleteBit
+		set := getU32(rec)
+		if set&bipartite.OpDeleteBit != 0 && !opFrame {
+			return 0, dst[:0], fmt.Errorf("%w: delete flag in a v1 edge frame", ErrCorruptRecord)
 		}
-		dst[i] = bipartite.Op{Kind: kind, Edge: bipartite.Edge{Set: set, Elem: getU32(body[12+8*i:])}}
+		dst[i] = bipartite.UnpackOp(set, getU32(rec[4:]))
+		rec = rec[8:]
 	}
 	return off, dst, nil
 }

@@ -163,9 +163,6 @@ const (
 	// maxFrameBody so pre-extension readers stop cleanly at the first op
 	// frame instead of misreading delete records as inserts.
 	opFrameFlag uint32 = 1 << 31
-	// opDeleteBit carries a record's op kind in its set word (op frames
-	// only; a v1 frame with this bit set is corrupt).
-	opDeleteBit uint32 = 1 << 31
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -415,10 +412,7 @@ func (l *Log) AppendOps(ops []bipartite.Op) (int64, error) {
 // count is the number of records the frame accounts for.
 func (l *Log) appendFrame(count int, enc func(off int64) []byte) (int64, error) {
 	if count == 0 {
-		l.writeMu.Lock()
-		off := l.next
-		l.writeMu.Unlock()
-		return off, nil
+		return l.NextOffset(), nil
 	}
 	l.writeMu.Lock()
 	if l.closed {
@@ -500,52 +494,51 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// encodeFrameLocked builds a frame into the log's scratch buffer.
-// Caller holds writeMu.
-func (l *Log) encodeFrameLocked(off int64, edges []bipartite.Edge) []byte {
-	body := 8 + 8*len(edges)
-	need := frameHeader + body
-	if cap(l.scratch) < need {
-		l.scratch = make([]byte, need)
+// beginFrameLocked sizes the log's scratch buffer for a frame of count
+// 8-byte records and writes what every frame starts with: the length
+// word (carrying flag) and the offset. The caller fills buf[16:] and
+// seals the frame. Caller holds writeMu.
+func (l *Log) beginFrameLocked(off int64, count int, flag uint32) []byte {
+	body := 8 + 8*count
+	if cap(l.scratch) < frameHeader+body {
+		l.scratch = make([]byte, frameHeader+body)
 	}
-	buf := l.scratch[:need]
-	putU32(buf[0:], uint32(body))
+	buf := l.scratch[:frameHeader+body]
+	putU32(buf[0:], uint32(body)|flag)
 	putU64(buf[8:], uint64(off))
-	for i, e := range edges {
-		putU32(buf[16+8*i:], e.Set)
-		putU32(buf[20+8*i:], e.Elem)
-	}
+	return buf
+}
+
+// sealFrame writes the CRC over a filled frame's offset and records.
+func sealFrame(buf []byte) []byte {
 	putU32(buf[4:], crc32.Checksum(buf[8:], castagnoli))
 	return buf
 }
 
-// encodeOpsFrameLocked builds an op-batch frame into the scratch
-// buffer. With opFrame false (an insert-only batch) the output is
-// byte-identical to encodeFrameLocked on the batch's edges. Caller
-// holds writeMu.
+// encodeFrameLocked builds a v1 edge frame. Caller holds writeMu.
+func (l *Log) encodeFrameLocked(off int64, edges []bipartite.Edge) []byte {
+	buf := l.beginFrameLocked(off, len(edges), 0)
+	for i, e := range edges {
+		putU32(buf[16+8*i:], e.Set)
+		putU32(buf[20+8*i:], e.Elem)
+	}
+	return sealFrame(buf)
+}
+
+// encodeOpsFrameLocked builds an op-batch frame. With opFrame false (an
+// insert-only batch) the output is byte-identical to encodeFrameLocked
+// on the batch's edges. Caller holds writeMu.
 func (l *Log) encodeOpsFrameLocked(off int64, ops []bipartite.Op, opFrame bool) []byte {
-	body := 8 + 8*len(ops)
-	need := frameHeader + body
-	if cap(l.scratch) < need {
-		l.scratch = make([]byte, need)
-	}
-	buf := l.scratch[:need]
-	length := uint32(body)
+	var flag uint32
 	if opFrame {
-		length |= opFrameFlag
+		flag = opFrameFlag
 	}
-	putU32(buf[0:], length)
-	putU64(buf[8:], uint64(off))
+	buf := l.beginFrameLocked(off, len(ops), flag)
 	for i, op := range ops {
-		set := op.Edge.Set
-		if opFrame && op.Kind == bipartite.OpDelete {
-			set |= opDeleteBit
-		}
-		putU32(buf[16+8*i:], set)
+		putU32(buf[16+8*i:], bipartite.PackOp(op))
 		putU32(buf[20+8*i:], op.Edge.Elem)
 	}
-	putU32(buf[4:], crc32.Checksum(buf[8:], castagnoli))
-	return buf
+	return sealFrame(buf)
 }
 
 // TruncateBefore deletes sealed segments every frame of which is

@@ -188,28 +188,7 @@ func (c *Conn) Watermark() int64 {
 // (one syscall, no round trip — acks arrive asynchronously). The
 // caller's slice is copied into the frame before Send returns.
 func (c *Conn) Send(edges []bipartite.Edge) error {
-	if len(edges) == 0 {
-		return nil
-	}
-	if err := c.Err(); err != nil {
-		return err
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	body, err := AppendBatch(c.body[:0], c.offset, edges)
-	if err != nil {
-		return err
-	}
-	c.body = body
-	c.frame = AppendFrame(c.frame[:0], FrameBatch, body)
-	if _, err := c.bw.Write(c.frame); err != nil {
-		return c.sendErr(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return c.sendErr(err)
-	}
-	c.offset += int64(len(edges))
-	return nil
+	return send(c, FrameBatch, edges, AppendBatch)
 }
 
 // SendOps frames one operation batch (inserts and deletes) at the
@@ -218,7 +197,14 @@ func (c *Conn) Send(edges []bipartite.Edge) error {
 // advance by the op count, so Flush and reconnect-resume semantics are
 // identical to the edge plane's.
 func (c *Conn) SendOps(ops []bipartite.Op) error {
-	if len(ops) == 0 {
+	return send(c, FrameOpBatch, ops, AppendOpBatch)
+}
+
+// send is the one client send path: encode recs at the current offset
+// with the frame type's body codec, write the frame, advance the offset
+// by the record count.
+func send[R any](c *Conn, typ byte, recs []R, enc func([]byte, int64, []R) ([]byte, error)) error {
+	if len(recs) == 0 {
 		return nil
 	}
 	if err := c.Err(); err != nil {
@@ -226,27 +212,32 @@ func (c *Conn) SendOps(ops []bipartite.Op) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	body, err := AppendOpBatch(c.body[:0], c.offset, ops)
+	body, err := enc(c.body[:0], c.offset, recs)
 	if err != nil {
 		return err
 	}
 	c.body = body
-	c.frame = AppendFrame(c.frame[:0], FrameOpBatch, body)
-	if _, err := c.bw.Write(c.frame); err != nil {
-		return c.sendErr(err)
+	if err := c.writeFrameLocked(typ, body); err != nil {
+		return err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return c.sendErr(err)
-	}
-	c.offset += int64(len(ops))
+	c.offset += int64(len(recs))
 	return nil
 }
 
-// sendErr prefers the reader's terminal error (a typed server reject)
-// over the raw write failure it usually causes.
-func (c *Conn) sendErr(err error) error {
-	if rerr := c.Err(); rerr != nil {
-		return rerr
+// writeFrameLocked frames body and writes it out (one syscall). A
+// failure surfaces as the reader's terminal error (a typed server
+// reject) when there is one, rather than the raw write failure it
+// usually causes. Caller holds wmu.
+func (c *Conn) writeFrameLocked(typ byte, body []byte) error {
+	c.frame = AppendFrame(c.frame[:0], typ, body)
+	_, err := c.bw.Write(c.frame)
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		if rerr := c.Err(); rerr != nil {
+			return rerr
+		}
 	}
 	return err
 }
@@ -258,14 +249,10 @@ func (c *Conn) sendErr(err error) error {
 func (c *Conn) Flush() error {
 	c.wmu.Lock()
 	target := c.offset
-	_, werr := c.bw.Write(AppendFrame(nil, FrameFlush, nil))
-	ferr := c.bw.Flush()
+	err := c.writeFrameLocked(FrameFlush, nil)
 	c.wmu.Unlock()
-	if werr != nil {
-		return c.sendErr(werr)
-	}
-	if ferr != nil {
-		return c.sendErr(ferr)
+	if err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

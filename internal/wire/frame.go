@@ -318,16 +318,46 @@ func DecodeHelloAck(body []byte) (HelloAck, error) {
 	return a, nil
 }
 
-// AppendBatch encodes a batch frame body: the stream offset of the
-// first edge, then the edges as (set, elem) uint32 pairs.
-func AppendBatch(dst []byte, offset int64, edges []bipartite.Edge) ([]byte, error) {
-	if len(edges) > MaxBatchEdges {
-		return dst, fmt.Errorf("%w: batch of %d edges exceeds limit %d", ErrBadFrame, len(edges), MaxBatchEdges)
+// beginBatch is the head of both batch codecs' encoders: it checks the
+// record count and offset against the protocol limits and appends the
+// offset of the batch's first record.
+func beginBatch(dst []byte, offset int64, n int) ([]byte, error) {
+	if n > MaxBatchEdges {
+		return dst, fmt.Errorf("%w: batch of %d records exceeds limit %d", ErrBadFrame, n, MaxBatchEdges)
 	}
 	if offset < 0 {
 		return dst, fmt.Errorf("%w: negative batch offset %d", ErrBadFrame, offset)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(offset))
+	return binary.LittleEndian.AppendUint64(dst, uint64(offset)), nil
+}
+
+// openBatch is the head of both batch codecs' decoders: it checks the
+// body's shape, returns the offset and the 8-byte records after it, and
+// resets *buf to length 0 with room for them — so a session reuses one
+// buffer for every frame, and decode cost is bounded by the frame, not
+// the stream.
+func openBatch[R any](body []byte, buf *[]R) (offset int64, recs []byte, err error) {
+	if len(body) < 8 || (len(body)-8)%8 != 0 {
+		return 0, nil, fmt.Errorf("%w: batch body of %d bytes", ErrBadFrame, len(body))
+	}
+	off := binary.LittleEndian.Uint64(body)
+	if off > math.MaxInt64 {
+		return 0, nil, fmt.Errorf("%w: batch offset overflows int64", ErrBadFrame)
+	}
+	if n := (len(body) - 8) / 8; cap(*buf) < n {
+		*buf = make([]R, 0, n)
+	}
+	*buf = (*buf)[:0]
+	return int64(off), body[8:], nil
+}
+
+// AppendBatch encodes a batch frame body: the stream offset of the
+// first edge, then the edges as (set, elem) uint32 pairs.
+func AppendBatch(dst []byte, offset int64, edges []bipartite.Edge) ([]byte, error) {
+	dst, err := beginBatch(dst, offset, len(edges))
+	if err != nil {
+		return dst, err
+	}
 	for _, e := range edges {
 		dst = binary.LittleEndian.AppendUint32(dst, e.Set)
 		dst = binary.LittleEndian.AppendUint32(dst, e.Elem)
@@ -335,97 +365,59 @@ func AppendBatch(dst []byte, offset int64, edges []bipartite.Edge) ([]byte, erro
 	return dst, nil
 }
 
-// DecodeBatch decodes a batch frame body, appending the edges to
-// *edges (reset to length 0 first) so a session reuses one buffer for
-// every frame — decode cost is bounded by the frame, not the stream.
+// DecodeBatch decodes a batch frame body into *edges, reusing its
+// capacity.
 func DecodeBatch(body []byte, edges *[]bipartite.Edge) (offset int64, err error) {
-	if len(body) < 8 || (len(body)-8)%8 != 0 {
-		return 0, fmt.Errorf("%w: batch body of %d bytes", ErrBadFrame, len(body))
+	offset, recs, err := openBatch(body, edges)
+	if err != nil {
+		return 0, err
 	}
-	off := binary.LittleEndian.Uint64(body)
-	if off > math.MaxInt64 {
-		return 0, fmt.Errorf("%w: batch offset overflows int64", ErrBadFrame)
-	}
-	n := (len(body) - 8) / 8
-	out := (*edges)[:0]
-	if cap(out) < n {
-		out = make([]bipartite.Edge, 0, n)
-	}
-	for i := 0; i < n; i++ {
+	out := *edges
+	for ; len(recs) >= 8; recs = recs[8:] {
 		out = append(out, bipartite.Edge{
-			Set:  binary.LittleEndian.Uint32(body[8+8*i:]),
-			Elem: binary.LittleEndian.Uint32(body[12+8*i:]),
+			Set:  binary.LittleEndian.Uint32(recs),
+			Elem: binary.LittleEndian.Uint32(recs[4:]),
 		})
 	}
 	*edges = out
-	return int64(off), nil
+	return offset, nil
 }
 
-// opDeleteBit carries a record's op kind in its set word within an
-// op-batch body — the same convention as the WAL's op frames, so the
-// two planes cannot drift apart.
-const opDeleteBit uint32 = 1 << 31
-
 // AppendOpBatch encodes an op-batch frame body: the stream offset of
-// the first op, then the ops as (set|kind, elem) uint32 pairs with the
-// kind in the set word's top bit (set → delete). Offsets count ops, so
+// the first op, then the ops as bipartite.PackOp records — the WAL's op
+// record, so the two planes cannot drift apart. Offsets count ops, so
 // the watermark arithmetic of the batch plane carries over unchanged.
 func AppendOpBatch(dst []byte, offset int64, ops []bipartite.Op) ([]byte, error) {
-	if len(ops) > MaxBatchEdges {
-		return dst, fmt.Errorf("%w: batch of %d ops exceeds limit %d", ErrBadFrame, len(ops), MaxBatchEdges)
+	dst, err := beginBatch(dst, offset, len(ops))
+	if err != nil {
+		return dst, err
 	}
-	if offset < 0 {
-		return dst, fmt.Errorf("%w: negative batch offset %d", ErrBadFrame, offset)
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(offset))
 	for _, op := range ops {
-		set := op.Edge.Set
-		switch op.Kind {
-		case bipartite.OpInsert:
-		case bipartite.OpDelete:
-			set |= opDeleteBit
-		default:
+		if op.Kind > bipartite.OpDelete {
 			return dst, fmt.Errorf("%w: unknown op kind %d", ErrBadFrame, op.Kind)
 		}
-		if op.Edge.Set&opDeleteBit != 0 {
+		if op.Edge.Set&bipartite.OpDeleteBit != 0 {
 			return dst, fmt.Errorf("%w: set id %d collides with the delete flag", ErrBadFrame, op.Edge.Set)
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, set)
+		dst = binary.LittleEndian.AppendUint32(dst, bipartite.PackOp(op))
 		dst = binary.LittleEndian.AppendUint32(dst, op.Edge.Elem)
 	}
 	return dst, nil
 }
 
-// DecodeOpBatch decodes an op-batch frame body, appending the ops to
-// *ops (reset to length 0 first) with the same buffer-reuse contract as
-// DecodeBatch.
+// DecodeOpBatch decodes an op-batch frame body into *ops, with the same
+// buffer-reuse contract as DecodeBatch.
 func DecodeOpBatch(body []byte, ops *[]bipartite.Op) (offset int64, err error) {
-	if len(body) < 8 || (len(body)-8)%8 != 0 {
-		return 0, fmt.Errorf("%w: op-batch body of %d bytes", ErrBadFrame, len(body))
+	offset, recs, err := openBatch(body, ops)
+	if err != nil {
+		return 0, err
 	}
-	off := binary.LittleEndian.Uint64(body)
-	if off > math.MaxInt64 {
-		return 0, fmt.Errorf("%w: op-batch offset overflows int64", ErrBadFrame)
-	}
-	n := (len(body) - 8) / 8
-	out := (*ops)[:0]
-	if cap(out) < n {
-		out = make([]bipartite.Op, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		set := binary.LittleEndian.Uint32(body[8+8*i:])
-		kind := bipartite.OpInsert
-		if set&opDeleteBit != 0 {
-			kind = bipartite.OpDelete
-			set &^= opDeleteBit
-		}
-		out = append(out, bipartite.Op{
-			Kind: kind,
-			Edge: bipartite.Edge{Set: set, Elem: binary.LittleEndian.Uint32(body[12+8*i:])},
-		})
+	out := *ops
+	for ; len(recs) >= 8; recs = recs[8:] {
+		out = append(out, bipartite.UnpackOp(binary.LittleEndian.Uint32(recs), binary.LittleEndian.Uint32(recs[4:])))
 	}
 	*ops = out
-	return int64(off), nil
+	return offset, nil
 }
 
 // AppendAck encodes an ack frame body.

@@ -172,3 +172,84 @@ func TestOpsReconnectResumesExactlyOnce(t *testing.T) {
 		t.Fatalf("resumed delete stream did not cancel: answered %v (covered %d)", res.Sets, res.SketchCoverage)
 	}
 }
+
+// TestInterleavedSendAndSendOps: on an Ops session edge frames and op
+// frames advance one offset and one watermark, so a stream that mixes
+// Send and SendOps resumes exactly once after an Abort — whichever
+// frame type the cut fell in. The stream inserts every edge (by either
+// call) and then retracts every edge, so exactly-once shows as the
+// engine's record count and as an empty final decode.
+func TestInterleavedSendAndSendOps(t *testing.T) {
+	env := newTestEnv(t, map[string]server.Config{"dyn": dynConfig()}, Options{AckEvery: 3})
+	eng, _ := env.multi.Get("dyn")
+
+	rng := rand.New(rand.NewSource(9))
+	edges := randomEdges(rng, 300, 64)
+	ops := append(bipartite.Inserts(edges), bipartite.Deletes(edges)...)
+	// sendFrom streams ops[from:] in batches of 20, alternating the two
+	// calls while a batch is insert-only, and stops after max batches.
+	sendFrom := func(c *Conn, from, max int) {
+		t.Helper()
+		for i := 0; from < len(ops) && i < max; i++ {
+			end := from + 20
+			if end > len(ops) {
+				end = len(ops)
+			}
+			batch := ops[from:end]
+			var err error
+			if i%2 == 0 && !bipartite.HasDeletes(batch) {
+				err = c.Send(bipartite.InsertEdges(nil, batch))
+			} else {
+				err = c.SendOps(batch)
+			}
+			if err != nil {
+				t.Fatalf("batch at offset %d: %v", from, err)
+			}
+			if want := int64(end); c.Offset() != want {
+				t.Fatalf("offset %d after a batch ending at %d", c.Offset(), want)
+			}
+			from = end
+		}
+	}
+
+	hello := Hello{Namespace: "dyn", Stream: "mixed", Ops: true}
+	c1, err := Dial(env.addr, hello)
+	if err != nil {
+		t.Fatalf("Dial 1: %v", err)
+	}
+	sendFrom(c1, 0, 11) // 220 inserts: edge and op frames alternate
+	if err := c1.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if wm := c1.Watermark(); wm != 220 {
+		t.Fatalf("flushed watermark %d, want 220 (edge and op frames must share it)", wm)
+	}
+	sendFrom(c1, 220, 9) // across the insert/delete boundary, unflushed
+	c1.Abort()
+
+	c2, err := dialRetryBusy(env.addr, hello)
+	if err != nil {
+		t.Fatalf("Dial 2: %v", err)
+	}
+	wm := c2.Handshake().Watermark
+	if wm < 220 || wm > 400 || wm%20 != 0 {
+		t.Fatalf("resume watermark %d, want a batch boundary in [220,400]", wm)
+	}
+	if wm != eng.IngestedEdges() {
+		t.Fatalf("resume watermark %d != engine ingested %d", wm, eng.IngestedEdges())
+	}
+	sendFrom(c2, int(wm), len(ops))
+	if err := c2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := eng.IngestedEdges(); got != int64(len(ops)) {
+		t.Fatalf("engine ingested %d records, want %d (exactly-once violated)", got, len(ops))
+	}
+	res, err := eng.Query(server.Query{Algo: server.AlgoKCover, K: 4, Refresh: true})
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if len(res.Sets) != 0 || res.SketchCoverage != 0 {
+		t.Fatalf("resumed mixed stream did not cancel: answered %v (covered %d)", res.Sets, res.SketchCoverage)
+	}
+}

@@ -397,97 +397,73 @@ func (s *Server) handleConn(c net.Conn) error {
 		}
 		s.bytesReceived.Add(int64(frameHeader + len(body)))
 		switch typ {
-		case FrameBatch:
-			offset, err := DecodeBatch(body, &edges)
+		case FrameBatch, FrameOpBatch:
+			// One arm for both record types: only the body codec and the
+			// engine entry point depend on the frame type; the exactly-once
+			// logic below is written once. Offsets count records (edges or
+			// ops alike), so a session may interleave the two frame types
+			// against one watermark.
+			isOps := typ == FrameOpBatch
+			if isOps && !hello.Ops {
+				return s.reject(bw, CodeOpsUnsupported, "op batch on a session that did not negotiate ops")
+			}
+			var (
+				offset int64
+				n      int
+			)
+			if isOps {
+				offset, err = DecodeOpBatch(body, &ops)
+				n = len(ops)
+			} else {
+				offset, err = DecodeBatch(body, &edges)
+				n = len(edges)
+			}
 			if err != nil {
 				return s.reject(bw, CodeBadFrame, "%v", err)
 			}
 			s.framesTotal.Add(1)
-			end := offset + int64(len(edges))
-			if end <= watermark {
+			end := offset + int64(n)
+			switch {
+			case end <= watermark:
 				// A reconnecting client legitimately resends from its last
 				// ack; everything at or below the watermark is already in
 				// the engine. Skipping (not re-ingesting) keeps the stream
 				// exactly-once.
 				s.dupFrames.Add(1)
-				frameSeen++
-				if frameSeen%ackEvery == 0 {
-					if err := writeAck(); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			if offset > watermark {
+			case offset > watermark:
 				return s.reject(bw, CodeGap,
 					"batch at offset %d leaves a gap after watermark %d", offset, watermark)
-			}
-			batch := edges[watermark-offset:]
-			// Ingest blocks while shard mailboxes are full — that is the
-			// backpressure contract: this goroutine stops reading the
-			// socket, the kernel's receive window fills, and the producer
-			// stalls. The stall delta attributes engine mailbox waits that
-			// overlapped this call to the wire plane.
-			stallsBefore := eng.IngestStalls()
-			if _, err := eng.Ingest(batch); err != nil {
-				s.ingestErrors.Add(1)
-				return s.reject(bw, CodeIngest, "ingest: %v", err)
-			}
-			s.ingestStalls.Add(eng.IngestStalls() - stallsBefore)
-			// The watermark advances only after Ingest returned: the edges
-			// are in the engine's accepted count — and, on a durable
-			// engine, in the WAL, which Ingest appends to before any shard
-			// can observe the batch. An acked watermark therefore never
-			// exceeds the engine's (or the log's) ingested-edge count.
-			watermark = end
-			if key != "" {
-				s.storeWatermark(key, watermark)
-			}
-			s.edgesTotal.Add(int64(len(batch)))
-			frameSeen++
-			if frameSeen%ackEvery == 0 {
-				if err := writeAck(); err != nil {
-					return err
+			default:
+				// Trim the already-acknowledged prefix of an overlapping
+				// resend. Ingest blocks while shard mailboxes are full — that
+				// is the backpressure contract: this goroutine stops reading
+				// the socket, the kernel's receive window fills, and the
+				// producer stalls. The stall delta attributes engine mailbox
+				// waits that overlapped this call to the wire plane.
+				skip := int(watermark - offset)
+				stallsBefore := eng.IngestStalls()
+				if isOps {
+					_, err = eng.IngestOps(ops[skip:])
+				} else {
+					_, err = eng.Ingest(edges[skip:])
 				}
-			}
-		case FrameOpBatch:
-			if !hello.Ops {
-				return s.reject(bw, CodeOpsUnsupported, "op batch on a session that did not negotiate ops")
-			}
-			offset, err := DecodeOpBatch(body, &ops)
-			if err != nil {
-				return s.reject(bw, CodeBadFrame, "%v", err)
-			}
-			s.framesTotal.Add(1)
-			end := offset + int64(len(ops))
-			if end <= watermark {
-				s.dupFrames.Add(1)
-				frameSeen++
-				if frameSeen%ackEvery == 0 {
-					if err := writeAck(); err != nil {
-						return err
-					}
+				if err != nil {
+					s.ingestErrors.Add(1)
+					return s.reject(bw, CodeIngest, "ingest: %v", err)
 				}
-				continue
+				s.ingestStalls.Add(eng.IngestStalls() - stallsBefore)
+				// The watermark advances only after the ingest returned: the
+				// records are in the engine's accepted count — and, on a
+				// durable engine, in the WAL, which the engine appends to
+				// before any shard can observe the batch. An acked watermark
+				// therefore never exceeds the engine's (or the log's)
+				// ingested-edge count.
+				watermark = end
+				if key != "" {
+					s.storeWatermark(key, watermark)
+				}
+				s.edgesTotal.Add(int64(n - skip))
 			}
-			if offset > watermark {
-				return s.reject(bw, CodeGap,
-					"op batch at offset %d leaves a gap after watermark %d", offset, watermark)
-			}
-			// Same trim-and-ingest shape as the edge plane; offsets count
-			// ops, so a reconnect resumes deletes exactly once too.
-			batch := ops[watermark-offset:]
-			stallsBefore := eng.IngestStalls()
-			if _, err := eng.IngestOps(batch); err != nil {
-				s.ingestErrors.Add(1)
-				return s.reject(bw, CodeIngest, "ingest: %v", err)
-			}
-			s.ingestStalls.Add(eng.IngestStalls() - stallsBefore)
-			watermark = end
-			if key != "" {
-				s.storeWatermark(key, watermark)
-			}
-			s.edgesTotal.Add(int64(len(batch)))
 			frameSeen++
 			if frameSeen%ackEvery == 0 {
 				if err := writeAck(); err != nil {

@@ -404,49 +404,82 @@ func batchFrame(t *testing.T, offset int64, edges []bipartite.Edge) []byte {
 	return AppendFrame(nil, FrameBatch, body)
 }
 
+// opBatchFrame is batchFrame for the op plane: edges go out as insert
+// ops, except that every third one is retracted again.
+func opBatchFrame(t *testing.T, offset int64, edges []bipartite.Edge) []byte {
+	t.Helper()
+	ops := bipartite.Inserts(edges)
+	for i := 2; i < len(ops); i += 3 {
+		ops[i] = bipartite.Op{Kind: bipartite.OpDelete, Edge: edges[i-1]}
+	}
+	body, err := AppendOpBatch(nil, offset, ops)
+	if err != nil {
+		t.Fatalf("AppendOpBatch: %v", err)
+	}
+	return AppendFrame(nil, FrameOpBatch, body)
+}
+
+// TestServerDedupGapAndTrim runs the exactly-once cases over both batch
+// frame types: the server has one arm for them, and offsets count
+// records whichever type carries them.
 func TestServerDedupGapAndTrim(t *testing.T) {
-	env := newTestEnv(t, map[string]server.Config{"default": baseConfig()}, Options{AckEvery: 1})
-	eng, _ := env.multi.Get("default")
-	rng := rand.New(rand.NewSource(4))
-	edges := randomEdges(rng, 20, 64)
+	for _, tc := range []struct {
+		name  string
+		cfg   server.Config
+		hello Hello
+		frame func(*testing.T, int64, []bipartite.Edge) []byte
+	}{
+		{"FrameBatch", baseConfig(), Hello{Namespace: "default", Stream: "replay"}, batchFrame},
+		{"FrameOpBatch", dynConfig(), Hello{Namespace: "default", Stream: "replay", Ops: true}, opBatchFrame},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newTestEnv(t, map[string]server.Config{"default": tc.cfg}, Options{AckEvery: 1})
+			eng, _ := env.multi.Get("default")
+			rng := rand.New(rand.NewSource(4))
+			edges := randomEdges(rng, 20, 64)
 
-	s := newRawSession(t, env.addr, Hello{Namespace: "default", Stream: "replay"})
+			s := newRawSession(t, env.addr, tc.hello)
 
-	// Fresh batch [0,10).
-	s.send(batchFrame(t, 0, edges[:10]))
-	if typ, body := s.readFrame(); typ != FrameAck {
-		t.Fatalf("frame type %d, want ack", typ)
-	} else if wm, _ := DecodeAck(body); wm != 10 {
-		t.Fatalf("ack watermark %d, want 10", wm)
+			// Fresh batch [0,10).
+			s.send(tc.frame(t, 0, edges[:10]))
+			if typ, body := s.readFrame(); typ != FrameAck {
+				t.Fatalf("frame type %d, want ack", typ)
+			} else if wm, _ := DecodeAck(body); wm != 10 {
+				t.Fatalf("ack watermark %d, want 10", wm)
+			}
+
+			// Exact duplicate — skipped entirely, watermark unchanged.
+			s.send(tc.frame(t, 0, edges[:10]))
+			if typ, body := s.readFrame(); typ != FrameAck {
+				t.Fatalf("frame type %d, want ack", typ)
+			} else if wm, _ := DecodeAck(body); wm != 10 {
+				t.Fatalf("dup ack watermark %d, want 10", wm)
+			}
+
+			// Partial overlap [5,20): only records [10,20) are ingested.
+			s.send(tc.frame(t, 5, edges[5:]))
+			if typ, body := s.readFrame(); typ != FrameAck {
+				t.Fatalf("frame type %d, want ack", typ)
+			} else if wm, _ := DecodeAck(body); wm != 20 {
+				t.Fatalf("trim ack watermark %d, want 20", wm)
+			}
+
+			if got := eng.IngestedEdges(); got != 20 {
+				t.Fatalf("engine ingested %d, want 20 (dedup failed)", got)
+			}
+			st := env.srv.Stats()
+			if st.DupFrames != 1 {
+				t.Fatalf("dup frames %d, want 1", st.DupFrames)
+			}
+			if st.Edges != 20 {
+				t.Fatalf("wire plane handed over %d records, want 20 (trim failed)", st.Edges)
+			}
+
+			// A gap beyond the watermark is a reject.
+			s.send(tc.frame(t, 25, edges[:5]))
+			s.expectError(CodeGap)
+		})
 	}
-
-	// Exact duplicate — skipped entirely, watermark unchanged.
-	s.send(batchFrame(t, 0, edges[:10]))
-	if typ, body := s.readFrame(); typ != FrameAck {
-		t.Fatalf("frame type %d, want ack", typ)
-	} else if wm, _ := DecodeAck(body); wm != 10 {
-		t.Fatalf("dup ack watermark %d, want 10", wm)
-	}
-
-	// Partial overlap [5,20): only edges [10,20) are ingested.
-	s.send(batchFrame(t, 5, edges[5:]))
-	if typ, body := s.readFrame(); typ != FrameAck {
-		t.Fatalf("frame type %d, want ack", typ)
-	} else if wm, _ := DecodeAck(body); wm != 20 {
-		t.Fatalf("trim ack watermark %d, want 20", wm)
-	}
-
-	if got := eng.IngestedEdges(); got != 20 {
-		t.Fatalf("engine ingested %d, want 20 (dedup failed)", got)
-	}
-	st := env.srv.Stats()
-	if st.DupFrames != 1 {
-		t.Fatalf("dup frames %d, want 1", st.DupFrames)
-	}
-
-	// A gap beyond the watermark is a reject.
-	s.send(batchFrame(t, 25, edges[:5]))
-	s.expectError(CodeGap)
 }
 
 func TestServerRejectsMalformedFrames(t *testing.T) {

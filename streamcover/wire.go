@@ -12,7 +12,7 @@ import (
 // DESIGN.md §13) through the public API: DialIngest opens a
 // persistent-connection producer that streams edge batches to a
 // covserved wire listener an order of magnitude faster than HTTP JSON
-// posts (BENCH_wire.json), and Hub.WireServer exposes a hub's
+// posts (bench/README.md), and Hub.WireServer exposes a hub's
 // namespaces on such a listener in-process.
 
 // WireHello configures a wire ingest connection: which namespace (and
