@@ -124,7 +124,7 @@ func main() {
 		ns        = flag.String("ns", "", "target namespace (empty = the server's default dataset)")
 		createNS  = flag.Bool("create-ns", false, "create -ns on the server first, from the instance dimensions and sketch flags")
 		weightsFl = flag.String("weights", "", `weighted-coverage profile ("mod:<p>" or "geo:<c>"); requires -create-ns, queries the weighted kcover route`)
-		engineFl  = flag.String("engine", "", `engine mode for the created namespace ("sketch", "sieve" or "dynamic"); requires -create-ns`)
+		engineFl  = flag.String("engine", "", `engine mode for the created namespace ("sketch" or "dynamic"); requires -create-ns`)
 		delFrac   = flag.Float64("delete-frac", 0, "after the replay, delete this fraction of the stream again (the first ⌈frac·edges⌉ in replay order); needs a dynamic-engine namespace")
 		fanout    = flag.String("fanout", "", "comma-separated cluster node URLs: partition the replay across them, pull, then query the first (overrides -server)")
 		wireFlag  = flag.String("wire", "", "covserved wire listener address (-wire-addr): replay over the binary ingest protocol instead of JSON posts")
@@ -148,10 +148,6 @@ func main() {
 	}
 	if *engineFl != "" && *weightsFl != "" {
 		fmt.Fprintln(os.Stderr, "covcli: -engine and -weights are mutually exclusive (weighted coverage is its own engine mode)")
-		os.Exit(2)
-	}
-	if *engineFl == "sieve" && *compare {
-		fmt.Fprintln(os.Stderr, "covcli: -compare is not defined for -engine sieve (the sharded sieve replay has no bit-identical offline reference)")
 		os.Exit(2)
 	}
 	if *engineFl == "dynamic" && *compare {

@@ -19,14 +19,13 @@
 // ({"table": [w0, w1, …], "default": w}) creates a dataset whose
 // kcover queries maximize total covered weight; snapshots persist the
 // weight table, so weighted namespaces survive restarts like any
-// other. -engine sieve (or POST /v1/ns with "engine": "sieve") selects
-// the constant-memory sieve-streaming engine instead of the sketch: at
-// most k candidate sets are buffered per shard and kcover answers
-// exactly over them (outliers/greedy are rejected). -engine dynamic
-// selects the insert/delete L0-sampler engine (DESIGN.md §14): the only
-// mode that accepts delete ops — DELETE /v1/…/edges, POST bodies with
-// "ops", and wire op batches retract edges; the other modes reject them
-// with 409. See the README for the full endpoint reference:
+// other. -engine dynamic (or POST /v1/ns with "engine": "dynamic")
+// selects the insert/delete L0-sampler engine (DESIGN.md §14) instead
+// of the sketch: the only mode that accepts delete ops — DELETE
+// /v1/…/edges, POST bodies with "ops", and wire op batches retract
+// edges; the other modes reject them with 409. It serves kcover
+// (outliers/greedy are rejected). See the README for the full endpoint
+// reference:
 //
 //	POST   /v1/edges                bulk ingest (default namespace;
 //	                                "ops" bodies carry deletes)
@@ -126,7 +125,7 @@ func main() {
 		shards     = flag.Int("shards", 4, "ingest worker shards")
 		queue      = flag.Int("queue", 64, "per-shard queue depth, in batches")
 		mergeEvery = flag.Duration("merge-every", 0, "periodic snapshot merge (0 = on demand only)")
-		engine     = flag.String("engine", "", "engine mode for the bootstrap namespace: sketch (default), sieve, dynamic")
+		engine     = flag.String("engine", "", "engine mode for the bootstrap namespace: sketch (default), dynamic")
 		nsName     = flag.String("ns", server.DefaultNamespace, "bootstrap namespace the sketch flags configure (and the unprefixed routes serve)")
 		snapFile   = flag.String("snapshot-file", "", "persist/restore all namespaces here (v2; v1 files restore into -ns)")
 		maxBatch   = flag.Int("max-batch", 1<<20, "largest accepted ingest batch, in edges")

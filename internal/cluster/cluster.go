@@ -3,14 +3,14 @@
 // partition of the edge stream into a local server.Multi; a background
 // loop periodically pulls every peer's serialized merged state (v1
 // sketch blobs for unweighted namespaces, weighted.BankMagic class
-// banks for weighted ones, sieve.Magic swap buffers for sieve
-// namespaces) over GET /v1/cluster/sketch and keeps the last
-// successfully decoded state per (peer, namespace). Queries are
-// answered from a cluster view: the local engine snapshot folded with
-// the remote states through the engine mode's merge
-// (server.Mode.MergeStates). For the sketch modes that fold is the
-// paper's mergeability result (the H≤n sketch is an order-invariant
-// function of the absorbed edge set), which is exactly what makes
+// banks for weighted ones, L0 sampler blobs for dynamic namespaces)
+// over GET /v1/cluster/sketch and keeps the last successfully decoded
+// state per (peer, namespace). Queries are answered from a cluster
+// view: the local engine snapshot folded with the remote states through
+// the engine mode's merge (server.Mode.MergeStates). For the sketch
+// modes that fold is the paper's mergeability result (the H≤n sketch is
+// an order-invariant function of the absorbed edge set; the dynamic
+// sampler is linear in the net op multiset), which is exactly what makes
 // "nodes with a network in between" behave like "shards inside one
 // process": when the degree caps don't bind, any node's cluster answer
 // is bit-identical to a single node fed the whole stream, and to the
@@ -429,7 +429,7 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	// rejects a parameter mismatch — a peer built with different options).
 	decoded, err := e.EngineMode().ReadState(bytes.NewReader(body))
 	if err != nil {
-		return p.fail(fmt.Errorf("decoding %s: %w", stateNoun(e.ModeName()), err), false, interval, maxBackoff)
+		return p.fail(fmt.Errorf("decoding %s state: %w", e.ModeName(), err), false, interval, maxBackoff)
 	}
 	st.state, st.edges = decoded, decoded.Stats().EdgesSeen
 
@@ -441,19 +441,6 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	p.lastErr = ""
 	p.mu.Unlock()
 	return nil
-}
-
-// stateNoun names a mode's state blob in pull-error messages.
-func stateNoun(mode server.ModeName) string {
-	switch mode {
-	case server.ModeWeighted:
-		return "bank"
-	case server.ModeSieve:
-		return "sieve buffer"
-	case server.ModeDynamic:
-		return "sampler"
-	}
-	return "sketch"
 }
 
 // snapshot returns the cluster-view snapshot for namespace name: the

@@ -629,6 +629,65 @@ func TestClusterETagShortCircuit(t *testing.T) {
 	}
 }
 
+// TestClusterPullSeesReplacedPeerEngine: the state ETag identifies the
+// engine, not just its edge count. B ingests N edges and A pulls; B's
+// namespace is then replaced by a fresh engine that reaches the same
+// count with N other edges (a restart without a WAL, or a delete +
+// re-create). A's next pull must fetch the new state instead of
+// validating the dead engine's with a 304.
+func TestClusterPullSeesReplacedPeerEngine(t *testing.T) {
+	edges := testEdges(t)
+	half := len(edges) / 2
+	first, second := edges[:half], edges[half:2*half]
+	nodes := startCluster(t, 2, 2)
+	a, b := nodes[0], nodes[1]
+
+	// reference answers a node holding exactly one of the halves gives.
+	ref := func(part []bipartite.Edge) *server.QueryResult {
+		e, err := server.New(testConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if _, err := e.Ingest(part); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Query(server.Query{Algo: server.AlgoKCover, K: tK, Refresh: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	wantFirst, wantSecond := ref(first), ref(second)
+	if wantFirst.EstimatedCoverage == wantSecond.EstimatedCoverage {
+		t.Fatal("the two halves answer alike; the test cannot tell them apart")
+	}
+
+	eng, _ := b.multi.Get(server.DefaultNamespace)
+	if _, err := eng.Ingest(first); err != nil {
+		t.Fatal(err)
+	}
+	got := queryCluster(t, a, server.DefaultNamespace, tK)
+	assertSameSets(t, "before replacement", got.Sets, wantFirst.Sets)
+
+	if err := b.multi.Delete(server.DefaultNamespace); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := b.multi.Create(server.DefaultNamespace, testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Ingest(second); err != nil {
+		t.Fatal(err)
+	}
+	got = queryCluster(t, a, server.DefaultNamespace, tK)
+	assertSameSets(t, "after replacement", got.Sets, wantSecond.Sets)
+	if got.EstimatedCoverage != wantSecond.EstimatedCoverage {
+		t.Fatalf("A still answers from the replaced engine's state: estimate %v, want %v",
+			got.EstimatedCoverage, wantSecond.EstimatedCoverage)
+	}
+}
+
 // TestClusterHandlerMethods is the table-driven method/Content-Type
 // discipline check for the cluster routes and the binary snapshot GET.
 func TestClusterHandlerMethods(t *testing.T) {

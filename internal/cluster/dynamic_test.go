@@ -26,8 +26,8 @@ func dynamicClusterConfig() server.Config {
 }
 
 // startDynamicCluster mirrors startCluster with a single dynamic-mode
-// default namespace per node (two shards: unlike the sieve, the sampler
-// is shard- and order-invariant, so sharding costs nothing).
+// default namespace per node (two shards: the sampler is shard- and
+// order-invariant, so sharding costs nothing).
 func startDynamicCluster(t *testing.T, size int) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, size)

@@ -18,7 +18,7 @@ import (
 )
 
 // durConfig returns a small engine config for durability tests in the
-// given mode ("sketch", "weighted", "sieve").
+// given mode ("sketch", "weighted", "dynamic").
 func durConfig(mode ModeName) Config {
 	cfg := Config{
 		NumSets:  40,
@@ -35,8 +35,11 @@ func durConfig(mode ModeName) Config {
 			table[i] = float64(1 + i%7)
 		}
 		cfg.Weights = &WeightConfig{Table: table, Default: 1}
-	case ModeSieve:
-		cfg.Engine = ModeSieve
+	case ModeDynamic:
+		cfg.Engine = ModeDynamic
+		// 400 cells a level instead of the formula's 16384: the crash
+		// sweeps build an engine per crash point.
+		cfg.EdgeBudget = 200
 	}
 	return cfg
 }
@@ -88,7 +91,7 @@ func prefixRef(t *testing.T, cfg Config, batches [][]bipartite.Edge, n int) []by
 	return stateBytes(t, e)
 }
 
-var durModes = []ModeName{ModeSketch, ModeWeighted, ModeSieve}
+var durModes = []ModeName{ModeSketch, ModeWeighted, ModeDynamic}
 
 // TestCrashRecoveryBitIdentical sweeps an injected crash across the WAL
 // byte range: for every crash point, a recovered engine's merged state
@@ -175,13 +178,10 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 // uncovered tail. The pinned invariant is that a crash is
 // indistinguishable from a clean restart at the same point — recovered
 // bytes equal a clean restore-from-checkpoint followed by direct
-// ingestion of the acknowledged tail. For sketch and weighted the test
-// additionally pins that reference to the engine that never restarted
-// at all (merge-composability makes restore + tail = straight-through);
-// the sieve buffer is order- and merge-path-dependent by design
-// (DESIGN.md §11), so there any restart — crashed or clean — legally
-// diverges from the never-restarted engine, and bit-identical recovery
-// means equality with the clean restart.
+// ingestion of the acknowledged tail — and that reference is itself
+// pinned to the engine that never restarted at all: every mode's state
+// is a function of the edge multiset alone (DESIGN.md §11), so restore +
+// tail = straight-through.
 func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	for _, mode := range durModes {
 		t.Run(string(mode), func(t *testing.T) {
@@ -248,12 +248,10 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 				}
 				b := stateBytes(t, e)
 				e.Close()
-				if mode != ModeSieve {
-					// Merge-composability: for sketch and weighted, the clean
-					// restart equals the engine that never restarted.
-					if direct := prefixRef(t, base, batches, n); !bytes.Equal(b, direct) {
-						t.Fatalf("restart reference diverged from straight-through engine at %d batches", n)
-					}
+				// Merge-composability: the clean restart equals the engine
+				// that never restarted.
+				if direct := prefixRef(t, base, batches, n); !bytes.Equal(b, direct) {
+					t.Fatalf("restart reference diverged from straight-through engine at %d batches", n)
 				}
 				refs[n] = b
 				return b
@@ -324,8 +322,10 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 // namespaces created under SetDurability log to per-namespace WAL dirs,
 // CheckpointMulti truncates them behind the container, a restart
 // (RestoreAll + RecoverNamespaces) rebuilds every namespace — including
-// one never captured in any container — bit-identically, and Delete
-// removes the namespace's WAL directory so it cannot resurrect.
+// two never captured in any container, one of them (dynamic) knowing
+// its engine mode only from the WAL config sidecar — bit-identically,
+// and Delete removes the namespace's WAL directory so it cannot
+// resurrect.
 func TestMultiDurabilityLifecycle(t *testing.T) {
 	walRoot := t.TempDir()
 	snapPath := filepath.Join(t.TempDir(), "all.snap")
@@ -334,7 +334,7 @@ func TestMultiDurabilityLifecycle(t *testing.T) {
 	m := NewMulti("")
 	m.SetDurability(dur)
 	cfgA := durConfig(ModeSketch)
-	cfgB := durConfig(ModeSieve)
+	late := map[string]Config{"beta": durConfig(ModeWeighted), "gamma": durConfig(ModeDynamic)}
 	if _, err := m.Create("alpha", cfgA); err != nil {
 		t.Fatalf("Create(alpha): %v", err)
 	}
@@ -348,24 +348,27 @@ func TestMultiDurabilityLifecycle(t *testing.T) {
 	if err := CheckpointMulti(m, snapPath); err != nil {
 		t.Fatalf("CheckpointMulti: %v", err)
 	}
-	// Post-checkpoint work: a tail on alpha, plus a namespace the
+	// Post-checkpoint work: a tail on alpha, plus namespaces the
 	// container has never seen.
 	for _, b := range batches[4:] {
 		if _, err := a.Ingest(b); err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
 	}
-	if _, err := m.Create("beta", cfgB); err != nil {
-		t.Fatalf("Create(beta): %v", err)
-	}
-	bEng, _ := m.Get("beta")
-	for _, b := range batches[:3] {
-		if _, err := bEng.Ingest(b); err != nil {
-			t.Fatalf("Ingest(beta): %v", err)
+	wantLate := map[string][]byte{}
+	for name, cfg := range late {
+		e, err := m.Create(name, cfg)
+		if err != nil {
+			t.Fatalf("Create(%s): %v", name, err)
 		}
+		for _, b := range batches[:3] {
+			if _, err := e.Ingest(b); err != nil {
+				t.Fatalf("Ingest(%s): %v", name, err)
+			}
+		}
+		wantLate[name] = stateBytes(t, e)
 	}
 	wantA := stateBytes(t, a)
-	wantB := stateBytes(t, bEng)
 	m.Close() // "crash" with a clean kernel: fsync=off still survives process death
 
 	// Restart.
@@ -383,22 +386,27 @@ func TestMultiDurabilityLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverNamespaces: %v", err)
 	}
-	if len(recovered) != 1 || recovered[0] != "beta" {
-		t.Fatalf("RecoverNamespaces = %v, want [beta]", recovered)
+	if len(recovered) != 2 || recovered[0] != "beta" || recovered[1] != "gamma" {
+		t.Fatalf("RecoverNamespaces = %v, want [beta gamma]", recovered)
 	}
 	a2, ok := m2.Get("alpha")
 	if !ok {
 		t.Fatalf("alpha missing after restart")
 	}
-	b2, ok := m2.Get("beta")
-	if !ok {
-		t.Fatalf("beta missing after restart")
-	}
 	if got := stateBytes(t, a2); !bytes.Equal(got, wantA) {
 		t.Fatalf("alpha state differs after restart")
 	}
-	if got := stateBytes(t, b2); !bytes.Equal(got, wantB) {
-		t.Fatalf("beta state differs after restart")
+	for name, want := range wantLate {
+		e, ok := m2.Get(name)
+		if !ok {
+			t.Fatalf("%s missing after restart", name)
+		}
+		if e.ModeName() != late[name].engineName() {
+			t.Fatalf("%s recovered as a %s engine, want %s", name, e.ModeName(), late[name].engineName())
+		}
+		if got := stateBytes(t, e); !bytes.Equal(got, want) {
+			t.Fatalf("%s state differs after restart", name)
+		}
 	}
 
 	// Delete must take the WAL directory with it.

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,9 +90,9 @@ type Config struct {
 	QueryCache int
 
 	// Engine selects the engine mode by name: ModeSketch (the default),
-	// ModeWeighted (also implied by Weights) or ModeSieve, the
-	// constant-memory swap-buffer engine that keeps at most K candidate
-	// sets per shard. See EngineMode for the resolution rules.
+	// ModeWeighted (also implied by Weights) or ModeDynamic, the
+	// insert/delete L0-sampler engine. See EngineMode for the resolution
+	// rules.
 	Engine ModeName
 
 	// Weights, when non-nil, switches the engine into weighted-coverage
@@ -129,8 +130,8 @@ type Config struct {
 	// Weights. NewFromSnapshot fills the right field from raw bytes.
 	RestoreWeighted *weighted.Bank
 	// RestoreState, when non-nil, seeds the engine with a decoded state
-	// of the configured mode — the mode-generic restore slot the sieve
-	// and dynamic engines use (ReadRestore fills it). The typed Restore /
+	// of the configured mode — the mode-generic restore slot the dynamic
+	// engine uses (ReadRestore fills it). The typed Restore /
 	// RestoreWeighted fields remain for the two original modes.
 	RestoreState FrozenState
 }
@@ -279,7 +280,7 @@ type Snapshot struct {
 	IngestedEdges int64
 
 	mode    Mode             // the engine mode the state belongs to
-	state   FrozenState      // merged state (sketch view / bank / sieve buffer / sampler)
+	state   FrozenState      // merged state (sketch view / bank / sampler)
 	weights []float64        // weighted: scaled union element weights
 	graph   *bipartite.Graph // materialized (union) graph queries run on
 	ids     []uint32         // graph element id -> original element id
@@ -314,8 +315,7 @@ func (s *Snapshot) keptEdges() int { return s.state.Stats().EdgesKept }
 
 // pStar is the sampling probability of the merged state; a weighted
 // snapshot reports its smallest class probability (each class is an
-// independent subsample, so there is no single p*), and a sieve
-// snapshot reports 1 (the buffer holds true element ids, unsampled).
+// independent subsample, so there is no single p*).
 func (s *Snapshot) pStar() float64 { return s.state.Stats().PStar }
 
 // Graph returns the snapshot state materialized as a bipartite graph
@@ -325,8 +325,8 @@ func (s *Snapshot) pStar() float64 { return s.state.Stats().PStar }
 func (s *Snapshot) Graph() *bipartite.Graph { return s.graph }
 
 // WriteState serializes the snapshot's merged state in its mode's wire
-// format (v1 sketch, weighted.BankMagic bank, or sieve.Magic buffer).
-// These are the exact bytes Engine.WriteSnapshot persists and
+// format (v1 sketch, weighted.BankMagic bank, or "L0DYNS1" sampler
+// state). These are the exact bytes Engine.WriteSnapshot persists and
 // /v1/cluster/sketch serves — one wire format for disk and peers. Safe
 // on a published snapshot: a frozen state's WriteTo only reads.
 func (s *Snapshot) WriteState(w io.Writer) error {
@@ -374,6 +374,10 @@ type Engine struct {
 	mode   Mode
 	part   distributed.Partitioner
 	shards []*shard
+	// instance is drawn once per New and tags the state ETag (ServeState):
+	// two engines that reach the same ingested-edge total with different
+	// edges must not validate each other's cached state.
+	instance uint64
 	// wal is the engine's write-ahead log (nil unless Config.WAL): every
 	// accepted batch is appended before it enters a shard mailbox.
 	wal *wal.Log
@@ -493,6 +497,7 @@ func New(cfg Config) (*Engine, error) {
 		shards:   make([]*shard, cfg.shards()),
 		cache:    newQueryCache(cfg.queryCache()),
 		restored: restoredEdges,
+		instance: rand.Uint64(),
 	}
 	_, e.deletable = states[0].(opApplier)
 	// Recovery: replay the WAL tail the restore state does not cover into
@@ -529,7 +534,7 @@ func New(cfg Config) (*Engine, error) {
 // EngineMode returns the engine's resolved mode.
 func (e *Engine) EngineMode() Mode { return e.mode }
 
-// ModeName returns the engine's mode name ("sketch", "weighted", "sieve").
+// ModeName returns the engine's mode name ("sketch", "weighted", "dynamic").
 func (e *Engine) ModeName() ModeName { return e.mode.Name() }
 
 // SupportsDeletes reports whether the engine accepts delete ops — its
@@ -983,9 +988,9 @@ type QueryResult struct {
 	// classes in the snapshot bank.
 	Weighted      bool `json:"weighted,omitempty"`
 	WeightClasses int  `json:"weight_classes,omitempty"`
-	// Engine names the engine mode for results from a non-default mode
-	// (currently only "sieve"); empty for the sketch and weighted planes,
-	// whose result shape predates the field.
+	// Engine names the engine mode for results from a mode selected by
+	// name ("dynamic"); empty for the sketch and weighted planes, whose
+	// result shape predates the field.
 	Engine ModeName `json:"engine,omitempty"`
 	// SnapshotSeq and SnapshotEdges identify the snapshot; a query issued
 	// during ingestion reports the merge it was served from.
@@ -1021,12 +1026,6 @@ func ValidateQuery(q Query, mode ModeName) error {
 	}
 	if isWeighted && (q.Algo == AlgoOutliers || q.Algo == AlgoGreedy) {
 		return fmt.Errorf("server: algo %q is not defined on a weighted engine (weighted coverage serves kcover)", q.Algo)
-	}
-	if mode == ModeSieve && (q.Algo == AlgoOutliers || q.Algo == AlgoGreedy) {
-		// The sieve buffer keeps at most K candidate sets — partial and
-		// full set cover over that residue would answer a different
-		// question than the algorithms promise.
-		return fmt.Errorf("server: algo %q is not defined on a sieve engine (sieve serves kcover)", q.Algo)
 	}
 	if mode == ModeDynamic && (q.Algo == AlgoOutliers || q.Algo == AlgoGreedy) {
 		// The dynamic sampler recovers a p*-sample sized for k-cover
@@ -1108,8 +1107,8 @@ func safeEstimate(covered int, pStar float64) float64 {
 // mode's wire format: a sketch engine writes its merged sketch (v1
 // format, restorable through core.ReadSketch into Config.Restore), a
 // weighted engine its merged class bank (weighted.BankMagic framing,
-// restorable into Config.RestoreWeighted), a sieve engine its merged
-// swap buffer (sieve.Magic framing, restorable into Config.RestoreState).
+// restorable into Config.RestoreWeighted), a dynamic engine its merged
+// L0 sampler ("L0DYNS1" framing, restorable into Config.RestoreState).
 // ReadRestore / NewFromSnapshot decode any of them from the config. The
 // persisted state carries the engine's true ingested-edge total (a
 // merged state only counts the kept edges it replayed), so accounting
@@ -1139,8 +1138,8 @@ func (e *Engine) WriteSnapshot(w io.Writer) (*Snapshot, error) {
 // ReadRestore decodes a snapshot previously written by WriteSnapshot
 // and returns cfg with the matching restore field filled: weighted
 // configs (Weights set) decode a class bank into RestoreWeighted,
-// sketch configs a v1 sketch into Restore, sieve configs a swap buffer
-// into RestoreState. The config must repeat the writing engine's
+// sketch configs a v1 sketch into Restore, dynamic configs an L0
+// sampler into RestoreState. The config must repeat the writing engine's
 // parameters.
 func ReadRestore(cfg Config, r io.Reader) (Config, error) {
 	mode, err := cfg.EngineMode()
@@ -1219,8 +1218,8 @@ type Stats struct {
 	// snapshot's class bank (weighted engines only).
 	Weighted      bool `json:"weighted,omitempty"`
 	WeightClasses int  `json:"weight_classes,omitempty"`
-	// Engine names the engine mode for non-default modes (currently only
-	// "sieve"); empty for the sketch and weighted planes, whose stats
+	// Engine names the engine mode for modes selected by name
+	// ("dynamic"); empty for the sketch and weighted planes, whose stats
 	// shape predates the field.
 	Engine ModeName `json:"engine,omitempty"`
 	// ShardStats holds each shard state's accounting, in shard order.

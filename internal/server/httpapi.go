@@ -250,7 +250,7 @@ const (
 	// HeaderEdges is the decimal ingested-edge total the blob reflects.
 	HeaderEdges = "X-Cov-Edges"
 	// HeaderEngine is the serving engine's mode name ("sketch",
-	// "weighted", "sieve") — peers refuse to merge a blob produced by a
+	// "weighted", "dynamic") — peers refuse to merge a blob produced by a
 	// different engine mode. Absent on responses from servers that
 	// predate the engine-mode plane; receivers treat it as advisory.
 	HeaderEngine = "X-Cov-Engine"
@@ -260,19 +260,23 @@ const (
 // merged state: Content-Type application/octet-stream, body exactly the
 // bytes Engine.WriteSnapshot persists (v1 sketch, or a class bank on a
 // weighted engine), metadata in the X-Cov-* headers. The ETag is the
-// quoted ingested-edge total — a node's merged state is a deterministic
-// function of its (append-only) ingested edge set, so an unchanged
-// count means unchanged bytes and If-None-Match short-circuits to an
-// empty 304: the anti-entropy loop's steady-state probe costs one
-// refresh idle-check and no serialization. Both GET …/snapshot and the
-// cluster /v1/cluster/sketch endpoint are this handler.
+// engine's instance id and its ingested-edge total: one engine's merged
+// state is a deterministic function of the ops it has accepted, whose
+// count only grows, so an unchanged count on the same engine means
+// unchanged bytes and If-None-Match short-circuits to an empty 304 —
+// the anti-entropy loop's steady-state probe costs one refresh
+// idle-check and no serialization. The instance id keeps a different
+// engine that reached the same count (a node restarted without its
+// WAL, a namespace deleted and re-created) from answering 304 for
+// state it never held. Both GET …/snapshot and the cluster
+// /v1/cluster/sketch endpoint are this handler.
 func ServeState(e *Engine, w http.ResponseWriter, r *http.Request) {
 	snap, err := e.Refresh() // idle engines reuse the published snapshot
 	if err != nil {
 		ErrorJSON(w, StatusFor(err), "%v", err)
 		return
 	}
-	etag := `"` + strconv.FormatInt(snap.IngestedEdges, 10) + `"`
+	etag := `"` + strconv.FormatUint(e.instance, 16) + "-" + strconv.FormatInt(snap.IngestedEdges, 10) + `"`
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set(HeaderEdges, strconv.FormatInt(snap.IngestedEdges, 10))
@@ -467,7 +471,7 @@ func (a *api) handleCreateNamespace(m *Multi, w http.ResponseWriter, r *http.Req
 	}
 	e, err := m.Create(req.Name, req.config())
 	if err != nil {
-		ErrorJSON(w, StatusFor(err), "%v", err)
+		ErrorJSON(w, StatusFor(err), "creating namespace %q: %v", req.Name, err)
 		return
 	}
 	WriteJSON(w, http.StatusCreated, infoFor(req.Name, e, req.Name == m.DefaultName()))
@@ -595,7 +599,7 @@ type createNamespaceRequest struct {
 	QueryCache   int           `json:"query_cache"`
 	Weights      *weightsFrame `json:"weights,omitempty"`
 	// Engine selects the engine mode by name ("sketch", "weighted",
-	// "sieve"); empty defaults as in Config.EngineMode.
+	// "dynamic"); empty defaults as in Config.EngineMode.
 	Engine string `json:"engine,omitempty"`
 }
 

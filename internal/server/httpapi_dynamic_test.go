@@ -12,16 +12,27 @@ import (
 )
 
 // TestHTTPDynamicNamespace drives the dynamic (insert/delete) mode
-// through the HTTP plane: namespace creation with "engine": "dynamic",
-// ops-body ingest, the DELETE …/edges route, the insert-all-delete-all
-// acceptance over HTTP (empty kcover answer on a fully cancelled
-// stream), and the state blob's engine header.
+// through the HTTP plane: namespace creation with "engine": "dynamic"
+// (and invalid engine configs as 400s), ops-body ingest, the DELETE
+// …/edges route, the insert-all-delete-all acceptance over HTTP (empty
+// kcover answer on a fully cancelled stream), the unserved algos as
+// 400s, and the state blob's engine header.
 func TestHTTPDynamicNamespace(t *testing.T) {
 	const n, m, k = 30, 400, 4
 	multi := NewMulti("")
 	defer multi.Close()
 	ts := httptest.NewServer(NewMultiHandler(multi, HTTPOptions{}))
 	defer ts.Close()
+
+	// Invalid engine configs are 400s, not namespaces.
+	for _, body := range []string{
+		`{"name":"bad","num_sets":10,"k":3,"engine":"dynamic","weights":{"table":[1,2]}}`,
+		`{"name":"bad","num_sets":10,"k":3,"engine":"turbo"}`,
+	} {
+		if resp, out := doJSON(t, "POST", ts.URL+"/v1/ns", body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /v1/ns %s: got %d (%s), want 400", body, resp.StatusCode, out)
+		}
+	}
 
 	resp, out := doJSON(t, "POST", ts.URL+"/v1/ns",
 		`{"name":"dyn","num_sets":30,"k":4,"eps":0.4,"seed":5,"num_elems":400,"edge_budget":1800,"shards":2,"engine":"dynamic"}`)
@@ -73,6 +84,11 @@ func TestHTTPDynamicNamespace(t *testing.T) {
 		t.Fatalf("query result engine %q, want dynamic", qr.Engine)
 	}
 	assertSameAnswer(t, "HTTP dynamic vs direct engine", &qr, ref)
+
+	// Algos the dynamic mode does not serve are client errors.
+	if resp, _ := doJSON(t, "GET", ts.URL+"/v1/ns/dyn/query?algo=outliers&lambda=0.2", ""); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("outliers on dynamic over HTTP: got %d, want 400", resp.StatusCode)
+	}
 
 	// The state blob advertises the dynamic mode and decodes as one.
 	sr, err := http.Get(ts.URL + "/v1/ns/dyn/snapshot")
@@ -156,14 +172,14 @@ func TestHTTPDeleteRejectedOnLegacyEngines(t *testing.T) {
 
 	for _, ns := range []string{
 		`{"name":"sk","num_sets":10,"k":3,"eps":0.5,"seed":1,"num_elems":100,"engine":"sketch"}`,
-		`{"name":"sv","num_sets":10,"k":3,"eps":0.5,"seed":1,"num_elems":100,"engine":"sieve"}`,
+		`{"name":"wt","num_sets":10,"k":3,"eps":0.5,"seed":1,"num_elems":100,"weights":{"table":[],"default":1}}`,
 	} {
 		if resp, out := doJSON(t, "POST", ts.URL+"/v1/ns", ns); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create: %d: %s", resp.StatusCode, out)
 		}
 	}
 
-	for _, name := range []string{"sk", "sv"} {
+	for _, name := range []string{"sk", "wt"} {
 		// Insert-only ops bodies are fine on any engine…
 		resp, out := doJSON(t, "POST", ts.URL+"/v1/ns/"+name+"/edges",
 			`{"ops":[[0,1,2],[0,3,4]]}`)

@@ -17,11 +17,14 @@ package server
 //     against a Snapshot.
 //
 // Three modes implement the plane: "sketch" (the paper's H≤n sketch,
-// the default), "weighted" (PR 5's per-weight-class bank, selected by
-// Config.Weights) and "sieve" (the constant-memory swap buffer of
-// internal/sieve, selected by Config.Engine). The two pre-existing
-// modes are pure re-expressions — same types, same merge policy, same
-// wire bytes — so their behavior and snapshot frames are unchanged.
+// the default), "weighted" (the per-weight-class bank, selected by
+// Config.Weights) and "dynamic" (the insert/delete L0 sampler of
+// dynamic.go, selected by Config.Engine). Every mode's merge is a
+// function of the edge (or net op) multiset alone — independent of
+// arrival order, shard count and merge path — which is what lets crash
+// recovery and the cluster fold promise bit-identical state for all of
+// them. DESIGN.md §11 tabulates each mode's approximation bound,
+// recovery contract and query algos.
 
 import (
 	"errors"
@@ -32,7 +35,6 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/greedy"
-	"repro/internal/sieve"
 	"repro/internal/weighted"
 )
 
@@ -47,9 +49,6 @@ const (
 	// ModeWeighted serves weighted coverage: one sketch per geometric
 	// weight class (internal/weighted). Selected by Config.Weights.
 	ModeWeighted ModeName = "weighted"
-	// ModeSieve is the constant-memory swap buffer (internal/sieve): at
-	// most K candidate sets per shard, single-pass, order-dependent.
-	ModeSieve ModeName = "sieve"
 	// ModeDynamic serves insert/delete (turnstile) streams with the
 	// leveled L0 edge sampler (internal/l0), after Chakrabarti–McGregor–
 	// Wirth. The only mode whose shard states apply deletes.
@@ -58,18 +57,18 @@ const (
 
 // ErrDeletesUnsupported is returned (wrapped, with the engine name)
 // when a delete op reaches an append-only engine mode. The paper's H≤n
-// sketch — and the weighted bank and sieve built on the same shape —
-// subsample and *discard* stream suffix information; once an edge has
-// been dropped by the eviction bar there is nothing to subtract a
-// delete from, so these modes reject deletes outright rather than
-// silently corrupt their estimates. Only the dynamic mode's linear
-// sampler supports retraction.
+// sketch — and the weighted bank built on the same shape — subsample
+// and *discard* stream suffix information; once an edge has been
+// dropped by the eviction bar there is nothing to subtract a delete
+// from, so these modes reject deletes outright rather than silently
+// corrupt their estimates. Only the dynamic mode's linear sampler
+// supports retraction.
 var ErrDeletesUnsupported = errors.New("deletes unsupported")
 
 // ShardState is the mutable state a single ingest shard owns; only the
 // owning shard goroutine (or New, before the goroutines start) calls
-// its methods. The four engine modes (H≤n sketch, weighted class bank,
-// sieve swap buffer, L0 sampler) implement it.
+// its methods. The three engine modes (H≤n sketch, weighted class bank,
+// L0 sampler) implement it.
 type ShardState interface {
 	// AddEdges absorbs one routed batch of inserts.
 	AddEdges(edges []bipartite.Edge)
@@ -154,7 +153,7 @@ type Mode interface {
 func (c Config) EngineMode() (Mode, error) {
 	name := c.engineName()
 	switch name {
-	case ModeSketch, ModeSieve, ModeDynamic:
+	case ModeSketch, ModeDynamic:
 		if c.Weights != nil {
 			return nil, fmt.Errorf("server: engine %q does not take Weights (use the weighted engine)", name)
 		}
@@ -163,8 +162,8 @@ func (c Config) EngineMode() (Mode, error) {
 			return nil, fmt.Errorf("server: the weighted engine requires Weights")
 		}
 	default:
-		return nil, fmt.Errorf("server: unknown engine %q (known: %q, %q, %q, %q)",
-			name, ModeSketch, ModeWeighted, ModeSieve, ModeDynamic)
+		return nil, fmt.Errorf("server: unknown engine %q (known: %q, %q, %q)",
+			name, ModeSketch, ModeWeighted, ModeDynamic)
 	}
 	switch name {
 	case ModeWeighted:
@@ -175,8 +174,6 @@ func (c Config) EngineMode() (Mode, error) {
 			fn:      c.Weights.Fn(),
 			sig:     c.Weights.Signature(),
 		}, nil
-	case ModeSieve:
-		return sieveMode{numSets: c.NumSets, k: c.K}, nil
 	case ModeDynamic:
 		return dynamicMode{numSets: c.NumSets, params: c.DynamicParams()}, nil
 	}
@@ -387,97 +384,6 @@ func (m weightedMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 		PStar:             snap.pStar(),
 		Weighted:          true,
 		WeightClasses:     snap.Bank().Classes(),
-		SnapshotSeq:       snap.Seq,
-		SnapshotEdges:     snap.IngestedEdges,
-	}, nil
-}
-
-// ---- sieve mode (constant-memory swap buffer, Config.Engine) ----
-
-type sieveState struct{ buf *sieve.Buffer }
-
-func (s sieveState) AddEdges(edges []bipartite.Edge) { s.buf.AddEdges(edges) }
-func (s sieveState) Freeze() FrozenState             { return sieveState{s.buf.Clone()} }
-func (s sieveState) Stats() core.Stats               { return s.buf.Stats() }
-func (s sieveState) WriteTo(w io.Writer) (int64, error) {
-	return s.buf.WriteTo(w)
-}
-
-func (s sieveState) MergeFrom(other FrozenState) error {
-	o, ok := other.(sieveState)
-	if !ok {
-		return fmt.Errorf("server: cannot merge %T state into a sieve engine", other)
-	}
-	return s.buf.Merge(o.buf)
-}
-
-type sieveMode struct{ numSets, k int }
-
-func (m sieveMode) Name() ModeName    { return ModeSieve }
-func (m sieveMode) Signature() uint64 { return 0 }
-
-func (m sieveMode) NewShardState() (ShardState, error) {
-	buf, err := sieve.NewBuffer(m.numSets, m.k)
-	if err != nil {
-		return nil, err
-	}
-	return sieveState{buf}, nil
-}
-
-func (m sieveMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
-	fresh, err := sieve.NewBuffer(m.numSets, m.k)
-	if err != nil {
-		return nil, err
-	}
-	// Canonical fold: each state's kept edges replay through the swap
-	// rule in ascending (set, elem) order, states in shard order. Not
-	// order-invariant over the original streams (the sieve trades that
-	// for its constant buffer) but deterministic, and the single-state
-	// fold reproduces the state exactly — the shards=1 service answer
-	// therefore matches the one-shot sieve.KCover reference.
-	for _, st := range states {
-		s, ok := st.(sieveState)
-		if !ok {
-			return nil, fmt.Errorf("server: cannot merge %T state into a sieve engine", st)
-		}
-		if err := fresh.Merge(s.buf); err != nil {
-			return nil, err
-		}
-	}
-	fresh.SetEdgesSeen(edges)
-	return sieveState{fresh}, nil
-}
-
-func (m sieveMode) ReadState(r io.Reader) (FrozenState, error) {
-	buf, err := sieve.ReadBuffer(r, m.numSets, m.k)
-	if err != nil {
-		return nil, err
-	}
-	return sieveState{buf}, nil
-}
-
-func (m sieveMode) Materialize(st FrozenState) (*materialized, error) {
-	s, ok := st.(sieveState)
-	if !ok {
-		return nil, fmt.Errorf("server: cannot materialize %T state on a sieve engine", st)
-	}
-	g, ids := s.buf.Graph()
-	return &materialized{graph: g, ids: ids}, nil
-}
-
-func (m sieveMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
-	res := greedy.MaxCover(snap.graph, q.K)
-	return &QueryResult{
-		Algo:           q.Algo,
-		Sets:           res.Sets,
-		SketchCoverage: res.Covered,
-		// The buffer holds true element ids (no subsampling): coverage of
-		// the buffered universe is exact, so the estimate is the count
-		// itself and p* is 1.
-		EstimatedCoverage: float64(res.Covered),
-		SampledElements:   snap.graph.NumElems(),
-		PStar:             1,
-		Engine:            ModeSieve,
 		SnapshotSeq:       snap.Seq,
 		SnapshotEdges:     snap.IngestedEdges,
 	}, nil

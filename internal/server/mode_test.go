@@ -1,20 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/sieve"
-	"repro/internal/stream"
-	"repro/internal/workload"
 )
-
-func sieveConfig(n, m, k int, seed uint64, shards int) Config {
-	cfg := testConfig(n, m, k, seed, shards)
-	cfg.Engine = ModeSieve
-	return cfg
-}
 
 // TestValidateQueryAcrossModes pins the query-validation contract the
 // engine and cluster query planes share: which (algo, mode) pairs are
@@ -22,9 +11,9 @@ func sieveConfig(n, m, k int, seed uint64, shards int) Config {
 // names the modes expected to reject it (with an error substring);
 // modes absent from the map must accept.
 func TestValidateQueryAcrossModes(t *testing.T) {
-	modes := []ModeName{ModeSketch, ModeWeighted, ModeSieve}
+	modes := []ModeName{ModeSketch, ModeWeighted, ModeDynamic}
 	all := func(msg string) map[ModeName]string {
-		return map[ModeName]string{ModeSketch: msg, ModeWeighted: msg, ModeSieve: msg}
+		return map[ModeName]string{ModeSketch: msg, ModeWeighted: msg, ModeDynamic: msg}
 	}
 	cases := []struct {
 		name string
@@ -38,19 +27,19 @@ func TestValidateQueryAcrossModes(t *testing.T) {
 			all("kcover query needs positive k")},
 		{"wkcover is weighted-only", Query{Algo: AlgoWeightedKCover, K: 2},
 			map[ModeName]string{
-				ModeSketch: "wkcover requires a weighted engine",
-				ModeSieve:  "wkcover requires a weighted engine",
+				ModeSketch:  "wkcover requires a weighted engine",
+				ModeDynamic: "wkcover requires a weighted engine",
 			}},
 		{"wkcover needs positive k", Query{Algo: AlgoWeightedKCover},
 			map[ModeName]string{
 				ModeSketch:   "wkcover requires a weighted engine",
 				ModeWeighted: "wkcover query needs positive k",
-				ModeSieve:    "wkcover requires a weighted engine",
+				ModeDynamic:  "wkcover requires a weighted engine",
 			}},
 		{"outliers is sketch-only", Query{Algo: AlgoOutliers, Lambda: 0.1},
 			map[ModeName]string{
 				ModeWeighted: `algo "outliers" is not defined on a weighted engine`,
-				ModeSieve:    `algo "outliers" is not defined on a sieve engine`,
+				ModeDynamic:  `algo "outliers" is not defined on a dynamic engine`,
 			}},
 		{"outliers lambda lower bound", Query{Algo: AlgoOutliers, Lambda: 0},
 			all("lambda in (0,1)")},
@@ -59,7 +48,7 @@ func TestValidateQueryAcrossModes(t *testing.T) {
 		{"greedy is sketch-only", Query{Algo: AlgoGreedy},
 			map[ModeName]string{
 				ModeWeighted: `algo "greedy" is not defined on a weighted engine`,
-				ModeSieve:    `algo "greedy" is not defined on a sieve engine`,
+				ModeDynamic:  `algo "greedy" is not defined on a dynamic engine`,
 			}},
 		{"unknown algo", Query{Algo: "coverme", K: 3},
 			all(`unknown query algo "coverme"`)},
@@ -94,17 +83,17 @@ func TestConfigEngineModeResolution(t *testing.T) {
 	if m, err := w.EngineMode(); err != nil || m.Name() != ModeWeighted {
 		t.Fatalf("weights-implied mode = %v, %v; want weighted", m, err)
 	}
-	sv := base
-	sv.Engine = ModeSieve
-	if m, err := sv.EngineMode(); err != nil || m.Name() != ModeSieve {
-		t.Fatalf("sieve mode = %v, %v", m, err)
+	dyn := base
+	dyn.Engine = ModeDynamic
+	if m, err := dyn.EngineMode(); err != nil || m.Name() != ModeDynamic {
+		t.Fatalf("dynamic mode = %v, %v", m, err)
 	}
 
 	bad := []struct {
 		cfg  func() Config
 		want string
 	}{
-		{func() Config { c := base; c.Engine = ModeSieve; c.Weights = &WeightConfig{Default: 1}; return c },
+		{func() Config { c := base; c.Engine = ModeDynamic; c.Weights = &WeightConfig{Default: 1}; return c },
 			"does not take Weights"},
 		{func() Config { c := base; c.Engine = ModeSketch; c.Weights = &WeightConfig{Default: 1}; return c },
 			"does not take Weights"},
@@ -123,182 +112,5 @@ func TestConfigEngineModeResolution(t *testing.T) {
 		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), b.want) {
 			t.Errorf("New() with Engine=%q: err %v, want substring %q", cfg.Engine, err, b.want)
 		}
-	}
-}
-
-// TestSieveEngineMatchesOfflineReference pins the sieve mode's
-// determinism end to end: a single-shard service fed the stream in
-// order must answer exactly what the one-shot offline sieve replay
-// answers (the swap buffer is order-dependent, so this only holds with
-// one shard consuming the stream sequentially).
-func TestSieveEngineMatchesOfflineReference(t *testing.T) {
-	const (
-		n, m, k = 40, 3000, 5
-		seed    = 17
-	)
-	inst := workload.Zipf(n, m, 600, 0.9, 0.7, seed)
-	edges := stream.Drain(stream.Shuffled(inst.G, 3))
-
-	ref, err := sieve.KCover(stream.NewSlice(edges), n, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e, err := New(sieveConfig(n, m, k, seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for i := 0; i < len(edges); i += 113 {
-		j := min(i+113, len(edges))
-		if _, err := e.Ingest(edges[i:j]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := e.Query(Query{Algo: AlgoKCover, K: k, Refresh: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if res.Engine != ModeSieve {
-		t.Fatalf("result engine = %q, want sieve", res.Engine)
-	}
-	if len(res.Sets) != len(ref.Sets) {
-		t.Fatalf("service sets %v != offline %v", res.Sets, ref.Sets)
-	}
-	for i := range res.Sets {
-		if res.Sets[i] != ref.Sets[i] {
-			t.Fatalf("service sets %v != offline %v", res.Sets, ref.Sets)
-		}
-	}
-	if int(res.EstimatedCoverage) != ref.Covered {
-		t.Fatalf("service coverage %v != offline %d", res.EstimatedCoverage, ref.Covered)
-	}
-	if res.SnapshotEdges != int64(len(edges)) {
-		t.Fatalf("snapshot saw %d of %d edges", res.SnapshotEdges, len(edges))
-	}
-
-	st, err := e.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Engine != ModeSieve {
-		t.Fatalf("stats engine = %q, want sieve", st.Engine)
-	}
-	if st.SnapshotKept != ref.EdgesKept {
-		t.Fatalf("kept %d edges, offline kept %d", st.SnapshotKept, ref.EdgesKept)
-	}
-}
-
-// TestSieveSnapshotRestoreRoundTrip covers both persistence paths: the
-// raw state blob (ReadRestore, what covserved uses for single-state
-// files) and the v2 multi-namespace container.
-func TestSieveSnapshotRestoreRoundTrip(t *testing.T) {
-	const (
-		n, m, k = 30, 1500, 4
-		seed    = 23
-	)
-	inst := workload.Uniform(n, m, 0.08, seed)
-	cfg := sieveConfig(n, m, k, seed, 2)
-
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestAll(t, e, inst.G, 197, 5)
-	var blob bytes.Buffer
-	snap, err := e.WriteSnapshot(&blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := e.Query(Query{Algo: AlgoKCover, K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-
-	// Raw blob → ReadRestore → fresh engine.
-	restoredCfg, err := ReadRestore(cfg, bytes.NewReader(blob.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restoredCfg.RestoreState == nil {
-		t.Fatal("ReadRestore left RestoreState nil for a sieve blob")
-	}
-	e2, err := New(restoredCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	got, err := e2.Query(Query{Algo: AlgoKCover, K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.EstimatedCoverage != want.EstimatedCoverage || len(got.Sets) != len(want.Sets) {
-		t.Fatalf("restored answer %v/%v != original %v/%v",
-			got.Sets, got.EstimatedCoverage, want.Sets, want.EstimatedCoverage)
-	}
-	for i := range got.Sets {
-		if got.Sets[i] != want.Sets[i] {
-			t.Fatalf("restored sets %v != original %v", got.Sets, want.Sets)
-		}
-	}
-	if got.SnapshotEdges != snap.IngestedEdges {
-		t.Fatalf("restored snapshot reports %d edges, wrote %d", got.SnapshotEdges, snap.IngestedEdges)
-	}
-
-	// Same dataset through the v2 container.
-	multi := NewMulti("sieve-ns")
-	if _, err := multi.Create("sieve-ns", cfg); err != nil {
-		t.Fatal(err)
-	}
-	me, _ := multi.Get("sieve-ns")
-	ingestAll(t, me, inst.G, 197, 5)
-	if _, err := me.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	var container bytes.Buffer
-	if err := multi.WriteSnapshot(&container); err != nil {
-		t.Fatal(err)
-	}
-	multi.Close()
-
-	multi2 := NewMulti("sieve-ns")
-	defer multi2.Close()
-	if nrestored, err := multi2.RestoreAll(bytes.NewReader(container.Bytes())); err != nil || nrestored != 1 {
-		t.Fatalf("RestoreAll: %d, %v", nrestored, err)
-	}
-	e3, ok := multi2.Get("sieve-ns")
-	if !ok {
-		t.Fatal("sieve namespace missing after restore")
-	}
-	if e3.ModeName() != ModeSieve {
-		t.Fatalf("restored namespace mode = %q, want sieve", e3.ModeName())
-	}
-	got2, err := e3.Query(Query{Algo: AlgoKCover, K: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.EstimatedCoverage != want.EstimatedCoverage {
-		t.Fatalf("container-restored coverage %v != original %v",
-			got2.EstimatedCoverage, want.EstimatedCoverage)
-	}
-}
-
-// TestSieveRejectsSketchAlgos exercises the rejection through the full
-// engine path, not just ValidateQuery.
-func TestSieveRejectsSketchAlgos(t *testing.T) {
-	e, err := New(sieveConfig(10, 100, 3, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := e.Query(Query{Algo: AlgoOutliers, Lambda: 0.2}); err == nil ||
-		!strings.Contains(err.Error(), "not defined on a sieve engine") {
-		t.Fatalf("outliers on sieve: %v", err)
-	}
-	if _, err := e.Query(Query{Algo: AlgoWeightedKCover, K: 2}); err == nil ||
-		!strings.Contains(err.Error(), "requires a weighted engine") {
-		t.Fatalf("wkcover on sieve: %v", err)
 	}
 }

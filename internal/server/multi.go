@@ -208,9 +208,9 @@ type NamespaceInfo struct {
 	// Weighted reports whether the namespace serves weighted coverage
 	// (Config.Weights set).
 	Weighted bool `json:"weighted,omitempty"`
-	// Engine names a non-default engine mode (currently only "sieve");
-	// omitted for the sketch and weighted modes, whose listing shape
-	// predates the field.
+	// Engine names an engine mode selected by name ("dynamic"); omitted
+	// for the sketch and weighted modes, whose listing shape predates the
+	// field.
 	Engine ModeName `json:"engine,omitempty"`
 	// IngestedEdges is the number of edges the namespace has accepted.
 	IngestedEdges int64 `json:"ingested_edges"`

@@ -57,9 +57,9 @@ type configFrame struct {
 	MergeEvery  int64         `json:"merge_every_ns,omitempty"`
 	QueryCache  int           `json:"query_cache,omitempty"`
 	Weights     *weightsFrame `json:"weights,omitempty"`
-	// Engine names a non-default engine mode (currently only "sieve").
-	// Omitted for sketch and weighted namespaces, so files written before
-	// the engine-mode plane — and files those modes write today — stay
+	// Engine names an engine mode selected by name ("dynamic"). Omitted
+	// for sketch and weighted namespaces, so files written before the
+	// engine-mode plane — and files those modes write today — stay
 	// byte-identical.
 	Engine ModeName `json:"engine,omitempty"`
 }

@@ -23,18 +23,18 @@ import (
 	"repro/internal/workload"
 )
 
-// dynTimings is one trial's measurements for one delete fraction.
+// dynTimings is one trial's measurements for one table row.
 type dynTimings struct {
 	ingest    time.Duration // IngestOps of inserts + deletes, then merge
 	query     time.Duration // kcover on the materialized snapshot
-	recovered int           // edges the sampler recovered in the snapshot
+	recovered int           // edges the merged snapshot state holds
 	estimate  float64
 	truth     float64 // exact coverage of the answer on the net graph
 }
 
-// runDynamicTrial feeds inserts for every edge followed by deletes of
-// the first delCount, merges, queries kcover and grades the answer
-// against the net graph.
+// runDynamicTrial feeds one row's op stream (inserts for every edge,
+// then deletes of the first delCount) to an engine, merges, queries
+// kcover and grades the answer against the net graph.
 func runDynamicTrial(cfg server.Config, netG *bipartite.Graph, ops []bipartite.Op, k int) dynTimings {
 	eng, err := server.New(cfg)
 	if err != nil {
@@ -102,10 +102,11 @@ func RunDynamicThroughput(cfg Config) []*stats.Table {
 		},
 	}
 
-	// Insert-only sketch baseline through the same harness scale.
-	var sketchBest modeTimings
+	// Insert-only sketch baseline through the same harness and op plane.
+	inserts := bipartite.Inserts(edges)
+	var sketchBest dynTimings
 	for trial := 0; trial < cfg.trials(); trial++ {
-		tm := runModeTrial(base, inst.G, edges, k)
+		tm := runDynamicTrial(base, inst.G, inserts, k)
 		if sketchBest.ingest == 0 || tm.ingest+tm.query < sketchBest.ingest+sketchBest.query {
 			sketchBest = tm
 		}
@@ -116,18 +117,12 @@ func RunDynamicThroughput(cfg Config) []*stats.Table {
 		float64(sketchBest.ingest.Milliseconds()),
 		float64(len(edges))/sketchBest.ingest.Seconds(),
 		float64(sketchBest.query.Microseconds())/1000.0,
-		sketchBest.kept, sketchBest.estimate, sketchBest.truth,
+		sketchBest.recovered, sketchBest.estimate, sketchBest.truth,
 		ratio(sketchBest.truth, float64(offlineFull.Covered)))
 
 	for _, frac := range fracs {
 		delCount := int(frac * float64(len(edges)))
-		ops := make([]bipartite.Op, 0, len(edges)+delCount)
-		for _, e := range edges {
-			ops = append(ops, bipartite.Op{Kind: bipartite.OpInsert, Edge: e})
-		}
-		for _, e := range edges[:delCount] {
-			ops = append(ops, bipartite.Op{Kind: bipartite.OpDelete, Edge: e})
-		}
+		ops := append(bipartite.Inserts(edges), bipartite.Deletes(edges[:delCount])...)
 		netG := bipartite.MustFromEdges(n, m, append([]bipartite.Edge(nil), edges[delCount:]...))
 		offline := greedy.MaxCover(netG, k)
 

@@ -76,7 +76,6 @@ func Experiments() map[string]Runner {
 		"ingest-throughput":  RunIngestThroughput,
 		"query-throughput":   RunQueryThroughput,
 		"cluster-throughput": RunClusterThroughput,
-		"mode-comparison":    RunModeComparison,
 		"dynamic-throughput": RunDynamicThroughput,
 	}
 }

@@ -13,10 +13,9 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{
 		"ablate-degcap", "ablate-guess", "appD-l0", "cluster-throughput",
 		"dist-merge", "dynamic-throughput", "ext-weighted", "fig1-sketch",
-		"ingest-throughput", "lem22-accuracy", "mode-comparison",
-		"query-throughput", "table1-kcover", "table1-outliers",
-		"table1-setcover", "thm12-lb", "thm13-oracle", "thm31-kcover",
-		"thm33-outliers", "thm34-setcover",
+		"ingest-throughput", "lem22-accuracy", "query-throughput",
+		"table1-kcover", "table1-outliers", "table1-setcover", "thm12-lb",
+		"thm13-oracle", "thm31-kcover", "thm33-outliers", "thm34-setcover",
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("have %d experiments, want %d: %v", len(ids), len(want), ids)

@@ -181,7 +181,7 @@ type Hello struct {
 	// and starts at watermark 0 on every connection.
 	Stream string
 	// Engine, when non-empty, must equal the target engine's mode name
-	// ("sketch", "weighted", "sieve") or the hello is rejected —
+	// ("sketch", "weighted", "dynamic") or the hello is rejected —
 	// the same advisory-made-strict validation the cluster plane applies
 	// to the X-Cov-Engine header.
 	Engine string

@@ -19,16 +19,15 @@ func dynConfig() server.Config {
 // against an append-only engine is refused at the handshake — before
 // any frame could carry a delete — with the typed code.
 func TestOpsHelloRejectedOnLegacyEngine(t *testing.T) {
-	sieve := baseConfig()
-	sieve.Engine = server.ModeSieve
-	sieve.Shards = 1
+	weighted := baseConfig()
+	weighted.Weights = &server.WeightConfig{Default: 1}
 	env := newTestEnv(t, map[string]server.Config{
 		"default": baseConfig(),
-		"sv":      sieve,
+		"wt":      weighted,
 		"dyn":     dynConfig(),
 	}, Options{})
 
-	for _, ns := range []string{"default", "sv"} {
+	for _, ns := range []string{"default", "wt"} {
 		_, err := Dial(env.addr, Hello{Namespace: ns, Ops: true})
 		var werr *WireError
 		if !errors.As(err, &werr) || werr.Code != CodeOpsUnsupported {

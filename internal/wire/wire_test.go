@@ -291,10 +291,9 @@ func TestSessionIngest(t *testing.T) {
 
 func TestSessionRejects(t *testing.T) {
 	cfg := baseConfig()
-	sieve := baseConfig()
-	sieve.Engine = server.ModeSieve
-	sieve.Shards = 1
-	env := newTestEnv(t, map[string]server.Config{"default": cfg, "sv": sieve}, Options{})
+	weighted := baseConfig()
+	weighted.Weights = &server.WeightConfig{Default: 1}
+	env := newTestEnv(t, map[string]server.Config{"default": cfg, "wt": weighted}, Options{})
 	eng, _ := env.multi.Get("default")
 
 	cases := []struct {
@@ -303,7 +302,7 @@ func TestSessionRejects(t *testing.T) {
 		code  uint16
 	}{
 		{"unknown namespace", Hello{Namespace: "nope"}, CodeUnknownNamespace},
-		{"engine mismatch", Hello{Namespace: "sv", Engine: "sketch"}, CodeEngineMismatch},
+		{"engine mismatch", Hello{Namespace: "wt", Engine: "sketch"}, CodeEngineMismatch},
 		{"weights mismatch", Hello{Namespace: "default", CheckWeights: true, WeightSig: eng.WeightSig() + 1}, CodeWeightsMismatch},
 	}
 	for _, tc := range cases {

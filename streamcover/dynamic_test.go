@@ -3,6 +3,7 @@ package streamcover
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/server"
@@ -161,8 +162,8 @@ func TestDeleteRejectedOnLegacyServices(t *testing.T) {
 		"sketch": func() (*Service, error) {
 			return NewService(n, ServiceOptions{Options: Options{Seed: 3, NumElems: 100}, K: 3})
 		},
-		"sieve": func() (*Service, error) {
-			return NewSieveService(n, ServiceOptions{Options: Options{Seed: 3, NumElems: 100}, K: 3, Shards: 1})
+		"weighted": func() (*Service, error) {
+			return NewWeightedService(n, Weights{Default: 1}, ServiceOptions{Options: Options{Seed: 3, NumElems: 100}, K: 3})
 		},
 	}
 	for name, ctor := range mk {
@@ -187,5 +188,18 @@ func TestDeleteRejectedOnLegacyServices(t *testing.T) {
 			t.Fatalf("%s: ingested %d after rejected deletes, want 2", name, st.IngestedEdges)
 		}
 		svc.Close()
+	}
+}
+
+// TestServiceRejectsUnknownEngine: ServiceOptions.Engine reaches the
+// engine's mode resolution through the generic constructor, so a name
+// that is not a mode — a typo, or the removed "sieve" — is a
+// construction error listing the known modes.
+func TestServiceRejectsUnknownEngine(t *testing.T) {
+	for _, name := range []string{"turbo", "sieve"} {
+		_, err := NewService(10, ServiceOptions{Options: Options{NumElems: 100}, K: 3, Engine: name})
+		if err == nil || !strings.Contains(err.Error(), "unknown engine") || !strings.Contains(err.Error(), `"dynamic"`) {
+			t.Fatalf("Engine %q: err = %v, want an unknown-engine error listing the modes", name, err)
+		}
 	}
 }

@@ -45,15 +45,10 @@ type ServiceOptions struct {
 	// return an error. NewWeightedService is the explicit constructor.
 	Weights *Weights
 	// Engine selects the engine mode by name: "sketch" (the default;
-	// also implied empty), "weighted" (implied by Weights) or "sieve",
-	// the constant-memory sieve-streaming engine that keeps at most K
-	// candidate sets per shard instead of an edge sample. The sieve
-	// engine answers KCover only (outlier and full-greedy queries return
-	// an error), is single-pass order-dependent rather than
-	// merge-invariant, and its answers are exact over the buffered
-	// candidates. NewSieveService is the explicit constructor. "dynamic"
-	// selects the insert/delete L0-sampler engine — the only mode whose
-	// ApplyOps/Delete accept retractions; NewDynamicService is its
+	// also implied empty), "weighted" (implied by Weights) or "dynamic",
+	// the insert/delete L0-sampler engine — the only mode whose
+	// ApplyOps/Delete accept retractions; it answers KCover only (outlier
+	// and full-greedy queries return an error). NewDynamicService is its
 	// explicit constructor.
 	Engine string
 	// Durability, when non-nil, gives the service a write-ahead log:
@@ -104,18 +99,6 @@ func NewService(numSets int, opt ServiceOptions) (*Service, error) {
 // weights over the same edges. It is NewService with opt.Weights set.
 func NewWeightedService(numSets int, weights Weights, opt ServiceOptions) (*Service, error) {
 	opt.Weights = &weights
-	return NewService(numSets, opt)
-}
-
-// NewSieveService starts a sieve-streaming coverage service: each shard
-// keeps a swap buffer of at most opt.K candidate sets (constant memory,
-// no edge sampling), admitting a set on arrival while there is room and
-// afterwards swapping out a zero-unique-contribution candidate whenever
-// an uncovered element arrives. KCover answers exactly over the
-// buffered candidates; outlier and full-greedy queries are not defined.
-// It is NewService with opt.Engine = "sieve".
-func NewSieveService(numSets int, opt ServiceOptions) (*Service, error) {
-	opt.Engine = string(server.ModeSieve)
 	return NewService(numSets, opt)
 }
 

@@ -27,7 +27,7 @@ type WireHello struct {
 	// at ResumeOffset with server-side deduplication of any overlap.
 	Stream string
 	// Engine, when non-empty, must match the namespace's engine mode
-	// ("sketch", "weighted", "sieve", "dynamic") or the handshake is
+	// ("sketch", "weighted", "dynamic") or the handshake is
 	// rejected.
 	Engine string
 	// CheckWeights makes the handshake compare WeightSig against the

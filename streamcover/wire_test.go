@@ -110,9 +110,10 @@ func ingestOverHTTP(t *testing.T, base string, edges []Edge, batch int) {
 // workload generator and every engine mode, ingesting the same edge
 // stream through a wire connection (with a mid-stream reconnect and
 // overlapping resend) and through JSON posts (with a different batch
-// size) must produce bit-identical query answers — and, for the
-// merge-invariant sketch and weighted modes, the identical answer to
-// the one-shot MaxCoverage / MaxWeightedCoverage run.
+// size) must produce bit-identical query answers — and, for the sketch
+// and weighted modes, the identical answer to the one-shot MaxCoverage /
+// MaxWeightedCoverage run (the dynamic mode's insert-only pin to the
+// sketch is TestDynamicServiceInsertOnlyMatchesSketch).
 func TestWireEquivalenceAcrossModes(t *testing.T) {
 	const k = 4
 	generators := []struct {
@@ -127,7 +128,7 @@ func TestWireEquivalenceAcrossModes(t *testing.T) {
 		{"large-sets", GenerateLargeSets(12, 2000, 0.3, 6)},
 		{"clustered", GenerateClustered(40, 300, 5, 7)},
 	}
-	modes := []string{"sketch", "weighted", "sieve"}
+	modes := []string{"sketch", "weighted", "dynamic"}
 
 	for _, g := range generators {
 		n, m := g.inst.NumSets(), g.inst.NumElems()
@@ -154,9 +155,8 @@ func TestWireEquivalenceAcrossModes(t *testing.T) {
 				switch mode {
 				case "weighted":
 					opt.Weights = &weights
-				case "sieve":
-					opt.Engine = "sieve"
-					opt.Shards = 1 // the sieve engine is order-dependent; one shard keeps the stream order exact
+				case "dynamic":
+					opt.Engine = "dynamic"
 				}
 
 				newNS := func(hub *Hub) *Service {
@@ -206,7 +206,7 @@ func TestWireEquivalenceAcrossModes(t *testing.T) {
 					t.Fatalf("wire result diverged from HTTP result:\nwire: %+v\nhttp: %+v", wireRes, httpRes)
 				}
 
-				// The merge-invariant modes also pin to the one-shot runs.
+				// The append-only modes also pin to the one-shot runs.
 				replay := &SliceStream{Edges: edges}
 				switch mode {
 				case "sketch":
