@@ -108,6 +108,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -193,9 +194,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "covserved: restoring %s: %v\n", *snapFile, err)
 				os.Exit(1)
 			}
-			if cfg.Restore != nil {
+			if v, ok := cfg.RestoreState.(*core.View); ok {
 				fmt.Fprintf(os.Stderr, "covserved: restored v1 sketch (%d kept edges) from %s into namespace %s\n",
-					cfg.Restore.Edges(), *snapFile, *nsName)
+					v.Stats().EdgesKept, *snapFile, *nsName)
 			} else if cfg.RestoreState != nil {
 				fmt.Fprintf(os.Stderr, "covserved: restored %s state from %s into namespace %s\n",
 					cfg.Engine, *snapFile, *nsName)

@@ -56,8 +56,8 @@ func TestRestoreSniffsSnapshotFormats(t *testing.T) {
 	if got := len(m1.List()); got != 0 {
 		t.Fatalf("v1 restore created %d namespaces, want 0", got)
 	}
-	if bootCfg.Restore == nil {
-		t.Fatal("v1 restore did not seed Config.Restore")
+	if bootCfg.RestoreState == nil {
+		t.Fatal("v1 restore did not seed Config.RestoreState")
 	}
 	eng, err := m1.Create("legacy", bootCfg)
 	if err != nil {
@@ -91,7 +91,7 @@ func TestRestoreSniffsSnapshotFormats(t *testing.T) {
 	if err := restore(m3, v2.Bytes(), &freshCfg); err != nil {
 		t.Fatal(err)
 	}
-	if freshCfg.Restore != nil {
+	if freshCfg.RestoreState != nil {
 		t.Fatal("v2 restore should not touch the bootstrap config")
 	}
 	infos := m3.List()

@@ -411,11 +411,17 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	}
 
 	maxBytes := n.opt.maxStateBytes()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBytes+1))
-	if err != nil {
+	var body bytes.Buffer
+	if cl := resp.ContentLength; cl > 0 && cl <= maxBytes {
+		// One allocation for a body of the announced size (MinRead spare so
+		// ReadFrom sees EOF without growing) instead of doubling up from
+		// 512 B; a peer that lies still meets the limit below.
+		body.Grow(int(cl) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(io.LimitReader(resp.Body, maxBytes+1)); err != nil {
 		return p.fail(fmt.Errorf("reading state: %w", err), true, interval, maxBackoff)
 	}
-	if int64(len(body)) > maxBytes {
+	if int64(body.Len()) > maxBytes {
 		return p.fail(fmt.Errorf("state exceeds %d bytes", maxBytes), false, interval, maxBackoff)
 	}
 
@@ -427,7 +433,7 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	// Decode through the namespace's engine mode: each mode validates its
 	// own magic bytes and configuration (the sketch mode additionally
 	// rejects a parameter mismatch — a peer built with different options).
-	decoded, err := e.EngineMode().ReadState(bytes.NewReader(body))
+	decoded, err := e.EngineMode().ReadState(&body)
 	if err != nil {
 		return p.fail(fmt.Errorf("decoding %s state: %w", e.ModeName(), err), false, interval, maxBackoff)
 	}

@@ -99,7 +99,7 @@ func (s *Sketch) absorbElem(hash uint64, elem uint32, sets []uint32) {
 // foldBar finishes absorbing a summary whose eviction bar was (evicted,
 // h, e): it lowers s's bar to at most that, evicts every kept element
 // at or above the new bar, and re-enforces the budget. Shared by Merge,
-// MergeView and snapshot restore (serialize.go).
+// MergeView, LowerBar and the normalizing decode (serialize.go).
 func (s *Sketch) foldBar(evicted bool, h uint64, e uint32) {
 	if evicted {
 		if !s.evicted || priorityLess(h, e, s.barHash, s.barElem) {
@@ -117,6 +117,15 @@ func (s *Sketch) foldBar(evicted bool, h uint64, e uint32) {
 	}
 	s.shrink()
 }
+
+// LowerBar lowers the eviction bar to at most (hash, elem) and drops every
+// kept element at or above it, as folding an empty summary with that bar
+// would. A caller that knows the merge this sketch feeds already excludes
+// everything from that priority up — a coordinator's published cut on an
+// append-only stream, which only moves down — uses it to stop holding,
+// freezing and admitting what no later merge can keep; MergeViews returns
+// the same view with or without the shed (DESIGN.md §11).
+func (s *Sketch) LowerBar(hash uint64, elem uint32) { s.foldBar(true, hash, elem) }
 
 // MergeAll builds a sketch with the given parameters holding the merge
 // of every input. Inputs must all be compatible with params and are

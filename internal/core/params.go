@@ -23,6 +23,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/hashing"
 )
 
 // Params configures a sketch. NumSets (n), K and Eps are required. The
@@ -106,6 +108,15 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: unknown hash family %d", int(p.Hash))
 	}
 	return nil
+}
+
+// hasher returns the element hash function the parameters select: the
+// priority order of every sketch and view built with them.
+func (p Params) hasher() func(uint32) uint64 {
+	if p.Hash == HashTabulation {
+		return hashing.NewTabulationHasher(p.Seed).Hash
+	}
+	return hashing.NewHasher(p.Seed).Hash
 }
 
 // sketchCompatible reports whether two parameter sets produce sketches

@@ -75,18 +75,11 @@ func NewSketch(params Params) (*Sketch, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	var hash func(uint32) uint64
-	switch params.Hash {
-	case HashTabulation:
-		hash = hashing.NewTabulationHasher(params.Seed).Hash
-	default:
-		hash = hashing.NewHasher(params.Seed).Hash
-	}
 	s := &Sketch{
 		params: params,
 		budget: params.EffectiveEdgeBudget(),
 		degCap: params.EffectiveDegreeCap(),
-		hash:   hash,
+		hash:   params.hasher(),
 		index:  make(map[uint32]int32),
 	}
 	// Shrink slack: the batched path lets the sketch overshoot the budget

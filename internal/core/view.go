@@ -117,6 +117,16 @@ func (s *Sketch) Freeze() *View {
 	return v
 }
 
+// Params returns the parameters the view's sketch was built with.
+func (v *View) Params() Params { return v.params }
+
+// Bar returns the view's eviction bar, the (hash, elem) priority every
+// kept element compares strictly below; ok is false when nothing was
+// ever evicted, and the view then holds its whole capped input.
+func (v *View) Bar() (hash uint64, elem uint32, ok bool) {
+	return v.barHash, v.barElem, v.evicted
+}
+
 // PStar returns the sampling probability p*: the fraction of hash space
 // below the eviction bar, or 1 when nothing was evicted.
 func (v *View) PStar() float64 {
@@ -159,7 +169,7 @@ func (v *View) Graph() (*bipartite.Graph, []uint32, error) {
 
 // WriteTo serializes the view — parameters, eviction bar, consumed-edge
 // total and every kept edge — in the compact little-endian format
-// ReadSketch reads. Elements and set lists are already in the canonical
+// ReadView reads. Elements and set lists are already in the canonical
 // order, so equal sketches serialize to equal bytes however they were
 // built. It implements io.WriterTo.
 func (v *View) WriteTo(w io.Writer) (int64, error) {

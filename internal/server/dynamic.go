@@ -82,7 +82,9 @@ func (d *dynamicState) ApplyOps(ops []bipartite.Op) {
 	}
 }
 
-func (d *dynamicState) Freeze() FrozenState {
+// Freeze ignores the published state: a delete can move the recovered
+// sample's cut back up, so nothing the last merge excluded may be shed.
+func (d *dynamicState) Freeze(FrozenState) FrozenState {
 	return &dynamicState{sam: d.sam.Clone(), opsSeen: d.opsSeen, deletes: d.deletes}
 }
 

@@ -14,16 +14,21 @@
 // coordinator folds the cuts into one merged state (Mode.MergeStates)
 // and publishes it, materialized, as an immutable Snapshot behind an
 // atomic pointer. For the default sketch mode no sketch is rebuilt on
-// that path: the shard freezes its sketch into the canonical flat
+// that path: the request carries the merged state published last, the
+// shard drops what it holds at or above that state's bar (on an
+// append-only stream the merged cut only moves down, so no later merge
+// can keep it — DESIGN.md §11), freezes the rest into the canonical flat
 // core.View (elements in hash order with sorted set lists — Definition
 // 2.1's prefix written down), core.MergeViews walks the shard views in
 // priority order up to the budget cut, which is exactly the sketch a
 // single machine would have built over every edge ingested before the
 // request (internal/core/merge.go, view.go), and the merged view's own
 // arrays are adopted as the element side of the query graph and walked
-// once more to emit the snapshot bytes. The other modes freeze by deep
-// copy. Queries run greedy algorithms against the current snapshot
-// without stalling ingest.
+// once more to emit the snapshot bytes. Those bytes decode straight back
+// into a view (core.ReadView), which is what a restore and a cluster
+// peer's pull hold. The other modes freeze by deep copy. Queries run
+// greedy algorithms against the current snapshot without stalling
+// ingest.
 //
 // The query plane is engineered for read-heavy traffic (DESIGN.md §7):
 // snapshots carry a precomputed bitset coverage index so greedy
@@ -123,16 +128,19 @@ type Config struct {
 	// Restore, when non-nil, seeds the engine with a previously persisted
 	// sketch (see Engine.WriteSnapshot / core.ReadSketch). The restored
 	// sketch must have been produced by a service with the same Config.
-	// Weighted engines restore through RestoreWeighted instead.
+	// Weighted engines restore through RestoreWeighted instead. A caller
+	// holding bytes rather than a sketch uses ReadRestore, which fills
+	// RestoreState with the decoded view and builds no sketch.
 	Restore *core.Sketch
 	// RestoreWeighted, when non-nil, seeds a weighted engine with a
 	// previously persisted class bank (see weighted.ReadBank); requires
 	// Weights. NewFromSnapshot fills the right field from raw bytes.
 	RestoreWeighted *weighted.Bank
 	// RestoreState, when non-nil, seeds the engine with a decoded state
-	// of the configured mode — the mode-generic restore slot the dynamic
-	// engine uses (ReadRestore fills it). The typed Restore /
-	// RestoreWeighted fields remain for the two original modes.
+	// of the configured mode — the mode-generic restore slot ReadRestore
+	// fills for the sketch mode (a *core.View) and the dynamic mode. The
+	// typed Restore / RestoreWeighted fields remain for callers that hold
+	// a sketch or a bank.
 	RestoreState FrozenState
 }
 
@@ -227,11 +235,15 @@ type shardMsg struct {
 	reply chan shardReply // non-nil: respond with the shard's state
 	// freeze asks for a read-only cut of the state (a merge is coming);
 	// stats-only requests leave it false and skip the O(budget) copy.
-	freeze bool
+	// published is the merged state of the last published snapshot (nil
+	// before the first), handed to ShardState.Freeze.
+	freeze    bool
+	published FrozenState
 }
 
-// shardReply is a shard's answer to a state request: its accounting,
-// plus a frozen cut of its state when one was asked for.
+// shardReply is a shard's answer to a state request: a frozen cut of its
+// state when one was asked for, and its accounting (after the cut, so it
+// shows what the shard holds once Freeze has shed).
 type shardReply struct {
 	frozen FrozenState // nil unless freeze
 	stats  core.Stats
@@ -249,10 +261,11 @@ func (sh *shard) run(st ShardState) {
 	defer close(sh.done)
 	for msg := range sh.mail {
 		if msg.reply != nil {
-			rep := shardReply{stats: st.Stats()}
+			var rep shardReply
 			if msg.freeze {
-				rep.frozen = st.Freeze()
+				rep.frozen = st.Freeze(msg.published)
 			}
+			rep.stats = st.Stats()
 			msg.reply <- rep
 			continue
 		}
@@ -416,6 +429,9 @@ type Engine struct {
 	refreshes    atomic.Int64
 	refreshNanos atomic.Int64
 	refreshSkips atomic.Int64
+	// shardKept is the edge total the shard states held, summed over the
+	// replies of the last freeze (0 before the first).
+	shardKept atomic.Int64
 	// refreshErrors counts background (merge-ticker) refreshes that
 	// failed; refreshErrOnce gates the Config.OnRefreshError callback.
 	refreshErrors  atomic.Int64
@@ -758,13 +774,21 @@ func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
 // requestStates places one state request (asking for a frozen cut when
 // freeze) in every shard mailbox and returns the reply channels. A
 // request rides the same mailbox as the batches, so each reply reflects
-// every batch enqueued to that shard before it. The caller holds
-// ingestMu (shared or exclusive) and has checked e.closed.
+// every batch enqueued to that shard before it. A freeze request carries
+// the published merged state — this engine instance's own, so a restored
+// or re-created engine starts with none. The caller holds ingestMu
+// (shared or exclusive) and has checked e.closed; a freezing caller also
+// holds refreshMu, so the published snapshot cannot change under it.
 func (e *Engine) requestStates(freeze bool) []chan shardReply {
+	msg := shardMsg{freeze: freeze}
+	if snap := e.snap.Load(); freeze && snap != nil {
+		msg.published = snap.state
+	}
 	replies := make([]chan shardReply, len(e.shards))
 	for i, sh := range e.shards {
-		replies[i] = make(chan shardReply, 1)
-		sh.mail <- shardMsg{reply: replies[i], freeze: freeze}
+		msg.reply = make(chan shardReply, 1)
+		replies[i] = msg.reply
+		sh.mail <- msg
 	}
 	return replies
 }
@@ -824,11 +848,14 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 	// a shard's stream counter and ride e.restored.
 	applied := e.restored
 	states := make([]FrozenState, len(replies))
+	shardKept := int64(0)
 	for i, ch := range replies {
 		rep := <-ch
 		applied += rep.stats.EdgesSeen
+		shardKept += int64(rep.stats.EdgesKept)
 		states[i] = rep.frozen
 	}
+	e.shardKept.Store(shardKept)
 	snap, err := MergeSnapshot(e.mode, e.seq.Add(1), applied, states)
 	if err != nil {
 		return nil, err
@@ -905,9 +932,16 @@ type Counters struct {
 	RefreshSkips  int64
 	RefreshErrors int64
 	// SnapshotSeq / SnapshotEdges identify the published snapshot (zero
-	// before the first merge).
-	SnapshotSeq   uint64
-	SnapshotEdges int64
+	// before the first merge); SnapshotKeptEdges is what its merged state
+	// holds.
+	SnapshotSeq       uint64
+	SnapshotEdges     int64
+	SnapshotKeptEdges int64
+	// ShardKeptEdges sums what the shard states held right after the last
+	// freeze. On a sketch engine it tracks SnapshotKeptEdges from the
+	// second refresh on (shards shed above the published bar) rather than
+	// Shards × budget.
+	ShardKeptEdges int64
 }
 
 // Counters returns the engine's cheap counters (see Counters).
@@ -923,10 +957,12 @@ func (e *Engine) Counters() Counters {
 		RefreshNanos:   e.refreshNanos.Load(),
 		RefreshSkips:   e.refreshSkips.Load(),
 		RefreshErrors:  e.refreshErrors.Load(),
+		ShardKeptEdges: e.shardKept.Load(),
 	}
 	if snap := e.snap.Load(); snap != nil {
 		c.SnapshotSeq = snap.Seq
 		c.SnapshotEdges = snap.IngestedEdges
+		c.SnapshotKeptEdges = int64(snap.keptEdges())
 	}
 	return c
 }
@@ -1105,7 +1141,8 @@ func safeEstimate(covered int, pStar float64) float64 {
 
 // WriteSnapshot merges and persists the service state in the engine
 // mode's wire format: a sketch engine writes its merged sketch (v1
-// format, restorable through core.ReadSketch into Config.Restore), a
+// format, restorable through core.ReadView into Config.RestoreState or
+// core.ReadSketch into Config.Restore), a
 // weighted engine its merged class bank (weighted.BankMagic framing,
 // restorable into Config.RestoreWeighted), a dynamic engine its merged
 // L0 sampler ("L0DYNS1" framing, restorable into Config.RestoreState).
@@ -1136,33 +1173,23 @@ func (e *Engine) WriteSnapshot(w io.Writer) (*Snapshot, error) {
 }
 
 // ReadRestore decodes a snapshot previously written by WriteSnapshot
-// and returns cfg with the matching restore field filled: weighted
-// configs (Weights set) decode a class bank into RestoreWeighted,
-// sketch configs a v1 sketch into Restore, dynamic configs an L0
-// sampler into RestoreState. The config must repeat the writing engine's
+// through the config's engine mode and returns cfg with the restore slot
+// filled: weighted configs (Weights set) get the class bank in
+// RestoreWeighted, every other mode its decoded frozen state in
+// RestoreState — for a sketch config the *core.View the bytes spell out,
+// with no sketch rebuilt. The config must repeat the writing engine's
 // parameters.
 func ReadRestore(cfg Config, r io.Reader) (Config, error) {
 	mode, err := cfg.EngineMode()
 	if err != nil {
 		return cfg, err
 	}
-	wrap := func(err error) (Config, error) {
+	st, err := mode.ReadState(r)
+	if err != nil {
 		if mode.Name() == ModeWeighted {
 			return cfg, fmt.Errorf("server: restoring weighted snapshot: %w", err)
 		}
 		return cfg, fmt.Errorf("server: restoring snapshot: %w", err)
-	}
-	if m, ok := mode.(sketchMode); ok {
-		// Config.Restore is typed as the sketch itself, so stop one step
-		// short of ReadState's freeze; New freezes it.
-		if cfg.Restore, err = m.readSketch(r); err != nil {
-			return wrap(err)
-		}
-		return cfg, nil
-	}
-	st, err := mode.ReadState(r)
-	if err != nil {
-		return wrap(err)
 	}
 	if s, ok := st.(bankState); ok {
 		cfg.RestoreWeighted = s.bank

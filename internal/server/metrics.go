@@ -121,6 +121,8 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Counter("covserved_refresh_errors_total", "Background merge failures.", ns, float64(c.RefreshErrors))
 		w.Gauge("covserved_snapshot_seq", "Current merged snapshot sequence number.", ns, float64(c.SnapshotSeq))
 		w.Gauge("covserved_snapshot_edges", "Ingested-edge count the current snapshot reflects.", ns, float64(c.SnapshotEdges))
+		w.Gauge("covserved_snapshot_kept_edges", "Edges the current snapshot's merged state holds.", ns, float64(c.SnapshotKeptEdges))
+		w.Gauge("covserved_shard_kept_edges", "Edges the shard states held after the last freeze, summed over shards.", ns, float64(c.ShardKeptEdges))
 	}
 }
 

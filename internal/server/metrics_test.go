@@ -169,6 +169,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"covserved_refresh_errors_total":   "counter",
 		"covserved_snapshot_seq":           "gauge",
 		"covserved_snapshot_edges":         "gauge",
+		"covserved_snapshot_kept_edges":    "gauge",
+		"covserved_shard_kept_edges":       "gauge",
 		"covserved_test_extra_total":       "counter",
 	}
 	for family, typ := range wantTypes {
@@ -197,6 +199,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := s1.value(t, `covserved_snapshot_edges{ns="alpha"}`); got != 200 {
 		t.Fatalf("alpha snapshot edges = %v, want 200", got)
+	}
+	// Nothing evicted at this budget: the merged state and the two shards
+	// between them hold every edge once.
+	for _, family := range []string{"covserved_snapshot_kept_edges", "covserved_shard_kept_edges"} {
+		if got := s1.value(t, family+`{ns="alpha"}`); got != 200 {
+			t.Fatalf("alpha %s = %v, want 200", family, got)
+		}
 	}
 	// One dirty refresh ran on alpha (the explicit Refresh after it was an
 	// idle skip), none on beta: refresh time is summed around builds only.

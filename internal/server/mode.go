@@ -82,8 +82,13 @@ type ShardState interface {
 	Stats() core.Stats
 	// Freeze returns a read-only cut of the state that later ingest never
 	// shows through. Taken inside the shard mailbox, it is a consistent
-	// cut of the shard's stream.
-	Freeze() FrozenState
+	// cut of the shard's stream. published is the merged state the engine
+	// last published (nil before the first refresh): a mode whose merged
+	// cut only ever moves down may first discard whatever that state
+	// already excludes, since no later merge can take it back. The sketch
+	// mode does; the weighted and dynamic modes ignore it (dynamic must:
+	// deletes move its cut both ways).
+	Freeze(published FrozenState) FrozenState
 }
 
 // opApplier is the narrow extra a delete-capable shard state (today
@@ -200,7 +205,20 @@ type sketchState struct{ sk *core.Sketch }
 
 func (s sketchState) AddEdges(edges []bipartite.Edge) { s.sk.AddEdges(edges) }
 func (s sketchState) Stats() core.Stats               { return s.sk.Stats() }
-func (s sketchState) Freeze() FrozenState             { return s.sk.Freeze() }
+
+// Freeze first lowers the shard's bar to the published merged bar: on an
+// append-only stream no later merge can keep an element at or above it,
+// and the merged view is the same with or without the shed (DESIGN.md
+// §11). N shards then hold, freeze and scan about one budget between
+// them instead of one each.
+func (s sketchState) Freeze(published FrozenState) FrozenState {
+	if v, ok := published.(*core.View); ok {
+		if hash, elem, evicted := v.Bar(); evicted {
+			s.sk.LowerBar(hash, elem)
+		}
+	}
+	return s.sk.Freeze()
+}
 
 func (s sketchState) MergeFrom(other FrozenState) error {
 	v, ok := other.(*core.View)
@@ -235,26 +253,19 @@ func (m sketchMode) MergeStates(states []FrozenState, edges int64) (FrozenState,
 	return core.MergeViews(m.params, edges, views...)
 }
 
-// readSketch decodes a v1 sketch blob and checks it against the mode's
-// parameters. core.ReadSketch is the tolerant decoder: it normalizes
-// non-canonical legacy blobs by rebuilding the sketch.
-func (m sketchMode) readSketch(r io.Reader) (*core.Sketch, error) {
-	sk, err := core.ReadSketch(r)
+// ReadState decodes a v1 sketch blob straight into the view its bytes
+// spell out (core.ReadView: one validating pass for a canonical blob, a
+// normalizing rebuild only for a legacy unordered one) and checks it
+// against the mode's parameters.
+func (m sketchMode) ReadState(r io.Reader) (FrozenState, error) {
+	v, err := core.ReadView(r)
 	if err != nil {
 		return nil, err
 	}
-	if sk.Params() != m.params {
+	if v.Params() != m.params {
 		return nil, fmt.Errorf("sketch parameter mismatch (peer built with different options)")
 	}
-	return sk, nil
-}
-
-func (m sketchMode) ReadState(r io.Reader) (FrozenState, error) {
-	sk, err := m.readSketch(r)
-	if err != nil {
-		return nil, err
-	}
-	return sk.Freeze(), nil
+	return v, nil
 }
 
 func (m sketchMode) Materialize(st FrozenState) (*materialized, error) {
@@ -304,7 +315,7 @@ func (m sketchMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 type bankState struct{ bank *weighted.Bank }
 
 func (s bankState) AddEdges(edges []bipartite.Edge) { s.bank.AddEdges(edges) }
-func (s bankState) Freeze() FrozenState             { return bankState{s.bank.Clone()} }
+func (s bankState) Freeze(FrozenState) FrozenState  { return bankState{s.bank.Clone()} }
 func (s bankState) Stats() core.Stats               { return s.bank.Stats() }
 func (s bankState) WriteTo(w io.Writer) (int64, error) {
 	return s.bank.WriteTo(w)

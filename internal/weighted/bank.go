@@ -471,13 +471,13 @@ func ReadBank(r io.Reader, numSets, k int, opt Options, weightOf func(uint32) fl
 		if _, dup := b.classes[int(ci)]; dup {
 			return nil, fmt.Errorf("weighted: duplicate class %d frame", ci)
 		}
-		// The sketch decoder buffers its own reads; hand it an exact
-		// in-memory frame so it cannot consume the next class's bytes.
+		// The sketch decoder drains its reader; hand it an exact in-memory
+		// frame so it cannot consume the next class's bytes.
 		var blob bytes.Buffer
 		if _, err := io.CopyN(&blob, br, int64(blobLen)); err != nil {
 			return nil, fmt.Errorf("weighted: reading class %d sketch: %w", ci, err)
 		}
-		sk, err := core.ReadSketch(bytes.NewReader(blob.Bytes()))
+		sk, err := core.ReadSketch(&blob)
 		if err != nil {
 			return nil, fmt.Errorf("weighted: decoding class %d sketch: %w", ci, err)
 		}
