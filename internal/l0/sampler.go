@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/bipartite"
 	"repro/internal/hashing"
@@ -27,10 +27,18 @@ import (
 // and level 0 decodes to the empty graph.
 //
 // The structure is linear in the update stream: every verb the engine
-// needs (Merge across shards, Clone for snapshots, byte serialization)
-// is cell-wise arithmetic, making the recovered sample — and therefore
-// the published answer — a deterministic function of the net op
-// multiset, independent of shard count, batch boundaries, or op order.
+// needs (Merge across shards, Clone/CopyTo for refresh cuts, byte
+// serialization) is cell-wise arithmetic, making the recovered sample —
+// and therefore the published answer — a deterministic function of the
+// net op multiset, independent of shard count, batch boundaries, or op
+// order.
+//
+// Every hash is hashing.Mix2(seed word, x) = SplitMix64(SplitMix64(seed
+// word) ^ (x + γ)). The inner round depends on the sampler's seed alone,
+// so deriveSeeds evaluates it once per seed word (levelMix, fpMix,
+// rowMix) and an op pays only the outer rounds, over one shared x + γ.
+// elemLevel, fp and rowPos are the one definition of each hash; Update,
+// the purity test and the peel all go through them.
 
 // SamplerParams sizes a Sampler. Two samplers interoperate (Merge,
 // state restore) only when all three fields match.
@@ -107,10 +115,12 @@ func (c *cell) zero() bool {
 // inserts, deletes, merge, clone and deterministic serialization.
 // It is not safe for concurrent mutation.
 type Sampler struct {
-	p         SamplerParams
-	levelSeed uint64
-	fpSeed    uint64
-	rowSeeds  [samplerRowCount]uint64
+	p SamplerParams
+	// levelMix, fpMix and rowMix[level][row] are the seed-only inner
+	// rounds of the level, fingerprint and row-position hashes.
+	levelMix uint64
+	fpMix    uint64
+	rowMix   [][samplerRowCount]uint64
 	// cells holds Levels consecutive blocks of p.Cells cells.
 	cells []cell
 }
@@ -124,10 +134,14 @@ func NewSampler(params SamplerParams) *Sampler {
 }
 
 func (s *Sampler) deriveSeeds() {
-	s.levelSeed = hashing.Mix2(s.p.Seed, levelSalt)
-	s.fpSeed = hashing.Mix2(s.p.Seed, fpSalt)
+	s.levelMix = hashing.SplitMix64(hashing.Mix2(s.p.Seed, levelSalt))
+	s.fpMix = hashing.SplitMix64(hashing.Mix2(s.p.Seed, fpSalt))
+	s.rowMix = make([][samplerRowCount]uint64, s.p.Levels)
 	for r := 0; r < samplerRowCount; r++ {
-		s.rowSeeds[r] = hashing.Mix2(s.p.Seed, rowSalt+uint64(r))
+		rowSeed := hashing.Mix2(s.p.Seed, rowSalt+uint64(r))
+		for l := range s.rowMix {
+			s.rowMix[l][r] = hashing.SplitMix64(rowSeed + uint64(l)*0x9e37)
+		}
 	}
 }
 
@@ -151,49 +165,53 @@ func (s *Sampler) NonZeroCells() int {
 
 func edgeKey(set, elem uint32) uint64 { return uint64(set)<<32 | uint64(elem) }
 
+// mixGamma is the increment Mix2 adds to its second word before the
+// outer round; premixed(SplitMix64(a), x+mixGamma) == hashing.Mix2(a, x).
+const mixGamma = 0x9e3779b97f4a7c15
+
+func premixed(mix, xg uint64) uint64 { return hashing.SplitMix64(mix ^ xg) }
+
 // elemLevel returns the deepest level the element participates in:
 // the number of leading zero bits of its hash, capped at Levels−1.
 func (s *Sampler) elemLevel(elem uint32) int {
-	h := hashing.Mix2(s.levelSeed, uint64(elem))
-	l := bits.LeadingZeros64(h | 1)
-	if l >= s.p.Levels {
-		l = s.p.Levels - 1
-	}
-	return l
+	h := premixed(s.levelMix, uint64(elem)+mixGamma)
+	return min(bits.LeadingZeros64(h|1), s.p.Levels-1)
 }
 
-func (s *Sampler) fp(key uint64) uint64 { return hashing.Mix2(s.fpSeed, key) }
+func (s *Sampler) fp(key uint64) uint64 { return premixed(s.fpMix, key+mixGamma) }
 
 // rowPos returns the in-level cell index for (level, row, key). Rows
 // partition the level's cells into three disjoint ranges, so a key's
 // three cells are always distinct.
 func (s *Sampler) rowPos(level, row int, key uint64) int {
 	w := s.p.Cells / samplerRowCount
-	h := hashing.Mix2(s.rowSeeds[row]+uint64(level)*0x9e37, key)
-	return row*w + int(h%uint64(w))
+	return row*w + int(premixed(s.rowMix[level][row], key+mixGamma)%uint64(w))
 }
 
 // Update applies one op: delta must be +1 (insert) or −1 (delete).
 func (s *Sampler) Update(set, elem uint32, delta int64) {
 	key := edgeKey(set, elem)
-	fp := s.fp(key)
-	top := s.elemLevel(elem)
-	for l := 0; l <= top; l++ {
-		base := l * s.p.Cells
-		for r := 0; r < samplerRowCount; r++ {
-			c := &s.cells[base+s.rowPos(l, r, key)]
+	kg := key + mixGamma
+	// A delete adds the 128-bit and 64-bit two's complements of what the
+	// insert added, so one wrapping add serves both directions.
+	addLo, addHi, addFp := key, uint64(0), premixed(s.fpMix, kg)
+	if delta < 0 {
+		addLo, addFp = -addLo, -addFp
+		if key != 0 {
+			addHi = ^uint64(0)
+		}
+	}
+	w := uint64(s.p.Cells / samplerRowCount)
+	for l, top := 0, s.elemLevel(elem); l <= top; l++ {
+		level := s.cells[l*s.p.Cells : (l+1)*s.p.Cells]
+		mix := &s.rowMix[l]
+		for r := uint64(0); r < samplerRowCount; r++ {
+			c := &level[r*w+premixed(mix[r], kg)%w]
 			c.count += delta
-			if delta > 0 {
-				var carry uint64
-				c.keyLo, carry = bits.Add64(c.keyLo, key, 0)
-				c.keyHi += carry
-				c.fpSum += fp
-			} else {
-				var borrow uint64
-				c.keyLo, borrow = bits.Sub64(c.keyLo, key, 0)
-				c.keyHi -= borrow
-				c.fpSum -= fp
-			}
+			var carry uint64
+			c.keyLo, carry = bits.Add64(c.keyLo, addLo, 0)
+			c.keyHi += addHi + carry
+			c.fpSum += addFp
 		}
 	}
 }
@@ -236,9 +254,19 @@ func (s *Sampler) Merge(other *Sampler) error {
 
 // Clone returns an independent deep copy.
 func (s *Sampler) Clone() *Sampler {
-	c := &Sampler{p: s.p, levelSeed: s.levelSeed, fpSeed: s.fpSeed, rowSeeds: s.rowSeeds}
-	c.cells = append(make([]cell, 0, len(s.cells)), s.cells...)
-	return c
+	c := *s
+	c.cells = slices.Clone(s.cells)
+	return &c
+}
+
+// CopyTo overwrites dst's cells with s's — Clone into an array that
+// already exists (a recycled refresh cut). The samplers must share params.
+func (s *Sampler) CopyTo(dst *Sampler) error {
+	if dst.p != s.p {
+		return fmt.Errorf("l0: cannot copy into a sampler with different params (%+v vs %+v)", s.p, dst.p)
+	}
+	copy(dst.cells, s.cells)
+	return nil
 }
 
 // ErrNoDecode reports that no level of the sampler peeled completely —
@@ -265,18 +293,21 @@ type RecoverResult struct {
 // that decodes completely. Level 0 holds everything, so on streams
 // small enough to fit it the result is the exact live edge set — in
 // particular a fully cancelled stream decodes at level 0 to no edges.
+// The sampler is only read.
 func (s *Sampler) Recover() (RecoverResult, error) {
+	var scratch peelScratch
 	for l := 0; l < s.p.Levels; l++ {
-		edges, ok := s.peelLevel(l)
-		if !ok {
+		if !s.peelLevel(l, &scratch) {
 			continue
 		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].Set != edges[j].Set {
-				return edges[i].Set < edges[j].Set
-			}
-			return edges[i].Elem < edges[j].Elem
-		})
+		// Distinct keys only: a ghost decode could in principle repeat a
+		// key. Ascending set<<32|elem is (Set, Elem) order.
+		slices.Sort(scratch.keys)
+		keys := slices.Compact(scratch.keys)
+		edges := make([]bipartite.Edge, len(keys))
+		for i, k := range keys {
+			edges[i] = bipartite.Edge{Set: uint32(k >> 32), Elem: uint32(k)}
+		}
 		return RecoverResult{Edges: edges, Level: l, PStar: levelP(l)}, nil
 	}
 	return RecoverResult{}, ErrNoDecode
@@ -286,77 +317,148 @@ func levelP(level int) float64 {
 	return 1.0 / float64(uint64(1)<<uint(level))
 }
 
-// peelLevel runs IBLT peeling over a copy of one level's cells.
-func (s *Sampler) peelLevel(level int) ([]bipartite.Edge, bool) {
-	base := level * s.p.Cells
-	work := append(make([]cell, 0, s.p.Cells), s.cells[base:base+s.p.Cells]...)
-	w := s.p.Cells / samplerRowCount
+// peelScratch is what one Recover shares between its levels: the working
+// copy of a level, the decoded keys, and two position bitmaps — the cells
+// still to test in the current sweep and those to test in the next.
+type peelScratch struct {
+	work      []cell
+	keys      []uint64
+	cur, next []uint64
+}
 
-	var keys []uint64
-	// Every productive round decodes at least one distinct key and a
-	// decodable level holds at most Cells keys, so Cells+8 rounds
-	// suffice; the cap also bounds ghost-decode cascades on garbage.
-	for round := 0; round < s.p.Cells+8; round++ {
+// pure reports whether c, the cell at in-level position pos of level,
+// holds m ≥ 1 copies of one key and nothing else: the sums divide out to
+// a key whose fingerprint, level and row position all agree. A pure
+// function of the cell's content, so a cell that failed it fails it again
+// until something is written there.
+func (s *Sampler) pure(c *cell, level, pos int) (key, m uint64, ok bool) {
+	if c.count <= 0 {
+		return 0, 0, false
+	}
+	m = uint64(c.count)
+	if c.keyHi >= m {
+		return 0, 0, false // key sum can't be m·key for any 64-bit key
+	}
+	key, rem := bits.Div64(c.keyHi, c.keyLo, m)
+	if rem != 0 || c.fpSum != m*s.fp(key) {
+		return 0, 0, false
+	}
+	if s.elemLevel(uint32(key)) < level {
+		return 0, 0, false // decoded key doesn't belong at this level
+	}
+	if s.rowPos(level, pos/(s.p.Cells/samplerRowCount), key) != pos {
+		return 0, 0, false // decoded key doesn't hash to this cell
+	}
+	return key, m, true
+}
+
+// peelLevel runs IBLT peeling over one level and reports whether it
+// decoded completely, leaving the decoded keys (unsorted, possibly
+// repeated) in sc.keys. Sweeps visit cells in ascending position and peel
+// every pure cell they meet, as long as a sweep makes progress. The first
+// sweep reads the level in place up to its first pure cell — an
+// overloaded level usually has none, and is then refused (or, all zero,
+// accepted as empty) without being copied. From there on a cell is tested
+// again only after a peel wrote to it: later in the same sweep when it
+// lies above the cursor, in the next sweep when below. Skipping the
+// unwritten cells skips tests whose outcome is known, so the decode
+// sequence is that of sweeping every cell every time.
+func (s *Sampler) peelLevel(level int, sc *peelScratch) bool {
+	cells := s.cells[level*s.p.Cells : (level+1)*s.p.Cells]
+	first, empty := -1, true
+	for pos := range cells {
+		c := &cells[pos]
+		if c.zero() {
+			continue
+		}
+		empty = false
+		if _, _, ok := s.pure(c, level, pos); ok {
+			first = pos
+			break
+		}
+	}
+	sc.keys = sc.keys[:0]
+	if first < 0 {
+		return empty
+	}
+
+	if sc.work == nil {
+		words := (len(cells) + 63) / 64
+		sc.work = make([]cell, len(cells))
+		sc.cur, sc.next = make([]uint64, words), make([]uint64, words)
+	}
+	work, cur, next := sc.work, sc.cur, sc.next
+	copy(work, cells)
+	clear(next)
+	// First sweep: every position from the first pure cell on.
+	clear(cur[:first/64])
+	for i := first / 64; i < len(cur); i++ {
+		cur[i] = ^uint64(0)
+	}
+	cur[first/64] &^= 1<<(first%64) - 1
+	if tail := len(work) % 64; tail != 0 {
+		cur[len(cur)-1] &= 1<<tail - 1
+	}
+	// A peeled cell is zero and is only subtracted from afterwards, so no
+	// cell is pure twice and no state, garbage included, has more than
+	// Cells productive sweeps; Cells+8 is that bound with room to spare.
+	for sweep := 0; sweep < s.p.Cells+8; sweep++ {
 		progress := false
-		for pos := range work {
-			c := &work[pos]
-			if c.zero() || c.count <= 0 {
-				continue
+		for wi := range cur {
+			for cur[wi] != 0 {
+				bit := bits.TrailingZeros64(cur[wi])
+				cur[wi] &^= 1 << bit
+				pos := wi*64 + bit
+				key, m, ok := s.pure(&work[pos], level, pos)
+				if !ok {
+					continue
+				}
+				// Pure cell: remove m copies of key from its three cells
+				// (which zeroes this one).
+				mhi, mlo := bits.Mul64(m, key)
+				mfp := m * s.fp(key)
+				for r := 0; r < samplerRowCount; r++ {
+					at := s.rowPos(level, r, key)
+					t := &work[at]
+					t.count -= int64(m)
+					var borrow uint64
+					t.keyLo, borrow = bits.Sub64(t.keyLo, mlo, 0)
+					t.keyHi -= mhi + borrow
+					t.fpSum -= mfp
+					if at > pos {
+						cur[at/64] |= 1 << (at % 64)
+					} else if at < pos {
+						next[at/64] |= 1 << (at % 64)
+					}
+				}
+				sc.keys = append(sc.keys, key)
+				progress = true
 			}
-			m := uint64(c.count)
-			if c.keyHi >= m {
-				continue // key sum can't be m·key for any 64-bit key
-			}
-			key, rem := bits.Div64(c.keyHi, c.keyLo, m)
-			if rem != 0 || c.fpSum != m*s.fp(key) {
-				continue
-			}
-			elem := uint32(key)
-			if s.elemLevel(elem) < level {
-				continue // decoded key doesn't belong at this level
-			}
-			row := pos / w
-			if s.rowPos(level, row, key) != pos {
-				continue // decoded key doesn't hash to this cell
-			}
-			// Pure cell: remove m copies of key from its three cells.
-			mhi, mlo := bits.Mul64(m, key)
-			mfp := m * s.fp(key)
-			for r := 0; r < samplerRowCount; r++ {
-				t := &work[s.rowPos(level, r, key)]
-				t.count -= int64(m)
-				var borrow uint64
-				t.keyLo, borrow = bits.Sub64(t.keyLo, mlo, 0)
-				t.keyHi -= mhi + borrow
-				t.fpSum -= mfp
-			}
-			keys = append(keys, key)
-			progress = true
 		}
 		if !progress {
 			break
 		}
+		cur, next = next, cur // cur was emptied by the sweep
 	}
 	for i := range work {
 		if !work[i].zero() {
-			return nil, false
+			return false
 		}
 	}
-	// Distinct keys only: a ghost decode could in principle repeat a
-	// key; dedupe after sorting keeps the output a set.
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	edges := make([]bipartite.Edge, 0, len(keys))
-	for i, k := range keys {
-		if i > 0 && keys[i-1] == k {
-			continue
-		}
-		edges = append(edges, bipartite.Edge{Set: uint32(k >> 32), Elem: uint32(k)})
-	}
-	return edges, true
+	return true
 }
 
 // ErrCorruptSampler reports an undecodable serialized sampler state.
 var ErrCorruptSampler = errors.New("l0: corrupt sampler state")
+
+// ErrParamsMismatch reports a well-formed serialized sampler built with
+// other parameters than the reader runs (a peer or snapshot file written
+// under different options).
+var ErrParamsMismatch = errors.New("l0: sampler parameter mismatch")
+
+// samplerEntryLen is one serialized non-zero cell: index, count, key sum
+// (lo, hi), fingerprint sum.
+const samplerEntryLen = 4 + 4*8
 
 // WriteTo serializes the sampler deterministically: a fixed header,
 // the non-zero cells in ascending index order, and a CRC. Equal cell
@@ -364,7 +466,7 @@ var ErrCorruptSampler = errors.New("l0: corrupt sampler state")
 // byte-identical output regardless of how the state was assembled.
 func (s *Sampler) WriteTo(wr io.Writer) (int64, error) {
 	nnz := s.NonZeroCells()
-	buf := make([]byte, 0, len(samplerMagic)+24+8+nnz*36+4)
+	buf := make([]byte, 0, len(samplerMagic)+24+nnz*samplerEntryLen+4)
 	buf = append(buf, samplerMagic...)
 	payload := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.p.Levels))
@@ -390,10 +492,15 @@ func (s *Sampler) WriteTo(wr io.Writer) (int64, error) {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ReadSampler decodes a sampler serialized by WriteTo. Corruption
-// yields a typed error (wrapping ErrCorruptSampler), never a panic,
-// and allocation is bounded by the validated header.
-func ReadSampler(rd io.Reader) (*Sampler, error) {
+// ReadSampler decodes a sampler serialized by WriteTo that must have been
+// built with want (normalized parameters — the geometry the caller is
+// about to merge the result with). Corruption yields a typed error
+// (wrapping ErrCorruptSampler), never a panic. Nothing is allocated
+// before the header has been checked against want and, when rd knows its
+// remaining length (bytes.Reader, bytes.Buffer), against the bytes that
+// are left — so a blob costs at most the geometry the caller already
+// runs, whatever its header claims.
+func ReadSampler(rd io.Reader, want SamplerParams) (*Sampler, error) {
 	var magic [len(samplerMagic)]byte
 	if _, err := io.ReadFull(rd, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorruptSampler, err)
@@ -414,13 +521,19 @@ func ReadSampler(rd io.Reader) (*Sampler, error) {
 	if err := p.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptSampler, err)
 	}
+	if p != want {
+		return nil, fmt.Errorf("%w: built with %+v, expected %+v", ErrParamsMismatch, p, want)
+	}
 	nnz := binary.LittleEndian.Uint64(hdr[16:24])
 	if nnz > uint64(p.Levels*p.Cells) {
 		return nil, fmt.Errorf("%w: %d non-zero cells exceed capacity %d", ErrCorruptSampler, nnz, p.Levels*p.Cells)
 	}
+	if l, ok := rd.(interface{ Len() int }); ok && nnz*samplerEntryLen+4 > uint64(l.Len()) {
+		return nil, fmt.Errorf("%w: %d non-zero cells announced, %d bytes left", ErrCorruptSampler, nnz, l.Len())
+	}
 	s := &Sampler{p: p, cells: make([]cell, p.Levels*p.Cells)}
 	s.deriveSeeds()
-	var ent [36]byte
+	var ent [samplerEntryLen]byte
 	prev := -1
 	for i := uint64(0); i < nnz; i++ {
 		if _, err := io.ReadFull(rd, ent[:]); err != nil {

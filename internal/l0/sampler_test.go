@@ -47,7 +47,7 @@ func sortedEqual(a, b []bipartite.Edge) bool {
 	return true
 }
 
-func serialize(t *testing.T, s *Sampler) []byte {
+func serialize(t testing.TB, s *Sampler) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -208,7 +208,7 @@ func TestSamplerSerializeRoundTrip(t *testing.T) {
 	s.Apply(bipartite.Deletes(edges[:10]))
 	blob := serialize(t, s)
 
-	r, err := ReadSampler(bytes.NewReader(blob))
+	r, err := ReadSampler(bytes.NewReader(blob), testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestSamplerSerializeRoundTrip(t *testing.T) {
 	for _, pos := range []int{0, len(samplerMagic) + 3, len(blob) / 2, len(blob) - 1} {
 		bad := append([]byte(nil), blob...)
 		bad[pos] ^= 0x01
-		if _, err := ReadSampler(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptSampler) {
+		if _, err := ReadSampler(bytes.NewReader(bad), testParams()); !errors.Is(err, ErrCorruptSampler) {
 			t.Fatalf("corruption at byte %d: err = %v, want ErrCorruptSampler", pos, err)
 		}
 	}
-	if _, err := ReadSampler(bytes.NewReader(blob[:len(blob)-5])); !errors.Is(err, ErrCorruptSampler) {
+	if _, err := ReadSampler(bytes.NewReader(blob[:len(blob)-5]), testParams()); !errors.Is(err, ErrCorruptSampler) {
 		t.Fatalf("truncated blob: err = %v, want ErrCorruptSampler", err)
 	}
 }

@@ -5,16 +5,27 @@ package server
 // the structure; DESIGN.md §14 for the contract). The sampler is linear
 // in the op stream, so every lifecycle verb the mode plane needs is
 // cell-wise arithmetic: shard states merge into exactly the sampler of
-// the concatenated streams, clones are plain copies, and serialization
+// the concatenated streams, cuts are plain copies, and serialization
 // is a deterministic function of the net op multiset — the property the
 // crash-recovery and cluster suites pin bit-for-bit.
+//
+// A refresh copies each shard's cells once and nothing twice. A shard
+// answers a freeze request with a dynamicCut: its cells copied into an
+// array from the mode's free list. The cut belongs to the one merge it
+// was taken for; MergeStates adopts the first cut's array as the merged
+// state, adds the others into it and hands them back to the free list.
+// The merged state is then published, and from there on the rule is
+// flat: an array that reached a Snapshot is never written and never
+// recycled — snapshot readers (WriteState, the cluster fold) may hold a
+// superseded snapshot for as long as they like, so the GC collects it.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
@@ -53,6 +64,8 @@ const (
 // unlike the legacy wrapper states it carries its own counters.
 type dynamicState struct {
 	sam *l0.Sampler
+	// free is the mode's free list of cut arrays (shard states only).
+	free *sync.Pool
 	// opsSeen counts ops applied (the EdgesSeen analog — deletes
 	// included, matching the engine's op-counted offsets).
 	opsSeen int64
@@ -82,10 +95,25 @@ func (d *dynamicState) ApplyOps(ops []bipartite.Op) {
 	}
 }
 
+// dynamicCut is a shard's answer to a freeze request: the shard's cells
+// at the cut, in an array that belongs to exactly one MergeStates call,
+// which consumes it (the array becomes the merged state or returns to the
+// free list, and sam is cleared). A distinct type so that the merge can
+// tell an input it owns from a published or decoded state it may only
+// read.
+type dynamicCut struct{ dynamicState }
+
 // Freeze ignores the published state: a delete can move the recovered
 // sample's cut back up, so nothing the last merge excluded may be shed.
+// The copy lands in a recycled array when the free list has one.
 func (d *dynamicState) Freeze(FrozenState) FrozenState {
-	return &dynamicState{sam: d.sam.Clone(), opsSeen: d.opsSeen, deletes: d.deletes}
+	cut := &dynamicCut{dynamicState{opsSeen: d.opsSeen, deletes: d.deletes}}
+	if sam, ok := d.free.Get().(*l0.Sampler); ok && d.sam.CopyTo(sam) == nil {
+		cut.sam = sam
+	} else {
+		cut.sam = d.sam.Clone()
+	}
+	return cut
 }
 
 func (d *dynamicState) MergeFrom(other FrozenState) error {
@@ -142,26 +170,77 @@ var dynCRCTable = crc32.MakeTable(crc32.Castagnoli)
 type dynamicMode struct {
 	numSets int
 	params  l0.SamplerParams
+	// free recycles the cell arrays of shard cuts (*l0.Sampler of params)
+	// between refreshes: Freeze takes, MergeStates gives back. A sync.Pool,
+	// so a namespace that stops refreshing pins nothing past two GC cycles.
+	free *sync.Pool
 }
 
 func (m dynamicMode) Name() ModeName    { return ModeDynamic }
 func (m dynamicMode) Signature() uint64 { return 0 }
 
 func (m dynamicMode) NewShardState() (ShardState, error) {
-	return &dynamicState{sam: l0.NewSampler(m.params)}, nil
+	return &dynamicState{sam: l0.NewSampler(m.params), free: m.free}, nil
 }
 
+// MergeStates sums the inputs cell-wise. A *dynamicCut is consumed: the
+// first one's array becomes the sum, later ones are added into it and
+// recycled. Any other input (a published local state, a decoded peer
+// state) is only read; when it comes first the sum starts as its copy.
+// After a failure the loop goes on only to consume the remaining cuts, so
+// every cut's array is recycled exactly once either way.
 func (m dynamicMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
-	merged := &dynamicState{sam: l0.NewSampler(m.params), opsSeen: edges}
+	merged := &dynamicState{opsSeen: edges}
+	var err error
+	add := func(sam *l0.Sampler, owned bool) {
+		switch {
+		case sam.Params() != m.params:
+			if err == nil {
+				err = fmt.Errorf("server: cannot merge a sampler of %+v into a dynamic engine of %+v", sam.Params(), m.params)
+			}
+			return // not an array of this mode's geometry: not recycled either
+		case err != nil:
+		case merged.sam == nil && owned:
+			merged.sam = sam
+			return
+		case merged.sam == nil:
+			merged.sam = sam.Clone()
+		default:
+			err = merged.sam.Merge(sam)
+		}
+		if owned {
+			m.free.Put(sam)
+		}
+	}
 	for _, st := range states {
-		s, ok := st.(*dynamicState)
-		if !ok {
-			return nil, fmt.Errorf("server: cannot merge %T state into a dynamic engine", st)
+		switch in := st.(type) {
+		case *dynamicCut:
+			if in.sam == nil {
+				if err == nil {
+					err = fmt.Errorf("server: a dynamic shard cut was handed to a second merge")
+				}
+				continue
+			}
+			add(in.sam, true)
+			in.sam = nil
+			merged.deletes += in.deletes
+		case *dynamicState:
+			add(in.sam, false)
+			merged.deletes += in.deletes
+		default:
+			if err == nil {
+				err = fmt.Errorf("server: cannot merge %T state into a dynamic engine", st)
+			}
 		}
-		if err := merged.sam.Merge(s.sam); err != nil {
-			return nil, err
+	}
+	if err != nil {
+		if merged.sam != nil {
+			m.free.Put(merged.sam) // adopted or cloned above: private either way
 		}
-		merged.deletes += s.deletes
+		return nil, err
+	}
+	if merged.sam == nil {
+		merged.sam = l0.NewSampler(m.params)
 	}
 	return merged, nil
 }
@@ -178,12 +257,11 @@ func (m dynamicMode) ReadState(r io.Reader) (FrozenState, error) {
 	if got, want := binary.LittleEndian.Uint32(body[16:20]), crc32.Checksum(body[:16], dynCRCTable); got != want {
 		return nil, fmt.Errorf("decoding dynamic state: header checksum mismatch (got %08x want %08x)", got, want)
 	}
-	sam, err := l0.ReadSampler(r)
+	// The decoder checks the blob's geometry against the mode's before it
+	// allocates: a foreign header cannot cost more than a local state.
+	sam, err := l0.ReadSampler(r, m.params)
 	if err != nil {
 		return nil, err
-	}
-	if sam.Params() != m.params {
-		return nil, fmt.Errorf("dynamic sampler parameter mismatch (peer built with different options)")
 	}
 	return &dynamicState{
 		sam:     sam,
@@ -201,42 +279,31 @@ func (m dynamicMode) Materialize(st FrozenState) (*materialized, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dynamic engine: %w", err)
 	}
-	// Renumber the sample's elements densely (ascending original id, as
-	// deterministic as the recovery itself).
-	ids := make([]uint32, 0, len(rec.Edges))
-	for _, e := range rec.Edges {
-		ids = append(ids, e.Elem)
+	// Renumber the sample's elements densely in ascending original id (as
+	// deterministic as the recovery itself): one sort of (elem, edge
+	// index) pairs, then a walk that rewrites rec's private edges in place.
+	edges := rec.Edges
+	order := make([]uint64, len(edges))
+	for i, e := range edges {
+		order[i] = uint64(e.Elem)<<32 | uint64(i)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ids = compactU32(ids)
-	idx := make(map[uint32]uint32, len(ids))
-	for i, el := range ids {
-		idx[el] = uint32(i)
-	}
-	edges := make([]bipartite.Edge, len(rec.Edges))
-	for i, e := range rec.Edges {
-		edges[i] = bipartite.Edge{Set: e.Set, Elem: idx[e.Elem]}
+	slices.Sort(order)
+	var ids []uint32
+	for _, o := range order {
+		if el := uint32(o >> 32); len(ids) == 0 || ids[len(ids)-1] != el {
+			ids = append(ids, el)
+		}
+		edges[uint32(o)].Elem = uint32(len(ids) - 1)
 	}
 	g, err := bipartite.FromEdges(m.numSets, len(ids), edges)
 	if err != nil {
 		return nil, fmt.Errorf("server: dynamic engine: building sample graph: %w", err)
 	}
-	d.recEdges = len(rec.Edges)
+	d.recEdges = len(edges)
 	d.recElems = len(ids)
 	d.recPStar = rec.PStar
 	d.materialized = true
 	return &materialized{graph: g, ids: ids}, nil
-}
-
-// compactU32 dedupes a sorted slice in place.
-func compactU32(xs []uint32) []uint32 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || xs[i-1] != x {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 func (m dynamicMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {

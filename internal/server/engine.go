@@ -26,7 +26,9 @@
 // arrays are adopted as the element side of the query graph and walked
 // once more to emit the snapshot bytes. Those bytes decode straight back
 // into a view (core.ReadView), which is what a restore and a cluster
-// peer's pull hold. The other modes freeze by deep copy. Queries run
+// peer's pull hold. The weighted mode freezes by deep copy; the dynamic
+// mode copies each shard's cells once, into an array recycled from the
+// previous refresh, and sums the cuts in place (dynamic.go). Queries run
 // greedy algorithms against the current snapshot without stalling
 // ingest.
 //
@@ -353,8 +355,9 @@ func (s *Snapshot) WriteState(w io.Writer) error {
 // cluster layer can publish a cluster-wide view (local state folded with
 // decoded peer states) that queries exactly like an engine snapshot.
 // edges is the ingested-edge total the states reflect together (a merge
-// only replays kept edges, so the caller supplies the true total). The
-// inputs are only read.
+// only replays kept edges, so the caller supplies the true total).
+// Published and decoded states are only read; shard cuts fresh from
+// Freeze are the merge's to consume (Mode.MergeStates).
 func MergeSnapshot(mode Mode, seq uint64, edges int64, states []FrozenState) (*Snapshot, error) {
 	merged, err := mode.MergeStates(states, edges)
 	if err != nil {
@@ -933,10 +936,13 @@ type Counters struct {
 	RefreshErrors int64
 	// SnapshotSeq / SnapshotEdges identify the published snapshot (zero
 	// before the first merge); SnapshotKeptEdges is what its merged state
-	// holds.
+	// holds and SnapshotPStar the probability it sampled elements with
+	// (dynamic: 2^−level of the L0 level that decoded; weighted: the
+	// smallest class's).
 	SnapshotSeq       uint64
 	SnapshotEdges     int64
 	SnapshotKeptEdges int64
+	SnapshotPStar     float64
 	// ShardKeptEdges sums what the shard states held right after the last
 	// freeze. On a sketch engine it tracks SnapshotKeptEdges from the
 	// second refresh on (shards shed above the published bar) rather than
@@ -960,9 +966,11 @@ func (e *Engine) Counters() Counters {
 		ShardKeptEdges: e.shardKept.Load(),
 	}
 	if snap := e.snap.Load(); snap != nil {
+		st := snap.state.Stats()
 		c.SnapshotSeq = snap.Seq
 		c.SnapshotEdges = snap.IngestedEdges
-		c.SnapshotKeptEdges = int64(snap.keptEdges())
+		c.SnapshotKeptEdges = int64(st.EdgesKept)
+		c.SnapshotPStar = st.PStar
 	}
 	return c
 }

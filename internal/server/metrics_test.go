@@ -170,6 +170,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"covserved_snapshot_seq":           "gauge",
 		"covserved_snapshot_edges":         "gauge",
 		"covserved_snapshot_kept_edges":    "gauge",
+		"covserved_snapshot_p_star":        "gauge",
 		"covserved_shard_kept_edges":       "gauge",
 		"covserved_test_extra_total":       "counter",
 	}
@@ -207,6 +208,14 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("alpha %s = %v, want 200", family, got)
 		}
 	}
+	// Nothing evicted means every element is sampled; beta has published
+	// no snapshot yet.
+	if got := s1.value(t, `covserved_snapshot_p_star{ns="alpha"}`); got != 1 {
+		t.Fatalf("alpha snapshot p* = %v, want 1", got)
+	}
+	if got := s1.value(t, `covserved_snapshot_p_star{ns="beta"}`); got != 0 {
+		t.Fatalf("beta snapshot p* = %v before its first snapshot, want 0", got)
+	}
 	// One dirty refresh ran on alpha (the explicit Refresh after it was an
 	// idle skip), none on beta: refresh time is summed around builds only.
 	if got := s1.value(t, `covserved_refreshes_total{ns="alpha"}`); got != 1 {
@@ -235,7 +244,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := beta.IngestOps(append(bipartite.Inserts(edges[:2]), bipartite.Deletes(edges[:1])...)); err != nil {
 		t.Fatalf("IngestOps: %v", err)
 	}
+	// On a dynamic namespace p* is 2^−level of the L0 level that decoded:
+	// the gauge reads what the snapshot answers with.
+	betaSnap, err := beta.Refresh()
+	if err != nil {
+		t.Fatalf("beta Refresh: %v", err)
+	}
 	s2 := scrape()
+	if got := s2.value(t, `covserved_snapshot_p_star{ns="beta"}`); got != betaSnap.pStar() || got != 1 {
+		t.Fatalf("beta snapshot p* = %v, snapshot says %v, want 1 (one live edge decodes at level 0)", got, betaSnap.pStar())
+	}
 	for key, v1 := range s1.samples {
 		family := key
 		if i := strings.IndexByte(family, '{'); i >= 0 {

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
@@ -82,7 +83,8 @@ type ShardState interface {
 	Stats() core.Stats
 	// Freeze returns a read-only cut of the state that later ingest never
 	// shows through. Taken inside the shard mailbox, it is a consistent
-	// cut of the shard's stream. published is the merged state the engine
+	// cut of the shard's stream, and it is handed to exactly one
+	// Mode.MergeStates call. published is the merged state the engine
 	// last published (nil before the first refresh): a mode whose merged
 	// cut only ever moves down may first discard whatever that state
 	// already excludes, since no later merge can take it back. The sketch
@@ -104,8 +106,10 @@ type opApplier interface {
 // Mode.MergeStates and Mode.ReadState return, what a Snapshot carries
 // and what the cluster layer stores per peer. Its consumed-edge total is
 // fixed when it is built. The sketch mode's frozen state is the
-// canonical *core.View; the other modes hand out private copies of their
-// shard-state types.
+// canonical *core.View; the weighted mode hands out a deep copy of the
+// bank; the dynamic mode's shards hand out a dynamicCut (the cells copied
+// once into a recycled array, dynamic.go) and its merged and decoded
+// states are *dynamicState.
 type FrozenState interface {
 	// Stats reports the state's accounting (see ShardState.Stats).
 	Stats() core.Stats
@@ -137,10 +141,13 @@ type Mode interface {
 	Signature() uint64
 	// NewShardState returns an empty state for one ingest shard.
 	NewShardState() (ShardState, error)
-	// MergeStates folds frozen states into one merged state without
-	// modifying the inputs. edges is the ingested-edge total the result
-	// reports: a merge only replays kept edges, so the caller supplies
-	// the true consumed count.
+	// MergeStates folds frozen states into one merged state. Inputs that
+	// a Snapshot, a peer table or a caller still holds — anything
+	// MergeStates or ReadState returned — are only read; a cut the mode's
+	// own ShardState.Freeze made belongs to this call, which may consume
+	// it (the dynamic mode does). edges is the ingested-edge total the
+	// result reports: a merge only replays kept edges, so the caller
+	// supplies the true consumed count.
 	MergeStates(states []FrozenState, edges int64) (FrozenState, error)
 	// ReadState decodes WriteTo bytes, validating that the blob was
 	// built with this mode's configuration.
@@ -180,7 +187,7 @@ func (c Config) EngineMode() (Mode, error) {
 			sig:     c.Weights.Signature(),
 		}, nil
 	case ModeDynamic:
-		return dynamicMode{numSets: c.NumSets, params: c.DynamicParams()}, nil
+		return dynamicMode{numSets: c.NumSets, params: c.DynamicParams(), free: new(sync.Pool)}, nil
 	}
 	return sketchMode{params: c.Params()}, nil
 }
