@@ -3,8 +3,8 @@
 //
 // Each benchmark executes the corresponding experiment at Quick scale, so
 // `go test -bench=. -benchmem` regenerates every result end to end and
-// reports its cost. The full-scale numbers behind EXPERIMENTS.md come
-// from `go run ./cmd/covbench -run all`.
+// reports its cost. The full-scale tables come from
+// `go run ./cmd/covbench -run all`.
 package repro_test
 
 import (
@@ -75,7 +75,3 @@ func BenchmarkDistMerge(b *testing.B) { benchExperiment(b, "dist-merge") }
 
 // BenchmarkExtWeighted regenerates the weighted-coverage extension table.
 func BenchmarkExtWeighted(b *testing.B) { benchExperiment(b, "ext-weighted") }
-
-// BenchmarkIngestThroughput regenerates the hot-path ingest comparison
-// (single-edge AddEdge vs batched AddEdges) behind BENCH_ingest.json.
-func BenchmarkIngestThroughput(b *testing.B) { benchExperiment(b, "ingest-throughput") }

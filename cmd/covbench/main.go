@@ -9,19 +9,9 @@
 //	covbench -run thm31-kcover -csv  # machine-readable CSV output
 //	covbench -run thm31-kcover -json # one JSON line per experiment
 //
-// The measured outputs behind EXPERIMENTS.md come from `covbench -run all`.
 // The -json format is one line per experiment —
 // {"experiment", "elapsed_ms", "tables": [{"title", "notes", "cols",
-// "rows"}]} — so trajectory files (BENCH_*.json) can be produced without
-// scraping stdout. In particular
-//
-//	covbench -run ingest-throughput -json > BENCH_ingest.json
-//	covbench -run query-throughput -json > BENCH_query.json
-//
-// record the hot-path comparisons tracked across PRs: ingest (single-edge
-// AddEdge vs the batched AddEdges path) and the query plane (stamp vs
-// bitset greedy, engine result cache, sequential vs parallel snapshot
-// merge, idle-refresh short-circuit).
+// "rows"}]}. Speed is not measured here: that is bench/ (BENCHMARK.json).
 package main
 
 import (

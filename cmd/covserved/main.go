@@ -97,8 +97,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -189,7 +191,14 @@ func main() {
 		})
 	}
 	if *snapFile != "" {
-		if data, err := os.ReadFile(*snapFile); err == nil {
+		data, err := os.ReadFile(*snapFile)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			// Only a missing file means "first start": serving empty here
+			// would let the next checkpoint rename over the unread state.
+			fmt.Fprintf(os.Stderr, "covserved: reading snapshot %s: %v\n", *snapFile, err)
+			os.Exit(1)
+		}
+		if err == nil {
 			if err := restore(multi, data, &cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "covserved: restoring %s: %v\n", *snapFile, err)
 				os.Exit(1)

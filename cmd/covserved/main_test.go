@@ -346,6 +346,63 @@ func TestGracefulShutdownCheckpoints(t *testing.T) {
 	}
 }
 
+// TestUnreadableSnapshotFileRefusesToStart runs the real binary with a
+// snapshot path that exists but cannot be read (a directory, so the read
+// fails for root too). Serving empty would let the next checkpoint
+// replace the unread state; the process must exit non-zero naming the
+// path before it answers a single request.
+func TestUnreadableSnapshotFileRefusesToStart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the covserved binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "covserved")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building covserved: %v\n%s", err, out)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	snap := filepath.Join(dir, "state.snap")
+	if err := os.Mkdir(snap, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-n", "20", "-k", "3", "-addr", addr, "-snapshot-file", snap)
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	waited := make(chan error, 1)
+	go func() { waited <- cmd.Wait() }()
+
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case err := <-waited:
+			if err == nil {
+				t.Fatalf("covserved exited 0 on an unreadable snapshot\n%s", stderr.Bytes())
+			}
+			if !strings.Contains(stderr.String(), snap) {
+				t.Fatalf("exit message does not name %s:\n%s", snap, stderr.Bytes())
+			}
+			return
+		case <-deadline:
+			t.Fatalf("covserved neither exited nor served\n%s", stderr.Bytes())
+		case <-time.After(25 * time.Millisecond):
+			if resp, err := http.Get("http://" + addr + "/v1/healthz"); err == nil {
+				resp.Body.Close()
+				t.Fatalf("covserved serves an empty state beside an unreadable %s", snap)
+			}
+		}
+	}
+}
+
 // TestWireIngestAndMetricsEndToEnd runs the real binary with a wire
 // listener: edges go in over the binary protocol (with a mid-stream
 // reconnect), a scrape of GET /metrics must expose the namespace and

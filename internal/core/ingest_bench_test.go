@@ -14,8 +14,8 @@ import (
 // overheads — hashing, index lookups, sorted inserts, per-edge shrink —
 // dominate. BenchmarkIngestStream* build a fresh sketch per iteration
 // (the one-pass cost); BenchmarkIngestSingle/Batch measure the converged
-// steady state. The ingest-throughput covbench experiment (BENCH_ingest
-// .json) reports the same comparison at full scale.
+// steady state. bench/ measures the batched path at service scale
+// (ladder rows core.add_edges.* and core.offline_pass.ns_per_edge).
 
 func denseIngest() ([]bipartite.Edge, Params) {
 	inst := workload.LargeSets(200, 20000, 0.3, 1)

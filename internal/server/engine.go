@@ -127,22 +127,11 @@ type Config struct {
 	// Every background failure is also counted in Stats.RefreshErrors.
 	OnRefreshError func(error)
 
-	// Restore, when non-nil, seeds the engine with a previously persisted
-	// sketch (see Engine.WriteSnapshot / core.ReadSketch). The restored
-	// sketch must have been produced by a service with the same Config.
-	// Weighted engines restore through RestoreWeighted instead. A caller
-	// holding bytes rather than a sketch uses ReadRestore, which fills
-	// RestoreState with the decoded view and builds no sketch.
-	Restore *core.Sketch
-	// RestoreWeighted, when non-nil, seeds a weighted engine with a
-	// previously persisted class bank (see weighted.ReadBank); requires
-	// Weights. NewFromSnapshot fills the right field from raw bytes.
-	RestoreWeighted *weighted.Bank
 	// RestoreState, when non-nil, seeds the engine with a decoded state
-	// of the configured mode — the mode-generic restore slot ReadRestore
-	// fills for the sketch mode (a *core.View) and the dynamic mode. The
-	// typed Restore / RestoreWeighted fields remain for callers that hold
-	// a sketch or a bank.
+	// of the configured mode, produced by a service with the same Config
+	// — the one restore slot. ReadRestore fills it from WriteSnapshot
+	// bytes; a caller holding a sketch passes sk.Freeze(). A state of
+	// another mode is refused.
 	RestoreState FrozenState
 }
 
@@ -460,33 +449,16 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Weights.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Weights == nil && cfg.RestoreWeighted != nil {
-		return nil, fmt.Errorf("server: RestoreWeighted requires Weights")
-	}
-	if cfg.Weights != nil && cfg.Restore != nil {
-		return nil, fmt.Errorf("server: a weighted engine restores through RestoreWeighted, not Restore")
-	}
 	// Private copy: the engine outlives the caller's table.
 	cfg.Weights = cfg.Weights.clone()
 	mode, err := cfg.EngineMode()
 	if err != nil {
 		return nil, err
 	}
-	// Normalize the typed restore fields into one mode-checked state.
+	// Consumed by the merge below; the pointer dies with this scope, so
+	// the engine does not pin a full copy for life.
 	restore := cfg.RestoreState
-	if cfg.Restore != nil {
-		if restore != nil {
-			return nil, fmt.Errorf("server: Restore and RestoreState are mutually exclusive")
-		}
-		restore = cfg.Restore.Freeze()
-	}
-	if cfg.RestoreWeighted != nil {
-		if restore != nil {
-			return nil, fmt.Errorf("server: RestoreWeighted and RestoreState are mutually exclusive")
-		}
-		restore = bankState{cfg.RestoreWeighted}
-	}
-	cfg.Restore, cfg.RestoreWeighted, cfg.RestoreState = nil, nil, nil
+	cfg.RestoreState = nil
 
 	states := make([]ShardState, cfg.shards())
 	for i := range states {
@@ -503,8 +475,6 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("server: restoring snapshot: %w", err)
 		}
 		restoredEdges = restore.Stats().EdgesSeen
-		// The restore state was consumed by the merge; the pointer dies
-		// with this scope, so the engine does not pin a full copy for life.
 	}
 	e := &Engine{
 		cfg:    cfg,
@@ -891,8 +861,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // snapshot-v2 restore can rebuild the engine identically.
 func (e *Engine) Config() Config {
 	cfg := e.cfg
-	cfg.Restore = nil
-	cfg.RestoreWeighted = nil
 	cfg.RestoreState = nil
 	cfg.Weights = cfg.Weights.clone()
 	return cfg
@@ -1149,11 +1117,8 @@ func safeEstimate(covered int, pStar float64) float64 {
 
 // WriteSnapshot merges and persists the service state in the engine
 // mode's wire format: a sketch engine writes its merged sketch (v1
-// format, restorable through core.ReadView into Config.RestoreState or
-// core.ReadSketch into Config.Restore), a
-// weighted engine its merged class bank (weighted.BankMagic framing,
-// restorable into Config.RestoreWeighted), a dynamic engine its merged
-// L0 sampler ("L0DYNS1" framing, restorable into Config.RestoreState).
+// format), a weighted engine its merged class bank (weighted.BankMagic
+// framing), a dynamic engine its merged L0 sampler ("L0DYNS1" framing).
 // ReadRestore / NewFromSnapshot decode any of them from the config. The
 // persisted state carries the engine's true ingested-edge total (a
 // merged state only counts the kept edges it replayed), so accounting
@@ -1181,12 +1146,10 @@ func (e *Engine) WriteSnapshot(w io.Writer) (*Snapshot, error) {
 }
 
 // ReadRestore decodes a snapshot previously written by WriteSnapshot
-// through the config's engine mode and returns cfg with the restore slot
-// filled: weighted configs (Weights set) get the class bank in
-// RestoreWeighted, every other mode its decoded frozen state in
-// RestoreState — for a sketch config the *core.View the bytes spell out,
-// with no sketch rebuilt. The config must repeat the writing engine's
-// parameters.
+// through the config's engine mode and returns cfg with RestoreState
+// holding the decoded frozen state — for a sketch config the *core.View
+// the bytes spell out, with no sketch rebuilt. The config must repeat the
+// writing engine's parameters.
 func ReadRestore(cfg Config, r io.Reader) (Config, error) {
 	mode, err := cfg.EngineMode()
 	if err != nil {
@@ -1199,11 +1162,7 @@ func ReadRestore(cfg Config, r io.Reader) (Config, error) {
 		}
 		return cfg, fmt.Errorf("server: restoring snapshot: %w", err)
 	}
-	if s, ok := st.(bankState); ok {
-		cfg.RestoreWeighted = s.bank
-	} else {
-		cfg.RestoreState = st
-	}
+	cfg.RestoreState = st
 	return cfg, nil
 }
 

@@ -106,7 +106,7 @@ func craftPStarZeroSketch(t *testing.T, params core.Params) *core.Sketch {
 // make json.Marshal fail downstream.
 func TestEmptySnapshotEstimateDefined(t *testing.T) {
 	cfg := Config{NumSets: 10, K: 2, Eps: 0.4, Seed: 3, EdgeBudget: 500, Shards: 2}
-	cfg.Restore = craftPStarZeroSketch(t, cfg.Params())
+	cfg.RestoreState = craftPStarZeroSketch(t, cfg.Params()).Freeze()
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

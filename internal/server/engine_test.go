@@ -209,7 +209,7 @@ func TestSnapshotRestoreResumesService(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg2 := cfg
-	cfg2.Restore = restored
+	cfg2.RestoreState = restored.Freeze()
 	second, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)

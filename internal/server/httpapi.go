@@ -80,7 +80,7 @@ func NewHTTPHandler(e *Engine, opt HTTPOptions) http.Handler {
 			snap, err := target.Refresh()
 			return snap, "", err
 		}
-		snap, err := persistSnapshot(target, opt.SnapshotPath)
+		snap, err := CheckpointEngine(target, opt.SnapshotPath)
 		return snap, opt.SnapshotPath, err
 	}
 	mux := http.NewServeMux()
@@ -118,7 +118,7 @@ func NewMultiHandler(m *Multi, opt HTTPOptions) http.Handler {
 		if err != nil || opt.SnapshotPath == "" {
 			return snap, "", err
 		}
-		if err := persistMultiSnapshot(m, opt.SnapshotPath); err != nil {
+		if err := CheckpointMulti(m, opt.SnapshotPath); err != nil {
 			return nil, "", err
 		}
 		return snap, opt.SnapshotPath, nil
@@ -532,18 +532,6 @@ func atomicWrite(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return syncDir(dir)
-}
-
-// persistSnapshot checkpoints one engine's state (format v1)
-// atomically to path, truncating its WAL behind the durable file.
-func persistSnapshot(e *Engine, path string) (*Snapshot, error) {
-	return CheckpointEngine(e, path)
-}
-
-// persistMultiSnapshot checkpoints the whole namespace directory as one
-// v2 container, atomically, truncating every namespace's WAL behind it.
-func persistMultiSnapshot(m *Multi, path string) error {
-	return CheckpointMulti(m, path)
 }
 
 // ingestRequest is the POST …/edges body: edges as [set, elem] pairs,

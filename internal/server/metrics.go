@@ -11,7 +11,8 @@ import (
 // This file is the observability plane: GET /metrics in the Prometheus
 // text exposition format (v0.0.4), surfacing every namespace's cheap
 // engine counters (Engine.Counters — atomic reads only, so a scraper
-// cannot perturb ingest by riding the shard mailboxes) plus any number
+// cannot perturb ingest by riding the shard mailboxes), the log
+// accounting of namespaces with a WAL, plus any number
 // of extra sources (the wire ingest server contributes its connection,
 // frame and backpressure-stall counters).
 
@@ -124,13 +125,22 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Gauge("covserved_snapshot_kept_edges", "Edges the current snapshot's merged state holds.", ns, float64(c.SnapshotKeptEdges))
 		w.Gauge("covserved_snapshot_p_star", "Element-sampling probability p* of the current snapshot's merged state (dynamic: 2^-level of the decoded L0 level; 0 before the first snapshot).", ns, c.SnapshotPStar)
 		w.Gauge("covserved_shard_kept_edges", "Edges the shard states held after the last freeze, summed over shards.", ns, float64(c.ShardKeptEdges))
+		if e.wal != nil {
+			st := e.WALStats()
+			w.Counter("covserved_wal_appends_total", "Frames appended to the write-ahead log.", ns, float64(st.Appends))
+			w.Counter("covserved_wal_fsyncs_total", "Fsyncs the log issued (group commit covers several appends with one).", ns, float64(st.Syncs))
+			w.Counter("covserved_wal_rotations_total", "Log segments sealed.", ns, float64(st.Rotations))
+			w.Gauge("covserved_wal_segments", "Log segments on disk (sealed + current).", ns, float64(st.Segments))
+			w.Gauge("covserved_wal_unsynced_edges", "Logged edges not yet known to be on stable storage (what an OS crash would lose).", ns, float64(st.NextOffset-st.SyncedOffset))
+		}
 	}
 }
 
 // NewMetricsHandler serves GET /metrics over a namespace directory plus
-// any extra sources. Scrapes read only atomic counters (no shard
-// mailbox traffic), so a tight scrape interval cannot perturb ingest or
-// queries.
+// any extra sources. Scrapes send nothing through the shard mailboxes:
+// they read atomic counters and, for a namespace with a WAL, take the
+// log's two short mutexes (wal.Log.Stats), so a scrape can wait behind
+// one in-flight append or fsync but never behind a refresh.
 func NewMetricsHandler(m *Multi, sources ...MetricsSource) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {

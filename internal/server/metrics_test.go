@@ -109,9 +109,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer m.Close()
 	cfg := Config{NumSets: 32, K: 4, Eps: 0.5, Seed: 1, Shards: 2}
 	// beta is a dynamic engine, so the scrape covers a namespace that can
-	// move the delete counter beside one that cannot.
+	// move the delete counter beside one that cannot; alpha alone is
+	// durable, so the WAL families must carry its label and no other.
+	walCfg := &WALConfig{Dir: t.TempDir(), Fsync: "off"}
 	for ns, engine := range map[string]ModeName{"alpha": ModeSketch, "beta": ModeDynamic} {
-		cfg.Engine = engine
+		cfg.Engine, cfg.WAL = engine, nil
+		if ns == "alpha" {
+			cfg.WAL = walCfg
+		}
 		if _, err := m.Create(ns, cfg); err != nil {
 			t.Fatalf("Create(%q): %v", ns, err)
 		}
@@ -172,6 +177,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		"covserved_snapshot_kept_edges":    "gauge",
 		"covserved_snapshot_p_star":        "gauge",
 		"covserved_shard_kept_edges":       "gauge",
+		"covserved_wal_appends_total":      "counter",
+		"covserved_wal_fsyncs_total":       "counter",
+		"covserved_wal_rotations_total":    "counter",
+		"covserved_wal_segments":           "gauge",
+		"covserved_wal_unsynced_edges":     "gauge",
 		"covserved_test_extra_total":       "counter",
 	}
 	for family, typ := range wantTypes {
@@ -227,6 +237,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := s1.value(t, `covserved_refresh_seconds_total{ns="beta"}`); got != 0 {
 		t.Fatalf("beta refresh seconds = %v, want 0", got)
 	}
+	// One logged batch in one segment; under -wal-fsync off nothing was
+	// synced, so all of it is what an OS crash would lose. beta has no WAL
+	// and therefore no sample in any WAL family.
+	for family, want := range map[string]float64{
+		"covserved_wal_appends_total": 1, "covserved_wal_fsyncs_total": 0, "covserved_wal_rotations_total": 0,
+		"covserved_wal_segments": 1, "covserved_wal_unsynced_edges": 200,
+	} {
+		if got := s1.value(t, family+`{ns="alpha"}`); got != want {
+			t.Fatalf("alpha %s = %v, want %v", family, got, want)
+		}
+		if _, ok := s1.samples[family+`{ns="beta"}`]; ok {
+			t.Fatalf("%s has a sample for beta, which has no WAL", family)
+		}
+	}
 	// Label values are escaped.
 	if _, ok := s1.samples[`covserved_test_extra_total{src="quo\"te"}`]; !ok {
 		t.Fatalf("escaped extra-source sample missing; have %v", s1.samples)
@@ -268,6 +292,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := s2.value(t, `covserved_ingested_edges_total{ns="alpha"}`); got != 250 {
 		t.Fatalf("alpha ingested after second scrape = %v, want 250", got)
+	}
+	if got := s2.value(t, `covserved_wal_unsynced_edges{ns="alpha"}`); got != 250 {
+		t.Fatalf("alpha unsynced edges after a second logged batch = %v, want 250", got)
 	}
 	if got := s2.value(t, `covserved_deleted_edges_total{ns="beta"}`); got != 1 {
 		t.Fatalf("beta deleted after second scrape = %v, want 1", got)

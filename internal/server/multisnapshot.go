@@ -185,7 +185,7 @@ func (m *Multi) RestoreAll(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("server: reading snapshot header: %w", err)
 	}
 	if string(magic) != MultiSnapshotMagic {
-		return 0, fmt.Errorf("server: bad snapshot magic %q (want %q; single-sketch %q files restore via Config.Restore)",
+		return 0, fmt.Errorf("server: bad snapshot magic %q (want %q; single-sketch %q files restore via ReadRestore)",
 			magic, MultiSnapshotMagic, core.SketchMagic)
 	}
 	var count uint32

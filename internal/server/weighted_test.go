@@ -214,9 +214,9 @@ func TestWeightedEngineValidation(t *testing.T) {
 	}
 
 	mixed := testConfig(10, 100, 2, 1, 2)
-	mixed.RestoreWeighted = &weighted.Bank{}
+	mixed.RestoreState = bankState{&weighted.Bank{}}
 	if _, err := New(mixed); err == nil {
-		t.Fatal("RestoreWeighted without Weights accepted")
+		t.Fatal("a class bank restored into an unweighted engine")
 	}
 }
 

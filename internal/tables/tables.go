@@ -14,8 +14,8 @@ import (
 )
 
 // Config scales the experiments. The zero value selects the full sizes
-// used to produce EXPERIMENTS.md; Quick selects small sizes for benches
-// and smoke tests.
+// of `covbench -run all`; Quick selects small sizes for benches and
+// smoke tests.
 type Config struct {
 	// Seed drives all randomness; runs are deterministic given it.
 	Seed uint64
@@ -58,25 +58,21 @@ type Runner func(Config) []*stats.Table
 // Experiments maps experiment ids (DESIGN.md §4) to runners.
 func Experiments() map[string]Runner {
 	return map[string]Runner{
-		"table1-kcover":      RunTable1KCover,
-		"table1-outliers":    RunTable1Outliers,
-		"table1-setcover":    RunTable1SetCover,
-		"fig1-sketch":        RunFig1Sketch,
-		"thm31-kcover":       RunThm31KCover,
-		"thm33-outliers":     RunThm33Outliers,
-		"thm34-setcover":     RunThm34SetCover,
-		"lem22-accuracy":     RunLem22Accuracy,
-		"thm12-lb":           RunThm12LowerBound,
-		"thm13-oracle":       RunThm13Oracle,
-		"appD-l0":            RunAppDL0,
-		"ablate-degcap":      RunAblateDegreeCap,
-		"ablate-guess":       RunAblateGuessGrid,
-		"dist-merge":         RunDistMerge,
-		"ext-weighted":       RunExtWeighted,
-		"ingest-throughput":  RunIngestThroughput,
-		"query-throughput":   RunQueryThroughput,
-		"cluster-throughput": RunClusterThroughput,
-		"dynamic-throughput": RunDynamicThroughput,
+		"table1-kcover":   RunTable1KCover,
+		"table1-outliers": RunTable1Outliers,
+		"table1-setcover": RunTable1SetCover,
+		"fig1-sketch":     RunFig1Sketch,
+		"thm31-kcover":    RunThm31KCover,
+		"thm33-outliers":  RunThm33Outliers,
+		"thm34-setcover":  RunThm34SetCover,
+		"lem22-accuracy":  RunLem22Accuracy,
+		"thm12-lb":        RunThm12LowerBound,
+		"thm13-oracle":    RunThm13Oracle,
+		"appD-l0":         RunAppDL0,
+		"ablate-degcap":   RunAblateDegreeCap,
+		"ablate-guess":    RunAblateGuessGrid,
+		"dist-merge":      RunDistMerge,
+		"ext-weighted":    RunExtWeighted,
 	}
 }
 

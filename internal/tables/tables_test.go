@@ -11,11 +11,10 @@ func quickCfg() Config { return Config{Quick: true, Trials: 1, Seed: 42} }
 func TestExperimentRegistryComplete(t *testing.T) {
 	ids := ExperimentIDs()
 	want := []string{
-		"ablate-degcap", "ablate-guess", "appD-l0", "cluster-throughput",
-		"dist-merge", "dynamic-throughput", "ext-weighted", "fig1-sketch",
-		"ingest-throughput", "lem22-accuracy", "query-throughput",
-		"table1-kcover", "table1-outliers", "table1-setcover", "thm12-lb",
-		"thm13-oracle", "thm31-kcover", "thm33-outliers", "thm34-setcover",
+		"ablate-degcap", "ablate-guess", "appD-l0", "dist-merge",
+		"ext-weighted", "fig1-sketch", "lem22-accuracy", "table1-kcover",
+		"table1-outliers", "table1-setcover", "thm12-lb", "thm13-oracle",
+		"thm31-kcover", "thm33-outliers", "thm34-setcover",
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("have %d experiments, want %d: %v", len(ids), len(want), ids)
@@ -184,30 +183,6 @@ func TestExtWeightedRuns(t *testing.T) {
 	}
 }
 
-func TestIngestThroughputShape(t *testing.T) {
-	tbls, err := Run("ingest-throughput", quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tbls[0].Rows
-	if len(rows) != 4 {
-		t.Fatalf("expected 4 mode rows, got %d", len(rows))
-	}
-	if rows[0][0] != "AddEdge (single)" {
-		t.Fatalf("first row must be the single-edge baseline, got %q", rows[0][0])
-	}
-	for _, row := range rows {
-		eps, err1 := strconv.ParseFloat(row[2], 64)
-		sp, err2 := strconv.ParseFloat(row[3], 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("unparsable row %v", row)
-		}
-		if eps <= 0 || sp <= 0 {
-			t.Fatalf("non-positive throughput in row %v", row)
-		}
-	}
-}
-
 func TestDistMergeSolutionsMatch(t *testing.T) {
 	tbls, err := Run("dist-merge", quickCfg())
 	if err != nil {
@@ -260,41 +235,5 @@ func TestConfigHelpers(t *testing.T) {
 	}
 	if c.trialSeed(1, 2) == c.trialSeed(1, 3) || c.trialSeed(1, 2) == c.trialSeed(2, 2) {
 		t.Fatal("trialSeed collisions")
-	}
-}
-
-func TestQueryThroughputShape(t *testing.T) {
-	tbls, err := Run("query-throughput", quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbls) != 2 {
-		t.Fatalf("expected query + refresh tables, got %d", len(tbls))
-	}
-	qrows := tbls[0].Rows
-	if len(qrows) != 4 {
-		t.Fatalf("expected 4 query mode rows, got %d", len(qrows))
-	}
-	if qrows[0][0] != "stamp greedy (pre-refactor baseline)" {
-		t.Fatalf("first row must be the stamp baseline, got %q", qrows[0][0])
-	}
-	for _, row := range qrows {
-		qps, err1 := strconv.ParseFloat(row[2], 64)
-		sp, err2 := strconv.ParseFloat(row[3], 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("unparsable row %v", row)
-		}
-		if qps <= 0 || sp <= 0 {
-			t.Fatalf("non-positive throughput in row %v", row)
-		}
-	}
-	mrows := tbls[1].Rows
-	if len(mrows) != 4 {
-		t.Fatalf("expected 4 refresh rows, got %d", len(mrows))
-	}
-	for _, row := range mrows {
-		if _, err := strconv.ParseFloat(row[1], 64); err != nil {
-			t.Fatalf("unparsable refresh row %v", row)
-		}
 	}
 }

@@ -1,13 +1,13 @@
 // Package wire is the high-throughput binary ingest plane: a
 // persistent-connection, length-prefixed, CRC-framed edge-batch
 // protocol that feeds the sharded engine directly, bypassing the
-// per-request HTTP JSON surface. The core sketch ingests tens of
-// millions of edges per second (BENCH_ingest.json); this protocol
-// removes the encoding and request overhead between a producer and
-// that hot path, with backpressure tied to the engine's bounded shard
-// mailboxes: when they are full the server simply stops reading the
-// socket, so TCP flow control pushes the stall back to the producer
-// instead of buffering unboundedly anywhere.
+// per-request HTTP JSON surface. The core sketch absorbs a batched edge
+// in tens of nanoseconds (core.add_edges.ns_per_edge on the bench/
+// ladder); this protocol removes the encoding and request overhead
+// between a producer and that hot path, with backpressure tied to the
+// engine's bounded shard mailboxes: when they are full the server simply
+// stops reading the socket, so TCP flow control pushes the stall back to
+// the producer instead of buffering unboundedly anywhere.
 //
 // # Connection lifecycle
 //

@@ -21,7 +21,7 @@ type Options struct {
 	// EdgeBudget caps the sketch at an explicit number of edges. Zero
 	// selects the paper's O~(n) formula, whose constants are conservative
 	// — for practical runs a budget of 50–100 edges per set is plenty
-	// (see EXPERIMENTS.md).
+	// (see `covbench -run thm31-kcover`).
 	EdgeBudget int
 	// SpaceFactor scales the paper's formula budget instead of replacing
 	// it (ignored when EdgeBudget is set).

@@ -17,8 +17,8 @@
 //   - SetCover: 2r−1 passes, (1+ε)·ln(m)-approximate full set cover.
 //
 // All functions are deterministic given Options.Seed. See DESIGN.md for
-// the mapping from the paper's theorems to this API and EXPERIMENTS.md
-// for measured guarantees.
+// the mapping from the paper's theorems to this API; `covbench -run all`
+// (experiment index in DESIGN.md §4) prints the measured guarantees.
 package streamcover
 
 import (
