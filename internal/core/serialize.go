@@ -41,6 +41,7 @@ func (s *Sketch) Clone() *Sketch {
 		slots:      make([]slot, len(s.slots)),
 		free:       append([]int32(nil), s.free...),
 		heap:       append([]int32(nil), s.heap...),
+		dirty:      append([]int32(nil), s.dirty...), // the slot flags are copied below
 		totalEdges: s.totalEdges,
 		evicted:    s.evicted,
 		barHash:    s.barHash,

@@ -32,6 +32,11 @@ type Sketch struct {
 	slots []slot
 	free  []int32
 	heap  []int32 // max-heap over slots by (hash, elem)
+	// dirty lists the slots that stored an edge since the last Cut, each
+	// once (slot.dirty says whether a slot is on it), so it is bounded by
+	// the slot count. Eviction leaves both alone: a freed slot is skipped
+	// by Cut, a reused one is still on the list for its new element.
+	dirty []int32
 
 	totalEdges int
 
@@ -57,6 +62,7 @@ type slot struct {
 	sets   []uint32
 	sorted bool
 	full   bool  // degree cap reached; later edges of this element drop
+	dirty  bool  // on Sketch.dirty
 	hpos   int32 // position in heap, -1 if free
 }
 
@@ -318,6 +324,10 @@ func (s *Sketch) addToSlot(si int32, set uint32, count bool) {
 			sl.sets = make([]uint32, 0, c)
 		}
 		sl.sets = append(sl.sets, set)
+	}
+	if !sl.dirty {
+		sl.dirty = true
+		s.dirty = append(s.dirty, si)
 	}
 	s.totalEdges++
 	// Peak residency is tracked at insert time so the batched path's

@@ -46,13 +46,55 @@ type View struct {
 // place) and the view shares no storage with it, so further ingest
 // never shows through.
 func (s *Sketch) Freeze() *View {
-	n := len(s.heap)
+	kept := make([]int32, 0, len(s.heap))
+	for i := range s.slots {
+		if s.slots[i].hpos >= 0 {
+			kept = append(kept, int32(i))
+		}
+	}
+	return s.freeze(kept, s.totalEdges)
+}
+
+// Cut is Freeze for a caller that cuts the same sketch again and again
+// and merges each cut into the result of the merge before: it forgets
+// which elements changed, and with delta set it returns only those — the
+// kept elements that stored an edge since the previous Cut, each with its
+// whole current set list, under the sketch's current bar and consumed-edge
+// total. Like every view, a delta shares no storage with the sketch.
+//
+// On an append-only sketch a kept element's list only grows and what
+// leaves is the priority suffix at or above the new bar, so the sketch now
+// is the sketch at the previous Cut, cut at the new bar, with the delta's
+// elements replaced or added: MergeViews over the delta and a view that
+// already folded the previous Cut equals MergeViews over a full Cut
+// (DESIGN.md §11 has the argument and when a caller may rely on it).
+func (s *Sketch) Cut(delta bool) *View {
+	changed, edges := s.dirty[:0], 0 // filtered in place; freeze only reads it
+	for _, si := range s.dirty {
+		sl := &s.slots[si]
+		sl.dirty = false
+		if sl.hpos >= 0 {
+			changed = append(changed, si)
+			edges += len(sl.sets)
+		}
+	}
+	s.dirty = s.dirty[:0]
+	if !delta {
+		return s.Freeze()
+	}
+	return s.freeze(changed, edges)
+}
+
+// freeze builds the view of the kept slots listed in idx, which hold
+// edges edges between them.
+func (s *Sketch) freeze(idx []int32, edges int) *View {
+	n := len(idx)
 	v := &View{
 		params:    s.params,
 		hashes:    make([]uint64, n),
 		elems:     make([]uint32, n),
 		off:       make([]int64, n+1),
-		sets:      make([]uint32, s.totalEdges),
+		sets:      make([]uint32, edges),
 		evicted:   s.evicted,
 		barHash:   s.barHash,
 		barElem:   s.barElem,
@@ -61,36 +103,33 @@ func (s *Sketch) Freeze() *View {
 	if n == 0 {
 		return v
 	}
-	// Order the kept slots by priority with a counting sort on the top
-	// bits of the hash: kept hashes are uniform below the bar, so with as
-	// many buckets as elements nearly every element lands in its final
-	// position and the insertion pass below only settles neighbours. Until
-	// the last pass v.elems holds slot indices, not element ids.
+	// Order the slots by priority with a counting sort on the top bits of
+	// the hash: kept hashes are uniform below the bar, so with as many
+	// buckets as elements nearly every element lands in its final position
+	// and the insertion pass below only settles neighbours. Until the last
+	// pass v.elems holds slot indices, not element ids.
 	maxHash := s.barHash // every kept hash is at most the bar's
 	if !s.evicted {
-		for i := range s.slots {
-			if sl := &s.slots[i]; sl.hpos >= 0 && sl.hash > maxHash {
-				maxHash = sl.hash
+		for _, si := range idx {
+			if h := s.slots[si].hash; h > maxHash {
+				maxHash = h
 			}
 		}
 	}
 	up := bits.LeadingZeros64(maxHash | 1)
 	down := 64 - bits.Len(uint(n))
 	next := make([]int32, (1<<(64-down))+1)
-	for i := range s.slots {
-		if sl := &s.slots[i]; sl.hpos >= 0 {
-			next[(sl.hash<<up)>>down+1]++
-		}
+	for _, si := range idx {
+		next[(s.slots[si].hash<<up)>>down+1]++
 	}
 	for b := 1; b < len(next); b++ {
 		next[b] += next[b-1]
 	}
-	for i := range s.slots {
-		if sl := &s.slots[i]; sl.hpos >= 0 {
-			b := (sl.hash << up) >> down
-			v.hashes[next[b]], v.elems[next[b]] = sl.hash, uint32(i)
-			next[b]++
-		}
+	for _, si := range idx {
+		h := s.slots[si].hash
+		b := (h << up) >> down
+		v.hashes[next[b]], v.elems[next[b]] = h, uint32(si)
+		next[b]++
 	}
 	for i := 1; i < n; i++ {
 		h, si := v.hashes[i], v.elems[i]

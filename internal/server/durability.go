@@ -128,6 +128,7 @@ func (e *Engine) Checkpoint() (*Snapshot, error) {
 	e.ingestMu.Lock()
 	if e.closed {
 		e.ingestMu.Unlock()
+		e.refreshErrors.Add(1)
 		return nil, ErrClosed
 	}
 	// Idle short-circuit: with the ingest lock held exclusively the

@@ -19,12 +19,15 @@
 // append-only stream the merged cut only moves down, so no later merge
 // can keep it — DESIGN.md §11), freezes the rest into the canonical flat
 // core.View (elements in hash order with sorted set lists — Definition
-// 2.1's prefix written down), core.MergeViews walks the shard views in
-// priority order up to the budget cut, which is exactly the sketch a
-// single machine would have built over every edge ingested before the
-// request (internal/core/merge.go, view.go), and the merged view's own
-// arrays are adopted as the element side of the query graph and walked
-// once more to emit the snapshot bytes. Those bytes decode straight back
+// 2.1's prefix written down) — all of it on an engine's first refresh and
+// after a refresh that failed, otherwise only the elements that gained an
+// edge since the shard's last cut, which the published view already folded
+// (a delta; §11 again) — core.MergeViews walks the shard views, and beside
+// deltas the published view, in priority order up to the budget cut, which
+// is exactly the sketch a single machine would have built over every edge
+// ingested before the request (internal/core/merge.go, view.go), and the
+// merged view's own arrays are adopted as the element side of the query
+// graph and walked once more to emit the snapshot bytes. Those bytes decode straight back
 // into a view (core.ReadView), which is what a restore and a cluster
 // peer's pull hold. The weighted mode freezes by deep copy; the dynamic
 // mode copies each shard's cells once, into an array recycled from the
@@ -124,7 +127,8 @@ type Config struct {
 	// OnRefreshError, when non-nil, is invoked with the first error of
 	// the periodic merge loop (Config.MergeEvery) — at most once per
 	// engine, so a supervisor can log the failure without being flooded.
-	// Every background failure is also counted in Stats.RefreshErrors.
+	// Every failed refresh, the loop's or a caller's, is also counted in
+	// Stats.RefreshErrors.
 	OnRefreshError func(error)
 
 	// RestoreState, when non-nil, seeds the engine with a decoded state
@@ -424,8 +428,15 @@ type Engine struct {
 	// shardKept is the edge total the shard states held, summed over the
 	// replies of the last freeze (0 before the first).
 	shardKept atomic.Int64
-	// refreshErrors counts background (merge-ticker) refreshes that
-	// failed; refreshErrOnce gates the Config.OnRefreshError callback.
+	// fullCuts and deltaCuts count the cuts sketch shards answered freeze
+	// requests with, by kind, and deltaEdges sums the edges the delta cuts
+	// carried; beside shardKept that is the share of shard state a refresh
+	// re-cuts. All three stay 0 on the other modes.
+	fullCuts   atomic.Int64
+	deltaCuts  atomic.Int64
+	deltaEdges atomic.Int64
+	// refreshErrors counts refreshes that failed, whoever asked for them;
+	// refreshErrOnce gates the Config.OnRefreshError callback.
 	refreshErrors  atomic.Int64
 	refreshErrOnce sync.Once
 
@@ -455,6 +466,12 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newEngine(cfg, mode)
+}
+
+// newEngine is New after validation, with the resolved mode as a
+// parameter so a test can wrap it.
+func newEngine(cfg Config, mode Mode) (*Engine, error) {
 	// Consumed by the merge below; the pointer dies with this scope, so
 	// the engine does not pin a full copy for life.
 	restore := cfg.RestoreState
@@ -462,9 +479,11 @@ func New(cfg Config) (*Engine, error) {
 
 	states := make([]ShardState, cfg.shards())
 	for i := range states {
-		if states[i], err = mode.NewShardState(); err != nil {
+		st, err := mode.NewShardState()
+		if err != nil {
 			return nil, err
 		}
+		states[i] = st
 	}
 	restoredEdges := int64(0)
 	if restore != nil {
@@ -549,10 +568,10 @@ func (e *Engine) mergeLoop(every time.Duration) {
 		select {
 		case <-t.C:
 			if _, err := e.Refresh(); err != nil {
-				// A failed background merge is invisible to any caller —
-				// count it (Stats.RefreshErrors) and surface the first one
-				// to the supervisor instead of dropping it on the floor.
-				e.refreshErrors.Add(1)
+				// A failed background merge is invisible to any caller: it
+				// was counted where it failed (Stats.RefreshErrors); surface
+				// the first one to the supervisor instead of dropping it on
+				// the floor.
 				if cb := e.cfg.OnRefreshError; cb != nil {
 					e.refreshErrOnce.Do(func() { cb(err) })
 				}
@@ -804,6 +823,7 @@ func (e *Engine) refreshLocked() (*Snapshot, error) {
 	// between it and the requests is legitimately included.
 	replies, err := e.placeStateRequests(true)
 	if err != nil {
+		e.refreshErrors.Add(1)
 		return nil, err
 	}
 	return e.buildSnapshot(replies)
@@ -827,10 +847,22 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 		applied += rep.stats.EdgesSeen
 		shardKept += int64(rep.stats.EdgesKept)
 		states[i] = rep.frozen
+		if cut, ok := rep.frozen.(*sketchCut); ok {
+			if cut.base == nil {
+				e.fullCuts.Add(1)
+			} else {
+				e.deltaCuts.Add(1)
+				e.deltaEdges.Add(int64(cut.Stats().EdgesKept))
+			}
+		}
 	}
 	e.shardKept.Store(shardKept)
 	snap, err := MergeSnapshot(e.mode, e.seq.Add(1), applied, states)
 	if err != nil {
+		// Counted here, whoever asked: the ticker, a ?refresh=1 query, a
+		// snapshot GET, a peer's pull or a checkpoint. The shards have cut
+		// and nothing was published, so a sketch shard's next cut is full.
+		e.refreshErrors.Add(1)
 		return nil, err
 	}
 	e.snap.Store(snap)
@@ -866,9 +898,10 @@ func (e *Engine) Config() Config {
 	return cfg
 }
 
-// RefreshErrors reports the number of background (merge-ticker)
-// refreshes that failed. A single atomic load — unlike Stats it stays
-// readable after Close, when the failures typically happen.
+// RefreshErrors reports the number of refreshes that failed, whoever
+// asked: the merge ticker, a refreshing query, a snapshot read, a peer's
+// pull or a checkpoint. A single atomic load — unlike Stats it stays
+// readable after Close, when the ticker's failures typically happen.
 func (e *Engine) RefreshErrors() int64 { return e.refreshErrors.Load() }
 
 // IngestedEdges reports the number of edges accepted so far. Unlike
@@ -1204,8 +1237,8 @@ type Stats struct {
 	// RefreshSkips counts Refresh calls satisfied by the idle
 	// short-circuit (ingested-edge counter unchanged since the snapshot).
 	RefreshSkips int64 `json:"refresh_skips"`
-	// RefreshErrors counts background (merge-ticker) refreshes that
-	// failed; the first failure also reaches Config.OnRefreshError.
+	// RefreshErrors counts refreshes that failed, whoever asked for them;
+	// the merge ticker's first failure also reaches Config.OnRefreshError.
 	RefreshErrors int64 `json:"refresh_errors"`
 	// Weighted reports whether the engine runs the weighted query plane;
 	// WeightClasses counts the non-empty weight classes in the current

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -267,5 +269,51 @@ func TestStatsReportRefreshErrors(t *testing.T) {
 	}
 	if st.RefreshErrors != 0 {
 		t.Fatalf("fresh engine reports %d refresh errors", st.RefreshErrors)
+	}
+}
+
+// TestFailedRefreshIsCountedWhoeverAsked: with no merge ticker at all, a
+// build that fails under a refreshing query, a checkpoint or a snapshot
+// write moves Stats.RefreshErrors once each — the counter used to belong
+// to the ticker alone — and a good refresh afterwards moves it no further.
+func TestFailedRefreshIsCountedWhoeverAsked(t *testing.T) {
+	cfg := Config{NumSets: 8, K: 2, Eps: 0.5, Seed: 3, Shards: 2}
+	probe := newProbeMode(t, cfg)
+	e, err := newEngine(cfg, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.Ingest([]bipartite.Edge{{Set: 1, Elem: 1}, {Set: 2, Elem: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	probe.mu.Lock()
+	probe.failBefore = 3
+	probe.mu.Unlock()
+	callers := []struct {
+		name string
+		call func() error
+	}{
+		{"Query{Refresh: true}", func() error { _, err := e.Query(Query{Algo: AlgoKCover, K: 1, Refresh: true}); return err }},
+		{"Checkpoint", func() error { _, err := e.Checkpoint(); return err }},
+		{"WriteSnapshot", func() error { _, err := e.WriteSnapshot(io.Discard); return err }},
+	}
+	for i, c := range callers {
+		if err := c.call(); !errors.Is(err, errProbeMerge) {
+			t.Fatalf("%s returned %v, want the merge failure", c.name, err)
+		}
+		if got := e.RefreshErrors(); got != int64(i+1) {
+			t.Fatalf("after a failed %s: %d refresh errors, want %d", c.name, got, i+1)
+		}
+	}
+	if _, err := e.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RefreshErrors != 3 || st.Refreshes != 1 {
+		t.Fatalf("stats report %d refresh errors / %d refreshes, want 3 / 1", st.RefreshErrors, st.Refreshes)
 	}
 }

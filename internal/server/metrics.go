@@ -119,12 +119,18 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Counter("covserved_refreshes_total", "Coordinator merges that actually ran.", ns, float64(c.Refreshes))
 		w.Counter("covserved_refresh_seconds_total", "Time spent in the coordinator merges that ran (idle skips add none).", ns, time.Duration(c.RefreshNanos).Seconds())
 		w.Counter("covserved_refresh_skips_total", "Refresh calls satisfied by the idle short-circuit.", ns, float64(c.RefreshSkips))
-		w.Counter("covserved_refresh_errors_total", "Background merge failures.", ns, float64(c.RefreshErrors))
+		w.Counter("covserved_refresh_errors_total", "Refreshes that failed, whoever asked for them.", ns, float64(c.RefreshErrors))
 		w.Gauge("covserved_snapshot_seq", "Current merged snapshot sequence number.", ns, float64(c.SnapshotSeq))
 		w.Gauge("covserved_snapshot_edges", "Ingested-edge count the current snapshot reflects.", ns, float64(c.SnapshotEdges))
 		w.Gauge("covserved_snapshot_kept_edges", "Edges the current snapshot's merged state holds.", ns, float64(c.SnapshotKeptEdges))
 		w.Gauge("covserved_snapshot_p_star", "Element-sampling probability p* of the current snapshot's merged state (dynamic: 2^-level of the decoded L0 level; 0 before the first snapshot).", ns, c.SnapshotPStar)
 		w.Gauge("covserved_shard_kept_edges", "Edges the shard states held after the last freeze, summed over shards.", ns, float64(c.ShardKeptEdges))
+		if e.mode.Name() == ModeSketch {
+			const cutsHelp = "Cuts the shards answered refreshes with: full (the whole shard state) or delta (only what changed since the last publish)."
+			w.Counter("covserved_shard_cuts_total", cutsHelp, []Label{{"ns", name}, {"kind", "delta"}}, float64(e.deltaCuts.Load()))
+			w.Counter("covserved_shard_cuts_total", cutsHelp, []Label{{"ns", name}, {"kind", "full"}}, float64(e.fullCuts.Load()))
+			w.Counter("covserved_refresh_delta_edges_total", "Edges the delta cuts carried; per refresh, beside covserved_shard_kept_edges, the share of shard state re-cut.", ns, float64(e.deltaEdges.Load()))
+		}
 		if e.wal != nil {
 			st := e.WALStats()
 			w.Counter("covserved_wal_appends_total", "Frames appended to the write-ahead log.", ns, float64(st.Appends))

@@ -161,28 +161,30 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Expected families, with their types.
 	wantTypes := map[string]string{
-		"covserved_namespaces":             "gauge",
-		"covserved_ingested_edges_total":   "counter",
-		"covserved_ingest_batches_total":   "counter",
-		"covserved_deleted_edges_total":    "counter",
-		"covserved_ingest_stalls_total":    "counter",
-		"covserved_queries_total":          "counter",
-		"covserved_query_cache_hits_total": "counter",
-		"covserved_refreshes_total":        "counter",
-		"covserved_refresh_seconds_total":  "counter",
-		"covserved_refresh_skips_total":    "counter",
-		"covserved_refresh_errors_total":   "counter",
-		"covserved_snapshot_seq":           "gauge",
-		"covserved_snapshot_edges":         "gauge",
-		"covserved_snapshot_kept_edges":    "gauge",
-		"covserved_snapshot_p_star":        "gauge",
-		"covserved_shard_kept_edges":       "gauge",
-		"covserved_wal_appends_total":      "counter",
-		"covserved_wal_fsyncs_total":       "counter",
-		"covserved_wal_rotations_total":    "counter",
-		"covserved_wal_segments":           "gauge",
-		"covserved_wal_unsynced_edges":     "gauge",
-		"covserved_test_extra_total":       "counter",
+		"covserved_namespaces":                "gauge",
+		"covserved_ingested_edges_total":      "counter",
+		"covserved_ingest_batches_total":      "counter",
+		"covserved_deleted_edges_total":       "counter",
+		"covserved_ingest_stalls_total":       "counter",
+		"covserved_queries_total":             "counter",
+		"covserved_query_cache_hits_total":    "counter",
+		"covserved_refreshes_total":           "counter",
+		"covserved_refresh_seconds_total":     "counter",
+		"covserved_refresh_skips_total":       "counter",
+		"covserved_refresh_errors_total":      "counter",
+		"covserved_snapshot_seq":              "gauge",
+		"covserved_snapshot_edges":            "gauge",
+		"covserved_snapshot_kept_edges":       "gauge",
+		"covserved_snapshot_p_star":           "gauge",
+		"covserved_shard_kept_edges":          "gauge",
+		"covserved_shard_cuts_total":          "counter",
+		"covserved_refresh_delta_edges_total": "counter",
+		"covserved_wal_appends_total":         "counter",
+		"covserved_wal_fsyncs_total":          "counter",
+		"covserved_wal_rotations_total":       "counter",
+		"covserved_wal_segments":              "gauge",
+		"covserved_wal_unsynced_edges":        "gauge",
+		"covserved_test_extra_total":          "counter",
 	}
 	for family, typ := range wantTypes {
 		if got := s1.types[family]; got != typ {
@@ -251,6 +253,23 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("%s has a sample for beta, which has no WAL", family)
 		}
 	}
+	// The one refresh was alpha's first, so both shards cut in full. The cut
+	// families describe sketch shards only: beta, a dynamic engine, has no
+	// sample in them.
+	for key, want := range map[string]float64{
+		`covserved_shard_cuts_total{ns="alpha",kind="full"}`:  2,
+		`covserved_shard_cuts_total{ns="alpha",kind="delta"}`: 0,
+		`covserved_refresh_delta_edges_total{ns="alpha"}`:     0,
+	} {
+		if got := s1.value(t, key); got != want {
+			t.Fatalf("%s = %v, want %v", key, got, want)
+		}
+	}
+	for key := range s1.samples {
+		if strings.Contains(key, `ns="beta"`) && (strings.HasPrefix(key, "covserved_shard_cuts_total") || strings.HasPrefix(key, "covserved_refresh_delta_edges_total")) {
+			t.Fatalf("%s: a cut sample for beta, which is not a sketch engine", key)
+		}
+	}
 	// Label values are escaped.
 	if _, ok := s1.samples[`covserved_test_extra_total{src="quo\"te"}`]; !ok {
 		t.Fatalf("escaped extra-source sample missing; have %v", s1.samples)
@@ -311,6 +330,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v1, v2 := s1.value(t, `covserved_refresh_seconds_total{ns="alpha"}`), s2.value(t, `covserved_refresh_seconds_total{ns="alpha"}`); v2 <= v1 {
 		t.Fatalf("alpha refresh seconds did not grow across a dirty refresh: %v → %v", v1, v2)
 	}
+	// The second refresh cut deltas, and empty ones: the 50 edges were all
+	// re-sent, so no shard stored anything.
+	for key, want := range map[string]float64{
+		`covserved_shard_cuts_total{ns="alpha",kind="full"}`:  2,
+		`covserved_shard_cuts_total{ns="alpha",kind="delta"}`: 2,
+		`covserved_refresh_delta_edges_total{ns="alpha"}`:     0,
+	} {
+		if got := s2.value(t, key); got != want {
+			t.Fatalf("%s after the second refresh = %v, want %v", key, got, want)
+		}
+	}
 	// An idle refresh is a skip and costs no refresh time.
 	if _, err := alpha.Refresh(); err != nil {
 		t.Fatalf("idle Refresh: %v", err)
@@ -324,6 +354,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if extra.calls != 3 {
 		t.Fatalf("extra source invoked %d times, want 3", extra.calls)
+	}
+
+	// Ten edges of ten new elements, nothing evicted at this budget: the
+	// next deltas carry exactly those.
+	fresh := make([]bipartite.Edge, 10)
+	for i := range fresh {
+		fresh[i] = bipartite.Edge{Set: uint32(i), Elem: uint32(1000 + i)}
+	}
+	if _, err := alpha.Ingest(fresh); err != nil {
+		t.Fatalf("Ingest 3: %v", err)
+	}
+	if _, err := alpha.Refresh(); err != nil {
+		t.Fatalf("Refresh: %v", err)
+	}
+	s4 := scrape()
+	if cuts, carried := s4.value(t, `covserved_shard_cuts_total{ns="alpha",kind="delta"}`), s4.value(t, `covserved_refresh_delta_edges_total{ns="alpha"}`); cuts != 4 || carried != 10 {
+		t.Fatalf("after ten new edges: %v delta cuts carrying %v edges, want 4 carrying 10", cuts, carried)
 	}
 
 	// Method handling: POST is refused, HEAD answers headers only.

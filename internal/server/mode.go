@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
@@ -87,9 +88,10 @@ type ShardState interface {
 	// Mode.MergeStates call. published is the merged state the engine
 	// last published (nil before the first refresh): a mode whose merged
 	// cut only ever moves down may first discard whatever that state
-	// already excludes, since no later merge can take it back. The sketch
-	// mode does; the weighted and dynamic modes ignore it (dynamic must:
-	// deletes move its cut both ways).
+	// already excludes, since no later merge can take it back, and may
+	// answer with only what changed since the cut that state folded. The
+	// sketch mode does both; the weighted and dynamic modes ignore it
+	// (dynamic must: deletes move its cut both ways).
 	Freeze(published FrozenState) FrozenState
 }
 
@@ -105,11 +107,12 @@ type opApplier interface {
 // FrozenState is a state nobody mutates any more: what Freeze,
 // Mode.MergeStates and Mode.ReadState return, what a Snapshot carries
 // and what the cluster layer stores per peer. Its consumed-edge total is
-// fixed when it is built. The sketch mode's frozen state is the
-// canonical *core.View; the weighted mode hands out a deep copy of the
-// bank; the dynamic mode's shards hand out a dynamicCut (the cells copied
-// once into a recycled array, dynamic.go) and its merged and decoded
-// states are *dynamicState.
+// fixed when it is built. The sketch mode's merged and decoded states are
+// the canonical *core.View and its shards hand out a sketchCut (that view,
+// or after the first publish a delta of it); the weighted mode hands out a
+// deep copy of the bank; the dynamic mode's shards hand out a dynamicCut
+// (the cells copied once into a recycled array, dynamic.go) and its merged
+// and decoded states are *dynamicState.
 type FrozenState interface {
 	// Stats reports the state's accounting (see ShardState.Stats).
 	Stats() core.Stats
@@ -205,29 +208,61 @@ func (c Config) engineName() ModeName {
 
 // ---- sketch mode (unweighted H≤n sketch, the default) ----
 
-// sketchState is the shard-owned half; the frozen half is *core.View,
-// which the refresh merges, materializes and serializes without ever
-// rebuilding a sketch.
-type sketchState struct{ sk *core.Sketch }
+// sketchState is the shard-owned half. What crosses to the coordinator is
+// a sketchCut; the merged state — what a Snapshot, a restore and a peer
+// hold — is always a complete *core.View, which the refresh merges,
+// materializes and serializes without ever rebuilding a sketch.
+type sketchState struct {
+	sk *core.Sketch
+	// consumedBy is the last cut's receipt: MergeStates stores the merged
+	// view there once it has folded that cut. It holds nil while no merge
+	// has, and before the first cut.
+	consumedBy *atomic.Pointer[core.View]
+}
 
-func (s sketchState) AddEdges(edges []bipartite.Edge) { s.sk.AddEdges(edges) }
-func (s sketchState) Stats() core.Stats               { return s.sk.Stats() }
+// sketchCut is a shard's answer to a freeze request. When base is nil the
+// view is the shard's whole state. Otherwise it is a delta (core.Sketch.Cut):
+// only the elements that gained an edge since the shard's previous cut,
+// meaningful only merged together with base, the published view that
+// already folded that previous cut. It goes from Freeze to the one
+// MergeStates call of the same buildSnapshot and nowhere else.
+type sketchCut struct {
+	*core.View
+	base       *core.View
+	consumedBy *atomic.Pointer[core.View] // shared with the shard; see sketchState
+}
+
+func (s *sketchState) AddEdges(edges []bipartite.Edge) { s.sk.AddEdges(edges) }
+func (s *sketchState) Stats() core.Stats               { return s.sk.Stats() }
 
 // Freeze first lowers the shard's bar to the published merged bar: on an
 // append-only stream no later merge can keep an element at or above it,
 // and the merged view is the same with or without the shed (DESIGN.md
 // §11). N shards then hold, freeze and scan about one budget between
 // them instead of one each.
-func (s sketchState) Freeze(published FrozenState) FrozenState {
+//
+// The cut is a delta exactly when published is the view that folded this
+// shard's previous cut — read off that cut's receipt, not assumed from the
+// order refreshes happen to run in. It is a full cut the first time, after
+// a restore (a new engine has published nothing) and after any merge that
+// took a cut and published nothing, since the shard forgot what was dirty
+// when it cut.
+func (s *sketchState) Freeze(published FrozenState) FrozenState {
+	cut := &sketchCut{consumedBy: new(atomic.Pointer[core.View])}
 	if v, ok := published.(*core.View); ok {
 		if hash, elem, evicted := v.Bar(); evicted {
 			s.sk.LowerBar(hash, elem)
 		}
+		if s.consumedBy.Load() == v {
+			cut.base = v
+		}
 	}
-	return s.sk.Freeze()
+	cut.View = s.sk.Cut(cut.base != nil)
+	s.consumedBy = cut.consumedBy
+	return cut
 }
 
-func (s sketchState) MergeFrom(other FrozenState) error {
+func (s *sketchState) MergeFrom(other FrozenState) error {
 	v, ok := other.(*core.View)
 	if !ok {
 		return fmt.Errorf("server: cannot merge %T state into a sketch engine", other)
@@ -245,19 +280,44 @@ func (m sketchMode) NewShardState() (ShardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sketchState{sk}, nil
+	return &sketchState{sk: sk, consumedBy: new(atomic.Pointer[core.View])}, nil
 }
 
+// MergeStates folds complete views (a published state, a decoded peer or
+// restore state) and shard cuts with the one core.MergeViews. A delta cut
+// brings the published view it was cut against along as one more input:
+// base ∪ deltas is an ordinary k-way merge (DESIGN.md §11). On success
+// every cut's receipt names the merged view, which is how a shard later
+// recognizes the published state its next delta is valid against.
 func (m sketchMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
-	views := make([]*core.View, len(states))
-	for i, st := range states {
-		v, ok := st.(*core.View)
-		if !ok {
+	views := make([]*core.View, 0, len(states)+1)
+	var (
+		cuts []*sketchCut
+		base *core.View
+	)
+	for _, st := range states {
+		switch in := st.(type) {
+		case *core.View:
+			views = append(views, in)
+		case *sketchCut:
+			views = append(views, in.View)
+			cuts = append(cuts, in)
+			if in.base != nil && in.base != base {
+				base = in.base
+				views = append(views, base)
+			}
+		default:
 			return nil, fmt.Errorf("server: cannot merge %T state into a sketch engine", st)
 		}
-		views[i] = v
 	}
-	return core.MergeViews(m.params, edges, views...)
+	merged, err := core.MergeViews(m.params, edges, views...)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cuts {
+		c.consumedBy.Store(merged)
+	}
+	return merged, nil
 }
 
 // ReadState decodes a v1 sketch blob straight into the view its bytes

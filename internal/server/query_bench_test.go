@@ -1,8 +1,11 @@
 package server
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -95,9 +98,13 @@ func BenchmarkQueryRefreshIdle(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryRefreshDirty measures a full coordinator merge (clone
-// every shard, parallel tree reduce, materialize graph + cover index):
-// each iteration ingests one edge to re-arm the merge.
+// BenchmarkQueryRefreshDirty measures the fixed cost of a refresh that
+// finds almost nothing changed: each iteration re-sends one known edge to
+// re-arm the idle check, so every shard sheds to the published bar and
+// cuts an empty delta, and the coordinator walks the published view once
+// (core.MergeViews), adopts its arrays as the graph and builds the cover
+// index. BenchmarkRefreshDeltaCut prices a refresh between which real
+// edges arrived.
 func BenchmarkQueryRefreshDirty(b *testing.B) {
 	e := benchEngine(b, 0)
 	defer e.Close()
@@ -113,3 +120,97 @@ func BenchmarkQueryRefreshDirty(b *testing.B) {
 		}
 	}
 }
+
+// refreshBench is the mixed-fresh workload of bench/ at its own sizes: a
+// Zipf instance of 1000 sets over 10^6 elements (≈5.3M edges an epoch,
+// later epochs the same graph over new element ids), two shards, budget
+// 200 000.
+var refreshBench struct {
+	once sync.Once
+	base []bipartite.Edge
+}
+
+const refreshBenchElems = 1_000_000
+
+// benchRefreshBetweenEdges times Refresh alone on an engine warmed with
+// one epoch, with 170 000 edges never sent before (what 4M edges/s deliver
+// between two fresh queries of the closed-loop client) applied by the
+// shards before every timed call. With fullCut the edges arrive in two
+// halves around a refresh whose merge fails: the product's own fallback,
+// after which the timed refresh finds shards that must cut in full —
+// the refresh before shards cut deltas.
+func benchRefreshBetweenEdges(b *testing.B, fullCut bool) {
+	refreshBench.once.Do(func() {
+		inst := workload.Zipf(1000, refreshBenchElems, 500_000, 0.9, 0.7, 1)
+		refreshBench.base = stream.Drain(stream.Shuffled(inst.G, 2))
+	})
+	base := refreshBench.base
+	e, err := New(Config{
+		NumSets: 1000, NumElems: refreshBenchElems, K: 20,
+		Eps: 0.3, Seed: 7, EdgeBudget: 200_000, Shards: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	probe := &probeMode{Mode: e.mode} // wraps MergeStates only: the shard states are the product's
+	e.mode = probe
+
+	next, buf := 0, make([]bipartite.Edge, 4096)
+	ingest := func(n int) {
+		for n > 0 {
+			chunk := buf[:min(len(buf), n)]
+			for i := range chunk {
+				edge := base[next%len(base)]
+				edge.Elem += uint32(next / len(base) * refreshBenchElems)
+				chunk[i] = edge
+				next++
+			}
+			if _, err := e.Ingest(chunk); err != nil {
+				b.Fatal(err)
+			}
+			n -= len(chunk)
+		}
+	}
+	// Two refreshes before the clock: an instance's second one sheds the
+	// bulk of what the shards held above the first published bar, once.
+	for _, n := range []int{len(base), 170_000} {
+		ingest(n)
+		if _, err := e.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if fullCut {
+			ingest(85_000)
+			probe.mu.Lock()
+			probe.failBefore = 1
+			probe.mu.Unlock()
+			if _, err := e.Refresh(); !errors.Is(err, errProbeMerge) {
+				b.Fatalf("failing refresh returned %v", err)
+			}
+			ingest(85_000)
+		} else {
+			ingest(170_000)
+		}
+		if _, err := e.Stats(); err != nil { // rides the mailboxes: every batch is applied
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := e.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if full, delta := e.fullCuts.Load(), e.deltaCuts.Load(); fullCut && delta != 2*int64(b.N+1) || !fullCut && full != 2 {
+		b.Fatalf("%d full / %d delta cuts over %d iterations", full, delta, b.N)
+	}
+}
+
+// BenchmarkRefreshDeltaCut / BenchmarkRefreshFullCut are the two sides of
+// the delta refresh (see benchRefreshBetweenEdges).
+func BenchmarkRefreshDeltaCut(b *testing.B) { benchRefreshBetweenEdges(b, false) }
+func BenchmarkRefreshFullCut(b *testing.B)  { benchRefreshBetweenEdges(b, true) }
