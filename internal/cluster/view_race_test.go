@@ -13,19 +13,34 @@ import (
 )
 
 // TestPublishedViewsAreNeverWritten runs everything that reads a
-// published sketch view — Refresh, Checkpoint, the HTTP snapshot GET, a
-// peer's pull of it and the cluster view fold — against one engine at
-// once, under ingest. Views are shared without copies (the merged view
-// is the snapshot's graph, its bytes, and an input of the next cluster
-// fold), so the contract is that nobody writes to one: the race detector
-// watches every access here, and each snapshot's bytes are recorded when
-// it is first seen and compared again after the storm. Run with -race.
+// published view — Refresh, Checkpoint, the HTTP snapshot GET, a peer's
+// pull of it and the cluster view fold — against one engine at once,
+// under ingest, for both modes whose frozen state is made of core.Views
+// (the sketch mode's one, the weighted mode's one per weight class).
+// Views are shared without copies (the merged view is the snapshot's
+// graph, its bytes, and an input of the next cluster fold), so the
+// contract is that nobody writes to one: the race detector watches every
+// access here, and each snapshot's bytes are recorded when it is first
+// seen and compared again after the storm. Run with -race.
 func TestPublishedViewsAreNeverWritten(t *testing.T) {
+	for _, mode := range []server.ModeName{server.ModeSketch, server.ModeWeighted} {
+		t.Run(string(mode), func(t *testing.T) { publishedViewsAreNeverWritten(t, mode) })
+	}
+}
+
+func publishedViewsAreNeverWritten(t *testing.T, mode server.ModeName) {
 	const rounds = 25
+	ns, cfg := server.DefaultNamespace, testConfig(3)
+	if mode == server.ModeWeighted {
+		ns, cfg.Weights = "wcov", testWeights()
+	}
 	nodes := startCluster(t, 2, 3)
 	a, b := nodes[0], nodes[1]
-	ea, _ := a.multi.Get(server.DefaultNamespace)
-	eb, _ := b.multi.Get(server.DefaultNamespace)
+	ea, _ := a.multi.Get(ns)
+	eb, _ := b.multi.Get(ns)
+	if ea.ModeName() != mode {
+		t.Fatalf("namespace %q runs the %s engine", ns, ea.ModeName())
+	}
 	edges := testEdges(t)
 	third := len(edges) / 3
 	if _, err := eb.Ingest(edges[:third]); err != nil {
@@ -73,7 +88,7 @@ func TestPublishedViewsAreNeverWritten(t *testing.T) {
 			return record(snap)
 		},
 		func(int) error { // HTTP snapshot GET, the blob a peer pulls
-			resp, err := http.Get(a.srv.URL + "/v1/snapshot")
+			resp, err := http.Get(a.srv.URL + "/v1/ns/" + ns + "/snapshot")
 			if err != nil {
 				return err
 			}
@@ -82,12 +97,12 @@ func TestPublishedViewsAreNeverWritten(t *testing.T) {
 				return err
 			}
 			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("GET /v1/snapshot: %s", resp.Status)
+				return fmt.Errorf("GET snapshot: %s", resp.Status)
 			}
 			return nil
 		},
 		func(round int) error { // cluster view fold over a fresh local snapshot
-			snap, err := a.node.snapshot(server.DefaultNamespace, ea, true)
+			snap, err := a.node.snapshot(ns, ea, true)
 			if err != nil {
 				return err
 			}
@@ -156,7 +171,7 @@ func TestPublishedViewsAreNeverWritten(t *testing.T) {
 	if _, err := ea.Ingest(edges[third:]); err != nil {
 		t.Fatal(err)
 	}
-	single, err := server.New(testConfig(3))
+	single, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +183,7 @@ func TestPublishedViewsAreNeverWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := queryCluster(t, a, server.DefaultNamespace, tK)
+	got := queryCluster(t, a, ns, tK)
 	assertSameSets(t, "cluster view after the storm", got.Sets, want.Sets)
 	if got.SketchCoverage != want.SketchCoverage || got.PStar != want.PStar {
 		t.Fatalf("cluster view (%d covered, p*=%v), single engine (%d, %v)",

@@ -28,8 +28,8 @@ const SketchMagic = "SKCH1"
 
 // Clone returns a deep copy of the sketch. The copy shares only the
 // (stateless, read-only) hash function with the original; mutating one
-// never affects the other. (The serving path cuts a shard's state with
-// the cheaper read-only Freeze; the weighted class bank still clones.)
+// never affects the other. (Every serving path cuts a shard's state with
+// the cheaper read-only Freeze instead.)
 func (s *Sketch) Clone() *Sketch {
 	c := &Sketch{
 		params:     s.params,
@@ -146,6 +146,9 @@ func parseView(data []byte) (v *View, canonical bool, err error) {
 		params:    params,
 		evicted:   tail[0] != 0,
 		edgesSeen: int64(le.Uint64(tail[13:])),
+	}
+	if v.edgesSeen < 0 {
+		return nil, false, fmt.Errorf("core: restoring sketch: negative consumed-edge total %d", v.edgesSeen)
 	}
 	if v.evicted { // a bar nobody hit is written as zeros, whatever the blob held
 		v.barHash, v.barElem = le.Uint64(tail[1:]), le.Uint32(tail[9:])

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"iter"
 	"math"
 	"math/bits"
 	"slices"
@@ -188,6 +189,18 @@ func (v *View) Stats() Stats {
 		DegreeCap:    v.params.EffectiveDegreeCap(),
 		PStar:        v.PStar(),
 		Bytes:        20*n + 8 + 4*e, // hash, id and offset per element; one id per edge
+	}
+}
+
+// Elems yields the kept elements in priority order, each with its
+// ascending set list. The lists alias the view and must not be modified.
+func (v *View) Elems() iter.Seq2[uint32, []uint32] {
+	return func(yield func(uint32, []uint32) bool) {
+		for i, elem := range v.elems {
+			if !yield(elem, v.sets[v.off[i]:v.off[i+1]]) {
+				return
+			}
+		}
 	}
 }
 

@@ -90,19 +90,6 @@ func BuildSketches(shards []stream.Stream, params core.Params) ([]*core.Sketch, 
 	return sketches, st, nil
 }
 
-// MergeSketches folds worker sketches into one coordinator sketch.
-func MergeSketches(params core.Params, sketches []*core.Sketch, st *Stats) (*core.Sketch, error) {
-	merged, err := core.MergeAll(params, sketches...)
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		st.MergedEdges = merged.Edges()
-		st.MergedElements = merged.Elements()
-	}
-	return merged, nil
-}
-
 // Result is a distributed k-cover outcome.
 type Result struct {
 	Sets              []int
@@ -112,7 +99,8 @@ type Result struct {
 }
 
 // KCover solves k-cover over sharded edge streams in one round: workers
-// sketch in parallel, the coordinator merges and runs greedy. Guarantees
+// sketch in parallel, the coordinator folds their canonical views
+// (core.MergeViews) and runs greedy on the merged view. Guarantees
 // match the single-machine Algorithm 3 because the merged sketch equals
 // the single-machine sketch.
 func KCover(shards []stream.Stream, params core.Params, k int) (*Result, error) {
@@ -120,16 +108,32 @@ func KCover(shards []stream.Stream, params core.Params, k int) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	merged, err := MergeSketches(params, sketches, st)
+	// What a worker ships is its canonical view; each freezes its own.
+	views := make([]*core.View, len(sketches))
+	var wg sync.WaitGroup
+	for i, sk := range sketches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			views[i] = sk.Freeze()
+		}()
+	}
+	wg.Wait()
+	merged, err := core.MergeViews(params, 0, views...)
 	if err != nil {
 		return nil, err
 	}
-	g, _ := merged.Graph()
+	ms := merged.Stats()
+	st.MergedEdges, st.MergedElements = ms.EdgesKept, ms.ElementsKept
+	g, _, err := merged.Graph()
+	if err != nil {
+		return nil, err
+	}
 	res := greedy.MaxCover(g, k)
 	return &Result{
 		Sets:              res.Sets,
 		SketchCoverage:    res.Covered,
-		EstimatedCoverage: float64(res.Covered) / merged.PStar(),
+		EstimatedCoverage: float64(res.Covered) / ms.PStar,
 		Stats:             st,
 	}, nil
 }

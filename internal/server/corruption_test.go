@@ -2,9 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/weighted"
 )
 
 // This file pins the failure mode of every persistence input: a
@@ -144,7 +149,53 @@ func TestCorruptV1BlobPerMode(t *testing.T) {
 				mut[pos] ^= 0x20
 				read(mut) // decode error or different state; never a panic
 			}
+			// A counter no writer produces is refused: restored, it would
+			// publish a snapshot whose edge total never meets the engine's.
+			for name, mut := range impossibleTotals(mode, blob) {
+				if err := read(mut); err == nil {
+					t.Errorf("blob with %s decoded without error", name)
+				}
+			}
 		})
+	}
+}
+
+// impossibleTotals returns copies of a pristine state blob, each with one
+// consumed-edge (or op, or delete) counter overwritten by a value no
+// shard cut, merge or restore writes. The dynamic header's checksum is
+// recomputed, so it is the counter that must refuse the blob.
+func impossibleTotals(mode ModeName, blob []byte) map[string][]byte {
+	le := binary.LittleEndian
+	put := func(at int, v uint64) []byte {
+		mut := bytes.Clone(blob)
+		le.PutUint64(mut[at:], v)
+		if mode == ModeDynamic {
+			hdr := mut[len(dynMagic):]
+			le.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], dynCRCTable))
+		}
+		return mut
+	}
+	const (
+		minusOne   = ^uint64(0)
+		sketchSeen = len(core.SketchMagic) + 9*8 + 2 + 8 + 4 // a v1 sketch blob's consumed-edge word
+		bankSeen   = len(weighted.BankMagic)
+		firstClass = bankSeen + 8 + 4 + 4 + 8 // past the bank header and one frame header
+	)
+	switch mode {
+	case ModeSketch:
+		return map[string][]byte{"a negative edge total": put(sketchSeen, minusOne)}
+	case ModeWeighted:
+		return map[string][]byte{
+			"a negative bank edge total":  put(bankSeen, minusOne),
+			"a negative class edge total": put(firstClass+sketchSeen, minusOne),
+		}
+	default:
+		ops := le.Uint64(blob[len(dynMagic):])
+		return map[string][]byte{
+			"a negative op total":     put(len(dynMagic), minusOne),
+			"a negative delete total": put(len(dynMagic)+8, minusOne),
+			"more deletes than ops":   put(len(dynMagic)+8, ops+1),
+		}
 	}
 }
 

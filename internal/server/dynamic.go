@@ -257,17 +257,22 @@ func (m dynamicMode) ReadState(r io.Reader) (FrozenState, error) {
 	if got, want := binary.LittleEndian.Uint32(body[16:20]), crc32.Checksum(body[:16], dynCRCTable); got != want {
 		return nil, fmt.Errorf("decoding dynamic state: header checksum mismatch (got %08x want %08x)", got, want)
 	}
-	// The decoder checks the blob's geometry against the mode's before it
-	// allocates: a foreign header cannot cost more than a local state.
-	sam, err := l0.ReadSampler(r, m.params)
-	if err != nil {
-		return nil, err
-	}
-	return &dynamicState{
-		sam:     sam,
+	// Every writer counts a delete as an op, so 0 ≤ deletes ≤ opsSeen on
+	// anything a shard cut, a merge or a restore can produce.
+	d := &dynamicState{
 		opsSeen: int64(binary.LittleEndian.Uint64(body[0:8])),
 		deletes: int64(binary.LittleEndian.Uint64(body[8:16])),
-	}, nil
+	}
+	if d.deletes < 0 || d.deletes > d.opsSeen {
+		return nil, fmt.Errorf("decoding dynamic state: %d deletes among %d ops", d.deletes, d.opsSeen)
+	}
+	// The decoder checks the blob's geometry against the mode's before it
+	// allocates: a foreign header cannot cost more than a local state.
+	var err error
+	if d.sam, err = l0.ReadSampler(r, m.params); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 func (m dynamicMode) Materialize(st FrozenState) (*materialized, error) {

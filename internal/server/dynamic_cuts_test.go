@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/l0"
+	"repro/internal/weighted"
 )
 
 func dynCutsConfig(shards int) Config {
@@ -235,13 +236,13 @@ func TestDynamicCutsNeverReachASnapshot(t *testing.T) {
 		}{
 			{"foreign state after two cuts", func() []FrozenState {
 				c := cuts()
-				return []FrozenState{c[0], c[1], bankState{}, c[2], c[3]}
+				return []FrozenState{c[0], c[1], &weighted.BankView{}, c[2], c[3]}
 			}, 4},
 			// The sum started as a private copy of the published state:
 			// that copy is recycled with the four cuts, the original is not.
 			{"published state first, then a foreign one", func() []FrozenState {
 				c := cuts()
-				return []FrozenState{published, c[0], bankState{}, c[1], c[2], c[3]}
+				return []FrozenState{published, c[0], &weighted.BankView{}, c[1], c[2], c[3]}
 			}, 5},
 			{"a cut handed to a second merge", func() []FrozenState {
 				c := cuts()

@@ -29,7 +29,8 @@
 // merged view's own arrays are adopted as the element side of the query
 // graph and walked once more to emit the snapshot bytes. Those bytes decode straight back
 // into a view (core.ReadView), which is what a restore and a cluster
-// peer's pull hold. The weighted mode freezes by deep copy; the dynamic
+// peer's pull hold. The weighted mode does the same once per weight class
+// (its frozen state is a weighted.BankView, a core.View per class); the dynamic
 // mode copies each shard's cells once, into an array recycled from the
 // previous refresh, and sums the cuts in place (dynamic.go). Queries run
 // greedy algorithms against the current snapshot without stalling
@@ -303,13 +304,11 @@ func (s *Snapshot) ModeName() ModeName { return s.mode.Name() }
 // State returns the snapshot's merged state.
 func (s *Snapshot) State() FrozenState { return s.state }
 
-// Bank returns the merged weight-class bank (nil unless the snapshot
-// came from the weighted mode). Callers must not mutate it.
-func (s *Snapshot) Bank() *weighted.Bank {
-	if st, ok := s.state.(bankState); ok {
-		return st.bank
-	}
-	return nil
+// Bank returns the merged weight-class bank's view (nil unless the
+// snapshot came from the weighted mode).
+func (s *Snapshot) Bank() *weighted.BankView {
+	v, _ := s.state.(*weighted.BankView)
+	return v
 }
 
 // Weighted reports whether the snapshot came from a weighted engine.
@@ -488,10 +487,7 @@ func newEngine(cfg Config, mode Mode) (*Engine, error) {
 	restoredEdges := int64(0)
 	if restore != nil {
 		if err := states[0].MergeFrom(restore); err != nil {
-			if mode.Name() == ModeWeighted {
-				return nil, fmt.Errorf("server: restoring weighted snapshot: %w", err)
-			}
-			return nil, fmt.Errorf("server: restoring snapshot: %w", err)
+			return nil, fmt.Errorf("server: restoring %s snapshot: %w", mode.Name(), err)
 		}
 		restoredEdges = restore.Stats().EdgesSeen
 	}
@@ -1190,10 +1186,7 @@ func ReadRestore(cfg Config, r io.Reader) (Config, error) {
 	}
 	st, err := mode.ReadState(r)
 	if err != nil {
-		if mode.Name() == ModeWeighted {
-			return cfg, fmt.Errorf("server: restoring weighted snapshot: %w", err)
-		}
-		return cfg, fmt.Errorf("server: restoring snapshot: %w", err)
+		return cfg, fmt.Errorf("server: restoring %s snapshot: %w", mode.Name(), err)
 	}
 	cfg.RestoreState = st
 	return cfg, nil

@@ -109,10 +109,11 @@ type opApplier interface {
 // and what the cluster layer stores per peer. Its consumed-edge total is
 // fixed when it is built. The sketch mode's merged and decoded states are
 // the canonical *core.View and its shards hand out a sketchCut (that view,
-// or after the first publish a delta of it); the weighted mode hands out a
-// deep copy of the bank; the dynamic mode's shards hand out a dynamicCut
-// (the cells copied once into a recycled array, dynamic.go) and its merged
-// and decoded states are *dynamicState.
+// or after the first publish a delta of it); the weighted mode's states are
+// all the *weighted.BankView, that same view once per weight class; the
+// dynamic mode's shards hand out a dynamicCut (the cells copied once into
+// a recycled array, dynamic.go) and its merged and decoded states are
+// *dynamicState.
 type FrozenState interface {
 	// Stats reports the state's accounting (see ShardState.Stats).
 	Stats() core.Stats
@@ -379,21 +380,22 @@ func (m sketchMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 
 // ---- weighted mode (per-weight-class bank, Config.Weights) ----
 
+// bankState is the shard-owned half. What it freezes into, and what the
+// merge, a restore and a peer hold, is the immutable *weighted.BankView:
+// one canonical core.View per weight class, merged, materialized and
+// serialized without ever rebuilding a sketch.
 type bankState struct{ bank *weighted.Bank }
 
 func (s bankState) AddEdges(edges []bipartite.Edge) { s.bank.AddEdges(edges) }
-func (s bankState) Freeze(FrozenState) FrozenState  { return bankState{s.bank.Clone()} }
+func (s bankState) Freeze(FrozenState) FrozenState  { return s.bank.Freeze() }
 func (s bankState) Stats() core.Stats               { return s.bank.Stats() }
-func (s bankState) WriteTo(w io.Writer) (int64, error) {
-	return s.bank.WriteTo(w)
-}
 
 func (s bankState) MergeFrom(other FrozenState) error {
-	o, ok := other.(bankState)
+	v, ok := other.(*weighted.BankView)
 	if !ok {
 		return fmt.Errorf("server: cannot merge %T state into a weighted engine", other)
 	}
-	return s.bank.Merge(o.bank)
+	return s.bank.MergeView(v)
 }
 
 type weightedMode struct {
@@ -415,36 +417,35 @@ func (m weightedMode) NewShardState() (ShardState, error) {
 }
 
 func (m weightedMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
-	banks := make([]*weighted.Bank, len(states))
+	views := make([]*weighted.BankView, len(states))
 	for i, st := range states {
-		s, ok := st.(bankState)
+		v, ok := st.(*weighted.BankView)
 		if !ok {
 			return nil, fmt.Errorf("server: cannot merge %T state into a weighted engine", st)
 		}
-		banks[i] = s.bank
+		views[i] = v
 	}
-	merged, err := weighted.MergeBanks(m.numSets, m.k, m.opt, m.fn, banks...)
+	merged, err := weighted.MergeBankViews(m.numSets, m.k, m.opt, m.fn, edges, views...)
 	if err != nil {
 		return nil, err
 	}
-	merged.SetEdgesSeen(edges)
-	return bankState{merged}, nil
+	return merged, nil
 }
 
 func (m weightedMode) ReadState(r io.Reader) (FrozenState, error) {
-	bk, err := weighted.ReadBank(r, m.numSets, m.k, m.opt, m.fn)
+	v, err := weighted.ReadBank(r, m.numSets, m.k, m.opt, m.fn)
 	if err != nil {
 		return nil, err
 	}
-	return bankState{bk}, nil
+	return v, nil
 }
 
 func (m weightedMode) Materialize(st FrozenState) (*materialized, error) {
-	s, ok := st.(bankState)
+	v, ok := st.(*weighted.BankView)
 	if !ok {
 		return nil, fmt.Errorf("server: cannot materialize %T state on a weighted engine", st)
 	}
-	in, ids, err := s.bank.Assemble()
+	in, ids, err := v.Assemble()
 	if err != nil {
 		return nil, err
 	}

@@ -132,23 +132,38 @@ var refreshBench struct {
 
 const refreshBenchElems = 1_000_000
 
-// benchRefreshBetweenEdges times Refresh alone on an engine warmed with
-// one epoch, with 170 000 edges never sent before (what 4M edges/s deliver
-// between two fresh queries of the closed-loop client) applied by the
-// shards before every timed call. With fullCut the edges arrive in two
-// halves around a refresh whose merge fails: the product's own fallback,
-// after which the timed refresh finds shards that must cut in full —
-// the refresh before shards cut deltas.
-func benchRefreshBetweenEdges(b *testing.B, fullCut bool) {
+// refreshBenchBase generates the epoch once per process.
+func refreshBenchBase() []bipartite.Edge {
 	refreshBench.once.Do(func() {
 		inst := workload.Zipf(1000, refreshBenchElems, 500_000, 0.9, 0.7, 1)
 		refreshBench.base = stream.Drain(stream.Shuffled(inst.G, 2))
 	})
-	base := refreshBench.base
-	e, err := New(Config{
-		NumSets: 1000, NumElems: refreshBenchElems, K: 20,
-		Eps: 0.3, Seed: 7, EdgeBudget: 200_000, Shards: 2,
-	})
+	return refreshBench.base
+}
+
+// benchRefreshBetweenEdges times Refresh alone on an engine of cfg warmed
+// with one epoch, with 170 000 edges never sent before (what 4M edges/s
+// deliver between two fresh queries of the closed-loop client) applied by
+// the shards before every timed call. With fullCut the edges arrive in two
+// halves around a refresh whose merge fails: the product's own fallback,
+// after which the timed refresh finds shards that must cut in full —
+// the refresh before shards cut deltas. An engine serves at most
+// perEngine timed refreshes (0: any number); the rest go to a fresh one,
+// warmed off the clock like the first.
+func benchRefreshBetweenEdges(b *testing.B, cfg Config, fullCut bool, perEngine int) {
+	b.StopTimer()
+	b.ReportAllocs()
+	if perEngine <= 0 {
+		perEngine = b.N
+	}
+	for left := b.N; left > 0; left -= perEngine {
+		benchRefreshOneEngine(b, cfg, fullCut, min(left, perEngine))
+	}
+}
+
+func benchRefreshOneEngine(b *testing.B, cfg Config, fullCut bool, iters int) {
+	base := refreshBenchBase()
+	e, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -180,10 +195,7 @@ func benchRefreshBetweenEdges(b *testing.B, fullCut bool) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
+	for i := 0; i < iters; i++ {
 		if fullCut {
 			ingest(85_000)
 			probe.mu.Lock()
@@ -200,17 +212,51 @@ func benchRefreshBetweenEdges(b *testing.B, fullCut bool) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := e.Refresh(); err != nil {
+		_, err := e.Refresh()
+		b.StopTimer()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	if full, delta := e.fullCuts.Load(), e.deltaCuts.Load(); fullCut && delta != 2*int64(b.N+1) || !fullCut && full != 2 {
-		b.Fatalf("%d full / %d delta cuts over %d iterations", full, delta, b.N)
+	if e.ModeName() != ModeSketch {
+		return // only sketch shards cut deltas
+	}
+	if full, delta := e.fullCuts.Load(), e.deltaCuts.Load(); fullCut && delta != 2*int64(iters+1) || !fullCut && full != 2 {
+		b.Fatalf("%d full / %d delta cuts over %d iterations", full, delta, iters)
 	}
 }
 
 // BenchmarkRefreshDeltaCut / BenchmarkRefreshFullCut are the two sides of
 // the delta refresh (see benchRefreshBetweenEdges).
-func BenchmarkRefreshDeltaCut(b *testing.B) { benchRefreshBetweenEdges(b, false) }
-func BenchmarkRefreshFullCut(b *testing.B)  { benchRefreshBetweenEdges(b, true) }
+func BenchmarkRefreshDeltaCut(b *testing.B) {
+	benchRefreshBetweenEdges(b, refreshBenchConfig(), false, 0)
+}
+func BenchmarkRefreshFullCut(b *testing.B) {
+	benchRefreshBetweenEdges(b, refreshBenchConfig(), true, 0)
+}
+
+func refreshBenchConfig() Config {
+	return Config{
+		NumSets: 1000, NumElems: refreshBenchElems, K: 20,
+		Eps: 0.3, Seed: 7, EdgeBudget: 200_000, Shards: 2,
+	}
+}
+
+// BenchmarkWeightedRefresh is BenchmarkRefreshFullCut's traffic on a
+// weighted namespace holding the same 200 000 edges as four weight classes
+// of budget 50 000 (a weighted shard cuts in full every time). The weight
+// table must name every element the run will send, so it spans the warm-up
+// epoch and weightedBenchEpochs−1 more, and an engine is retired once the
+// timed iterations have used those up.
+func BenchmarkWeightedRefresh(b *testing.B) {
+	const weightedBenchEpochs = 3
+	table := make([]float64, weightedBenchEpochs*refreshBenchElems)
+	for e := range table {
+		table[e] = float64(int(1) << (e % 4)) // classes 0..3, interleaved
+	}
+	cfg := refreshBenchConfig()
+	cfg.EdgeBudget = 50_000
+	cfg.Weights = &WeightConfig{Table: table}
+	perEngine := ((weightedBenchEpochs-1)*len(refreshBenchBase()) - 170_000) / 170_000
+	benchRefreshBetweenEdges(b, cfg, false, perEngine)
+}

@@ -214,7 +214,7 @@ func TestWeightedEngineValidation(t *testing.T) {
 	}
 
 	mixed := testConfig(10, 100, 2, 1, 2)
-	mixed.RestoreState = bankState{&weighted.Bank{}}
+	mixed.RestoreState = &weighted.BankView{}
 	if _, err := New(mixed); err == nil {
 		t.Fatal("a class bank restored into an unweighted engine")
 	}

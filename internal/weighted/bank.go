@@ -1,12 +1,12 @@
 package weighted
 
 import (
-	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
@@ -14,16 +14,22 @@ import (
 )
 
 // This file lifts the weighted extension from a one-shot batch function
-// into a first-class sketch bank with the same lifecycle verbs as
-// core.Sketch: a Bank owns one H≤n sketch per non-empty geometric
-// weight class and supports cloning, merging, binary persistence and a
-// canonical assembly into the scaled union instance the weighted greedy
-// runs on. The serving engine (internal/server) shards a stream across
-// N banks and merges them at query time; because every per-class
-// operation delegates to the core sketch — whose merge-composability is
-// the paper's §1.3.2 argument — the merged bank equals the bank a
-// single pass would have built, class by class, and the weighted
-// service answers bit-identically to the one-shot KCover.
+// into a first-class sketch bank with the lifecycle of core.Sketch and
+// core.View: a Bank is the mutable half — one H≤n sketch per non-empty
+// geometric weight class, fed edge by edge — and a BankView is the
+// immutable half, one canonical core.View per class. Everything
+// downstream of ingest works on views: Freeze cuts one, MergeBankViews
+// folds several class by class with core.MergeViews, Assemble lays the
+// classes' element lists end to end as the scaled union instance the
+// weighted greedy runs on, WriteTo and ReadBank move one to bytes and
+// back. The only way back into a sketch is Bank.MergeView, which a
+// restoring shard calls once. The serving engine (internal/server)
+// shards a stream across N banks and merges their views at query time;
+// because every per-class operation delegates to the core view — whose
+// merge-composability is the paper's §1.3.2 argument — the merged view
+// equals the view of the bank a single pass would have built, class by
+// class, and the weighted service answers bit-identically to the
+// one-shot KCover.
 
 // BankMagic heads every serialized class bank; the trailing digit is
 // the format version. The payload frames one core.Sketch v1 blob per
@@ -31,38 +37,80 @@ import (
 // the service's multi-namespace snapshot v2 is a container around v1.
 const BankMagic = "WBNK1"
 
-// maxBankClassBytes bounds one class frame while decoding, so a corrupt
-// length field fails with an error instead of a huge allocation.
-const maxBankClassBytes = 1 << 30
+// shape is what a bank and every view cut from it are built over: the
+// instance geometry, the normalized options (Eps defaulted to 0.5) and
+// the element-weight oracle. Two shapes with equal geometry and options
+// derive equal class parameters, so their class sketches merge.
+type shape struct {
+	numSets  int
+	k        int
+	opt      Options
+	weightOf func(uint32) float64
+}
+
+// newShape validates the configuration and applies the KCover defaults,
+// so that every params derivation — class creation, merge, restore
+// validation — sees one canonical option set.
+func newShape(numSets, k int, opt Options, weightOf func(uint32) float64) (shape, error) {
+	if numSets <= 0 || k <= 0 {
+		return shape{}, fmt.Errorf("weighted: bank needs positive numSets and k")
+	}
+	if weightOf == nil {
+		return shape{}, fmt.Errorf("weighted: nil weight oracle")
+	}
+	if opt.Eps <= 0 || opt.Eps > 1 {
+		opt.Eps = 0.5
+	}
+	sh := shape{numSets: numSets, k: k, opt: opt, weightOf: weightOf}
+	// classParams only varies the seed, so validating one class covers
+	// them all and lazy class creation cannot fail.
+	if err := sh.classParams(0).Validate(); err != nil {
+		return shape{}, fmt.Errorf("weighted: bank parameters: %w", err)
+	}
+	return sh, nil
+}
+
+// classParams derives the class sketch parameters: the KCover base
+// parameters (per-class accuracy ε/12) with independent hashing per
+// class, derived from the bank seed.
+func (sh shape) classParams(ci int) core.Params {
+	return core.Params{
+		NumSets:     sh.numSets,
+		NumElems:    sh.opt.NumElems,
+		K:           sh.k,
+		Eps:         sh.opt.Eps / 12,
+		Seed:        sh.opt.Seed ^ (uint64(int64(ci))+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9,
+		EdgeBudget:  sh.opt.EdgeBudget,
+		SpaceFactor: sh.opt.SpaceFactor,
+	}
+}
+
+// checkCompatible refuses a view built over another instance geometry
+// or other options — the precondition for class-by-class merging (the
+// core merge re-checks the derived sketch parameters too).
+func (sh shape) checkCompatible(v *BankView) error {
+	if sh.numSets != v.numSets || sh.k != v.k || sh.opt != v.opt {
+		return fmt.Errorf("weighted: cannot merge incompatible banks (n=%d/%d k=%d/%d opts %+v vs %+v)",
+			sh.numSets, v.numSets, sh.k, v.k, sh.opt, v.opt)
+	}
+	return nil
+}
 
 // Bank is a bank of per-weight-class H≤n sketches over one logical edge
 // stream. Elements are bucketed by classIndex of their weight; each
 // class keeps an independent sketch whose hashing is derived from the
 // bank seed and the class index, so two banks built with the same
-// options are class-compatible and mergeable. A Bank is not safe for
-// concurrent use (like core.Sketch); shard the stream across banks and
-// Merge instead.
+// options are class-compatible and their views merge. A Bank is not
+// safe for concurrent use (like core.Sketch); shard the stream across
+// banks and merge their Freeze cuts instead.
 type Bank struct {
-	numSets  int
-	k        int
-	opt      Options // normalized: Eps defaulted to 0.5
-	weightOf func(uint32) float64
-	classes  map[int]*core.Sketch
+	shape
+	classes map[int]*core.Sketch
 	// edgesSeen counts every edge handed to Add/AddEdges, including
 	// zero-weight edges that route to no class — it mirrors the
 	// EdgesSeen stream accounting of an unweighted shard sketch so the
 	// serving engine's applied-edge bookkeeping is mode-independent.
 	edgesSeen int64
-}
-
-// normalizeOptions applies the KCover defaults so that every params
-// derivation — bank construction, class creation, restore validation —
-// sees one canonical option set.
-func normalizeOptions(opt Options) Options {
-	if opt.Eps <= 0 || opt.Eps > 1 {
-		opt.Eps = 0.5
-	}
-	return opt
 }
 
 // NewBank returns an empty class bank for weighted k-cover instances
@@ -71,40 +119,11 @@ func normalizeOptions(opt Options) Options {
 // themselves); it must be deterministic, since classes are keyed by it
 // on every path (ingest, merge, assembly).
 func NewBank(numSets, k int, opt Options, weightOf func(uint32) float64) (*Bank, error) {
-	if numSets <= 0 || k <= 0 {
-		return nil, fmt.Errorf("weighted: bank needs positive numSets and k")
+	sh, err := newShape(numSets, k, opt, weightOf)
+	if err != nil {
+		return nil, err
 	}
-	if weightOf == nil {
-		return nil, fmt.Errorf("weighted: nil weight oracle")
-	}
-	b := &Bank{
-		numSets:  numSets,
-		k:        k,
-		opt:      normalizeOptions(opt),
-		weightOf: weightOf,
-		classes:  make(map[int]*core.Sketch),
-	}
-	// Validate the derived parameters once; classParams only varies the
-	// seed afterwards, so lazy class creation cannot fail.
-	if err := b.classParams(0).Validate(); err != nil {
-		return nil, fmt.Errorf("weighted: bank parameters: %w", err)
-	}
-	return b, nil
-}
-
-// classParams derives the class sketch parameters: the KCover base
-// parameters (per-class accuracy ε/12) with independent hashing per
-// class, derived from the bank seed.
-func (b *Bank) classParams(ci int) core.Params {
-	return core.Params{
-		NumSets:     b.numSets,
-		NumElems:    b.opt.NumElems,
-		K:           b.k,
-		Eps:         b.opt.Eps / 12,
-		Seed:        b.opt.Seed ^ (uint64(int64(ci))+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9,
-		EdgeBudget:  b.opt.EdgeBudget,
-		SpaceFactor: b.opt.SpaceFactor,
-	}
+	return &Bank{shape: sh, classes: make(map[int]*core.Sketch)}, nil
 }
 
 // sketchFor returns the class sketch, creating it on first use.
@@ -157,33 +176,16 @@ func (b *Bank) Classes() int { return len(b.classes) }
 
 // Edges returns the total kept edges across the class sketches — the
 // bank's resident size.
-func (b *Bank) Edges() int {
-	total := 0
-	for _, sk := range b.classes {
-		total += sk.Edges()
-	}
-	return total
-}
+func (b *Bank) Edges() int { return b.Stats().EdgesKept }
 
 // Elements returns the total kept elements across the class sketches.
 // An element belongs to exactly one class (its weight is fixed), so
 // this never double-counts.
-func (b *Bank) Elements() int {
-	total := 0
-	for _, sk := range b.classes {
-		total += sk.Elements()
-	}
-	return total
-}
+func (b *Bank) Elements() int { return b.Stats().ElementsKept }
 
 // EdgesSeen reports the number of edges the bank consumed from the
 // stream (zero-weight edges included).
 func (b *Bank) EdgesSeen() int64 { return b.edgesSeen }
-
-// SetEdgesSeen overrides the consumed-edge counter, mirroring
-// core.Sketch.SetEdgesSeen: a merged bank only replays kept edges, so a
-// serving coordinator persists the true ingested total through this.
-func (b *Bank) SetEdgesSeen(n int64) { b.edgesSeen = n }
 
 // Stats aggregates the class sketches' accounting into one core.Stats.
 // EdgesSeen is the bank-level stream counter (zero-weight edges
@@ -192,71 +194,58 @@ func (b *Bank) SetEdgesSeen(n int64) { b.edgesSeen = n }
 func (b *Bank) Stats() core.Stats {
 	st := core.Stats{EdgesSeen: b.edgesSeen, PStar: 1}
 	for _, sk := range b.classes {
-		s := sk.Stats()
-		st.EdgesKept += s.EdgesKept
-		st.PeakEdges += s.PeakEdges
-		st.ElementsKept += s.ElementsKept
-		st.Budget += s.Budget
-		st.DupEdges += s.DupEdges
-		st.DropDegree += s.DropDegree
-		st.DropHash += s.DropHash
-		st.Bytes += s.Bytes
-		if s.DegreeCap > st.DegreeCap {
-			st.DegreeCap = s.DegreeCap
-		}
-		if s.PStar < st.PStar {
-			st.PStar = s.PStar
-		}
+		addClassStats(&st, sk.Stats())
 	}
 	return st
 }
 
-// Clone returns a deep copy of the bank (sharing only the stateless
-// weight oracle). Cloning is how the serving path takes a consistent
-// cut of a shard's weighted state without stalling its ingest loop.
-func (b *Bank) Clone() *Bank {
-	c := &Bank{
-		numSets:   b.numSets,
-		k:         b.k,
-		opt:       b.opt,
-		weightOf:  b.weightOf,
-		classes:   make(map[int]*core.Sketch, len(b.classes)),
-		edgesSeen: b.edgesSeen,
-	}
+// addClassStats folds one class's accounting into the bank total.
+func addClassStats(st *core.Stats, s core.Stats) {
+	st.EdgesKept += s.EdgesKept
+	st.PeakEdges += s.PeakEdges
+	st.ElementsKept += s.ElementsKept
+	st.Budget += s.Budget
+	st.DupEdges += s.DupEdges
+	st.DropDegree += s.DropDegree
+	st.DropHash += s.DropHash
+	st.Bytes += s.Bytes
+	st.DegreeCap = max(st.DegreeCap, s.DegreeCap)
+	st.PStar = min(st.PStar, s.PStar)
+}
+
+// Freeze returns the bank's canonical view: every class sketch frozen
+// once (core.Sketch.Freeze), classes ascending. It only reads the bank
+// and the view shares no storage with it (the stateless weight oracle
+// aside), so further ingest never shows through — how the serving path
+// takes a consistent cut of a shard's weighted state.
+func (b *Bank) Freeze() *BankView {
+	v := &BankView{shape: b.shape, edgesSeen: b.edgesSeen, classes: make([]classView, 0, len(b.classes))}
 	for ci, sk := range b.classes {
-		c.classes[ci] = sk.Clone()
+		v.classes = append(v.classes, classView{ci, sk.Freeze()})
 	}
-	return c
+	v.sortClasses()
+	return v
 }
 
-// compatible reports whether two banks were built over the same
-// instance geometry and options — the precondition for class-by-class
-// merging (core.Merge re-checks the derived sketch parameters too).
-func (b *Bank) compatible(other *Bank) bool {
-	return b.numSets == other.numSets && b.k == other.k && b.opt == other.opt
-}
-
-// Merge folds other's class sketches into b, class by class; classes
-// missing locally are created. other is not modified. As with
-// core.Sketch.Merge, b's bank-level stream accounting (EdgesSeen) is
-// untouched — re-folded kept edges are not stream traffic; coordinators
-// that need totals sum the inputs' EdgesSeen or use SetEdgesSeen. The
-// per-class consumed counters, however, are summed: the bank is the
-// coordinator of its class sketches, and carrying their totals keeps a
-// merged bank byte-identical to the single-pass bank over the union
-// stream (pinned by TestBankMergeEqualsSingle).
-func (b *Bank) Merge(other *Bank) error {
-	if other == nil {
+// MergeView folds a view's class views into b, class by class; classes
+// missing locally are created. It is the one thaw of the weighted path:
+// a restoring shard calls it once. As with core.Sketch.MergeView, b's
+// bank-level stream accounting (EdgesSeen) is untouched — re-folded kept
+// edges are not stream traffic. The per-class consumed counters,
+// however, are summed: the bank is the coordinator of its class
+// sketches, and carrying their totals keeps a restored bank
+// byte-identical to the single-pass bank over the union stream.
+func (b *Bank) MergeView(v *BankView) error {
+	if v == nil {
 		return nil
 	}
-	if !b.compatible(other) {
-		return fmt.Errorf("weighted: cannot merge incompatible banks (n=%d/%d k=%d/%d opts %+v vs %+v)",
-			b.numSets, other.numSets, b.k, other.k, b.opt, other.opt)
+	if err := b.checkCompatible(v); err != nil {
+		return err
 	}
-	for _, ci := range other.sortedClasses() {
-		sk := b.sketchFor(ci)
-		seen := sk.Stats().EdgesSeen + other.classes[ci].Stats().EdgesSeen
-		if err := sk.Merge(other.classes[ci]); err != nil {
+	for _, c := range v.classes {
+		sk := b.sketchFor(c.ci)
+		seen := sk.Stats().EdgesSeen + c.view.Stats().EdgesSeen
+		if err := sk.MergeView(c.view); err != nil {
 			return err
 		}
 		sk.SetEdgesSeen(seen)
@@ -264,75 +253,118 @@ func (b *Bank) Merge(other *Bank) error {
 	return nil
 }
 
-// MergeBanks builds a bank holding the merge of every input (inputs are
-// never modified). Each class folds through core.MergeAll. By per-class
-// merge-composability the result equals the bank a single pass over
-// the concatenated streams would build.
-func MergeBanks(numSets, k int, opt Options, weightOf func(uint32) float64, banks ...*Bank) (*Bank, error) {
-	out, err := NewBank(numSets, k, opt, weightOf)
+// Solve freezes the bank and solves on the view (BankView.Solve).
+func (b *Bank) Solve(k int) (*Result, error) { return b.Freeze().Solve(k) }
+
+// WriteTo serializes the bank: the bytes of its view (BankView.WriteTo).
+// It only reads the bank and implements io.WriterTo.
+func (b *Bank) WriteTo(w io.Writer) (int64, error) { return b.Freeze().WriteTo(w) }
+
+// BankView is the immutable canonical form of a class bank: the
+// consumed-edge total and, for every class the bank sketched, the
+// class's canonical core.View, classes ascending — the order every
+// deterministic consumer (assembly, persistence) walks. It is what a
+// bank freezes into, what views merge into and what the serialized
+// bytes decode into; it is never modified after construction and may be
+// shared freely between goroutines.
+type BankView struct {
+	shape
+	edgesSeen int64
+	classes   []classView // ascending ci, no duplicates
+}
+
+type classView struct {
+	ci   int
+	view *core.View
+}
+
+func (v *BankView) sortClasses() {
+	slices.SortFunc(v.classes, func(a, b classView) int { return cmp.Compare(a.ci, b.ci) })
+}
+
+// Classes returns the number of non-empty weight classes sketched.
+func (v *BankView) Classes() int { return len(v.classes) }
+
+// Edges returns the total kept edges across the class views.
+func (v *BankView) Edges() int { return v.Stats().EdgesKept }
+
+// Elements returns the total kept elements across the class views.
+func (v *BankView) Elements() int { return v.Stats().ElementsKept }
+
+// EdgesSeen reports the consumed-edge total the view was built with.
+func (v *BankView) EdgesSeen() int64 { return v.edgesSeen }
+
+// Stats aggregates the class views' accounting as Bank.Stats does the
+// class sketches'.
+func (v *BankView) Stats() core.Stats {
+	st := core.Stats{EdgesSeen: v.edgesSeen, PStar: 1}
+	for _, c := range v.classes {
+		addClassStats(&st, c.view.Stats())
+	}
+	return st
+}
+
+// MergeBankViews folds views of banks built with this configuration
+// into the view of the merged bank; edgesSeen is the consumed-edge total
+// the result reports. Inputs are only read. Each class folds through
+// core.MergeViews with the inputs' summed per-class consumed totals (a
+// merge replays only kept edges, which are not stream traffic), so by
+// per-class merge-composability the result equals, byte for byte, the
+// view of the bank a single pass over the concatenated streams would
+// build.
+func MergeBankViews(numSets, k int, opt Options, weightOf func(uint32) float64, edgesSeen int64, views ...*BankView) (*BankView, error) {
+	sh, err := newShape(numSets, k, opt, weightOf)
 	if err != nil {
 		return nil, err
 	}
-	perClass := make(map[int][]*core.Sketch)
-	for _, in := range banks {
+	perClass := make(map[int][]*core.View)
+	for _, in := range views {
 		if in == nil {
 			continue
 		}
-		if !out.compatible(in) {
-			return nil, fmt.Errorf("weighted: cannot merge incompatible banks (opts %+v vs %+v)", out.opt, in.opt)
+		if err := sh.checkCompatible(in); err != nil {
+			return nil, err
 		}
-		out.edgesSeen += in.edgesSeen
-		for ci, sk := range in.classes {
-			perClass[ci] = append(perClass[ci], sk)
+		for _, c := range in.classes {
+			perClass[c.ci] = append(perClass[c.ci], c.view)
 		}
 	}
-	for ci, sketches := range perClass {
-		merged, err := core.MergeAll(out.classParams(ci), sketches...)
+	out := &BankView{shape: sh, edgesSeen: edgesSeen, classes: make([]classView, 0, len(perClass))}
+	for ci, cvs := range perClass {
+		seen := int64(0)
+		for _, cv := range cvs {
+			seen += cv.Stats().EdgesSeen
+		}
+		merged, err := core.MergeViews(sh.classParams(ci), seen, cvs...)
 		if err != nil {
 			return nil, err
 		}
-		// Per-class consumed totals survive the fold (merging replays only
-		// kept edges, which are not stream traffic), so the merged bank is
-		// byte-identical to the single-pass bank over the whole stream.
-		seen := int64(0)
-		for _, sk := range sketches {
-			seen += sk.Stats().EdgesSeen
-		}
-		merged.SetEdgesSeen(seen)
-		out.classes[ci] = merged
+		out.classes = append(out.classes, classView{ci, merged})
 	}
+	out.sortClasses()
 	return out, nil
 }
 
-// sortedClasses returns the class indices ascending — the canonical
-// iteration order every deterministic consumer (assembly, persistence,
-// merging) uses.
-func (b *Bank) sortedClasses() []int {
-	cis := make([]int, 0, len(b.classes))
-	for ci := range b.classes {
-		cis = append(cis, ci)
-	}
-	sort.Ints(cis)
-	return cis
-}
-
-// Assemble materializes the bank as the scaled union instance: kept
+// Assemble materializes the view as the scaled union instance: kept
 // elements from every class (classes ascending, elements in hash order
-// within a class — a canonical order, so equal banks assemble equal
+// within a class — a canonical order, so equal views assemble equal
 // instances bit for bit), with each element's weight scaled by
 // 1/p*_class so weighted coverage on the union estimates weighted
-// coverage on the input (Lemma 2.2 per class). The second return value
-// maps union element ids back to original ones.
-func (b *Bank) Assemble() (*Instance, []uint32, error) {
+// coverage on the input (Lemma 2.2 per class). The class views' sorted
+// set lists are laid end to end as the element side of the union graph
+// (bipartite.FromElemCSR), so nothing is spelled out as edges or sorted
+// again. The second return value maps union element ids back to
+// original ones.
+func (v *BankView) Assemble() (*Instance, []uint32, error) {
+	st := v.Stats()
 	var (
-		edges  []bipartite.Edge
-		wts    []float64
-		orig   []uint32
-		nextID uint32
+		off  = make([]int64, 1, st.ElementsKept+1)
+		sets = make([]uint32, 0, st.EdgesKept)
+		wts  = make([]float64, 0, st.ElementsKept)
+		orig = make([]uint32, 0, st.ElementsKept)
 	)
-	for _, ci := range b.sortedClasses() {
-		sk := b.classes[ci]
-		ps := sk.PStar()
+	for _, c := range v.classes {
+		ps := c.view.PStar()
 		if ps <= 0 {
 			// A class whose bar collapsed to priority zero keeps (at most)
 			// the single hash-zero element and estimates nothing: scaling by
@@ -341,17 +373,14 @@ func (b *Bank) Assemble() (*Instance, []uint32, error) {
 			continue
 		}
 		scale := 1 / ps
-		g, ids := sk.Graph()
-		for newID, origID := range ids {
-			for _, set := range g.Elem(newID) {
-				edges = append(edges, bipartite.Edge{Set: set, Elem: nextID})
-			}
-			wts = append(wts, b.weightOf(origID)*scale)
-			orig = append(orig, origID)
-			nextID++
+		for elem, list := range c.view.Elems() {
+			sets = append(sets, list...)
+			off = append(off, int64(len(sets)))
+			wts = append(wts, v.weightOf(elem)*scale)
+			orig = append(orig, elem)
 		}
 	}
-	union, err := bipartite.FromEdges(b.numSets, int(nextID), edges)
+	union, err := bipartite.FromElemCSR(v.numSets, off, sets)
 	if err != nil {
 		return nil, nil, fmt.Errorf("weighted: union sketch: %w", err)
 	}
@@ -362,8 +391,8 @@ func (b *Bank) Assemble() (*Instance, []uint32, error) {
 // the offline step of the streaming weighted k-cover. k may differ from
 // the provisioned solution size; the approximation guarantee holds for
 // k up to it.
-func (b *Bank) Solve(k int) (*Result, error) {
-	in, _, err := b.Assemble()
+func (v *BankView) Solve(k int) (*Result, error) {
+	in, _, err := v.Assemble()
 	if err != nil {
 		return nil, err
 	}
@@ -372,120 +401,90 @@ func (b *Bank) Solve(k int) (*Result, error) {
 		Sets:              res.Sets,
 		EstimatedCoverage: res.Covered,
 		CoveredElems:      res.CoveredElems,
-		Classes:           len(b.classes),
-		EdgesStored:       b.Edges(),
+		Classes:           len(v.classes),
+		EdgesStored:       v.Edges(),
 	}, nil
 }
 
-// WriteTo serializes the bank: the magic, the stream counter, and one
-// length-prefixed core.Sketch v1 blob per class in ascending class
-// order (a canonical encoding — equal banks serialize to equal bytes).
+// WriteTo serializes the view: the magic, the consumed-edge total, and
+// one length-prefixed core.View v1 blob per class in ascending class
+// order (a canonical encoding — equal views serialize to equal bytes).
 // The bank options are NOT persisted; ReadBank takes them from the
 // caller, exactly as the serving engine's Config travels separately
 // from its sketch blob, and validates the frames against them. It
 // implements io.WriterTo.
-func (b *Bank) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	if _, err := bw.WriteString(BankMagic); err != nil {
-		return n, err
+func (v *BankView) WriteTo(w io.Writer) (int64, error) {
+	le := binary.LittleEndian
+	var out bytes.Buffer // its writes cannot fail
+	hdr := le.AppendUint64([]byte(BankMagic), uint64(v.edgesSeen))
+	out.Write(le.AppendUint32(hdr, uint32(len(v.classes))))
+	for _, c := range v.classes {
+		// Class index, then the frame length, patched in once the blob
+		// behind it has been written.
+		frame := le.AppendUint32(nil, uint32(int32(c.ci)))
+		out.Write(le.AppendUint64(frame, 0))
+		at := out.Len()
+		n, _ := c.view.WriteTo(&out)
+		le.PutUint64(out.Bytes()[at-8:], uint64(n))
 	}
-	n += int64(len(BankMagic))
-	put := func(v interface{}) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := put(b.edgesSeen); err != nil {
-		return n, err
-	}
-	if err := put(uint32(len(b.classes))); err != nil {
-		return n, err
-	}
-	var blob bytes.Buffer
-	for _, ci := range b.sortedClasses() {
-		blob.Reset()
-		if _, err := b.classes[ci].WriteTo(&blob); err != nil {
-			return n, err
-		}
-		if err := put(int32(ci)); err != nil {
-			return n, err
-		}
-		if err := put(uint64(blob.Len())); err != nil {
-			return n, err
-		}
-		nn, err := bw.Write(blob.Bytes())
-		n += int64(nn)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
+	return out.WriteTo(w)
 }
 
-// ReadBank reconstructs a bank written by WriteTo. numSets, k and opt
-// must repeat the writing bank's configuration (they determine the
-// per-class sketch parameters, which are validated frame by frame);
-// weightOf is the same element-weight oracle. The result is identical
-// to the original: same classes, same kept edges and eviction bars, so
-// it assembles — and answers — bit-identically.
-func ReadBank(r io.Reader, numSets, k int, opt Options, weightOf func(uint32) float64) (*Bank, error) {
-	b, err := NewBank(numSets, k, opt, weightOf)
+// ReadBank decodes a bank written by WriteTo into the view its bytes
+// spell out: core.ReadView per class frame, no sketch built. numSets, k
+// and opt must repeat the writing bank's configuration (they determine
+// the per-class sketch parameters, which are validated frame by frame);
+// weightOf is the same element-weight oracle. The result re-serializes
+// to the same bytes and assembles — and answers — bit-identically. A
+// frame's announced length is checked against the bytes left before
+// anything is allocated for it; frames may come in any class order,
+// but a class may come only once.
+func ReadBank(r io.Reader, numSets, k int, opt Options, weightOf func(uint32) float64) (*BankView, error) {
+	sh, err := newShape(numSets, k, opt, weightOf)
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(BankMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("weighted: reading bank header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("weighted: reading bank: %w", err)
 	}
-	if string(magic) != BankMagic {
+	const header = len(BankMagic) + 8 + 4
+	if len(data) < header {
+		return nil, fmt.Errorf("weighted: reading bank header: %w", io.ErrUnexpectedEOF)
+	}
+	if magic := data[:len(BankMagic)]; string(magic) != BankMagic {
 		return nil, fmt.Errorf("weighted: bad bank magic %q (want %q)", magic, BankMagic)
 	}
-	var (
-		edgesSeen int64
-		count     uint32
-	)
-	if err := binary.Read(br, binary.LittleEndian, &edgesSeen); err != nil {
-		return nil, fmt.Errorf("weighted: reading bank counter: %w", err)
+	le := binary.LittleEndian
+	v := &BankView{shape: sh, edgesSeen: int64(le.Uint64(data[len(BankMagic):]))}
+	if v.edgesSeen < 0 {
+		return nil, fmt.Errorf("weighted: negative consumed-edge total %d", v.edgesSeen)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("weighted: reading bank class count: %w", err)
-	}
+	count, rest := le.Uint32(data[header-4:]), data[header:]
 	for i := uint32(0); i < count; i++ {
-		var (
-			ci      int32
-			blobLen uint64
-		)
-		if err := binary.Read(br, binary.LittleEndian, &ci); err != nil {
-			return nil, fmt.Errorf("weighted: reading class %d index: %w", i, err)
+		if len(rest) < 12 {
+			return nil, fmt.Errorf("weighted: reading class frame %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &blobLen); err != nil {
-			return nil, fmt.Errorf("weighted: reading class %d size: %w", ci, err)
+		ci, size := int(int32(le.Uint32(rest))), le.Uint64(rest[4:])
+		rest = rest[12:]
+		if size > uint64(len(rest)) {
+			return nil, fmt.Errorf("weighted: class %d frame of %d bytes, %d left: %w", ci, size, len(rest), io.ErrUnexpectedEOF)
 		}
-		if blobLen > maxBankClassBytes {
-			return nil, fmt.Errorf("weighted: class %d frame of %d bytes exceeds limit", ci, blobLen)
-		}
-		if _, dup := b.classes[int(ci)]; dup {
-			return nil, fmt.Errorf("weighted: duplicate class %d frame", ci)
-		}
-		// The sketch decoder drains its reader; hand it an exact in-memory
-		// frame so it cannot consume the next class's bytes.
-		var blob bytes.Buffer
-		if _, err := io.CopyN(&blob, br, int64(blobLen)); err != nil {
-			return nil, fmt.Errorf("weighted: reading class %d sketch: %w", ci, err)
-		}
-		sk, err := core.ReadSketch(&blob)
+		cv, err := core.ReadView(bytes.NewReader(rest[:size]))
 		if err != nil {
 			return nil, fmt.Errorf("weighted: decoding class %d sketch: %w", ci, err)
 		}
-		if sk.Params() != b.classParams(int(ci)) {
+		if cv.Params() != sh.classParams(ci) {
 			return nil, fmt.Errorf("weighted: class %d sketch parameters do not match the bank options", ci)
 		}
-		b.classes[int(ci)] = sk
+		v.classes = append(v.classes, classView{ci, cv})
+		rest = rest[size:]
 	}
-	b.edgesSeen = edgesSeen
-	return b, nil
+	v.sortClasses()
+	for i := 1; i < len(v.classes); i++ {
+		if v.classes[i].ci == v.classes[i-1].ci {
+			return nil, fmt.Errorf("weighted: duplicate class %d frame", v.classes[i].ci)
+		}
+	}
+	return v, nil
 }

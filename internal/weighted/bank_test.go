@@ -2,7 +2,13 @@ package weighted
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -35,8 +41,8 @@ func testBankOptions() Options {
 	return Options{Eps: 0.4, Seed: 77, NumElems: 3000, EdgeBudget: 2500}
 }
 
-// serializeBank returns the canonical bytes of a bank.
-func serializeBank(t *testing.T, b *Bank) []byte {
+// serializeBank returns the canonical bytes of a bank or a bank view.
+func serializeBank(t testing.TB, b io.WriterTo) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := b.WriteTo(&buf); err != nil {
@@ -45,8 +51,9 @@ func serializeBank(t *testing.T, b *Bank) []byte {
 	return buf.Bytes()
 }
 
-// mustSolve runs Solve and fails the test on error.
-func mustSolve(t *testing.T, b *Bank, k int) *Result {
+// mustSolve runs Solve (a bank's or a bank view's) and fails the test on
+// error.
+func mustSolve(t *testing.T, b interface{ Solve(int) (*Result, error) }, k int) *Result {
 	t.Helper()
 	res, err := b.Solve(k)
 	if err != nil {
@@ -138,8 +145,10 @@ func TestBankSerializationRoundTrip(t *testing.T) {
 }
 
 // TestBankMergeEqualsSingle pins class-bank merge-composability: banks
-// built over disjoint shards of the stream merge into exactly the bank
-// of the whole stream, for both pairwise Merge and MergeBanks.
+// built over disjoint shards of the stream freeze into views that merge
+// into exactly the view of the whole stream's bank — per-class consumed
+// counters included — both in one MergeBankViews call and thawed view by
+// view into a bank (the restore path).
 func TestBankMergeEqualsSingle(t *testing.T) {
 	const k = 4
 	for name, inst := range bankWorkloads() {
@@ -154,43 +163,46 @@ func TestBankMergeEqualsSingle(t *testing.T) {
 
 		edges := stream.Drain(stream.Shuffled(inst.G, 9))
 		const parts = 3
-		shards := make([]*Bank, parts)
-		for p := range shards {
-			if shards[p], err = NewBank(n, k, opt, testWeightOf); err != nil {
+		cuts := make([]*BankView, parts)
+		for p := range cuts {
+			shard, err := NewBank(n, k, opt, testWeightOf)
+			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			shards[p].AddEdges(edges[p*len(edges)/parts : (p+1)*len(edges)/parts])
+			shard.AddEdges(edges[p*len(edges)/parts : (p+1)*len(edges)/parts])
+			cuts[p] = shard.Freeze()
 		}
 
-		merged, err := MergeBanks(n, k, opt, testWeightOf, shards...)
+		merged, err := MergeBankViews(n, k, opt, testWeightOf, whole.EdgesSeen(), cuts...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := serializeBank(t, merged); !bytes.Equal(want, got) {
-			t.Fatalf("%s: MergeBanks of %d shards differs from the single-pass bank", name, parts)
+			t.Fatalf("%s: MergeBankViews of %d shards differs from the single-pass bank", name, parts)
 		}
 
 		pairwise, err := NewBank(n, k, opt, testWeightOf)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, sh := range shards {
-			if err := pairwise.Merge(sh); err != nil {
+		for _, cut := range cuts {
+			if err := pairwise.MergeView(cut); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		// Pairwise Merge leaves stream accounting untouched (like
-		// core.Sketch.Merge); align it before the byte comparison.
-		pairwise.SetEdgesSeen(whole.EdgesSeen())
+		// MergeView leaves stream accounting untouched (like
+		// core.Sketch.MergeView); align it before the byte comparison.
+		pairwise.edgesSeen = whole.EdgesSeen()
 		if got := serializeBank(t, pairwise); !bytes.Equal(want, got) {
 			t.Fatalf("%s: pairwise merge differs from the single-pass bank", name)
 		}
 	}
 }
 
-// TestBankCloneIsDeep pins clone isolation: mutating the clone leaves
-// the original untouched and vice versa.
-func TestBankCloneIsDeep(t *testing.T) {
+// TestBankFreezeSharesNoStorage pins cut isolation: ingest after Freeze
+// never shows through the earlier cut, and the bank is not disturbed by
+// having been cut.
+func TestBankFreezeSharesNoStorage(t *testing.T) {
 	inst := workload.Zipf(30, 1500, 300, 0.9, 0.7, 21)
 	b, err := NewBank(30, 3, testBankOptions(), testWeightOf)
 	if err != nil {
@@ -199,20 +211,96 @@ func TestBankCloneIsDeep(t *testing.T) {
 	edges := stream.Drain(stream.Shuffled(inst.G, 1))
 	half := len(edges) / 2
 	b.AddEdges(edges[:half])
-	want := serializeBank(t, b)
+	cut := b.Freeze()
+	want := serializeBank(t, cut)
 
-	c := b.Clone()
-	c.AddEdges(edges[half:])
-	if got := serializeBank(t, b); !bytes.Equal(want, got) {
-		t.Fatal("mutating the clone changed the original bank")
+	b.AddEdges(edges[half:])
+	if got := serializeBank(t, cut); !bytes.Equal(want, got) {
+		t.Fatal("ingest after Freeze changed the bytes of the earlier cut")
 	}
 	full, err := NewBank(30, 3, testBankOptions(), testWeightOf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full.AddEdges(edges)
-	if got, wantFull := serializeBank(t, c), serializeBank(t, full); !bytes.Equal(got, wantFull) {
-		t.Fatal("clone fed the remaining edges differs from a bank fed everything")
+	if got, wantFull := serializeBank(t, b), serializeBank(t, full); !bytes.Equal(got, wantFull) {
+		t.Fatal("a bank cut halfway differs from a bank fed everything")
+	}
+}
+
+// goldenBank rebuilds the bank behind testdata/bank_v1.wbnk: four weight
+// classes at budget 150, two of them evicted (classes 1 and 2) and two
+// below budget (0 and 3).
+func goldenBank(t testing.TB) (numSets, k int, opt Options, edges []bipartite.Edge) {
+	t.Helper()
+	inst := workload.Zipf(30, 600, 200, 0.9, 0.7, 1)
+	return 30, 4, Options{Eps: 0.4, Seed: 42, NumElems: 600, EdgeBudget: 150},
+		stream.Drain(stream.Shuffled(inst.G, 3))
+}
+
+// TestBankGoldenBytes pins the WBNK1 format across the move to views:
+// testdata/bank_v1.wbnk is what the commit before it wrote for the
+// golden bank (Bank.WriteTo over thawed class sketches; its MergeBanks of
+// three shard banks wrote the same bytes). The view path must decode
+// those bytes, re-emit them, and produce them from a live bank and from
+// merged shard cuts — an old node and a new one exchange state both ways.
+func TestBankGoldenBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "bank_v1.wbnk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, k, opt, edges := goldenBank(t)
+	back, err := ReadBank(bytes.NewReader(golden), n, k, opt, testWeightOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serializeBank(t, back), golden) {
+		t.Fatal("golden blob does not survive decode + encode")
+	}
+	evicted, below := 0, 0
+	for _, c := range back.classes {
+		if _, _, ok := c.view.Bar(); ok {
+			evicted++
+		} else if st := c.view.Stats(); st.EdgesKept < st.Budget {
+			below++
+		}
+	}
+	if back.Classes() != 4 || evicted != 2 || below != 2 {
+		t.Fatalf("golden bank has %d classes, %d evicted, %d below budget", back.Classes(), evicted, below)
+	}
+
+	live, err := NewBank(n, k, opt, testWeightOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.AddEdges(edges)
+	if !bytes.Equal(serializeBank(t, live.Freeze()), golden) {
+		t.Fatal("a live bank over the golden stream no longer freezes to the golden bytes")
+	}
+	cuts := make([]*BankView, 3)
+	for p := range cuts {
+		shard, err := NewBank(n, k, opt, testWeightOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard.AddEdges(edges[p*len(edges)/3 : (p+1)*len(edges)/3])
+		cuts[p] = shard.Freeze()
+	}
+	merged, err := MergeBankViews(n, k, opt, testWeightOf, int64(len(edges)), cuts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serializeBank(t, merged), golden) {
+		t.Fatal("merged shard cuts do not write the golden bytes")
+	}
+	// Folding the old node's blob in again changes nothing but the
+	// per-class consumed totals, which add up.
+	again, err := MergeBankViews(n, k, opt, testWeightOf, int64(len(edges)), append(cuts, back)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := mustSolve(t, merged, k), mustSolve(t, again, k); !sameResult(want, got) {
+		t.Fatalf("folding the golden blob in again answers %+v, before %+v", got, want)
 	}
 }
 
@@ -253,8 +341,11 @@ func TestBankValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Merge(other); err == nil {
-		t.Fatal("merge of incompatible banks accepted")
+	if err := b.MergeView(other.Freeze()); err == nil {
+		t.Fatal("thaw of an incompatible bank view accepted")
+	}
+	if _, err := MergeBankViews(5, 2, testBankOptions(), testWeightOf, 0, b.Freeze(), other.Freeze()); err == nil {
+		t.Fatal("merge of incompatible bank views accepted")
 	}
 }
 
@@ -276,4 +367,61 @@ func TestBankStatsAggregate(t *testing.T) {
 	if st.PStar <= 0 || st.PStar > 1 || math.IsNaN(st.PStar) {
 		t.Fatalf("bad aggregate p* %v", st.PStar)
 	}
+}
+
+// allocatedBy reports the heap bytes f allocated (TotalAlloc delta).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzReadBank: arbitrary bytes either fail to decode or decode to a view
+// whose re-encoding decodes to itself; the decoder never panics and
+// allocates in proportion to the bytes it was handed, whatever class
+// count and frame lengths they announce.
+func FuzzReadBank(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "bank_v1.wbnk"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	n, k, opt, _ := goldenBank(f)
+	const header = len(BankMagic) + 8 + 4
+	for _, seed := range [][]byte{
+		golden, golden[:len(golden)-1], golden[:len(golden)/2], golden[:header+12], golden[:header+11],
+		golden[:header], golden[:header-1], []byte(BankMagic), nil, append(slices.Clone(golden), 0),
+	} {
+		f.Add(seed)
+	}
+	// A class count and a frame length far beyond the blob.
+	huge := slices.Clone(golden[:header+12])
+	binary.LittleEndian.PutUint32(huge[header-4:], 1<<31)
+	binary.LittleEndian.PutUint64(huge[header+4:], 1<<40)
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got *BankView
+		var err error
+		// The blob read whole, one copy per frame and the decoded arrays —
+		// or, for a frame that is not in canonical order, the sketch that
+		// normalizes it (a slot and a map entry against the 12 bytes an
+		// element spends at least) — plus what the fuzz worker's own
+		// goroutines allocate meanwhile.
+		budget := uint64(64*len(data)) + 1<<20
+		if alloc := allocatedBy(func() { got, err = ReadBank(bytes.NewReader(data), n, k, opt, testWeightOf) }); alloc > budget {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		raw := serializeBank(t, got)
+		again, err := ReadBank(bytes.NewReader(raw), n, k, opt, testWeightOf)
+		if err != nil {
+			t.Fatalf("re-reading a decoded bank: %v", err)
+		}
+		if !bytes.Equal(serializeBank(t, again), raw) {
+			t.Fatal("WriteTo → ReadBank → WriteTo changed the bytes")
+		}
+	})
 }

@@ -190,11 +190,11 @@ func classIndex(w float64) int {
 // zero weight are skipped.
 //
 // The pass feeds a class Bank (bank.go) — one H≤n sketch per non-empty
-// geometric weight class — and solves the weighted greedy on its scaled
-// union. The bank assembles the union in a canonical class order, so
-// KCover is fully deterministic given the options, and a sharded
-// service merging per-shard banks over the same edges answers
-// bit-identically (pinned by the server equivalence tests).
+// geometric weight class — and solves the weighted greedy on the scaled
+// union of its frozen view. The view assembles the union in a canonical
+// class order, so KCover is fully deterministic given the options, and a
+// sharded service merging per-shard bank views over the same edges
+// answers bit-identically (pinned by the server equivalence tests).
 func KCover(st stream.Stream, numSets, k int, weightOf func(elem uint32) float64, opt Options) (*Result, error) {
 	b, err := NewBank(numSets, k, opt, weightOf)
 	if err != nil {
