@@ -1,9 +1,9 @@
 // Command covserved serves coverage queries over live edge streams: a
 // multi-tenant directory of sharded concurrent ingest engines
 // (internal/server) behind an HTTP JSON API. Each namespace is an
-// isolated dataset with its own shard sketches, snapshots and query
-// cache; edges arrive in batches, and queries run the paper's
-// algorithms on a merged snapshot without stalling ingest.
+// isolated dataset with its own shard sketches and snapshots; edges
+// arrive in batches, and queries run the paper's algorithms on a merged
+// snapshot without stalling ingest.
 //
 // Usage:
 //

@@ -17,9 +17,10 @@
 // (Definition 2.1, merging, serialization), algorithms (Algorithms
 // 3–6), greedy, bipartite — and the sharded coverage-query service
 // behind cmd/covserved lives in internal/server: per-namespace shard
-// engines, immutable merged snapshots, a memoized query plane, and the
-// HTTP JSON API (both the single-dataset routes and the /v1/ns
-// multi-tenant surface; the README documents every endpoint).
+// engines, immutable merged snapshots that each run their greedy once
+// (every query is a prefix of that run), and the HTTP JSON API (both the
+// single-dataset routes and the /v1/ns multi-tenant surface; the README
+// documents every endpoint).
 //
 // See README.md for a tour, the HTTP API reference and the CLI flag
 // tables; DESIGN.md for the paper-to-code map, the system inventory and

@@ -515,7 +515,9 @@ func (n *Node) snapshot(name string, e *server.Engine, fresh bool) (*server.Snap
 // view: local snapshot + every peer's last-known state. Unreachable
 // peers never block — their last pulled state keeps serving until the
 // anti-entropy loop replaces it. q.Refresh re-merges the local engine
-// only; pair with PullNow for a fully fresh cluster answer.
+// only; pair with PullNow for a fully fresh cluster answer. The query is
+// counted on the namespace's engine, and the cached view runs its greedy
+// once like any snapshot (server.Engine.QuerySnapshot).
 func (n *Node) Query(name string, q server.Query) (*server.QueryResult, error) {
 	e, ok := n.multi.Get(name)
 	if !ok {
@@ -525,7 +527,7 @@ func (n *Node) Query(name string, q server.Query) (*server.QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return server.ExecuteQuery(snap, q)
+	return e.QuerySnapshot(snap, q)
 }
 
 // PeerStats reports one peer's anti-entropy accounting.

@@ -629,6 +629,50 @@ func TestClusterETagShortCircuit(t *testing.T) {
 	}
 }
 
+// TestClusterQueriesAreCounted: a query answered from the cluster view is
+// a query of the namespace — it moves the engine's Queries (and so
+// covserved_queries_total on a node with peers) — and the cached view runs
+// its greedy once like any snapshot: a repeat and a smaller k on an
+// unchanged view need no new pick, on the sketch and the weighted route.
+func TestClusterQueriesAreCounted(t *testing.T) {
+	edges := testEdges(t)
+	nodes := startCluster(t, 2, 2)
+	for _, ns := range []string{server.DefaultNamespace, "wcov"} {
+		ingestPartitioned(t, nodes, ns, edges)
+	}
+	n0 := nodes[0].node
+	if err := n0.PullNow(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ns := range []string{server.DefaultNamespace, "wcov"} {
+		e, _ := nodes[0].multi.Get(ns)
+		var first *server.QueryResult
+		for i, k := range []int{tK, tK, tK - 2} {
+			res, err := n0.Query(ns, server.Query{Algo: server.AlgoKCover, K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = res
+			}
+			assertSameSets(t, fmt.Sprintf("%s ask %d (k=%d)", ns, i, k), res.Sets, first.Sets[:k])
+			if c := e.Counters(); c.Queries != int64(i+1) || c.QueryCacheHits != int64(i) {
+				t.Fatalf("%s after %d cluster queries: queries=%d hits=%d, want %d and %d",
+					ns, i+1, c.Queries, c.QueryCacheHits, i+1, i)
+			}
+		}
+		if _, err := n0.Query(ns, server.Query{Algo: server.AlgoKCover}); err == nil {
+			t.Fatalf("%s: a kcover query without k was answered", ns)
+		}
+		if c := e.Counters(); c.Queries != 3 {
+			t.Fatalf("%s: a rejected query was counted (queries=%d)", ns, c.Queries)
+		}
+	}
+	if st := n0.Stats(); st.ViewRebuilds != 2 {
+		t.Fatalf("%d view rebuilds over two namespaces: the queries did not share their view", st.ViewRebuilds)
+	}
+}
+
 // TestClusterPullSeesReplacedPeerEngine: the state ETag identifies the
 // engine, not just its edge count. B ingests N edges and A pulls; B's
 // namespace is then replaced by a fresh engine that reaches the same

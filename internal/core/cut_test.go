@@ -161,3 +161,76 @@ func TestCutForgetsAndCloneKeepsTheBookkeeping(t *testing.T) {
 		t.Fatalf("first delta of an evicting sketch differs from its Freeze (%s)", viewsDiffer(d, e.Freeze()))
 	}
 }
+
+// TestStatsBytesEqualsTheSlotScan holds the byte total Stats reports —
+// kept as a field, since a shard answers every freeze, stats request and
+// metrics scrape with it from inside its mailbox — equal to the scan over
+// the slot array it replaced, freed slots included, along random schedules
+// of everything that allocates, grows, reuses or copies a set list. The
+// degree cap both binds below and clears sortedInsertThreshold, and the
+// budget is small enough that slots are freed and reused throughout.
+func TestStatsBytesEqualsTheSlotScan(t *testing.T) {
+	const (
+		numSets  = 40
+		numElems = 3000
+	)
+	scan := func(s *Sketch) int64 {
+		var bytes int64
+		for i := range s.slots {
+			bytes += 24 + 4*int64(cap(s.slots[i].sets))
+		}
+		return bytes + int64(len(s.heap))*4 + int64(len(s.index))*12
+	}
+	for _, degCap := range []int{3, numSets + 1} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			params := smallParams(numSets, 3, 300, seed)
+			params.DegreeCap = degCap
+			rng := rand.New(rand.NewPCG(seed, uint64(degCap)))
+			batch := func() []bipartite.Edge {
+				edges := make([]bipartite.Edge, rng.IntN(500))
+				for i := range edges {
+					// A few hot elements collect long lists.
+					edges[i] = bipartite.Edge{Set: uint32(rng.IntN(numSets)), Elem: uint32(rng.IntN(numElems))}
+					if rng.IntN(3) == 0 {
+						edges[i].Elem = uint32(rng.IntN(8))
+					}
+				}
+				return edges
+			}
+			s, other := MustNewSketch(params), MustNewSketch(params)
+			for step := 0; step < 200; step++ {
+				var op string
+				switch rng.IntN(6) {
+				case 0, 1:
+					op = "AddEdges"
+					s.AddEdges(batch())
+				case 2:
+					op = "LowerBar"
+					if len(s.heap) > 0 {
+						sl := s.slots[s.heap[rng.IntN(len(s.heap))]]
+						s.LowerBar(sl.hash, sl.elem)
+					}
+				case 3:
+					op = "Cut"
+					s.Cut(rng.IntN(2) == 0)
+				case 4:
+					op = "Clone"
+					s = s.Clone()
+				case 5:
+					op = "MergeView"
+					other.AddEdges(batch())
+					if err := s.MergeView(other.Freeze()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got, want := s.Stats().Bytes, scan(s); got != want {
+					t.Fatalf("D=%d seed=%d step %d (%s): Stats reports %d bytes, the slot scan %d",
+						degCap, seed, step, op, got, want)
+				}
+			}
+			if len(s.free) == 0 && len(s.slots) == len(s.index) {
+				t.Fatalf("D=%d seed=%d: the schedule never freed a slot", degCap, seed)
+			}
+		}
+	}
+}

@@ -55,6 +55,7 @@ func (s *Sketch) Clone() *Sketch {
 	for i := range s.slots {
 		c.slots[i] = s.slots[i]
 		c.slots[i].sets = append([]uint32(nil), s.slots[i].sets...)
+		c.setCap += int64(cap(c.slots[i].sets)) // the copies are sized afresh
 	}
 	for k, v := range s.index {
 		c.index[k] = v

@@ -39,6 +39,10 @@ type Sketch struct {
 	dirty []int32
 
 	totalEdges int
+	// setCap is the summed capacity of every slot's set list, freed slots
+	// included (an evicted slot keeps its array for the next element), so
+	// Stats prices the payload without walking the slot array.
+	setCap int64
 
 	// Eviction bar: the smallest (hash, elem) pair ever evicted. Every
 	// kept element compares strictly below it.
@@ -288,6 +292,7 @@ func (s *Sketch) addToSlot(si int32, set uint32, count bool) {
 		}
 		return
 	}
+	capBefore := cap(sl.sets)
 	if len(sl.sets) >= sortedInsertThreshold {
 		sl.normalize()
 		sets := sl.sets
@@ -325,6 +330,7 @@ func (s *Sketch) addToSlot(si int32, set uint32, count bool) {
 		}
 		sl.sets = append(sl.sets, set)
 	}
+	s.setCap += int64(cap(sl.sets) - capBefore)
 	if !sl.dirty {
 		sl.dirty = true
 		s.dirty = append(s.dirty, si)
@@ -532,11 +538,8 @@ type Stats struct {
 
 // Stats returns a snapshot of the sketch accounting.
 func (s *Sketch) Stats() Stats {
-	var bytes int64
-	for i := range s.slots {
-		bytes += 24 /* slot header */ + 4*int64(cap(s.slots[i].sets))
-	}
-	bytes += int64(len(s.heap))*4 + int64(len(s.index))*12
+	bytes := 24*int64(len(s.slots)) /* slot headers */ + 4*s.setCap +
+		int64(len(s.heap))*4 + int64(len(s.index))*12
 	return Stats{
 		EdgesSeen:    s.edgesSeen,
 		EdgesKept:    s.totalEdges,

@@ -16,6 +16,8 @@
 package greedy
 
 import (
+	"sync"
+
 	"repro/internal/bipartite"
 )
 
@@ -85,74 +87,41 @@ func (h candHeap) popTop() candHeap {
 	return h
 }
 
-// MaxCover picks at most k sets of g greedily, maximizing coverage. It is
-// the 1−1/e approximation of [40]. Picks with zero marginal gain are
-// skipped, so len(Result.Sets) can be < k when fewer sets suffice to cover
-// everything reachable.
-func MaxCover(g *bipartite.Graph, k int) Result {
-	return run(g, func(picked, covered, gain int) bool {
-		return picked < k && gain > 0
-	})
+// Run is one lazy-greedy run over an immutable graph that stops where it
+// is asked to and resumes from there: the evaluator, the candidate heap
+// and the picks and gains made so far. The pick sequence does not depend
+// on the stopping rule — candidate is a strict total order, and a run
+// that stops leaves the verified top on the heap, so resuming re-derives
+// exactly the pick an uninterrupted run would make next — which makes
+// every rule's answer a prefix of one sequence. A rule is answered from
+// the stored prefix when that already contains its stopping point, and
+// extends the run otherwise. Safe for concurrent use; every Result is
+// privately owned by its caller.
+type Run struct {
+	g *bipartite.Graph
+	// full is g.CoveredElems(), the set-cover target, counted on first use.
+	fullOnce sync.Once
+	full     int
+
+	mu  sync.Mutex // guards everything below
+	cov bipartite.CoverageEvaluator
+	h   candHeap
+	// sets and gains are the picks so far; next is the verified gain of
+	// h[0] when the last extension stopped on a rule (0: not known, or
+	// the heap ran empty and the run is complete).
+	sets, gains []int
+	next        int
 }
 
-// SetCover picks sets greedily until every non-isolated element is
-// covered; the classical ln(m)+1 approximation.
-func SetCover(g *bipartite.Graph) Result {
-	target := g.CoveredElems()
-	return run(g, func(picked, covered, gain int) bool {
-		return covered < target && gain > 0
-	})
+// NewRun starts a run on g with the coverage evaluator g.NewEvaluator
+// picks (bitset-backed on dense instances such as sketch snapshots,
+// epoch-stamped otherwise). g must not change afterwards.
+func NewRun(g *bipartite.Graph) *Run {
+	return NewRunWith(g, g.NewEvaluator())
 }
 
-// PartialCover picks sets greedily until at least targetCovered elements
-// are covered (or no set adds coverage). With targetCovered = (1−λ)·m this
-// is the set-cover-with-outliers greedy whose solution size is at most
-// ln(1/λ)·k* (used by Algorithm 4 with k = k′·ln(1/λ′)).
-func PartialCover(g *bipartite.Graph, targetCovered int) Result {
-	return run(g, func(picked, covered, gain int) bool {
-		return covered < targetCovered && gain > 0
-	})
-}
-
-// Budgeted runs greedy until cont returns false. cont is consulted before
-// each pick with the current number of picks, covered elements, and the
-// best available marginal gain.
-func Budgeted(g *bipartite.Graph, cont func(picked, covered, gain int) bool) Result {
-	return run(g, cont)
-}
-
-// BudgetedWith is Budgeted over an explicit coverage evaluator instead
-// of the one g.NewEvaluator picks. The equivalence property tests and
-// the query-plane benchmarks use it to compare the stamp and bitset
-// engines on identical instances; the Result is the same either way.
-func BudgetedWith(g *bipartite.Graph, cov bipartite.CoverageEvaluator, cont func(picked, covered, gain int) bool) Result {
-	return runWith(g, cov, cont)
-}
-
-// run picks the coverage evaluator for g (bitset-backed on dense
-// instances such as sketch snapshots, epoch-stamped otherwise) and runs
-// lazy greedy on it.
-func run(g *bipartite.Graph, cont func(picked, covered, gain int) bool) Result {
-	return runWith(g, g.NewEvaluator(), cont)
-}
-
-// runWith dispatches to a concrete-typed instantiation of the greedy
-// loop when the evaluator is one of the two known engines, so the
-// per-marginal method calls devirtualize and inline — on a snapshot
-// graph the bitset marginal is a handful of popcounts, and the dynamic
-// dispatch would cost as much as the work itself.
-func runWith(g *bipartite.Graph, cov bipartite.CoverageEvaluator, cont func(picked, covered, gain int) bool) Result {
-	switch c := cov.(type) {
-	case *bipartite.BitsetCoverer:
-		return runLoop(g, c, cont)
-	case *bipartite.Coverer:
-		return runLoop(g, c, cont)
-	default:
-		return runLoop(g, cov, cont)
-	}
-}
-
-func runLoop[E bipartite.CoverageEvaluator](g *bipartite.Graph, cov E, cont func(picked, covered, gain int) bool) Result {
+// NewRunWith is NewRun over an explicit, fresh coverage evaluator.
+func NewRunWith(g *bipartite.Graph, cov bipartite.CoverageEvaluator) *Run {
 	n := g.NumSets()
 	h := make(candHeap, 0, n)
 	for s := 0; s < n; s++ {
@@ -161,8 +130,95 @@ func runLoop[E bipartite.CoverageEvaluator](g *bipartite.Graph, cov E, cont func
 		}
 	}
 	h.init()
+	return &Run{g: g, cov: cov, h: h}
+}
 
-	res := Result{}
+// MaxCover is the run stopped after at most k picks — the 1−1/e
+// approximation of [40]. Picks with zero marginal gain are skipped, so
+// len(Result.Sets) can be < k when fewer sets suffice to cover everything
+// reachable. extended is the number of picks the call added to the run;
+// 0 means the answer was read off the stored prefix.
+func (r *Run) MaxCover(k int) (res Result, extended int) {
+	return r.Budgeted(func(picked, covered, gain int) bool {
+		return picked < k && gain > 0
+	})
+}
+
+// SetCover is the run continued until every non-isolated element is
+// covered; the classical ln(m)+1 approximation.
+func (r *Run) SetCover() (res Result, extended int) {
+	return r.PartialCover(r.CoveredElems())
+}
+
+// PartialCover is the run continued until at least targetCovered elements
+// are covered (or no set adds coverage). With targetCovered = (1−λ)·m this
+// is the set-cover-with-outliers greedy whose solution size is at most
+// ln(1/λ)·k* (used by Algorithm 4 with k = k′·ln(1/λ′)).
+func (r *Run) PartialCover(targetCovered int) (res Result, extended int) {
+	return r.Budgeted(func(picked, covered, gain int) bool {
+		return covered < targetCovered && gain > 0
+	})
+}
+
+// CoveredElems is the graph's non-isolated element count (SetCover's
+// target), counted once per run.
+func (r *Run) CoveredElems() int {
+	r.fullOnce.Do(func() { r.full = r.g.CoveredElems() })
+	return r.full
+}
+
+// Budgeted is the run stopped where cont first returns false. cont is
+// consulted before each pick with the number of picks so far, the elements
+// they cover, and the best available marginal gain; it must be a pure
+// function of those (it runs under the run's lock, possibly on picks
+// made for an earlier caller).
+func (r *Run) Budgeted(cont func(picked, covered, gain int) bool) (res Result, extended int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	covered := 0
+	for p, gain := range r.gains {
+		if !cont(p, covered, gain) {
+			return r.prefix(p, covered), 0
+		}
+		covered += gain
+	}
+	have := len(r.sets)
+	if len(r.h) == 0 || r.next > 0 && !cont(have, covered, r.next) {
+		return r.prefix(have, covered), 0
+	}
+	// Dispatch to a concrete-typed instantiation of the greedy loop when
+	// the evaluator is one of the two known engines, so the per-marginal
+	// method calls devirtualize and inline — on a snapshot graph the
+	// bitset marginal is a handful of popcounts, and the dynamic dispatch
+	// would cost as much as the work itself.
+	switch c := r.cov.(type) {
+	case *bipartite.BitsetCoverer:
+		extend(r, c, cont)
+	case *bipartite.Coverer:
+		extend(r, c, cont)
+	default:
+		extend(r, r.cov, cont)
+	}
+	return r.prefix(len(r.sets), r.cov.Covered()), len(r.sets) - have
+}
+
+// prefix copies the first p picks, which cover covered elements, into a
+// Result the caller owns (nil slices for p = 0, as a run that never
+// picked returns).
+func (r *Run) prefix(p, covered int) Result {
+	return Result{
+		Sets:    append([]int(nil), r.sets[:p]...),
+		Covered: covered,
+		Gains:   append([]int(nil), r.gains[:p]...),
+	}
+}
+
+// extend is the greedy loop: it resumes the run where it stopped and
+// picks until cont returns false or no set adds coverage. The heap and
+// the pick lists live in locals for the duration of the loop.
+func extend[E bipartite.CoverageEvaluator](r *Run, cov E, cont func(picked, covered, gain int) bool) {
+	h, sets, gains := r.h, r.sets, r.gains
+	next := 0
 	for len(h) > 0 {
 		top := h[0]
 		set := top.set()
@@ -178,15 +234,51 @@ func runLoop[E bipartite.CoverageEvaluator](g *bipartite.Graph, cov E, cont func
 			h.siftDown(0)
 			continue
 		}
-		if !cont(len(res.Sets), cov.Covered(), fresh) {
+		if !cont(len(sets), cov.Covered(), fresh) {
+			next = fresh
 			break
 		}
 		h = h.popTop()
 		cov.Add(set)
-		res.Sets = append(res.Sets, set)
-		res.Gains = append(res.Gains, fresh)
+		sets = append(sets, set)
+		gains = append(gains, fresh)
 	}
-	res.Covered = cov.Covered()
+	r.h, r.sets, r.gains, r.next = h, sets, gains, next
+}
+
+// MaxCover picks at most k sets of g greedily, maximizing coverage: a
+// fresh Run stopped after k picks (see Run.MaxCover).
+func MaxCover(g *bipartite.Graph, k int) Result {
+	res, _ := NewRun(g).MaxCover(k)
+	return res
+}
+
+// SetCover picks sets greedily until every non-isolated element is
+// covered (see Run.SetCover).
+func SetCover(g *bipartite.Graph) Result {
+	res, _ := NewRun(g).SetCover()
+	return res
+}
+
+// PartialCover picks sets greedily until at least targetCovered elements
+// are covered or no set adds coverage (see Run.PartialCover).
+func PartialCover(g *bipartite.Graph, targetCovered int) Result {
+	res, _ := NewRun(g).PartialCover(targetCovered)
+	return res
+}
+
+// Budgeted runs greedy until cont returns false (see Run.Budgeted).
+func Budgeted(g *bipartite.Graph, cont func(picked, covered, gain int) bool) Result {
+	res, _ := NewRun(g).Budgeted(cont)
+	return res
+}
+
+// BudgetedWith is Budgeted over an explicit coverage evaluator instead
+// of the one g.NewEvaluator picks. The equivalence property tests and
+// the query-plane benchmarks use it to compare the stamp and bitset
+// engines on identical instances; the Result is the same either way.
+func BudgetedWith(g *bipartite.Graph, cov bipartite.CoverageEvaluator, cont func(picked, covered, gain int) bool) Result {
+	res, _ := NewRunWith(g, cov).Budgeted(cont)
 	return res
 }
 

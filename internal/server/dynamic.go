@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
-	"repro/internal/greedy"
 	"repro/internal/l0"
 )
 
@@ -311,8 +310,8 @@ func (m dynamicMode) Materialize(st FrozenState) (*materialized, error) {
 	return &materialized{graph: g, ids: ids}, nil
 }
 
-func (m dynamicMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
-	res := greedy.MaxCover(snap.graph, q.K)
+func (m dynamicMode) Execute(snap *Snapshot, q Query) (*QueryResult, bool, error) {
+	res, extended := snap.greedyRun().MaxCover(q.K)
 	st := snap.state.Stats()
 	return &QueryResult{
 		Algo:           q.Algo,
@@ -327,5 +326,5 @@ func (m dynamicMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 		Engine:            ModeDynamic,
 		SnapshotSeq:       snap.Seq,
 		SnapshotEdges:     snap.IngestedEdges,
-	}, nil
+	}, extended == 0, nil
 }

@@ -41,8 +41,9 @@
 // marginals are word-level popcounts, a Refresh on an idle engine
 // (ingested-edge counter unchanged) reuses the published snapshot
 // instead of re-merging, concurrent first-snapshot builds collapse into
-// one merge behind refreshMu, and repeated queries against one snapshot
-// are memoized in a small LRU keyed by (snapshot seq, algo, k, lambda).
+// one merge behind refreshMu, and a snapshot runs its greedy once: every
+// query is a prefix of that one run, which is extended only when a query
+// asks for picks no earlier query needed.
 package server
 
 import (
@@ -58,6 +59,7 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/distributed"
+	"repro/internal/greedy"
 	"repro/internal/wal"
 	"repro/internal/weighted"
 )
@@ -92,13 +94,6 @@ type Config struct {
 	// MergeEvery, when positive, refreshes the snapshot on a timer so
 	// queries see recent edges without paying a merge themselves.
 	MergeEvery time.Duration
-
-	// QueryCache bounds the engine's memoized QueryResult entries, keyed
-	// by (snapshot seq, algo, k, lambda): repeated queries against an
-	// unchanged snapshot return without re-running greedy, and a new
-	// snapshot seq invalidates naturally. 0 selects the default (64
-	// entries); negative disables caching.
-	QueryCache int
 
 	// Engine selects the engine mode by name: ModeSketch (the default),
 	// ModeWeighted (also implied by Weights) or ModeDynamic, the
@@ -152,16 +147,6 @@ func (c Config) queueDepth() int {
 		return 64
 	}
 	return c.QueueDepth
-}
-
-func (c Config) queryCache() int {
-	switch {
-	case c.QueryCache < 0:
-		return 0
-	case c.QueryCache == 0:
-		return 64
-	}
-	return c.QueryCache
 }
 
 // Params derives the Algorithm 3 sketch parameters from the config —
@@ -293,6 +278,25 @@ type Snapshot struct {
 	weights []float64        // weighted: scaled union element weights
 	graph   *bipartite.Graph // materialized (union) graph queries run on
 	ids     []uint32         // graph element id -> original element id
+
+	// The one greedy run over graph, started by the first query and shared
+	// by every later one, whichever route it arrives by: run on the sketch
+	// and dynamic modes, wrun (the float-gain loop) on the weighted mode.
+	runOnce sync.Once
+	run     *greedy.Run
+	wrun    *weighted.Run
+}
+
+// greedyRun returns the snapshot's run of the unweighted lazy greedy.
+func (s *Snapshot) greedyRun() *greedy.Run {
+	s.runOnce.Do(func() { s.run = greedy.NewRun(s.graph) })
+	return s.run
+}
+
+// weightedRun returns a weighted snapshot's run of the weighted greedy.
+func (s *Snapshot) weightedRun() *weighted.Run {
+	s.runOnce.Do(func() { s.wrun = weighted.NewRun(weighted.Instance{G: s.graph, W: s.weights}) })
+	return s.wrun
 }
 
 // Mode returns the engine mode the snapshot was merged under.
@@ -415,7 +419,8 @@ type Engine struct {
 	// ingest plane surfaces them as its stall metric.
 	ingestStalls atomic.Int64
 
-	cache     *queryCache // nil when disabled
+	// cacheHits counts the queries whose snapshot's run already held every
+	// pick they needed (Stats.QueryCacheHits).
 	cacheHits atomic.Int64
 	// refreshes counts coordinator merges that actually ran and
 	// refreshNanos sums the time they took (gather → merge → materialize →
@@ -499,7 +504,6 @@ func newEngine(cfg Config, mode Mode) (*Engine, error) {
 		// and element sampling are independent.
 		part:     distributed.NewPartitioner(cfg.shards(), cfg.Seed+0x5eed),
 		shards:   make([]*shard, cfg.shards()),
-		cache:    newQueryCache(cfg.queryCache()),
 		restored: restoredEdges,
 		instance: rand.Uint64(),
 	}
@@ -1077,23 +1081,28 @@ func ValidateQuery(q Query, mode ModeName) error {
 	return nil
 }
 
-// ExecuteQuery runs a validated query against a snapshot — the greedy
-// dispatch of Engine.Query without the engine: no cache, no refresh,
-// no counters. The cluster layer uses it to answer queries on merged
-// cluster-view snapshots (MergeSnapshot) with byte-for-byte the
-// result shape a local engine produces. q.Refresh is ignored (there is
-// no engine to refresh); the caller picks the snapshot.
+// ExecuteQuery validates q against the snapshot's mode and answers it
+// from the snapshot's greedy run, with byte-for-byte the result shape a
+// local engine produces and no engine: no refresh, no counters.
+// q.Refresh is ignored; the caller picks the snapshot.
 func ExecuteQuery(snap *Snapshot, q Query) (*QueryResult, error) {
+	res, _, err := executeQuery(snap, q)
+	return res, err
+}
+
+// executeQuery is ExecuteQuery that also reports whether the answer was a
+// hit: read off picks the snapshot's run had already made.
+func executeQuery(snap *Snapshot, q Query) (res *QueryResult, hit bool, err error) {
 	if err := ValidateQuery(q, snap.ModeName()); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	return snap.mode.Execute(snap, q)
 }
 
 // Query executes q against the current (or freshly merged) snapshot.
-// Safe for concurrent use with Ingest: the snapshot is immutable.
-// Results for an unchanged snapshot are memoized (see Config.QueryCache);
-// every call returns a privately owned Sets slice either way.
+// Safe for concurrent use with Ingest: the snapshot is immutable. A
+// snapshot computes each greedy pick once, however many queries ask;
+// every call returns a privately owned Sets slice.
 func (e *Engine) Query(q Query) (*QueryResult, error) {
 	if err := ValidateQuery(q, e.ModeName()); err != nil {
 		return nil, err
@@ -1110,25 +1119,23 @@ func (e *Engine) Query(q Query) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.queries.Add(1)
-	key := newQueryKey(snap.Seq, e.mode.Signature(), q)
-	if e.cache != nil {
-		if res, ok := e.cache.get(key); ok {
-			e.cacheHits.Add(1)
-			// kcover/wkcover share an entry on a weighted engine; echo the
-			// algo actually requested (get hands back a private copy).
-			res.Algo = q.Algo
-			return res, nil
-		}
-	}
-	out, err := ExecuteQuery(snap, q)
+	return e.QuerySnapshot(snap, q)
+}
+
+// QuerySnapshot answers q from snap — one of the engine's own snapshots,
+// or a cluster view merged from one (MergeSnapshot) — and counts it in
+// the engine's Queries and QueryCacheHits. q.Refresh is ignored; the
+// caller picked the snapshot.
+func (e *Engine) QuerySnapshot(snap *Snapshot, q Query) (*QueryResult, error) {
+	res, hit, err := executeQuery(snap, q)
 	if err != nil {
 		return nil, err
 	}
-	if e.cache != nil {
-		e.cache.put(key, out)
+	e.queries.Add(1)
+	if hit {
+		e.cacheHits.Add(1)
 	}
-	return out, nil
+	return res, nil
 }
 
 // safeEstimate is the Lemma 2.2 estimate covered / p*, defined for the
@@ -1217,14 +1224,11 @@ type Stats struct {
 	// DeletedEdges counts accepted delete ops. Omitted when zero — the
 	// legacy modes' stats shape predates the op plane.
 	DeletedEdges int64 `json:"deleted_edges,omitempty"`
-	// Queries is the number of queries served (cache hits included).
+	// Queries is the number of queries served (hits included).
 	Queries int64 `json:"queries"`
-	// QueryCacheHits counts queries answered from the memoized result
-	// cache without re-running greedy.
+	// QueryCacheHits counts queries that needed no new greedy pick: their
+	// snapshot's run already held the whole answer.
 	QueryCacheHits int64 `json:"query_cache_hits"`
-	// QueryCacheEntries is the cache's current occupancy (0 when the
-	// cache is disabled).
-	QueryCacheEntries int `json:"query_cache_entries"`
 	// Refreshes counts coordinator merges that actually ran.
 	Refreshes int64 `json:"refreshes"`
 	// RefreshSkips counts Refresh calls satisfied by the idle
@@ -1279,9 +1283,6 @@ func (e *Engine) Stats() (*Stats, error) {
 	}
 	if name := e.mode.Name(); name != ModeSketch && name != ModeWeighted {
 		st.Engine = name
-	}
-	if e.cache != nil {
-		st.QueryCacheEntries = e.cache.len()
 	}
 	for _, ch := range replies {
 		st.ShardStats = append(st.ShardStats, (<-ch).stats)

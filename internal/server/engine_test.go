@@ -2,6 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +13,7 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/bipartite"
 	"repro/internal/core"
+	"repro/internal/greedy"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -391,9 +396,12 @@ func TestIdleRefreshShortCircuits(t *testing.T) {
 	}
 }
 
-// TestQueryCache pins the memoized query plane: repeated queries on one
-// snapshot hit the cache and return identical answers, distinct
-// parameters and new snapshots miss.
+// TestQueryCache pins the query plane's contract: a snapshot runs its
+// greedy once and every query — whatever its algo, k or λ, in whatever
+// order — is the prefix of that run a one-shot greedy on the snapshot's
+// graph returns. A query is a hit exactly when no earlier query on the
+// snapshot left the run shorter than its answer, and a new snapshot
+// starts a new run.
 func TestQueryCache(t *testing.T) {
 	inst := workload.PlantedKCover(40, 2500, 5, 0.9, 25, 3)
 	e, err := New(testConfig(40, 2500, 5, 7, 4))
@@ -403,125 +411,135 @@ func TestQueryCache(t *testing.T) {
 	defer e.Close()
 	ingestAll(t, e, inst.G, 400, 1)
 
-	q := Query{Algo: AlgoKCover, K: 5}
-	first, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first.Sets) != len(second.Sets) {
-		t.Fatalf("cached answer differs: %v vs %v", first.Sets, second.Sets)
-	}
-	for i := range first.Sets {
-		if first.Sets[i] != second.Sets[i] {
-			t.Fatalf("cached answer differs: %v vs %v", first.Sets, second.Sets)
+	// oneShot is the reference: a fresh greedy run on the snapshot graph.
+	oneShot := func(g *bipartite.Graph, q Query) greedy.Result {
+		switch q.Algo {
+		case AlgoOutliers:
+			return greedy.PartialCover(g, int(math.Ceil(float64(g.CoveredElems())*(1-q.Lambda)*(1-1e-12))))
+		case AlgoGreedy:
+			return greedy.SetCover(g)
 		}
+		return greedy.MaxCover(g, q.K)
 	}
-	st, _ := e.Stats()
-	if st.QueryCacheHits != 1 {
-		t.Fatalf("cache hits = %d after a repeated query, want 1", st.QueryCacheHits)
+	wantHits, wantQueries := int64(0), int64(0)
+	// ask runs qs in order against the published snapshot, whose run holds
+	// have picks so far, and returns the run's new length.
+	ask := func(have int, qs ...Query) int {
+		t.Helper()
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range qs {
+			got, err := e.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oneShot(snap.Graph(), q)
+			if !sameIntSets(got.Sets, want.Sets) || got.SketchCoverage != want.Covered {
+				t.Fatalf("%+v: got %v covering %d, one-shot greedy %v covering %d",
+					q, got.Sets, got.SketchCoverage, want.Sets, want.Covered)
+			}
+			wantQueries++
+			if len(want.Sets) <= have {
+				wantHits++
+			}
+			have = max(have, len(want.Sets))
+			st, _ := e.Stats()
+			if st.Queries != wantQueries || st.QueryCacheHits != wantHits {
+				t.Fatalf("after %+v (run holds %d picks): queries=%d hits=%d, want %d and %d",
+					q, have, st.Queries, st.QueryCacheHits, wantQueries, wantHits)
+			}
+		}
+		return have
+	}
+	kcover := func(k int) Query { return Query{Algo: AlgoKCover, K: k} }
+
+	have := ask(0, kcover(2), kcover(3), kcover(5)) // ascending: each extends
+	if wantHits != 0 || have != 5 {
+		t.Fatalf("ascending asks: %d hits, run holds %d picks; want 0 and 5", wantHits, have)
+	}
+	have = ask(have, kcover(5), kcover(4), kcover(1)) // repeat, then descending: prefixes
+	if wantHits != 3 {
+		t.Fatalf("repeated and descending asks made %d hits, want 3", wantHits)
+	}
+	// Other algos ride the same run: outliers and the full cover extend it
+	// only past what kcover already picked, and then serve any k.
+	have = ask(have,
+		Query{Algo: AlgoOutliers, Lambda: 0.9}, Query{Algo: AlgoOutliers, Lambda: 0.05},
+		Query{Algo: AlgoGreedy}, kcover(7), Query{Algo: AlgoOutliers, Lambda: 0.5},
+		kcover(1000), Query{Algo: AlgoGreedy})
+	if have <= 5 {
+		t.Fatalf("the full cover left the run at %d picks", have)
 	}
 
-	// Different k, different algo: misses.
-	if _, err := e.Query(Query{Algo: AlgoKCover, K: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Query(Query{Algo: AlgoGreedy}); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = e.Stats()
-	if st.QueryCacheHits != 1 {
-		t.Fatalf("distinct queries hit the cache (hits=%d)", st.QueryCacheHits)
-	}
-	if st.QueryCacheEntries != 3 {
-		t.Fatalf("cache holds %d entries, want 3", st.QueryCacheEntries)
-	}
-
-	// A new snapshot seq invalidates: same query misses, then hits again.
+	// A new snapshot starts a new run: the smallest ask computes again,
+	// and repeats on the new snapshot hit again.
 	if _, err := e.Ingest([]bipartite.Edge{{Set: 1, Elem: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = e.Stats()
-	if st.QueryCacheHits != 1 {
-		t.Fatalf("query against a fresh snapshot hit a stale entry (hits=%d)", st.QueryCacheHits)
-	}
-	if _, err := e.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = e.Stats()
-	if st.QueryCacheHits != 2 {
-		t.Fatalf("repeat on the fresh snapshot missed (hits=%d)", st.QueryCacheHits)
+	before := wantHits
+	ask(0, kcover(1), kcover(1), Query{Algo: AlgoGreedy}, kcover(3))
+	if wantHits != before+2 {
+		t.Fatalf("new snapshot: %d hits over miss, hit, miss, hit", wantHits-before)
 	}
 }
 
-// TestQueryCacheDisabled pins the opt-out: QueryCache < 0 turns
-// memoization off entirely.
-func TestQueryCacheDisabled(t *testing.T) {
-	inst := workload.Uniform(20, 800, 0.1, 5)
-	cfg := testConfig(20, 800, 3, 9, 2)
-	cfg.QueryCache = -1
-	e, err := New(cfg)
+// TestRetiredQueryCacheFieldStillDecodes: the result LRU's size knob is
+// gone, but bodies and files written while it existed still carry it. A
+// POST /v1/ns body naming query_cache creates its namespace, and a v2
+// container whose config frame names it restores, with the answers of the
+// engine that wrote it.
+func TestRetiredQueryCacheFieldStillDecodes(t *testing.T) {
+	m := NewMulti("")
+	defer m.Close()
+	ts := httptest.NewServer(NewMultiHandler(m, HTTPOptions{}))
+	defer ts.Close()
+	resp, out := doJSON(t, "POST", ts.URL+"/v1/ns",
+		`{"name":"old","num_sets":30,"k":3,"eps":0.4,"seed":7,"num_elems":2000,"edge_budget":1500,"shards":2,"query_cache":4}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /v1/ns with query_cache: got %d: %s", resp.StatusCode, out)
+	}
+	e, _ := m.Get("old")
+	ingestAll(t, e, workload.Uniform(30, 2000, 0.05, 3).G, 300, 1)
+	want, err := e.Query(Query{Algo: AlgoKCover, K: 3, Refresh: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	ingestAll(t, e, inst.G, 200, 2)
-	q := Query{Algo: AlgoKCover, K: 3}
-	for i := 0; i < 3; i++ {
-		if _, err := e.Query(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, _ := e.Stats()
-	if st.QueryCacheHits != 0 || st.QueryCacheEntries != 0 {
-		t.Fatalf("disabled cache recorded hits=%d entries=%d", st.QueryCacheHits, st.QueryCacheEntries)
-	}
-}
 
-// TestQueryCacheLRUEviction bounds the cache: more distinct keys than
-// capacity must evict the least recently used, never grow unbounded.
-func TestQueryCacheLRUEviction(t *testing.T) {
-	inst := workload.Uniform(30, 800, 0.1, 8)
-	cfg := testConfig(30, 800, 3, 13, 2)
-	cfg.QueryCache = 4
-	e, err := New(cfg)
+	var file bytes.Buffer
+	if err := m.WriteSnapshot(&file); err != nil {
+		t.Fatal(err)
+	}
+	// Splice the field into the one config frame, as the parent commit
+	// wrote it, and fix the frame's length prefix.
+	data := file.Bytes()
+	at := bytes.Index(data, []byte(`{"num_sets":`))
+	if at < 4 {
+		t.Fatalf("no config frame in the container")
+	}
+	frameLen := binary.LittleEndian.Uint32(data[at-4:])
+	field := []byte(`"query_cache":4,`)
+	old := append([]byte(nil), data[:at+1]...)
+	old = append(old, field...)
+	old = append(old, data[at+1:]...)
+	binary.LittleEndian.PutUint32(old[at-4:], frameLen+uint32(len(field)))
+
+	restored := NewMulti("")
+	defer restored.Close()
+	if n, err := restored.RestoreAll(bytes.NewReader(old)); err != nil || n != 1 {
+		t.Fatalf("RestoreAll of a container naming query_cache = %d, %v", n, err)
+	}
+	re, _ := restored.Get("old")
+	got, err := re.Query(Query{Algo: AlgoKCover, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	ingestAll(t, e, inst.G, 200, 2)
-	for k := 1; k <= 10; k++ {
-		if _, err := e.Query(Query{Algo: AlgoKCover, K: k}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, _ := e.Stats()
-	if st.QueryCacheEntries != 4 {
-		t.Fatalf("cache grew to %d entries with capacity 4", st.QueryCacheEntries)
-	}
-	// k=10 is the most recent entry: must still hit. k=1 was evicted.
-	if _, err := e.Query(Query{Algo: AlgoKCover, K: 10}); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = e.Stats()
-	if st.QueryCacheHits != 1 {
-		t.Fatalf("most-recent entry evicted (hits=%d)", st.QueryCacheHits)
-	}
-	if _, err := e.Query(Query{Algo: AlgoKCover, K: 1}); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = e.Stats()
-	if st.QueryCacheHits != 1 {
-		t.Fatalf("evicted entry hit (hits=%d)", st.QueryCacheHits)
+	if !sameIntSets(got.Sets, want.Sets) || got.EstimatedCoverage != want.EstimatedCoverage {
+		t.Fatalf("restored answer %v (%v), want %v (%v)", got.Sets, got.EstimatedCoverage, want.Sets, want.EstimatedCoverage)
 	}
 }
 

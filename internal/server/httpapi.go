@@ -584,7 +584,6 @@ type createNamespaceRequest struct {
 	QueueDepth  int     `json:"queue_depth"`
 	// MergeEveryMS enables the periodic snapshot merge, in milliseconds.
 	MergeEveryMS int64         `json:"merge_every_ms"`
-	QueryCache   int           `json:"query_cache"`
 	Weights      *weightsFrame `json:"weights,omitempty"`
 	// Engine selects the engine mode by name ("sketch", "weighted",
 	// "dynamic"); empty defaults as in Config.EngineMode.
@@ -627,7 +626,6 @@ func (r createNamespaceRequest) config() Config {
 		Shards:      r.Shards,
 		QueueDepth:  r.QueueDepth,
 		MergeEvery:  time.Duration(r.MergeEveryMS) * time.Millisecond,
-		QueryCache:  r.QueryCache,
 		Weights:     r.Weights.config(),
 		Engine:      ModeName(r.Engine),
 	}

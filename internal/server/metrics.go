@@ -114,8 +114,8 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Counter("covserved_ingest_batches_total", "Ingest calls that delivered edges.", ns, float64(c.Batches))
 		w.Counter("covserved_deleted_edges_total", "Delete ops accepted by IngestOps (0 on append-only engines).", ns, float64(c.DeletedEdges))
 		w.Counter("covserved_ingest_stalls_total", "Shard-mailbox sends that found the mailbox full (backpressure).", ns, float64(c.IngestStalls))
-		w.Counter("covserved_queries_total", "Queries served (cache hits included).", ns, float64(c.Queries))
-		w.Counter("covserved_query_cache_hits_total", "Queries answered from the memoized result cache.", ns, float64(c.QueryCacheHits))
+		w.Counter("covserved_queries_total", "Queries served, from the local snapshot or the cluster view (hits included).", ns, float64(c.Queries))
+		w.Counter("covserved_query_cache_hits_total", "Queries that needed no new greedy pick: their snapshot's run already held the answer.", ns, float64(c.QueryCacheHits))
 		w.Counter("covserved_refreshes_total", "Coordinator merges that actually ran.", ns, float64(c.Refreshes))
 		w.Counter("covserved_refresh_seconds_total", "Time spent in the coordinator merges that ran (idle skips add none).", ns, time.Duration(c.RefreshNanos).Seconds())
 		w.Counter("covserved_refresh_skips_total", "Refresh calls satisfied by the idle short-circuit.", ns, float64(c.RefreshSkips))

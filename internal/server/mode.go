@@ -158,8 +158,10 @@ type Mode interface {
 	ReadState(r io.Reader) (FrozenState, error)
 	// Materialize renders a merged state queryable.
 	Materialize(st FrozenState) (*materialized, error)
-	// Execute runs a validated query against a snapshot of this mode.
-	Execute(s *Snapshot, q Query) (*QueryResult, error)
+	// Execute answers a validated query from the greedy run of a snapshot
+	// of this mode. hit reports that the run already held every pick the
+	// answer needed.
+	Execute(s *Snapshot, q Query) (res *QueryResult, hit bool, err error)
 }
 
 // EngineMode resolves the config to its engine mode: Config.Engine when
@@ -348,11 +350,15 @@ func (m sketchMode) Materialize(st FrozenState) (*materialized, error) {
 	return &materialized{graph: g, ids: ids}, nil
 }
 
-func (m sketchMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
-	var res greedy.Result
+func (m sketchMode) Execute(snap *Snapshot, q Query) (*QueryResult, bool, error) {
+	var (
+		run      = snap.greedyRun()
+		res      greedy.Result
+		extended int
+	)
 	switch q.Algo {
 	case AlgoKCover:
-		res = greedy.MaxCover(snap.graph, q.K)
+		res, extended = run.MaxCover(q.K)
 	case AlgoOutliers:
 		// Ceiling, not truncation: a truncated target can leave the
 		// covered fraction strictly below 1−λ (e.g. λ=0.001 over 999
@@ -360,10 +366,10 @@ func (m sketchMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 		// (1−1e-12) relative tolerance keeps float noise from rounding an
 		// exactly-integral product up (10·0.3 evaluates above 3.0, which
 		// a bare Ceil would turn into a target of 4).
-		target := int(math.Ceil(float64(snap.graph.CoveredElems()) * (1 - q.Lambda) * (1 - 1e-12)))
-		res = greedy.PartialCover(snap.graph, target)
+		target := int(math.Ceil(float64(run.CoveredElems()) * (1 - q.Lambda) * (1 - 1e-12)))
+		res, extended = run.PartialCover(target)
 	case AlgoGreedy:
-		res = greedy.SetCover(snap.graph)
+		res, extended = run.SetCover()
 	}
 	st := snap.state.Stats()
 	return &QueryResult{
@@ -375,7 +381,7 @@ func (m sketchMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 		PStar:             st.PStar,
 		SnapshotSeq:       snap.Seq,
 		SnapshotEdges:     snap.IngestedEdges,
-	}, nil
+	}, extended == 0, nil
 }
 
 // ---- weighted mode (per-weight-class bank, Config.Weights) ----
@@ -452,8 +458,8 @@ func (m weightedMode) Materialize(st FrozenState) (*materialized, error) {
 	return &materialized{graph: in.G, ids: ids, weights: in.W}, nil
 }
 
-func (m weightedMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
-	res := weighted.MaxCover(weighted.Instance{G: snap.graph, W: snap.weights}, q.K)
+func (m weightedMode) Execute(snap *Snapshot, q Query) (*QueryResult, bool, error) {
+	res, extended := snap.weightedRun().MaxCover(q.K)
 	return &QueryResult{
 		Algo:              q.Algo,
 		Sets:              res.Sets,
@@ -465,5 +471,5 @@ func (m weightedMode) Execute(snap *Snapshot, q Query) (*QueryResult, error) {
 		WeightClasses:     snap.Bank().Classes(),
 		SnapshotSeq:       snap.Seq,
 		SnapshotEdges:     snap.IngestedEdges,
-	}, nil
+	}, extended == 0, nil
 }

@@ -10,9 +10,9 @@ import (
 
 // This file adds the multi-tenant layer: one process hosting many
 // independent coverage datasets. Each namespace owns a full Engine —
-// its own shard goroutines, sketch parameters, snapshot sequence and
-// query cache — so tenants are isolated by construction: no sketch,
-// cache entry or counter is ever shared between namespaces, and the
+// its own shard goroutines, sketch parameters and snapshot sequence —
+// so tenants are isolated by construction: no sketch, snapshot or
+// counter is ever shared between namespaces, and the
 // paper's per-instance space bound (Õ(n/ε³) kept edges, §2) applies to
 // each namespace separately. The Multi itself is only a name → Engine
 // directory plus lifecycle: creation, deletion and the snapshot-v2

@@ -55,7 +55,6 @@ type configFrame struct {
 	Shards      int           `json:"shards,omitempty"`
 	QueueDepth  int           `json:"queue_depth,omitempty"`
 	MergeEvery  int64         `json:"merge_every_ns,omitempty"`
-	QueryCache  int           `json:"query_cache,omitempty"`
 	Weights     *weightsFrame `json:"weights,omitempty"`
 	// Engine names an engine mode selected by name ("dynamic"). Omitted
 	// for sketch and weighted namespaces, so files written before the
@@ -76,7 +75,6 @@ func frameFromConfig(cfg Config) configFrame {
 		Shards:      cfg.Shards,
 		QueueDepth:  cfg.QueueDepth,
 		MergeEvery:  int64(cfg.MergeEvery),
-		QueryCache:  cfg.QueryCache,
 		Weights:     weightsFromConfig(cfg.Weights),
 		Engine:      nonDefaultEngine(cfg),
 	}
@@ -104,7 +102,6 @@ func (f configFrame) config() Config {
 		Shards:      f.Shards,
 		QueueDepth:  f.QueueDepth,
 		MergeEvery:  time.Duration(f.MergeEvery),
-		QueryCache:  f.QueryCache,
 		Weights:     f.Weights.config(),
 		Engine:      f.Engine,
 	}

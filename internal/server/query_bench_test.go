@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bipartite"
+	"repro/internal/hashing"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -13,14 +14,14 @@ import (
 // benchEngine builds an engine over the dense-degree workload, ingests
 // everything and publishes one snapshot — the steady state the query
 // benchmarks measure against.
-func benchEngine(b *testing.B, cache int) *Engine {
+func benchEngine(b *testing.B) *Engine {
 	b.Helper()
 	const n, m = 200, 20000
 	inst := workload.LargeSets(n, m, 0.3, 1)
 	cfg := Config{
 		NumSets: n, NumElems: m, K: 10,
 		Eps: 0.3, Seed: 7, EdgeBudget: 40 * n,
-		Shards: 8, QueryCache: cache,
+		Shards: 8,
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -43,9 +44,9 @@ func benchEngine(b *testing.B, cache int) *Engine {
 }
 
 // BenchmarkQueryKCoverCached is the high-QPS hot path: the same query
-// against an unchanged snapshot, answered from the memoized cache.
+// against an unchanged snapshot, read off the picks its run already made.
 func BenchmarkQueryKCoverCached(b *testing.B) {
-	e := benchEngine(b, 0) // default cache
+	e := benchEngine(b)
 	defer e.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -56,29 +57,68 @@ func BenchmarkQueryKCoverCached(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryKCoverUncached re-runs bitset lazy greedy per query
-// (cache disabled) — the cost of a cache miss on a fresh snapshot.
-func BenchmarkQueryKCoverUncached(b *testing.B) {
-	e := benchEngine(b, -1)
+// benchFirstQuery times q as the first query on a fresh snapshot: every
+// iteration makes the published snapshot forget its run (nobody else
+// holds it: no ticker, one goroutine), so the query pays the run's set-up
+// and every pick — what a one-shot greedy on that graph costs.
+func benchFirstQuery(b *testing.B, q Query) {
+	e := benchEngine(b)
 	defer e.Close()
+	snap, err := e.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(Query{Algo: AlgoKCover, K: 10}); err != nil {
+		snap.runOnce, snap.run = sync.Once{}, nil
+		if _, err := e.Query(q); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkQueryKCoverUncached is bitset lazy greedy to k = 10 from an
+// empty cover — the cost of the first query on a fresh snapshot.
+func BenchmarkQueryKCoverUncached(b *testing.B) {
+	benchFirstQuery(b, Query{Algo: AlgoKCover, K: 10})
 }
 
 // BenchmarkQueryGreedyUncached prices the most expensive query algo
-// (full greedy set cover) per call.
+// (full greedy set cover) as a snapshot's first query.
 func BenchmarkQueryGreedyUncached(b *testing.B) {
-	e := benchEngine(b, -1)
+	benchFirstQuery(b, Query{Algo: AlgoGreedy})
+}
+
+// BenchmarkQueryKSweep is the read burst of bench/'s mixed-fresh workload:
+// one static snapshot at that workload's sizes (see refreshBench), kcover
+// with k drawn from the harness's seeded Zipf over 1..128, one query an
+// iteration. Only a k above every k asked before extends the snapshot's
+// run; at -benchtime=1x it times the first query alone.
+func BenchmarkQueryKSweep(b *testing.B) {
+	e, err := New(refreshBenchConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer e.Close()
+	base := refreshBenchBase()
+	for lo := 0; lo < len(base); lo += 4096 {
+		if _, err := e.Ingest(base[lo:min(lo+4096, len(base))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := e.Refresh(); err != nil {
+		b.Fatal(err)
+	}
+	z := hashing.NewZipf(hashing.NewRNG(101), 128, 1.0)
+	ks := make([]int, 1<<12) // drawn off the clock, cycled
+	for i := range ks {
+		ks[i] = z.Draw() + 1
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(Query{Algo: AlgoGreedy}); err != nil {
+		if _, err := e.Query(Query{Algo: AlgoKCover, K: ks[i%len(ks)]}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +127,7 @@ func BenchmarkQueryGreedyUncached(b *testing.B) {
 // BenchmarkQueryRefreshIdle measures Refresh's idle short-circuit: no
 // new edges since the published snapshot, so no clone or merge runs.
 func BenchmarkQueryRefreshIdle(b *testing.B) {
-	e := benchEngine(b, 0)
+	e := benchEngine(b)
 	defer e.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -106,7 +146,7 @@ func BenchmarkQueryRefreshIdle(b *testing.B) {
 // index. BenchmarkRefreshDeltaCut prices a refresh between which real
 // edges arrived.
 func BenchmarkQueryRefreshDirty(b *testing.B) {
-	e := benchEngine(b, 0)
+	e := benchEngine(b)
 	defer e.Close()
 	edge := stream.Drain(stream.Shuffled(workload.LargeSets(200, 20000, 0.3, 1).G, 3))[:1]
 	b.ReportAllocs()

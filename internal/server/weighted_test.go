@@ -220,9 +220,9 @@ func TestWeightedEngineValidation(t *testing.T) {
 	}
 }
 
-// TestWeightedQueryCache pins that weighted answers are memoized under
-// a key carrying the weight signature, and that kcover/wkcover share
-// one entry while echoing the requested algo.
+// TestWeightedQueryCache pins that a weighted snapshot runs its greedy
+// once: kcover and wkcover read the same run, the second as a hit, each
+// echoing the requested algo.
 func TestWeightedQueryCache(t *testing.T) {
 	const n, m, k = 30, 1500, 3
 	inst := workload.Uniform(n, m, 0.05, 7)

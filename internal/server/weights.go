@@ -61,8 +61,7 @@ func (w *WeightConfig) Fn() func(uint32) float64 {
 }
 
 // Signature fingerprints the weight mapping: a SplitMix64-style fold
-// over the table bits, the default and the length. Two engines only
-// share a query cache when their weights agree, and a cluster peer is
+// over the table bits, the default and the length. A cluster peer is
 // only merged when its weight signature equals the local one — weights
 // that disagree would make the per-class scaled union silently wrong.
 func (w *WeightConfig) Signature() uint64 {

@@ -19,6 +19,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/bipartite"
 	"repro/internal/stream"
@@ -97,55 +98,102 @@ type GreedyResult struct {
 	CoveredElems int
 }
 
-// MaxCover picks at most k sets greedily by weighted marginal gain — the
-// 1−1/e approximation for weighted coverage. Deterministic: gain ties
-// break by smaller set id (with an epsilon tolerance for float noise).
-func MaxCover(in Instance, k int) GreedyResult {
+// Run is one weighted lazy-greedy run over an immutable instance that
+// stops after the k picks it is asked for and resumes from there — the
+// float-gain counterpart of greedy.Run. The loop consults k only between
+// picks, so the pick sequence is the same whatever k stops it, and every
+// k's answer is a prefix: the run stores, per pick, the running Covered
+// sum and covered-element count, so a prefix is bit for bit what a
+// one-shot run to that k returns. Safe for concurrent use; every result
+// is privately owned by its caller.
+type Run struct {
+	mu  sync.Mutex
+	in  Instance
+	cov *bipartite.Coverer
+	h   wHeap
+	// sets are the picks so far; covered[i] and elems[i] are Covered and
+	// CoveredElems after pick i.
+	sets    []int
+	covered []float64
+	elems   []int
+}
+
+// NewRun validates in (panicking on a malformed instance, as MaxCover
+// does) and starts a run on it. in must not change afterwards.
+func NewRun(in Instance) *Run {
 	if err := in.Validate(); err != nil {
 		panic(err)
 	}
-	g := in.G
-	cov := bipartite.NewCoverer(g)
-	marginal := func(s int) float64 {
-		gain := 0.0
-		for _, e := range g.Set(s) {
-			if !cov.IsCovered(e) {
-				gain += in.W[e]
-			}
-		}
-		return gain
-	}
-	h := make(wHeap, 0, g.NumSets())
-	for s := 0; s < g.NumSets(); s++ {
-		if gain := marginal(s); gain > 0 {
-			h = append(h, wCand{set: s, gain: gain})
+	r := &Run{in: in, cov: bipartite.NewCoverer(in.G)}
+	r.h = make(wHeap, 0, in.G.NumSets())
+	for s := 0; s < in.G.NumSets(); s++ {
+		if gain := r.marginal(s); gain > 0 {
+			r.h = append(r.h, wCand{set: s, gain: gain})
 		}
 	}
-	heap.Init(&h)
+	heap.Init(&r.h)
+	return r
+}
 
-	res := GreedyResult{}
+func (r *Run) marginal(s int) float64 {
+	gain := 0.0
+	for _, e := range r.in.G.Set(s) {
+		if !r.cov.IsCovered(e) {
+			gain += r.in.W[e]
+		}
+	}
+	return gain
+}
+
+// MaxCover is the run stopped after at most k picks by weighted marginal
+// gain — the 1−1/e approximation for weighted coverage. Deterministic:
+// gain ties break by smaller set id (with an epsilon tolerance for float
+// noise). extended is the number of picks the call added to the run; 0
+// means the answer was read off the stored prefix.
+func (r *Run) MaxCover(k int) (res GreedyResult, extended int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	have := len(r.sets)
 	const tol = 1e-12
-	for h.Len() > 0 && len(res.Sets) < k {
-		top := h[0]
-		fresh := marginal(top.set)
+	for r.h.Len() > 0 && len(r.sets) < k {
+		top := r.h[0]
+		fresh := r.marginal(top.set)
 		if math.Abs(fresh-top.gain) > tol*(1+math.Abs(top.gain)) {
 			if fresh <= 0 {
-				heap.Pop(&h)
+				heap.Pop(&r.h)
 				continue
 			}
-			h[0].gain = fresh
-			heap.Fix(&h, 0)
+			r.h[0].gain = fresh
+			heap.Fix(&r.h, 0)
 			continue
 		}
 		if fresh <= 0 {
 			break
 		}
-		heap.Pop(&h)
-		cov.Add(top.set)
-		res.Sets = append(res.Sets, top.set)
-		res.Covered += fresh
+		heap.Pop(&r.h)
+		r.cov.Add(top.set)
+		total := fresh // 0.0 + fresh, as the running sum starts
+		if n := len(r.covered); n > 0 {
+			total = r.covered[n-1] + fresh
+		}
+		r.sets = append(r.sets, top.set)
+		r.covered = append(r.covered, total)
+		r.elems = append(r.elems, r.cov.Covered())
 	}
-	res.CoveredElems = cov.Covered()
+	if p := min(max(k, 0), len(r.sets)); p > 0 {
+		res = GreedyResult{
+			Sets:         append([]int(nil), r.sets[:p]...),
+			Covered:      r.covered[p-1],
+			CoveredElems: r.elems[p-1],
+		}
+	}
+	return res, len(r.sets) - have
+}
+
+// MaxCover picks at most k sets greedily by weighted marginal gain: a
+// fresh Run stopped after k picks (see Run.MaxCover).
+func MaxCover(in Instance, k int) GreedyResult {
+	res, _ := NewRun(in).MaxCover(k)
 	return res
 }
 

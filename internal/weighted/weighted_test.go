@@ -2,6 +2,7 @@ package weighted
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -133,6 +134,41 @@ func TestGreedySkipsZeroGain(t *testing.T) {
 	res := MaxCover(Instance{G: g, W: []float64{5, 1}}, 3)
 	if len(res.Sets) != 2 {
 		t.Fatalf("picked %v; the duplicate set adds nothing", res.Sets)
+	}
+}
+
+// TestRunPrefixEqualsOneShot is the prefix property of the float loop:
+// one Run asked k in ascending, descending and repeated order returns for
+// each k exactly what a fresh one-shot MaxCover returns — Covered compared
+// with ==, not a tolerance, since the run stores the running sum per pick
+// — reports an extension exactly when k exceeds every k asked before, and
+// hands out privately owned Sets. The weights are irrational multiples, so
+// a sum taken in any other order would differ in the last bits.
+func TestRunPrefixEqualsOneShot(t *testing.T) {
+	rng := hashing.NewRNG(13)
+	for trial := 0; trial < 6; trial++ {
+		inst := workload.Zipf(30, 600, 120, 0.9, 0.7, uint64(trial+1))
+		ws := make([]float64, inst.G.NumElems())
+		for i := range ws {
+			ws[i] = math.Sqrt(float64(1+rng.Intn(1000))) * math.Pow(2, float64(rng.Intn(6)))
+		}
+		in := Instance{G: inst.G, W: ws}
+		run := NewRun(in)
+		have := 0
+		for _, k := range []int{3, 7, 7, 2, 0, 12, 1, 40, 40, 5, -1} {
+			got, extended := run.MaxCover(k)
+			want := MaxCover(in, k)
+			if got.Covered != want.Covered || got.CoveredElems != want.CoveredElems || !slices.Equal(got.Sets, want.Sets) {
+				t.Fatalf("trial %d k=%d: run %+v, one-shot %+v", trial, k, got, want)
+			}
+			if wantExt := max(len(want.Sets)-have, 0); extended != wantExt {
+				t.Fatalf("trial %d k=%d: reported %d new picks, want %d (the run held %d)", trial, k, extended, wantExt, have)
+			}
+			have = max(have, len(want.Sets))
+			for i := range got.Sets {
+				got.Sets[i] = -1 // a caller's scribble reaches no later answer
+			}
+		}
 	}
 }
 

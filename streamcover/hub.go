@@ -9,7 +9,7 @@ import (
 
 // Hub hosts many independent coverage Services in one process, keyed by
 // namespace name. Each namespace is a full Service — its own shard
-// workers, sketch parameters, snapshots and query cache — so datasets
+// workers, sketch parameters and snapshots — so datasets
 // are isolated by construction: a namespace's answers are bit-identical
 // to a standalone Service fed the same edges with the same options (the
 // package tests pin this), and its memory follows the paper's
@@ -67,7 +67,6 @@ func serviceConfig(numSets int, opt ServiceOptions) (server.Config, error) {
 		Shards:      opt.Shards,
 		QueueDepth:  opt.BatchQueue,
 		MergeEvery:  opt.MergeEvery,
-		QueryCache:  opt.QueryCache,
 		Engine:      server.ModeName(opt.Engine),
 		WAL:         opt.Durability.walConfig(),
 	}

@@ -31,10 +31,6 @@ type ServiceOptions struct {
 	// MergeEvery, when positive, merges shard sketches into a fresh
 	// queryable snapshot on this period.
 	MergeEvery time.Duration
-	// QueryCache bounds the memoized query results kept per snapshot
-	// (repeated queries against an unchanged snapshot return without
-	// re-running greedy). 0 selects the default (64); negative disables.
-	QueryCache int
 	// Weights, when non-nil, makes this a weighted-coverage service:
 	// each shard keeps one H≤n sketch per geometric weight class
 	// (instead of a single sketch), and KCover maximizes the total
@@ -259,10 +255,12 @@ type ServiceStats struct {
 	SketchElements int
 	// PStar is the snapshot's sampling probability.
 	PStar float64
-	// Queries counts queries served (cache hits included).
+	// Queries counts queries served (hits included).
 	Queries int64
-	// QueryCacheHits counts queries answered from the memoized result
-	// cache without re-running greedy.
+	// QueryCacheHits counts queries that needed no new greedy pick: a
+	// snapshot runs its greedy once and every query is a prefix of that
+	// run, so only a query asking for more picks than any before it on
+	// the same snapshot computes anything.
 	QueryCacheHits int64
 	// Weighted reports whether the service runs the weighted query
 	// plane; WeightClasses counts the non-empty weight classes in the
