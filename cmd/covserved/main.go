@@ -47,7 +47,8 @@
 //	GET    /metrics                 Prometheus text exposition: per-
 //	                                namespace engine counters plus the
 //	                                wire-plane counters when -wire-addr
-//	                                is set
+//	                                is set and the cluster-plane ones
+//	                                when -peers is
 //
 // With -wire-addr, covserved additionally serves the binary wire ingest
 // protocol (internal/wire, DESIGN.md §13) on a second listener:
@@ -67,7 +68,9 @@
 // routes appear:
 //
 //	GET    /v1/cluster/sketch?ns=…  this node's local state blob (what
-//	                                peers pull; conditional via ETag)
+//	                                peers pull; conditional via ETag, and
+//	                                a 226 delta on the previous state
+//	                                with A-IM: cov-delta)
 //	GET    /v1/cluster/stats        per-peer anti-entropy accounting
 //	POST   /v1/cluster/pull         synchronous pull round (read your
 //	                                cluster-wide writes before a query)
@@ -273,6 +276,9 @@ func main() {
 	// cap). Its counters ride the /metrics endpoint.
 	var wireSrv *wire.Server
 	var metricsSources []server.MetricsSource
+	if node != nil {
+		metricsSources = append(metricsSources, node)
+	}
 	if *wireAddr != "" {
 		wireSrv = wire.NewServer(multi, wire.Options{
 			MaxBatchEdges: *maxBatch,

@@ -5,7 +5,9 @@
 // sketch blobs for unweighted namespaces, weighted.BankMagic class
 // banks for weighted ones, L0 sampler blobs for dynamic namespaces)
 // over GET /v1/cluster/sketch and keeps the last successfully decoded
-// state per (peer, namespace). Queries are answered from a cluster
+// state per (peer, namespace); a sketch peer that moved by one snapshot
+// since the last pull sends only the delta, which is folded into the
+// stored state. Queries are answered from a cluster
 // view: the local engine snapshot folded with the remote states through
 // the engine mode's merge (server.Mode.MergeStates). For the sketch
 // modes that fold is the paper's mergeability result (the H≤n sketch is
@@ -34,6 +36,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,11 +109,15 @@ func (o Options) maxStateBytes() int64 {
 // namespace. Immutable once stored (a failed refresh never replaces a
 // good state — unreachable peers degrade to last-known, not to empty).
 type remoteState struct {
-	etag     string
-	edges    int64              // ingested-edge total the state reflects
-	state    server.FrozenState // decoded blob in the namespace's engine mode
-	version  uint64             // node-unique; drives cluster-view invalidation
-	pulledAt time.Time
+	etag    string
+	edges   int64              // ingested-edge total the state reflects
+	state   server.FrozenState // decoded blob in the namespace's engine mode
+	version uint64             // node-unique, never 0; drives cluster-view invalidation
+	// delta is set when the state came as a 226: it is the decoded delta
+	// that was folded into the stored state of version base to give state.
+	// A cluster view built from version base folds it too.
+	base  uint64
+	delta server.FrozenState
 }
 
 // peer is the per-peer pull bookkeeping.
@@ -129,10 +136,13 @@ type peer struct {
 	// counters below feed PeerStats.
 	consecFails int
 	nextAttempt time.Time
-	pulls       int64
+	pulls       int64 // states fetched and stored, deltas included
+	deltas      int64
 	notModified int64
 	failures    int64
 	rejected    int64
+	bytes       int64     // response bodies read
+	lastAnswer  time.Time // last pull the peer answered (stored, 304 or 404)
 	lastErr     string
 }
 
@@ -142,11 +152,26 @@ func (p *peer) state(name string) *remoteState {
 	return p.ns[name]
 }
 
-// view is a cached cluster-wide merged snapshot for one namespace,
-// valid while the local snapshot and every remote state are unchanged.
+// answered records a pull the peer answered without a state to store
+// (304, 404): the peer is healthy, so the backoff resets.
+func (p *peer) answered(notModified bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if notModified {
+		p.notModified++
+	}
+	p.consecFails = 0
+	p.nextAttempt = time.Time{}
+	p.lastAnswer = time.Now()
+}
+
+// view is a cached cluster-wide merged snapshot for one namespace, built
+// from the local snapshot local and, per peer in Options.Peers order, the
+// remote state of version peers[i] (0: none).
 type view struct {
-	key  string
-	snap *server.Snapshot
+	local server.SnapshotID
+	peers []uint64
+	snap  *server.Snapshot
 }
 
 // Node is a cluster member: a local server.Multi plus the anti-entropy
@@ -168,6 +193,7 @@ type Node struct {
 
 	pullRounds   atomic.Int64
 	viewRebuilds atomic.Int64
+	viewFolds    atomic.Int64
 	viewReuses   atomic.Int64
 
 	stop     chan struct{}
@@ -256,9 +282,18 @@ func (n *Node) PullNow() error {
 func (n *Node) pull(respectBackoff bool) error {
 	n.pullRounds.Add(1)
 	names := make([]string, 0, 4)
+	live := make(map[string]bool)
 	for _, info := range n.multi.List() {
 		names = append(names, info.Name)
+		live[info.Name] = true
 	}
+	n.viewMu.Lock()
+	for name := range n.views {
+		if !live[name] { // deleted: its view must not outlive it
+			delete(n.views, name)
+		}
+	}
+	n.viewMu.Unlock()
 	var errs []error
 	for _, p := range n.peers {
 		if respectBackoff {
@@ -347,6 +382,12 @@ func (p *peer) fail(err error, transport bool, interval, maxBackoff time.Duratio
 // changed, decodes and stores it. Decoding happens entirely on private
 // buffers: a truncated or corrupt blob is rejected without touching
 // the previous remote state or the local engine.
+//
+// A conditional request also offers the delta exchange (A-IM: cov-delta,
+// server.ServeState). A 226 answer is a delta on the stored state, which
+// its Delta-Base must name; it is decoded like a full blob and folded into
+// that state (server.FoldDelta), giving byte for byte what a full pull
+// would have stored. A peer that ignores A-IM answers 200 as before.
 func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	interval, maxBackoff := n.opt.pullInterval(), n.opt.maxBackoff()
 	if interval < 0 {
@@ -357,8 +398,10 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	if err != nil {
 		return p.fail(err, false, interval, maxBackoff)
 	}
-	if prev := p.state(name); prev != nil && prev.etag != "" {
+	prev := p.state(name)
+	if prev != nil && prev.etag != "" {
 		req.Header.Set("If-None-Match", prev.etag)
+		req.Header.Set(server.HeaderAIM, server.DeltaIM)
 	}
 	resp, err := n.cl.Do(req)
 	if err != nil {
@@ -366,13 +409,10 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	}
 	defer resp.Body.Close()
 
+	delta := resp.StatusCode == http.StatusIMUsed
 	switch {
 	case resp.StatusCode == http.StatusNotModified:
-		p.mu.Lock()
-		p.notModified++
-		p.consecFails = 0
-		p.nextAttempt = time.Time{}
-		p.mu.Unlock()
+		p.answered(true)
 		return nil
 	case resp.StatusCode == http.StatusNotFound:
 		// The peer does not (or no longer does) serve this namespace:
@@ -380,12 +420,17 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 		// deleted dataset — but nothing to back off from either.
 		p.mu.Lock()
 		delete(p.ns, name)
-		p.consecFails = 0
-		p.nextAttempt = time.Time{}
 		p.mu.Unlock()
+		p.answered(false)
 		return nil
 	case resp.StatusCode >= 500:
 		return p.fail(fmt.Errorf("peer returned %s", resp.Status), true, interval, maxBackoff)
+	case delta:
+		// Only a delta on exactly the state held here can be folded.
+		if im, base := resp.Header.Get(server.HeaderIM), resp.Header.Get(server.HeaderDeltaBase); im != server.DeltaIM ||
+			prev == nil || prev.etag == "" || base != prev.etag {
+			return p.fail(fmt.Errorf("peer sent a %q delta on %s; this node holds %s", im, base, etagOf(prev)), false, interval, maxBackoff)
+		}
 	case resp.StatusCode != http.StatusOK:
 		return p.fail(fmt.Errorf("peer returned %s", resp.Status), false, interval, maxBackoff)
 	}
@@ -418,35 +463,54 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 		// 512 B; a peer that lies still meets the limit below.
 		body.Grow(int(cl) + bytes.MinRead)
 	}
-	if _, err := body.ReadFrom(io.LimitReader(resp.Body, maxBytes+1)); err != nil {
+	_, err = body.ReadFrom(io.LimitReader(resp.Body, maxBytes+1))
+	p.mu.Lock()
+	p.bytes += int64(body.Len())
+	p.mu.Unlock()
+	if err != nil {
 		return p.fail(fmt.Errorf("reading state: %w", err), true, interval, maxBackoff)
 	}
 	if int64(body.Len()) > maxBytes {
 		return p.fail(fmt.Errorf("state exceeds %d bytes", maxBytes), false, interval, maxBackoff)
 	}
 
-	st := &remoteState{
-		etag:     resp.Header.Get("ETag"),
-		version:  n.versions.Add(1),
-		pulledAt: time.Now(),
-	}
 	// Decode through the namespace's engine mode: each mode validates its
 	// own magic bytes and configuration (the sketch mode additionally
 	// rejects a parameter mismatch — a peer built with different options).
-	decoded, err := e.EngineMode().ReadState(&body)
+	mode := e.EngineMode()
+	decoded, err := mode.ReadState(&body)
 	if err != nil {
 		return p.fail(fmt.Errorf("decoding %s state: %w", e.ModeName(), err), false, interval, maxBackoff)
 	}
-	st.state, st.edges = decoded, decoded.Stats().EdgesSeen
+	st := &remoteState{etag: resp.Header.Get("ETag"), state: decoded, version: n.versions.Add(1)}
+	if delta {
+		if st.state, err = server.FoldDelta(mode, prev.state, decoded); err != nil {
+			return p.fail(fmt.Errorf("folding %s delta: %w", e.ModeName(), err), false, interval, maxBackoff)
+		}
+		st.base, st.delta = prev.version, decoded
+	}
+	st.edges = st.state.Stats().EdgesSeen
 
 	p.mu.Lock()
 	p.ns[name] = st
 	p.pulls++
+	if delta {
+		p.deltas++
+	}
 	p.consecFails = 0
 	p.nextAttempt = time.Time{}
+	p.lastAnswer = time.Now()
 	p.lastErr = ""
 	p.mu.Unlock()
 	return nil
+}
+
+// etagOf names the stored state a delta was checked against, for errors.
+func etagOf(st *remoteState) string {
+	if st == nil || st.etag == "" {
+		return "no state"
+	}
+	return st.etag
 }
 
 // snapshot returns the cluster-view snapshot for namespace name: the
@@ -457,6 +521,15 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 // per query. fresh forces a local coordinator merge first (the remote
 // side refreshes are the pull loop's job — queries never block on the
 // network).
+//
+// A changed view is folded rather than rebuilt when every input is
+// unchanged or has moved by exactly one delta since the cached view was
+// built — the local snapshot by its own (server.Snapshot.Delta), a peer by
+// the 226 it was pulled with: the new view is the cached one merged with
+// those deltas, byte for byte the rebuild (DESIGN.md §11, with peers in
+// the role of shards). Anything else — a peer that appeared or answered
+// 404, a full pull, two local snapshots or two pulls since the view, a
+// new engine instance — rebuilds.
 func (n *Node) snapshot(name string, e *server.Engine, fresh bool) (*server.Snapshot, error) {
 	var (
 		local *server.Snapshot
@@ -470,45 +543,80 @@ func (n *Node) snapshot(name string, e *server.Engine, fresh bool) (*server.Snap
 	if err != nil {
 		return nil, err
 	}
-	remotes := make([]*remoteState, 0, len(n.peers))
-	var key strings.Builder
-	fmt.Fprintf(&key, "%d", local.Seq)
-	for _, p := range n.peers {
+	remotes := make([]*remoteState, len(n.peers))
+	versions := make([]uint64, len(n.peers))
+	edges, pulled := local.IngestedEdges, false
+	for i, p := range n.peers {
 		if st := p.state(name); st != nil {
-			remotes = append(remotes, st)
-			fmt.Fprintf(&key, "|%d", st.version)
-		} else {
-			key.WriteString("|-")
+			remotes[i], versions[i], pulled = st, st.version, true
+			edges += st.edges
 		}
 	}
-	if len(remotes) == 0 {
+	if !pulled {
 		return local, nil
 	}
 
 	n.viewMu.Lock()
 	defer n.viewMu.Unlock()
-	if v := n.views[name]; v != nil && v.key == key.String() {
+	old := n.views[name]
+	if old != nil && old.local == local.ID() && slices.Equal(old.peers, versions) {
 		n.viewReuses.Add(1)
-		return v.snap, nil
+		return old.snap, nil
 	}
 
-	// Frozen states are only read by the fold, so the local snapshot state
-	// and the stored remote states go in as they are; the merged output is
-	// privately owned.
-	edges := local.IngestedEdges
-	states := make([]server.FrozenState, 0, len(remotes)+1)
-	states = append(states, local.State())
-	for _, st := range remotes {
-		states = append(states, st.state)
-		edges += st.edges
+	// Frozen states are only read by the merge, so the cached view, the
+	// local snapshot state and the stored remote states and deltas go in as
+	// they are; the merged output is privately owned.
+	states, folded := foldInputs(old, local, remotes)
+	if !folded {
+		states = append(states[:0], local.State())
+		for _, st := range remotes {
+			if st != nil {
+				states = append(states, st.state)
+			}
+		}
 	}
 	snap, err := server.MergeSnapshot(e.EngineMode(), n.viewSeq.Add(1), edges, states)
 	if err != nil {
 		return nil, err
 	}
-	n.views[name] = &view{key: key.String(), snap: snap}
-	n.viewRebuilds.Add(1)
+	n.views[name] = &view{local: local.ID(), peers: versions, snap: snap}
+	if folded {
+		n.viewFolds.Add(1)
+	} else {
+		n.viewRebuilds.Add(1)
+	}
 	return snap, nil
+}
+
+// foldInputs returns the cached view's state and one delta per input that
+// moved, when every input is unchanged or one delta away from what old was
+// built from; folded is false otherwise.
+func foldInputs(old *view, local *server.Snapshot, remotes []*remoteState) (states []server.FrozenState, folded bool) {
+	if old == nil {
+		return nil, false
+	}
+	states = append(states, old.snap.State())
+	if id := local.ID(); id != old.local {
+		base, delta, ok := local.Delta()
+		if !ok || base != old.local {
+			return states, false
+		}
+		states = append(states, delta)
+	}
+	for i, st := range remotes {
+		switch was := old.peers[i]; {
+		case st == nil && was == 0:
+		case st == nil || was == 0: // answered 404, or appeared
+			return states, false
+		case st.version == was:
+		case st.delta != nil && st.base == was:
+			states = append(states, st.delta)
+		default:
+			return states, false
+		}
+	}
+	return states, true
 }
 
 // Query answers q for namespace name from the cluster-wide merged
@@ -534,11 +642,16 @@ func (n *Node) Query(name string, q server.Query) (*server.QueryResult, error) {
 type PeerStats struct {
 	// URL is the peer's base URL.
 	URL string `json:"url"`
-	// Pulls counts state blobs successfully fetched and merged;
+	// Pulls counts states successfully fetched and stored, Deltas the
+	// share of them that came as a 226 delta on the stored state;
 	// NotModified counts conditional requests short-circuited by the
 	// peer's ETag (unchanged state, no body transferred).
 	Pulls       int64 `json:"pulls"`
+	Deltas      int64 `json:"deltas"`
 	NotModified int64 `json:"not_modified"`
+	// BytesReceived sums the response bodies read from the peer: full
+	// blobs and deltas, rejected ones included.
+	BytesReceived int64 `json:"bytes_received"`
 	// Failures counts transport-level failures (unreachable, timeout,
 	// 5xx) — these back off exponentially; ConsecutiveFailures is the
 	// current streak and NextAttempt the end of the backoff window.
@@ -555,6 +668,8 @@ type PeerStats struct {
 	// Namespaces maps namespace → ingested-edge total of the last
 	// pulled state, the freshness of this peer's contribution.
 	Namespaces map[string]int64 `json:"namespaces,omitempty"`
+
+	lastAnswer time.Time // last pull the peer answered; feeds /metrics only
 }
 
 // NodeStats reports the node's cluster accounting.
@@ -563,9 +678,11 @@ type NodeStats struct {
 	NodeID string `json:"node_id"`
 	// PullRounds counts anti-entropy rounds (ticker and PullNow).
 	PullRounds int64 `json:"pull_rounds"`
-	// ViewRebuilds counts cluster-view merges; ViewReuses counts
-	// queries served from an unchanged cached view.
+	// ViewRebuilds counts cluster views merged from every input,
+	// ViewFolds those merged from the previous view and the inputs' deltas;
+	// ViewReuses counts queries served from an unchanged cached view.
 	ViewRebuilds int64 `json:"view_rebuilds"`
+	ViewFolds    int64 `json:"view_folds"`
 	ViewReuses   int64 `json:"view_reuses"`
 	// Peers holds per-peer accounting, in Options.Peers order.
 	Peers []PeerStats `json:"peers"`
@@ -577,6 +694,7 @@ func (n *Node) Stats() NodeStats {
 		NodeID:       n.opt.nodeID(),
 		PullRounds:   n.pullRounds.Load(),
 		ViewRebuilds: n.viewRebuilds.Load(),
+		ViewFolds:    n.viewFolds.Load(),
 		ViewReuses:   n.viewReuses.Load(),
 	}
 	for _, p := range n.peers {
@@ -584,12 +702,15 @@ func (n *Node) Stats() NodeStats {
 		ps := PeerStats{
 			URL:                 p.url,
 			Pulls:               p.pulls,
+			Deltas:              p.deltas,
 			NotModified:         p.notModified,
+			BytesReceived:       p.bytes,
 			Failures:            p.failures,
 			ConsecutiveFailures: p.consecFails,
 			NextAttempt:         p.nextAttempt,
 			Rejected:            p.rejected,
 			LastError:           p.lastErr,
+			lastAnswer:          p.lastAnswer,
 		}
 		if len(p.ns) > 0 {
 			ps.Namespaces = make(map[string]int64, len(p.ns))
@@ -601,4 +722,39 @@ func (n *Node) Stats() NodeStats {
 		st.Peers = append(st.Peers, ps)
 	}
 	return st
+}
+
+// AppendMetrics exports the node's pull and view accounting on /metrics
+// (server.MetricsSource), one family at a time with a sample per peer.
+func (n *Node) AppendMetrics(w *server.MetricsWriter) {
+	st := n.Stats()
+	perPeer := func(name, help string, v func(PeerStats) int64, extra ...server.Label) {
+		for _, ps := range st.Peers {
+			w.Counter(name, help, append([]server.Label{{Name: "peer", Value: ps.URL}}, extra...), float64(v(ps)))
+		}
+	}
+	const pullsHelp = "States pulled from the peer: stored from a full blob, folded from a 226 delta, or answered 304."
+	perPeer("covserved_cluster_pulls_total", pullsHelp,
+		func(ps PeerStats) int64 { return ps.Pulls - ps.Deltas }, server.Label{Name: "kind", Value: "full"})
+	perPeer("covserved_cluster_pulls_total", pullsHelp,
+		func(ps PeerStats) int64 { return ps.Deltas }, server.Label{Name: "kind", Value: "delta"})
+	perPeer("covserved_cluster_pulls_total", pullsHelp,
+		func(ps PeerStats) int64 { return ps.NotModified }, server.Label{Name: "kind", Value: "not_modified"})
+	perPeer("covserved_cluster_pull_bytes_total", "Response body bytes read from the peer, full blobs and deltas.",
+		func(ps PeerStats) int64 { return ps.BytesReceived })
+	const failHelp = "Pulls from the peer that failed: transport (unreachable, timeout, 5xx; backs off) or rejected (bad blob or delta, config mismatch)."
+	perPeer("covserved_cluster_pull_failures_total", failHelp,
+		func(ps PeerStats) int64 { return ps.Failures }, server.Label{Name: "class", Value: "transport"})
+	perPeer("covserved_cluster_pull_failures_total", failHelp,
+		func(ps PeerStats) int64 { return ps.Rejected }, server.Label{Name: "class", Value: "rejected"})
+	now := time.Now()
+	for _, ps := range st.Peers {
+		if !ps.lastAnswer.IsZero() {
+			w.Gauge("covserved_cluster_last_pull_age_seconds", "Seconds since the peer last answered a pull (a state stored, 304 or 404); absent before the first.",
+				[]server.Label{{Name: "peer", Value: ps.URL}}, now.Sub(ps.lastAnswer).Seconds())
+		}
+	}
+	const viewHelp = "Cluster views built: rebuilt from every input, or folded from the previous view and the inputs' deltas."
+	w.Counter("covserved_cluster_view_builds_total", viewHelp, []server.Label{{Name: "kind", Value: "rebuild"}}, float64(st.ViewRebuilds))
+	w.Counter("covserved_cluster_view_builds_total", viewHelp, []server.Label{{Name: "kind", Value: "fold"}}, float64(st.ViewFolds))
 }

@@ -96,6 +96,20 @@ func (tn *testNode) close() {
 // anti-entropy explicitly through PullNow for determinism.
 func startCluster(t *testing.T, size, shards int) []*testNode {
 	t.Helper()
+	wcfg := testConfig(shards)
+	wcfg.Weights = testWeights()
+	return startNodes(t, size, []nsConfig{{server.DefaultNamespace, testConfig(shards)}, {"wcov", wcfg}})
+}
+
+// nsConfig is one namespace every node of a test cluster starts with.
+type nsConfig struct {
+	name string
+	cfg  server.Config
+}
+
+// startNodes is startCluster with the namespaces given.
+func startNodes(t *testing.T, size int, namespaces []nsConfig) []*testNode {
+	t.Helper()
 	nodes := make([]*testNode, size)
 	urls := make([]string, size)
 	for i := range nodes {
@@ -105,13 +119,10 @@ func startCluster(t *testing.T, size, shards int) []*testNode {
 	}
 	for i, tn := range nodes {
 		tn.multi = server.NewMulti(server.DefaultNamespace)
-		if _, err := tn.multi.Create(server.DefaultNamespace, testConfig(shards)); err != nil {
-			t.Fatal(err)
-		}
-		wcfg := testConfig(shards)
-		wcfg.Weights = testWeights()
-		if _, err := tn.multi.Create("wcov", wcfg); err != nil {
-			t.Fatal(err)
+		for _, ns := range namespaces {
+			if _, err := tn.multi.Create(ns.name, ns.cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var peers []string
 		for j, u := range urls {
@@ -405,6 +416,9 @@ type fakeResp struct {
 	body []byte
 	etag string
 	sig  string
+	// deltaBase, when set, makes the answer a 226 delta on that ETag,
+	// whatever the request asked for.
+	deltaBase string
 }
 
 func (f *fakePeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -418,6 +432,11 @@ func (f *fakePeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("If-None-Match") == resp.etag {
 		w.WriteHeader(http.StatusNotModified)
 		return
+	}
+	if resp.deltaBase != "" {
+		w.Header().Set(server.HeaderIM, server.DeltaIM)
+		w.Header().Set(server.HeaderDeltaBase, resp.deltaBase)
+		w.WriteHeader(http.StatusIMUsed)
 	}
 	w.Write(resp.body)
 }

@@ -15,9 +15,13 @@ import (
 //	                                when ns is omitted), as
 //	                                application/octet-stream with ETag /
 //	                                If-None-Match support — the blob
-//	                                peers pull. Exactly the local state:
-//	                                remote contributions never re-enter
-//	                                the exchange (no gossip echo).
+//	                                peers pull — or, to a request with
+//	                                A-IM: cov-delta naming the previous
+//	                                state, a 226 delta on it
+//	                                (server.ServeState). Exactly the
+//	                                local state: remote contributions
+//	                                never re-enter the exchange (no
+//	                                gossip echo).
 //	GET  /v1/cluster/stats        → anti-entropy accounting (NodeStats)
 //	POST /v1/cluster/pull         → synchronous PullNow (covcli uses it
 //	                                to make a query read-your-writes

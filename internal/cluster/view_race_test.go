@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bipartite"
 	"repro/internal/server"
@@ -68,13 +69,21 @@ func publishedViewsAreNeverWritten(t *testing.T, mode server.ModeName) {
 		return nil
 	}
 	query := server.Query{Algo: server.AlgoKCover, K: tK}
+	var refreshed int64 // the edge total of the refresh reader's last snapshot
 
 	readers := []func(round int) error{
 		func(int) error { // coordinator refresh
+			// Each round refreshes over new edges, so the storm publishes
+			// snapshots even when other test binaries starve the ingest
+			// goroutine.
+			for deadline := time.Now().Add(10 * time.Second); ea.IngestedEdges() == refreshed && time.Now().Before(deadline); {
+				time.Sleep(20 * time.Microsecond)
+			}
 			snap, err := ea.Refresh()
 			if err != nil {
 				return err
 			}
+			refreshed = snap.IngestedEdges
 			if _, err := server.ExecuteQuery(snap, query); err != nil {
 				return err
 			}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"repro/internal/bipartite"
 	"repro/internal/hashing"
@@ -269,6 +270,11 @@ func (v *View) WriteTo(w io.Writer) (int64, error) {
 // sketches one by one with Merge arrives at: Merge evicts an element
 // only when the prefix below it already holds a full budget, and later
 // inputs only grow that prefix.
+//
+// Most merges are one large view plus small ones (a published view and
+// shard deltas, a cluster view and peer deltas), so the walk copies each
+// stretch of the top input that no other input interleaves with in one go
+// (copyRun) and takes elements one at a time only where inputs meet.
 func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -320,6 +326,10 @@ func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
 			out.evicted, out.barHash, out.barElem = true, h, e
 			break
 		}
+		if out.copyRun(heads, budget, degCap) {
+			heads = settle(heads)
+			continue
+		}
 		start, lists := len(out.sets), 0
 		for len(heads) > 0 {
 			c := &heads[0]
@@ -328,11 +338,8 @@ func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
 			}
 			out.sets = append(out.sets, c.v.sets[c.v.off[c.i]:c.v.off[c.i+1]]...)
 			lists++
-			if c.i++; c.i == len(c.v.elems) {
-				heads[0] = heads[len(heads)-1]
-				heads = heads[:len(heads)-1]
-			}
-			siftCursor(heads, 0)
+			c.i++
+			heads = settle(heads)
 		}
 		if lists > 1 {
 			seg := out.sets[start:]
@@ -347,6 +354,96 @@ func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
 		out.off = append(out.off, int64(len(out.sets)))
 	}
 	return out, nil
+}
+
+// copyRun appends, in one go, the stretch of the top cursor's input that
+// the element walk would take one element at a time without another
+// input taking part: elements strictly below every other head and below
+// the bar, each with a list within the cap, while the budget is not yet
+// full before it. Those are single-list elements, which the walk appends
+// unsorted and uncut, so the copy is byte for byte the walk. It advances
+// the cursor past the stretch and reports whether it was non-empty; the
+// caller settles the heap.
+func (out *View) copyRun(heads []viewCursor, budget, degCap int) bool {
+	limitHash, limitElem, limited := out.barHash, out.barElem, out.evicted
+	for _, i := range [2]int{1, 2} { // the smallest other head is a child of the root
+		if i < len(heads) {
+			if h, e := heads[i].head(); !limited || priorityLess(h, e, limitHash, limitElem) {
+				limitHash, limitElem, limited = h, e, true
+			}
+		}
+	}
+	c := &heads[0]
+	v, start := c.v, c.i
+	// Element j is taken while len(out.sets) + off[j] - off[start] < budget.
+	room := int64(budget-len(out.sets)) + v.off[start]
+	j := start
+	for j < len(v.elems) && v.off[j] < room && v.off[j+1]-v.off[j] <= int64(degCap) &&
+		(!limited || priorityLess(v.hashes[j], v.elems[j], limitHash, limitElem)) {
+		j++
+	}
+	if j == start {
+		return false
+	}
+	shift, n := int64(len(out.sets))-v.off[start], len(out.off)
+	out.hashes = append(out.hashes, v.hashes[start:j]...)
+	out.elems = append(out.elems, v.elems[start:j]...)
+	out.sets = append(out.sets, v.sets[v.off[start]:v.off[j]]...)
+	out.off = append(out.off, v.off[start+1:j+1]...)
+	for k := n; k < len(out.off); k++ {
+		out.off[k] += shift
+	}
+	c.i = j
+	return true
+}
+
+// Restrict returns v restricted to the elements any of deltas holds: those
+// of them v keeps, with v's lists, under v's bar, parameters and
+// consumed-edge total (an element of a delta that v's budget cut excluded
+// is left out). It is how a view is shipped as a delta: when v is
+// MergeViews(P, deltas…) for some view P, MergeViews(P, v.Restrict(deltas…))
+// with v's total is v byte for byte (DESIGN.md §11). One walk over the
+// deltas in priority order, each element found in v by binary search
+// forward from the last one. Inputs are only read; the result shares no
+// storage with them.
+func (v *View) Restrict(deltas ...*View) *View {
+	out := &View{params: v.params, evicted: v.evicted, barHash: v.barHash, barElem: v.barElem, edgesSeen: v.edgesSeen}
+	heads := make([]viewCursor, 0, len(deltas))
+	for _, d := range deltas {
+		if d != nil && len(d.elems) > 0 {
+			heads = append(heads, viewCursor{v: d})
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftCursor(heads, i)
+	}
+	var idx []int // positions in v, ascending
+	edges, pos := 0, 0
+	for len(heads) > 0 && pos < len(v.elems) {
+		h, e := heads[0].head()
+		heads[0].i++
+		heads = settle(heads)
+		// An element several deltas hold comes up once per delta; after the
+		// first, pos is already past it and the search finds something larger.
+		pos += sort.Search(len(v.elems)-pos, func(k int) bool {
+			return !priorityLess(v.hashes[pos+k], v.elems[pos+k], h, e)
+		})
+		if pos < len(v.elems) && v.hashes[pos] == h && v.elems[pos] == e {
+			idx = append(idx, pos)
+			edges += int(v.off[pos+1] - v.off[pos])
+			pos++
+		}
+	}
+	out.hashes = make([]uint64, len(idx))
+	out.elems = make([]uint32, len(idx))
+	out.off = make([]int64, len(idx)+1)
+	out.sets = make([]uint32, 0, edges)
+	for i, p := range idx {
+		out.hashes[i], out.elems[i] = v.hashes[p], v.elems[p]
+		out.sets = append(out.sets, v.sets[v.off[p]:v.off[p+1]]...)
+		out.off[i+1] = int64(len(out.sets))
+	}
+	return out
 }
 
 // sortSets sorts a set list ascending. The lists a sketch keeps in
@@ -374,6 +471,17 @@ type viewCursor struct {
 }
 
 func (c viewCursor) head() (uint64, uint32) { return c.v.hashes[c.i], c.v.elems[c.i] }
+
+// settle restores the heap after the top cursor advanced, dropping the
+// cursor once its input is exhausted.
+func settle(heads []viewCursor) []viewCursor {
+	if c := &heads[0]; c.i == len(c.v.elems) {
+		heads[0] = heads[len(heads)-1]
+		heads = heads[:len(heads)-1]
+	}
+	siftCursor(heads, 0)
+	return heads
+}
 
 // siftCursor restores the min-heap order (by head priority) below i.
 func siftCursor(h []viewCursor, i int) {

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
@@ -484,6 +485,12 @@ func TestDeltaCutSharesNoStorage(t *testing.T) {
 		}
 		var seen []held
 		for round := 0; round < 40; round++ {
+			// Each round refreshes over new edges: a starved ingest goroutine
+			// (other test binaries share the machine under -race) would
+			// otherwise leave every refresh after the first an idle skip.
+			for last, deadline := e.IngestedEdges(), time.Now().Add(10*time.Second); e.IngestedEdges() == last && time.Now().Before(deadline); {
+				time.Sleep(20 * time.Microsecond)
+			}
 			res, err := e.Query(Query{Algo: AlgoKCover, K: 3, Refresh: true})
 			if err != nil {
 				t.Fatal(err)

@@ -307,11 +307,20 @@ func (m dynamicMode) Materialize(st FrozenState) (*materialized, error) {
 	d.recElems = len(ids)
 	d.recPStar = rec.PStar
 	d.materialized = true
-	return &materialized{graph: g, ids: ids}, nil
+	return &materialized{graph: g}, nil
 }
 
+// MaterializesEagerly: Materialize is the L0 peel, which can fail where the
+// merge cannot, and a failed peel is a refresh error that keeps the previous
+// snapshot published. It also fills in the accounting Stats reports.
+func (m dynamicMode) MaterializesEagerly() bool { return true }
+
 func (m dynamicMode) Execute(snap *Snapshot, q Query) (*QueryResult, bool, error) {
-	res, extended := snap.greedyRun().MaxCover(q.K)
+	run, err := snap.greedyRun()
+	if err != nil {
+		return nil, false, err
+	}
+	res, extended := run.MaxCover(q.K)
 	st := snap.state.Stats()
 	return &QueryResult{
 		Algo:           q.Algo,

@@ -12,9 +12,11 @@
 // message in the same mailbox as the batches, so it observes every
 // batch sent before it) with a read-only cut of its state; the
 // coordinator folds the cuts into one merged state (Mode.MergeStates)
-// and publishes it, materialized, as an immutable Snapshot behind an
-// atomic pointer. For the default sketch mode no sketch is rebuilt on
-// that path: the request carries the merged state published last, the
+// and publishes it as an immutable Snapshot behind an atomic pointer,
+// which its first query materializes into the query graph (the dynamic
+// mode's peel runs inside the refresh). For the default sketch mode no
+// sketch is rebuilt on that path: the request carries the merged state
+// published last, the
 // shard drops what it holds at or above that state's bar (on an
 // append-only stream the merged cut only moves down, so no later merge
 // can keep it — DESIGN.md §11), freezes the rest into the canonical flat
@@ -25,7 +27,7 @@
 // (a delta; §11 again) — core.MergeViews walks the shard views, and beside
 // deltas the published view, in priority order up to the budget cut, which
 // is exactly the sketch a single machine would have built over every edge
-// ingested before the request (internal/core/merge.go, view.go), and the
+// ingested before the request (internal/core/merge.go, view.go); the
 // merged view's own arrays are adopted as the element side of the query
 // graph and walked once more to emit the snapshot bytes. Those bytes decode straight back
 // into a view (core.ReadView), which is what a restore and a cluster
@@ -47,6 +49,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -273,30 +276,117 @@ type Snapshot struct {
 	// counted.
 	IngestedEdges int64
 
-	mode    Mode             // the engine mode the state belongs to
-	state   FrozenState      // merged state (sketch view / bank / sampler)
-	weights []float64        // weighted: scaled union element weights
-	graph   *bipartite.Graph // materialized (union) graph queries run on
-	ids     []uint32         // graph element id -> original element id
+	instance uint64      // the publishing engine's instance; 0 for a cluster view
+	mode     Mode        // the engine mode the state belongs to
+	state    FrozenState // merged state (sketch view / bank / sampler)
+	// delta, when non-nil, says state is the engine's previous snapshot
+	// folded with sketch shard deltas (see Delta).
+	delta *snapshotDelta
 
-	// The one greedy run over graph, started by the first query and shared
-	// by every later one, whichever route it arrives by: run on the sketch
-	// and dynamic modes, wrun (the float-gain loop) on the weighted mode.
+	// The materialized graph queries run on, with its cover index. A mode
+	// that materializes eagerly fills it before the snapshot is published;
+	// otherwise the first query builds it.
+	matOnce sync.Once
+	mat     *materialized
+	matErr  error
+
+	// The one greedy run over the graph, started by the first query and
+	// shared by every later one, whichever route it arrives by: run on the
+	// sketch and dynamic modes, wrun (the float-gain loop) on the weighted
+	// mode.
 	runOnce sync.Once
 	run     *greedy.Run
 	wrun    *weighted.Run
 }
 
+// snapshotDelta is what a sketch snapshot keeps to describe itself as a
+// delta on its predecessor: the shard Cut(true) views its merge folded
+// into that snapshot's view, and the predecessor's identity — its sequence
+// number and edge total, never a pointer, so snapshots do not chain. The
+// restriction of the snapshot's view to the cuts' elements is built once,
+// on first request, and serialized with it; a node nobody pulls from never
+// builds it.
+type snapshotDelta struct {
+	baseSeq   uint64
+	baseEdges int64
+
+	once sync.Once
+	cuts []*core.View // dropped once view is built
+	view *core.View
+	blob []byte
+}
+
+// build restricts the snapshot's view to the cuts' elements (one walk,
+// core.View.Restrict) and serializes it.
+func (d *snapshotDelta) build(state FrozenState) (*core.View, []byte) {
+	d.once.Do(func() {
+		d.view = state.(*core.View).Restrict(d.cuts...)
+		d.cuts = nil
+		var buf bytes.Buffer
+		d.view.WriteTo(&buf) // a bytes.Buffer write cannot fail
+		d.blob = buf.Bytes()
+	})
+	return d.view, d.blob
+}
+
+// SnapshotID names a published snapshot: the instance of the engine that
+// published it (drawn once per New, so a restarted engine or a re-created
+// namespace never repeats one) and its sequence number in that engine.
+type SnapshotID struct{ Instance, Seq uint64 }
+
+// ID returns the snapshot's identity. A cluster view merged by
+// MergeSnapshot has instance 0.
+func (s *Snapshot) ID() SnapshotID { return SnapshotID{s.instance, s.Seq} }
+
+// Delta describes a sketch snapshot as one delta on the snapshot its engine
+// published before it: base names that snapshot, and MergeStates over its
+// state and delta, reporting this snapshot's edge total, is this snapshot's
+// state byte for byte (DESIGN.md §11). delta holds this snapshot's view
+// restricted to the elements its shards' delta cuts held; it is built on
+// the first call and shared. ok is false when the snapshot is not one delta
+// away from its predecessor: any shard cut full (an engine's first refresh,
+// a restore, the build after a failed merge), or a weighted or dynamic
+// state.
+func (s *Snapshot) Delta() (base SnapshotID, delta FrozenState, ok bool) {
+	if s.delta == nil {
+		return SnapshotID{}, nil, false
+	}
+	v, _ := s.delta.build(s.state)
+	return SnapshotID{s.instance, s.delta.baseSeq}, v, true
+}
+
+// materialized renders the snapshot's state queryable on first use.
+func (s *Snapshot) materialized() (*materialized, error) {
+	s.matOnce.Do(func() {
+		s.mat, s.matErr = s.mode.Materialize(s.state)
+		if s.matErr == nil {
+			// The bitset coverage index is built with the graph (when
+			// profitable for it) so no query pays it: snapshots are immutable
+			// and the index is shared by every greedy run against them.
+			s.mat.graph.BuildCoverIndex()
+		}
+	})
+	return s.mat, s.matErr
+}
+
 // greedyRun returns the snapshot's run of the unweighted lazy greedy.
-func (s *Snapshot) greedyRun() *greedy.Run {
-	s.runOnce.Do(func() { s.run = greedy.NewRun(s.graph) })
-	return s.run
+func (s *Snapshot) greedyRun() (*greedy.Run, error) {
+	mat, err := s.materialized()
+	if err != nil {
+		return nil, err
+	}
+	s.runOnce.Do(func() { s.run = greedy.NewRun(mat.graph) })
+	return s.run, nil
 }
 
 // weightedRun returns a weighted snapshot's run of the weighted greedy.
-func (s *Snapshot) weightedRun() *weighted.Run {
-	s.runOnce.Do(func() { s.wrun = weighted.NewRun(weighted.Instance{G: s.graph, W: s.weights}) })
-	return s.wrun
+func (s *Snapshot) weightedRun() (*weighted.Run, error) {
+	mat, err := s.materialized()
+	if err != nil {
+		return nil, err
+	}
+	s.runOnce.Do(func() { s.wrun = weighted.NewRun(weighted.Instance{G: mat.graph, W: mat.weights}) })
+	return s.wrun, nil
 }
 
 // Mode returns the engine mode the snapshot was merged under.
@@ -331,9 +421,16 @@ func (s *Snapshot) pStar() float64 { return s.state.Stats().PStar }
 
 // Graph returns the snapshot state materialized as a bipartite graph
 // (elements renumbered; see core.Sketch.Graph), with the bitset
-// coverage index already built when profitable. Read-only: the graph is
+// coverage index already built when profitable; the first call builds it
+// unless the mode materialized inside the refresh. Read-only: the graph is
 // shared with every query running against this snapshot.
-func (s *Snapshot) Graph() *bipartite.Graph { return s.graph }
+func (s *Snapshot) Graph() (*bipartite.Graph, error) {
+	mat, err := s.materialized()
+	if err != nil {
+		return nil, err
+	}
+	return mat.graph, nil
+}
 
 // WriteState serializes the snapshot's merged state in its mode's wire
 // format (v1 sketch, weighted.BankMagic bank, or "L0DYNS1" sampler
@@ -346,37 +443,35 @@ func (s *Snapshot) WriteState(w io.Writer) error {
 }
 
 // MergeSnapshot folds frozen states of the given mode into one merged
-// state and materializes it as a queryable Snapshot. It is the
-// snapshot-building tail of a coordinator refresh, exported so the
-// cluster layer can publish a cluster-wide view (local state folded with
-// decoded peer states) that queries exactly like an engine snapshot.
-// edges is the ingested-edge total the states reflect together (a merge
-// only replays kept edges, so the caller supplies the true total).
-// Published and decoded states are only read; shard cuts fresh from
-// Freeze are the merge's to consume (Mode.MergeStates).
+// state and wraps it as a queryable Snapshot. It is the snapshot-building
+// tail of a coordinator refresh, exported so the cluster layer can publish
+// a cluster-wide view (local state folded with decoded peer states) that
+// queries exactly like an engine snapshot. edges is the ingested-edge
+// total the states reflect together (a merge only replays kept edges, so
+// the caller supplies the true total). Published and decoded states are
+// only read; shard cuts fresh from Freeze are the merge's to consume
+// (Mode.MergeStates). The graph is built here only for a mode that
+// materializes eagerly; otherwise the first query builds it, so a
+// snapshot that only serves its bytes — a peer's pull, a checkpoint, a
+// snapshot GET — never pays for it.
 func MergeSnapshot(mode Mode, seq uint64, edges int64, states []FrozenState) (*Snapshot, error) {
 	merged, err := mode.MergeStates(states, edges)
 	if err != nil {
 		return nil, err
 	}
-	mat, err := mode.Materialize(merged)
-	if err != nil {
-		return nil, err
-	}
-	// Materialize the bitset coverage index now (when profitable for this
-	// graph) so no query pays the build: snapshots are immutable and the
-	// index is shared by every greedy run against them.
-	mat.graph.BuildCoverIndex()
-	return &Snapshot{
+	snap := &Snapshot{
 		Seq:           seq,
 		CreatedAt:     time.Now(),
 		IngestedEdges: edges,
 		mode:          mode,
 		state:         merged,
-		weights:       mat.weights,
-		graph:         mat.graph,
-		ids:           mat.ids,
-	}, nil
+	}
+	if mode.MaterializesEagerly() {
+		if _, err := snap.materialized(); err != nil {
+			return nil, err
+		}
+	}
+	return snap, nil
 }
 
 // Engine is the concurrent sharded ingest engine.
@@ -842,18 +937,27 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 	applied := e.restored
 	states := make([]FrozenState, len(replies))
 	shardKept := int64(0)
+	// The snapshot is one delta on prev when every shard cut a delta against
+	// prev's view (the request carried it, and refreshMu kept it published).
+	prev := e.snap.Load()
+	oneDelta := prev != nil
+	var deltas []*core.View
 	for i, ch := range replies {
 		rep := <-ch
 		applied += rep.stats.EdgesSeen
 		shardKept += int64(rep.stats.EdgesKept)
 		states[i] = rep.frozen
-		if cut, ok := rep.frozen.(*sketchCut); ok {
+		cut, isCut := rep.frozen.(*sketchCut)
+		if isCut {
 			if cut.base == nil {
 				e.fullCuts.Add(1)
 			} else {
 				e.deltaCuts.Add(1)
 				e.deltaEdges.Add(int64(cut.Stats().EdgesKept))
 			}
+		}
+		if oneDelta = oneDelta && isCut && prev.state == FrozenState(cut.base); oneDelta {
+			deltas = append(deltas, cut.View)
 		}
 	}
 	e.shardKept.Store(shardKept)
@@ -864,6 +968,10 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 		// and nothing was published, so a sketch shard's next cut is full.
 		e.refreshErrors.Add(1)
 		return nil, err
+	}
+	snap.instance = e.instance
+	if oneDelta {
+		snap.delta = &snapshotDelta{baseSeq: prev.Seq, baseEdges: prev.IngestedEdges, cuts: deltas}
 	}
 	e.snap.Store(snap)
 	e.refreshes.Add(1)

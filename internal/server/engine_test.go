@@ -430,12 +430,16 @@ func TestQueryCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		g, err := snap.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, q := range qs {
 			got, err := e.Query(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := oneShot(snap.Graph(), q)
+			want := oneShot(g, q)
 			if !sameIntSets(got.Sets, want.Sets) || got.SketchCoverage != want.Covered {
 				t.Fatalf("%+v: got %v covering %d, one-shot greedy %v covering %d",
 					q, got.Sets, got.SketchCoverage, want.Sets, want.Covered)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/bipartite"
@@ -254,7 +255,39 @@ const (
 	// different engine mode. Absent on responses from servers that
 	// predate the engine-mode plane; receivers treat it as advisory.
 	HeaderEngine = "X-Cov-Engine"
+
+	// The RFC 3229 delta exchange (ServeState). A request opts in with
+	// HeaderAIM naming DeltaIM; a 226 answer names it in HeaderIM and the
+	// ETag of the state it is a delta on in HeaderDeltaBase.
+	HeaderAIM       = "A-IM"
+	HeaderIM        = "IM"
+	HeaderDeltaBase = "Delta-Base"
+	// DeltaIM is the instance manipulation of a sketch state delta: a v1
+	// sketch blob holding the new state's view restricted to the elements
+	// that changed since the base, under the new bar and edge total, which
+	// MergeStates folds into the base state to give the new state byte for
+	// byte (Snapshot.Delta).
+	DeltaIM = "cov-delta"
 )
+
+// acceptsDelta reports whether the request's A-IM header lists DeltaIM.
+func acceptsDelta(r *http.Request) bool {
+	for _, line := range r.Header.Values(HeaderAIM) {
+		for _, im := range strings.Split(line, ",") {
+			im, _, _ = strings.Cut(im, ";") // drop parameters such as q=
+			if strings.EqualFold(strings.TrimSpace(im), DeltaIM) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// stateETag is the ETag of the state an engine instance published at an
+// ingested-edge total (see ServeState).
+func stateETag(instance uint64, edges int64) string {
+	return `"` + strconv.FormatUint(instance, 16) + "-" + strconv.FormatInt(edges, 10) + `"`
+}
 
 // ServeState implements a conditional GET of an engine's serialized
 // merged state: Content-Type application/octet-stream, body exactly the
@@ -270,13 +303,23 @@ const (
 // WAL, a namespace deleted and re-created) from answering 304 for
 // state it never held. Both GET …/snapshot and the cluster
 // /v1/cluster/sketch endpoint are this handler.
+//
+// A requester that holds the state this engine published just before the
+// current one can ask for the difference instead, the RFC 3229 way:
+// A-IM: cov-delta, and If-None-Match naming exactly that predecessor's
+// ETag. On a sketch engine whose current snapshot is one delta on it
+// (Snapshot.Delta) the answer is 226 IM Used with IM: cov-delta and
+// Delta-Base: <that ETag>, and the body is the snapshot's DeltaIM blob,
+// built on the first such request and shared by later ones. Every other
+// request — no A-IM, another base, a weighted or dynamic engine, a
+// snapshot that cut any shard in full — gets the full 200 or the 304.
 func ServeState(e *Engine, w http.ResponseWriter, r *http.Request) {
 	snap, err := e.Refresh() // idle engines reuse the published snapshot
 	if err != nil {
 		ErrorJSON(w, StatusFor(err), "%v", err)
 		return
 	}
-	etag := `"` + strconv.FormatUint(e.instance, 16) + "-" + strconv.FormatInt(snap.IngestedEdges, 10) + `"`
+	etag := stateETag(e.instance, snap.IngestedEdges)
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set(HeaderEdges, strconv.FormatInt(snap.IngestedEdges, 10))
@@ -285,23 +328,34 @@ func ServeState(e *Engine, w http.ResponseWriter, r *http.Request) {
 	if snap.Weighted() {
 		h.Set(HeaderWeighted, "1")
 	}
-	if r.Header.Get("If-None-Match") == etag {
+	inm := r.Header.Get("If-None-Match")
+	if inm == etag {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	// Serialize to memory first: an encode failure after WriteHeader
-	// would truncate a 200 mid-body, which a peer could mistake for a
-	// corrupt snapshot rather than a server error.
-	var buf bytes.Buffer
-	if err := snap.WriteState(&buf); err != nil {
-		ErrorJSON(w, http.StatusInternalServerError, "serializing state: %v", err)
-		return
+	var body []byte
+	status := http.StatusOK
+	if d := snap.delta; d != nil && inm == stateETag(e.instance, d.baseEdges) && acceptsDelta(r) {
+		_, body = d.build(snap.state)
+		status = http.StatusIMUsed
+		h.Set(HeaderIM, DeltaIM)
+		h.Set(HeaderDeltaBase, inm)
+	} else {
+		// Serialize to memory first: an encode failure after WriteHeader
+		// would truncate a 200 mid-body, which a peer could mistake for a
+		// corrupt snapshot rather than a server error.
+		var buf bytes.Buffer
+		if err := snap.WriteState(&buf); err != nil {
+			ErrorJSON(w, http.StatusInternalServerError, "serializing state: %v", err)
+			return
+		}
+		body = buf.Bytes()
 	}
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusOK)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
 	if r.Method != http.MethodHead {
-		w.Write(buf.Bytes())
+		w.Write(body)
 	}
 }
 

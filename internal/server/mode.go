@@ -123,11 +123,10 @@ type FrozenState interface {
 }
 
 // materialized is a merged state rendered queryable: the bipartite
-// graph greedy runs on, the graph-id → original-element mapping, and
-// (weighted mode only) the per-element weights of the scaled union.
+// graph greedy runs on and (weighted mode only) the per-element weights
+// of the scaled union.
 type materialized struct {
 	graph   *bipartite.Graph
-	ids     []uint32
 	weights []float64
 }
 
@@ -158,6 +157,12 @@ type Mode interface {
 	ReadState(r io.Reader) (FrozenState, error)
 	// Materialize renders a merged state queryable.
 	Materialize(st FrozenState) (*materialized, error)
+	// MaterializesEagerly reports that Materialize must run inside the
+	// refresh that publishes the state, because it can fail where the merge
+	// cannot (the dynamic mode's L0 peel) and that failure must be a refresh
+	// error, not a query error. Other modes materialize on a snapshot's
+	// first query, so a snapshot that is only served never builds a graph.
+	MaterializesEagerly() bool
 	// Execute answers a validated query from the greedy run of a snapshot
 	// of this mode. hit reports that the run already held every pick the
 	// answer needed.
@@ -323,6 +328,20 @@ func (m sketchMode) MergeStates(states []FrozenState, edges int64) (FrozenState,
 	return merged, nil
 }
 
+// FoldDelta folds a DeltaIM state — the body of a 226 answer, decoded by
+// the mode's ReadState — into base, the state whose ETag that answer named
+// as its Delta-Base, with the mode's ordinary MergeStates. The result is
+// byte for byte the state a full pull would have decoded (Snapshot.Delta).
+// Only sketch states travel as deltas; any other pair is refused.
+func FoldDelta(mode Mode, base, delta FrozenState) (FrozenState, error) {
+	b, okBase := base.(*core.View)
+	d, okDelta := delta.(*core.View)
+	if !okBase || !okDelta {
+		return nil, fmt.Errorf("server: %s states do not fold deltas", mode.Name())
+	}
+	return mode.MergeStates([]FrozenState{b, d}, d.Stats().EdgesSeen)
+}
+
 // ReadState decodes a v1 sketch blob straight into the view its bytes
 // spell out (core.ReadView: one validating pass for a canonical blob, a
 // normalizing rebuild only for a legacy unordered one) and checks it
@@ -343,16 +362,21 @@ func (m sketchMode) Materialize(st FrozenState) (*materialized, error) {
 	if !ok {
 		return nil, fmt.Errorf("server: cannot materialize %T state on a sketch engine", st)
 	}
-	g, ids, err := v.Graph()
+	g, _, err := v.Graph()
 	if err != nil {
 		return nil, err
 	}
-	return &materialized{graph: g, ids: ids}, nil
+	return &materialized{graph: g}, nil
 }
 
+func (m sketchMode) MaterializesEagerly() bool { return false }
+
 func (m sketchMode) Execute(snap *Snapshot, q Query) (*QueryResult, bool, error) {
+	run, err := snap.greedyRun()
+	if err != nil {
+		return nil, false, err
+	}
 	var (
-		run      = snap.greedyRun()
 		res      greedy.Result
 		extended int
 	)
@@ -451,21 +475,27 @@ func (m weightedMode) Materialize(st FrozenState) (*materialized, error) {
 	if !ok {
 		return nil, fmt.Errorf("server: cannot materialize %T state on a weighted engine", st)
 	}
-	in, ids, err := v.Assemble()
+	in, _, err := v.Assemble()
 	if err != nil {
 		return nil, err
 	}
-	return &materialized{graph: in.G, ids: ids, weights: in.W}, nil
+	return &materialized{graph: in.G, weights: in.W}, nil
 }
 
+func (m weightedMode) MaterializesEagerly() bool { return false }
+
 func (m weightedMode) Execute(snap *Snapshot, q Query) (*QueryResult, bool, error) {
-	res, extended := snap.weightedRun().MaxCover(q.K)
+	run, err := snap.weightedRun()
+	if err != nil {
+		return nil, false, err
+	}
+	res, extended := run.MaxCover(q.K)
 	return &QueryResult{
 		Algo:              q.Algo,
 		Sets:              res.Sets,
 		SketchCoverage:    res.CoveredElems,
 		EstimatedCoverage: res.Covered, // the weighted greedy scales per class already
-		SampledElements:   snap.graph.NumElems(),
+		SampledElements:   snap.mat.graph.NumElems(),
 		PStar:             snap.pStar(),
 		Weighted:          true,
 		WeightClasses:     snap.Bank().Classes(),
