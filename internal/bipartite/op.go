@@ -44,6 +44,12 @@ func PackOp(op Op) uint32 {
 	return op.Edge.Set
 }
 
+// RecordWord is a record's two words as the one little-endian uint64
+// both serialized planes store and load per record: the set word in the
+// low half, the elem word in the high half. uint32(w) and uint32(w>>32)
+// split it again.
+func RecordWord(set, elem uint32) uint64 { return uint64(set) | uint64(elem)<<32 }
+
 // UnpackOp is PackOp's inverse over a record's two words.
 func UnpackOp(set, elem uint32) Op {
 	// OpInsert is 0 and OpDelete is 1, so the kind is the flag bit itself.

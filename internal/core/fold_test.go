@@ -77,7 +77,7 @@ func mergeViewsElementwise(params Params, edgesSeen int64, views ...*View) *View
 // probability ½ a bar at one of the drawn elements, which drops it and
 // everything above.
 func randomView(rng *rand.Rand, params Params, universe, n, maxDeg int) *View {
-	hash := params.hasher()
+	hash := params.Priority().Of
 	picked := map[uint32]bool{}
 	type el struct {
 		h uint64

@@ -69,7 +69,7 @@ func BuildOffline(g *bipartite.Graph, params Params) (*Sketch, error) {
 		if g.ElemDegree(e) == 0 {
 			continue
 		}
-		order = append(order, he{hash: s.hash(uint32(e)), elem: uint32(e)})
+		order = append(order, he{hash: s.hash.Of(uint32(e)), elem: uint32(e)})
 	}
 	sort.Slice(order, func(i, j int) bool {
 		return priorityLess(order[i].hash, order[i].elem, order[j].hash, order[j].elem)

@@ -110,14 +110,36 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// hasher returns the element hash function the parameters select: the
-// priority order of every sketch and view built with them.
-func (p Params) hasher() func(uint32) uint64 {
-	if p.Hash == HashTabulation {
-		return hashing.NewTabulationHasher(p.Seed).Hash
-	}
-	return hashing.NewHasher(p.Seed).Hash
+// Priority is the element hash the parameters select: the priority order
+// of every sketch and view built with them, as a value a caller can hold
+// and call without an indirect call.
+type Priority struct {
+	tab *hashing.TabulationHasher // nil selects mix
+	mix hashing.Hasher
 }
+
+// Priority returns the element hash the parameters select (Hash under
+// Seed).
+func (p Params) Priority() Priority {
+	if p.Hash == HashTabulation {
+		return Priority{tab: hashing.NewTabulationHasher(p.Seed)}
+	}
+	return Priority{mix: hashing.NewHasher(p.Seed)}
+}
+
+// Of returns elem's priority.
+func (h Priority) Of(elem uint32) uint64 {
+	if h.tab != nil {
+		return h.tab.Hash(elem)
+	}
+	return h.mix.Hash(elem)
+}
+
+// SplitMix returns the hasher the priority is when it is the default
+// SplitMix64 family, and false for tabulation. Of covers both but is too
+// large to inline, so a loop that hashes every edge branches on this once
+// and calls the hasher inline.
+func (h Priority) SplitMix() (hashing.Hasher, bool) { return h.mix, h.tab == nil }
 
 // sketchCompatible reports whether two parameter sets produce sketches
 // that may be merged: they must agree on everything that determines the

@@ -273,7 +273,7 @@ func TestReadViewNormalizesNonCanonicalBlobs(t *testing.T) {
 		t.Fatal("test needs a never-evicting sketch")
 	}
 	// The first element hashing above the evicting sketch's bar.
-	hash := evicting.params.hasher()
+	hash := evicting.params.Priority().Of
 	above := uint32(0)
 	for !priorityLess(evicting.barHash, evicting.barElem, hash(above), above) {
 		above++

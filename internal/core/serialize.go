@@ -165,7 +165,7 @@ func parseView(data []byte) (v *View, canonical bool, err error) {
 	v.off = make([]int64, n+1)
 	v.sets = make([]uint32, 0, (len(body)-8*n)/4)
 
-	hash := params.hasher()
+	hash := params.Priority()
 	numSets, degCap := uint64(params.NumSets), params.EffectiveDegreeCap()
 	canonical = true
 	for i := 0; i < n; i++ {
@@ -177,7 +177,7 @@ func parseView(data []byte) (v *View, canonical bool, err error) {
 		if deg > len(body)/4 {
 			return nil, false, fmt.Errorf("core: reading element %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		h := hash(elem)
+		h := hash.Of(elem)
 		v.hashes[i], v.elems[i] = h, elem
 		if deg == 0 || deg > degCap ||
 			i > 0 && !priorityLess(v.hashes[i-1], v.elems[i-1], h, elem) ||

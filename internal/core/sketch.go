@@ -26,7 +26,7 @@ type Sketch struct {
 	// slack bounds how far totalEdges may overshoot the budget between
 	// deferred shrinks on the batched ingest path (see AddEdges).
 	slack int
-	hash  func(uint32) uint64
+	hash  Priority
 
 	index map[uint32]int32 // element id -> slot index
 	slots []slot
@@ -89,7 +89,7 @@ func NewSketch(params Params) (*Sketch, error) {
 		params: params,
 		budget: params.EffectiveEdgeBudget(),
 		degCap: params.EffectiveDegreeCap(),
-		hash:   params.hasher(),
+		hash:   params.Priority(),
 		index:  make(map[uint32]int32),
 	}
 	// Shrink slack: the batched path lets the sketch overshoot the budget
@@ -142,7 +142,7 @@ func (s *Sketch) AddEdge(e bipartite.Edge) {
 		s.shrink()
 		return
 	}
-	h := s.hash(e.Elem)
+	h := s.hash.Of(e.Elem)
 	// New element: if it is at or above the eviction bar it would have
 	// been (or immediately be) evicted — discard without allocating.
 	if s.evicted && !priorityLess(h, e.Elem, s.barHash, s.barElem) {
@@ -182,6 +182,27 @@ func (s *Sketch) AddEdges(edges []bipartite.Edge) {
 	s.shrink()
 }
 
+// Bar returns the sketch's eviction bar, as View.Bar does for a view. It
+// only moves down: an eviction, a folded bar and LowerBar each lower it or
+// leave it.
+func (s *Sketch) Bar() (hash uint64, elem uint32, ok bool) {
+	return s.barHash, s.barElem, s.evicted
+}
+
+// Priority returns the element hash the sketch orders, keeps and drops by.
+func (s *Sketch) Priority() Priority { return s.hash }
+
+// AddDropped accounts n stream edges a caller dropped in the sketch's
+// stead: each of an element whose Priority was strictly above the hash
+// half of the Bar when the caller read it. The bar only moves down, so
+// AddEdges of those edges would have dropped each one after its hash and
+// changed nothing else; AddDropped moves EdgesSeen and DropHash exactly as
+// that AddEdges would, and leaves every view of the sketch as it would.
+func (s *Sketch) AddDropped(n int64) {
+	s.edgesSeen += n
+	s.dropHash += n
+}
+
 // insert applies the kept-edge admission policy for one edge on the
 // deferred-shrink paths: bar-first hash drop, index lookup, alloc, slot
 // insert, and budget re-enforcement at slack boundaries only. count
@@ -189,7 +210,7 @@ func (s *Sketch) AddEdges(edges []bipartite.Edge) {
 // AddEdges and absorb go through here so the admission policy cannot
 // diverge between streaming and merge ingest.
 func (s *Sketch) insert(e bipartite.Edge, count bool) {
-	h := s.hash(e.Elem)
+	h := s.hash.Of(e.Elem)
 	if s.evicted && !priorityLess(h, e.Elem, s.barHash, s.barElem) {
 		if count {
 			s.dropHash++

@@ -43,7 +43,7 @@ func referenceGraph(t *testing.T, s *Sketch) (*bipartite.Graph, []uint32) {
 		ids = append(ids, el)
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		return priorityLess(s.hash(ids[i]), ids[i], s.hash(ids[j]), ids[j])
+		return priorityLess(s.hash.Of(ids[i]), ids[i], s.hash.Of(ids[j]), ids[j])
 	})
 	var edges []bipartite.Edge
 	for newID, el := range ids {
@@ -114,8 +114,8 @@ func viewMatchesSketch(t *testing.T, v *View, s *Sketch, exact bool) {
 		t.Fatalf("view arrays inconsistent: %d hashes, %d elems, %d offsets, %d sets", len(v.hashes), len(v.elems), len(v.off), len(v.sets))
 	}
 	for i, el := range v.elems {
-		if v.hashes[i] != s.hash(el) {
-			t.Fatalf("element %d stored with hash %#x, want %#x", el, v.hashes[i], s.hash(el))
+		if v.hashes[i] != s.hash.Of(el) {
+			t.Fatalf("element %d stored with hash %#x, want %#x", el, v.hashes[i], s.hash.Of(el))
 		}
 		if i > 0 && !priorityLess(v.hashes[i-1], v.elems[i-1], v.hashes[i], el) {
 			t.Fatalf("view elements out of priority order at %d", i)

@@ -91,8 +91,11 @@ type Config struct {
 
 	// Shards is the number of ingest workers (default 4).
 	Shards int
-	// QueueDepth is the per-shard mailbox capacity in batches (default 64).
-	// Ingest blocks when a shard's mailbox is full — backpressure, not loss.
+	// QueueDepth is the per-shard mailbox capacity in messages (default
+	// 64), each a state request or a routed sub-batch of at most
+	// 1 024 / Shards records — a 1 024-record batch's share of a shard.
+	// Ingest blocks when a shard's mailbox is full — backpressure, not
+	// loss.
 	QueueDepth int
 	// MergeEvery, when positive, refreshes the snapshot on a timer so
 	// queries see recent edges without paying a merge themselves.
@@ -190,27 +193,39 @@ var ErrClosed = errors.New("server: engine closed")
 // dropped, or read back as a delete, at recovery.
 var ErrNumSetsRange = errors.New("server: NumSets out of range")
 
-// subBatch is one shard's share of a routed batch: the mailbox payload
-// and the pooled buffer in one. The shard returns it to the engine's
-// pool after applying it, so steady-state ingest recycles buffers
-// instead of allocating per submission. An insert-only batch fills
-// edges, whichever record type it arrived as; only a batch that carries
-// a delete fills ops.
+// subBatch is one shard's share of a routed batch, at most
+// Engine.subBatchCap records: the mailbox payload and the pooled buffer
+// in one. The shard returns it to the engine's pool after applying it,
+// so steady-state ingest recycles buffers instead of allocating per
+// submission. An insert-only batch fills edges, whichever record type
+// it arrived as; only a batch that carries a delete fills ops. dropped
+// counts the inserts the router dropped against the shard's published
+// bar instead of copying them.
 type subBatch struct {
-	edges []bipartite.Edge
-	ops   []bipartite.Op
+	edges   []bipartite.Edge
+	ops     []bipartite.Op
+	dropped int64
 }
+
+// subBatchBase is the batch whose per-shard share caps one mailbox
+// message (Engine.subBatchCap).
+const subBatchBase = 1024
 
 // applyTo hands the sub-batch to a shard state in one batched pass
 // (e.g. the sketch's deferred-shrink core.Sketch.AddEdges). ops is
 // non-empty only on an engine whose states are opAppliers: check
 // refuses deletes everywhere else before anything is logged or routed.
+// dropped is non-zero only on an engine whose states are barPublishers.
 func (b *subBatch) applyTo(st ShardState) {
-	if len(b.ops) > 0 {
-		st.(opApplier).ApplyOps(b.ops)
-		return
+	if b.dropped > 0 {
+		st.(barPublisher).addDropped(b.dropped)
 	}
-	st.AddEdges(b.edges)
+	switch {
+	case len(b.ops) > 0:
+		st.(opApplier).ApplyOps(b.ops)
+	case len(b.edges) > 0:
+		st.AddEdges(b.edges)
+	}
 }
 
 // shardMsg is a mailbox entry: a routed sub-batch or a state request.
@@ -509,6 +524,18 @@ type Engine struct {
 	deletes atomic.Int64
 	// deletable: the mode's shard states implement opApplier.
 	deletable bool
+	// subBatchCap caps the records of one mailbox message at a
+	// subBatchBase-record batch's share per shard. QueueDepth counts
+	// messages, so a mailbox — and what a freeze request waits behind —
+	// holds at most what it held when every caller sent batches of
+	// subBatchBase records, however large the batches callers submit.
+	subBatchCap int
+	// bars holds each shard state's published bar when the mode's states
+	// are barPublishers (nil otherwise), and priority the element hash it
+	// compares; barDrops counts the inserts route dropped against them.
+	bars     []*atomic.Uint64
+	priority core.Priority
+	barDrops atomic.Int64
 	// ingestStalls counts shard-mailbox sends that found the mailbox
 	// full and had to wait — the engine's backpressure events. The wire
 	// ingest plane surfaces them as its stall metric.
@@ -597,12 +624,20 @@ func newEngine(cfg Config, mode Mode) (*Engine, error) {
 		mode:   mode,
 		// Offset the partition seed from the sketch seed so edge routing
 		// and element sampling are independent.
-		part:     distributed.NewPartitioner(cfg.shards(), cfg.Seed+0x5eed),
-		shards:   make([]*shard, cfg.shards()),
-		restored: restoredEdges,
-		instance: rand.Uint64(),
+		part:        distributed.NewPartitioner(cfg.shards(), cfg.Seed+0x5eed),
+		shards:      make([]*shard, cfg.shards()),
+		restored:    restoredEdges,
+		instance:    rand.Uint64(),
+		subBatchCap: max(1, subBatchBase/cfg.shards()),
 	}
 	_, e.deletable = states[0].(opApplier)
+	if bp, ok := states[0].(barPublisher); ok {
+		e.priority = bp.priority()
+		e.bars = make([]*atomic.Uint64, len(states))
+		for i, st := range states {
+			e.bars[i] = st.(barPublisher).publishedBar()
+		}
+	}
 	// Recovery: replay the WAL tail the restore state does not cover into
 	// the still-private shard states (no goroutines yet, so the replay is
 	// exactly as deterministic as the original sequential Ingest calls),
@@ -681,7 +716,7 @@ func (e *Engine) mergeLoop(every time.Duration) {
 func (e *Engine) getSubBatch() *subBatch {
 	if v := e.pool.Get(); v != nil {
 		b := v.(*subBatch)
-		b.edges, b.ops = b.edges[:0], b.ops[:0]
+		b.edges, b.ops, b.dropped = b.edges[:0], b.ops[:0], 0
 		return b
 	}
 	return &subBatch{edges: make([]bipartite.Edge, 0, 256)}
@@ -750,46 +785,130 @@ func (e *Engine) setRangeError(set uint32) error {
 	return fmt.Errorf("server: edge set id %d out of range [0,%d)", set, e.cfg.NumSets)
 }
 
-// route copies b into pooled per-shard sub-batches (ownership passes to
-// the shard that applies them). An insert-only batch lands in the edges
-// buffers whichever record type it arrived as, so the shards run their
-// batched AddEdges pass; only a batch with deletes travels as ops.
-func (e *Engine) route(b batch, hasDeletes bool) []*subBatch {
-	buckets := make([]*subBatch, len(e.shards))
-	for _, ed := range b.edges {
-		w := e.part.Route(ed)
-		if buckets[w] == nil {
-			buckets[w] = e.getSubBatch()
-		}
-		buckets[w].edges = append(buckets[w].edges, ed)
+// route copies b into pooled per-shard sub-batches of at most
+// e.subBatchCap records, in batch order, and hands each to emit as soon as
+// it is full, the rest at the end; ownership passes with it. An
+// insert-only batch lands in the edges buffers whichever record type it
+// arrived as, so the shards run their batched AddEdges pass; only a
+// batch with deletes travels as ops. On an engine whose shard states
+// publish their bars, an insert whose element priority is strictly above
+// its shard's published bar hash is counted in its sub-batch instead of
+// copied: the shard would drop it too (DESIGN.md §6). route returns the
+// number of inserts it dropped.
+func (e *Engine) route(b batch, hasDeletes bool, emit func(w int, sb *subBatch)) int64 {
+	// Each shard's open sub-batch, and the inserts dropped for it since
+	// its last sub-batch was handed on; on the stack for up to 16 shards.
+	var (
+		openBuf  [16]*subBatch
+		dropsBuf [16]int64
+		open     []*subBatch
+		drops    []int64
+	)
+	if n := len(e.shards); n <= len(openBuf) {
+		open, drops = openBuf[:n], dropsBuf[:n]
+	} else {
+		open, drops = make([]*subBatch, n), make([]int64, n)
 	}
-	for _, op := range b.ops {
-		// Route on the edge, ignoring the kind: an edge's delete lands on
-		// the shard that holds its insert, so per-shard samplers see
-		// well-formed sub-streams.
-		w := e.part.Route(op.Edge)
-		if buckets[w] == nil {
-			buckets[w] = e.getSubBatch()
+	at := func(w int) *subBatch {
+		if open[w] == nil {
+			open[w] = e.getSubBatch()
 		}
-		if hasDeletes {
-			buckets[w].ops = append(buckets[w].ops, op)
-		} else {
-			buckets[w].edges = append(buckets[w].edges, op.Edge)
+		return open[w]
+	}
+	handOn := func(w int) {
+		sb := open[w]
+		sb.dropped, drops[w] = drops[w], 0
+		open[w] = nil
+		emit(w, sb)
+	}
+	keep := func(w int, ed bipartite.Edge) {
+		sb := at(w)
+		if sb.edges = append(sb.edges, ed); len(sb.edges) == e.subBatchCap {
+			handOn(w)
 		}
 	}
-	return buckets
+	switch {
+	case hasDeletes:
+		for _, op := range b.ops {
+			// Route on the edge, ignoring the kind: an edge's delete lands
+			// on the shard that holds its insert, so per-shard samplers see
+			// well-formed sub-streams.
+			w := e.part.Route(op.Edge)
+			sb := at(w)
+			if sb.ops = append(sb.ops, op); len(sb.ops) == e.subBatchCap {
+				handOn(w)
+			}
+		}
+	case e.bars == nil:
+		for _, ed := range b.edges {
+			keep(e.part.Route(ed), ed)
+		}
+		for _, op := range b.ops {
+			keep(e.part.Route(op.Edge), op.Edge)
+		}
+	default:
+		// The two loops every insert of a sketch engine takes: a hash to
+		// route it, a hash to compare its element with its shard's bar —
+		// inline for the default SplitMix64 family — and only the kept ones
+		// go further.
+		bars, part := e.bars, e.part
+		mix, isMix := e.priority.SplitMix()
+		for _, ed := range b.edges {
+			w := part.Route(ed)
+			var h uint64
+			if isMix {
+				h = mix.Hash(ed.Elem)
+			} else {
+				h = e.priority.Of(ed.Elem)
+			}
+			if h > bars[w].Load() {
+				drops[w]++
+				continue
+			}
+			keep(w, ed)
+		}
+		for _, op := range b.ops {
+			w := part.Route(op.Edge)
+			var h uint64
+			if isMix {
+				h = mix.Hash(op.Edge.Elem)
+			} else {
+				h = e.priority.Of(op.Edge.Elem)
+			}
+			if h > bars[w].Load() {
+				drops[w]++
+				continue
+			}
+			keep(w, op.Edge)
+		}
+	}
+	// Hand on every open sub-batch, and one for each shard that has drops
+	// to account but no records.
+	dropped := int64(0)
+	for w := range open {
+		dropped += drops[w]
+		if drops[w] > 0 {
+			at(w)
+		}
+		if open[w] != nil {
+			handOn(w)
+		}
+	}
+	return dropped
 }
 
 // submit is the ingest pipeline, written once for both record types and
-// for recovery: validate → log → route → count → enqueue. It returns the
-// number of records accepted; a batch is accepted or rejected whole.
+// for recovery: validate → log → count → route and enqueue. It returns
+// the number of records accepted; a batch is accepted or rejected whole.
 //
 // replay is nil on the live path. During recovery (openWAL, inside New)
 // it holds the still-private shard states: the batch came out of the
-// log, so it is not logged again, not counted (New seeds the counter
-// from the log's offset) and, with no shard goroutine running yet, its
-// sub-batches are applied in place — the same sub-batches, cut by the
-// same route, that the original call put in the mailboxes.
+// log, so it is not logged again, not counted in the accepted records
+// (New seeds that counter from the log's offset) and, with no shard
+// goroutine running yet, its sub-batches are applied in place — cut by the
+// same route as the original call's, so every shard sees the records it
+// saw then, less what its bar drops (which may stand elsewhere than it did
+// live, and changes no state either way: DESIGN.md §6).
 func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
 	n := len(b.edges) + len(b.ops)
 	if n == 0 {
@@ -800,12 +919,10 @@ func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
 		return 0, err
 	}
 	if replay != nil {
-		for w, sb := range e.route(b, deletes > 0) {
-			if sb != nil {
-				sb.applyTo(replay[w])
-				e.pool.Put(sb)
-			}
-		}
+		e.barDrops.Add(e.route(b, deletes > 0, func(w int, sb *subBatch) {
+			sb.applyTo(replay[w])
+			e.pool.Put(sb)
+		}))
 		return n, nil
 	}
 	e.ingestMu.RLock()
@@ -831,7 +948,6 @@ func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
 			return 0, err
 		}
 	}
-	buckets := e.route(b, deletes > 0)
 	// Count before enqueueing: the accepted-record counter must never lag
 	// a batch that a concurrent Refresh can already observe through the
 	// shard mailboxes, so the idle short-circuit's "counter unchanged ⇒
@@ -841,10 +957,7 @@ func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
 		e.deletes.Add(deletes)
 	}
 	e.batches.Add(1)
-	for w, sb := range buckets {
-		if sb == nil {
-			continue
-		}
+	e.barDrops.Add(e.route(b, deletes > 0, func(w int, sb *subBatch) {
 		// Fast path: the mailbox has room. A full mailbox is counted as a
 		// backpressure stall before the blocking send — the signal the
 		// wire plane and /metrics surface as ingest_stalls.
@@ -854,7 +967,7 @@ func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
 			e.ingestStalls.Add(1)
 			e.shards[w].mail <- shardMsg{batch: sb}
 		}
-	}
+	}))
 	return n, nil
 }
 
@@ -1057,6 +1170,10 @@ type Counters struct {
 	// second refresh on (shards shed above the published bar) rather than
 	// Shards × budget.
 	ShardKeptEdges int64
+	// BarDrops counts the inserts the router dropped against their shard's
+	// published bar, never copied or enqueued; always 0 on modes whose
+	// shard states publish no bar.
+	BarDrops int64
 }
 
 // Counters returns the engine's cheap counters (see Counters).
@@ -1073,6 +1190,7 @@ func (e *Engine) Counters() Counters {
 		RefreshSkips:   e.refreshSkips.Load(),
 		RefreshErrors:  e.refreshErrors.Load(),
 		ShardKeptEdges: e.shardKept.Load(),
+		BarDrops:       e.barDrops.Load(),
 	}
 	if snap := e.snap.Load(); snap != nil {
 		st := snap.state.Stats()

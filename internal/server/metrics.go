@@ -114,6 +114,9 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Counter("covserved_ingest_batches_total", "Ingest calls that delivered edges.", ns, float64(c.Batches))
 		w.Counter("covserved_deleted_edges_total", "Delete ops accepted by IngestOps (0 on append-only engines).", ns, float64(c.DeletedEdges))
 		w.Counter("covserved_ingest_stalls_total", "Shard-mailbox sends that found the mailbox full (backpressure).", ns, float64(c.IngestStalls))
+		if e.bars != nil {
+			w.Counter("covserved_ingest_bar_drops_total", "Edges the router dropped against their sketch shard's published bar, never copied or enqueued; beside covserved_ingested_edges_total, the share of edges that stop early.", ns, float64(c.BarDrops))
+		}
 		w.Counter("covserved_queries_total", "Queries served, from the local snapshot or the cluster view (hits included).", ns, float64(c.Queries))
 		w.Counter("covserved_query_cache_hits_total", "Queries that needed no new greedy pick: their snapshot's run already held the answer.", ns, float64(c.QueryCacheHits))
 		w.Counter("covserved_refreshes_total", "Coordinator merges that actually ran.", ns, float64(c.Refreshes))

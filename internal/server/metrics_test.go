@@ -166,6 +166,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"covserved_ingest_batches_total":      "counter",
 		"covserved_deleted_edges_total":       "counter",
 		"covserved_ingest_stalls_total":       "counter",
+		"covserved_ingest_bar_drops_total":    "counter",
 		"covserved_queries_total":             "counter",
 		"covserved_query_cache_hits_total":    "counter",
 		"covserved_refreshes_total":           "counter",
@@ -386,5 +387,69 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if cl := rec.Header().Get("Content-Length"); cl == "" || cl == "0" {
 		t.Fatalf("HEAD Content-Length = %q", cl)
+	}
+}
+
+// TestMetricsBarDrops: a sketch namespace exposes the inserts its router
+// dropped against the shards' published bars. Over a budget small enough
+// to evict, the second batch of new elements mostly stops at the router:
+// the counter grows, stays within what the shards report as hash drops
+// (every router drop is one of those) and below the edges ingested, and a
+// dynamic namespace, whose shards publish no bar, has no sample.
+func TestMetricsBarDrops(t *testing.T) {
+	m := NewMulti("")
+	defer m.Close()
+	cfg := Config{NumSets: 32, K: 4, Eps: 0.5, Seed: 1, Shards: 2, EdgeBudget: 64}
+	if _, err := m.Create("tight", cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine = ModeDynamic
+	if _, err := m.Create("dyn", cfg); err != nil {
+		t.Fatal(err)
+	}
+	h := NewMetricsHandler(m)
+	scrape := func() *metricsScrape {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return parseMetrics(t, rec.Body.String())
+	}
+	tight, _ := m.Get("tight")
+	batch := func(from int) []bipartite.Edge {
+		edges := make([]bipartite.Edge, 4000)
+		for i := range edges {
+			edges[i] = bipartite.Edge{Set: uint32(i % 32), Elem: uint32(from + i)}
+		}
+		return edges
+	}
+	if _, err := tight.Ingest(batch(0)); err != nil {
+		t.Fatal(err)
+	}
+	// A barrier through every mailbox: the shards have applied the first
+	// batch, and published the bars it left, before the second is routed.
+	if _, err := tight.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	before := scrape().value(t, `covserved_ingest_bar_drops_total{ns="tight"}`)
+	if _, err := tight.Ingest(batch(4000)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := tight.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashDrops := int64(0)
+	for _, sh := range st.ShardStats {
+		hashDrops += sh.DropHash
+	}
+	s := scrape()
+	drops := s.value(t, `covserved_ingest_bar_drops_total{ns="tight"}`)
+	if s.types["covserved_ingest_bar_drops_total"] != "counter" {
+		t.Fatalf("bar drops typed %q", s.types["covserved_ingest_bar_drops_total"])
+	}
+	if drops-before < 2000 || drops > float64(hashDrops) || drops >= s.value(t, `covserved_ingested_edges_total{ns="tight"}`) {
+		t.Fatalf("bar drops %v (%v after the first batch), shard hash drops %d, ingested 8000: want most of the second batch, within the hash drops", drops, before, hashDrops)
+	}
+	if _, ok := s.samples[`covserved_ingest_bar_drops_total{ns="dyn"}`]; ok {
+		t.Fatal("a bar-drop sample for a dynamic namespace, whose shards publish no bar")
 	}
 }

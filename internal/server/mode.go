@@ -104,6 +104,26 @@ type opApplier interface {
 	ApplyOps(ops []bipartite.Op)
 }
 
+// barPublisher is the narrow extra a shard state implements when it drops
+// an insert by its element's priority against an eviction bar that only
+// moves down (today only the sketch mode's). It publishes the hash half
+// of that bar after every change, so the router can drop, before copying
+// or enqueueing it, an insert whose priority is strictly above the
+// published hash — one the state would drop too (DESIGN.md §6) — and it
+// accounts those drops exactly as its AddEdges would have. A weighted
+// bank has one bar per weight class and an element's class depends on
+// the set, and a dynamic sampler has no bar at all, so neither publishes.
+type barPublisher interface {
+	// publishedBar is the atomic the state stores its bar's hash in
+	// (MaxUint64 while nothing was evicted); any goroutine may read it.
+	publishedBar() *atomic.Uint64
+	// priority is the element hash the bar is compared with.
+	priority() core.Priority
+	// addDropped accounts n inserts the router dropped against the
+	// published bar.
+	addDropped(n int64)
+}
+
 // FrozenState is a state nobody mutates any more: what Freeze,
 // Mode.MergeStates and Mode.ReadState return, what a Snapshot carries
 // and what the cluster layer stores per peer. Its consumed-edge total is
@@ -226,6 +246,9 @@ type sketchState struct {
 	// view there once it has folded that cut. It holds nil while no merge
 	// has, and before the first cut.
 	consumedBy *atomic.Pointer[core.View]
+	// bar is the hash half of sk's eviction bar (barPublisher), stored
+	// after every call that may lower it.
+	bar atomic.Uint64
 }
 
 // sketchCut is a shard's answer to a freeze request. When base is nil the
@@ -240,8 +263,25 @@ type sketchCut struct {
 	consumedBy *atomic.Pointer[core.View] // shared with the shard; see sketchState
 }
 
-func (s *sketchState) AddEdges(edges []bipartite.Edge) { s.sk.AddEdges(edges) }
-func (s *sketchState) Stats() core.Stats               { return s.sk.Stats() }
+func (s *sketchState) AddEdges(edges []bipartite.Edge) {
+	s.sk.AddEdges(edges)
+	s.publishBar()
+}
+
+func (s *sketchState) Stats() core.Stats            { return s.sk.Stats() }
+func (s *sketchState) publishedBar() *atomic.Uint64 { return &s.bar }
+func (s *sketchState) priority() core.Priority      { return s.sk.Priority() }
+func (s *sketchState) addDropped(n int64)           { s.sk.AddDropped(n) }
+
+// publishBar stores the hash half of the sketch's bar, MaxUint64 while
+// nothing was evicted: no priority is strictly above that.
+func (s *sketchState) publishBar() {
+	hash, _, ok := s.sk.Bar()
+	if !ok {
+		hash = math.MaxUint64
+	}
+	s.bar.Store(hash)
+}
 
 // Freeze first lowers the shard's bar to the published merged bar: on an
 // append-only stream no later merge can keep an element at or above it,
@@ -260,6 +300,7 @@ func (s *sketchState) Freeze(published FrozenState) FrozenState {
 	if v, ok := published.(*core.View); ok {
 		if hash, elem, evicted := v.Bar(); evicted {
 			s.sk.LowerBar(hash, elem)
+			s.publishBar()
 		}
 		if s.consumedBy.Load() == v {
 			cut.base = v
@@ -275,7 +316,9 @@ func (s *sketchState) MergeFrom(other FrozenState) error {
 	if !ok {
 		return fmt.Errorf("server: cannot merge %T state into a sketch engine", other)
 	}
-	return s.sk.MergeView(v)
+	err := s.sk.MergeView(v)
+	s.publishBar()
+	return err
 }
 
 type sketchMode struct{ params core.Params }
@@ -288,7 +331,9 @@ func (m sketchMode) NewShardState() (ShardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sketchState{sk: sk, consumedBy: new(atomic.Pointer[core.View])}, nil
+	st := &sketchState{sk: sk, consumedBy: new(atomic.Pointer[core.View])}
+	st.publishBar()
+	return st, nil
 }
 
 // MergeStates folds complete views (a published state, a decoded peer or

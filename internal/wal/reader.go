@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -76,7 +77,7 @@ func scanSegment(path string, fn func(offset int64, ops []bipartite.Op) error) (
 			}
 			return end, err
 		}
-		raw := getU32(header[0:])
+		raw := binary.LittleEndian.Uint32(header[0:])
 		length, opFrame := raw&^opFrameFlag, raw&opFrameFlag != 0
 		if length < 8 || length%8 != 0 || length > maxFrameBody {
 			return end, nil // implausible length: torn tail
@@ -91,7 +92,7 @@ func scanSegment(path string, fn func(offset int64, ops []bipartite.Op) error) (
 			}
 			return end, err
 		}
-		if crc32.Checksum(body, castagnoli) != getU32(header[4:]) {
+		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(header[4:]) {
 			return end, nil
 		}
 		off, decoded, derr := decodeBody(body, opFrame, ops)
@@ -122,31 +123,21 @@ func decodeBody(body []byte, opFrame bool, dst []bipartite.Op) (int64, []biparti
 	if len(body) < 8 || len(body)%8 != 0 {
 		return 0, dst, fmt.Errorf("%w: implausible body length %d", ErrCorruptRecord, len(body))
 	}
-	off := int64(getU64(body))
+	off := int64(binary.LittleEndian.Uint64(body))
 	if off < 0 {
 		return 0, dst, fmt.Errorf("%w: negative frame offset", ErrCorruptRecord)
 	}
-	n := (len(body) - 8) / 8
-	if cap(dst) < n {
-		dst = make([]bipartite.Op, n)
+	if n := (len(body) - 8) / 8; cap(dst) < n {
+		dst = make([]bipartite.Op, 0, n)
 	}
-	dst = dst[:n]
-	rec := body[8:]
-	for i := range dst {
-		set := getU32(rec)
+	dst = dst[:0]
+	for recs := body[8:]; len(recs) >= 8; recs = recs[8:] {
+		w := binary.LittleEndian.Uint64(recs)
+		set := uint32(w)
 		if set&bipartite.OpDeleteBit != 0 && !opFrame {
 			return 0, dst[:0], fmt.Errorf("%w: delete flag in a v1 edge frame", ErrCorruptRecord)
 		}
-		dst[i] = bipartite.UnpackOp(set, getU32(rec[4:]))
-		rec = rec[8:]
+		dst = append(dst, bipartite.UnpackOp(set, uint32(w>>32)))
 	}
 	return off, dst, nil
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
 }

@@ -62,6 +62,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -496,31 +497,33 @@ func (l *Log) syncLoop() {
 
 // beginFrameLocked sizes the log's scratch buffer for a frame of count
 // 8-byte records and writes what every frame starts with: the length
-// word (carrying flag) and the offset. The caller fills buf[16:] and
-// seals the frame. Caller holds writeMu.
+// word (carrying flag) and the offset. The caller appends the records to
+// buf[:16], within its capacity, and seals the frame. Caller holds
+// writeMu.
 func (l *Log) beginFrameLocked(off int64, count int, flag uint32) []byte {
 	body := 8 + 8*count
 	if cap(l.scratch) < frameHeader+body {
 		l.scratch = make([]byte, frameHeader+body)
 	}
 	buf := l.scratch[:frameHeader+body]
-	putU32(buf[0:], uint32(body)|flag)
-	putU64(buf[8:], uint64(off))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(body)|flag)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(off))
 	return buf
 }
 
 // sealFrame writes the CRC over a filled frame's offset and records.
 func sealFrame(buf []byte) []byte {
-	putU32(buf[4:], crc32.Checksum(buf[8:], castagnoli))
+	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[8:], castagnoli))
 	return buf
 }
 
-// encodeFrameLocked builds a v1 edge frame. Caller holds writeMu.
+// encodeFrameLocked builds a v1 edge frame, one 8-byte store per record.
+// Caller holds writeMu.
 func (l *Log) encodeFrameLocked(off int64, edges []bipartite.Edge) []byte {
 	buf := l.beginFrameLocked(off, len(edges), 0)
-	for i, e := range edges {
-		putU32(buf[16+8*i:], e.Set)
-		putU32(buf[20+8*i:], e.Elem)
+	recs := buf[:16]
+	for _, e := range edges {
+		recs = binary.LittleEndian.AppendUint64(recs, bipartite.RecordWord(e.Set, e.Elem))
 	}
 	return sealFrame(buf)
 }
@@ -534,9 +537,9 @@ func (l *Log) encodeOpsFrameLocked(off int64, ops []bipartite.Op, opFrame bool) 
 		flag = opFrameFlag
 	}
 	buf := l.beginFrameLocked(off, len(ops), flag)
-	for i, op := range ops {
-		putU32(buf[16+8*i:], bipartite.PackOp(op))
-		putU32(buf[20+8*i:], op.Edge.Elem)
+	recs := buf[:16]
+	for _, op := range ops {
+		recs = binary.LittleEndian.AppendUint64(recs, bipartite.RecordWord(bipartite.PackOp(op), op.Edge.Elem))
 	}
 	return sealFrame(buf)
 }
@@ -647,13 +650,4 @@ func (l *Log) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b, uint32(v))
-	putU32(b[4:], uint32(v>>32))
 }

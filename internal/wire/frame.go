@@ -50,6 +50,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/bipartite"
 )
@@ -332,11 +333,8 @@ func beginBatch(dst []byte, offset int64, n int) ([]byte, error) {
 }
 
 // openBatch is the head of both batch codecs' decoders: it checks the
-// body's shape, returns the offset and the 8-byte records after it, and
-// resets *buf to length 0 with room for them — so a session reuses one
-// buffer for every frame, and decode cost is bounded by the frame, not
-// the stream.
-func openBatch[R any](body []byte, buf *[]R) (offset int64, recs []byte, err error) {
+// body's shape and returns the offset and the 8-byte records after it.
+func openBatch(body []byte) (offset int64, recs []byte, err error) {
 	if len(body) < 8 || (len(body)-8)%8 != 0 {
 		return 0, nil, fmt.Errorf("%w: batch body of %d bytes", ErrBadFrame, len(body))
 	}
@@ -344,43 +342,53 @@ func openBatch[R any](body []byte, buf *[]R) (offset int64, recs []byte, err err
 	if off > math.MaxInt64 {
 		return 0, nil, fmt.Errorf("%w: batch offset overflows int64", ErrBadFrame)
 	}
-	if n := (len(body) - 8) / 8; cap(*buf) < n {
-		*buf = make([]R, 0, n)
-	}
-	*buf = (*buf)[:0]
 	return int64(off), body[8:], nil
 }
 
 // AppendBatch encodes a batch frame body: the stream offset of the
-// first edge, then the edges as (set, elem) uint32 pairs.
+// first edge, then the edges as (set, elem) uint32 pairs, one 8-byte
+// word each.
 func AppendBatch(dst []byte, offset int64, edges []bipartite.Edge) ([]byte, error) {
 	dst, err := beginBatch(dst, offset, len(edges))
 	if err != nil {
 		return dst, err
 	}
+	dst = slices.Grow(dst, 8*len(edges))
 	for _, e := range edges {
-		dst = binary.LittleEndian.AppendUint32(dst, e.Set)
-		dst = binary.LittleEndian.AppendUint32(dst, e.Elem)
+		dst = binary.LittleEndian.AppendUint64(dst, bipartite.RecordWord(e.Set, e.Elem))
 	}
 	return dst, nil
 }
 
 // DecodeBatch decodes a batch frame body into *edges, reusing its
-// capacity.
+// capacity; when it must grow, it grows to exactly the frame's records.
 func DecodeBatch(body []byte, edges *[]bipartite.Edge) (offset int64, err error) {
-	offset, recs, err := openBatch(body, edges)
+	offset, recs, err := openBatch(body)
 	if err != nil {
 		return 0, err
 	}
-	out := *edges
-	for ; len(recs) >= 8; recs = recs[8:] {
-		out = append(out, bipartite.Edge{
-			Set:  binary.LittleEndian.Uint32(recs),
-			Elem: binary.LittleEndian.Uint32(recs[4:]),
-		})
-	}
-	*edges = out
+	*edges = appendEdges(reuse(*edges, len(recs)/8), recs)
 	return offset, nil
+}
+
+// reuse returns buf emptied, or a new empty slice when buf cannot hold n
+// records — so a session's decode buffer is sized by its largest frame,
+// not by what append's growth would round that to.
+func reuse[R any](buf []R, n int) []R {
+	if cap(buf) < n {
+		return make([]R, 0, n)
+	}
+	return buf[:0]
+}
+
+// appendEdges decodes 8-byte edge records onto dst, one load each.
+func appendEdges(dst []bipartite.Edge, recs []byte) []bipartite.Edge {
+	dst = slices.Grow(dst, len(recs)/8)
+	for ; len(recs) >= 8; recs = recs[8:] {
+		w := binary.LittleEndian.Uint64(recs)
+		dst = append(dst, bipartite.Edge{Set: uint32(w), Elem: uint32(w >> 32)})
+	}
+	return dst
 }
 
 // AppendOpBatch encodes an op-batch frame body: the stream offset of
@@ -392,6 +400,7 @@ func AppendOpBatch(dst []byte, offset int64, ops []bipartite.Op) ([]byte, error)
 	if err != nil {
 		return dst, err
 	}
+	dst = slices.Grow(dst, 8*len(ops))
 	for _, op := range ops {
 		if op.Kind > bipartite.OpDelete {
 			return dst, fmt.Errorf("%w: unknown op kind %d", ErrBadFrame, op.Kind)
@@ -399,8 +408,7 @@ func AppendOpBatch(dst []byte, offset int64, ops []bipartite.Op) ([]byte, error)
 		if op.Edge.Set&bipartite.OpDeleteBit != 0 {
 			return dst, fmt.Errorf("%w: set id %d collides with the delete flag", ErrBadFrame, op.Edge.Set)
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, bipartite.PackOp(op))
-		dst = binary.LittleEndian.AppendUint32(dst, op.Edge.Elem)
+		dst = binary.LittleEndian.AppendUint64(dst, bipartite.RecordWord(bipartite.PackOp(op), op.Edge.Elem))
 	}
 	return dst, nil
 }
@@ -408,16 +416,22 @@ func AppendOpBatch(dst []byte, offset int64, ops []bipartite.Op) ([]byte, error)
 // DecodeOpBatch decodes an op-batch frame body into *ops, with the same
 // buffer-reuse contract as DecodeBatch.
 func DecodeOpBatch(body []byte, ops *[]bipartite.Op) (offset int64, err error) {
-	offset, recs, err := openBatch(body, ops)
+	offset, recs, err := openBatch(body)
 	if err != nil {
 		return 0, err
 	}
-	out := *ops
-	for ; len(recs) >= 8; recs = recs[8:] {
-		out = append(out, bipartite.UnpackOp(binary.LittleEndian.Uint32(recs), binary.LittleEndian.Uint32(recs[4:])))
-	}
-	*ops = out
+	*ops = appendOps(reuse(*ops, len(recs)/8), recs)
 	return offset, nil
+}
+
+// appendOps decodes 8-byte op records onto dst, one load each.
+func appendOps(dst []bipartite.Op, recs []byte) []bipartite.Op {
+	dst = slices.Grow(dst, len(recs)/8)
+	for ; len(recs) >= 8; recs = recs[8:] {
+		w := binary.LittleEndian.Uint64(recs)
+		dst = append(dst, bipartite.UnpackOp(uint32(w), uint32(w>>32)))
+	}
+	return dst
 }
 
 // AppendAck encodes an ack frame body.

@@ -23,7 +23,9 @@ type Directory interface {
 // Options tunes a wire Server.
 type Options struct {
 	// AckEvery is the number of batch frames between unsolicited acks
-	// (default 32). A flush frame always forces an immediate ack.
+	// (default 32). When the frame that owes an ack sits in a coalesced
+	// run, the ack is written once the run is in the engine — one ack for
+	// the whole run. A flush frame always forces an immediate ack.
 	AckEvery int
 	// MaxBatchEdges caps the edges accepted per batch frame (default
 	// MaxBatchEdges); larger frames are rejected before allocation.
@@ -33,6 +35,10 @@ type Options struct {
 	// with itself for one connection.
 	OnError func(err error)
 }
+
+// maxCoalesce caps the records one engine call folds from the batch
+// frames that have already arrived on a connection.
+const maxCoalesce = 1 << 16
 
 func (o Options) ackEvery() int {
 	if o.AckEvery < 1 {
@@ -50,14 +56,15 @@ func (o Options) maxBatch() int {
 
 // Server accepts persistent binary ingest connections and feeds their
 // edge batches straight into the engines of a namespace directory. One
-// goroutine per connection decodes frames into a reusable batch buffer
-// and calls Engine.Ingest — which blocks when shard mailboxes are full,
-// so the connection simply stops reading and TCP flow control
-// backpressures the producer; the server never buffers more than one
-// frame per connection. Acks are written from the same goroutine after
-// Ingest returns, so an acknowledged watermark is always covered by the
-// engine (and, on a durable engine, by the WAL, which Ingest appends to
-// before any shard sees the batch).
+// goroutine per connection decodes the batch frames that have already
+// arrived into one reusable run of at most maxCoalesce records and hands
+// it to Engine.Ingest (or IngestOps) in one call — which blocks when
+// shard mailboxes are full, so the connection simply stops reading and
+// TCP flow control backpressures the producer; the server never buffers
+// more than one run per connection. Acks are written from the same
+// goroutine after the call returns, so an acknowledged watermark is
+// always covered by the engine (and, on a durable engine, by the WAL,
+// which Ingest appends to before any shard sees the batch).
 type Server struct {
 	dir Directory
 	opt Options
@@ -358,17 +365,24 @@ func (s *Server) handleConn(c net.Conn) error {
 		return err
 	}
 
-	// The batch loop. One reusable edge buffer per connection: decode
-	// cost and memory are bounded by the largest single frame, and
-	// Engine.Ingest copies into its own pooled per-shard buffers before
-	// returning, so the buffer is immediately reusable.
+	// The batch loop. The records of batch frames are folded into one run
+	// — one record type, contiguous from the watermark — for as long as
+	// the next frame has already arrived (the reader holds more bytes),
+	// up to maxCoalesce records; then the run goes to the engine in one
+	// Ingest or IngestOps call: one WAL frame and write, one route pass,
+	// one mailbox message per shard and sub-batch for the whole run. The
+	// engine copies the records before returning, so the run's buffers are
+	// reused by the next one, and a connection holds at most one run.
 	var (
-		edges      []bipartite.Edge
-		ops        []bipartite.Op
+		runIsOps   bool
+		runEdges   []bipartite.Edge
+		runOps     []bipartite.Op
 		frameSeen  int
+		ackDue     bool
 		ackEvery   = s.opt.ackEvery()
 		ackScratch = make([]byte, 0, frameHeader+8)
 	)
+	queued := func() int { return len(runEdges) + len(runOps) }
 	writeAck := func() error {
 		ackScratch = AppendFrame(ackScratch[:0], FrameAck, AppendAck(nil, watermark))
 		if _, err := bw.Write(ackScratch); err != nil {
@@ -380,9 +394,69 @@ func (s *Server) handleConn(c net.Conn) error {
 		s.acksTotal.Add(1)
 		return nil
 	}
+	// ingest hands the run to the engine. Ingest blocks while shard
+	// mailboxes are full — that is the backpressure contract: this
+	// goroutine stops reading the socket, the kernel's receive window
+	// fills, and the producer stalls. The stall delta attributes engine
+	// mailbox waits that overlapped this call to the wire plane. Every
+	// path out of the loop calls it first, so what a connection accepted
+	// reaches the engine before the connection returns or rejects.
+	ingest := func() error {
+		n := queued()
+		if n == 0 {
+			return nil
+		}
+		stallsBefore := eng.IngestStalls()
+		var err error
+		if runIsOps {
+			_, err = eng.IngestOps(runOps)
+		} else {
+			_, err = eng.Ingest(runEdges)
+		}
+		runEdges, runOps = runEdges[:0], runOps[:0]
+		if err != nil {
+			s.ingestErrors.Add(1)
+			return s.reject(bw, CodeIngest, "ingest: %v", err)
+		}
+		s.ingestStalls.Add(eng.IngestStalls() - stallsBefore)
+		// The watermark advances only after the ingest returned: the
+		// records are in the engine's accepted count — and, on a durable
+		// engine, in the WAL, which the engine appends to before any shard
+		// can observe the batch. An acked watermark therefore never exceeds
+		// the engine's (or the log's) ingested-edge count.
+		watermark += int64(n)
+		if key != "" {
+			s.storeWatermark(key, watermark)
+		}
+		s.edgesTotal.Add(int64(n))
+		return nil
+	}
+	// settle ends a fold: the run goes to the engine, then the ack the
+	// frames folded into it are owed.
+	settle := func() error {
+		if err := ingest(); err != nil {
+			return err
+		}
+		if !ackDue {
+			return nil
+		}
+		ackDue = false
+		return writeAck()
+	}
+	// rejectAfterIngest rejects the connection once the run is in the
+	// engine; an ingest failure is the reject it reports instead.
+	rejectAfterIngest := func(code uint16, format string, args ...interface{}) error {
+		if err := ingest(); err != nil {
+			return err
+		}
+		return s.reject(bw, code, format, args...)
+	}
 	for {
 		typ, body, err := ReadFrame(br, buf, maxBody)
 		if err != nil {
+			if ierr := ingest(); ierr != nil {
+				return ierr
+			}
 			if err == io.EOF {
 				return nil // clean client close
 			}
@@ -398,86 +472,73 @@ func (s *Server) handleConn(c net.Conn) error {
 		s.bytesReceived.Add(int64(frameHeader + len(body)))
 		switch typ {
 		case FrameBatch, FrameOpBatch:
-			// One arm for both record types: only the body codec and the
-			// engine entry point depend on the frame type; the exactly-once
-			// logic below is written once. Offsets count records (edges or
-			// ops alike), so a session may interleave the two frame types
-			// against one watermark.
+			// One arm for both record types: only the record decoder and
+			// the engine entry point depend on the frame type; the
+			// exactly-once logic below is written once. Offsets count
+			// records (edges or ops alike), so a session may interleave the
+			// two frame types against one watermark.
 			isOps := typ == FrameOpBatch
 			if isOps && !hello.Ops {
-				return s.reject(bw, CodeOpsUnsupported, "op batch on a session that did not negotiate ops")
+				return rejectAfterIngest(CodeOpsUnsupported, "op batch on a session that did not negotiate ops")
 			}
-			var (
-				offset int64
-				n      int
-			)
-			if isOps {
-				offset, err = DecodeOpBatch(body, &ops)
-				n = len(ops)
-			} else {
-				offset, err = DecodeBatch(body, &edges)
-				n = len(edges)
-			}
+			offset, recs, err := openBatch(body)
 			if err != nil {
-				return s.reject(bw, CodeBadFrame, "%v", err)
+				return rejectAfterIngest(CodeBadFrame, "%v", err)
 			}
 			s.framesTotal.Add(1)
+			n := len(recs) / 8
+			// A run holds one record type and at most maxCoalesce records
+			// (a larger frame goes alone): a frame that does not fit sends
+			// the run on first.
+			if q := queued(); q > 0 && (isOps != runIsOps || q+n > maxCoalesce) {
+				if err := ingest(); err != nil {
+					return err
+				}
+			}
+			if queued() == 0 {
+				runIsOps = isOps
+			}
+			// Dup, trim and gap are judged against the queued offset: the
+			// watermark plus what the run already holds.
+			next := watermark + int64(queued())
 			end := offset + int64(n)
 			switch {
-			case end <= watermark:
+			case end <= next:
 				// A reconnecting client legitimately resends from its last
-				// ack; everything at or below the watermark is already in
-				// the engine. Skipping (not re-ingesting) keeps the stream
-				// exactly-once.
+				// ack; everything at or below the queued offset is already in
+				// the engine or the run. Skipping (not re-ingesting) keeps the
+				// stream exactly-once.
 				s.dupFrames.Add(1)
-			case offset > watermark:
-				return s.reject(bw, CodeGap,
-					"batch at offset %d leaves a gap after watermark %d", offset, watermark)
+			case offset > next:
+				return rejectAfterIngest(CodeGap,
+					"batch at offset %d leaves a gap after watermark %d", offset, next)
 			default:
-				// Trim the already-acknowledged prefix of an overlapping
-				// resend. Ingest blocks while shard mailboxes are full — that
-				// is the backpressure contract: this goroutine stops reading
-				// the socket, the kernel's receive window fills, and the
-				// producer stalls. The stall delta attributes engine mailbox
-				// waits that overlapped this call to the wire plane.
-				skip := int(watermark - offset)
-				stallsBefore := eng.IngestStalls()
+				// Trim the already-queued prefix of an overlapping resend.
+				tail := recs[8*(next-offset):]
 				if isOps {
-					_, err = eng.IngestOps(ops[skip:])
+					runOps = appendOps(runOps, tail)
 				} else {
-					_, err = eng.Ingest(edges[skip:])
+					runEdges = appendEdges(runEdges, tail)
 				}
-				if err != nil {
-					s.ingestErrors.Add(1)
-					return s.reject(bw, CodeIngest, "ingest: %v", err)
-				}
-				s.ingestStalls.Add(eng.IngestStalls() - stallsBefore)
-				// The watermark advances only after the ingest returned: the
-				// records are in the engine's accepted count — and, on a
-				// durable engine, in the WAL, which the engine appends to
-				// before any shard can observe the batch. An acked watermark
-				// therefore never exceeds the engine's (or the log's)
-				// ingested-edge count.
-				watermark = end
-				if key != "" {
-					s.storeWatermark(key, watermark)
-				}
-				s.edgesTotal.Add(int64(n - skip))
 			}
 			frameSeen++
 			if frameSeen%ackEvery == 0 {
-				if err := writeAck(); err != nil {
+				ackDue = true
+			}
+			if br.Buffered() == 0 || queued() >= maxCoalesce {
+				if err := settle(); err != nil {
 					return err
 				}
 			}
 		case FrameFlush:
-			if err := writeAck(); err != nil {
+			ackDue = true
+			if err := settle(); err != nil {
 				return err
 			}
 		case FrameHello:
-			return s.reject(bw, CodeBadFrame, "duplicate hello")
+			return rejectAfterIngest(CodeBadFrame, "duplicate hello")
 		default:
-			return s.reject(bw, CodeBadFrame, "unexpected frame type %d", typ)
+			return rejectAfterIngest(CodeBadFrame, "unexpected frame type %d", typ)
 		}
 	}
 }

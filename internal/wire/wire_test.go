@@ -648,9 +648,20 @@ func TestBackpressureRaceInvariant(t *testing.T) {
 		}(work)
 	}
 
+	// Bursts of burst frames, each ended by a flush: the server folds a
+	// burst into one Ingest of burst×batchSize records, which routes into
+	// several mailbox messages per shard, so the 1-slot mailboxes stall in
+	// every burst, and there are still batches/burst Ingest calls for the
+	// refreshes and checkpoints to cut between.
+	const burst = 16
 	for i := 0; i < batches; i++ {
 		if err := conn.Send(edges); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
+		}
+		if (i+1)%burst == 0 {
+			if err := conn.Flush(); err != nil {
+				t.Fatalf("Flush after send %d: %v", i, err)
+			}
 		}
 	}
 	if err := conn.Flush(); err != nil {

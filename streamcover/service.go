@@ -25,7 +25,8 @@ type ServiceOptions struct {
 	K int
 	// Shards is the number of concurrent ingest workers (default 4).
 	Shards int
-	// BatchQueue is the per-shard mailbox depth, in batches (default 64).
+	// BatchQueue is the per-shard mailbox depth, in sub-batches of at most
+	// 1 024 / Shards edges (default 64).
 	// When full, Ingest blocks — backpressure instead of unbounded memory.
 	BatchQueue int
 	// MergeEvery, when positive, merges shard sketches into a fresh
