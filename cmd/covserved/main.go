@@ -129,7 +129,7 @@ func main() {
 		budget     = flag.Int("budget", 0, "edge budget override (0 = paper formula)")
 		space      = flag.Float64("space-factor", 0, "multiply the formula budget (0 = off)")
 		shards     = flag.Int("shards", 4, "ingest worker shards")
-		queue      = flag.Int("queue", 64, "per-shard queue depth, in sub-batches of at most 1024/shards edges")
+		queue      = flag.Int("queue", 64, "per-shard queue depth, in sub-batches of about 1024/shards edges")
 		mergeEvery = flag.Duration("merge-every", 0, "periodic snapshot merge (0 = on demand only)")
 		engine     = flag.String("engine", "", "engine mode for the bootstrap namespace: sketch (default), dynamic")
 		nsName     = flag.String("ns", server.DefaultNamespace, "bootstrap namespace the sketch flags configure (and the unprefixed routes serve)")

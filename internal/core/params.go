@@ -135,12 +135,6 @@ func (h Priority) Of(elem uint32) uint64 {
 	return h.mix.Hash(elem)
 }
 
-// SplitMix returns the hasher the priority is when it is the default
-// SplitMix64 family, and false for tabulation. Of covers both but is too
-// large to inline, so a loop that hashes every edge branches on this once
-// and calls the hasher inline.
-func (h Priority) SplitMix() (hashing.Hasher, bool) { return h.mix, h.tab == nil }
-
 // sketchCompatible reports whether two parameter sets produce sketches
 // that may be merged: they must agree on everything that determines the
 // kept-edge policy (dimensions, accuracy, budget, cap, seed, family).

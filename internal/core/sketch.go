@@ -197,7 +197,11 @@ func (s *Sketch) Priority() Priority { return s.hash }
 // half of the Bar when the caller read it. The bar only moves down, so
 // AddEdges of those edges would have dropped each one after its hash and
 // changed nothing else; AddDropped moves EdgesSeen and DropHash exactly as
-// that AddEdges would, and leaves every view of the sketch as it would.
+// that AddEdges would, and leaves every view of the sketch as it would. A
+// caller that drops edges from an AddEdges call and accounts them here,
+// keeping its calls where they were, therefore ends with the Stats and
+// views those calls give: where a call ends decides where the sketch
+// shrinks, and so how later edges are counted.
 func (s *Sketch) AddDropped(n int64) {
 	s.edgesSeen += n
 	s.dropHash += n

@@ -145,10 +145,7 @@ func KCover(shards []stream.Stream, params core.Params, k int) (*Result, error) 
 // Partitioner is not valid; use NewPartitioner.
 type Partitioner struct {
 	workers int
-	// pow2 says workers is a power of two, so Route takes the remainder
-	// with a mask instead of a division.
-	pow2 bool
-	h    hashing.Hasher
+	h       hashing.Hasher
 }
 
 // NewPartitioner returns a partitioner over `workers` shards (at least 1).
@@ -156,7 +153,7 @@ func NewPartitioner(workers int, seed uint64) Partitioner {
 	if workers < 1 {
 		workers = 1
 	}
-	return Partitioner{workers: workers, pow2: workers&(workers-1) == 0, h: hashing.NewHasher(seed)}
+	return Partitioner{workers: workers, h: hashing.NewHasher(seed)}
 }
 
 // Workers returns the number of shards routed to.
@@ -164,11 +161,7 @@ func (p Partitioner) Workers() int { return p.workers }
 
 // Route returns the worker index of e, in [0, Workers()).
 func (p Partitioner) Route(e bipartite.Edge) int {
-	h := p.h.Hash(e.Set ^ e.Elem*0x9e3779b9)
-	if p.pow2 {
-		return int(h & uint64(p.workers-1))
-	}
-	return int(h % uint64(p.workers))
+	return int(p.h.Hash(e.Set^e.Elem*0x9e3779b9) % uint64(p.workers))
 }
 
 // Split partitions edges into per-worker buckets.

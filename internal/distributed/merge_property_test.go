@@ -6,7 +6,6 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/greedy"
-	"repro/internal/hashing"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -103,22 +102,6 @@ func TestPartitionerCoversAllEdges(t *testing.T) {
 	}
 	if total != len(edges) {
 		t.Fatalf("buckets hold %d of %d edges", total, len(edges))
-	}
-}
-
-// TestRouteMaskEqualsRemainder: for a power-of-two worker count Route
-// takes the hash's remainder with a mask; every worker count routes each
-// edge where the hash modulo the count says.
-func TestRouteMaskEqualsRemainder(t *testing.T) {
-	edges := workload.Uniform(20, 800, 0.05, 9).G.Edges(nil)
-	for workers := 1; workers <= 9; workers++ {
-		p := NewPartitioner(workers, 13)
-		for _, e := range edges {
-			want := int(hashing.NewHasher(13).Hash(e.Set^e.Elem*0x9e3779b9) % uint64(workers))
-			if got := p.Route(e); got != want {
-				t.Fatalf("workers=%d: edge %v routes to %d, want %d", workers, e, got, want)
-			}
-		}
 	}
 }
 

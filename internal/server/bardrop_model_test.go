@@ -36,7 +36,8 @@ func (m noBarMode) NewShardState() (ShardState, error) {
 // has the drop turned off. After every step both hold the same per-shard
 // stats, published the same snapshot bytes, and logged the same WAL bytes —
 // over shard counts 1, 2 and 4, degree caps that bind and caps that do not,
-// and both hash families. The drop must fire. A failure names its seed.
+// both hash families, and batches that route cuts into several sub-batches
+// per shard. The drop must fire. A failure names its seed.
 func TestRouterBarDropIsInvisible(t *testing.T) {
 	const (
 		numSets = 16
@@ -108,7 +109,13 @@ func runBarDropModel(t *testing.T, name string, cfg Config, mode Mode, rng *rand
 		dropped int64 // router drops, summed over the drop side's opens
 	)
 	randomBatch := func() []bipartite.Edge {
-		edges := make([]bipartite.Edge, rng.IntN(500))
+		// Every third batch is several times a sub-batch, so route splits a
+		// shard's share at every shard count.
+		n := rng.IntN(500)
+		if rng.IntN(3) == 0 {
+			n = rng.IntN(4 * subBatchBase)
+		}
+		edges := make([]bipartite.Edge, n)
 		for i := range edges {
 			// A dense corner of the element space gives some elements more
 			// sets than a binding cap admits.

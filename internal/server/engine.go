@@ -92,10 +92,11 @@ type Config struct {
 	// Shards is the number of ingest workers (default 4).
 	Shards int
 	// QueueDepth is the per-shard mailbox capacity in messages (default
-	// 64), each a state request or a routed sub-batch of at most
-	// 1 024 / Shards records — a 1 024-record batch's share of a shard.
-	// Ingest blocks when a shard's mailbox is full — backpressure, not
-	// loss.
+	// 64), each a state request or a routed sub-batch: 1 024 / Shards
+	// records, a 1 024-record batch's share of a shard (fewer than twice
+	// that on a sketch engine, whose router packs what its bar drop
+	// leaves of several shares into one). Ingest blocks when a shard's
+	// mailbox is full — backpressure, not loss.
 	QueueDepth int
 	// MergeEvery, when positive, refreshes the snapshot on a timer so
 	// queries see recent edges without paying a merge themselves.
@@ -193,38 +194,49 @@ var ErrClosed = errors.New("server: engine closed")
 // dropped, or read back as a delete, at recovery.
 var ErrNumSetsRange = errors.New("server: NumSets out of range")
 
-// subBatch is one shard's share of a routed batch, at most
-// Engine.subBatchCap records: the mailbox payload and the pooled buffer
-// in one. The shard returns it to the engine's pool after applying it,
-// so steady-state ingest recycles buffers instead of allocating per
-// submission. An insert-only batch fills edges, whichever record type
-// it arrived as; only a batch that carries a delete fills ops. dropped
-// counts the inserts the router dropped against the shard's published
-// bar instead of copying them.
+// subBatch is one shard's share of a routed batch: the mailbox payload
+// and the pooled buffer in one. The shard returns it to the engine's pool
+// after applying it, so steady-state ingest recycles buffers instead of
+// allocating per submission. An insert-only batch fills edges, whichever
+// record type it arrived as; only a batch that carries a delete fills
+// ops. calls cuts it into the state calls the shard makes, one per
+// Engine.subBatchCap records the router routed to it.
 type subBatch struct {
-	edges   []bipartite.Edge
-	ops     []bipartite.Op
+	edges []bipartite.Edge
+	ops   []bipartite.Op
+	calls []stateCall
+}
+
+// stateCall is one AddEdges (or ApplyOps) call of a sub-batch: its records
+// up to end, and the inserts among the routed ones that the router dropped
+// against the shard's published bar instead of copying.
+type stateCall struct {
+	end     int
 	dropped int64
 }
 
-// subBatchBase is the batch whose per-shard share caps one mailbox
-// message (Engine.subBatchCap).
+// subBatchBase is the batch whose per-shard share is one state call
+// (Engine.subBatchCap).
 const subBatchBase = 1024
 
-// applyTo hands the sub-batch to a shard state in one batched pass
-// (e.g. the sketch's deferred-shrink core.Sketch.AddEdges). ops is
-// non-empty only on an engine whose states are opAppliers: check
-// refuses deletes everywhere else before anything is logged or routed.
-// dropped is non-zero only on an engine whose states are barPublishers.
+// applyTo hands the sub-batch to a shard state one call at a time (e.g.
+// the sketch's deferred-shrink core.Sketch.AddEdges). ops is non-empty
+// only on an engine whose states are opAppliers: check refuses deletes
+// everywhere else before anything is logged or routed. A call drops
+// inserts only on an engine whose states are barPublishers.
 func (b *subBatch) applyTo(st ShardState) {
-	if b.dropped > 0 {
-		st.(barPublisher).addDropped(b.dropped)
-	}
-	switch {
-	case len(b.ops) > 0:
-		st.(opApplier).ApplyOps(b.ops)
-	case len(b.edges) > 0:
-		st.AddEdges(b.edges)
+	start := 0
+	for _, c := range b.calls {
+		if c.dropped > 0 {
+			st.(barPublisher).addDropped(c.dropped)
+		}
+		switch {
+		case len(b.ops) > 0:
+			st.(opApplier).ApplyOps(b.ops[start:c.end])
+		case c.end > start:
+			st.AddEdges(b.edges[start:c.end])
+		}
+		start = c.end
 	}
 }
 
@@ -524,10 +536,11 @@ type Engine struct {
 	deletes atomic.Int64
 	// deletable: the mode's shard states implement opApplier.
 	deletable bool
-	// subBatchCap caps the records of one mailbox message at a
-	// subBatchBase-record batch's share per shard. QueueDepth counts
-	// messages, so a mailbox — and what a freeze request waits behind —
-	// holds at most what it held when every caller sent batches of
+	// subBatchCap is a subBatchBase-record batch's share of a shard: the
+	// records routed to a shard per state call, and (fewer than twice)
+	// the records one mailbox message holds. QueueDepth counts messages,
+	// so a mailbox — and what a freeze request waits behind — holds at
+	// most about what it held when every caller sent batches of
 	// subBatchBase records, however large the batches callers submit.
 	subBatchCap int
 	// bars holds each shard state's published bar when the mode's states
@@ -716,7 +729,7 @@ func (e *Engine) mergeLoop(every time.Duration) {
 func (e *Engine) getSubBatch() *subBatch {
 	if v := e.pool.Get(); v != nil {
 		b := v.(*subBatch)
-		b.edges, b.ops, b.dropped = b.edges[:0], b.ops[:0], 0
+		b.edges, b.ops, b.calls = b.edges[:0], b.ops[:0], b.calls[:0]
 		return b
 	}
 	return &subBatch{edges: make([]bipartite.Edge, 0, 256)}
@@ -747,12 +760,20 @@ func (e *Engine) IngestOps(ops []bipartite.Op) (int, error) {
 
 // batch is what submit takes: the record type as a parameter at batch
 // granularity. Exactly one field is set. The loops that touch every
-// record (check, route) are written per field over the concrete slice —
-// no per-record conversion, allocation or indirect call — and every
-// decision around them is written once, in submit.
+// record (check, route) read the concrete slices — no per-record
+// allocation or indirect call — and every decision around them is
+// written once, in submit.
 type batch struct {
 	edges []bipartite.Edge // Ingest
 	ops   []bipartite.Op   // IngestOps, and every replayed WAL frame
+}
+
+// edge returns the edge of the batch's i-th record.
+func (b batch) edge(i int) bipartite.Edge {
+	if b.edges != nil {
+		return b.edges[i]
+	}
+	return b.ops[i].Edge
 }
 
 // check validates a batch before anything is logged, counted or routed,
@@ -785,113 +806,79 @@ func (e *Engine) setRangeError(set uint32) error {
 	return fmt.Errorf("server: edge set id %d out of range [0,%d)", set, e.cfg.NumSets)
 }
 
-// route copies b into pooled per-shard sub-batches of at most
-// e.subBatchCap records, in batch order, and hands each to emit as soon as
-// it is full, the rest at the end; ownership passes with it. An
-// insert-only batch lands in the edges buffers whichever record type it
-// arrived as, so the shards run their batched AddEdges pass; only a
-// batch with deletes travels as ops. On an engine whose shard states
-// publish their bars, an insert whose element priority is strictly above
-// its shard's published bar hash is counted in its sub-batch instead of
-// copied: the shard would drop it too (DESIGN.md §6). route returns the
-// number of inserts it dropped.
+// route copies b into pooled per-shard sub-batches, in batch order, and
+// hands them to emit; ownership passes with each. Every e.subBatchCap
+// records routed to a shard end one state call, and a sub-batch goes to
+// emit at the end of the first call that leaves it holding e.subBatchCap
+// records or more, the rest at the end of b. An insert-only batch lands
+// in the edges buffers whichever record type it arrived as, so the shards
+// run their batched AddEdges pass; only a batch with deletes travels as
+// ops.
+//
+// On an engine whose shard states publish their bars, an insert whose
+// element priority is strictly above its shard's published bar hash is
+// counted in its call instead of copied: the shard would drop it too. It
+// still counts toward its call's e.subBatchCap records, so every shard
+// makes the calls it would make with the drop off (DESIGN.md §6), and a
+// sub-batch packs what the drop leaves of several calls — fewer than
+// twice e.subBatchCap records. route returns the number of inserts it
+// dropped.
 func (e *Engine) route(b batch, hasDeletes bool, emit func(w int, sb *subBatch)) int64 {
-	// Each shard's open sub-batch, and the inserts dropped for it since
-	// its last sub-batch was handed on; on the stack for up to 16 shards.
+	// Per shard: the open sub-batch, the records routed into its open call
+	// and the inserts dropped among them; on the stack for up to 16 shards.
+	type shardCut struct {
+		sb      *subBatch
+		routed  int
+		dropped int64
+	}
 	var (
-		openBuf  [16]*subBatch
-		dropsBuf [16]int64
-		open     []*subBatch
-		drops    []int64
+		cutBuf  [16]shardCut
+		cuts    []shardCut
+		dropped int64
 	)
-	if n := len(e.shards); n <= len(openBuf) {
-		open, drops = openBuf[:n], dropsBuf[:n]
+	if n := len(e.shards); n <= len(cutBuf) {
+		cuts = cutBuf[:n]
 	} else {
-		open, drops = make([]*subBatch, n), make([]int64, n)
+		cuts = make([]shardCut, n)
 	}
-	at := func(w int) *subBatch {
-		if open[w] == nil {
-			open[w] = e.getSubBatch()
+	endCall := func(c *shardCut) {
+		c.sb.calls = append(c.sb.calls, stateCall{end: len(c.sb.edges) + len(c.sb.ops), dropped: c.dropped})
+		c.routed, c.dropped = 0, 0
+	}
+	for i := range len(b.edges) + len(b.ops) {
+		// Route on the edge, ignoring an op's kind: an edge's delete lands
+		// on the shard that holds its insert, so per-shard samplers see
+		// well-formed sub-streams.
+		ed := b.edge(i)
+		w := e.part.Route(ed)
+		c := &cuts[w]
+		if c.sb == nil {
+			c.sb = e.getSubBatch()
 		}
-		return open[w]
-	}
-	handOn := func(w int) {
-		sb := open[w]
-		sb.dropped, drops[w] = drops[w], 0
-		open[w] = nil
-		emit(w, sb)
-	}
-	keep := func(w int, ed bipartite.Edge) {
-		sb := at(w)
-		if sb.edges = append(sb.edges, ed); len(sb.edges) == e.subBatchCap {
-			handOn(w)
+		switch {
+		case hasDeletes:
+			c.sb.ops = append(c.sb.ops, b.ops[i])
+		case e.bars != nil && e.priority.Of(ed.Elem) > e.bars[w].Load():
+			c.dropped++
+			dropped++
+		default:
+			c.sb.edges = append(c.sb.edges, ed)
 		}
-	}
-	switch {
-	case hasDeletes:
-		for _, op := range b.ops {
-			// Route on the edge, ignoring the kind: an edge's delete lands
-			// on the shard that holds its insert, so per-shard samplers see
-			// well-formed sub-streams.
-			w := e.part.Route(op.Edge)
-			sb := at(w)
-			if sb.ops = append(sb.ops, op); len(sb.ops) == e.subBatchCap {
-				handOn(w)
+		if c.routed++; c.routed == e.subBatchCap {
+			endCall(c)
+			if len(c.sb.edges)+len(c.sb.ops) >= e.subBatchCap {
+				emit(w, c.sb)
+				c.sb = nil
 			}
 		}
-	case e.bars == nil:
-		for _, ed := range b.edges {
-			keep(e.part.Route(ed), ed)
-		}
-		for _, op := range b.ops {
-			keep(e.part.Route(op.Edge), op.Edge)
-		}
-	default:
-		// The two loops every insert of a sketch engine takes: a hash to
-		// route it, a hash to compare its element with its shard's bar —
-		// inline for the default SplitMix64 family — and only the kept ones
-		// go further.
-		bars, part := e.bars, e.part
-		mix, isMix := e.priority.SplitMix()
-		for _, ed := range b.edges {
-			w := part.Route(ed)
-			var h uint64
-			if isMix {
-				h = mix.Hash(ed.Elem)
-			} else {
-				h = e.priority.Of(ed.Elem)
-			}
-			if h > bars[w].Load() {
-				drops[w]++
-				continue
-			}
-			keep(w, ed)
-		}
-		for _, op := range b.ops {
-			w := part.Route(op.Edge)
-			var h uint64
-			if isMix {
-				h = mix.Hash(op.Edge.Elem)
-			} else {
-				h = e.priority.Of(op.Edge.Elem)
-			}
-			if h > bars[w].Load() {
-				drops[w]++
-				continue
-			}
-			keep(w, op.Edge)
-		}
 	}
-	// Hand on every open sub-batch, and one for each shard that has drops
-	// to account but no records.
-	dropped := int64(0)
-	for w := range open {
-		dropped += drops[w]
-		if drops[w] > 0 {
-			at(w)
+	for w := range cuts {
+		c := &cuts[w]
+		if c.routed > 0 {
+			endCall(c)
 		}
-		if open[w] != nil {
-			handOn(w)
+		if c.sb != nil {
+			emit(w, c.sb)
 		}
 	}
 	return dropped
@@ -906,9 +893,9 @@ func (e *Engine) route(b batch, hasDeletes bool, emit func(w int, sb *subBatch))
 // log, so it is not logged again, not counted in the accepted records
 // (New seeds that counter from the log's offset) and, with no shard
 // goroutine running yet, its sub-batches are applied in place — cut by the
-// same route as the original call's, so every shard sees the records it
-// saw then, less what its bar drops (which may stand elsewhere than it did
-// live, and changes no state either way: DESIGN.md §6).
+// same route as the original call's, so every shard makes the state calls
+// it made then, less what its bar drops (which may stand elsewhere than it
+// did live, and changes no state or count either way: DESIGN.md §6).
 func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
 	n := len(b.edges) + len(b.ops)
 	if n == 0 {

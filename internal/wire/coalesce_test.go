@@ -251,6 +251,32 @@ func TestAcksKeepArrivingWhileCoalescing(t *testing.T) {
 	}
 }
 
+// TestPartialFrameDoesNotHoldBackRun: a run ends at the last whole frame
+// the server holds. With AckEvery 4, four frames followed by half of a
+// fifth are ingested and acked while the producer still owes the rest of
+// the fifth.
+func TestPartialFrameDoesNotHoldBackRun(t *testing.T) {
+	env := newTestEnv(t, map[string]server.Config{"default": baseConfig()}, Options{AckEvery: 4})
+	eng, _ := env.multi.Get("default")
+	edges := randomEdges(rand.New(rand.NewSource(27)), 50, 64)
+	frames := edgeFrames(t, edges, 10)
+	last := frames[len(frames)-1]
+	half := len(last) / 2
+
+	s := newRawSession(t, env.addr, Hello{Namespace: "default"})
+	s.send(burst(append(frames[:len(frames)-1:len(frames)-1], last[:half])...))
+	if wm := s.expectAck(); wm != 40 {
+		t.Fatalf("ack %d with half a frame pending, want 40", wm)
+	}
+	if got := eng.IngestedEdges(); got != 40 {
+		t.Fatalf("engine ingested %d edges with half a frame pending, want 40", got)
+	}
+	s.send(burst(last[half:], flushFrame))
+	if wm := s.expectAck(); wm != int64(len(edges)) {
+		t.Fatalf("flush ack %d, want %d", wm, len(edges))
+	}
+}
+
 // TestInterleavedFramesCoalescePerType: on a dynamic namespace a burst
 // alternating edge frames and op frames (deletes included) leaves the
 // engine in the state a reference fed the same frames one call each

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -39,6 +40,17 @@ type Options struct {
 // maxCoalesce caps the records one engine call folds from the batch
 // frames that have already arrived on a connection.
 const maxCoalesce = 1 << 16
+
+// frameArrived reports whether br already holds a whole frame, so reading
+// it cannot wait on the network.
+func frameArrived(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < frameHeader {
+		return false
+	}
+	header, _ := br.Peek(frameHeader)
+	return int64(frameHeader)+int64(binary.LittleEndian.Uint32(header[1:5])) <= int64(n)
+}
 
 func (o Options) ackEvery() int {
 	if o.AckEvery < 1 {
@@ -288,7 +300,10 @@ func (s *Server) reject(bw *bufio.Writer, code uint16, format string, args ...in
 // batch loop. It returns nil on a clean client close and an error
 // otherwise (already counted/acked as appropriate).
 func (s *Server) handleConn(c net.Conn) error {
-	br := bufio.NewReaderSize(c, 1<<16)
+	// The read buffer holds a full run's records, so when the producer
+	// keeps the socket full one read brings in the whole frames of a run
+	// (frameArrived counts only frames the buffer already holds).
+	br := bufio.NewReaderSize(c, 8*maxCoalesce)
 	bw := bufio.NewWriterSize(c, 1<<12)
 
 	var magic [len(Magic)]byte
@@ -367,8 +382,8 @@ func (s *Server) handleConn(c net.Conn) error {
 
 	// The batch loop. The records of batch frames are folded into one run
 	// — one record type, contiguous from the watermark — for as long as
-	// the next frame has already arrived (the reader holds more bytes),
-	// up to maxCoalesce records; then the run goes to the engine in one
+	// the whole next frame has already arrived (frameArrived), up to
+	// maxCoalesce records; then the run goes to the engine in one
 	// Ingest or IngestOps call: one WAL frame and write, one route pass,
 	// one mailbox message per shard and sub-batch for the whole run. The
 	// engine copies the records before returning, so the run's buffers are
@@ -525,7 +540,7 @@ func (s *Server) handleConn(c net.Conn) error {
 			if frameSeen%ackEvery == 0 {
 				ackDue = true
 			}
-			if br.Buffered() == 0 || queued() >= maxCoalesce {
+			if !frameArrived(br) || queued() >= maxCoalesce {
 				if err := settle(); err != nil {
 					return err
 				}

@@ -25,7 +25,7 @@ type ServiceOptions struct {
 	K int
 	// Shards is the number of concurrent ingest workers (default 4).
 	Shards int
-	// BatchQueue is the per-shard mailbox depth, in sub-batches of at most
+	// BatchQueue is the per-shard mailbox depth, in sub-batches of about
 	// 1 024 / Shards edges (default 64).
 	// When full, Ingest blocks — backpressure instead of unbounded memory.
 	BatchQueue int
