@@ -81,8 +81,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/algorithms"
-	"repro/internal/core"
 	"repro/streamcover"
 )
 
@@ -432,7 +430,6 @@ func main() {
 	var (
 		offlineSets []int
 		offlineEst  float64
-		capBound    int
 	)
 	if weightTable != nil {
 		w := streamcover.Weights{Table: weightTable}
@@ -448,8 +445,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("exact weighted coverage of server solution: %.1f\n", covered)
-		// The per-class sketches run at accuracy ε/12 (see internal/weighted).
-		capBound = (core.Params{NumSets: inst.NumSets(), K: *k, Eps: *eps / 12}).EffectiveDegreeCap()
 	} else {
 		offline, err := streamcover.MaxCoverage(inst.EdgeStream(*seed+1), inst.NumSets(), *k, opt)
 		if err != nil {
@@ -461,22 +456,10 @@ func main() {
 		exact := inst.Coverage(remote.Sets)
 		fmt.Printf("exact coverage of server solution: %d of %d covered elements\n",
 			exact, inst.CoveredElems())
-		capBound = algorithms.KCoverParams(inst.NumSets(), *k, algorithms.Options{
-			Eps: *eps, Seed: *seed, NumElems: inst.NumElems(),
-			EdgeBudget: *budget, SpaceFactor: *space,
-		}).EffectiveDegreeCap()
 	}
+	// The sharded and single-pass sketches of one edge set are the same
+	// bytes, degree caps binding or not, so the answers must be equal.
 	if remote.EstimatedCoverage != offlineEst || !sameSets(remote.Sets, offlineSets) {
-		// Exact equality between the sharded and single-pass sketches is
-		// only guaranteed while the per-element degree cap never binds:
-		// when it does, Definition 2.1 allows each side to keep a
-		// different D-subset of a high-degree element's edges, and the
-		// greedy solutions may legitimately diverge.
-		if capBound < inst.NumSets() {
-			fmt.Fprintf(os.Stderr, "covcli: answers differ, but the degree cap (D=%d < n=%d) can bind at these parameters, "+
-				"so the sharded and offline sketches may legitimately keep different edge subsets\n", capBound, inst.NumSets())
-			return
-		}
 		fmt.Fprintln(os.Stderr, "covcli: MISMATCH between server and offline answers")
 		os.Exit(1)
 	}

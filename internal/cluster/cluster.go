@@ -14,9 +14,9 @@
 // an order-invariant function of the absorbed edge set; the dynamic
 // sampler is linear in the net op multiset), which is exactly what makes
 // "nodes with a network in between" behave like "shards inside one
-// process": when the degree caps don't bind, any node's cluster answer
-// is bit-identical to a single node fed the whole stream, and to the
-// offline one-pass run (the package tests pin this).
+// process": any node's cluster answer is bit-identical to a single node
+// fed the whole stream, and to the offline one-pass run, degree caps
+// binding or not (the package tests pin this).
 //
 // Two planes keep the exchange convergent: a node always *serves* its
 // local-only state (never the merged view), and *merges* only at query

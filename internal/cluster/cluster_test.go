@@ -20,9 +20,8 @@ import (
 )
 
 // The e2e instance: generous budgets (EdgeBudget 60n, Eps 0.4) keep the
-// effective degree caps from binding, which is the regime where merge ≡
-// one-pass is exact and answers are bit-identical (the same caveat the
-// PR 1–5 equivalence tests document).
+// effective degree caps from binding; bindingConfig (delta_test.go) covers
+// the caps that do.
 const (
 	tNumSets = 60
 	tElems   = 3000
@@ -186,6 +185,63 @@ func assertSameSets(t *testing.T, label string, got, want []int) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s: sets %v != %v", label, got, want)
+		}
+	}
+}
+
+// TestClusterMatchesSingleNodeWithBindingCaps: with a degree cap that
+// binds (D = 4) and a budget both nodes evict at, the cluster view of a
+// two-node cluster of two-shard nodes fed a partition of the stream is,
+// on either node, the bytes of a one-shard node fed all of it, and every
+// k gets the same answer: every sketch of an edge set keeps an element's
+// D smallest set ids, whichever node and shard saw them.
+func TestClusterMatchesSingleNodeWithBindingCaps(t *testing.T) {
+	edges := testEdges(t)
+	ns := server.DefaultNamespace
+	cfg := bindingConfig()
+	if d := cfg.Params().EffectiveDegreeCap(); d != 4 {
+		t.Fatalf("degree cap %d, want 4", d)
+	}
+	nodes := startNodes(t, 2, []nsConfig{{ns, cfg}})
+	ingestPartitioned(t, nodes, ns, edges)
+	cfg.Shards = 1
+	single, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	if _, err := single.Ingest(edges); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := single.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.State().Stats().PStar >= 1 {
+		t.Fatal("the single node did not evict; lower the budget")
+	}
+	for i, tn := range nodes {
+		if err := tn.node.PullNow(); err != nil {
+			t.Fatal(err)
+		}
+		e, _ := tn.multi.Get(ns)
+		if _, err := e.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		view, err := tn.node.snapshot(ns, e, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stateBytes(t, view.State()), stateBytes(t, snap.State())) {
+			t.Fatalf("node %d: the cluster view differs from the single node's state", i)
+		}
+		for k := 1; k <= 12; k++ {
+			want, err := single.Query(server.Query{Algo: server.AlgoKCover, K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := queryCluster(t, tn, ns, k)
+			assertSameSets(t, fmt.Sprintf("node %d k=%d", i, k), got.Sets, want.Sets)
 		}
 	}
 }

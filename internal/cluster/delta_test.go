@@ -16,12 +16,12 @@ import (
 	"repro/internal/server"
 )
 
-// bindingConfig is testConfig with binding degree caps (k = 40 puts the
-// Algorithm 3 cap at 4 sets per element) and a budget small enough that
-// every node evicts.
+// bindingConfig is testConfig with binding degree caps (k = 2000 puts the
+// Algorithm 3 cap, computed at ε/12, at 4 sets per element) and a budget
+// small enough that every node evicts.
 func bindingConfig() server.Config {
 	cfg := testConfig(2)
-	cfg.K = 40
+	cfg.K = 2000
 	cfg.EdgeBudget = 600
 	return cfg
 }

@@ -167,8 +167,9 @@ func TestCutForgetsAndCloneKeepsTheBookkeeping(t *testing.T) {
 // metrics scrape with it from inside its mailbox — equal to the scan over
 // the slot array it replaced, freed slots included, along random schedules
 // of everything that allocates, grows, reuses or copies a set list. The
-// degree cap both binds below and clears sortedInsertThreshold, and the
-// budget is small enough that slots are freed and reused throughout.
+// degree cap both binds below and clears the 16 ids past which addToSlot
+// finds an id's place by binary search, and the budget is small enough
+// that slots are freed and reused throughout.
 func TestStatsBytesEqualsTheSlotScan(t *testing.T) {
 	const (
 		numSets  = 40

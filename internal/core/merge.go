@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/bipartite"
@@ -17,12 +16,13 @@ import (
 // its eviction bar or (b) beyond the degree cap. For (a), the worker kept
 // ≥ B edges strictly below its bar, so the global sketch — which sees a
 // superset of edges — has a bar no higher, and would have dropped the
-// edge too. For (b), the global sketch caps the same element at the same
-// D, so it also keeps only D of the element's edges (possibly a different
-// D-subset, which Definition 2.1 explicitly allows). Hence
-// Merge(shard sketches) ≡ Sketch(whole stream), exactly when degree caps
-// never bind and up to the allowed cap-subset choice otherwise. The
-// equivalence is pinned down by TestMergeEqualsGlobalSketch.
+// edge too. For (b), every sketch keeps an element's D smallest set ids,
+// and an id among the D smallest of the whole stream has fewer than D
+// smaller ids in any shard, so the shard that saw it kept it: the D
+// smallest of the shards' kept ids are the D smallest of the stream.
+// Hence Merge(shard sketches) ≡ Sketch(whole stream), byte for byte,
+// whether degree caps bind or not. The equivalence is pinned down by
+// TestMergeEqualsGlobalSketch.
 
 // ForEachEdge calls fn for every kept edge of the sketch. Iteration
 // order is unspecified. fn must not mutate the sketch.
@@ -35,7 +35,8 @@ func (s *Sketch) ForEachEdge(fn func(e bipartite.Edge)) {
 	}
 }
 
-// Merge folds other's kept edges into s. Both sketches must have been
+// Merge folds other's kept edges into s: it is MergeView of other's
+// Freeze, so one absorb loop serves both. Both sketches must have been
 // built with compatible parameters (same dimensions, ε, k, seed, hash
 // family and effective budget/cap), otherwise the kept-edge policies
 // disagree and an error is returned. other is not modified.
@@ -58,16 +59,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if other == nil {
 		return nil
 	}
-	if !s.params.sketchCompatible(other.params) {
-		return fmt.Errorf("core: cannot merge incompatible sketches (params %+v vs %+v)",
-			s.params, other.params)
-	}
-	for _, osi := range other.heap {
-		sl := &other.slots[osi]
-		s.absorbElem(sl.hash, sl.elem, sl.sets)
-	}
-	s.foldBar(other.evicted, other.barHash, other.barElem)
-	return nil
+	return s.MergeView(other.Freeze())
 }
 
 // absorbElem folds one kept element of another summary into s with the
@@ -98,7 +90,7 @@ func (s *Sketch) absorbElem(hash uint64, elem uint32, sets []uint32) {
 
 // foldBar finishes absorbing a summary whose eviction bar was (evicted,
 // h, e): it lowers s's bar to at most that, evicts every kept element
-// at or above the new bar, and re-enforces the budget. Shared by Merge,
+// at or above the new bar, and re-enforces the budget. Shared by
 // MergeView, LowerBar and the normalizing decode (serialize.go).
 func (s *Sketch) foldBar(evicted bool, h uint64, e uint32) {
 	if evicted {
@@ -133,9 +125,7 @@ func (s *Sketch) LowerBar(hash uint64, elem uint32) { s.foldBar(true, hash, elem
 // frozen (concurrently — freezing is the bulk of the work and the inputs
 // are independent), MergeViews walks the views to the budget cut, and
 // the merged view is thawed into a fresh sketch — the same sketch the
-// sequential Merge left fold builds (see MergeViews), exactly when
-// degree caps never bind at merge time and up to the cap-subset choice
-// Definition 2.1 allows otherwise.
+// sequential Merge left fold builds (see MergeViews).
 func MergeAll(params Params, sketches ...*Sketch) (*Sketch, error) {
 	views := make([]*View, len(sketches)) // nil inputs stay nil, which MergeViews skips
 	var wg sync.WaitGroup

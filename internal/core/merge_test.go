@@ -23,7 +23,7 @@ func splitEdges(g *bipartite.Graph, w int, seed uint64) [][]bipartite.Edge {
 	return out
 }
 
-func sketchesEqual(t *testing.T, a, b *Sketch, g *bipartite.Graph, exactEdges bool) {
+func sketchesEqual(t *testing.T, a, b *Sketch, g *bipartite.Graph) {
 	t.Helper()
 	if a.Elements() != b.Elements() || a.Edges() != b.Edges() {
 		t.Fatalf("sketches differ: (%d el, %d ed) vs (%d el, %d ed)",
@@ -37,11 +37,9 @@ func sketchesEqual(t *testing.T, a, b *Sketch, g *bipartite.Graph, exactEdges bo
 		if (sa == nil) != (sb == nil) || len(sa) != len(sb) {
 			t.Fatalf("element %d: kept %d vs %d edges", e, len(sa), len(sb))
 		}
-		if exactEdges {
-			for i := range sa {
-				if sa[i] != sb[i] {
-					t.Fatalf("element %d: edge sets differ", e)
-				}
+		for i := range sa {
+			if sa[i] != sb[i] {
+				t.Fatalf("element %d: edge sets differ", e)
 			}
 		}
 	}
@@ -51,7 +49,7 @@ func TestMergeEqualsGlobalSketch(t *testing.T) {
 	inst := workload.Zipf(30, 600, 200, 0.9, 0.7, 1)
 	g := inst.G
 	params := smallParams(30, 4, 200, 42)
-	params.DegreeCap = g.MaxElemDegree() + 1 // caps never bind -> exact equality
+	params.DegreeCap = g.MaxElemDegree() + 1
 
 	global := MustNewSketch(params)
 	feed(global, g, 5)
@@ -69,13 +67,13 @@ func TestMergeEqualsGlobalSketch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sketchesEqual(t, merged, global, g, true)
+		sketchesEqual(t, merged, global, g)
 	}
 }
 
 func TestMergeWithCapBindingKeepsCounts(t *testing.T) {
-	// With binding caps, merged and global sketches agree on elements,
-	// degrees and p*, though the specific kept edges may differ.
+	// With binding caps, merged and global sketches still agree edge for
+	// edge: every sketch keeps an element's D smallest set ids.
 	inst := workload.LargeSets(20, 800, 0.5, 2)
 	g := inst.G
 	params := smallParams(20, 3, 300, 7)
@@ -96,7 +94,7 @@ func TestMergeWithCapBindingKeepsCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketchesEqual(t, merged, global, g, false)
+	sketchesEqual(t, merged, global, g)
 }
 
 func TestMergeOrderIrrelevant(t *testing.T) {
@@ -121,7 +119,7 @@ func TestMergeOrderIrrelevant(t *testing.T) {
 	}
 	a := build([]int{0, 1, 2})
 	b := build([]int{2, 0, 1})
-	sketchesEqual(t, a, b, g, true)
+	sketchesEqual(t, a, b, g)
 }
 
 func TestMergeRejectsIncompatible(t *testing.T) {
@@ -185,7 +183,7 @@ func TestMergePropagatesEvictionBar(t *testing.T) {
 	if merged.PStar() != single.PStar() {
 		t.Fatalf("merged PStar %v != single %v", merged.PStar(), single.PStar())
 	}
-	sketchesEqual(t, merged, single, inst.G, false)
+	sketchesEqual(t, merged, single, inst.G)
 	// Coverage estimates must agree exactly.
 	sets := []int{0, 1, 2, 3}
 	if merged.EstimateCoverage(sets) != single.EstimateCoverage(sets) {
@@ -216,7 +214,7 @@ func TestMergeBarDropsIncompleteElements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketchesEqual(t, merged, global, g, true)
+	sketchesEqual(t, merged, global, g)
 }
 
 func TestMergeDoesNotPolluteStreamAccounting(t *testing.T) {
@@ -317,7 +315,7 @@ func TestMergeAllTreeEqualsSequential(t *testing.T) {
 	inst := workload.Zipf(30, 600, 200, 0.9, 0.7, 5)
 	g := inst.G
 	params := smallParams(30, 4, 200, 17)
-	params.DegreeCap = g.MaxElemDegree() + 1 // caps never bind -> exact equality
+	params.DegreeCap = g.MaxElemDegree() + 1
 
 	// Odd and even shard counts exercise the leftover carry of the tree.
 	for _, w := range []int{3, 4, 5, 8, 9} {
@@ -334,7 +332,7 @@ func TestMergeAllTreeEqualsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sketchesEqual(t, got, want, g, true)
+		sketchesEqual(t, got, want, g)
 		// Inputs must come back untouched: the tree only mutates
 		// intermediates it allocated itself.
 		for i, sk := range locals {
@@ -347,8 +345,8 @@ func TestMergeAllTreeEqualsSequential(t *testing.T) {
 }
 
 func TestMergeAllTreeWithBindingCaps(t *testing.T) {
-	// With binding degree caps the kept D-subsets may legally differ
-	// between fold orders; elements, degrees and p* may not.
+	// With binding degree caps every fold order keeps each element's D
+	// smallest set ids, so the sketches are equal edge for edge.
 	inst := workload.LargeSets(20, 800, 0.5, 4)
 	g := inst.G
 	params := smallParams(20, 3, 300, 7)
@@ -365,7 +363,7 @@ func TestMergeAllTreeWithBindingCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketchesEqual(t, got, want, g, false)
+	sketchesEqual(t, got, want, g)
 }
 
 func TestMergeAllSkipsNilInputs(t *testing.T) {
@@ -378,7 +376,7 @@ func TestMergeAllSkipsNilInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketchesEqual(t, got, a, inst.G, true)
+	sketchesEqual(t, got, a, inst.G)
 }
 
 // TestMergeAllOverlappingInputs exercises the presift fallback: inputs
@@ -408,5 +406,5 @@ func TestMergeAllOverlappingInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketchesEqual(t, got, want, g, true)
+	sketchesEqual(t, got, want, g)
 }

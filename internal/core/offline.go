@@ -52,9 +52,8 @@ func BuildHpPrime(g *bipartite.Graph, p float64, degCap int, seed uint64) *bipar
 // BuildOffline runs Algorithm 1: it sorts the elements of g by hash value
 // and inserts them (with degree capping) until the edge budget is
 // reached. The result is a *Sketch identical to what the streaming
-// construction produces on any edge ordering of g, provided no element
-// exceeds the degree cap (when elements do exceed it, the kept edge
-// subsets may differ — both are valid H≤n sketches).
+// construction produces on any edge ordering of g: both keep an element
+// over the degree cap with its D smallest set ids.
 func BuildOffline(g *bipartite.Graph, params Params) (*Sketch, error) {
 	s, err := NewSketch(params)
 	if err != nil {

@@ -186,7 +186,7 @@ func TestReadViewEqualsReadSketchFreeze(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: ReadSketch: %v", name, err)
 				}
-				viewMatchesSketch(t, got, thawed, true)
+				viewMatchesSketch(t, got, thawed)
 				if st := thawed.Stats(); st.PeakEdges != st.EdgesKept || st.EdgesSeen != sk.Stats().EdgesSeen {
 					t.Fatalf("%s: thawed accounting %+v", name, st)
 				}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/bipartite"
 	"repro/internal/hashing"
 )
@@ -59,25 +57,12 @@ type Sketch struct {
 type slot struct {
 	elem uint32
 	hash uint64
-	// sets holds the distinct set ids of the element in arrival order,
-	// len <= degCap. The hot path appends; readers that need a canonical
-	// order sort lazily via normalize (the sorted flag tracks whether the
-	// list is currently ascending).
-	sets   []uint32
-	sorted bool
-	full   bool  // degree cap reached; later edges of this element drop
-	dirty  bool  // on Sketch.dirty
-	hpos   int32 // position in heap, -1 if free
-}
-
-// normalize sorts the slot's set list ascending; it is idempotent and
-// called lazily by readers that expose or persist the list.
-func (sl *slot) normalize() {
-	if sl.sorted {
-		return
-	}
-	sort.Slice(sl.sets, func(i, j int) bool { return sl.sets[i] < sl.sets[j] })
-	sl.sorted = true
+	// sets holds the element's distinct set ids ascending, at most degCap
+	// of them: the degCap smallest ids of the element's edges seen so far
+	// (see addToSlot).
+	sets  []uint32
+	dirty bool  // on Sketch.dirty
+	hpos  int32 // position in heap, -1 if free
 }
 
 // NewSketch returns an empty sketch for the given parameters.
@@ -131,26 +116,11 @@ func priorityLess(h1 uint64, e1 uint32, h2 uint64, e2 uint32) bool {
 	return e1 < e2
 }
 
-// AddEdge processes one stream edge (Algorithm 2's update step). It is a
-// thin single-edge wrapper over the same insertion core as AddEdges; the
-// element hash is only computed for elements not already kept (a kept
-// element needs no priority to accept another edge).
+// AddEdge processes one stream edge (Algorithm 2's update step): the
+// one-edge case of AddEdges.
 func (s *Sketch) AddEdge(e bipartite.Edge) {
 	s.edgesSeen++
-	if si, ok := s.index[e.Elem]; ok {
-		s.addToSlot(si, e.Set, true)
-		s.shrink()
-		return
-	}
-	h := s.hash.Of(e.Elem)
-	// New element: if it is at or above the eviction bar it would have
-	// been (or immediately be) evicted — discard without allocating.
-	if s.evicted && !priorityLess(h, e.Elem, s.barHash, s.barElem) {
-		s.dropHash++
-		return
-	}
-	si := s.alloc(e.Elem, h)
-	s.addToSlot(si, e.Set, true)
+	s.insert(e, true)
 	s.shrink()
 }
 
@@ -210,9 +180,9 @@ func (s *Sketch) AddDropped(n int64) {
 // insert applies the kept-edge admission policy for one edge on the
 // deferred-shrink paths: bar-first hash drop, index lookup, alloc, slot
 // insert, and budget re-enforcement at slack boundaries only. count
-// selects stream accounting (false on the merge/restore path). Both
-// AddEdges and absorb go through here so the admission policy cannot
-// diverge between streaming and merge ingest.
+// selects stream accounting (false on the restore path). AddEdge,
+// AddEdges and absorb all go through here so the admission policy cannot
+// diverge between streaming and restore ingest.
 func (s *Sketch) insert(e bipartite.Edge, count bool) {
 	h := s.hash.Of(e.Elem)
 	if s.evicted && !priorityLess(h, e.Elem, s.barHash, s.barElem) {
@@ -284,10 +254,8 @@ func (s *Sketch) alloc(elem uint32, h uint64) int32 {
 		s.slots[si].elem = elem
 		s.slots[si].hash = h
 		s.slots[si].sets = s.slots[si].sets[:0]
-		s.slots[si].sorted = true
-		s.slots[si].full = false
 	} else {
-		s.slots = append(s.slots, slot{elem: elem, hash: h, sorted: true})
+		s.slots = append(s.slots, slot{elem: elem, hash: h})
 		si = int32(len(s.slots) - 1)
 	}
 	s.index[elem] = si
@@ -295,80 +263,78 @@ func (s *Sketch) alloc(elem uint32, h uint64) int32 {
 	return si
 }
 
-// sortedInsertThreshold is the slot size beyond which addToSlot switches
-// from append-plus-linear-scan to a sorted list with binary-search dup
-// checks: short lists (the common case) stay append-only with no
-// memmove, long lists avoid O(D) scans on every duplicate.
-const sortedInsertThreshold = 24
-
-// addToSlot records set as incident to the slot's element. Duplicates
-// are rejected exactly — totalEdges always counts distinct edges, so the
-// budget checks stay sound — but adaptively: short lists append in
-// arrival order and dup-check with a branch-predictable linear scan;
-// once a list crosses sortedInsertThreshold it is sorted once and kept
-// sorted (binary-search dup check, positional insert). count selects
-// whether the dup/degree-drop stream counters are updated (false on the
-// merge/restore path).
+// addToSlot records set as incident to the slot's element. The list stays
+// ascending and holds the degCap smallest distinct ids the element has
+// shown: of the D-subsets Definition 2.1 allows an element over the cap,
+// the one that depends only on the edge set, which BuildOffline and
+// MergeViews keep as well. On a full list an id above the largest drops
+// after one compare, and a smaller one takes the largest's place.
+// Duplicates are rejected exactly — totalEdges always counts distinct
+// edges, so the budget checks stay sound. A list that changed is marked
+// dirty for the next Cut. count selects whether the dup/degree-drop stream
+// counters are updated (false on the merge/restore path).
 func (s *Sketch) addToSlot(si int32, set uint32, count bool) {
 	sl := &s.slots[si]
-	if sl.full {
+	sets, n := sl.sets, len(sl.sets)
+	full := n >= s.degCap
+	if full && set > sets[n-1] {
 		if count {
 			s.dropDegree++
 		}
 		return
 	}
-	capBefore := cap(sl.sets)
-	if len(sl.sets) >= sortedInsertThreshold {
-		sl.normalize()
-		sets := sl.sets
-		i := sort.Search(len(sets), func(i int) bool { return sets[i] >= set })
-		if i < len(sets) && sets[i] == set {
-			if count {
-				s.dupEdges++
-			}
-			return
+	// i is where set belongs: a linear scan over the short lists most
+	// elements have, a binary search over long ones.
+	i := 0
+	if n <= 16 {
+		for i < n && sets[i] < set {
+			i++
 		}
-		sets = append(sets, 0)
-		copy(sets[i+1:], sets[i:])
-		sets[i] = set
-		sl.sets = sets
 	} else {
-		for _, v := range sl.sets {
-			if v == set {
-				if count {
-					s.dupEdges++
-				}
-				return
+		for hi := n; i < hi; {
+			if m := int(uint(i+hi) >> 1); sets[m] < set {
+				i = m + 1
+			} else {
+				hi = m
 			}
 		}
-		if n := len(sl.sets); sl.sorted && n > 0 && set < sl.sets[n-1] {
-			sl.sorted = false
+	}
+	if i < n && sets[i] == set {
+		if count {
+			s.dupEdges++
 		}
-		if cap(sl.sets) == 0 {
+		return
+	}
+	if full {
+		// The largest id leaves, so the list keeps its length.
+		copy(sets[i+1:], sets[i:n-1])
+		sets[i] = set
+		if count {
+			s.dropDegree++
+		}
+	} else {
+		capBefore := cap(sets)
+		if capBefore == 0 {
 			// First edge of a fresh slot: skip the tiny append growth steps
 			// (1→2→4) that dominate allocation churn during a build.
-			c := s.degCap
-			if c > 8 {
-				c = 8
-			}
-			sl.sets = make([]uint32, 0, c)
+			sets = make([]uint32, 0, min(s.degCap, 8))
 		}
-		sl.sets = append(sl.sets, set)
+		sets = append(sets, 0)
+		copy(sets[i+1:], sets[i:n])
+		sets[i] = set
+		sl.sets = sets
+		s.setCap += int64(cap(sets) - capBefore)
+		s.totalEdges++
+		// Peak residency is tracked at insert time so the batched path's
+		// transient overshoot between deferred shrinks (bounded by slack) is
+		// reported honestly in the space accounting.
+		if s.totalEdges > s.peakEdges {
+			s.peakEdges = s.totalEdges
+		}
 	}
-	s.setCap += int64(cap(sl.sets) - capBefore)
 	if !sl.dirty {
 		sl.dirty = true
 		s.dirty = append(s.dirty, si)
-	}
-	s.totalEdges++
-	// Peak residency is tracked at insert time so the batched path's
-	// transient overshoot between deferred shrinks (bounded by slack) is
-	// reported honestly in the space accounting.
-	if s.totalEdges > s.peakEdges {
-		s.peakEdges = s.totalEdges
-	}
-	if len(sl.sets) >= s.degCap {
-		sl.full = true
 	}
 }
 
@@ -488,15 +454,12 @@ func (s *Sketch) Contains(elem uint32) bool {
 
 // SetsOf returns the kept set ids incident to elem, sorted ascending
 // (nil if not kept). The slice aliases internal storage and must not be
-// modified. The hot ingest path stores lists in arrival order, so this
-// reader sorts lazily on first access; like every Sketch method it must
-// not race with other access.
+// modified.
 func (s *Sketch) SetsOf(elem uint32) []uint32 {
 	si, ok := s.index[elem]
 	if !ok {
 		return nil
 	}
-	s.slots[si].normalize()
 	return s.slots[si].sets
 }
 

@@ -1,7 +1,10 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -130,41 +133,72 @@ func TestSketchOrderInvariance(t *testing.T) {
 	}
 }
 
+// TestStreamingMatchesOffline: Algorithm 2 produces Algorithm 1's sketch
+// byte for byte — same elements, same set lists, same bar — over edge
+// arrivals one at a time, in batches of random sizes and with each
+// element's set ids descending, whether the degree cap binds or not: both
+// keep an element over the cap with its D smallest set ids.
 func TestStreamingMatchesOffline(t *testing.T) {
-	// With no element over the degree cap, Algorithm 2 must produce
-	// exactly Algorithm 1's sketch: same elements, same edges, same p*.
-	inst := workload.Uniform(20, 300, 0.05, 5) // max elem degree ~ a few
-	g := inst.G
-	params := smallParams(20, 4, 120, 77)
-	params.DegreeCap = g.MaxElemDegree() + 1 // cap never binds
-
-	off, err := BuildOffline(g, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := MustNewSketch(params)
-	feed(st, g, 42)
-
-	if off.Elements() != st.Elements() || off.Edges() != st.Edges() {
-		t.Fatalf("offline (%d el, %d ed) != streaming (%d el, %d ed)",
-			off.Elements(), off.Edges(), st.Elements(), st.Edges())
-	}
-	if off.PStar() != st.PStar() {
-		t.Fatalf("PStar offline %v != streaming %v", off.PStar(), st.PStar())
-	}
-	for e := 0; e < g.NumElems(); e++ {
-		a := append([]uint32(nil), off.SetsOf(uint32(e))...)
-		b := append([]uint32(nil), st.SetsOf(uint32(e))...)
-		if len(a) != len(b) {
-			t.Fatalf("element %d: offline %v != streaming %v", e, a, b)
+	bound := 0 // cases where a kept element lost edges to the cap
+	for _, inst := range []workload.Instance{
+		workload.Zipf(25, 400, 150, 0.9, 0.7, 4),
+		workload.Uniform(20, 300, 0.05, 5),
+		workload.LargeSets(12, 500, 0.4, 6),
+	} {
+		g := inst.G
+		shuffled := stream.Drain(stream.Shuffled(g, 42))
+		descending := slices.Clone(g.Edges(nil))
+		slices.SortFunc(descending, func(a, b bipartite.Edge) int { return cmp.Compare(b.Set, a.Set) })
+		orders := []struct {
+			name string
+			feed func(*Sketch)
+		}{
+			{"one at a time", func(s *Sketch) {
+				for _, e := range shuffled {
+					s.AddEdge(e)
+				}
+			}},
+			{"batches", func(s *Sketch) {
+				rng := rand.New(rand.NewPCG(7, 8))
+				for rest := shuffled; len(rest) > 0; {
+					n := min(1+rng.IntN(64), len(rest))
+					s.AddEdges(rest[:n])
+					rest = rest[n:]
+				}
+			}},
+			{"descending set ids", func(s *Sketch) { s.AddEdges(descending) }},
 		}
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("element %d edge sets differ", e)
+		for _, degCap := range []int{1, 2, 3, 5, g.MaxElemDegree() + 1} {
+			for _, budget := range []int{g.NumEdges() / 4, 2 * g.NumEdges()} {
+				params := smallParams(g.NumSets(), 4, budget, 77)
+				params.DegreeCap = degCap
+				off, err := BuildOffline(g, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := off.Freeze()
+				want.edgesSeen = 0 // Algorithm 1 reads only the prefix it keeps
+				for el, sets := range want.Elems() {
+					if len(sets) < g.ElemDegree(int(el)) {
+						bound++
+						break
+					}
+				}
+				for _, order := range orders {
+					st := MustNewSketch(params)
+					order.feed(st)
+					got := st.Freeze()
+					got.edgesSeen = 0
+					if !bytes.Equal(viewBytes(got), viewBytes(want)) {
+						t.Fatalf("%s D=%d B=%d, %s: streaming sketch differs from BuildOffline's (%s)",
+							inst.Name, degCap, budget, order.name, viewsDiffer(got, want))
+					}
+				}
 			}
 		}
+	}
+	if bound == 0 {
+		t.Fatal("the degree cap never bound on a kept element")
 	}
 }
 

@@ -44,9 +44,9 @@ type View struct {
 }
 
 // Freeze returns the sketch's canonical view. It only reads the sketch
-// (slot lists kept in arrival order are sorted in the copy, not in
-// place) and the view shares no storage with it, so further ingest
-// never shows through.
+// (slot lists are already ascending, so they are copied as they are) and
+// the view shares no storage with it, so further ingest never shows
+// through.
 func (s *Sketch) Freeze() *View {
 	kept := make([]int32, 0, len(s.heap))
 	for i := range s.slots {
@@ -64,12 +64,14 @@ func (s *Sketch) Freeze() *View {
 // whole current set list, under the sketch's current bar and consumed-edge
 // total. Like every view, a delta shares no storage with the sketch.
 //
-// On an append-only sketch a kept element's list only grows and what
-// leaves is the priority suffix at or above the new bar, so the sketch now
-// is the sketch at the previous Cut, cut at the new bar, with the delta's
-// elements replaced or added: MergeViews over the delta and a view that
-// already folded the previous Cut equals MergeViews over a full Cut
-// (DESIGN.md §11 has the argument and when a caller may rely on it).
+// On an append-only sketch a kept element's list is the D smallest ids of
+// an edge set that only grows — it gains ids, and once full trades its
+// largest for smaller ones — and what leaves is the priority suffix at or
+// above the new bar, so the sketch now is the sketch at the previous Cut,
+// cut at the new bar, with the delta's elements replaced or added:
+// MergeViews over the delta and a view that already folded the previous
+// Cut equals MergeViews over a full Cut (DESIGN.md §11 has the argument
+// and when a caller may rely on it).
 func (s *Sketch) Cut(delta bool) *View {
 	changed, edges := s.dirty[:0], 0 // filtered in place; freeze only reads it
 	for _, si := range s.dirty {
@@ -147,12 +149,7 @@ func (s *Sketch) freeze(idx []int32, edges int) *View {
 	for i, si := range v.elems {
 		sl := &s.slots[si]
 		v.elems[i] = sl.elem
-		seg := v.sets[w : w+len(sl.sets)]
-		copy(seg, sl.sets)
-		if !sl.sorted {
-			sortSets(seg)
-		}
-		w += len(seg)
+		w += copy(v.sets[w:], sl.sets)
 		v.off[i+1] = int64(w)
 	}
 	return v
@@ -261,8 +258,8 @@ func (v *View) WriteTo(w io.Writer) (int64, error) {
 //
 // A view is the Definition 2.1 prefix, so the merge is a k-way walk in
 // priority order that stops at the cut: an element's merged set list is
-// the sorted union of its input lists (capped at the D smallest ids —
-// any D-subset is allowed, this one is canonical), elements are taken
+// the sorted union of its input lists capped at the D smallest ids (the
+// rule a sketch's own lists keep, see addToSlot), elements are taken
 // while the degrees so far stay below the budget, and the walk never
 // reaches an input's bar, above which that input's lists may be
 // incomplete. The merged bar is the smaller of the input bars and the
@@ -446,9 +443,9 @@ func (v *View) Restrict(deltas ...*View) *View {
 	return out
 }
 
-// sortSets sorts a set list ascending. The lists a sketch keeps in
-// arrival order are at most sortedInsertThreshold long and an element's
-// union across shards is rarely longer, so the short case is an inline
+// sortSets sorts a set list ascending: the concatenated lists of one
+// element that several MergeViews inputs hold. Each is at most D long and
+// an element rarely sits in many inputs, so the short case is an inline
 // insertion sort; the generic sort takes the rest.
 func sortSets(a []uint32) {
 	if len(a) > 32 {

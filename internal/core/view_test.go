@@ -95,9 +95,8 @@ func sameGraph(t *testing.T, got, want *bipartite.Graph, gotIDs, wantIDs []uint3
 }
 
 // viewMatchesSketch compares a view with a sketch: same elements in
-// priority order, same degrees, same bar and p*; with exact it also
-// compares the set lists.
-func viewMatchesSketch(t *testing.T, v *View, s *Sketch, exact bool) {
+// priority order, same set lists, same bar and p*.
+func viewMatchesSketch(t *testing.T, v *View, s *Sketch) {
 	t.Helper()
 	if len(v.elems) != s.Elements() || len(v.sets) != s.Edges() {
 		t.Fatalf("view holds (%d elements, %d edges), sketch (%d, %d)",
@@ -128,7 +127,7 @@ func viewMatchesSketch(t *testing.T, v *View, s *Sketch, exact bool) {
 			if j > 0 && got[j-1] >= got[j] {
 				t.Fatalf("element %d: view set list not strictly ascending: %v", el, got)
 			}
-			if exact && got[j] != want[j] {
+			if got[j] != want[j] {
 				t.Fatalf("element %d: view sets %v, sketch %v", el, got, want)
 			}
 		}
@@ -137,11 +136,10 @@ func viewMatchesSketch(t *testing.T, v *View, s *Sketch, exact bool) {
 
 // TestMergeViewsEqualsSequentialMerge is the soundness property of the
 // refresh path: MergeViews over frozen shard sketches equals the
-// sequential Sketch.Merge left fold — same elements, degrees, bar and
-// p*, and, when degree caps do not bind, the same bytes and the same
-// graph — across every workload generator, shard counts, binding and
-// non-binding caps, disjoint and overlapping inputs, evicting and
-// never-evicting budgets.
+// sequential Sketch.Merge left fold — same elements, set lists, bar and
+// p*, the same bytes and the same graph — across every workload
+// generator, shard counts, binding and non-binding caps, disjoint and
+// overlapping inputs, evicting and never-evicting budgets.
 func TestMergeViewsEqualsSequentialMerge(t *testing.T) {
 	generators := []workload.Instance{
 		workload.Uniform(30, 400, 0.06, 1),
@@ -199,10 +197,7 @@ func TestMergeViewsEqualsSequentialMerge(t *testing.T) {
 						if budget > g.NumEdges() && got.evicted {
 							t.Fatalf("%s: ample budget %d evicted", inst.Name, budget)
 						}
-						viewMatchesSketch(t, got, want, !capBinds)
-						if capBinds {
-							continue
-						}
+						viewMatchesSketch(t, got, want)
 						if !bytes.Equal(stateBytes(t, got), stateBytes(t, want)) {
 							t.Fatalf("%s: merged view bytes differ from the sequential fold's", inst.Name)
 						}
@@ -238,7 +233,7 @@ func TestFreezeReadsOnly(t *testing.T) {
 	if after := frozen.Stats(); after != before {
 		t.Fatalf("Freeze changed the sketch's stats: %+v -> %+v", before, after)
 	}
-	viewMatchesSketch(t, v, twin, true)
+	viewMatchesSketch(t, v, twin)
 	g, ids, err := v.Graph()
 	if err != nil {
 		t.Fatal(err)

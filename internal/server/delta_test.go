@@ -145,11 +145,11 @@ func randomBatch(rng *rand.Rand, cfg Config, sent *[]bipartite.Edge, max int) []
 // restore (+ WAL replay where configured) against engines of 1, 2 and 4
 // shards, with a binding and a non-binding degree cap. After every publish
 // the state bytes equal core.MergeViews over a full Freeze of every shard
-// taken at the same cut, and — where the cap does not bind, so that the
-// shard split cannot show — the bytes of a one-shard engine fed the same
-// edges. Every build's cuts are of the expected kind: full on an engine's
-// first build and on the build after a failed one, delta otherwise, so
-// full cuts total shards × (1 + restarts + failed merges).
+// taken at the same cut, and the bytes of a one-shard engine fed the same
+// edges, whether the cap binds or not. Every build's cuts are of the
+// expected kind: full on an engine's first build and on the build after a
+// failed one, delta otherwise, so full cuts total shards × (1 + restarts +
+// failed merges).
 func TestDeltaRefreshEqualsFullRefresh(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, capBinds := range []bool{false, true} {
@@ -169,7 +169,6 @@ func runDeltaSchedule(t *testing.T, cfg Config, durable bool, seed uint64) {
 	const ops = 80
 	rng := rand.New(rand.NewPCG(seed, uint64(cfg.Shards)))
 	params := cfg.Params()
-	capBinds := params.EffectiveDegreeCap() < cfg.NumSets
 	if durable {
 		cfg.WAL = &WALConfig{Dir: t.TempDir(), Fsync: "off"}
 	}
@@ -231,14 +230,12 @@ func runDeltaSchedule(t *testing.T, cfg Config, durable bool, seed uint64) {
 		if want := probe.fullMerge(t, params, snap.IngestedEdges); !bytes.Equal(got, want) {
 			t.Fatalf("%s: published state differs from MergeViews over full freezes (%d vs %d bytes)", op, len(got), len(want))
 		}
-		if !capBinds {
-			refSnap, err := ref.Refresh()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := writeToBytes(t, refSnap.State()); !bytes.Equal(got, want) {
-				t.Fatalf("%s: published state differs from the one-shard engine's (%d vs %d bytes)", op, len(got), len(want))
-			}
+		refSnap, err := ref.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := writeToBytes(t, refSnap.State()); !bytes.Equal(got, want) {
+			t.Fatalf("%s: published state differs from the one-shard engine's (%d vs %d bytes)", op, len(got), len(want))
 		}
 	}
 	writeSnapshot := func() {

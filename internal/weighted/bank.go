@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"repro/internal/bipartite"
@@ -354,7 +355,9 @@ func MergeBankViews(numSets, k int, opt Options, weightOf func(uint32) float64, 
 // set lists are laid end to end as the element side of the union graph
 // (bipartite.FromElemCSR), so nothing is spelled out as edges or sorted
 // again. The second return value maps union element ids back to
-// original ones.
+// original ones. An element whose scaled weight is not finite (an oracle
+// that answered NaN or +Inf, which the bank's w <= 0 check lets through)
+// is an error naming it.
 func (v *BankView) Assemble() (*Instance, []uint32, error) {
 	st := v.Stats()
 	var (
@@ -374,9 +377,13 @@ func (v *BankView) Assemble() (*Instance, []uint32, error) {
 		}
 		scale := 1 / ps
 		for elem, list := range c.view.Elems() {
+			w := v.weightOf(elem)
+			if sw := w * scale; math.IsNaN(sw) || math.IsInf(sw, 0) {
+				return nil, nil, fmt.Errorf("weighted: element %d: weight %v scales to %v", elem, w, sw)
+			}
 			sets = append(sets, list...)
 			off = append(off, int64(len(sets)))
-			wts = append(wts, v.weightOf(elem)*scale)
+			wts = append(wts, w*scale)
 			orig = append(orig, elem)
 		}
 	}

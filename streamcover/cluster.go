@@ -12,9 +12,9 @@ import (
 // coverage cluster (see internal/cluster). Each node ingests its own
 // partition of the edge stream into its hub; an anti-entropy loop
 // pulls every peer's serialized sketches and cluster queries answer
-// from the merged view — bit-identical, when the sketch budgets don't
-// bind, to a single hub fed the whole stream (the sketch's
-// mergeability result, the same property that makes shards exact).
+// from the merged view — bit-identical to a single hub fed the whole
+// stream, degree caps binding or not (the sketch's mergeability result,
+// the same property that makes shards exact).
 type ClusterOptions struct {
 	// NodeID names this node in cluster headers and stats.
 	NodeID string

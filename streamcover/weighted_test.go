@@ -2,6 +2,7 @@ package streamcover
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -72,4 +73,23 @@ func uniformWeightsOf(m int, w float64) []float64 {
 		ws[i] = w
 	}
 	return ws
+}
+
+// An oracle that answers NaN or +Inf for a streamed element gets an error
+// naming the element, not a panic in the greedy.
+func TestMaxWeightedCoverageRefusesNonFiniteWeights(t *testing.T) {
+	inst := GenerateUniform(10, 200, 0.2, 4)
+	opt := Options{Eps: 0.4, Seed: 3, NumElems: inst.NumElems()}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		weightOf := func(e uint32) float64 {
+			if e == 7 {
+				return bad
+			}
+			return 1
+		}
+		res, err := MaxWeightedCoverage(inst.EdgeStream(1), inst.NumSets(), 3, weightOf, opt)
+		if err == nil || !strings.Contains(err.Error(), "element 7") {
+			t.Fatalf("weight %v: got %+v, %v; want an error naming element 7", bad, res, err)
+		}
+	}
 }
