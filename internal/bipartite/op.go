@@ -50,6 +50,13 @@ func PackOp(op Op) uint32 {
 // split it again.
 func RecordWord(set, elem uint32) uint64 { return uint64(set) | uint64(elem)<<32 }
 
+// Record returns op as the one ingest record every product path carries
+// from decode to shard state: an Edge whose set word is PackOp(op).
+func Record(op Op) Edge { return Edge{Set: PackOp(op), Elem: op.Edge.Elem} }
+
+// IsDelete reports whether the record r carries OpDeleteBit.
+func IsDelete(r Edge) bool { return r.Set&OpDeleteBit != 0 }
+
 // UnpackOp is PackOp's inverse over a record's two words.
 func UnpackOp(set, elem uint32) Op {
 	// OpInsert is 0 and OpDelete is 1, so the kind is the flag bit itself.
@@ -72,27 +79,4 @@ func Deletes(edges []Edge) []Op {
 		ops[i] = Op{Kind: OpDelete, Edge: e}
 	}
 	return ops
-}
-
-// HasDeletes reports whether any op in the batch is a delete.
-func HasDeletes(ops []Op) bool {
-	for i := range ops {
-		if ops[i].Kind == OpDelete {
-			return true
-		}
-	}
-	return false
-}
-
-// InsertEdges extracts the edges of an insert-only batch into dst
-// (reusing its capacity). It must only be called when HasDeletes is
-// false; delete ops are skipped defensively.
-func InsertEdges(dst []Edge, ops []Op) []Edge {
-	dst = dst[:0]
-	for i := range ops {
-		if ops[i].Kind == OpInsert {
-			dst = append(dst, ops[i].Edge)
-		}
-	}
-	return dst
 }

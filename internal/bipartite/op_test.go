@@ -24,3 +24,20 @@ func TestOpRecordRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestRecord: an op's ingest record is its edge with the packed set word,
+// and IsDelete reads the kind back off it.
+func TestRecord(t *testing.T) {
+	for _, op := range []Op{
+		{Kind: OpInsert, Edge: Edge{Set: 1<<31 - 1, Elem: 9}},
+		{Kind: OpDelete, Edge: Edge{Set: 3, Elem: 1<<32 - 1}},
+	} {
+		r := Record(op)
+		if r != (Edge{Set: PackOp(op), Elem: op.Edge.Elem}) || IsDelete(r) != (op.Kind == OpDelete) {
+			t.Fatalf("Record(%v) = %v (delete %v)", op, r, IsDelete(r))
+		}
+		if got := UnpackOp(r.Set, r.Elem); got != op {
+			t.Fatalf("UnpackOp(Record(%v)) = %v", op, got)
+		}
+	}
+}

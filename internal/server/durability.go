@@ -75,14 +75,14 @@ func (e *Engine) openWAL(states []ShardState, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("server: Config.WAL: %w", err)
 	}
-	wlog, err := wal.OpenOps(wal.Options{
+	wlog, err := wal.Open(wal.Options{
 		Dir:          d.Dir,
 		Policy:       policy,
 		Interval:     d.FsyncInterval,
 		SegmentBytes: d.SegmentBytes,
 		OpenWrite:    d.OpenWrite,
-	}, seed, func(_ int64, ops []bipartite.Op) error {
-		_, err := e.submit(batch{ops: ops}, states)
+	}, seed, func(_ int64, recs []bipartite.Edge) error {
+		_, err := e.submit(recs, ^bipartite.OpDeleteBit, states)
 		return err
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -205,5 +206,41 @@ func TestDynamicWALRejectsLegacyEngineReplay(t *testing.T) {
 	cfg.WAL = &WALConfig{Dir: dir, Fsync: "off"}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("sketch engine replayed a delete-bearing WAL without error")
+	}
+}
+
+// TestDeleteLogRecoveryContract holds openWAL's promise: the WAL reader
+// hands deletes back as records, and an append-only engine recovering a
+// dynamic engine's log refuses it with the typed ErrDeletesUnsupported —
+// a configuration mismatch, not a set-range error and not data loss.
+func TestDeleteLogRecoveryContract(t *testing.T) {
+	base := durConfig(ModeSketch)
+	edges := durBatches(base.NumSets, base.NumElems, 1, 20)[0]
+	dir := t.TempDir()
+
+	dynCfg := base
+	dynCfg.Engine = ModeDynamic
+	dynCfg.WAL = &WALConfig{Dir: dir, Fsync: "off"}
+	e, err := New(dynCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.IngestOps(append(bipartite.Inserts(edges), bipartite.Deletes(edges[:1])...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	weightedCfg := base
+	weightedCfg.Weights = &WeightConfig{Default: 1}
+	for name, cfg := range map[string]Config{"sketch": base, "weighted": weightedCfg} {
+		cfg.WAL = &WALConfig{Dir: dir, Fsync: "off"}
+		if e, err := New(cfg); !errors.Is(err, ErrDeletesUnsupported) {
+			if e != nil {
+				e.Close()
+			}
+			t.Fatalf("%s engine over a delete log: err = %v, want ErrDeletesUnsupported", name, err)
+		}
 	}
 }

@@ -79,20 +79,20 @@ type dynamicState struct {
 	materialized       bool
 }
 
-func (d *dynamicState) AddEdges(edges []bipartite.Edge) {
-	d.sam.AddEdges(edges)
-	d.opsSeen += int64(len(edges))
-}
-
-func (d *dynamicState) ApplyOps(ops []bipartite.Op) {
-	d.sam.Apply(ops)
-	d.opsSeen += int64(len(ops))
-	for i := range ops {
-		if ops[i].Kind == bipartite.OpDelete {
+// AddEdges applies a batch of records, a delete as a −1 update.
+func (d *dynamicState) AddEdges(recs []bipartite.Edge) {
+	for _, r := range recs {
+		delta := int64(1)
+		if bipartite.IsDelete(r) {
+			delta = -1
 			d.deletes++
 		}
+		d.sam.Update(r.Set&^bipartite.OpDeleteBit, r.Elem, delta)
 	}
+	d.opsSeen += int64(len(recs))
 }
+
+func (d *dynamicState) appliesDeletes() {}
 
 // dynamicCut is a shard's answer to a freeze request: the shard's cells
 // at the cut, in an array that belongs to exactly one MergeStates call,

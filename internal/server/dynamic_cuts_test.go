@@ -49,6 +49,15 @@ func dynCutsSchedule(rounds int, seed int64) [][]bipartite.Op {
 	return out
 }
 
+// records packs ops as the records a shard state's AddEdges takes.
+func records(ops []bipartite.Op) []bipartite.Edge {
+	recs := make([]bipartite.Edge, len(ops))
+	for i, op := range ops {
+		recs[i] = bipartite.Record(op)
+	}
+	return recs
+}
+
 // drainFree empties a dynamic mode's free list.
 func drainFree(m Mode) []*l0.Sampler {
 	var out []*l0.Sampler
@@ -210,7 +219,7 @@ func TestDynamicCutsNeverReachASnapshot(t *testing.T) {
 			if shards[i], err = mode.NewShardState(); err != nil {
 				t.Fatal(err)
 			}
-			shards[i].(opApplier).ApplyOps(schedule[i])
+			shards[i].AddEdges(records(schedule[i]))
 		}
 		cuts := func() []FrozenState {
 			out := make([]FrozenState, len(shards))

@@ -197,19 +197,18 @@ var ErrNumSetsRange = errors.New("server: NumSets out of range")
 // subBatch is one shard's share of a routed batch: the mailbox payload
 // and the pooled buffer in one. The shard returns it to the engine's pool
 // after applying it, so steady-state ingest recycles buffers instead of
-// allocating per submission. An insert-only batch fills edges, whichever
-// record type it arrived as; only a batch that carries a delete fills
-// ops. calls cuts it into the state calls the shard makes, one per
-// Engine.subBatchCap records the router routed to it.
+// allocating per submission. recs holds the routed records (deletes keep
+// bipartite.OpDeleteBit in their set word); calls cuts them into the
+// state calls the shard makes, one per Engine.subBatchCap records the
+// router routed to it.
 type subBatch struct {
-	edges []bipartite.Edge
-	ops   []bipartite.Op
+	recs  []bipartite.Edge
 	calls []stateCall
 }
 
-// stateCall is one AddEdges (or ApplyOps) call of a sub-batch: its records
-// up to end, and the inserts among the routed ones that the router dropped
-// against the shard's published bar instead of copying.
+// stateCall is one AddEdges call of a sub-batch: its records up to end,
+// and the inserts among the routed ones that the router dropped against
+// the shard's published bar instead of copying.
 type stateCall struct {
 	end     int
 	dropped int64
@@ -220,21 +219,18 @@ type stateCall struct {
 const subBatchBase = 1024
 
 // applyTo hands the sub-batch to a shard state one call at a time (e.g.
-// the sketch's deferred-shrink core.Sketch.AddEdges). ops is non-empty
-// only on an engine whose states are opAppliers: check refuses deletes
-// everywhere else before anything is logged or routed. A call drops
-// inserts only on an engine whose states are barPublishers.
+// the sketch's deferred-shrink core.Sketch.AddEdges). A record carries a
+// delete only on an engine whose states are deleteAppliers: check refuses
+// deletes everywhere else before anything is logged or routed. A call
+// drops inserts only on an engine whose states are barPublishers.
 func (b *subBatch) applyTo(st ShardState) {
 	start := 0
 	for _, c := range b.calls {
 		if c.dropped > 0 {
 			st.(barPublisher).addDropped(c.dropped)
 		}
-		switch {
-		case len(b.ops) > 0:
-			st.(opApplier).ApplyOps(b.ops[start:c.end])
-		case c.end > start:
-			st.AddEdges(b.edges[start:c.end])
+		if c.end > start {
+			st.AddEdges(b.recs[start:c.end])
 		}
 		start = c.end
 	}
@@ -531,10 +527,10 @@ type Engine struct {
 	ingested atomic.Int64
 	batches  atomic.Int64
 	queries  atomic.Int64
-	// deletes counts delete ops accepted by IngestOps (always 0 on
-	// append-only modes, which reject them before any counter moves).
+	// deletes counts accepted delete records (always 0 on append-only
+	// modes, which reject them before any counter moves).
 	deletes atomic.Int64
-	// deletable: the mode's shard states implement opApplier.
+	// deletable: the mode's shard states implement deleteApplier.
 	deletable bool
 	// subBatchCap is a subBatchBase-record batch's share of a shard: the
 	// records routed to a shard per state call, and (fewer than twice)
@@ -643,7 +639,7 @@ func newEngine(cfg Config, mode Mode) (*Engine, error) {
 		instance:    rand.Uint64(),
 		subBatchCap: max(1, subBatchBase/cfg.shards()),
 	}
-	_, e.deletable = states[0].(opApplier)
+	_, e.deletable = states[0].(deleteApplier)
 	if bp, ok := states[0].(barPublisher); ok {
 		e.priority = bp.priority()
 		e.bars = make([]*atomic.Uint64, len(states))
@@ -689,8 +685,8 @@ func (e *Engine) EngineMode() Mode { return e.mode }
 func (e *Engine) ModeName() ModeName { return e.mode.Name() }
 
 // SupportsDeletes reports whether the engine accepts delete ops — its
-// mode's shard states are opAppliers (today only "dynamic"). The gate
-// the ingest planes check before accepting a client that may delete.
+// mode's shard states are deleteAppliers (today only "dynamic"). The
+// gate the ingest planes check before accepting a client that may delete.
 func (e *Engine) SupportsDeletes() bool { return e.deletable }
 
 // Weighted reports whether the engine runs the weighted query plane —
@@ -729,72 +725,62 @@ func (e *Engine) mergeLoop(every time.Duration) {
 func (e *Engine) getSubBatch() *subBatch {
 	if v := e.pool.Get(); v != nil {
 		b := v.(*subBatch)
-		b.edges, b.ops, b.calls = b.edges[:0], b.ops[:0], b.calls[:0]
+		b.recs, b.calls = b.recs[:0], b.calls[:0]
 		return b
 	}
-	return &subBatch{edges: make([]bipartite.Edge, 0, 256)}
+	return &subBatch{recs: make([]bipartite.Edge, 0, 256)}
 }
 
 // Ingest routes one batch of edges to the shard states and returns the
 // number of edges accepted. It blocks only when shard mailboxes are full
 // (backpressure). Safe for concurrent use. The caller's slice is copied
 // into pooled per-shard buffers before Ingest returns, so callers may
-// reuse it immediately.
+// reuse it immediately. Every set id must be below NumSets: a set word
+// carrying bipartite.OpDeleteBit is out of range here, never a delete.
 func (e *Engine) Ingest(edges []bipartite.Edge) (int, error) {
-	return e.submit(batch{edges: edges}, nil)
+	return e.submit(edges, ^uint32(0), nil)
 }
 
-// IngestOps routes one batch of ops (inserts and deletes) to the shard
-// states and returns the number of ops accepted. Insert-only batches
-// take exactly the Ingest path — same WAL frame bytes, same mailbox
-// shape — so an op-speaking client pointed at an append-only engine
-// behaves byte-identically to an edge-speaking one as long as it never
-// deletes. A batch containing deletes requires a mode whose shard states
-// apply them (SupportsDeletes, today only "dynamic"); on any other
-// engine the whole batch is rejected with ErrDeletesUnsupported before
-// anything is logged, counted or routed. All-or-nothing like Ingest;
-// offsets/watermarks count ops, deletes included.
+// IngestRecords is Ingest for records (bipartite.Record): a record whose
+// set word carries bipartite.OpDeleteBit deletes the edge named by the
+// rest of its set word. A batch containing deletes requires a mode whose
+// shard states apply them (SupportsDeletes, today only "dynamic"); on any
+// other engine the whole batch is rejected with ErrDeletesUnsupported
+// before anything is logged, counted or routed. A delete-free batch takes
+// exactly the Ingest path — same WAL frame bytes, same mailbox shape.
+// All-or-nothing like Ingest; offsets/watermarks count records, deletes
+// included.
+func (e *Engine) IngestRecords(recs []bipartite.Edge) (int, error) {
+	return e.submit(recs, ^bipartite.OpDeleteBit, nil)
+}
+
+// IngestOps is IngestRecords of the ops' records, packed into a pooled
+// buffer: an insert-only batch costs what Ingest of its edges costs.
 func (e *Engine) IngestOps(ops []bipartite.Op) (int, error) {
-	return e.submit(batch{ops: ops}, nil)
-}
-
-// batch is what submit takes: the record type as a parameter at batch
-// granularity. Exactly one field is set. The loops that touch every
-// record (check, route) read the concrete slices — no per-record
-// allocation or indirect call — and every decision around them is
-// written once, in submit.
-type batch struct {
-	edges []bipartite.Edge // Ingest
-	ops   []bipartite.Op   // IngestOps, and every replayed WAL frame
-}
-
-// edge returns the edge of the batch's i-th record.
-func (b batch) edge(i int) bipartite.Edge {
-	if b.edges != nil {
-		return b.edges[i]
+	sb := e.getSubBatch()
+	defer e.pool.Put(sb)
+	for _, op := range ops {
+		switch {
+		case op.Kind > bipartite.OpDelete:
+			return 0, fmt.Errorf("server: unknown op kind %d", op.Kind)
+		case op.Edge.Set&bipartite.OpDeleteBit != 0:
+			return 0, e.setRangeError(op.Edge.Set)
+		}
+		sb.recs = append(sb.recs, bipartite.Record(op))
 	}
-	return b.ops[i].Edge
+	return e.IngestRecords(sb.recs)
 }
 
 // check validates a batch before anything is logged, counted or routed,
-// and returns the number of delete ops it carries.
-func (e *Engine) check(b batch) (deletes int64, err error) {
-	for _, ed := range b.edges {
-		if int(ed.Set) >= e.cfg.NumSets {
-			return 0, e.setRangeError(ed.Set)
+// and returns the number of deletes it carries. A record's set id is its
+// set word under setMask: Ingest's mask keeps the delete bit, so a set
+// word carrying it is out of range, and IngestRecords' mask clears it.
+func (e *Engine) check(recs []bipartite.Edge, setMask uint32) (deletes int64, err error) {
+	for _, r := range recs {
+		if set := r.Set & setMask; int(set) >= e.cfg.NumSets {
+			return 0, e.setRangeError(set)
 		}
-	}
-	for i := range b.ops {
-		if int(b.ops[i].Edge.Set) >= e.cfg.NumSets {
-			return 0, e.setRangeError(b.ops[i].Edge.Set)
-		}
-		switch b.ops[i].Kind {
-		case bipartite.OpInsert:
-		case bipartite.OpDelete:
-			deletes++
-		default:
-			return 0, fmt.Errorf("server: unknown op kind %d", b.ops[i].Kind)
-		}
+		deletes += int64(r.Set >> 31)
 	}
 	if deletes > 0 && !e.deletable {
 		return 0, fmt.Errorf("server: engine %q: %w", e.ModeName(), ErrDeletesUnsupported)
@@ -806,14 +792,11 @@ func (e *Engine) setRangeError(set uint32) error {
 	return fmt.Errorf("server: edge set id %d out of range [0,%d)", set, e.cfg.NumSets)
 }
 
-// route copies b into pooled per-shard sub-batches, in batch order, and
-// hands them to emit; ownership passes with each. Every e.subBatchCap
-// records routed to a shard end one state call, and a sub-batch goes to
-// emit at the end of the first call that leaves it holding e.subBatchCap
-// records or more, the rest at the end of b. An insert-only batch lands
-// in the edges buffers whichever record type it arrived as, so the shards
-// run their batched AddEdges pass; only a batch with deletes travels as
-// ops.
+// route copies recs into pooled per-shard sub-batches, in batch order,
+// and hands them to emit; ownership passes with each. Every
+// e.subBatchCap records routed to a shard end one state call, and a
+// sub-batch goes to emit at the end of the first call that leaves it
+// holding e.subBatchCap records or more, the rest at the end of recs.
 //
 // On an engine whose shard states publish their bars, an insert whose
 // element priority is strictly above its shard's published bar hash is
@@ -823,7 +806,7 @@ func (e *Engine) setRangeError(set uint32) error {
 // sub-batch packs what the drop leaves of several calls — fewer than
 // twice e.subBatchCap records. route returns the number of inserts it
 // dropped.
-func (e *Engine) route(b batch, hasDeletes bool, emit func(w int, sb *subBatch)) int64 {
+func (e *Engine) route(recs []bipartite.Edge, emit func(w int, sb *subBatch)) int64 {
 	// Per shard: the open sub-batch, the records routed into its open call
 	// and the inserts dropped among them; on the stack for up to 16 shards.
 	type shardCut struct {
@@ -842,31 +825,28 @@ func (e *Engine) route(b batch, hasDeletes bool, emit func(w int, sb *subBatch))
 		cuts = make([]shardCut, n)
 	}
 	endCall := func(c *shardCut) {
-		c.sb.calls = append(c.sb.calls, stateCall{end: len(c.sb.edges) + len(c.sb.ops), dropped: c.dropped})
+		c.sb.calls = append(c.sb.calls, stateCall{end: len(c.sb.recs), dropped: c.dropped})
 		c.routed, c.dropped = 0, 0
 	}
-	for i := range len(b.edges) + len(b.ops) {
-		// Route on the edge, ignoring an op's kind: an edge's delete lands
-		// on the shard that holds its insert, so per-shard samplers see
-		// well-formed sub-streams.
-		ed := b.edge(i)
-		w := e.part.Route(ed)
+	for _, r := range recs {
+		// Route on the edge, ignoring the delete bit: an edge's delete
+		// lands on the shard that holds its insert, so per-shard samplers
+		// see well-formed sub-streams. Only a sketch engine has bars, and
+		// check refuses deletes there.
+		w := e.part.Route(bipartite.Edge{Set: r.Set &^ bipartite.OpDeleteBit, Elem: r.Elem})
 		c := &cuts[w]
 		if c.sb == nil {
 			c.sb = e.getSubBatch()
 		}
-		switch {
-		case hasDeletes:
-			c.sb.ops = append(c.sb.ops, b.ops[i])
-		case e.bars != nil && e.priority.Of(ed.Elem) > e.bars[w].Load():
+		if e.bars != nil && e.priority.Of(r.Elem) > e.bars[w].Load() {
 			c.dropped++
 			dropped++
-		default:
-			c.sb.edges = append(c.sb.edges, ed)
+		} else {
+			c.sb.recs = append(c.sb.recs, r)
 		}
 		if c.routed++; c.routed == e.subBatchCap {
 			endCall(c)
-			if len(c.sb.edges)+len(c.sb.ops) >= e.subBatchCap {
+			if len(c.sb.recs) >= e.subBatchCap {
 				emit(w, c.sb)
 				c.sb = nil
 			}
@@ -884,9 +864,10 @@ func (e *Engine) route(b batch, hasDeletes bool, emit func(w int, sb *subBatch))
 	return dropped
 }
 
-// submit is the ingest pipeline, written once for both record types and
+// submit is the ingest pipeline, written once for every entry point and
 // for recovery: validate → log → count → route and enqueue. It returns
 // the number of records accepted; a batch is accepted or rejected whole.
+// setMask is check's: which bits of a set word name the set.
 //
 // replay is nil on the live path. During recovery (openWAL, inside New)
 // it holds the still-private shard states: the batch came out of the
@@ -896,17 +877,17 @@ func (e *Engine) route(b batch, hasDeletes bool, emit func(w int, sb *subBatch))
 // same route as the original call's, so every shard makes the state calls
 // it made then, less what its bar drops (which may stand elsewhere than it
 // did live, and changes no state or count either way: DESIGN.md §6).
-func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
-	n := len(b.edges) + len(b.ops)
+func (e *Engine) submit(recs []bipartite.Edge, setMask uint32, replay []ShardState) (int, error) {
+	n := len(recs)
 	if n == 0 {
 		return 0, nil
 	}
-	deletes, err := e.check(b)
+	deletes, err := e.check(recs, setMask)
 	if err != nil {
 		return 0, err
 	}
 	if replay != nil {
-		e.barDrops.Add(e.route(b, deletes > 0, func(w int, sb *subBatch) {
+		e.barDrops.Add(e.route(recs, func(w int, sb *subBatch) {
 			sb.applyTo(replay[w])
 			e.pool.Put(sb)
 		}))
@@ -922,16 +903,11 @@ func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
 	// fsync policy decides whether "in the log" means stable storage
 	// (always) or the kernel (interval/off) by the time submit returns. A
 	// log failure rejects the batch: no shard has seen it, so the engine
-	// stays consistent with the log's acknowledged prefix. An op batch is
-	// logged as a v1 edge frame unless it carries a delete (wal.AppendOps),
+	// stays consistent with the log's acknowledged prefix. A batch is
+	// logged as a v1 edge frame unless it carries a delete (wal.Log.Append),
 	// and an op frame is one old-format readers reject rather than misread.
 	if e.wal != nil {
-		if b.ops != nil {
-			_, err = e.wal.AppendOps(b.ops)
-		} else {
-			_, err = e.wal.Append(b.edges)
-		}
-		if err != nil {
+		if _, err := e.wal.Append(recs); err != nil {
 			return 0, err
 		}
 	}
@@ -944,7 +920,7 @@ func (e *Engine) submit(b batch, replay []ShardState) (int, error) {
 		e.deletes.Add(deletes)
 	}
 	e.batches.Add(1)
-	e.barDrops.Add(e.route(b, deletes > 0, func(w int, sb *subBatch) {
+	e.barDrops.Add(e.route(recs, func(w int, sb *subBatch) {
 		// Fast path: the mailbox has room. A full mailbox is counted as a
 		// backpressure stall before the blocking send — the signal the
 		// wire plane and /metrics surface as ingest_stalls.
@@ -1130,7 +1106,7 @@ type Counters struct {
 	IngestedEdges int64
 	Batches       int64
 	IngestStalls  int64
-	// DeletedEdges counts accepted delete ops (IngestOps); always 0 on
+	// DeletedEdges counts accepted delete records; always 0 on
 	// append-only modes.
 	DeletedEdges int64
 	// Queries / QueryCacheHits account the query plane.

@@ -112,7 +112,7 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		ns := []Label{{"ns", name}}
 		w.Counter("covserved_ingested_edges_total", "Edges accepted by Ingest.", ns, float64(c.IngestedEdges))
 		w.Counter("covserved_ingest_batches_total", "Ingest calls that delivered edges.", ns, float64(c.Batches))
-		w.Counter("covserved_deleted_edges_total", "Delete ops accepted by IngestOps (0 on append-only engines).", ns, float64(c.DeletedEdges))
+		w.Counter("covserved_deleted_edges_total", "Delete records accepted (0 on append-only engines).", ns, float64(c.DeletedEdges))
 		w.Counter("covserved_ingest_stalls_total", "Shard-mailbox sends that found the mailbox full (backpressure).", ns, float64(c.IngestStalls))
 		if e.bars != nil {
 			w.Counter("covserved_ingest_bar_drops_total", "Edges the router dropped against their sketch shard's published bar, never copied or enqueued; beside covserved_ingested_edges_total, the share of edges that stop early.", ns, float64(c.BarDrops))

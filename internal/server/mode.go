@@ -72,8 +72,10 @@ var ErrDeletesUnsupported = errors.New("deletes unsupported")
 // its methods. The three engine modes (H≤n sketch, weighted class bank,
 // L0 sampler) implement it.
 type ShardState interface {
-	// AddEdges absorbs one routed batch of inserts.
-	AddEdges(edges []bipartite.Edge)
+	// AddEdges absorbs one routed batch of records: inserts, and on a
+	// deleteApplier also deletes (a record whose set word carries
+	// bipartite.OpDeleteBit).
+	AddEdges(recs []bipartite.Edge)
 	// MergeFrom folds a frozen state of the same mode and configuration
 	// (a restored snapshot) into the receiver. The receiver's
 	// consumed-edge counter is left untouched — replayed kept edges were
@@ -95,14 +97,11 @@ type ShardState interface {
 	Freeze(published FrozenState) FrozenState
 }
 
-// opApplier is the narrow extra a delete-capable shard state (today
-// only the dynamic mode's) implements beside ShardState. Implementing
-// it is what makes an engine accept deletes (Engine.SupportsDeletes):
-// append-only modes reject them before any state mutates.
-type opApplier interface {
-	// ApplyOps absorbs one routed op batch (inserts and deletes).
-	ApplyOps(ops []bipartite.Op)
-}
+// deleteApplier marks a shard state whose AddEdges applies delete
+// records (today only the dynamic mode's). Implementing it is what makes
+// an engine accept deletes (Engine.SupportsDeletes): append-only modes
+// reject them before any state mutates.
+type deleteApplier interface{ appliesDeletes() }
 
 // barPublisher is the narrow extra a shard state implements when it drops
 // an insert by its element's priority against an eviction bar that only

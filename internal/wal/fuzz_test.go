@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -21,10 +23,9 @@ func FuzzWALRecord(f *testing.F) {
 	l := &Log{}
 	v1 := append([]byte(nil), l.encodeFrameLocked(7, []bipartite.Edge{{Set: 1, Elem: 2}, {Set: 3, Elem: 4}})...)
 	f.Add(v1[frameHeader:], false)
-	opf := append([]byte(nil), l.encodeOpsFrameLocked(9, []bipartite.Op{
-		{Kind: bipartite.OpInsert, Edge: bipartite.Edge{Set: 1, Elem: 2}},
-		{Kind: bipartite.OpDelete, Edge: bipartite.Edge{Set: 1, Elem: 2}},
-	}, true)...)
+	opf := append([]byte(nil), l.encodeFrameLocked(9, []bipartite.Edge{
+		{Set: 1, Elem: 2}, {Set: 1 | bipartite.OpDeleteBit, Elem: 2},
+	})...)
 	f.Add(opf[frameHeader:], true)
 	// Structurally hostile ones: short, misaligned, delete flag in a v1
 	// body, negative offset.
@@ -38,7 +39,7 @@ func FuzzWALRecord(f *testing.F) {
 		if len(body) > maxFrameBody {
 			body = body[:maxFrameBody]
 		}
-		off, ops, err := decodeBody(body, opFrame, nil)
+		off, recs, err := decodeBody(body, opFrame, nil)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptRecord) {
 				t.Fatalf("untyped decode error: %v", err)
@@ -48,17 +49,22 @@ func FuzzWALRecord(f *testing.F) {
 		if off < 0 {
 			t.Fatalf("accepted negative offset %d", off)
 		}
-		if want := (len(body) - 8) / 8; len(ops) != want {
-			t.Fatalf("decoded %d records from a %d-byte body, want %d", len(ops), len(body), want)
+		if want := (len(body) - 8) / 8; len(recs) != want {
+			t.Fatalf("decoded %d records from a %d-byte body, want %d", len(recs), len(body), want)
 		}
-		if cap(ops) > len(body)/8+1 {
-			t.Fatalf("op buffer grew to %d entries for a %d-byte body", cap(ops), len(body))
+		if cap(recs) > len(body)/8+1 {
+			t.Fatalf("record buffer grew to %d entries for a %d-byte body", cap(recs), len(body))
 		}
-		// Inverse check: re-encoding the decode under the same frame
-		// interpretation must reproduce the input body bit for bit.
-		frame := (&Log{}).encodeOpsFrameLocked(off, ops, opFrame)
+		// Inverse check: re-encoding the decode must reproduce the input
+		// body bit for bit, and flag an op frame exactly when a record
+		// carries a delete — which a v1 body never decodes to.
+		frame := (&Log{}).encodeFrameLocked(off, recs)
 		if !bytes.Equal(frame[frameHeader:], body) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", frame[frameHeader:], body)
+		}
+		flagged := binary.LittleEndian.Uint32(frame)&opFrameFlag != 0
+		if flagged != slices.ContainsFunc(recs, bipartite.IsDelete) || flagged && !opFrame {
+			t.Fatalf("re-encoded op flag %v for records %v decoded from an op frame %v", flagged, recs, opFrame)
 		}
 	})
 }
@@ -71,9 +77,7 @@ func FuzzWALSegment(f *testing.F) {
 	l := &Log{}
 	valid := []byte(segMagic)
 	valid = append(valid, l.encodeFrameLocked(0, []bipartite.Edge{{Set: 1, Elem: 2}})...)
-	valid = append(valid, l.encodeOpsFrameLocked(1, []bipartite.Op{
-		{Kind: bipartite.OpDelete, Edge: bipartite.Edge{Set: 1, Elem: 2}},
-	}, true)...)
+	valid = append(valid, l.encodeFrameLocked(1, []bipartite.Edge{{Set: 1 | bipartite.OpDeleteBit, Elem: 2}})...)
 	f.Add(valid)
 	f.Add([]byte(segMagic))
 	f.Add(valid[:len(valid)-3])
@@ -87,11 +91,11 @@ func FuzzWALSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		last := int64(-1)
-		end, err := scanSegment(path, func(off int64, ops []bipartite.Op) error {
+		end, err := scanSegment(path, func(off int64, recs []bipartite.Edge) error {
 			if off < 0 {
 				t.Fatalf("negative frame offset %d", off)
 			}
-			last = off + int64(len(ops))
+			last = off + int64(len(recs))
 			return nil
 		})
 		if err != nil {

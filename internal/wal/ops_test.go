@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -118,30 +117,6 @@ func TestAppendOpsReplayRoundTrip(t *testing.T) {
 	}
 	if got := l2.NextOffset(); got != next {
 		t.Fatalf("recovered NextOffset = %d, want %d", got, next)
-	}
-}
-
-// TestOpenRejectsDeleteLog: the edge-replay Open is the insert-only
-// legacy surface; pointing it at a log holding delete ops must fail
-// with the typed ErrInsertOnly, never silently replay deletes as
-// inserts.
-func TestOpenRejectsDeleteLog(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Dir: dir, Policy: SyncOff}
-	l, err := OpenOps(opts, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendOps(bipartite.Inserts(edgeBatch(0, 4))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendOps(opBatch(10, 4, 2)); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	if _, err := Open(opts, 0, func(int64, []bipartite.Edge) error { return nil }); !errors.Is(err, ErrInsertOnly) {
-		t.Fatalf("Open on a delete-bearing log: err = %v, want ErrInsertOnly", err)
 	}
 }
 

@@ -47,9 +47,9 @@ func listSegments(dir string) ([]segFile, error) {
 // segment holds none). Per the torn-tail rule it stops cleanly — nil
 // error — at the first frame that is short, oversized, fails its CRC,
 // or decodes to an implausible record; only fn's errors and I/O errors
-// other than EOF propagate. Both frame encodings arrive as op batches:
-// v1 edge frames decode to insert ops.
-func scanSegment(path string, fn func(offset int64, ops []bipartite.Op) error) (int64, error) {
+// other than EOF propagate. Both frame encodings arrive as records, an
+// op frame's deletes with their bipartite.OpDeleteBit.
+func scanSegment(path string, fn func(offset int64, recs []bipartite.Edge) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -68,7 +68,7 @@ func scanSegment(path string, fn func(offset int64, ops []bipartite.Op) error) (
 		end    int64
 		header [frameHeader]byte
 		body   []byte
-		ops    []bipartite.Op
+		recs   []bipartite.Edge
 	)
 	for {
 		if _, err := io.ReadFull(f, header[:]); err != nil {
@@ -95,15 +95,15 @@ func scanSegment(path string, fn func(offset int64, ops []bipartite.Op) error) (
 		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(header[4:]) {
 			return end, nil
 		}
-		off, decoded, derr := decodeBody(body, opFrame, ops)
+		off, decoded, derr := decodeBody(body, opFrame, recs)
 		if derr != nil {
 			return end, nil // CRC-valid but not ours: treat as torn tail
 		}
-		ops = decoded
-		if err := fn(off, ops); err != nil {
+		recs = decoded
+		if err := fn(off, recs); err != nil {
 			return end, err
 		}
-		end = off + int64(len(ops))
+		end = off + int64(len(recs))
 	}
 }
 
@@ -113,13 +113,12 @@ func scanSegment(path string, fn func(offset int64, ops []bipartite.Op) error) (
 var ErrCorruptRecord = fmt.Errorf("wal: corrupt record")
 
 // decodeBody decodes one CRC-validated frame body — u64 offset followed
-// by 8-byte records — into dst (reusing its capacity). opFrame selects
-// the op-record interpretation, where a record's set word carries the
-// op kind in its top bit; in a v1 body that bit is corruption (our
-// writer validates set ids far below it), never a huge set id.
-// Allocation is bounded by len(body), which callers cap at
-// maxFrameBody.
-func decodeBody(body []byte, opFrame bool, dst []bipartite.Op) (int64, []bipartite.Op, error) {
+// by 8-byte records — into dst (reusing its capacity). In an op frame
+// (opFrame) a record's set word may carry bipartite.OpDeleteBit; in a v1
+// body that bit is corruption (our writer validates set ids far below
+// it), never a huge set id. Allocation is bounded by len(body), which
+// callers cap at maxFrameBody.
+func decodeBody(body []byte, opFrame bool, dst []bipartite.Edge) (int64, []bipartite.Edge, error) {
 	if len(body) < 8 || len(body)%8 != 0 {
 		return 0, dst, fmt.Errorf("%w: implausible body length %d", ErrCorruptRecord, len(body))
 	}
@@ -128,7 +127,7 @@ func decodeBody(body []byte, opFrame bool, dst []bipartite.Op) (int64, []biparti
 		return 0, dst, fmt.Errorf("%w: negative frame offset", ErrCorruptRecord)
 	}
 	if n := (len(body) - 8) / 8; cap(dst) < n {
-		dst = make([]bipartite.Op, 0, n)
+		dst = make([]bipartite.Edge, 0, n)
 	}
 	dst = dst[:0]
 	for recs := body[8:]; len(recs) >= 8; recs = recs[8:] {
@@ -137,7 +136,7 @@ func decodeBody(body []byte, opFrame bool, dst []bipartite.Op) (int64, []biparti
 		if set&bipartite.OpDeleteBit != 0 && !opFrame {
 			return 0, dst[:0], fmt.Errorf("%w: delete flag in a v1 edge frame", ErrCorruptRecord)
 		}
-		dst = append(dst, bipartite.UnpackOp(set, uint32(w>>32)))
+		dst = append(dst, bipartite.Edge{Set: set, Elem: uint32(w >> 32)})
 	}
 	return off, dst, nil
 }

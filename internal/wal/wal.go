@@ -1,5 +1,5 @@
 // Package wal is the durability plane's write-ahead log: a
-// per-namespace append-only log of edge batches, written as
+// per-namespace append-only log of ingest record batches, written as
 // length-prefixed CRC32C-framed binary records across rotated segment
 // files. The service logs every ingest batch here *before* handing it
 // to the shard mailboxes, so a crash loses at most the frames the
@@ -16,10 +16,10 @@
 // increasing sequence order. Every segment starts with the 8-byte magic
 // "COVWAL1\n" followed by frames:
 //
-//	uint32  length   body size in bytes (8 + 8×edges)
+//	uint32  length   body size in bytes (8 + 8×records)
 //	uint32  crc      CRC32C (Castagnoli) of the body
-//	uint64  offset   cumulative edge index of the frame's first edge
-//	edges × (uint32 set, uint32 elem)
+//	uint64  offset   cumulative record index of the frame's first record
+//	records × (uint32 set, uint32 elem)
 //
 // All integers are little-endian, matching the sketch wire formats. The
 // explicit per-frame offset makes segments self-describing: recovery
@@ -30,17 +30,22 @@
 //
 // # Op frames
 //
-// The dynamic (insert/delete) engine mode logs operation batches. An op
-// frame reuses the v1 layout but sets the top bit of the length word
-// (the true body size is length &^ 1<<31), and each record's set word
-// carries the op kind in its own top bit (set → delete). AppendOps
-// emits an op frame only when the batch actually contains a delete;
-// insert-only batches — and every batch of the legacy edge API — use
-// the v1 encoding byte for byte, so logs written by delete-free
-// workloads are indistinguishable from v1 logs. A reader that predates
-// the extension stops cleanly at the first op frame: the flagged length
-// word exceeds maxFrameBody, which the torn-tail rule treats as a clean
-// segment end, so old binaries never misread a delete as an insert.
+// A record is a bipartite.Edge whose set word may carry
+// bipartite.OpDeleteBit: the dynamic (insert/delete) engine mode logs
+// deletes as records with that bit raised. A frame holding such a
+// record is an op frame: the v1 layout with the top bit of the length
+// word set as well (the true body size is length &^ 1<<31). Append
+// raises that flag only when a record of the batch carries a delete, so
+// delete-free batches use the v1 encoding byte for byte and logs written
+// by delete-free workloads are indistinguishable from v1 logs. In a v1
+// frame the delete bit is corruption, never a huge set id. A reader
+// that predates the extension stops cleanly at the first op frame: the
+// flagged length word exceeds maxFrameBody, which the torn-tail rule
+// treats as a clean segment end, so old binaries never misread a delete
+// as an insert. Open hands every record back as written, delete bit
+// included; whether the caller can apply a delete is the caller's
+// question (the server engine refuses a delete log in an append-only
+// mode with its ErrDeletesUnsupported).
 //
 // # Torn-tail rule
 //
@@ -171,11 +176,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = fmt.Errorf("wal: log closed")
 
-// ErrInsertOnly is returned by Open when the log holds delete ops but
-// the caller replays plain edges — the log was written by a dynamic
-// engine and cannot be replayed into an append-only one.
-var ErrInsertOnly = fmt.Errorf("wal: log contains delete ops but caller replays insert-only edges")
-
 // sealed is a read-only predecessor segment kept for replay until a
 // checkpoint covers it.
 type sealed struct {
@@ -251,36 +251,19 @@ func writeTruncMarker(dir string, off int64) error {
 // Open scans opts.Dir, replays every surviving frame past seed through
 // fn (frames whose end ≤ seed are skipped — a restored snapshot already
 // covers them), and opens a fresh segment for appending at the
-// recovered offset. seed is the edge offset the caller's restored state
-// already reflects; with no snapshot it is 0. A frame that straddles
-// seed, or a gap in the replayed offsets (possible only if acknowledged
-// segments were corrupted or deleted), is an error; a torn tail is not.
-// Recovery that accounts for fewer edges than the log's truncation
-// marker is also an error — the missing prefix was deleted after a
-// checkpoint, so the caller must first restore the covering snapshot.
+// recovered offset. seed is the record offset the caller's restored
+// state already reflects; with no snapshot it is 0. A frame that
+// straddles seed, or a gap in the replayed offsets (possible only if
+// acknowledged segments were corrupted or deleted), is an error; a torn
+// tail is not. Recovery that accounts for fewer records than the log's
+// truncation marker is also an error — the missing prefix was deleted
+// after a checkpoint, so the caller must first restore the covering
+// snapshot.
 //
-// Open replays insert-only logs; a surviving op frame with deletes
-// fails with ErrInsertOnly. Callers that can apply deletes use OpenOps.
-func Open(opts Options, seed int64, fn func(offset int64, edges []bipartite.Edge) error) (*Log, error) {
-	var edges []bipartite.Edge
-	return OpenOps(opts, seed, func(off int64, ops []bipartite.Op) error {
-		if bipartite.HasDeletes(ops) {
-			return fmt.Errorf("frame at offset %d: %w", off, ErrInsertOnly)
-		}
-		if fn == nil {
-			return nil
-		}
-		edges = bipartite.InsertEdges(edges, ops)
-		return fn(off, edges)
-	})
-}
-
-// OpenOps is Open for operation streams: surviving frames replay as op
-// batches (v1 edge frames arrive as insert ops), so a dynamic engine's
-// deletes survive a crash exactly like its inserts. The offset
-// bookkeeping is identical — one op advances the offset by one, as one
-// edge does.
-func OpenOps(opts Options, seed int64, fn func(offset int64, ops []bipartite.Op) error) (*Log, error) {
+// fn receives each frame's records as Append logged them: a delete
+// keeps bipartite.OpDeleteBit in its set word. The slice is reused for
+// the next frame.
+func Open(opts Options, seed int64, fn func(offset int64, recs []bipartite.Edge) error) (*Log, error) {
 	policy, err := opts.policy()
 	if err != nil {
 		return nil, err
@@ -308,8 +291,8 @@ func OpenOps(opts Options, seed int64, fn func(offset int64, ops []bipartite.Op)
 		if sf.seq > maxSeq {
 			maxSeq = sf.seq
 		}
-		end, err := scanSegment(sf.path, func(off int64, ops []bipartite.Op) error {
-			frameEnd := off + int64(len(ops))
+		end, err := scanSegment(sf.path, func(off int64, recs []bipartite.Edge) error {
+			frameEnd := off + int64(len(recs))
 			switch {
 			case frameEnd <= l.next:
 				return nil // snapshot (or an earlier replay) already covers it
@@ -319,7 +302,7 @@ func OpenOps(opts Options, seed int64, fn func(offset int64, ops []bipartite.Op)
 				return fmt.Errorf("wal: gap: log resumes at offset %d but only %d edges are accounted for", off, l.next)
 			}
 			if fn != nil {
-				if err := fn(off, ops); err != nil {
+				if err := fn(off, recs); err != nil {
 					return err
 				}
 			}
@@ -344,6 +327,23 @@ func OpenOps(opts Options, seed int64, fn func(offset int64, ops []bipartite.Op)
 		go l.syncLoop()
 	}
 	return l, nil
+}
+
+// OpenOps is Open with each frame's records handed to fn as ops (v1
+// edge frames arrive as insert ops). The op slice is reused for the
+// next frame.
+func OpenOps(opts Options, seed int64, fn func(offset int64, ops []bipartite.Op) error) (*Log, error) {
+	if fn == nil {
+		return Open(opts, seed, nil)
+	}
+	var ops []bipartite.Op
+	return Open(opts, seed, func(off int64, recs []bipartite.Edge) error {
+		ops = ops[:0]
+		for _, r := range recs {
+			ops = append(ops, bipartite.UnpackOp(r.Set, r.Elem))
+		}
+		return fn(off, ops)
+	})
 }
 
 // openSegmentLocked creates segment seq and makes it current. Caller
@@ -384,35 +384,17 @@ func (l *Log) rotateLocked() error {
 	return l.openSegmentLocked(l.segSeq + 1)
 }
 
-// Append logs one edge batch and returns the offset its frame carries
-// (the cumulative edge count before the batch). Durability on return
-// follows the sync policy: SyncAlways frames are on stable storage,
-// SyncEvery/SyncOff frames have reached the kernel. An append error
-// leaves the batch's durability undefined (a torn frame may or may not
-// survive); callers must treat it as fatal for the log.
-func (l *Log) Append(edges []bipartite.Edge) (int64, error) {
-	return l.appendFrame(len(edges), func(off int64) []byte {
-		return l.encodeFrameLocked(off, edges)
-	})
-}
-
-// AppendOps logs one operation batch. Insert-only batches are encoded
-// as plain v1 edge frames — byte-identical to the Append of the same
-// edges — and only batches that actually carry a delete use the flagged
-// op encoding, so the on-disk format changes exactly when the semantics
-// do. Offset accounting counts ops, mirroring Append's edge count.
-func (l *Log) AppendOps(ops []bipartite.Op) (int64, error) {
-	opFrame := bipartite.HasDeletes(ops)
-	return l.appendFrame(len(ops), func(off int64) []byte {
-		return l.encodeOpsFrameLocked(off, ops, opFrame)
-	})
-}
-
-// appendFrame is the shared append path: rotation, encode (under
-// writeMu, via enc), write, offset advance, and policy-driven sync.
-// count is the number of records the frame accounts for.
-func (l *Log) appendFrame(count int, enc func(off int64) []byte) (int64, error) {
-	if count == 0 {
+// Append logs one record batch and returns the offset its frame
+// carries (the cumulative record count before the batch). A record whose
+// set word carries bipartite.OpDeleteBit is a delete, and only a batch
+// holding one is written as an op frame; any other batch is a v1 edge
+// frame. Durability on return follows the sync policy: SyncAlways
+// frames are on stable storage, SyncEvery/SyncOff frames have reached
+// the kernel. An append error leaves the batch's durability undefined
+// (a torn frame may or may not survive); callers must treat it as fatal
+// for the log.
+func (l *Log) Append(recs []bipartite.Edge) (int64, error) {
+	if len(recs) == 0 {
 		return l.NextOffset(), nil
 	}
 	l.writeMu.Lock()
@@ -427,12 +409,12 @@ func (l *Log) appendFrame(count int, enc func(off int64) []byte) (int64, error) 
 		}
 	}
 	off := l.next
-	frame := enc(off)
+	frame := l.encodeFrameLocked(off, recs)
 	if _, err := l.f.Write(frame); err != nil {
 		l.writeMu.Unlock()
 		return 0, fmt.Errorf("wal: appending frame: %w", err)
 	}
-	end := off + int64(count)
+	end := off + int64(len(recs))
 	l.next = end
 	l.segBytes += int64(len(frame))
 	l.appends.Add(1)
@@ -444,6 +426,16 @@ func (l *Log) appendFrame(count int, enc func(off int64) []byte) (int64, error) 
 		}
 	}
 	return off, nil
+}
+
+// AppendOps is Append of the ops' records (bipartite.Record): an
+// insert-only batch is byte-identical to the Append of its edges.
+func (l *Log) AppendOps(ops []bipartite.Op) (int64, error) {
+	recs := make([]bipartite.Edge, len(ops))
+	for i, op := range ops {
+		recs[i] = bipartite.Record(op)
+	}
+	return l.Append(recs)
 }
 
 // syncTo fsyncs f unless a concurrent syncer already covered end — the
@@ -495,53 +487,28 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// beginFrameLocked sizes the log's scratch buffer for a frame of count
-// 8-byte records and writes what every frame starts with: the length
-// word (carrying flag) and the offset. The caller appends the records to
-// buf[:16], within its capacity, and seals the frame. Caller holds
-// writeMu.
-func (l *Log) beginFrameLocked(off int64, count int, flag uint32) []byte {
-	body := 8 + 8*count
+// encodeFrameLocked builds the frame of recs at offset off in the log's
+// scratch buffer, one 8-byte store per record. The same loop ORs the set
+// words, so the length word carries opFrameFlag exactly when a record
+// carries a delete. Caller holds writeMu.
+func (l *Log) encodeFrameLocked(off int64, recs []bipartite.Edge) []byte {
+	body := 8 + 8*len(recs)
 	if cap(l.scratch) < frameHeader+body {
 		l.scratch = make([]byte, frameHeader+body)
 	}
-	buf := l.scratch[:frameHeader+body]
-	binary.LittleEndian.PutUint32(buf[0:], uint32(body)|flag)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(off))
-	return buf
-}
-
-// sealFrame writes the CRC over a filled frame's offset and records.
-func sealFrame(buf []byte) []byte {
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[8:], castagnoli))
-	return buf
-}
-
-// encodeFrameLocked builds a v1 edge frame, one 8-byte store per record.
-// Caller holds writeMu.
-func (l *Log) encodeFrameLocked(off int64, edges []bipartite.Edge) []byte {
-	buf := l.beginFrameLocked(off, len(edges), 0)
-	recs := buf[:16]
-	for _, e := range edges {
-		recs = binary.LittleEndian.AppendUint64(recs, bipartite.RecordWord(e.Set, e.Elem))
+	buf := binary.LittleEndian.AppendUint64(l.scratch[:8], uint64(off))
+	var sets uint32
+	for _, r := range recs {
+		sets |= r.Set
+		buf = binary.LittleEndian.AppendUint64(buf, bipartite.RecordWord(r.Set, r.Elem))
 	}
-	return sealFrame(buf)
-}
-
-// encodeOpsFrameLocked builds an op-batch frame. With opFrame false (an
-// insert-only batch) the output is byte-identical to encodeFrameLocked
-// on the batch's edges. Caller holds writeMu.
-func (l *Log) encodeOpsFrameLocked(off int64, ops []bipartite.Op, opFrame bool) []byte {
-	var flag uint32
-	if opFrame {
+	flag := uint32(0)
+	if sets&bipartite.OpDeleteBit != 0 {
 		flag = opFrameFlag
 	}
-	buf := l.beginFrameLocked(off, len(ops), flag)
-	recs := buf[:16]
-	for _, op := range ops {
-		recs = binary.LittleEndian.AppendUint64(recs, bipartite.RecordWord(bipartite.PackOp(op), op.Edge.Elem))
-	}
-	return sealFrame(buf)
+	binary.LittleEndian.PutUint32(buf[0:], uint32(body)|flag)
+	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[8:], castagnoli))
+	return buf
 }
 
 // TruncateBefore deletes sealed segments every frame of which is
@@ -593,7 +560,7 @@ func (l *Log) TruncateBefore(end int64) error {
 }
 
 // NextOffset reports the offset the next appended frame will carry —
-// the cumulative edge count the log accounts for.
+// the cumulative record count the log accounts for.
 func (l *Log) NextOffset() int64 {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
@@ -608,7 +575,7 @@ type Stats struct {
 	Appends, Syncs, Rotations int64
 	// Segments is the number of on-disk segments (sealed + current).
 	Segments int
-	// NextOffset is the cumulative edge count the log accounts for;
+	// NextOffset is the cumulative record count the log accounts for;
 	// SyncedOffset is the prefix known to be on stable storage.
 	NextOffset, SyncedOffset int64
 }

@@ -277,12 +277,12 @@ func TestPartialFrameDoesNotHoldBackRun(t *testing.T) {
 	}
 }
 
-// TestInterleavedFramesCoalescePerType: on a dynamic namespace a burst
-// alternating edge frames and op frames (deletes included) leaves the
-// engine in the state a reference fed the same frames one call each
-// reaches: a switch of record type ends a run, so the order of the
-// inserts and deletes is kept.
-func TestInterleavedFramesCoalescePerType(t *testing.T) {
+// TestInterleavedFramesCoalesce: on a dynamic namespace a burst
+// alternating edge frames and op frames (deletes included) reaches the
+// engine in fewer calls than frames — both frame types fold into one run
+// of records — and leaves it in the state a reference fed the same frames
+// one call each reaches, so the order of the inserts and deletes is kept.
+func TestInterleavedFramesCoalesce(t *testing.T) {
 	env := newTestEnv(t, map[string]server.Config{"dyn": dynConfig()}, Options{})
 	eng, _ := env.multi.Get("dyn")
 	ref, err := server.New(dynConfig())
@@ -316,8 +316,8 @@ func TestInterleavedFramesCoalescePerType(t *testing.T) {
 	if wm := s.expectAck(); wm != int64(len(edges)) {
 		t.Fatalf("flush ack %d, want %d", wm, len(edges))
 	}
-	if got := eng.Counters().Batches; got < 5 || got >= int64(len(frames)) {
-		t.Fatalf("%d frames in 5 runs of one type reached the engine in %d calls", len(frames), got)
+	if got := eng.Counters().Batches; got >= int64(len(frames)) {
+		t.Fatalf("%d frames reached the engine in %d calls; nothing coalesced", len(frames), got)
 	}
 	if got := eng.Counters().DeletedEdges; got != ref.Counters().DeletedEdges {
 		t.Fatalf("deleted %d, reference %d", got, ref.Counters().DeletedEdges)

@@ -21,8 +21,8 @@
 // new stream), then the client streams batch frames. The server
 // periodically answers with ack frames carrying the watermark — the
 // count of the stream's edges handed durably to the engine (after any
-// WAL append: Engine.Ingest logs before it enqueues, and the ack is
-// written only after Ingest returns, so the watermark can never exceed
+// WAL append: Engine.IngestRecords logs before it enqueues, and the ack
+// is written only after it returns, so the watermark can never exceed
 // the WAL/engine ingested-edge count). A flush frame forces an
 // immediate ack; a protocol violation is answered with an error frame
 // before the server closes the connection.
@@ -367,7 +367,7 @@ func DecodeBatch(body []byte, edges *[]bipartite.Edge) (offset int64, err error)
 	if err != nil {
 		return 0, err
 	}
-	*edges = appendEdges(reuse(*edges, len(recs)/8), recs)
+	*edges, _ = appendEdges(reuse(*edges, len(recs)/8), recs)
 	return offset, nil
 }
 
@@ -381,14 +381,18 @@ func reuse[R any](buf []R, n int) []R {
 	return buf[:0]
 }
 
-// appendEdges decodes 8-byte edge records onto dst, one load each.
-func appendEdges(dst []bipartite.Edge, recs []byte) []bipartite.Edge {
+// appendEdges decodes 8-byte records onto dst, one load each, and
+// returns the OR of their set words: its bipartite.OpDeleteBit tells
+// whether any record carries a delete, without a second pass.
+func appendEdges(dst []bipartite.Edge, recs []byte) ([]bipartite.Edge, uint32) {
 	dst = slices.Grow(dst, len(recs)/8)
+	var sets uint32
 	for ; len(recs) >= 8; recs = recs[8:] {
 		w := binary.LittleEndian.Uint64(recs)
+		sets |= uint32(w)
 		dst = append(dst, bipartite.Edge{Set: uint32(w), Elem: uint32(w >> 32)})
 	}
-	return dst
+	return dst, sets
 }
 
 // AppendOpBatch encodes an op-batch frame body: the stream offset of
@@ -420,18 +424,13 @@ func DecodeOpBatch(body []byte, ops *[]bipartite.Op) (offset int64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	*ops = appendOps(reuse(*ops, len(recs)/8), recs)
-	return offset, nil
-}
-
-// appendOps decodes 8-byte op records onto dst, one load each.
-func appendOps(dst []bipartite.Op, recs []byte) []bipartite.Op {
-	dst = slices.Grow(dst, len(recs)/8)
+	dst := reuse(*ops, len(recs)/8)
 	for ; len(recs) >= 8; recs = recs[8:] {
 		w := binary.LittleEndian.Uint64(recs)
 		dst = append(dst, bipartite.UnpackOp(uint32(w), uint32(w>>32)))
 	}
-	return dst
+	*ops = dst
+	return offset, nil
 }
 
 // AppendAck encodes an ack frame body.

@@ -196,8 +196,8 @@ func TestInterleavedSendAndSendOps(t *testing.T) {
 			}
 			batch := ops[from:end]
 			var err error
-			if i%2 == 0 && !bipartite.HasDeletes(batch) {
-				err = c.Send(bipartite.InsertEdges(nil, batch))
+			if i%2 == 0 && end <= len(edges) { // ops[:len(edges)] inserts edges
+				err = c.Send(edges[from:end])
 			} else {
 				err = c.SendOps(batch)
 			}
@@ -250,5 +250,29 @@ func TestInterleavedSendAndSendOps(t *testing.T) {
 	}
 	if len(res.Sets) != 0 || res.SketchCoverage != 0 {
 		t.Fatalf("resumed mixed stream did not cancel: answered %v (covered %d)", res.Sets, res.SketchCoverage)
+	}
+}
+
+// TestEdgeFrameNeverDeletes: on a dynamic namespace and an Ops session,
+// an edge frame whose set word carries bipartite.OpDeleteBit is a set id
+// out of range, not a delete — and the run it was folded into is refused
+// whole, the good edge frame ahead of it included.
+func TestEdgeFrameNeverDeletes(t *testing.T) {
+	env := newTestEnv(t, map[string]server.Config{"dyn": dynConfig()}, Options{})
+	eng, _ := env.multi.Get("dyn")
+	s := newRawSession(t, env.addr, Hello{Namespace: "dyn", Ops: true})
+	s.send(burst(
+		batchFrame(t, 0, []bipartite.Edge{{Set: 5, Elem: 7}}),
+		batchFrame(t, 1, []bipartite.Edge{{Set: 5 | bipartite.OpDeleteBit, Elem: 7}}),
+	))
+	s.expectError(CodeIngest)
+	if got := eng.IngestedEdges(); got != 0 {
+		t.Fatalf("engine ingested %d records, want the run refused whole", got)
+	}
+	if got := eng.Counters().DeletedEdges; got != 0 {
+		t.Fatalf("engine deleted %d edges off an edge frame", got)
+	}
+	if got := env.srv.Stats().IngestErrors; got != 1 {
+		t.Fatalf("ingest errors %d, want 1", got)
 	}
 }

@@ -67,16 +67,16 @@ func (o Options) maxBatch() int {
 }
 
 // Server accepts persistent binary ingest connections and feeds their
-// edge batches straight into the engines of a namespace directory. One
+// record batches straight into the engines of a namespace directory. One
 // goroutine per connection decodes the batch frames that have already
 // arrived into one reusable run of at most maxCoalesce records and hands
-// it to Engine.Ingest (or IngestOps) in one call — which blocks when
+// it to Engine.IngestRecords in one call — which blocks when
 // shard mailboxes are full, so the connection simply stops reading and
 // TCP flow control backpressures the producer; the server never buffers
 // more than one run per connection. Acks are written from the same
 // goroutine after the call returns, so an acknowledged watermark is
 // always covered by the engine (and, on a durable engine, by the WAL,
-// which Ingest appends to before any shard sees the batch).
+// which the engine appends to before any shard sees the batch).
 type Server struct {
 	dir Directory
 	opt Options
@@ -380,24 +380,23 @@ func (s *Server) handleConn(c net.Conn) error {
 		return err
 	}
 
-	// The batch loop. The records of batch frames are folded into one run
-	// — one record type, contiguous from the watermark — for as long as
-	// the whole next frame has already arrived (frameArrived), up to
-	// maxCoalesce records; then the run goes to the engine in one
-	// Ingest or IngestOps call: one WAL frame and write, one route pass,
-	// one mailbox message per shard and sub-batch for the whole run. The
-	// engine copies the records before returning, so the run's buffers are
-	// reused by the next one, and a connection holds at most one run.
+	// The batch loop. The records of batch frames, edge and op frames
+	// alike, are folded into one run — contiguous from the watermark — for
+	// as long as the whole next frame has already arrived (frameArrived),
+	// up to maxCoalesce records; then the run goes to the engine in one
+	// IngestRecords call: one WAL frame and write, one route pass, one
+	// mailbox message per shard and sub-batch for the whole run. An op
+	// frame's deletes keep bipartite.OpDeleteBit in their set word, so the
+	// run keeps the order of the inserts and deletes. The engine copies
+	// the records before returning, so the run's buffer is reused by the
+	// next one, and a connection holds at most one run.
 	var (
-		runIsOps   bool
-		runEdges   []bipartite.Edge
-		runOps     []bipartite.Op
+		run        []bipartite.Edge
 		frameSeen  int
 		ackDue     bool
 		ackEvery   = s.opt.ackEvery()
 		ackScratch = make([]byte, 0, frameHeader+8)
 	)
-	queued := func() int { return len(runEdges) + len(runOps) }
 	writeAck := func() error {
 		ackScratch = AppendFrame(ackScratch[:0], FrameAck, AppendAck(nil, watermark))
 		if _, err := bw.Write(ackScratch); err != nil {
@@ -409,7 +408,7 @@ func (s *Server) handleConn(c net.Conn) error {
 		s.acksTotal.Add(1)
 		return nil
 	}
-	// ingest hands the run to the engine. Ingest blocks while shard
+	// ingest hands the run to the engine. IngestRecords blocks while shard
 	// mailboxes are full — that is the backpressure contract: this
 	// goroutine stops reading the socket, the kernel's receive window
 	// fills, and the producer stalls. The stall delta attributes engine
@@ -417,18 +416,13 @@ func (s *Server) handleConn(c net.Conn) error {
 	// path out of the loop calls it first, so what a connection accepted
 	// reaches the engine before the connection returns or rejects.
 	ingest := func() error {
-		n := queued()
+		n := len(run)
 		if n == 0 {
 			return nil
 		}
 		stallsBefore := eng.IngestStalls()
-		var err error
-		if runIsOps {
-			_, err = eng.IngestOps(runOps)
-		} else {
-			_, err = eng.Ingest(runEdges)
-		}
-		runEdges, runOps = runEdges[:0], runOps[:0]
+		_, err := eng.IngestRecords(run)
+		run = run[:0]
 		if err != nil {
 			s.ingestErrors.Add(1)
 			return s.reject(bw, CodeIngest, "ingest: %v", err)
@@ -487,11 +481,10 @@ func (s *Server) handleConn(c net.Conn) error {
 		s.bytesReceived.Add(int64(frameHeader + len(body)))
 		switch typ {
 		case FrameBatch, FrameOpBatch:
-			// One arm for both record types: only the record decoder and
-			// the engine entry point depend on the frame type; the
-			// exactly-once logic below is written once. Offsets count
-			// records (edges or ops alike), so a session may interleave the
-			// two frame types against one watermark.
+			// One arm for both frame types: both carry 8-byte records, an op
+			// frame's with the kind in the set word, and offsets count
+			// records whichever frame carried them, so a session may
+			// interleave the two frame types against one watermark.
 			isOps := typ == FrameOpBatch
 			if isOps && !hello.Ops {
 				return rejectAfterIngest(CodeOpsUnsupported, "op batch on a session that did not negotiate ops")
@@ -502,20 +495,16 @@ func (s *Server) handleConn(c net.Conn) error {
 			}
 			s.framesTotal.Add(1)
 			n := len(recs) / 8
-			// A run holds one record type and at most maxCoalesce records
-			// (a larger frame goes alone): a frame that does not fit sends
-			// the run on first.
-			if q := queued(); q > 0 && (isOps != runIsOps || q+n > maxCoalesce) {
+			// A run holds at most maxCoalesce records (a larger frame goes
+			// alone): a frame that does not fit sends the run on first.
+			if q := len(run); q > 0 && q+n > maxCoalesce {
 				if err := ingest(); err != nil {
 					return err
 				}
 			}
-			if queued() == 0 {
-				runIsOps = isOps
-			}
 			// Dup, trim and gap are judged against the queued offset: the
 			// watermark plus what the run already holds.
-			next := watermark + int64(queued())
+			next := watermark + int64(len(run))
 			end := offset + int64(n)
 			switch {
 			case end <= next:
@@ -529,18 +518,22 @@ func (s *Server) handleConn(c net.Conn) error {
 					"batch at offset %d leaves a gap after watermark %d", offset, next)
 			default:
 				// Trim the already-queued prefix of an overlapping resend.
-				tail := recs[8*(next-offset):]
-				if isOps {
-					runOps = appendOps(runOps, tail)
-				} else {
-					runEdges = appendEdges(runEdges, tail)
+				var sets uint32
+				run, sets = appendEdges(run, recs[8*(next-offset):])
+				if !isOps && sets&bipartite.OpDeleteBit != 0 {
+					// An edge frame never deletes: a set word carrying the bit
+					// is a set id out of range, for which Ingest refuses a
+					// batch whole. The run is refused whole the same way.
+					s.ingestErrors.Add(1)
+					return s.reject(bw, CodeIngest,
+						"ingest: edge frame at offset %d holds a set id at or above 1<<31, out of range", offset)
 				}
 			}
 			frameSeen++
 			if frameSeen%ackEvery == 0 {
 				ackDue = true
 			}
-			if !frameArrived(br) || queued() >= maxCoalesce {
+			if !frameArrived(br) || len(run) >= maxCoalesce {
 				if err := settle(); err != nil {
 					return err
 				}
