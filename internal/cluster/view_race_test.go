@@ -84,7 +84,7 @@ func publishedViewsAreNeverWritten(t *testing.T, mode server.ModeName) {
 				return err
 			}
 			refreshed = snap.IngestedEdges
-			if _, err := server.ExecuteQuery(snap, query); err != nil {
+			if _, err := ea.QuerySnapshot(snap, query); err != nil {
 				return err
 			}
 			return record(snap)
@@ -115,7 +115,7 @@ func publishedViewsAreNeverWritten(t *testing.T, mode server.ModeName) {
 			if err != nil {
 				return err
 			}
-			if _, err := server.ExecuteQuery(snap, query); err != nil {
+			if _, err := ea.QuerySnapshot(snap, query); err != nil {
 				return err
 			}
 			return record(snap)

@@ -13,10 +13,10 @@ package server
 // answers a freeze request with a dynamicCut: its cells copied into an
 // array from the mode's free list. The cut belongs to the one merge it
 // was taken for; MergeStates adopts the first cut's array as the merged
-// state, adds the others into it and hands them back to the free list.
-// The merged state is then published, and from there on the rule is
-// flat: an array that reached a Snapshot is never written and never
-// recycled — snapshot readers (WriteState, the cluster fold) may hold a
+// state, adds the others into it, hands them back to the free list and
+// peels the sum. The merged state is then published, and from there on
+// the rule is flat: an array that reached a Snapshot is never written
+// and never recycled — snapshot readers (WriteState, the cluster fold) may hold a
 // superseded snapshot for as long as they like, so the GC collects it.
 
 import (
@@ -71,12 +71,10 @@ type dynamicState struct {
 	// deletes counts delete ops applied.
 	deletes int64
 
-	// Recovery accounting, filled once by Materialize on a merged
-	// snapshot state and immutable afterwards (snapshots are published
-	// through an atomic pointer, so readers observe the filled values).
-	recEdges, recElems int
-	recPStar           float64
-	materialized       bool
+	// sample and pStar are the graph of the L0 peel MergeStates ends with
+	// and its p*: set on merged states only, immutable afterwards.
+	sample *materialized
+	pStar  float64
 }
 
 // AddEdges applies a batch of records, a delete as a −1 update.
@@ -136,10 +134,10 @@ func (d *dynamicState) Stats() core.Stats {
 		Budget:    d.sam.Params().Cells,
 		Bytes:     int64(d.sam.Bytes()),
 	}
-	if d.materialized {
-		st.EdgesKept = d.recEdges
-		st.ElementsKept = d.recElems
-		st.PStar = d.recPStar
+	if d.sample != nil {
+		st.EdgesKept = d.sample.graph.NumEdges()
+		st.ElementsKept = d.sample.graph.NumElems()
+		st.PStar = d.pStar
 	}
 	return st
 }
@@ -175,8 +173,7 @@ type dynamicMode struct {
 	free *sync.Pool
 }
 
-func (m dynamicMode) Name() ModeName    { return ModeDynamic }
-func (m dynamicMode) Signature() uint64 { return 0 }
+func (m dynamicMode) Name() ModeName { return ModeDynamic }
 
 func (m dynamicMode) NewShardState() (ShardState, error) {
 	return &dynamicState{sam: l0.NewSampler(m.params), free: m.free}, nil
@@ -188,6 +185,9 @@ func (m dynamicMode) NewShardState() (ShardState, error) {
 // state) is only read; when it comes first the sum starts as its copy.
 // After a failure the loop goes on only to consume the remaining cuts, so
 // every cut's array is recycled exactly once either way.
+//
+// The merge ends with the L0 peel of the sum; when no level decodes, the
+// merge fails (a refresh error) and the sum is recycled too.
 func (m dynamicMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
 	merged := &dynamicState{opsSeen: edges}
 	var err error
@@ -232,14 +232,17 @@ func (m dynamicMode) MergeStates(states []FrozenState, edges int64) (FrozenState
 			}
 		}
 	}
+	if err == nil {
+		if merged.sam == nil {
+			merged.sam = l0.NewSampler(m.params)
+		}
+		merged.sample, merged.pStar, err = m.peel(merged.sam)
+	}
 	if err != nil {
 		if merged.sam != nil {
-			m.free.Put(merged.sam) // adopted or cloned above: private either way
+			m.free.Put(merged.sam) // adopted, cloned or new above: private either way
 		}
 		return nil, err
-	}
-	if merged.sam == nil {
-		merged.sam = l0.NewSampler(m.params)
 	}
 	return merged, nil
 }
@@ -276,12 +279,18 @@ func (m dynamicMode) ReadState(r io.Reader) (FrozenState, error) {
 
 func (m dynamicMode) Materialize(st FrozenState) (*materialized, error) {
 	d, ok := st.(*dynamicState)
-	if !ok {
-		return nil, fmt.Errorf("server: cannot materialize %T state on a dynamic engine", st)
+	if !ok || d.sample == nil {
+		return nil, fmt.Errorf("server: cannot materialize %T state on a dynamic engine (only a merged state holds a sample)", st)
 	}
-	rec, err := d.sam.Recover()
+	return d.sample, nil
+}
+
+// peel recovers the shallowest level of sam that decodes and builds the
+// graph of that p*-sample.
+func (m dynamicMode) peel(sam *l0.Sampler) (*materialized, float64, error) {
+	rec, err := sam.Recover()
 	if err != nil {
-		return nil, fmt.Errorf("server: dynamic engine: %w", err)
+		return nil, 0, fmt.Errorf("server: dynamic engine: %w", err)
 	}
 	// Renumber the sample's elements densely in ascending original id (as
 	// deterministic as the recovery itself): one sort of (elem, edge
@@ -301,39 +310,7 @@ func (m dynamicMode) Materialize(st FrozenState) (*materialized, error) {
 	}
 	g, err := bipartite.FromEdges(m.numSets, len(ids), edges)
 	if err != nil {
-		return nil, fmt.Errorf("server: dynamic engine: building sample graph: %w", err)
+		return nil, 0, fmt.Errorf("server: dynamic engine: building sample graph: %w", err)
 	}
-	d.recEdges = len(edges)
-	d.recElems = len(ids)
-	d.recPStar = rec.PStar
-	d.materialized = true
-	return &materialized{graph: g}, nil
-}
-
-// MaterializesEagerly: Materialize is the L0 peel, which can fail where the
-// merge cannot, and a failed peel is a refresh error that keeps the previous
-// snapshot published. It also fills in the accounting Stats reports.
-func (m dynamicMode) MaterializesEagerly() bool { return true }
-
-func (m dynamicMode) Execute(snap *Snapshot, q Query) (*QueryResult, bool, error) {
-	run, err := snap.greedyRun()
-	if err != nil {
-		return nil, false, err
-	}
-	res, extended := run.MaxCover(q.K)
-	st := snap.state.Stats()
-	return &QueryResult{
-		Algo:           q.Algo,
-		Sets:           res.Sets,
-		SketchCoverage: res.Covered,
-		// The recovered sample is the exact incidence list of a
-		// p*-sample of elements, so the Lemma 2.2 estimate covered/p*
-		// applies unchanged.
-		EstimatedCoverage: safeEstimate(res.Covered, st.PStar),
-		SampledElements:   st.ElementsKept,
-		PStar:             st.PStar,
-		Engine:            ModeDynamic,
-		SnapshotSeq:       snap.Seq,
-		SnapshotEdges:     snap.IngestedEdges,
-	}, extended == 0, nil
+	return &materialized{graph: g}, rec.PStar, nil
 }

@@ -14,14 +14,15 @@
 // coordinator folds the cuts into one merged state (Mode.MergeStates)
 // and publishes it as an immutable Snapshot behind an atomic pointer,
 // which its first query materializes into the query graph (the dynamic
-// mode's peel runs inside the refresh). For the default sketch mode no
-// sketch is rebuilt on that path: the request carries the merged state
-// published last, the
-// shard drops what it holds at or above that state's bar (on an
-// append-only stream the merged cut only moves down, so no later merge
-// can keep it — DESIGN.md §11), freezes the rest into the canonical flat
-// core.View (elements in hash order with sorted set lists — Definition
-// 2.1's prefix written down) — all of it on an engine's first refresh and
+// mode's peel runs inside the refresh, as the end of its merge), and one
+// executor answers every mode's queries (executeQuery). For the default
+// sketch mode no sketch is rebuilt on that path: the request carries the
+// merged state published last, the shard drops what it holds at or
+// above that state's bar (on an append-only stream the merged cut only
+// moves down, so no later merge can keep it — DESIGN.md §11), freezes
+// the rest into the canonical flat core.View (elements in hash order
+// with sorted set lists — Definition 2.1's prefix written down) — all of
+// it on an engine's first refresh and
 // after a refresh that failed, otherwise only the elements that gained an
 // edge since the shard's last cut, which the published view already folded
 // (a delta; §11 again) — core.MergeViews walks the shard views, and beside
@@ -53,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -306,17 +308,15 @@ type Snapshot struct {
 	// folded with sketch shard deltas (see Delta).
 	delta *snapshotDelta
 
-	// The materialized graph queries run on, with its cover index. A mode
-	// that materializes eagerly fills it before the snapshot is published;
-	// otherwise the first query builds it.
+	// The materialized graph queries run on, with its cover index, built
+	// by the first query.
 	matOnce sync.Once
 	mat     *materialized
 	matErr  error
 
 	// The one greedy run over the graph, started by the first query and
-	// shared by every later one, whichever route it arrives by: run on the
-	// sketch and dynamic modes, wrun (the float-gain loop) on the weighted
-	// mode.
+	// shared by every later one, whichever route it arrives by: wrun (the
+	// float-gain loop) when the graph carries weights, run otherwise.
 	runOnce sync.Once
 	run     *greedy.Run
 	wrun    *weighted.Run
@@ -392,26 +392,6 @@ func (s *Snapshot) materialized() (*materialized, error) {
 	return s.mat, s.matErr
 }
 
-// greedyRun returns the snapshot's run of the unweighted lazy greedy.
-func (s *Snapshot) greedyRun() (*greedy.Run, error) {
-	mat, err := s.materialized()
-	if err != nil {
-		return nil, err
-	}
-	s.runOnce.Do(func() { s.run = greedy.NewRun(mat.graph) })
-	return s.run, nil
-}
-
-// weightedRun returns a weighted snapshot's run of the weighted greedy.
-func (s *Snapshot) weightedRun() (*weighted.Run, error) {
-	mat, err := s.materialized()
-	if err != nil {
-		return nil, err
-	}
-	s.runOnce.Do(func() { s.wrun = weighted.NewRun(weighted.Instance{G: mat.graph, W: mat.weights}) })
-	return s.wrun, nil
-}
-
 // Mode returns the engine mode the snapshot was merged under.
 func (s *Snapshot) Mode() Mode { return s.mode }
 
@@ -444,8 +424,8 @@ func (s *Snapshot) pStar() float64 { return s.state.Stats().PStar }
 
 // Graph returns the snapshot state materialized as a bipartite graph
 // (elements renumbered; see core.Sketch.Graph), with the bitset
-// coverage index already built when profitable; the first call builds it
-// unless the mode materialized inside the refresh. Read-only: the graph is
+// coverage index already built when profitable; the first call (or
+// query) builds it. Read-only: the graph is
 // shared with every query running against this snapshot.
 func (s *Snapshot) Graph() (*bipartite.Graph, error) {
 	mat, err := s.materialized()
@@ -473,28 +453,21 @@ func (s *Snapshot) WriteState(w io.Writer) error {
 // total the states reflect together (a merge only replays kept edges, so
 // the caller supplies the true total). Published and decoded states are
 // only read; shard cuts fresh from Freeze are the merge's to consume
-// (Mode.MergeStates). The graph is built here only for a mode that
-// materializes eagerly; otherwise the first query builds it, so a
-// snapshot that only serves its bytes — a peer's pull, a checkpoint, a
-// snapshot GET — never pays for it.
+// (Mode.MergeStates). The first query builds the graph, so a snapshot
+// that only serves its bytes — a peer's pull, a checkpoint, a snapshot
+// GET — never pays for it.
 func MergeSnapshot(mode Mode, seq uint64, edges int64, states []FrozenState) (*Snapshot, error) {
 	merged, err := mode.MergeStates(states, edges)
 	if err != nil {
 		return nil, err
 	}
-	snap := &Snapshot{
+	return &Snapshot{
 		Seq:           seq,
 		CreatedAt:     time.Now(),
 		IngestedEdges: edges,
 		mode:          mode,
 		state:         merged,
-	}
-	if mode.MaterializesEagerly() {
-		if _, err := snap.materialized(); err != nil {
-			return nil, err
-		}
-	}
-	return snap, nil
+	}, nil
 }
 
 // Engine is the concurrent sharded ingest engine.
@@ -511,6 +484,9 @@ type Engine struct {
 	// wal is the engine's write-ahead log (nil unless Config.WAL): every
 	// accepted batch is appended before it enters a shard mailbox.
 	wal *wal.Log
+	// weightSig is cfg.Weights.Signature() (0 when unweighted), computed
+	// once for the handshakes that compare it (WeightSig).
+	weightSig uint64
 
 	// restored is the ingested-edge total carried in by the Config
 	// restore fields; shard stream counters never see those edges (they
@@ -628,9 +604,10 @@ func newEngine(cfg Config, mode Mode) (*Engine, error) {
 		restoredEdges = restore.Stats().EdgesSeen
 	}
 	e := &Engine{
-		cfg:    cfg,
-		params: cfg.Params(),
-		mode:   mode,
+		cfg:       cfg,
+		params:    cfg.Params(),
+		mode:      mode,
+		weightSig: cfg.Weights.Signature(),
 		// Offset the partition seed from the sketch seed so edge routing
 		// and element sampling are independent.
 		part:        distributed.NewPartitioner(cfg.shards(), cfg.Seed+0x5eed),
@@ -695,9 +672,9 @@ func (e *Engine) SupportsDeletes() bool { return e.deletable }
 func (e *Engine) Weighted() bool { return e.mode.Name() == ModeWeighted }
 
 // WeightSig fingerprints the engine's weight mapping (0 when
-// unweighted) — see WeightConfig.Signature and Mode.Signature. Cluster
-// peers compare it before merging remote state.
-func (e *Engine) WeightSig() uint64 { return e.mode.Signature() }
+// unweighted) — see WeightConfig.Signature. Cluster peers and wire
+// clients compare it before merging remote state or streaming edges.
+func (e *Engine) WeightSig() uint64 { return e.weightSig }
 
 func (e *Engine) mergeLoop(every time.Duration) {
 	defer close(e.tickerDone)
@@ -1270,22 +1247,66 @@ func ValidateQuery(q Query, mode ModeName) error {
 	return nil
 }
 
-// ExecuteQuery validates q against the snapshot's mode and answers it
-// from the snapshot's greedy run, with byte-for-byte the result shape a
-// local engine produces and no engine: no refresh, no counters.
-// q.Refresh is ignored; the caller picks the snapshot.
-func ExecuteQuery(snap *Snapshot, q Query) (*QueryResult, error) {
-	res, _, err := executeQuery(snap, q)
-	return res, err
-}
-
-// executeQuery is ExecuteQuery that also reports whether the answer was a
-// hit: read off picks the snapshot's run had already made.
+// executeQuery validates q against the snapshot's mode and answers it
+// from the snapshot's one greedy run over its materialized graph, for
+// every mode and on engine snapshots and cluster views alike. hit reports
+// that the run already held every pick the answer needed.
 func executeQuery(snap *Snapshot, q Query) (res *QueryResult, hit bool, err error) {
 	if err := ValidateQuery(q, snap.ModeName()); err != nil {
 		return nil, false, err
 	}
-	return snap.mode.Execute(snap, q)
+	mat, err := snap.materialized()
+	if err != nil {
+		return nil, false, err
+	}
+	st := snap.state.Stats()
+	res = &QueryResult{
+		Algo:          q.Algo,
+		PStar:         st.PStar,
+		SnapshotSeq:   snap.Seq,
+		SnapshotEdges: snap.IngestedEdges,
+	}
+	if mat.weights != nil {
+		snap.runOnce.Do(func() { snap.wrun = weighted.NewRun(weighted.Instance{G: mat.graph, W: mat.weights}) })
+		wr, extended := snap.wrun.MaxCover(q.K)
+		res.Sets = wr.Sets
+		res.SketchCoverage = wr.CoveredElems
+		res.EstimatedCoverage = wr.Covered // the weighted greedy scales per class already
+		res.SampledElements = mat.graph.NumElems()
+		res.Weighted = true
+		res.WeightClasses = snap.Bank().Classes()
+		return res, extended == 0, nil
+	}
+	snap.runOnce.Do(func() { snap.run = greedy.NewRun(mat.graph) })
+	var (
+		gr       greedy.Result
+		extended int
+	)
+	switch q.Algo {
+	case AlgoKCover:
+		gr, extended = snap.run.MaxCover(q.K)
+	case AlgoOutliers:
+		// Ceiling, not truncation: a truncated target can leave the
+		// covered fraction strictly below 1−λ (e.g. λ=0.001 over 999
+		// elements truncates 998.001 to 998, i.e. 998/999 < 0.999). The
+		// (1−1e-12) relative tolerance keeps float noise from rounding an
+		// exactly-integral product up (10·0.3 evaluates above 3.0, which
+		// a bare Ceil would turn into a target of 4).
+		target := int(math.Ceil(float64(snap.run.CoveredElems()) * (1 - q.Lambda) * (1 - 1e-12)))
+		gr, extended = snap.run.PartialCover(target)
+	case AlgoGreedy:
+		gr, extended = snap.run.SetCover()
+	}
+	res.Sets = gr.Sets
+	res.SketchCoverage = gr.Covered
+	// Lemma 2.2's estimate, also on the dynamic mode: its sample is the
+	// exact incidence list of a p*-sample of elements.
+	res.EstimatedCoverage = safeEstimate(gr.Covered, st.PStar)
+	res.SampledElements = st.ElementsKept
+	if snap.ModeName() == ModeDynamic {
+		res.Engine = ModeDynamic // the sketch result shape predates the field
+	}
+	return res, extended == 0, nil
 }
 
 // Query executes q against the current (or freshly merged) snapshot.

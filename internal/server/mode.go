@@ -10,11 +10,10 @@ package server
 //     ingest, restore merge, uniform accounting, and Freeze, which cuts
 //     a FrozenState — the read-only half (accounting and serialization)
 //     that crosses goroutines, rides Snapshots and is never modified.
-//   - Mode is the engine-mode singleton: it names the mode, fingerprints
-//     its configuration for cluster compatibility, constructs shard
-//     states, merges / decodes frozen states, materializes a merged
-//     state into the queryable graph, and executes validated queries
-//     against a Snapshot.
+//   - Mode is the engine-mode singleton: it names the mode, constructs
+//     shard states, merges / decodes frozen states and materializes a
+//     merged state into the queryable graph, which every query then
+//     reads through the engine's one executor (executeQuery).
 //
 // Three modes implement the plane: "sketch" (the paper's H≤n sketch,
 // the default), "weighted" (the per-weight-class bank, selected by
@@ -36,7 +35,6 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
-	"repro/internal/greedy"
 	"repro/internal/weighted"
 )
 
@@ -149,18 +147,15 @@ type materialized struct {
 	weights []float64
 }
 
-// Mode is an engine mode: the factory, merge policy, wire codec, query
-// validator/executor and compatibility fingerprint behind one engine
-// configuration. Engine, Snapshot, the snapshot-v2 container and the
-// cluster exchange all dispatch through it; adding an engine mode means
-// implementing Mode + ShardState and listing the name in EngineMode.
+// Mode is an engine mode: the factory, merge policy, wire codec and
+// materializer behind one engine configuration. Engine, Snapshot, the
+// snapshot-v2 container and the cluster exchange all dispatch through
+// it; adding an engine mode means implementing Mode + ShardState and
+// listing the name in EngineMode. Queries run in the engine, on the
+// materialized graph (executeQuery).
 type Mode interface {
 	// Name is the mode's wire name.
 	Name() ModeName
-	// Signature fingerprints mode configuration that the serialized
-	// state cannot carry itself (the weighted mode's weight table; 0
-	// otherwise). Cluster peers refuse blobs whose signature disagrees.
-	Signature() uint64
 	// NewShardState returns an empty state for one ingest shard.
 	NewShardState() (ShardState, error)
 	// MergeStates folds frozen states into one merged state. Inputs that
@@ -169,23 +164,15 @@ type Mode interface {
 	// own ShardState.Freeze made belongs to this call, which may consume
 	// it (the dynamic mode does). edges is the ingested-edge total the
 	// result reports: a merge only replays kept edges, so the caller
-	// supplies the true consumed count.
+	// supplies the true consumed count. What can fail in making the result
+	// queryable (the dynamic mode's L0 peel) fails here, as a refresh error.
 	MergeStates(states []FrozenState, edges int64) (FrozenState, error)
 	// ReadState decodes WriteTo bytes, validating that the blob was
 	// built with this mode's configuration.
 	ReadState(r io.Reader) (FrozenState, error)
-	// Materialize renders a merged state queryable.
+	// Materialize renders a merged state queryable, on a snapshot's first
+	// query: a snapshot that is only served never builds a graph.
 	Materialize(st FrozenState) (*materialized, error)
-	// MaterializesEagerly reports that Materialize must run inside the
-	// refresh that publishes the state, because it can fail where the merge
-	// cannot (the dynamic mode's L0 peel) and that failure must be a refresh
-	// error, not a query error. Other modes materialize on a snapshot's
-	// first query, so a snapshot that is only served never builds a graph.
-	MaterializesEagerly() bool
-	// Execute answers a validated query from the greedy run of a snapshot
-	// of this mode. hit reports that the run already held every pick the
-	// answer needed.
-	Execute(s *Snapshot, q Query) (res *QueryResult, hit bool, err error)
 }
 
 // EngineMode resolves the config to its engine mode: Config.Engine when
@@ -214,7 +201,6 @@ func (c Config) EngineMode() (Mode, error) {
 			k:       c.K,
 			opt:     c.WeightedOptions(),
 			fn:      c.Weights.Fn(),
-			sig:     c.Weights.Signature(),
 		}, nil
 	case ModeDynamic:
 		return dynamicMode{numSets: c.NumSets, params: c.DynamicParams(), free: new(sync.Pool)}, nil
@@ -322,8 +308,7 @@ func (s *sketchState) MergeFrom(other FrozenState) error {
 
 type sketchMode struct{ params core.Params }
 
-func (m sketchMode) Name() ModeName    { return ModeSketch }
-func (m sketchMode) Signature() uint64 { return 0 }
+func (m sketchMode) Name() ModeName { return ModeSketch }
 
 func (m sketchMode) NewShardState() (ShardState, error) {
 	sk, err := core.NewSketch(m.params)
@@ -413,45 +398,6 @@ func (m sketchMode) Materialize(st FrozenState) (*materialized, error) {
 	return &materialized{graph: g}, nil
 }
 
-func (m sketchMode) MaterializesEagerly() bool { return false }
-
-func (m sketchMode) Execute(snap *Snapshot, q Query) (*QueryResult, bool, error) {
-	run, err := snap.greedyRun()
-	if err != nil {
-		return nil, false, err
-	}
-	var (
-		res      greedy.Result
-		extended int
-	)
-	switch q.Algo {
-	case AlgoKCover:
-		res, extended = run.MaxCover(q.K)
-	case AlgoOutliers:
-		// Ceiling, not truncation: a truncated target can leave the
-		// covered fraction strictly below 1−λ (e.g. λ=0.001 over 999
-		// elements truncates 998.001 to 998, i.e. 998/999 < 0.999). The
-		// (1−1e-12) relative tolerance keeps float noise from rounding an
-		// exactly-integral product up (10·0.3 evaluates above 3.0, which
-		// a bare Ceil would turn into a target of 4).
-		target := int(math.Ceil(float64(run.CoveredElems()) * (1 - q.Lambda) * (1 - 1e-12)))
-		res, extended = run.PartialCover(target)
-	case AlgoGreedy:
-		res, extended = run.SetCover()
-	}
-	st := snap.state.Stats()
-	return &QueryResult{
-		Algo:              q.Algo,
-		Sets:              res.Sets,
-		SketchCoverage:    res.Covered,
-		EstimatedCoverage: safeEstimate(res.Covered, st.PStar),
-		SampledElements:   st.ElementsKept,
-		PStar:             st.PStar,
-		SnapshotSeq:       snap.Seq,
-		SnapshotEdges:     snap.IngestedEdges,
-	}, extended == 0, nil
-}
-
 // ---- weighted mode (per-weight-class bank, Config.Weights) ----
 
 // bankState is the shard-owned half. What it freezes into, and what the
@@ -476,11 +422,9 @@ type weightedMode struct {
 	numSets, k int
 	opt        weighted.Options
 	fn         func(uint32) float64
-	sig        uint64
 }
 
-func (m weightedMode) Name() ModeName    { return ModeWeighted }
-func (m weightedMode) Signature() uint64 { return m.sig }
+func (m weightedMode) Name() ModeName { return ModeWeighted }
 
 func (m weightedMode) NewShardState() (ShardState, error) {
 	bk, err := weighted.NewBank(m.numSets, m.k, m.opt, m.fn)
@@ -524,26 +468,4 @@ func (m weightedMode) Materialize(st FrozenState) (*materialized, error) {
 		return nil, err
 	}
 	return &materialized{graph: in.G, weights: in.W}, nil
-}
-
-func (m weightedMode) MaterializesEagerly() bool { return false }
-
-func (m weightedMode) Execute(snap *Snapshot, q Query) (*QueryResult, bool, error) {
-	run, err := snap.weightedRun()
-	if err != nil {
-		return nil, false, err
-	}
-	res, extended := run.MaxCover(q.K)
-	return &QueryResult{
-		Algo:              q.Algo,
-		Sets:              res.Sets,
-		SketchCoverage:    res.CoveredElems,
-		EstimatedCoverage: res.Covered, // the weighted greedy scales per class already
-		SampledElements:   snap.mat.graph.NumElems(),
-		PStar:             snap.pStar(),
-		Weighted:          true,
-		WeightClasses:     snap.Bank().Classes(),
-		SnapshotSeq:       snap.Seq,
-		SnapshotEdges:     snap.IngestedEdges,
-	}, extended == 0, nil
 }
