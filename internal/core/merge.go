@@ -37,8 +37,8 @@ func (s *Sketch) ForEachEdge(fn func(e bipartite.Edge)) {
 
 // Merge folds other's kept edges into s: it is MergeView of other's
 // Freeze, so one absorb loop serves both. Both sketches must have been
-// built with compatible parameters (same dimensions, ε, k, seed, hash
-// family and effective budget/cap), otherwise the kept-edge policies
+// built with compatible parameters (same dimensions, ε, k, seed and
+// effective budget/cap), otherwise the kept-edge policies
 // disagree and an error is returned. other is not modified.
 //
 // Besides the edges, the eviction bar is folded: the sampling threshold

@@ -56,35 +56,6 @@ type Params struct {
 	// Seed drives the element hash function. Algorithms derive distinct
 	// sub-seeds from it, so a single seed makes a whole run reproducible.
 	Seed uint64
-
-	// Hash selects the hash family mapping elements to [0,1] priorities.
-	// The zero value is HashSplitMix64. The guarantees only need a
-	// uniform family; the tabulation option exists to verify that
-	// results are not an artifact of one mixer (and offers
-	// 3-independence).
-	Hash HashFamily
-}
-
-// HashFamily selects the element hash function of the sketch.
-type HashFamily int
-
-const (
-	// HashSplitMix64 is the default single-multiply mixer.
-	HashSplitMix64 HashFamily = iota
-	// HashTabulation is 4-way tabulation hashing (3-independent).
-	HashTabulation
-)
-
-// String implements fmt.Stringer.
-func (h HashFamily) String() string {
-	switch h {
-	case HashSplitMix64:
-		return "splitmix64"
-	case HashTabulation:
-		return "tabulation"
-	default:
-		return fmt.Sprintf("HashFamily(%d)", int(h))
-	}
 }
 
 // Validate checks the parameter ranges.
@@ -104,46 +75,29 @@ func (p Params) Validate() error {
 	if p.EdgeBudget < 0 || p.DegreeCap < 0 || p.SpaceFactor < 0 {
 		return fmt.Errorf("core: overrides must be non-negative")
 	}
-	if p.Hash != HashSplitMix64 && p.Hash != HashTabulation {
-		return fmt.Errorf("core: unknown hash family %d", int(p.Hash))
-	}
 	return nil
 }
 
-// Priority is the element hash the parameters select: the priority order
-// of every sketch and view built with them, as a value a caller can hold
-// and call without an indirect call.
-type Priority struct {
-	tab *hashing.TabulationHasher // nil selects mix
-	mix hashing.Hasher
-}
+// Priority is the element hash h of Definition 2.1 under the
+// parameters' seed: the priority order of every sketch and view built
+// with them, as a value a caller can hold and call without an indirect
+// call.
+type Priority struct{ h hashing.Hasher }
 
-// Priority returns the element hash the parameters select (Hash under
-// Seed).
-func (p Params) Priority() Priority {
-	if p.Hash == HashTabulation {
-		return Priority{tab: hashing.NewTabulationHasher(p.Seed)}
-	}
-	return Priority{mix: hashing.NewHasher(p.Seed)}
-}
+// Priority returns the element hash under Seed.
+func (p Params) Priority() Priority { return Priority{hashing.NewHasher(p.Seed)} }
 
 // Of returns elem's priority.
-func (h Priority) Of(elem uint32) uint64 {
-	if h.tab != nil {
-		return h.tab.Hash(elem)
-	}
-	return h.mix.Hash(elem)
-}
+func (h Priority) Of(elem uint32) uint64 { return h.h.Hash(elem) }
 
 // sketchCompatible reports whether two parameter sets produce sketches
 // that may be merged: they must agree on everything that determines the
-// kept-edge policy (dimensions, accuracy, budget, cap, seed, family).
+// kept-edge policy (dimensions, accuracy, budget, cap, seed).
 func (p Params) sketchCompatible(q Params) bool {
 	return p.NumSets == q.NumSets &&
 		p.K == q.K &&
 		p.Eps == q.Eps &&
 		p.Seed == q.Seed &&
-		p.Hash == q.Hash &&
 		p.EffectiveDegreeCap() == q.EffectiveDegreeCap() &&
 		p.EffectiveEdgeBudget() == q.EffectiveEdgeBudget()
 }

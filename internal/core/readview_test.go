@@ -54,6 +54,9 @@ func referenceReadView(data []byte) (*View, error) {
 			return nil, err
 		}
 	}
+	if hashFam != 0 {
+		return nil, fmt.Errorf("hash family %d", hashFam)
+	}
 	s, err := NewSketch(Params{
 		NumSets:     int(numSets),
 		NumElems:    int(numElems),
@@ -64,7 +67,6 @@ func referenceReadView(data []byte) (*View, error) {
 		DegreeCap:   int(degCap),
 		SpaceFactor: math.Float64frombits(sfBits),
 		Seed:        seed,
-		Hash:        HashFamily(hashFam),
 	})
 	if err != nil {
 		return nil, err
@@ -131,7 +133,7 @@ func viewsDiffer(got, want *View) string {
 
 // TestReadViewEqualsReadSketchFreeze holds the one-pass decoder to the
 // decoder it replaced on everything the writer emits: every generator,
-// an evicting and a never-evicting budget, both hash families. The
+// an evicting and a never-evicting budget. The
 // writer's bytes must take the canonical path, come back as the view
 // that was written and re-serialize to themselves.
 func TestReadViewEqualsReadSketchFreeze(t *testing.T) {
@@ -147,49 +149,46 @@ func TestReadViewEqualsReadSketchFreeze(t *testing.T) {
 	for gi, inst := range generators {
 		g := inst.G
 		for _, budget := range []int{g.NumEdges() / 5, 4 * g.NumEdges()} {
-			for _, family := range []HashFamily{HashSplitMix64, HashTabulation} {
-				name := fmt.Sprintf("%s/budget=%d/%v", inst.Name, budget, family)
-				params := smallParams(g.NumSets(), 3, budget, uint64(17*gi+3))
-				params.Hash = family
-				sk := MustNewSketch(params)
-				sk.AddStream(stream.Shuffled(g, uint64(gi)))
-				if evicting := budget < g.NumEdges(); evicting != sk.evicted {
-					t.Fatalf("%s: evicted = %v", name, sk.evicted)
-				}
-				written := sk.Freeze()
-				blob := stateBytes(t, written)
+			name := fmt.Sprintf("%s/budget=%d", inst.Name, budget)
+			params := smallParams(g.NumSets(), 3, budget, uint64(17*gi+3))
+			sk := MustNewSketch(params)
+			sk.AddStream(stream.Shuffled(g, uint64(gi)))
+			if evicting := budget < g.NumEdges(); evicting != sk.evicted {
+				t.Fatalf("%s: evicted = %v", name, sk.evicted)
+			}
+			written := sk.Freeze()
+			blob := stateBytes(t, written)
 
-				if _, canonical, err := parseView(blob); err != nil || !canonical {
-					t.Fatalf("%s: writer output parsed as canonical=%v, err=%v", name, canonical, err)
-				}
-				got, err := ReadView(bytes.NewReader(blob))
-				if err != nil {
-					t.Fatalf("%s: ReadView: %v", name, err)
-				}
-				want, err := referenceReadView(blob)
-				if err != nil {
-					t.Fatalf("%s: reference decoder: %v", name, err)
-				}
-				if d := viewsDiffer(got, want); d != "" {
-					t.Fatalf("%s: ReadView vs reference: %s", name, d)
-				}
-				if d := viewsDiffer(got, written); d != "" {
-					t.Fatalf("%s: ReadView vs the written view: %s", name, d)
-				}
-				if got.Params() != params {
-					t.Fatalf("%s: params %+v, want %+v", name, got.Params(), params)
-				}
-				if !bytes.Equal(stateBytes(t, got), blob) {
-					t.Fatalf("%s: decoded view does not re-serialize to its bytes", name)
-				}
-				thawed, err := ReadSketch(bytes.NewReader(blob))
-				if err != nil {
-					t.Fatalf("%s: ReadSketch: %v", name, err)
-				}
-				viewMatchesSketch(t, got, thawed)
-				if st := thawed.Stats(); st.PeakEdges != st.EdgesKept || st.EdgesSeen != sk.Stats().EdgesSeen {
-					t.Fatalf("%s: thawed accounting %+v", name, st)
-				}
+			if _, canonical, err := parseView(blob); err != nil || !canonical {
+				t.Fatalf("%s: writer output parsed as canonical=%v, err=%v", name, canonical, err)
+			}
+			got, err := ReadView(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("%s: ReadView: %v", name, err)
+			}
+			want, err := referenceReadView(blob)
+			if err != nil {
+				t.Fatalf("%s: reference decoder: %v", name, err)
+			}
+			if d := viewsDiffer(got, want); d != "" {
+				t.Fatalf("%s: ReadView vs reference: %s", name, d)
+			}
+			if d := viewsDiffer(got, written); d != "" {
+				t.Fatalf("%s: ReadView vs the written view: %s", name, d)
+			}
+			if got.Params() != params {
+				t.Fatalf("%s: params %+v, want %+v", name, got.Params(), params)
+			}
+			if !bytes.Equal(stateBytes(t, got), blob) {
+				t.Fatalf("%s: decoded view does not re-serialize to its bytes", name)
+			}
+			thawed, err := ReadSketch(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("%s: ReadSketch: %v", name, err)
+			}
+			viewMatchesSketch(t, got, thawed)
+			if st := thawed.Stats(); st.PeakEdges != st.EdgesKept || st.EdgesSeen != sk.Stats().EdgesSeen {
+				t.Fatalf("%s: thawed accounting %+v", name, st)
 			}
 		}
 	}
@@ -413,7 +412,7 @@ func FuzzReadView(f *testing.F) {
 		f.Fatal(err)
 	}
 	inst := workload.Zipf(40, 3000, 600, 0.9, 0.7, 3)
-	sk := MustNewSketch(Params{NumSets: 40, NumElems: 3000, K: 5, Eps: 0.3, EdgeBudget: 120, Seed: 3, Hash: HashTabulation})
+	sk := MustNewSketch(Params{NumSets: 40, NumElems: 3000, K: 5, Eps: 0.3, EdgeBudget: 120, Seed: 3})
 	sk.AddStream(stream.Shuffled(inst.G, 4))
 	small := viewBytes(sk.Freeze())
 	legacy := legacyBlob(sk)

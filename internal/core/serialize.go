@@ -79,7 +79,9 @@ func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 
 // sketchHeaderLen is the fixed part of a v1 blob: magic, nine 64-bit
 // parameter words, hash family and eviction flag bytes, the bar (hash,
-// elem), the consumed-edge total and the element count.
+// elem), the consumed-edge total and the element count. The family byte
+// is always 0 (SplitMix64, the one element hash); a blob with any other
+// value is refused.
 const sketchHeaderLen = len(SketchMagic) + 9*8 + 2 + 8 + 4 + 8 + 4
 
 // readBlob drains r. A reader that knows its remaining length (every
@@ -135,7 +137,9 @@ func parseView(data []byte) (v *View, canonical bool, err error) {
 		DegreeCap:   int(int64(words[6])),
 		SpaceFactor: math.Float64frombits(words[7]),
 		Seed:        words[8],
-		Hash:        HashFamily(data[pos]),
+	}
+	if data[pos] != 0 {
+		return nil, false, fmt.Errorf("core: hash family byte %d at offset %d: SKCH1 hashes with SplitMix64, family 0", data[pos], pos)
 	}
 	if err := params.Validate(); err != nil {
 		return nil, false, fmt.Errorf("core: restoring sketch: %w", err)

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -115,5 +118,34 @@ func TestReadSketchRejectsGarbage(t *testing.T) {
 	// Valid magic, truncated body.
 	if _, err := ReadSketch(strings.NewReader(SketchMagic)); err == nil {
 		t.Fatal("truncated sketch accepted")
+	}
+}
+
+// TestReadRefusesNonzeroFamilyByte: SKCH1 keeps its hash family byte,
+// always written as 0 (SplitMix64, the one element hash). A copy of the
+// golden blob with any other value there is refused by both decoders, by
+// an error that names the byte; the untouched golden still decodes.
+func TestReadRefusesNonzeroFamilyByte(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "merged_v1.skch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = len(SketchMagic) + 9*8 // after the nine parameter words
+	if golden[at] != 0 {
+		t.Fatalf("golden family byte is %d, want 0", golden[at])
+	}
+	if _, err := ReadView(bytes.NewReader(golden)); err != nil {
+		t.Fatalf("golden blob: %v", err)
+	}
+	for _, family := range []byte{1, 0xff} {
+		blob := bytes.Clone(golden)
+		blob[at] = family
+		want := fmt.Sprintf("hash family byte %d", family)
+		if _, err := ReadView(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ReadView with family byte %d: err = %v, want one naming %q", family, err, want)
+		}
+		if _, err := ReadSketch(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ReadSketch with family byte %d: err = %v, want one naming %q", family, err, want)
+		}
 	}
 }

@@ -235,7 +235,7 @@ func (v *View) WriteTo(w io.Writer) (int64, error) {
 	} {
 		buf = le.AppendUint64(buf, f)
 	}
-	buf = append(buf, uint8(p.Hash), boolByte(v.evicted))
+	buf = append(buf, 0, boolByte(v.evicted)) // hash family 0: SplitMix64
 	buf = le.AppendUint64(buf, v.barHash)
 	buf = le.AppendUint32(buf, v.barElem)
 	buf = le.AppendUint64(buf, uint64(v.edgesSeen))

@@ -19,14 +19,6 @@ func BenchmarkHasher(b *testing.B) {
 	}
 }
 
-// BenchmarkTabulation measures the alternative 3-independent family.
-func BenchmarkTabulation(b *testing.B) {
-	t := NewTabulationHasher(1)
-	for i := 0; i < b.N; i++ {
-		sink = t.Hash(uint32(i))
-	}
-}
-
 // BenchmarkRNGUint64 measures raw generator throughput.
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)

@@ -69,36 +69,3 @@ func FromUnit(p float64) uint64 {
 	}
 	return uint64(p * float64(math.MaxUint64))
 }
-
-// TabulationHasher is a 4-way tabulation hash over 32-bit keys. Tabulation
-// hashing is 3-independent and has strong concentration properties for
-// sampling-based sketches; we keep it alongside the SplitMix64 Hasher so
-// tests can verify that the sketch guarantees are not an artifact of one
-// hash family.
-type TabulationHasher struct {
-	table [4][256]uint64
-}
-
-// NewTabulationHasher builds the four 256-entry tables from the seed.
-func NewTabulationHasher(seed uint64) *TabulationHasher {
-	t := &TabulationHasher{}
-	s := seed
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 256; j++ {
-			s = SplitMix64(s + 0x9e3779b97f4a7c15)
-			t.table[i][j] = s
-		}
-	}
-	return t
-}
-
-// Hash returns the tabulation hash of key.
-func (t *TabulationHasher) Hash(key uint32) uint64 {
-	return t.table[0][byte(key)] ^
-		t.table[1][byte(key>>8)] ^
-		t.table[2][byte(key>>16)] ^
-		t.table[3][byte(key>>24)]
-}
-
-// Unit returns the tabulation hash of key mapped to [0, 1).
-func (t *TabulationHasher) Unit(key uint32) float64 { return ToUnit(t.Hash(key)) }

@@ -144,33 +144,3 @@ func TestMix2Independence(t *testing.T) {
 		}
 	}
 }
-
-func TestTabulationHasherBasics(t *testing.T) {
-	th := NewTabulationHasher(3)
-	if th.Hash(12345) != NewTabulationHasher(3).Hash(12345) {
-		t.Fatal("tabulation hashing not deterministic")
-	}
-	if th.Hash(1) == th.Hash(2) && th.Hash(2) == th.Hash(3) {
-		t.Fatal("tabulation hashing constant")
-	}
-	u := th.Unit(77)
-	if u < 0 || u >= 1 {
-		t.Fatalf("Unit out of range: %v", u)
-	}
-}
-
-func TestTabulationHasherUniformity(t *testing.T) {
-	th := NewTabulationHasher(11)
-	const buckets = 8
-	counts := make([]int, buckets)
-	const keys = 1 << 13
-	for k := uint32(0); k < keys; k++ {
-		counts[int(th.Unit(k)*buckets)]++
-	}
-	expected := float64(keys) / buckets
-	for b, c := range counts {
-		if math.Abs(float64(c)-expected) > 6*math.Sqrt(expected) {
-			t.Fatalf("bucket %d count %d deviates from %f", b, c, expected)
-		}
-	}
-}

@@ -59,8 +59,7 @@ const (
 )
 
 // dynamicState is the per-shard (and merged-snapshot) state of the
-// dynamic mode: the sampler plus op accounting. Pointer receivers —
-// unlike the legacy wrapper states it carries its own counters.
+// dynamic mode: the sampler plus op accounting.
 type dynamicState struct {
 	sam *l0.Sampler
 	// free is the mode's free list of cut arrays (shard states only).

@@ -3,9 +3,10 @@
 // (mode.go), plus an HTTP JSON API (httpapi.go) served by cmd/covserved.
 //
 // Architecture. N shard goroutines each own a private ShardState built
-// by the engine's Mode with identical parameters. Edge batches are
-// hash-routed to shards over bounded channels; each shard applies its
-// batches sequentially, so no state is ever touched by two goroutines.
+// by the engine's Mode with identical parameters. Records are routed by
+// their element's sketch priority, so a shard owns every edge of its
+// elements, over bounded channels; each shard applies its batches
+// sequentially, so no state is ever touched by two goroutines.
 // Queries never read shard states directly: a coordinator refresh —
 // triggered periodically, on demand, or lazily by the first query — is
 // freeze → merge → adopt. Every shard answers a state request (a
@@ -63,7 +64,6 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/bipartite"
 	"repro/internal/core"
-	"repro/internal/distributed"
 	"repro/internal/greedy"
 	"repro/internal/wal"
 	"repro/internal/weighted"
@@ -475,7 +475,6 @@ type Engine struct {
 	cfg    Config
 	params core.Params
 	mode   Mode
-	part   distributed.Partitioner
 	shards []*shard
 	// instance is drawn once per New and tags the state ETag (ServeState):
 	// two engines that reach the same ingested-edge total with different
@@ -515,11 +514,12 @@ type Engine struct {
 	// most about what it held when every caller sent batches of
 	// subBatchBase records, however large the batches callers submit.
 	subBatchCap int
-	// bars holds each shard state's published bar when the mode's states
-	// are barPublishers (nil otherwise), and priority the element hash it
-	// compares; barDrops counts the inserts route dropped against them.
-	bars     []*atomic.Uint64
+	// priority is params' element hash, the one hash route evaluates per
+	// record: it picks the record's shard and, when the mode's states are
+	// barPublishers, meets the shard's published bar in bars (nil
+	// otherwise); barDrops counts the inserts route dropped against them.
 	priority core.Priority
+	bars     []*atomic.Uint64
 	barDrops atomic.Int64
 	// ingestStalls counts shard-mailbox sends that found the mailbox
 	// full and had to wait — the engine's backpressure events. The wire
@@ -603,22 +603,22 @@ func newEngine(cfg Config, mode Mode) (*Engine, error) {
 		}
 		restoredEdges = restore.Stats().EdgesSeen
 	}
+	params := cfg.Params()
 	e := &Engine{
 		cfg:       cfg,
-		params:    cfg.Params(),
+		params:    params,
 		mode:      mode,
 		weightSig: cfg.Weights.Signature(),
-		// Offset the partition seed from the sketch seed so edge routing
-		// and element sampling are independent.
-		part:        distributed.NewPartitioner(cfg.shards(), cfg.Seed+0x5eed),
+		// A sketch mode's states are built from cfg.Params() too, so this
+		// is the priority their published bars are hashes of.
+		priority:    params.Priority(),
 		shards:      make([]*shard, cfg.shards()),
 		restored:    restoredEdges,
 		instance:    rand.Uint64(),
 		subBatchCap: max(1, subBatchBase/cfg.shards()),
 	}
 	_, e.deletable = states[0].(deleteApplier)
-	if bp, ok := states[0].(barPublisher); ok {
-		e.priority = bp.priority()
+	if _, ok := states[0].(barPublisher); ok {
 		e.bars = make([]*atomic.Uint64, len(states))
 		for i, st := range states {
 			e.bars[i] = st.(barPublisher).publishedBar()
@@ -806,16 +806,17 @@ func (e *Engine) route(recs []bipartite.Edge, emit func(w int, sb *subBatch)) in
 		c.routed, c.dropped = 0, 0
 	}
 	for _, r := range recs {
-		// Route on the edge, ignoring the delete bit: an edge's delete
-		// lands on the shard that holds its insert, so per-shard samplers
-		// see well-formed sub-streams. Only a sketch engine has bars, and
-		// check refuses deletes there.
-		w := e.part.Route(bipartite.Edge{Set: r.Set &^ bipartite.OpDeleteBit, Elem: r.Elem})
+		// One hash per record. Its low 32 bits pick the shard (DESIGN.md
+		// §6), so every edge of an element, delete or insert, lands on
+		// the shard that holds the element. Only a sketch engine has
+		// bars, and check refuses deletes there.
+		h := e.priority.Of(r.Elem)
+		w := int(uint64(uint32(h)) * uint64(len(e.shards)) >> 32)
 		c := &cuts[w]
 		if c.sb == nil {
 			c.sb = e.getSubBatch()
 		}
-		if e.bars != nil && e.priority.Of(r.Elem) > e.bars[w].Load() {
+		if e.bars != nil && h > e.bars[w].Load() {
 			c.dropped++
 			dropped++
 		} else {

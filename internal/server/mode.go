@@ -1,10 +1,8 @@
 package server
 
-// This file is the pluggable engine-mode plane. The service used to
-// hard-code a two-way branch ("exactly one of merged/bank is non-nil")
-// across the engine, the snapshot framing, the HTTP query plane and the
-// cluster blob validation; every branch point now dispatches through
-// two interfaces instead:
+// This file is the pluggable engine-mode plane. The engine, the snapshot
+// framing, the HTTP query plane and the cluster blob validation dispatch
+// through two interfaces:
 //
 //   - ShardState is the mutable state a shard goroutine owns: batched
 //     ingest, restore merge, uniform accounting, and Freeze, which cuts
@@ -114,8 +112,6 @@ type barPublisher interface {
 	// publishedBar is the atomic the state stores its bar's hash in
 	// (MaxUint64 while nothing was evicted); any goroutine may read it.
 	publishedBar() *atomic.Uint64
-	// priority is the element hash the bar is compared with.
-	priority() core.Priority
 	// addDropped accounts n inserts the router dropped against the
 	// published bar.
 	addDropped(n int64)
@@ -255,7 +251,6 @@ func (s *sketchState) AddEdges(edges []bipartite.Edge) {
 
 func (s *sketchState) Stats() core.Stats            { return s.sk.Stats() }
 func (s *sketchState) publishedBar() *atomic.Uint64 { return &s.bar }
-func (s *sketchState) priority() core.Priority      { return s.sk.Priority() }
 func (s *sketchState) addDropped(n int64)           { s.sk.AddDropped(n) }
 
 // publishBar stores the hash half of the sketch's bar, MaxUint64 while
