@@ -149,7 +149,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *engineFl == "dynamic" && *compare {
-		fmt.Fprintln(os.Stderr, "covcli: -compare is not defined for -engine dynamic (the dynamic engine answers from the L0 sampler's recovered stream, not the H≤n sketch)")
+		fmt.Fprintln(os.Stderr, "covcli: -compare is not defined for -engine dynamic (the dynamic engine answers from the H≤n sketch cut at the L0 level that decoded, which is the offline sketch only when that level reaches the budget)")
 		os.Exit(2)
 	}
 	if *wireFlag != "" && *fanout != "" {

@@ -23,9 +23,9 @@
 // selects the insert/delete L0-sampler engine (DESIGN.md §14) instead
 // of the sketch: the only mode that accepts delete ops — DELETE
 // /v1/…/edges, POST bodies with "ops", and wire op batches retract
-// edges; the other modes reject them with 409. It serves kcover
-// (outliers/greedy are rejected). See the README for the full endpoint
-// reference:
+// edges; the other modes reject them with 409. Its snapshot is the
+// sketch's view of the L0 level that decoded, so it serves every query
+// the sketch does. See the README for the full endpoint reference:
 //
 //	POST   /v1/edges                bulk ingest (default namespace;
 //	                                "ops" bodies carry deletes)

@@ -120,16 +120,6 @@ func KCover(st stream.Stream, numSets, k int, opt Options) (*KCoverResult, error
 		return nil, err
 	}
 	sk.AddStream(st)
-	return KCoverFromSketch(sk, k), nil
-}
-
-// KCoverFromSketch runs the greedy stage of Algorithm 3 on an
-// already-built sketch (used by the distributed driver after merging).
-func KCoverFromSketch(sk *core.Sketch, k int) *KCoverResult {
-	return kCoverOnSketch(sk, k)
-}
-
-func kCoverOnSketch(sk *core.Sketch, k int) *KCoverResult {
 	g, ids := sk.Graph()
 	res := greedy.MaxCover(g, k)
 	return &KCoverResult{
@@ -138,7 +128,7 @@ func kCoverOnSketch(sk *core.Sketch, k int) *KCoverResult {
 		EstimatedCoverage: float64(res.Covered) / sk.PStar(),
 		SketchElemIDs:     ids,
 		Sketch:            sk.Stats(),
-	}
+	}, nil
 }
 
 // SubmoduleResult reports a run of Algorithm 4 on a pre-built sketch.

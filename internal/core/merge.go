@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/bipartite"
-)
+import "sync"
 
 // This file makes H≤n sketches composable — the property behind the
 // paper's companion distributed results (§1.3.2 and the conclusion): the
@@ -20,47 +16,9 @@ import (
 // and an id among the D smallest of the whole stream has fewer than D
 // smaller ids in any shard, so the shard that saw it kept it: the D
 // smallest of the shards' kept ids are the D smallest of the stream.
-// Hence Merge(shard sketches) ≡ Sketch(whole stream), byte for byte,
+// Hence MergeViews(shard views) ≡ Sketch(whole stream), byte for byte,
 // whether degree caps bind or not. The equivalence is pinned down by
 // TestMergeEqualsGlobalSketch.
-
-// ForEachEdge calls fn for every kept edge of the sketch. Iteration
-// order is unspecified. fn must not mutate the sketch.
-func (s *Sketch) ForEachEdge(fn func(e bipartite.Edge)) {
-	for _, si := range s.heap {
-		sl := &s.slots[si]
-		for _, set := range sl.sets {
-			fn(bipartite.Edge{Set: set, Elem: sl.elem})
-		}
-	}
-}
-
-// Merge folds other's kept edges into s: it is MergeView of other's
-// Freeze, so one absorb loop serves both. Both sketches must have been
-// built with compatible parameters (same dimensions, ε, k, seed and
-// effective budget/cap), otherwise the kept-edge policies
-// disagree and an error is returned. other is not modified.
-//
-// Besides the edges, the eviction bar is folded: the sampling threshold
-// of the merged sketch is the minimum of the inputs' thresholds (the
-// globally smallest excluded element is either excluded by some input —
-// whose bar then equals it — or evicted here). Kept elements at or above
-// the folded bar are evicted: their edge lists may be incomplete, since
-// other discarded edges above its own bar; the prefix below them already
-// carries a full budget, so Definition 2.1 excludes them anyway.
-//
-// Stream-accounting note: folding other's kept edges does NOT touch the
-// stream counters — s.Stats().EdgesSeen still reports only the edges s
-// itself consumed from a stream, never re-folded kept edges. A
-// coordinator that needs the cluster-wide consumed total sums the
-// inputs' EdgesSeen (as internal/distributed.Stats and the server engine
-// do) and passes it to MergeViews, or overrides it with SetEdgesSeen.
-func (s *Sketch) Merge(other *Sketch) error {
-	if other == nil {
-		return nil
-	}
-	return s.MergeView(other.Freeze())
-}
 
 // absorbElem folds one kept element of another summary into s with the
 // kept-edge policy of the per-edge absorb path but at element

@@ -110,7 +110,7 @@ func TestMergeOrderIrrelevant(t *testing.T) {
 			for _, e := range shards[i] {
 				local.AddEdge(e)
 			}
-			if err := out.Merge(local); err != nil {
+			if err := out.MergeView(local.Freeze()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -131,12 +131,12 @@ func TestMergeRejectsIncompatible(t *testing.T) {
 	}
 	for i, p := range cases {
 		b := MustNewSketch(p)
-		if err := a.Merge(b); err == nil {
+		if err := a.MergeView(b.Freeze()); err == nil {
 			t.Fatalf("case %d: incompatible merge accepted", i)
 		}
 	}
 	// Merging nil is a no-op.
-	if err := a.Merge(nil); err != nil {
+	if err := a.MergeView(nil); err != nil {
 		t.Fatalf("nil merge errored: %v", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestMergeIdempotent(t *testing.T) {
 	// Merging a sketch into an equal one must not change it (dedupe).
 	b := MustNewSketch(params)
 	feed(b, inst.G, 2)
-	if err := a.Merge(b); err != nil {
+	if err := a.MergeView(b.Freeze()); err != nil {
 		t.Fatal(err)
 	}
 	if a.Edges() != before {
@@ -212,7 +212,7 @@ func TestMergeBarDropsIncompleteElements(t *testing.T) {
 }
 
 func TestMergeDoesNotPolluteStreamAccounting(t *testing.T) {
-	// Regression: Merge used to fold other's kept edges through AddEdge,
+	// Regression: merging used to fold other's kept edges through AddEdge,
 	// inflating the merged sketch's EdgesSeen/DupEdges as if the kept
 	// edges had been stream traffic. The merge path must update the
 	// structure without touching stream accounting.
@@ -247,7 +247,7 @@ func TestMergeDoesNotPolluteStreamAccounting(t *testing.T) {
 		live.AddEdge(e)
 	}
 	before := live.Stats()
-	if err := live.Merge(locals[1]); err != nil {
+	if err := live.MergeView(locals[1].Freeze()); err != nil {
 		t.Fatal(err)
 	}
 	after := live.Stats()
@@ -256,30 +256,32 @@ func TestMergeDoesNotPolluteStreamAccounting(t *testing.T) {
 	}
 }
 
-func TestForEachEdgeEnumeratesExactly(t *testing.T) {
+func TestFreezeElemsEnumeratesExactly(t *testing.T) {
 	inst := workload.Uniform(8, 100, 0.15, 5)
 	params := smallParams(8, 2, 10000, 9)
 	s := MustNewSketch(params)
 	feed(s, inst.G, 1)
 	count := 0
-	s.ForEachEdge(func(e bipartite.Edge) {
-		if !inst.G.Contains(int(e.Set), e.Elem) {
-			t.Fatalf("ForEachEdge invented edge %v", e)
+	for elem, sets := range s.Freeze().Elems() {
+		for _, set := range sets {
+			if !inst.G.Contains(int(set), elem) {
+				t.Fatalf("Freeze().Elems() invented edge (%d,%d)", set, elem)
+			}
+			count++
 		}
-		count++
-	})
+	}
 	if count != s.Edges() {
 		t.Fatalf("enumerated %d of %d edges", count, s.Edges())
 	}
 }
 
-// sequentialMergeAll is the pre-tree left fold MergeAll used to pin the
-// parallel reduction against.
+// sequentialMergeAll is the sequential reference MergeAll is pinned
+// against: a left fold of MergeView over the inputs' views.
 func sequentialMergeAll(t *testing.T, params Params, sketches []*Sketch) *Sketch {
 	t.Helper()
 	out := MustNewSketch(params)
 	for _, sk := range sketches {
-		if err := out.Merge(sk); err != nil {
+		if err := out.MergeView(sk.Freeze()); err != nil {
 			t.Fatal(err)
 		}
 	}

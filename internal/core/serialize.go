@@ -63,10 +63,10 @@ func (s *Sketch) Clone() *Sketch {
 	return c
 }
 
-// SetEdgesSeen overrides the sketch's consumed-edge counter. Merged
-// sketches count only the kept edges they replayed (see Merge), so a
-// serving coordinator that persists a merged sketch uses this to carry
-// the true ingested total across a snapshot/restore cycle.
+// SetEdgesSeen overrides the sketch's consumed-edge counter. Folding a
+// view counts none of its edges (see MergeView), so a caller that builds a
+// sketch from a summary rather than from the stream uses this to carry the
+// true ingested total.
 func (s *Sketch) SetEdgesSeen(n int64) { s.edgesSeen = n }
 
 // WriteTo serializes the sketch — parameters, eviction bar, stream

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bipartite"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -28,13 +27,19 @@ func sketchEqual(t *testing.T, a, b *Sketch) {
 			a.Edges(), b.Edges(), a.Elements(), b.Elements())
 	}
 	edges := map[uint64]bool{}
-	a.ForEachEdge(func(e bipartite.Edge) { edges[uint64(e.Set)<<32|uint64(e.Elem)] = true })
-	b.ForEachEdge(func(e bipartite.Edge) {
-		if !edges[uint64(e.Set)<<32|uint64(e.Elem)] {
-			t.Fatalf("edge (%d,%d) only in restored sketch", e.Set, e.Elem)
+	for elem, sets := range a.Freeze().Elems() {
+		for _, set := range sets {
+			edges[uint64(set)<<32|uint64(elem)] = true
 		}
-		delete(edges, uint64(e.Set)<<32|uint64(e.Elem))
-	})
+	}
+	for elem, sets := range b.Freeze().Elems() {
+		for _, set := range sets {
+			if !edges[uint64(set)<<32|uint64(elem)] {
+				t.Fatalf("edge (%d,%d) only in restored sketch", set, elem)
+			}
+			delete(edges, uint64(set)<<32|uint64(elem))
+		}
+	}
 	if len(edges) != 0 {
 		t.Fatalf("%d edges only in original sketch", len(edges))
 	}

@@ -8,7 +8,8 @@ import (
 // Sketch is the H≤n coverage sketch (Definition 2.1) with the one-pass
 // edge-arrival construction of Algorithm 2. A Sketch is not safe for
 // concurrent use; for parallelism, build one sketch per goroutine over
-// disjoint shards and Merge them (see merge.go and internal/distributed).
+// disjoint shards and merge their views (see merge.go, MergeViews and
+// internal/distributed).
 //
 // Online equivalence with the paper's Algorithm 2: the sketch maintains
 // the invariant that the kept elements are exactly those with the

@@ -264,9 +264,9 @@ func (v *View) WriteTo(w io.Writer) (int64, error) {
 // reaches an input's bar, above which that input's lists may be
 // incomplete. The merged bar is the smaller of the input bars and the
 // first element the budget excluded. That is exactly what folding the
-// sketches one by one with Merge arrives at: Merge evicts an element
-// only when the prefix below it already holds a full budget, and later
-// inputs only grow that prefix.
+// views one by one into a sketch with MergeView arrives at: MergeView
+// evicts an element only when the prefix below it already holds a full
+// budget, and later inputs only grow that prefix.
 //
 // Most merges are one large view plus small ones (a published view and
 // shard deltas, a cluster view and peer deltas), so the walk copies each
@@ -501,8 +501,12 @@ func siftCursor(h []viewCursor, i int) {
 	}
 }
 
-// MergeView folds a view's kept elements and eviction bar into s, with
-// the semantics of Merge. Stream accounting is untouched.
+// MergeView folds a view's kept elements and eviction bar into s; the
+// view's parameters must be compatible (same dimensions, ε, k, seed and
+// effective budget/cap), or an error is returned. The merged bar is the
+// smaller of the two, and kept elements at or above it are evicted: their
+// lists may be incomplete, and the prefix below them already carries a
+// full budget. Stream accounting is untouched (see SetEdgesSeen).
 func (s *Sketch) MergeView(v *View) error {
 	if v == nil {
 		return nil

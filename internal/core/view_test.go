@@ -37,7 +37,9 @@ func stateBytes(t *testing.T, w io.WriterTo) []byte {
 func referenceGraph(t *testing.T, s *Sketch) (*bipartite.Graph, []uint32) {
 	t.Helper()
 	lists := map[uint32][]uint32{}
-	s.ForEachEdge(func(e bipartite.Edge) { lists[e.Elem] = append(lists[e.Elem], e.Set) })
+	for elem, si := range s.index {
+		lists[elem] = s.slots[si].sets
+	}
 	ids := make([]uint32, 0, len(lists))
 	for el := range lists {
 		ids = append(ids, el)
@@ -136,7 +138,7 @@ func viewMatchesSketch(t *testing.T, v *View, s *Sketch) {
 
 // TestMergeViewsEqualsSequentialMerge is the soundness property of the
 // refresh path: MergeViews over frozen shard sketches equals the
-// sequential Sketch.Merge left fold — same elements, set lists, bar and
+// sequential MergeView left fold — same elements, set lists, bar and
 // p*, the same bytes and the same graph — across every workload
 // generator, shard counts, binding and non-binding caps, disjoint and
 // overlapping inputs, evicting and never-evicting budgets.
@@ -185,7 +187,7 @@ func TestMergeViewsEqualsSequentialMerge(t *testing.T) {
 						want := MustNewSketch(params)
 						views := make([]*View, shards)
 						for i, sk := range locals {
-							if err := want.Merge(sk); err != nil {
+							if err := want.MergeView(sk.Freeze()); err != nil {
 								t.Fatal(err)
 							}
 							views[i] = sk.Freeze()

@@ -7,6 +7,10 @@
 // smallest hash scaled to (0,1]. Two KMV sketches over the same hash
 // function merge into the sketch of the union — exactly the property
 // Appendix D needs to estimate coverage of a family of sets.
+//
+// Sampler (sampler.go) is the invertible edge sampler of the insert/delete
+// engine mode; it reads element levels off the sketch priority and has no
+// element hash of its own.
 package l0
 
 import (

@@ -10,21 +10,22 @@ import (
 	"slices"
 
 	"repro/internal/bipartite"
+	"repro/internal/core"
 	"repro/internal/hashing"
 )
 
 // This file implements the turnstile-stream edge sampler behind the
 // "dynamic" engine mode, after Chakrabarti–McGregor–Wirth: maximum
 // coverage under insert/delete streams reduces to ℓ0-sampling the edge
-// multiset at geometrically decreasing rates. Levels subsample by
-// *element* hash (level ℓ keeps elements whose hash has ≥ ℓ leading
-// zero bits, i.e. probability 2^−ℓ), so the recovered edge set at a
-// level is the exact incidence list of a p-sample of elements — the
-// same "coverage of the sample / p" estimator shape as the paper's
-// sketch (Lemma 2.2). Each level stores the surviving edges in an
-// invertible (IBLT-style) cell array; deletions subtract exactly what
-// insertions added, so a fully cancelled stream leaves all-zero cells
-// and level 0 decodes to the empty graph.
+// multiset at geometrically decreasing rates. Levels subsample by the
+// sketch priority (core.Params.Priority under the sampler's seed): level
+// ℓ keeps the elements of priority below 2^(64−ℓ), so the recovered edge
+// set at a level is the exact incidence list of a priority prefix of the
+// elements, which the engine cuts with the sketch's rule (Definition
+// 2.1). Each level stores the surviving edges in an invertible
+// (IBLT-style) cell array; deletions subtract exactly what insertions
+// added, so a fully cancelled stream leaves all-zero cells and level 0
+// decodes to the empty graph.
 //
 // The structure is linear in the update stream: every verb the engine
 // needs (Merge across shards, Clone/CopyTo for refresh cuts, byte
@@ -33,12 +34,13 @@ import (
 // net op multiset, independent of shard count, batch boundaries, or op
 // order.
 //
-// Every hash is hashing.Mix2(seed word, x) = SplitMix64(SplitMix64(seed
-// word) ^ (x + γ)). The inner round depends on the sampler's seed alone,
-// so deriveSeeds evaluates it once per seed word (levelMix, fpMix,
-// rowMix) and an op pays only the outer rounds, over one shared x + γ.
-// elemLevel, fp and rowPos are the one definition of each hash; Update,
-// the purity test and the peel all go through them.
+// The fingerprint and row hashes are hashing.Mix2(seed word, x) =
+// SplitMix64(SplitMix64(seed word) ^ (x + γ)). The inner round depends on
+// the sampler's seed alone, so deriveSeeds evaluates it once per seed
+// word (fpMix, rowMix) and an op pays only the outer rounds, over one
+// shared x + γ; a row hash picks its cell by multiply-shift. elemLevel,
+// fp and rowPos define the hashes; the purity test and the peel go
+// through them, and Update inlines rowPos.
 
 // SamplerParams sizes a Sampler. Two samplers interoperate (Merge,
 // state restore) only when all three fields match.
@@ -57,12 +59,11 @@ type SamplerParams struct {
 const (
 	maxLevels       = 48
 	maxCellsTotal   = 1 << 24 // read-side allocation cap (512 MiB of cells)
-	samplerMagic    = "L0SAMP1\n"
+	samplerMagic    = "L0SAMP2\n"
 	samplerRowCount = 3
 
-	levelSalt = 0x9e3779b97f4a7c15
-	fpSalt    = 0xc2b2ae3d27d4eb4f
-	rowSalt   = 0x165667b19e3779f9
+	fpSalt  = 0xc2b2ae3d27d4eb4f
+	rowSalt = 0x165667b19e3779f9
 )
 
 // Normalize clamps the parameters into their legal ranges, rounding
@@ -116,11 +117,11 @@ func (c *cell) zero() bool {
 // It is not safe for concurrent mutation.
 type Sampler struct {
 	p SamplerParams
-	// levelMix, fpMix and rowMix[level][row] are the seed-only inner
-	// rounds of the level, fingerprint and row-position hashes.
-	levelMix uint64
-	fpMix    uint64
-	rowMix   [][samplerRowCount]uint64
+	// prio places elements on levels; fpMix and rowMix[level][row] are
+	// the seed-only inner rounds of the fingerprint and row hashes.
+	prio   core.Priority
+	fpMix  uint64
+	rowMix [][samplerRowCount]uint64
 	// cells holds Levels consecutive blocks of p.Cells cells.
 	cells []cell
 }
@@ -134,7 +135,7 @@ func NewSampler(params SamplerParams) *Sampler {
 }
 
 func (s *Sampler) deriveSeeds() {
-	s.levelMix = hashing.SplitMix64(hashing.Mix2(s.p.Seed, levelSalt))
+	s.prio = core.Params{Seed: s.p.Seed}.Priority()
 	s.fpMix = hashing.SplitMix64(hashing.Mix2(s.p.Seed, fpSalt))
 	s.rowMix = make([][samplerRowCount]uint64, s.p.Levels)
 	for r := 0; r < samplerRowCount; r++ {
@@ -172,10 +173,10 @@ const mixGamma = 0x9e3779b97f4a7c15
 func premixed(mix, xg uint64) uint64 { return hashing.SplitMix64(mix ^ xg) }
 
 // elemLevel returns the deepest level the element participates in:
-// the number of leading zero bits of its hash, capped at Levels−1.
+// the number of leading zero bits of its sketch priority, capped at
+// Levels−1, so level ℓ holds the elements of priority below 2^(64−ℓ).
 func (s *Sampler) elemLevel(elem uint32) int {
-	h := premixed(s.levelMix, uint64(elem)+mixGamma)
-	return min(bits.LeadingZeros64(h|1), s.p.Levels-1)
+	return min(bits.LeadingZeros64(s.prio.Of(elem)|1), s.p.Levels-1)
 }
 
 func (s *Sampler) fp(key uint64) uint64 { return premixed(s.fpMix, key+mixGamma) }
@@ -185,7 +186,8 @@ func (s *Sampler) fp(key uint64) uint64 { return premixed(s.fpMix, key+mixGamma)
 // three cells are always distinct.
 func (s *Sampler) rowPos(level, row int, key uint64) int {
 	w := s.p.Cells / samplerRowCount
-	return row*w + int(premixed(s.rowMix[level][row], key+mixGamma)%uint64(w))
+	cell, _ := bits.Mul64(premixed(s.rowMix[level][row], key+mixGamma), uint64(w))
+	return row*w + int(cell)
 }
 
 // Update applies one op: delta must be +1 (insert) or −1 (delete).
@@ -206,7 +208,8 @@ func (s *Sampler) Update(set, elem uint32, delta int64) {
 		level := s.cells[l*s.p.Cells : (l+1)*s.p.Cells]
 		mix := &s.rowMix[l]
 		for r := uint64(0); r < samplerRowCount; r++ {
-			c := &level[r*w+premixed(mix[r], kg)%w]
+			pos, _ := bits.Mul64(premixed(mix[r], kg), w)
+			c := &level[r*w+pos]
 			c.count += delta
 			var carry uint64
 			c.keyLo, carry = bits.Add64(c.keyLo, addLo, 0)
@@ -276,17 +279,14 @@ func (s *Sampler) CopyTo(dst *Sampler) error {
 var ErrNoDecode = errors.New("l0: sampler recovery failed at every level")
 
 // RecoverResult is a decoded sample: the distinct surviving edges at
-// the shallowest decodable level, and that level's sampling rate.
+// the shallowest decodable level, and that level.
 type RecoverResult struct {
 	// Edges lists the distinct edges of the level's sample, sorted by
 	// (Set, Elem) — deterministic for a given cell state.
 	Edges []bipartite.Edge
-	// Level is the decoded level; the element-sampling probability is
-	// PStar = 2^−Level.
+	// Level is the decoded level: it holds the elements of priority below
+	// 2^(64−Level), each with probability 2^−Level.
 	Level int
-	// PStar = 2^−Level, the probability each element survived into the
-	// decoded sample.
-	PStar float64
 }
 
 // Recover peels the levels shallowest-first and returns the first one
@@ -308,13 +308,9 @@ func (s *Sampler) Recover() (RecoverResult, error) {
 		for i, k := range keys {
 			edges[i] = bipartite.Edge{Set: uint32(k >> 32), Elem: uint32(k)}
 		}
-		return RecoverResult{Edges: edges, Level: l, PStar: levelP(l)}, nil
+		return RecoverResult{Edges: edges, Level: l}, nil
 	}
 	return RecoverResult{}, ErrNoDecode
-}
-
-func levelP(level int) float64 {
-	return 1.0 / float64(uint64(1)<<uint(level))
 }
 
 // peelScratch is what one Recover shares between its levels: the working

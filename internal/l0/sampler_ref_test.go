@@ -13,25 +13,30 @@ import (
 	"testing"
 
 	"repro/internal/bipartite"
+	"repro/internal/core"
 	"repro/internal/hashing"
 )
 
 // refSampler is the sampler as it stood before the hash rounds were
-// premixed and the peel learned to skip unwritten cells: its hashes,
-// Update, Recover and peelLevel are that commit's code verbatim (receiver
-// type and the refRounds counter aside). The tests below hold the
-// production sampler to it cell for cell and decode for decode.
+// premixed and the peel learned to skip unwritten cells: its Update,
+// Recover and peelLevel are that commit's code verbatim (receiver type and
+// the refRounds counter aside), and so is its fingerprint hash. Its level
+// and row-position hashes are the v2 layout's definitions — the level is
+// the leading zeros of the sketch priority, the row cell a multiply-shift
+// of the row hash — where that commit had a salted Mix2 level hash and a
+// "% w". The tests below hold the production sampler to it cell for cell
+// and decode for decode.
 type refSampler struct {
-	p         SamplerParams
-	levelSeed uint64
-	fpSeed    uint64
-	rowSeeds  [samplerRowCount]uint64
-	cells     []cell
+	p        SamplerParams
+	prio     core.Priority
+	fpSeed   uint64
+	rowSeeds [samplerRowCount]uint64
+	cells    []cell
 }
 
 func newRefSampler(p SamplerParams) *refSampler {
 	s := &refSampler{p: p, cells: make([]cell, p.Levels*p.Cells)}
-	s.levelSeed = hashing.Mix2(s.p.Seed, levelSalt)
+	s.prio = core.Params{Seed: s.p.Seed}.Priority()
 	s.fpSeed = hashing.Mix2(s.p.Seed, fpSalt)
 	for r := 0; r < samplerRowCount; r++ {
 		s.rowSeeds[r] = hashing.Mix2(s.p.Seed, rowSalt+uint64(r))
@@ -40,7 +45,7 @@ func newRefSampler(p SamplerParams) *refSampler {
 }
 
 func (s *refSampler) elemLevel(elem uint32) int {
-	h := hashing.Mix2(s.levelSeed, uint64(elem))
+	h := s.prio.Of(elem)
 	l := bits.LeadingZeros64(h | 1)
 	if l >= s.p.Levels {
 		l = s.p.Levels - 1
@@ -53,7 +58,8 @@ func (s *refSampler) fp(key uint64) uint64 { return hashing.Mix2(s.fpSeed, key) 
 func (s *refSampler) rowPos(level, row int, key uint64) int {
 	w := s.p.Cells / samplerRowCount
 	h := hashing.Mix2(s.rowSeeds[row]+uint64(level)*0x9e37, key)
-	return row*w + int(h%uint64(w))
+	hi, _ := bits.Mul64(h, uint64(w))
+	return row*w + int(hi)
 }
 
 func (s *refSampler) Update(set, elem uint32, delta int64) {
@@ -92,7 +98,7 @@ func (s *refSampler) Recover() (RecoverResult, error) {
 			}
 			return edges[i].Elem < edges[j].Elem
 		})
-		return RecoverResult{Edges: edges, Level: l, PStar: levelP(l)}, nil
+		return RecoverResult{Edges: edges, Level: l}, nil
 	}
 	return RecoverResult{}, ErrNoDecode
 }
@@ -170,7 +176,8 @@ func (s *refSampler) peelLevel(level int) ([]bipartite.Edge, bool) {
 }
 
 // TestPremixedHashesAreMix2: each premixed hash is the Mix2 definition
-// with its seed-only round evaluated early.
+// with its seed-only round evaluated early, and the level is the
+// reference's reading of the sketch priority.
 func TestPremixedHashesAreMix2(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range []SamplerParams{testParams(), {Levels: 48, Cells: 6, Seed: 0}, {Levels: 16, Cells: 16386, Seed: ^uint64(0)}} {
@@ -267,7 +274,7 @@ func sameRecover(t *testing.T, label string, s *Sampler) (RecoverResult, error) 
 	if !slices.Equal(s.cells, before) {
 		t.Fatalf("%s: Recover wrote to the sampler's cells", label)
 	}
-	if !errors.Is(gotErr, wantErr) || got.Level != want.Level || got.PStar != want.PStar || !slices.Equal(got.Edges, want.Edges) {
+	if !errors.Is(gotErr, wantErr) || got.Level != want.Level || !slices.Equal(got.Edges, want.Edges) {
 		t.Fatalf("%s: recovered (level %d, %d edges, err %v), reference (level %d, %d edges, err %v)",
 			label, got.Level, len(got.Edges), gotErr, want.Level, len(want.Edges), wantErr)
 	}

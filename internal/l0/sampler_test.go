@@ -3,10 +3,12 @@ package l0
 import (
 	"bytes"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bipartite"
+	"repro/internal/core"
 )
 
 func testParams() SamplerParams {
@@ -66,8 +68,8 @@ func TestSamplerExactBelowCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Level != 0 || rec.PStar != 1 {
-		t.Fatalf("level %d p* %v, want level 0 p* 1", rec.Level, rec.PStar)
+	if rec.Level != 0 {
+		t.Fatalf("level %d, want level 0", rec.Level)
 	}
 	if !sortedEqual(rec.Edges, edges) {
 		t.Fatalf("recovered %d edges != inserted %d", len(rec.Edges), len(edges))
@@ -130,7 +132,7 @@ func TestSamplerInsertAllDeleteAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Edges) != 0 || rec.Level != 0 || rec.PStar != 1 {
+	if len(rec.Edges) != 0 || rec.Level != 0 {
 		t.Fatalf("recovered %d edges at level %d, want the empty level-0 decode", len(rec.Edges), rec.Level)
 	}
 }
@@ -247,8 +249,8 @@ func TestSamplerLevelSubsampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Level == 0 || rec.PStar >= 1 {
-		t.Fatalf("3000 live edges decoded at level %d (p*=%v); expected subsampling", rec.Level, rec.PStar)
+	if rec.Level == 0 {
+		t.Fatalf("3000 live edges decoded at level 0; expected subsampling")
 	}
 	// The recovered sample must contain an element's full incidence
 	// list or none of it, and exactly the elements the level keeps.
@@ -264,6 +266,56 @@ func TestSamplerLevelSubsampling(t *testing.T) {
 	for _, e := range rec.Edges {
 		if !want[edgeKey(e.Set, e.Elem)] {
 			t.Fatalf("recovered edge %v is not in the level-%d sample", e, rec.Level)
+		}
+	}
+}
+
+// TestSamplerLevelsFollowTheSketchPriority: an element's level is read off
+// the sketch priority under the sampler's seed, so every level ℓ, decoded
+// on its own, holds exactly the edges of the elements whose priority is
+// below 2^(64−ℓ) — the priority prefix an H≤n sketch of that seed reads
+// first — the last (capped) level included.
+func TestSamplerLevelsFollowTheSketchPriority(t *testing.T) {
+	for _, seed := range []uint64{0, 42, ^uint64(0)} {
+		p := SamplerParams{Levels: 7, Cells: 3000, Seed: seed}.Normalize()
+		prio := core.Params{Seed: seed}.Priority()
+		below := func(elem uint32, level int) bool {
+			return level == 0 || prio.Of(elem) < 1<<(64-level)
+		}
+		s := NewSampler(p)
+		for elem := uint32(0); elem < 5000; elem++ {
+			want := min(bits.LeadingZeros64(prio.Of(elem)|1), p.Levels-1)
+			if got := s.elemLevel(elem); got != want {
+				t.Fatalf("seed %d: elemLevel(%d) = %d, the priority says %d", seed, elem, got, want)
+			}
+		}
+		edges := genEdges(2000, int64(seed))
+		s.AddEdges(edges)
+		var sc peelScratch
+		for level := 0; level < p.Levels; level++ {
+			if !s.peelLevel(level, &sc) {
+				t.Fatalf("seed %d: level %d did not decode", seed, level)
+			}
+			got := make(map[uint64]bool, len(sc.keys))
+			for _, k := range sc.keys {
+				got[k] = true
+			}
+			want := 0
+			for _, e := range edges {
+				if !below(e.Elem, level) {
+					continue
+				}
+				want++
+				if !got[edgeKey(e.Set, e.Elem)] {
+					t.Fatalf("seed %d level %d: edge %v of an element below 2^(64-%d) is missing", seed, level, e, level)
+				}
+			}
+			if len(got) != want {
+				t.Fatalf("seed %d level %d: decoded %d edges, the priority prefix has %d", seed, level, len(got), want)
+			}
+			if level == p.Levels-1 && want == 0 {
+				t.Fatalf("seed %d: the last level is empty; the test checks nothing there", seed)
+			}
 		}
 	}
 }

@@ -9,13 +9,17 @@ package server
 // is a deterministic function of the net op multiset — the property the
 // crash-recovery and cluster suites pin bit-for-bit.
 //
+// A snapshot answers from the sketch's view of that multiset: the merge
+// cuts the level it decodes, a priority prefix of the live elements, with
+// the sketch's rule into a *core.View (DESIGN.md §14).
+//
 // A refresh copies each shard's cells once and nothing twice. A shard
 // answers a freeze request with a dynamicCut: its cells copied into an
 // array from the mode's free list. The cut belongs to the one merge it
 // was taken for; MergeStates adopts the first cut's array as the merged
 // state, adds the others into it, hands them back to the free list and
-// peels the sum. The merged state is then published, and from there on
-// the rule is flat: an array that reached a Snapshot is never written
+// peels and cuts the sum. The merged state is then published, and from
+// there on the rule is flat: an array that reached a Snapshot is never written
 // and never recycled — snapshot readers (WriteState, the cluster fold) may hold a
 // superseded snapshot for as long as they like, so the GC collects it.
 
@@ -24,7 +28,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"sync"
 
 	"repro/internal/bipartite"
@@ -70,10 +73,9 @@ type dynamicState struct {
 	// deletes counts delete ops applied.
 	deletes int64
 
-	// sample and pStar are the graph of the L0 peel MergeStates ends with
-	// and its p*: set on merged states only, immutable afterwards.
-	sample *materialized
-	pStar  float64
+	// view is the sketch's cut of the level the L0 peel MergeStates ends
+	// with decoded: set on merged states only, immutable afterwards.
+	view *core.View
 }
 
 // AddEdges applies a batch of records, a delete as a −1 update.
@@ -133,17 +135,17 @@ func (d *dynamicState) Stats() core.Stats {
 		Budget:    d.sam.Params().Cells,
 		Bytes:     int64(d.sam.Bytes()),
 	}
-	if d.sample != nil {
-		st.EdgesKept = d.sample.graph.NumEdges()
-		st.ElementsKept = d.sample.graph.NumElems()
-		st.PStar = d.pStar
+	if d.view != nil {
+		vs := d.view.Stats()
+		st.EdgesKept, st.ElementsKept, st.PStar = vs.EdgesKept, vs.ElementsKept, vs.PStar
 	}
 	return st
 }
 
 // dynMagic frames the dynamic state: op counters, then the sampler's
-// own self-checksummed bytes.
-const dynMagic = "L0DYNS1\n"
+// own self-checksummed bytes. dynMagicV1's sampler used retired level and
+// row hashes, so it is refused by name.
+const dynMagic, dynMagicV1 = "L0DYNS2\n", "L0DYNS1\n"
 
 func (d *dynamicState) WriteTo(w io.Writer) (int64, error) {
 	hdr := make([]byte, 0, len(dynMagic)+20)
@@ -164,8 +166,8 @@ var dynCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // dynamicMode implements Mode for ModeDynamic.
 type dynamicMode struct {
-	numSets int
-	params  l0.SamplerParams
+	sketch core.Params // Config.Params: what the decoded level is cut with
+	params l0.SamplerParams
 	// free recycles the cell arrays of shard cuts (*l0.Sampler of params)
 	// between refreshes: Freeze takes, MergeStates gives back. A sync.Pool,
 	// so a namespace that stops refreshing pins nothing past two GC cycles.
@@ -185,8 +187,9 @@ func (m dynamicMode) NewShardState() (ShardState, error) {
 // After a failure the loop goes on only to consume the remaining cuts, so
 // every cut's array is recycled exactly once either way.
 //
-// The merge ends with the L0 peel of the sum; when no level decodes, the
-// merge fails (a refresh error) and the sum is recycled too.
+// The merge ends with the L0 peel of the sum and the sketch's cut of the
+// level it decodes; when no level decodes, the merge fails (a refresh
+// error) and the sum is recycled too.
 func (m dynamicMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
 	merged := &dynamicState{opsSeen: edges}
 	var err error
@@ -235,7 +238,7 @@ func (m dynamicMode) MergeStates(states []FrozenState, edges int64) (FrozenState
 		if merged.sam == nil {
 			merged.sam = l0.NewSampler(m.params)
 		}
-		merged.sample, merged.pStar, err = m.peel(merged.sam)
+		merged.view, err = m.cut(merged.sam, edges)
 	}
 	if err != nil {
 		if merged.sam != nil {
@@ -250,6 +253,9 @@ func (m dynamicMode) ReadState(r io.Reader) (FrozenState, error) {
 	hdr := make([]byte, len(dynMagic)+20)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("decoding dynamic state header: %w", err)
+	}
+	if string(hdr[:len(dynMagic)]) == dynMagicV1 {
+		return nil, fmt.Errorf("decoding dynamic state: %q is the v1 layout, whose sampler used retired level and row hashes; this version reads %q", dynMagicV1, dynMagic)
 	}
 	if string(hdr[:len(dynMagic)]) != dynMagic {
 		return nil, fmt.Errorf("decoding dynamic state: bad magic %q", hdr[:len(dynMagic)])
@@ -278,38 +284,30 @@ func (m dynamicMode) ReadState(r io.Reader) (FrozenState, error) {
 
 func (m dynamicMode) Materialize(st FrozenState) (*materialized, error) {
 	d, ok := st.(*dynamicState)
-	if !ok || d.sample == nil {
-		return nil, fmt.Errorf("server: cannot materialize %T state on a dynamic engine (only a merged state holds a sample)", st)
+	if !ok || d.view == nil {
+		return nil, fmt.Errorf("server: cannot materialize %T state on a dynamic engine (only a merged state holds a view)", st)
 	}
-	return d.sample, nil
+	return sketchMode{m.sketch}.Materialize(d.view)
 }
 
-// peel recovers the shallowest level of sam that decodes and builds the
-// graph of that p*-sample.
-func (m dynamicMode) peel(sam *l0.Sampler) (*materialized, float64, error) {
+// cut recovers the shallowest level ℓ of sam that decodes and returns the
+// H≤n sketch of its edges with the bar lowered to the level's bound
+// 2^(64−ℓ), so p* = min(sketch bar, 2^−ℓ). The level holds every live
+// element below that bound, so this is the sketch of the net edge set cut
+// there. edges is the op total the view reports.
+func (m dynamicMode) cut(sam *l0.Sampler, edges int64) (*core.View, error) {
 	rec, err := sam.Recover()
 	if err != nil {
-		return nil, 0, fmt.Errorf("server: dynamic engine: %w", err)
+		return nil, fmt.Errorf("server: dynamic engine: %w", err)
 	}
-	// Renumber the sample's elements densely in ascending original id (as
-	// deterministic as the recovery itself): one sort of (elem, edge
-	// index) pairs, then a walk that rewrites rec's private edges in place.
-	edges := rec.Edges
-	order := make([]uint64, len(edges))
-	for i, e := range edges {
-		order[i] = uint64(e.Elem)<<32 | uint64(i)
-	}
-	slices.Sort(order)
-	var ids []uint32
-	for _, o := range order {
-		if el := uint32(o >> 32); len(ids) == 0 || ids[len(ids)-1] != el {
-			ids = append(ids, el)
-		}
-		edges[uint32(o)].Elem = uint32(len(ids) - 1)
-	}
-	g, err := bipartite.FromEdges(m.numSets, len(ids), edges)
+	sk, err := core.NewSketch(m.sketch)
 	if err != nil {
-		return nil, 0, fmt.Errorf("server: dynamic engine: building sample graph: %w", err)
+		return nil, err
 	}
-	return &materialized{graph: g}, rec.PStar, nil
+	sk.AddEdges(rec.Edges)
+	if rec.Level > 0 {
+		sk.LowerBar(1<<(64-rec.Level), 0)
+	}
+	sk.SetEdgesSeen(edges)
+	return sk.Freeze(), nil
 }

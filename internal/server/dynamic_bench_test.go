@@ -10,8 +10,8 @@ import (
 // BenchmarkDynamicRefresh measures one fresh query on a dynamic engine at
 // the bench harness's `tenants` sizes (2 shards, 16 × 16 386 cells, about
 // 10.6 M edges live): a small op batch so the refresh is not idle, then
-// drain → cut → sum → peel → renumber → greedy (the stage table in
-// DESIGN.md §14).
+// drain → cut → sum → peel → the sketch's cut of the decoded level →
+// greedy (the stage table in DESIGN.md §14).
 func BenchmarkDynamicRefresh(b *testing.B) {
 	cfg := Config{NumSets: 1000, K: 20, Eps: 0.3, Seed: 7, EdgeBudget: 40_000, Engine: ModeDynamic, Shards: 2}
 	e, err := New(cfg)

@@ -345,14 +345,14 @@ func TestDynamicCutsNeverReachASnapshot(t *testing.T) {
 }
 
 // TestReadStateRejectsForeignGeometryBeforeAllocating: a 64-byte
-// L0DYNS1 blob whose sampler header announces the largest legal geometry
+// L0DYNS2 blob whose sampler header announces the largest legal geometry
 // (Levels 16 × Cells 1048575, no cells, valid CRCs) used to make the
 // decoder allocate 512 MiB before the mode compared parameters — per
 // cluster pull, snapshot restore or container recovery. The decoder now
 // takes the expected parameters and refuses the header first.
 func TestReadStateRejectsForeignGeometryBeforeAllocating(t *testing.T) {
 	crcTable := crc32.MakeTable(crc32.Castagnoli)
-	sampler := []byte("L0SAMP1\n")
+	sampler := []byte("L0SAMP2\n")
 	sampler = binary.LittleEndian.AppendUint32(sampler, 16)
 	sampler = binary.LittleEndian.AppendUint32(sampler, 1048575)
 	sampler = binary.LittleEndian.AppendUint64(sampler, 5)

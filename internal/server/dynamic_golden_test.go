@@ -6,13 +6,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bipartite"
+	"repro/internal/l0"
 )
 
 // goldenDynamicConfig and goldenDynamicSchedule are the fixed instance
-// behind testdata/dynamic_v1.l0dyn: 2 shards, the smallest cell count
+// behind testdata/dynamic_v1.l0dyn and dynamic_v2.l0dyn: 2 shards, the smallest cell count
 // (96 per level), and an insert/delete schedule that leaves more live
 // edges than level 0 decodes, so the blob holds overloaded levels, a
 // decodable one and a cut that moved across the deletes.
@@ -45,14 +47,15 @@ func goldenDynamicSchedule() [][]bipartite.Op {
 	}
 }
 
-// TestDynamicStateGoldenBytes pins the L0DYNS1 format across the move to
-// premixed hashes, recycled cuts and the adopted sum:
-// testdata/dynamic_v1.l0dyn is what the commit before that move wrote for
-// the schedule above (refreshed after every batch, 2 shards). Re-feeding
-// the schedule must write those bytes, and decoding them — an old node's
-// snapshot file or cluster blob — must restore the same level and answer.
+// TestDynamicStateGoldenBytes pins the L0DYNS2 format: levels read off
+// the sketch priority, row cells by multiply-shift.
+// testdata/dynamic_v2.l0dyn is what the first writer of that format wrote
+// for the schedule above (refreshed after every batch, 2 shards).
+// Re-feeding the schedule must write those bytes, and decoding them — an
+// older node's snapshot file or cluster blob — must restore the same level
+// and answer.
 func TestDynamicStateGoldenBytes(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "dynamic_v1.l0dyn"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "dynamic_v2.l0dyn"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,4 +110,47 @@ func TestDynamicStateGoldenBytes(t *testing.T) {
 
 // goldenDynamicAnswer is fmt.Sprint(Sets, SketchCoverage, PStar,
 // SnapshotEdges) of the kcover K=4 answer the golden blob's writer gave.
-const goldenDynamicAnswer = "[8 10 21 2] 19 0.25 400"
+const goldenDynamicAnswer = "[1 8 21 4] 15 0.25 400"
+
+// TestDynamicV1StateIsRefusedByName: testdata/dynamic_v1.l0dyn is the
+// schedule above as the L0DYNS1 writer left it. Its cells were placed by a
+// level hash and row positions this version no longer computes, so no
+// level of it could be peeled; every decoder refuses it with an error that
+// names the version, and a node never restores it as something else.
+func TestDynamicV1StateIsRefusedByName(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "dynamic_v1.l0dyn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := goldenDynamicConfig()
+	mode, err := cfg.EngineMode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoders := []struct {
+		name, magic string
+		decode      func() error
+	}{
+		{"ReadState", "L0DYNS1", func() error {
+			_, err := mode.ReadState(bytes.NewReader(blob))
+			return err
+		}},
+		{"ReadRestore", "L0DYNS1", func() error {
+			_, err := ReadRestore(cfg, bytes.NewReader(blob))
+			return err
+		}},
+		{"l0.ReadSampler", "L0SAMP1", func() error {
+			_, err := l0.ReadSampler(bytes.NewReader(blob[len(dynMagic)+20:]), cfg.DynamicParams())
+			return err
+		}},
+	}
+	for _, d := range decoders {
+		err := d.decode()
+		if err == nil {
+			t.Fatalf("%s accepted a v1 dynamic state", d.name)
+		}
+		if !strings.Contains(err.Error(), d.magic) {
+			t.Fatalf("%s: error %q does not name the version (%s)", d.name, err, d.magic)
+		}
+	}
+}

@@ -15,8 +15,8 @@
 // coordinator folds the cuts into one merged state (Mode.MergeStates)
 // and publishes it as an immutable Snapshot behind an atomic pointer,
 // which its first query materializes into the query graph (the dynamic
-// mode's peel runs inside the refresh, as the end of its merge), and one
-// executor answers every mode's queries (executeQuery). For the default
+// mode's peel and cut run inside the refresh, as the end of its merge),
+// and one executor answers every mode's queries (executeQuery). For the default
 // sketch mode no sketch is rebuilt on that path: the request carries the
 // merged state published last, the shard drops what it holds at or
 // above that state's bar (on an append-only stream the merged cut only
@@ -436,7 +436,7 @@ func (s *Snapshot) Graph() (*bipartite.Graph, error) {
 }
 
 // WriteState serializes the snapshot's merged state in its mode's wire
-// format (v1 sketch, weighted.BankMagic bank, or "L0DYNS1" sampler
+// format (v1 sketch, weighted.BankMagic bank, or "L0DYNS2" sampler
 // state). These are the exact bytes Engine.WriteSnapshot persists and
 // /v1/cluster/sketch serves — one wire format for disk and peers. Safe
 // on a published snapshot: a frozen state's WriteTo only reads.
@@ -1100,8 +1100,8 @@ type Counters struct {
 	// SnapshotSeq / SnapshotEdges identify the published snapshot (zero
 	// before the first merge); SnapshotKeptEdges is what its merged state
 	// holds and SnapshotPStar the probability it sampled elements with
-	// (dynamic: 2^−level of the L0 level that decoded; weighted: the
-	// smallest class's).
+	// (dynamic: the smaller of the sketch bar and 2^−level of the L0 level
+	// that decoded; weighted: the smallest class's).
 	SnapshotSeq       uint64
 	SnapshotEdges     int64
 	SnapshotKeptEdges int64
@@ -1155,6 +1155,8 @@ const (
 	// outlier algorithm (Theorem 3.3) on the service sketch.
 	AlgoOutliers Algo = "outliers"
 	// AlgoGreedy runs the full greedy set cover over the snapshot sketch.
+	// It carries only Theorem 3.4's multi-pass guarantee: Assadi–Khanna–Li
+	// bound single-pass set cover from below.
 	AlgoGreedy Algo = "greedy"
 	// AlgoWeightedKCover runs the weighted greedy (1−1/e for weighted
 	// coverage) over the snapshot's scaled class-bank union. Only valid
@@ -1213,7 +1215,9 @@ type QueryResult struct {
 // ValidateQuery checks q against an engine mode without executing it:
 // algo known, k/lambda in range, algo defined for the mode. Engine.Query
 // and the cluster query plane share it so a malformed query is rejected
-// identically everywhere.
+// identically everywhere. The two unweighted modes share one rule (a
+// dynamic snapshot is a sketch view); AlgoGreedy's guarantee is only
+// Theorem 3.4's multi-pass one.
 func ValidateQuery(q Query, mode ModeName) error {
 	isWeighted := mode == ModeWeighted
 	switch q.Algo {
@@ -1238,12 +1242,6 @@ func ValidateQuery(q Query, mode ModeName) error {
 	}
 	if isWeighted && (q.Algo == AlgoOutliers || q.Algo == AlgoGreedy) {
 		return fmt.Errorf("server: algo %q is not defined on a weighted engine (weighted coverage serves kcover)", q.Algo)
-	}
-	if mode == ModeDynamic && (q.Algo == AlgoOutliers || q.Algo == AlgoGreedy) {
-		// The dynamic sampler recovers a p*-sample sized for k-cover
-		// estimation; the outlier and full-cover guarantees are only
-		// analyzed for the append-only sketch.
-		return fmt.Errorf("server: algo %q is not defined on a dynamic engine (dynamic serves kcover)", q.Algo)
 	}
 	return nil
 }
@@ -1300,8 +1298,8 @@ func executeQuery(snap *Snapshot, q Query) (res *QueryResult, hit bool, err erro
 	}
 	res.Sets = gr.Sets
 	res.SketchCoverage = gr.Covered
-	// Lemma 2.2's estimate, also on the dynamic mode: its sample is the
-	// exact incidence list of a p*-sample of elements.
+	// Lemma 2.2's estimate, also on the dynamic mode: its view is the
+	// sketch's cut of a decoded priority prefix.
 	res.EstimatedCoverage = safeEstimate(gr.Covered, st.PStar)
 	res.SampledElements = st.ElementsKept
 	if snap.ModeName() == ModeDynamic {
@@ -1365,7 +1363,7 @@ func safeEstimate(covered int, pStar float64) float64 {
 // WriteSnapshot merges and persists the service state in the engine
 // mode's wire format: a sketch engine writes its merged sketch (v1
 // format), a weighted engine its merged class bank (weighted.BankMagic
-// framing), a dynamic engine its merged L0 sampler ("L0DYNS1" framing).
+// framing), a dynamic engine its merged L0 sampler ("L0DYNS2" framing).
 // ReadRestore / NewFromSnapshot decode any of them from the config. The
 // persisted state carries the engine's true ingested-edge total (a
 // merged state only counts the kept edges it replayed), so accounting

@@ -51,7 +51,7 @@ func executorQueries(name ModeName) []Query {
 			qs = append(qs, Query{Algo: AlgoWeightedKCover, K: k})
 		}
 	}
-	if name == ModeSketch {
+	if name != ModeWeighted {
 		qs = append(qs, Query{Algo: AlgoOutliers, Lambda: 0.2}, Query{Algo: AlgoOutliers, Lambda: 0.05}, Query{Algo: AlgoGreedy})
 	}
 	return qs
@@ -254,9 +254,9 @@ func TestQueriesShareOneRunPerMode(t *testing.T) {
 func TestDynamicOverloadKeepsLastSnapshot(t *testing.T) {
 	cfg := Config{NumSets: 100, K: 2, Eps: 0.5, Seed: 4, Shards: 2, Engine: ModeDynamic}
 	mode := dynamicMode{
-		numSets: cfg.NumSets,
-		params:  l0.SamplerParams{Levels: 1, Cells: 6},
-		free:    new(sync.Pool),
+		sketch: cfg.Params(),
+		params: l0.SamplerParams{Levels: 1, Cells: 6},
+		free:   new(sync.Pool),
 	}
 	e, err := newEngine(cfg, mode)
 	if err != nil {

@@ -85,9 +85,15 @@ func TestHTTPDynamicNamespace(t *testing.T) {
 	}
 	assertSameAnswer(t, "HTTP dynamic vs direct engine", &qr, ref)
 
-	// Algos the dynamic mode does not serve are client errors.
-	if resp, _ := doJSON(t, "GET", ts.URL+"/v1/ns/dyn/query?algo=outliers&lambda=0.2", ""); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("outliers on dynamic over HTTP: got %d, want 400", resp.StatusCode)
+	// The dynamic snapshot is a sketch view, so it serves every
+	// unweighted algo; the weighted one is a client error.
+	for _, q := range []string{"algo=outliers&lambda=0.2", "algo=greedy"} {
+		if resp, out := doJSON(t, "GET", ts.URL+"/v1/ns/dyn/query?"+q, ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s on dynamic over HTTP: got %d (%s), want 200", q, resp.StatusCode, out)
+		}
+	}
+	if resp, _ := doJSON(t, "GET", ts.URL+"/v1/ns/dyn/query?algo=wkcover&k=4", ""); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("wkcover on dynamic over HTTP: got %d, want 400", resp.StatusCode)
 	}
 
 	// The state blob advertises the dynamic mode and decodes as one.

@@ -126,7 +126,7 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Gauge("covserved_snapshot_seq", "Current merged snapshot sequence number.", ns, float64(c.SnapshotSeq))
 		w.Gauge("covserved_snapshot_edges", "Ingested-edge count the current snapshot reflects.", ns, float64(c.SnapshotEdges))
 		w.Gauge("covserved_snapshot_kept_edges", "Edges the current snapshot's merged state holds.", ns, float64(c.SnapshotKeptEdges))
-		w.Gauge("covserved_snapshot_p_star", "Element-sampling probability p* of the current snapshot's merged state (dynamic: 2^-level of the decoded L0 level; 0 before the first snapshot).", ns, c.SnapshotPStar)
+		w.Gauge("covserved_snapshot_p_star", "Element-sampling probability p* of the current snapshot's merged state (dynamic: the smaller of the sketch bar and 2^-level of the decoded L0 level; 0 before the first snapshot).", ns, c.SnapshotPStar)
 		w.Gauge("covserved_shard_kept_edges", "Edges the shard states held after the last freeze, summed over shards.", ns, float64(c.ShardKeptEdges))
 		if e.mode.Name() == ModeSketch {
 			const cutsHelp = "Cuts the shards answered refreshes with: full (the whole shard state) or delta (only what changed since the last publish)."

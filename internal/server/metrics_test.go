@@ -288,8 +288,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := beta.IngestOps(append(bipartite.Inserts(edges[:2]), bipartite.Deletes(edges[:1])...)); err != nil {
 		t.Fatalf("IngestOps: %v", err)
 	}
-	// On a dynamic namespace p* is 2^−level of the L0 level that decoded:
-	// the gauge reads what the snapshot answers with.
+	// On a dynamic namespace p* is the smaller of the sketch bar and
+	// 2^−level of the L0 level that decoded: the gauge reads what the
+	// snapshot answers with.
 	betaSnap, err := beta.Refresh()
 	if err != nil {
 		t.Fatalf("beta Refresh: %v", err)

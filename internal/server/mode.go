@@ -199,7 +199,7 @@ func (c Config) EngineMode() (Mode, error) {
 			fn:      c.Weights.Fn(),
 		}, nil
 	case ModeDynamic:
-		return dynamicMode{numSets: c.NumSets, params: c.DynamicParams(), free: new(sync.Pool)}, nil
+		return dynamicMode{sketch: c.Params(), params: c.DynamicParams(), free: new(sync.Pool)}, nil
 	}
 	return sketchMode{params: c.Params()}, nil
 }

@@ -36,19 +36,17 @@ func TestValidateQueryAcrossModes(t *testing.T) {
 				ModeWeighted: "wkcover query needs positive k",
 				ModeDynamic:  "wkcover requires a weighted engine",
 			}},
-		{"outliers is sketch-only", Query{Algo: AlgoOutliers, Lambda: 0.1},
+		{"outliers is unweighted-only", Query{Algo: AlgoOutliers, Lambda: 0.1},
 			map[ModeName]string{
 				ModeWeighted: `algo "outliers" is not defined on a weighted engine`,
-				ModeDynamic:  `algo "outliers" is not defined on a dynamic engine`,
 			}},
 		{"outliers lambda lower bound", Query{Algo: AlgoOutliers, Lambda: 0},
 			all("lambda in (0,1)")},
 		{"outliers lambda upper bound", Query{Algo: AlgoOutliers, Lambda: 1},
 			all("lambda in (0,1)")},
-		{"greedy is sketch-only", Query{Algo: AlgoGreedy},
+		{"greedy is unweighted-only", Query{Algo: AlgoGreedy},
 			map[ModeName]string{
 				ModeWeighted: `algo "greedy" is not defined on a weighted engine`,
-				ModeDynamic:  `algo "greedy" is not defined on a dynamic engine`,
 			}},
 		{"unknown algo", Query{Algo: "coverme", K: 3},
 			all(`unknown query algo "coverme"`)},

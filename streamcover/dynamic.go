@@ -4,8 +4,8 @@ package streamcover
 // turnstile-stream coverage service backed by the leveled L0 edge
 // sampler (internal/l0, DESIGN.md §14). Inserts behave exactly like the
 // other engines'; Delete retracts previously inserted edges, and
-// queries answer on the exact incidence list the sampler recovers from
-// the net (insert − delete) edge multiset.
+// queries answer on the H≤n sketch of the net (insert − delete) edge
+// multiset, cut at the sampler level that decoded.
 
 import (
 	"repro/internal/bipartite"
@@ -24,9 +24,10 @@ type Op struct {
 // NewDynamicService starts a dynamic coverage service: the only engine
 // mode that accepts deletes. Its sampler is a linear function of the
 // net op multiset, so answers are independent of op order, sharding and
-// batching — and insert-only usage answers the same queries the sketch
-// engine does on small streams (both recover the stream exactly while
-// it fits their budget). It is NewService with opt.Engine = "dynamic".
+// batching — and its snapshot is the sketch engine's of the same net
+// edges whenever the decoded level reaches the sketch's budget (on small
+// streams level 0 holds them all). It is NewService with
+// opt.Engine = "dynamic".
 func NewDynamicService(numSets int, opt ServiceOptions) (*Service, error) {
 	opt.Engine = string(server.ModeDynamic)
 	return NewService(numSets, opt)

@@ -44,8 +44,9 @@ type ServiceOptions struct {
 	// Engine selects the engine mode by name: "sketch" (the default;
 	// also implied empty), "weighted" (implied by Weights) or "dynamic",
 	// the insert/delete L0-sampler engine — the only mode whose
-	// ApplyOps/Delete accept retractions; it answers KCover only (outlier
-	// and full-greedy queries return an error). NewDynamicService is its
+	// ApplyOps/Delete accept retractions. Its snapshot is the H≤n sketch
+	// of the net edge set cut at the L0 level that decoded, so it answers
+	// every query the sketch engine does. NewDynamicService is its
 	// explicit constructor.
 	Engine string
 	// Durability, when non-nil, gives the service a write-ahead log:
