@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/bitset"
 )
 
 // Edge is one (set, element) membership pair — the unit of the
@@ -27,12 +29,29 @@ type Edge struct {
 // Graph is an immutable coverage instance. Sets are numbered 0..n-1 and
 // elements 0..m-1. Duplicate edges are removed at construction, so each
 // adjacency list contains distinct, sorted ids.
+//
+// A version of SlotSets (slots.go) is a Graph too: its elements are slots,
+// some of which may be absent — no longer part of the instance, though
+// their ids stay in the set lists. Absent elements belong to no set as far
+// as every method except Set is concerned, and the evaluators treat them
+// as covered from the start, so they add no gain and are never counted.
 type Graph struct {
 	numSets  int
 	numElems int
 
 	setOff []int64  // len numSets+1; setAdj[setOff[s]:setOff[s+1]] = elements of set s
 	setAdj []uint32 // sorted within each set
+
+	// A SlotSets version keeps its set lists here instead (setOff and setAdj
+	// are nil) with each set's present size, the absent slots in absent (nil
+	// when there are none), and counts its present elements and their edges
+	// in live and edges. Its element side is built on first use (elemOnce).
+	lists    [][]uint32
+	sizes    []int32
+	absent   bitset.Bitset
+	live     int
+	edges    int
+	elemOnce sync.Once
 
 	elemOff []int64  // len numElems+1; elemAdj[...] = sets containing the element
 	elemAdj []uint32 // sorted within each element
@@ -182,26 +201,49 @@ func FromSets(numElems int, sets [][]uint32) (*Graph, error) {
 	return FromEdges(len(sets), numElems, edges)
 }
 
-// buildElemIndex constructs the element→sets CSR from the set→elements one.
+// buildElemIndex constructs the element→sets CSR from the set→elements
+// one; absent elements get empty lists.
 func (g *Graph) buildElemIndex() {
 	counts := make([]int64, g.numElems+1)
-	for _, e := range g.setAdj {
-		counts[e+1]++
+	for s := 0; s < g.numSets; s++ {
+		for _, e := range g.Set(s) {
+			if !g.Absent(e) {
+				counts[e+1]++
+			}
+		}
 	}
 	for i := 0; i < g.numElems; i++ {
 		counts[i+1] += counts[i]
 	}
-	adj := make([]uint32, len(g.setAdj))
+	adj := make([]uint32, counts[g.numElems])
 	next := make([]int64, g.numElems)
 	copy(next, counts[:g.numElems])
 	for s := 0; s < g.numSets; s++ {
 		for _, e := range g.Set(s) {
-			adj[next[e]] = uint32(s)
-			next[e]++
+			if !g.Absent(e) {
+				adj[next[e]] = uint32(s)
+				next[e]++
+			}
 		}
 	}
 	g.elemOff = counts
 	g.elemAdj = adj
+}
+
+// elemIndex returns the element side, building it on a SlotSets version's
+// first call.
+func (g *Graph) elemIndex() ([]int64, []uint32) {
+	if g.lists != nil {
+		g.elemOnce.Do(g.buildElemIndex)
+	}
+	return g.elemOff, g.elemAdj
+}
+
+// Absent reports whether element e is absent: an id a SlotSets version's
+// set lists still hold for an element that is no longer in the instance.
+// A graph built any other way has no absent elements.
+func (g *Graph) Absent(e uint32) bool {
+	return g.absent != nil && g.absent.Get(int(e))
 }
 
 // NumSets returns n, the number of sets.
@@ -211,28 +253,42 @@ func (g *Graph) NumSets() int { return g.numSets }
 func (g *Graph) NumElems() int { return g.numElems }
 
 // NumEdges returns the number of distinct (set, element) memberships.
-func (g *Graph) NumEdges() int { return len(g.setAdj) }
+func (g *Graph) NumEdges() int {
+	if g.lists != nil {
+		return g.edges
+	}
+	return len(g.setAdj)
+}
 
-// Set returns the sorted element ids of set s. The returned slice aliases
-// internal storage and must not be modified.
+// Set returns the sorted element ids of set s, absent ones included. The
+// returned slice aliases internal storage and must not be modified.
 func (g *Graph) Set(s int) []uint32 {
+	if g.lists != nil {
+		return g.lists[s]
+	}
 	return g.setAdj[g.setOff[s]:g.setOff[s+1]]
 }
 
-// SetLen returns |set s|.
+// SetLen returns |set s|: the elements it holds, which Set may list
+// beside absent ones.
 func (g *Graph) SetLen(s int) int {
+	if g.lists != nil {
+		return int(g.sizes[s])
+	}
 	return int(g.setOff[s+1] - g.setOff[s])
 }
 
 // Elem returns the sorted ids of the sets containing element e. The
 // returned slice aliases internal storage and must not be modified.
 func (g *Graph) Elem(e int) []uint32 {
-	return g.elemAdj[g.elemOff[e]:g.elemOff[e+1]]
+	off, adj := g.elemIndex()
+	return adj[off[e]:off[e+1]]
 }
 
 // ElemDegree returns the number of sets containing element e.
 func (g *Graph) ElemDegree(e int) int {
-	return int(g.elemOff[e+1] - g.elemOff[e])
+	off, _ := g.elemIndex()
+	return int(off[e+1] - off[e])
 }
 
 // Edges appends every edge of the graph to dst and returns it. Edges are
@@ -244,7 +300,9 @@ func (g *Graph) Edges(dst []Edge) []Edge {
 	}
 	for s := 0; s < g.numSets; s++ {
 		for _, e := range g.Set(s) {
-			dst = append(dst, Edge{Set: uint32(s), Elem: e})
+			if !g.Absent(e) {
+				dst = append(dst, Edge{Set: uint32(s), Elem: e})
+			}
 		}
 	}
 	return dst
@@ -252,6 +310,9 @@ func (g *Graph) Edges(dst []Edge) []Edge {
 
 // Contains reports whether element e belongs to set s.
 func (g *Graph) Contains(s int, e uint32) bool {
+	if g.Absent(e) {
+		return false
+	}
 	adj := g.Set(s)
 	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= e })
 	return i < len(adj) && adj[i] == e
@@ -292,6 +353,9 @@ func (g *Graph) MaxElemDegree() int {
 // generators here guarantee it, but the library tolerates them and set
 // cover is defined over covered elements only.
 func (g *Graph) CoveredElems() int {
+	if g.lists != nil {
+		return g.live // a present slot holds at least one edge (SlotSets)
+	}
 	c := 0
 	for e := 0; e < g.numElems; e++ {
 		if g.ElemDegree(e) > 0 {
@@ -308,7 +372,7 @@ func (g *Graph) Induce(keep func(elem uint32) bool) *Graph {
 	edges := make([]Edge, 0, g.NumEdges())
 	for s := 0; s < g.numSets; s++ {
 		for _, e := range g.Set(s) {
-			if keep(e) {
+			if !g.Absent(e) && keep(e) {
 				edges = append(edges, Edge{Set: uint32(s), Elem: e})
 			}
 		}
@@ -322,7 +386,9 @@ func (g *Graph) Induce(keep func(elem uint32) bool) *Graph {
 
 // Coverer evaluates coverage incrementally: Add marks the elements of the
 // given sets and returns the running total of distinct covered elements.
-// It uses an epoch-stamped marker array, so Reset is O(1).
+// It uses an epoch-stamped marker array, so Reset is O(1) plus one stamp
+// per absent element: absent elements are stamped from the start, which
+// costs the scans nothing.
 type Coverer struct {
 	g       *Graph
 	stamp   []uint32
@@ -332,10 +398,12 @@ type Coverer struct {
 
 // NewCoverer returns a Coverer for g.
 func NewCoverer(g *Graph) *Coverer {
-	return &Coverer{g: g, stamp: make([]uint32, g.numElems), epoch: 1}
+	c := &Coverer{g: g, stamp: make([]uint32, g.numElems), epoch: 1}
+	c.stampAbsent()
+	return c
 }
 
-// Reset clears the covered-set in O(1).
+// Reset clears the covered-set.
 func (c *Coverer) Reset() {
 	c.epoch++
 	c.covered = 0
@@ -344,6 +412,17 @@ func (c *Coverer) Reset() {
 			c.stamp[i] = 0
 		}
 		c.epoch = 1
+	}
+	c.stampAbsent()
+}
+
+// stampAbsent marks the absent elements covered without counting them.
+func (c *Coverer) stampAbsent() {
+	if c.g.absent != nil {
+		c.g.absent.IterOnes(func(e int) bool {
+			c.stamp[e] = c.epoch
+			return true
+		})
 	}
 }
 
@@ -375,5 +454,6 @@ func (c *Coverer) Marginal(s int) int {
 // Covered returns the number of distinct elements covered so far.
 func (c *Coverer) Covered() int { return c.covered }
 
-// IsCovered reports whether element e has been covered.
+// IsCovered reports whether element e has been covered; an absent element
+// always has.
 func (c *Coverer) IsCovered(e uint32) bool { return c.stamp[e] == c.epoch }

@@ -26,7 +26,8 @@ type CoverageEvaluator interface {
 	Covered() int
 	// Reset clears the covered-set.
 	Reset()
-	// IsCovered reports whether element e has been covered.
+	// IsCovered reports whether element e has been covered (an absent
+	// element of the graph always has).
 	IsCovered(e uint32) bool
 }
 
@@ -118,9 +119,12 @@ type BitsetCoverer struct {
 }
 
 // NewBitsetCoverer returns a bitset-backed evaluator for g, building
-// the graph's bitmap index on first use.
+// the graph's bitmap index on first use. Absent elements start covered
+// (the index rows keep their bits) and are never counted.
 func NewBitsetCoverer(g *Graph) *BitsetCoverer {
-	return &BitsetCoverer{g: g, ix: g.bitmaps(), covered: bitset.New(g.numElems)}
+	c := &BitsetCoverer{g: g, ix: g.bitmaps(), covered: bitset.New(g.numElems)}
+	c.covered.CopyFrom(g.absent)
+	return c
 }
 
 // Add marks every element of the given sets and returns the total
@@ -143,8 +147,10 @@ func (c *BitsetCoverer) Covered() int { return c.count }
 // Reset clears the covered-set.
 func (c *BitsetCoverer) Reset() {
 	c.covered.Reset()
+	c.covered.CopyFrom(c.g.absent)
 	c.count = 0
 }
 
-// IsCovered reports whether element e has been covered.
+// IsCovered reports whether element e has been covered; an absent element
+// always has.
 func (c *BitsetCoverer) IsCovered(e uint32) bool { return c.covered.Get(int(e)) }

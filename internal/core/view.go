@@ -8,9 +8,9 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/bipartite"
+	"repro/internal/bitset"
 	"repro/internal/hashing"
 )
 
@@ -399,38 +399,15 @@ func (out *View) copyRun(heads []viewCursor, budget, degCap int) bool {
 // consumed-edge total (an element of a delta that v's budget cut excluded
 // is left out). It is how a view is shipped as a delta: when v is
 // MergeViews(P, deltas…) for some view P, MergeViews(P, v.Restrict(deltas…))
-// with v's total is v byte for byte (DESIGN.md §11). One walk over the
-// deltas in priority order, each element found in v by binary search
-// forward from the last one. Inputs are only read; the result shares no
-// storage with them.
+// with v's total is v byte for byte (DESIGN.md §11). Inputs are only read;
+// the result shares no storage with them.
 func (v *View) Restrict(deltas ...*View) *View {
+	idx := v.Positions(deltas...)
+	edges := 0
+	for _, p := range idx {
+		edges += int(v.off[p+1] - v.off[p])
+	}
 	out := &View{params: v.params, evicted: v.evicted, barHash: v.barHash, barElem: v.barElem, edgesSeen: v.edgesSeen}
-	heads := make([]viewCursor, 0, len(deltas))
-	for _, d := range deltas {
-		if d != nil && len(d.elems) > 0 {
-			heads = append(heads, viewCursor{v: d})
-		}
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		siftCursor(heads, i)
-	}
-	var idx []int // positions in v, ascending
-	edges, pos := 0, 0
-	for len(heads) > 0 && pos < len(v.elems) {
-		h, e := heads[0].head()
-		heads[0].i++
-		heads = settle(heads)
-		// An element several deltas hold comes up once per delta; after the
-		// first, pos is already past it and the search finds something larger.
-		pos += sort.Search(len(v.elems)-pos, func(k int) bool {
-			return !priorityLess(v.hashes[pos+k], v.elems[pos+k], h, e)
-		})
-		if pos < len(v.elems) && v.hashes[pos] == h && v.elems[pos] == e {
-			idx = append(idx, pos)
-			edges += int(v.off[pos+1] - v.off[pos])
-			pos++
-		}
-	}
 	out.hashes = make([]uint64, len(idx))
 	out.elems = make([]uint32, len(idx))
 	out.off = make([]int64, len(idx)+1)
@@ -441,6 +418,61 @@ func (v *View) Restrict(deltas ...*View) *View {
 		out.off[i+1] = int64(len(out.sets))
 	}
 	return out
+}
+
+// Positions returns the positions in v, ascending, of the elements any of
+// deltas holds that v keeps: Restrict's elements, for a caller that keeps
+// something per position of v and reads them with At. One walk over each
+// delta in priority order, each element found in v by a search forward
+// from the last one and marked in a bitmap of v's positions, so an element
+// several deltas hold is named once. Inputs are only read.
+func (v *View) Positions(deltas ...*View) []int {
+	held := bitset.New(len(v.elems))
+	for _, d := range deltas {
+		if d == nil {
+			continue
+		}
+		pos := 0
+		for i, e := range d.elems {
+			h := d.hashes[i]
+			if pos = v.search(pos, h, e); pos == len(v.elems) {
+				break
+			}
+			if v.hashes[pos] == h && v.elems[pos] == e {
+				held.Set(pos)
+				pos++
+			}
+		}
+	}
+	return held.Ones()
+}
+
+// At returns the element at position i of the priority order and its
+// ascending set list, which aliases the view and must not be modified.
+func (v *View) At(i int) (uint32, []uint32) {
+	return v.elems[i], v.sets[v.off[i]:v.off[i+1]]
+}
+
+// search returns the first position at or after from whose element is not
+// below (h, e) in priority. It gallops forward from from, then bisects the
+// last step, so a walk that searches for ascending elements pays about the
+// logarithm of each gap rather than of the whole view.
+func (v *View) search(from int, h uint64, e uint32) int {
+	below := func(i int) bool { return v.hashes[i] < h || v.hashes[i] == h && v.elems[i] < e }
+	lo, hi, step := from, len(v.elems), 1
+	for lo+step <= hi && below(lo+step-1) {
+		lo += step
+		step *= 2
+	}
+	hi = min(lo+step-1, hi) // the answer is in [lo, hi]
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); below(mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // sortSets sorts a set list ascending: the concatenated lists of one

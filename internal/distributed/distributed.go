@@ -138,11 +138,15 @@ func KCover(shards []stream.Stream, params core.Params, k int) (*Result, error) 
 	}, nil
 }
 
-// Partitioner routes edges to workers by a seeded hash — the random
-// partition a distributed file system (or a load balancer in front of
-// the serving engine) would provide. Any assignment of edges to workers
-// yields a correct merge; hashing merely balances the shards. The zero
-// Partitioner is not valid; use NewPartitioner.
+// Partitioner routes edges to workers by a seeded hash of the whole edge:
+// the random edge partition a distributed file system would hand the
+// workers. It is the edge splitter of ShardGraph, and so of the paper's
+// dist-merge experiment and streamcover.Instance.Shards, and of two rows of
+// the benchmark's ladder; it has no product caller: the serving engine routes every record by its element's
+// sketch priority (core.Priority), so that a shard owns all of an
+// element's edges. Any assignment of edges to workers yields a correct
+// merge; hashing merely balances the shards. The zero Partitioner is not
+// valid; use NewPartitioner.
 type Partitioner struct {
 	workers int
 	h       hashing.Hasher

@@ -15,8 +15,11 @@
 // coordinator folds the cuts into one merged state (Mode.MergeStates)
 // and publishes it as an immutable Snapshot behind an atomic pointer,
 // which its first query materializes into the query graph (the dynamic
-// mode's peel and cut run inside the refresh, as the end of its merge),
-// and one executor answers every mode's queries (executeQuery). For the default
+// mode's peel and cut run inside the refresh, as the end of its merge) —
+// unless, on a sketch engine, the refresh was one delta on a snapshot
+// whose graph exists and carried that graph forward at the cost of the
+// delta (querygraph.go) — and one executor answers every mode's queries
+// (executeQuery). For the default
 // sketch mode no sketch is rebuilt on that path: the request carries the
 // merged state published last, the shard drops what it holds at or
 // above that state's bar (on an append-only stream the merged cut only
@@ -30,8 +33,8 @@
 // deltas the published view, in priority order up to the budget cut, which
 // is exactly the sketch a single machine would have built over every edge
 // ingested before the request (internal/core/merge.go, view.go); the
-// merged view's own arrays are adopted as the element side of the query
-// graph and walked once more to emit the snapshot bytes. Those bytes decode straight back
+// merged view's own arrays are adopted as the element side of a first
+// query's graph and walked once more to emit the snapshot bytes. Those bytes decode straight back
 // into a view (core.ReadView), which is what a restore and a cluster
 // peer's pull hold. The weighted mode does the same once per weight class
 // (its frozen state is a weighted.BankView, a core.View per class); the dynamic
@@ -308,6 +311,13 @@ type Snapshot struct {
 	// folded with sketch shard deltas (see Delta).
 	delta *snapshotDelta
 
+	// eng is the engine that published the snapshot (nil for a cluster
+	// view): it counts the snapshot's materialization, and a sketch
+	// engine's graph chain may start from it. folded is the graph the
+	// refresh carried forward from the chain (querygraph.go), when it did.
+	eng    *Engine
+	folded *bipartite.Graph
+
 	// The materialized graph queries run on, with its cover index, built
 	// by the first query.
 	matOnce sync.Once
@@ -378,15 +388,28 @@ func (s *Snapshot) Delta() (base SnapshotID, delta FrozenState, ok bool) {
 	return SnapshotID{s.instance, s.delta.baseSeq}, v, true
 }
 
-// materialized renders the snapshot's state queryable on first use.
+// materialized renders the snapshot's state queryable on first use: the
+// graph a refresh folded, else the mode's full build, which on a sketch
+// engine's own snapshot may start the engine's graph chain.
 func (s *Snapshot) materialized() (*materialized, error) {
 	s.matOnce.Do(func() {
-		s.mat, s.matErr = s.mode.Materialize(s.state)
-		if s.matErr == nil {
-			// The bitset coverage index is built with the graph (when
-			// profitable for it) so no query pays it: snapshots are immutable
-			// and the index is shared by every greedy run against them.
-			s.mat.graph.BuildCoverIndex()
+		start := time.Now()
+		if s.folded != nil {
+			s.mat = &materialized{graph: s.folded}
+		} else if s.mat, s.matErr = s.mode.Materialize(s.state); s.matErr != nil {
+			return
+		} else if s.eng != nil && s.mode.Name() == ModeSketch {
+			s.eng.startChain(s, s.mat.graph)
+		}
+		// The bitset coverage index is built with the graph (when
+		// profitable for it) so no query pays it: snapshots are immutable
+		// and the index is shared by every greedy run against them.
+		s.mat.graph.BuildCoverIndex()
+		if s.eng != nil {
+			if s.folded == nil {
+				s.eng.graphBuilds.Add(1)
+			}
+			s.eng.materializeNanos.Add(int64(time.Since(start)))
 		}
 	})
 	return s.mat, s.matErr
@@ -422,11 +445,18 @@ func (s *Snapshot) keptEdges() int { return s.state.Stats().EdgesKept }
 // independent subsample, so there is no single p*).
 func (s *Snapshot) pStar() float64 { return s.state.Stats().PStar }
 
-// Graph returns the snapshot state materialized as a bipartite graph
-// (elements renumbered; see core.Sketch.Graph), with the bitset
-// coverage index already built when profitable; the first call (or
-// query) builds it. Read-only: the graph is
-// shared with every query running against this snapshot.
+// Graph returns the snapshot state materialized as the bipartite graph
+// its queries run on, with the bitset coverage index already built when
+// profitable; the first call (or query) builds it unless the refresh
+// already carried it forward. Set ids are preserved. On a sketch engine's
+// own snapshot the elements are slots of the engine's graph chain: stable
+// numbers in no particular relation to the view's priority order, some
+// of them absent (bipartite.Graph.Absent) — elements that left the sketch
+// or whose list a later delta replaced, still named in the set lists,
+// covered from the start by every evaluator and never counted. Elsewhere
+// they are the state's elements numbered in its order, none absent.
+// Read-only: the graph is shared with every query running against this
+// snapshot.
 func (s *Snapshot) Graph() (*bipartite.Graph, error) {
 	mat, err := s.materialized()
 	if err != nil {
@@ -498,6 +528,20 @@ type Engine struct {
 	refreshMu sync.Mutex // serializes coordinator merges
 	snap      atomic.Pointer[Snapshot]
 	seq       atomic.Uint64
+
+	// chain is a sketch engine's query graph carried from snapshot to
+	// snapshot (querygraph.go); nil until a first materialization of the
+	// published snapshot starts it, and after any build that was not one
+	// delta on it. chainMu guards it and orders it with snap: a refresh
+	// advances it and publishes under chainMu (holding refreshMu too).
+	chainMu sync.Mutex
+	chain   *graphChain
+	// graphFolds counts the graphs a refresh carried forward from the chain;
+	// graphBuilds the full transposes, compactions of the chain included;
+	// materializeNanos sums the time both took, cover index included.
+	graphFolds       atomic.Int64
+	graphBuilds      atomic.Int64
+	materializeNanos atomic.Int64
 
 	ingested atomic.Int64
 	batches  atomic.Int64
@@ -1019,15 +1063,21 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 	if err != nil {
 		// Counted here, whoever asked: the ticker, a ?refresh=1 query, a
 		// snapshot GET, a peer's pull or a checkpoint. The shards have cut
-		// and nothing was published, so a sketch shard's next cut is full.
+		// and nothing was published, so a sketch shard's next cut is full,
+		// and the graph chain goes with it.
 		e.refreshErrors.Add(1)
+		e.chainMu.Lock()
+		e.chain = nil
+		e.chainMu.Unlock()
 		return nil, err
 	}
-	snap.instance = e.instance
+	snap.instance, snap.eng = e.instance, e
 	if oneDelta {
 		snap.delta = &snapshotDelta{baseSeq: prev.Seq, baseEdges: prev.IngestedEdges, cuts: deltas}
+	} else {
+		deltas = nil
 	}
-	e.snap.Store(snap)
+	e.publish(snap, prev, deltas)
 	e.refreshes.Add(1)
 	e.refreshNanos.Add(int64(time.Since(start)))
 	return snap, nil
@@ -1115,23 +1165,35 @@ type Counters struct {
 	// published bar, never copied or enqueued; always 0 on modes whose
 	// shard states publish no bar.
 	BarDrops int64
+	// GraphFolds counts the query graphs a refresh carried forward from
+	// the previous snapshot's (sketch engines only); GraphBuilds the full
+	// transposes of the engine's snapshots, on a first query or when a
+	// fold compacts; MaterializeNanos sums the time both took, the cover
+	// index included. GraphFolds / (GraphFolds + GraphBuilds) is the fold
+	// share, MaterializeNanos over their sum the mean materialization.
+	GraphFolds       int64
+	GraphBuilds      int64
+	MaterializeNanos int64
 }
 
 // Counters returns the engine's cheap counters (see Counters).
 func (e *Engine) Counters() Counters {
 	c := Counters{
-		IngestedEdges:  e.ingested.Load(),
-		Batches:        e.batches.Load(),
-		IngestStalls:   e.ingestStalls.Load(),
-		DeletedEdges:   e.deletes.Load(),
-		Queries:        e.queries.Load(),
-		QueryCacheHits: e.cacheHits.Load(),
-		Refreshes:      e.refreshes.Load(),
-		RefreshNanos:   e.refreshNanos.Load(),
-		RefreshSkips:   e.refreshSkips.Load(),
-		RefreshErrors:  e.refreshErrors.Load(),
-		ShardKeptEdges: e.shardKept.Load(),
-		BarDrops:       e.barDrops.Load(),
+		IngestedEdges:    e.ingested.Load(),
+		Batches:          e.batches.Load(),
+		IngestStalls:     e.ingestStalls.Load(),
+		DeletedEdges:     e.deletes.Load(),
+		Queries:          e.queries.Load(),
+		QueryCacheHits:   e.cacheHits.Load(),
+		Refreshes:        e.refreshes.Load(),
+		RefreshNanos:     e.refreshNanos.Load(),
+		RefreshSkips:     e.refreshSkips.Load(),
+		RefreshErrors:    e.refreshErrors.Load(),
+		ShardKeptEdges:   e.shardKept.Load(),
+		BarDrops:         e.barDrops.Load(),
+		GraphFolds:       e.graphFolds.Load(),
+		GraphBuilds:      e.graphBuilds.Load(),
+		MaterializeNanos: e.materializeNanos.Load(),
 	}
 	if snap := e.snap.Load(); snap != nil {
 		st := snap.state.Stats()

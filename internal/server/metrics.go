@@ -121,6 +121,9 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Counter("covserved_query_cache_hits_total", "Queries that needed no new greedy pick: their snapshot's run already held the answer.", ns, float64(c.QueryCacheHits))
 		w.Counter("covserved_refreshes_total", "Coordinator merges that actually ran.", ns, float64(c.Refreshes))
 		w.Counter("covserved_refresh_seconds_total", "Time spent in the coordinator merges that ran (idle skips add none).", ns, time.Duration(c.RefreshNanos).Seconds())
+		w.Counter("covserved_materialize_seconds_total", "Time spent materializing the snapshots' query graphs, folds and full builds, cover index included; a fold runs inside its refresh and is counted in covserved_refresh_seconds_total too.", ns, time.Duration(c.MaterializeNanos).Seconds())
+		w.Counter("covserved_graph_folds_total", "Query graphs a refresh carried forward from the previous snapshot's at the cost of its delta (sketch engines only).", ns, float64(c.GraphFolds))
+		w.Counter("covserved_graph_builds_total", "Full transposes of a snapshot's state into its query graph: a first query's build, or a fold that compacted; beside covserved_graph_folds_total, the fold share.", ns, float64(c.GraphBuilds))
 		w.Counter("covserved_refresh_skips_total", "Refresh calls satisfied by the idle short-circuit.", ns, float64(c.RefreshSkips))
 		w.Counter("covserved_refresh_errors_total", "Refreshes that failed, whoever asked for them.", ns, float64(c.RefreshErrors))
 		w.Gauge("covserved_snapshot_seq", "Current merged snapshot sequence number.", ns, float64(c.SnapshotSeq))

@@ -172,6 +172,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"covserved_refreshes_total":           "counter",
 		"covserved_refresh_seconds_total":     "counter",
 		"covserved_refresh_skips_total":       "counter",
+		"covserved_materialize_seconds_total": "counter",
+		"covserved_graph_folds_total":         "counter",
+		"covserved_graph_builds_total":        "counter",
 		"covserved_refresh_errors_total":      "counter",
 		"covserved_snapshot_seq":              "gauge",
 		"covserved_snapshot_edges":            "gauge",
@@ -239,6 +242,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := s1.value(t, `covserved_refresh_seconds_total{ns="beta"}`); got != 0 {
 		t.Fatalf("beta refresh seconds = %v, want 0", got)
+	}
+	// The first query built alpha's graph in full, and the refresh after it
+	// was a skip, so nothing was folded; beta materialized nothing.
+	for key, want := range map[string]float64{
+		`covserved_graph_builds_total{ns="alpha"}`: 1, `covserved_graph_folds_total{ns="alpha"}`: 0,
+		`covserved_graph_builds_total{ns="beta"}`: 0, `covserved_graph_folds_total{ns="beta"}`: 0,
+		`covserved_materialize_seconds_total{ns="beta"}`: 0,
+	} {
+		if got := s1.value(t, key); got != want {
+			t.Fatalf("%s = %v, want %v", key, got, want)
+		}
+	}
+	if got := s1.value(t, `covserved_materialize_seconds_total{ns="alpha"}`); !(got > 0 && got < 60) {
+		t.Fatalf("alpha materialize seconds = %v, want a small positive time", got)
 	}
 	// One logged batch in one segment; under -wal-fsync off nothing was
 	// synced, so all of it is what an OS crash would lose. beta has no WAL
@@ -333,11 +350,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("alpha refresh seconds did not grow across a dirty refresh: %v → %v", v1, v2)
 	}
 	// The second refresh cut deltas, and empty ones: the 50 edges were all
-	// re-sent, so no shard stored anything.
+	// re-sent, so no shard stored anything. It was one delta on the snapshot
+	// whose graph the first query built, so it carried the graph forward;
+	// beta's refresh, which no query read, built nothing.
 	for key, want := range map[string]float64{
 		`covserved_shard_cuts_total{ns="alpha",kind="full"}`:  2,
 		`covserved_shard_cuts_total{ns="alpha",kind="delta"}`: 2,
 		`covserved_refresh_delta_edges_total{ns="alpha"}`:     0,
+		`covserved_graph_folds_total{ns="alpha"}`:             1,
+		`covserved_graph_builds_total{ns="alpha"}`:            1,
+		`covserved_graph_builds_total{ns="beta"}`:             0,
 	} {
 		if got := s2.value(t, key); got != want {
 			t.Fatalf("%s after the second refresh = %v, want %v", key, got, want)

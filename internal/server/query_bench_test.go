@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bipartite"
 	"repro/internal/hashing"
@@ -197,11 +198,18 @@ func benchRefreshBetweenEdges(b *testing.B, cfg Config, fullCut bool, perEngine 
 		perEngine = b.N
 	}
 	for left := b.N; left > 0; left -= perEngine {
-		benchRefreshOneEngine(b, cfg, fullCut, min(left, perEngine))
+		benchRefreshOneEngine(b, cfg, fullCut, min(left, perEngine), nil)
 	}
 }
 
-func benchRefreshOneEngine(b *testing.B, cfg Config, fullCut bool, iters int) {
+// firstQueryTimes splits the clock of BenchmarkFreshQueryDeltaCut by stage.
+type firstQueryTimes struct{ refresh, graph, query time.Duration }
+
+// benchRefreshOneEngine times iters refreshes on one engine. With stages
+// set it also queries the warm-up's last snapshot, and times after every
+// refresh the new snapshot's Graph and its first kcover k = 20 query,
+// adding each stage's time to stages.
+func benchRefreshOneEngine(b *testing.B, cfg Config, fullCut bool, iters int, stages *firstQueryTimes) {
 	base := refreshBenchBase()
 	e, err := New(cfg)
 	if err != nil {
@@ -235,6 +243,12 @@ func benchRefreshOneEngine(b *testing.B, cfg Config, fullCut bool, iters int) {
 			b.Fatal(err)
 		}
 	}
+	first := Query{Algo: AlgoKCover, K: 20}
+	if stages != nil {
+		if _, err := e.Query(first); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for i := 0; i < iters; i++ {
 		if fullCut {
 			ingest(85_000)
@@ -251,12 +265,33 @@ func benchRefreshOneEngine(b *testing.B, cfg Config, fullCut bool, iters int) {
 		if _, err := e.Stats(); err != nil { // rides the mailboxes: every batch is applied
 			b.Fatal(err)
 		}
+		start := time.Now()
 		b.StartTimer()
-		_, err := e.Refresh()
+		snap, err := e.Refresh()
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
+		if stages == nil {
+			continue
+		}
+		refreshed := time.Now()
+		b.StartTimer()
+		_, err = snap.Graph()
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		built := time.Now()
+		b.StartTimer()
+		_, err = e.QuerySnapshot(snap, first)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		stages.refresh += refreshed.Sub(start)
+		stages.graph += built.Sub(refreshed)
+		stages.query += time.Since(built)
 	}
 	if e.ModeName() != ModeSketch {
 		return // only sketch shards cut deltas
@@ -273,6 +308,23 @@ func BenchmarkRefreshDeltaCut(b *testing.B) {
 }
 func BenchmarkRefreshFullCut(b *testing.B) {
 	benchRefreshBetweenEdges(b, refreshBenchConfig(), true, 0)
+}
+
+// BenchmarkFreshQueryDeltaCut is what a fresh query pays on the refresh
+// path between which BenchmarkRefreshDeltaCut's new edges arrived: the
+// Refresh, then the new snapshot's first kcover k = 20 query, which
+// materializes its graph (timed apart as graph-ms/op; a refresh that
+// carried the graph forward leaves only the cover index to build) and runs
+// greedy (query-ms/op).
+func BenchmarkFreshQueryDeltaCut(b *testing.B) {
+	b.StopTimer()
+	b.ReportAllocs()
+	var stages firstQueryTimes
+	benchRefreshOneEngine(b, refreshBenchConfig(), false, b.N, &stages)
+	perOp := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(stages.refresh), "refresh-ms/op")
+	b.ReportMetric(perOp(stages.graph), "graph-ms/op")
+	b.ReportMetric(perOp(stages.query), "query-ms/op")
 }
 
 func refreshBenchConfig() Config {
