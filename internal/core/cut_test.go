@@ -162,6 +162,35 @@ func TestCutForgetsAndCloneKeepsTheBookkeeping(t *testing.T) {
 	}
 }
 
+// heapDiffers reports how s's eviction heap breaks its invariants, or "":
+// a max-heap by (hash, elem) whose entries carry their slot's priority,
+// and whose members are exactly the slots flagged kept, each the one the
+// element index names.
+func heapDiffers(s *Sketch) string {
+	for i, x := range s.heap {
+		if p := (i - 1) / 2; i > 0 && x.above(s.heap[p]) {
+			return fmt.Sprintf("entry %d (elem %d) is above its parent %d (elem %d)", i, x.elem, p, s.heap[p].elem)
+		}
+		sl := &s.slots[x.slot]
+		if !sl.kept || sl.hash != x.hash || sl.elem != x.elem {
+			return fmt.Sprintf("entry %d names slot %d (kept %v, elem %d), not elem %d", i, x.slot, sl.kept, sl.elem, x.elem)
+		}
+		if si, ok := s.index[x.elem]; !ok || si != x.slot {
+			return fmt.Sprintf("entry %d: elem %d is at slot %d in the index, not %d", i, x.elem, si, x.slot)
+		}
+	}
+	kept := 0
+	for i := range s.slots {
+		if s.slots[i].kept {
+			kept++
+		}
+	}
+	if kept != len(s.heap) || kept != len(s.index) {
+		return fmt.Sprintf("%d slots flagged kept, %d heap entries, %d indexed elements", kept, len(s.heap), len(s.index))
+	}
+	return ""
+}
+
 // TestStatsBytesEqualsTheSlotScan holds the byte total Stats reports —
 // kept as a field, since a shard answers every freeze, stats request and
 // metrics scrape with it from inside its mailbox — equal to the scan over
@@ -169,7 +198,8 @@ func TestCutForgetsAndCloneKeepsTheBookkeeping(t *testing.T) {
 // of everything that allocates, grows, reuses or copies a set list. The
 // degree cap both binds below and clears the 16 ids past which addToSlot
 // finds an id's place by binary search, and the budget is small enough
-// that slots are freed and reused throughout.
+// that slots are freed and reused throughout. After every step the
+// eviction heap also holds its invariants (heapDiffers).
 func TestStatsBytesEqualsTheSlotScan(t *testing.T) {
 	const (
 		numSets  = 40
@@ -180,7 +210,7 @@ func TestStatsBytesEqualsTheSlotScan(t *testing.T) {
 		for i := range s.slots {
 			bytes += 24 + 4*int64(cap(s.slots[i].sets))
 		}
-		return bytes + int64(len(s.heap))*4 + int64(len(s.index))*12
+		return bytes + int64(len(s.heap))*16 + int64(len(s.index))*12
 	}
 	for _, degCap := range []int{3, numSets + 1} {
 		for seed := uint64(1); seed <= 6; seed++ {
@@ -208,8 +238,8 @@ func TestStatsBytesEqualsTheSlotScan(t *testing.T) {
 				case 2:
 					op = "LowerBar"
 					if len(s.heap) > 0 {
-						sl := s.slots[s.heap[rng.IntN(len(s.heap))]]
-						s.LowerBar(sl.hash, sl.elem)
+						x := s.heap[rng.IntN(len(s.heap))]
+						s.LowerBar(x.hash, x.elem)
 					}
 				case 3:
 					op = "Cut"
@@ -227,6 +257,9 @@ func TestStatsBytesEqualsTheSlotScan(t *testing.T) {
 				if got, want := s.Stats().Bytes, scan(s); got != want {
 					t.Fatalf("D=%d seed=%d step %d (%s): Stats reports %d bytes, the slot scan %d",
 						degCap, seed, step, op, got, want)
+				}
+				if d := heapDiffers(s); d != "" {
+					t.Fatalf("D=%d seed=%d step %d (%s): eviction heap: %s", degCap, seed, step, op, d)
 				}
 			}
 			if len(s.free) == 0 && len(s.slots) == len(s.index) {

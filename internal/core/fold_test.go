@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -71,12 +72,30 @@ func mergeViewsElementwise(params Params, edgesSeen int64, views ...*View) *View
 	return out
 }
 
-// randomView builds a view by hand: up to n distinct elements of
-// [0, universe) in priority order, each with 1..maxDeg distinct sorted set
-// ids (maxDeg may exceed the cap, which only the merge enforces), and with
-// probability ½ a bar at one of the drawn elements, which drops it and
-// everything above.
-func randomView(rng *rand.Rand, params Params, universe, n, maxDeg int) *View {
+// sortSets sorts a set list ascending: the concatenated lists of one
+// element that several inputs hold. Each is at most D long and an element
+// rarely sits in many inputs, so the short case is an inline insertion
+// sort; the generic sort takes the rest.
+func sortSets(a []uint32) {
+	if len(a) > 32 {
+		slices.Sort(a)
+		return
+	}
+	for i := 1; i < len(a); i++ {
+		x, j := a[i], i
+		for ; j > 0 && a[j-1] > x; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
+	}
+}
+
+// randomView builds a view by hand: the elements of hold and then
+// distinct ones of [0, universe) up to n in all, in priority order, each
+// with 1..maxDeg distinct sorted set ids (maxDeg may exceed the cap, which
+// only the merge enforces), and with probability ½ a bar at one of the
+// drawn elements, which drops it and everything above.
+func randomView(rng *rand.Rand, params Params, universe, n, maxDeg int, hold []uint32) *View {
 	hash := params.Priority().Of
 	picked := map[uint32]bool{}
 	type el struct {
@@ -84,6 +103,12 @@ func randomView(rng *rand.Rand, params Params, universe, n, maxDeg int) *View {
 		e uint32
 	}
 	var els []el
+	for _, e := range hold {
+		if !picked[e] {
+			picked[e] = true
+			els = append(els, el{hash(e), e})
+		}
+	}
 	for len(els) < n {
 		e := uint32(rng.IntN(universe))
 		if !picked[e] {
@@ -117,29 +142,99 @@ func randomView(rng *rand.Rand, params Params, universe, n, maxDeg int) *View {
 }
 
 // TestMergeViewsRunCopyEqualsElementWalk holds MergeViews, which copies
-// whole stretches of one input, bit for bit to the walk that takes one
-// element at a time, over random hand-built inputs: one to four of them
-// (a nil among them now and then), small universes so heads are often
-// equal, budgets small enough that the cut falls inside a stretch, bars
-// that fall inside another input's stretch, and lists longer than the cap.
-// One large input beside small ones — the shape every fold has — is drawn
-// as often as inputs of one size.
+// whole stretches of its largest input, bit for bit to the walk that takes
+// one element at a time, over random hand-built inputs: one to four of
+// them (two to five past seed 400; a nil among them now and then), small universes so heads are
+// often equal, budgets small enough that the cut falls inside a stretch,
+// bars that fall inside another input's stretch, and lists longer than
+// the cap. One large input beside small ones — the shape every fold has —
+// is drawn as often as inputs of one size.
+//
+// Seeds past 400 draw the shapes the galloping run copy branches on, and
+// each must come up in at least 40 of them: the largest input in every
+// argument position, a twin of its size, elements it shares with two or
+// more small inputs, a budget that ends on a run boundary or one edge
+// either side of it, and a small input's bar between two of its elements.
+// Three in four of those seeds keep every list within the cap and mark
+// their inputs capped, so runs are not broken by over-cap lists and no
+// input is scanned for them.
 func TestMergeViewsRunCopyEqualsElementWalk(t *testing.T) {
-	for seed := uint64(1); seed <= 400; seed++ {
+	var equal, shared, boundary, barInRun int
+	var positions [3]int
+	for seed := uint64(1); seed <= 1200; seed++ {
+		shaped := seed > 400
 		rng := rand.New(rand.NewPCG(seed, 0xf01d))
 		params := smallParams(12, 3, 1+rng.IntN(300), seed)
 		params.DegreeCap = 1 + rng.IntN(5)
 		universe := 20 + rng.IntN(400)
-		views := make([]*View, 1+rng.IntN(4))
+		count, maxDeg := 1+rng.IntN(4), params.DegreeCap+1
+		if shaped {
+			count++
+			if rng.IntN(4) != 0 {
+				maxDeg = params.DegreeCap
+			}
+		}
+		views := make([]*View, count)
+		var hot []uint32 // elements of the large input that small ones take too
 		for i := range views {
 			n := rng.IntN(30)
-			if i == 0 && seed%2 == 0 {
+			if i == 0 && (seed%2 == 0 || shaped) {
 				n = rng.IntN(universe)
 			}
 			if rng.IntN(10) == 0 {
 				continue // a nil input
 			}
-			views[i] = randomView(rng, params, universe, min(n, universe), params.DegreeCap+1)
+			var hold []uint32
+			if shaped && i > 0 {
+				if i == 1 && views[0] != nil && rng.IntN(3) == 0 {
+					n = len(views[0].elems) // a twin
+				}
+				if rng.IntN(2) == 0 {
+					hold = hot
+				}
+			}
+			views[i] = randomView(rng, params, universe, min(n, universe), maxDeg, hold)
+			views[i].capped = maxDeg <= params.DegreeCap // as every constructor marks it
+			if shaped && i == 0 && len(views[0].elems) > 0 {
+				for range 1 + rng.IntN(4) {
+					hot = append(hot, views[0].elems[rng.IntN(len(views[0].elems))])
+				}
+			}
+		}
+		if shaped {
+			pos := rng.IntN(len(views))
+			views[0], views[pos] = views[pos], views[0]
+		}
+		// The input MergeViews copies in runs: the first of the largest.
+		big := -1
+		for i, v := range views {
+			if v != nil && len(v.elems) > 0 && (big < 0 || len(v.elems) > len(views[big].elems)) {
+				big = i
+			}
+		}
+		if shaped && big >= 0 && rng.IntN(3) == 0 {
+			// Cut the budget on the edge total before an element a small
+			// input holds, where a run of the large one ends, or one edge
+			// either side of it.
+			ref := mergeViewsElementwise(params, 0, views...)
+			var at []int
+			for k, e := range ref.elems {
+				for i, v := range views {
+					if i != big && v != nil && slices.Contains(v.elems, e) {
+						at = append(at, k)
+						break
+					}
+				}
+			}
+			if len(at) > 0 {
+				params.EdgeBudget = max(1, int(ref.off[at[rng.IntN(len(at))]])+rng.IntN(3)-1)
+				for _, v := range views {
+					if v != nil {
+						v.params = params
+					}
+				}
+				boundary++
+			}
 		}
 		edges := int64(rng.IntN(1 << 20))
 		got, err := MergeViews(params, edges, views...)
@@ -148,8 +243,49 @@ func TestMergeViewsRunCopyEqualsElementWalk(t *testing.T) {
 		}
 		want := mergeViewsElementwise(params, edges, views...)
 		if d := viewsDiffer(got, want); d != "" {
-			t.Fatalf("seed %d (%d inputs, budget %d, D %d): run copy differs from the element walk: %s",
-				seed, len(views), params.EdgeBudget, params.DegreeCap, d)
+			t.Fatalf("seed %d (%d inputs, largest at %d, budget %d, D %d): run copy differs from the element walk: %s",
+				seed, len(views), big, params.EdgeBudget, params.DegreeCap, d)
+		}
+		if !shaped || big < 0 {
+			continue
+		}
+		positions[min(big, 2)]++
+		large := views[big]
+		holders := map[uint32]int{} // small inputs holding each element
+		twin, barred := false, false
+		for i, v := range views {
+			if v == nil || i == big {
+				continue
+			}
+			twin = twin || len(v.elems) == len(large.elems)
+			for _, e := range v.elems {
+				holders[e]++
+			}
+			if v.evicted {
+				p := large.search(0, v.barHash, v.barElem)
+				barred = barred || p > 0 && p < len(large.elems) && large.elems[p] != v.barElem
+			}
+		}
+		if twin {
+			equal++
+		}
+		if barred {
+			barInRun++
+		}
+		if slices.ContainsFunc(want.elems, func(e uint32) bool {
+			p := large.search(0, large.params.Priority().Of(e), e)
+			return holders[e] >= 2 && p < len(large.elems) && large.elems[p] == e
+		}) {
+			shared++
+		}
+	}
+	for name, n := range map[string]int{
+		"a twin of the largest input's size": equal, "an element three inputs hold, the largest among them": shared,
+		"a budget on a run boundary": boundary, "a small input's bar inside a run": barInRun,
+		"largest input first": positions[0], "largest input second": positions[1], "largest input third or later": positions[2],
+	} {
+		if n < 40 {
+			t.Errorf("shape %q drawn in only %d seeds", name, n)
 		}
 	}
 }
@@ -254,36 +390,89 @@ func TestRestrictedDeltaRebuildsTheView(t *testing.T) {
 
 var sinkView *View
 
+// foldBenchEpoch is the epoch the fold and shed benchmarks stream: a Zipf
+// graph over foldBenchElems elements, shuffled once per process. Epoch ep
+// is a disjoint copy of it, its elements shifted by ep·foldBenchElems, as
+// in the benchmark harness's instance.
+var foldBenchEpoch = sync.OnceValue(func() []bipartite.Edge {
+	inst := workload.Zipf(1000, foldBenchElems, foldBenchElems/2, 0.9, 0.7, 1)
+	return stream.Drain(stream.Shuffled(inst.G, 2))
+})
+
+const (
+	foldBenchElems  = 100_000
+	foldBenchEpochs = 6
+)
+
+// foldBenchParams are the cluster-pair and mixed-fresh sketch parameters.
+func foldBenchParams() Params {
+	return Params{NumSets: 1000, NumElems: (foldBenchEpochs + 1) * foldBenchElems, K: 20, Eps: 0.3, Seed: 7, EdgeBudget: 200_000}
+}
+
+// relabelEpoch writes epoch ep of the first len(dst) edges of the bench
+// epoch into dst (at most the whole epoch) and returns it, filtered by
+// keep when keep is not nil.
+func relabelEpoch(dst []bipartite.Edge, ep int, keep func(elem uint32) bool) []bipartite.Edge {
+	base := foldBenchEpoch()
+	out := dst[:0]
+	for _, e := range base[:min(len(base), len(dst))] {
+		e.Elem += uint32(ep * foldBenchElems)
+		if keep == nil || keep(e.Elem) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // BenchmarkMergeViewsFold is one fold of a refresh at cluster-pair sizes: a
 // published view of about 38 000 elements holding the 200 000-edge budget
 // after 3.2 million edges, and the delta one sketch cuts after 500 000 edges
-// of a new epoch. Epochs are disjoint relabelled copies of one Zipf graph,
-// as in the benchmark harness's instance.
+// of a new epoch. No delta element meets the published view: the run copy
+// takes the view between them.
 func BenchmarkMergeViewsFold(b *testing.B) {
-	const (
-		m      = 100_000
-		epochs = 6
-	)
-	inst := workload.Zipf(1000, m, m/2, 0.9, 0.7, 1)
-	base := stream.Drain(stream.Shuffled(inst.G, 2))
-	params := Params{NumSets: 1000, NumElems: (epochs + 1) * m, K: 20, Eps: 0.3, Seed: 7, EdgeBudget: 200_000}
+	benchFold(b, false)
+}
+
+// BenchmarkMergeViewsFoldMeeting is the fold of every cluster-pair round
+// and every peer FoldDelta: the delta is cut mid-epoch, after two earlier
+// 170 000-edge cuts of the same epoch were folded and published, so most
+// delta elements already sit in the view with shorter lists and each
+// takes the union of its two lists (meet-share is that fraction).
+func BenchmarkMergeViewsFoldMeeting(b *testing.B) {
+	benchFold(b, true)
+}
+
+func benchFold(b *testing.B, meeting bool) {
+	params := foldBenchParams()
 	sk := MustNewSketch(params)
-	epoch := make([]bipartite.Edge, len(base))
-	relabel := func(ep int) {
-		for i, e := range base {
-			epoch[i] = bipartite.Edge{Set: e.Set, Elem: e.Elem + uint32(ep*m)}
-		}
-	}
-	for ep := 0; ep < epochs; ep++ {
-		relabel(ep)
-		sk.AddEdges(epoch)
+	epoch := make([]bipartite.Edge, len(foldBenchEpoch()))
+	for ep := 0; ep < foldBenchEpochs; ep++ {
+		sk.AddEdges(relabelEpoch(epoch, ep, nil))
 	}
 	published := sk.Cut(false)
-	if hash, elem, ok := published.Bar(); ok {
-		sk.LowerBar(hash, elem)
+	shed := func() {
+		if hash, elem, ok := published.Bar(); ok {
+			sk.LowerBar(hash, elem)
+		}
 	}
-	relabel(epochs)
-	sk.AddEdges(epoch[:min(len(epoch), 500_000)])
+	shed()
+	chunk := epoch[:min(len(epoch), 500_000)]
+	if meeting {
+		// Two chunks of the new epoch folded and published, the third cut.
+		chunks := relabelEpoch(epoch[:3*170_000], foldBenchEpochs, nil)
+		for c := 0; c < 2; c++ {
+			sk.AddEdges(chunks[c*170_000 : (c+1)*170_000])
+			var err error
+			if published, err = MergeViews(params, sk.edgesSeen, published, sk.Cut(true)); err != nil {
+				b.Fatal(err)
+			}
+			shed()
+		}
+		chunk = chunks[2*170_000:]
+	} else {
+		chunk = relabelEpoch(chunk, foldBenchEpochs, nil)
+	}
+	sk.AddEdges(chunk)
 	delta := sk.Cut(true)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -297,4 +486,5 @@ func BenchmarkMergeViewsFold(b *testing.B) {
 	b.ReportMetric(float64(len(published.elems)), "base_elems")
 	b.ReportMetric(float64(len(published.sets)), "base_edges")
 	b.ReportMetric(float64(len(delta.elems)), "delta_elems")
+	b.ReportMetric(float64(len(published.Positions(delta)))/float64(max(1, len(delta.elems))), "meet-share")
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/workload"
 )
 
@@ -73,4 +75,45 @@ func TestMergeViewsUnchangedByLowerBar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkLowerBarShed is one shard's shed at a refresh, at mixed-fresh
+// shape: shard 0 of a two-shard engine (the elements whose priority's low
+// 32 bits route there), warmed on six epochs and shed to the prefix that
+// holds half the 200 000-edge budget, as the first published bar leaves
+// it, then fed the 85 000 routed edges of a new epoch that a refresh
+// interval brings. Each iteration sheds a clone of that sketch to its
+// new half-budget prefix; ns/shed-elem is the time per element evicted.
+func BenchmarkLowerBarShed(b *testing.B) {
+	params := foldBenchParams()
+	prio := params.Priority()
+	shard0 := func(elem uint32) bool { return uint64(uint32(prio.Of(elem)))*2>>32 == 0 }
+	sk := MustNewSketch(params)
+	epoch := make([]bipartite.Edge, len(foldBenchEpoch()))
+	for ep := 0; ep < foldBenchEpochs; ep++ {
+		sk.AddEdges(relabelEpoch(epoch, ep, shard0))
+	}
+	halfBudget := func() (uint64, uint32) {
+		v := sk.Freeze()
+		k, _ := slices.BinarySearch(v.off, int64(sk.Budget()/2))
+		return v.hashes[k], v.elems[k]
+	}
+	sk.LowerBar(halfBudget())
+	fresh := relabelEpoch(epoch, foldBenchEpochs, shard0)
+	sk.AddEdges(fresh[:min(len(fresh), 85_000)])
+	hash, elem := halfBudget()
+	kept := sk.Elements()
+	b.ReportAllocs()
+	b.ResetTimer()
+	shed := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := sk.Clone()
+		b.StartTimer()
+		c.LowerBar(hash, elem)
+		shed += kept - c.Elements()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(1, shed)), "ns/shed-elem")
+	b.ReportMetric(float64(shed)/float64(b.N), "shed-elems/op")
+	b.ReportMetric(float64(kept), "kept-elems")
 }

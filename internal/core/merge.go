@@ -57,12 +57,8 @@ func (s *Sketch) foldBar(evicted bool, h uint64, e uint32) {
 			s.barHash = h
 			s.barElem = e
 		}
-		for len(s.heap) > 0 {
-			top := &s.slots[s.heap[0]]
-			if priorityLess(top.hash, top.elem, s.barHash, s.barElem) {
-				break
-			}
-			s.evict(s.heap[0])
+		for len(s.heap) > 0 && !priorityLess(s.heap[0].hash, s.heap[0].elem, s.barHash, s.barElem) {
+			s.evictTop()
 		}
 	}
 	s.shrink()

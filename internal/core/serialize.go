@@ -40,7 +40,7 @@ func (s *Sketch) Clone() *Sketch {
 		index:      make(map[uint32]int32, len(s.index)),
 		slots:      make([]slot, len(s.slots)),
 		free:       append([]int32(nil), s.free...),
-		heap:       append([]int32(nil), s.heap...),
+		heap:       append([]heapEntry(nil), s.heap...),
 		dirty:      append([]int32(nil), s.dirty...), // the slot flags are copied below
 		totalEdges: s.totalEdges,
 		evicted:    s.evicted,
@@ -225,8 +225,12 @@ func ReadView(r io.Reader) (*View, error) {
 		return nil, fmt.Errorf("core: reading sketch: %w", err)
 	}
 	v, canonical, err := parseView(data)
-	if err != nil || canonical {
-		return v, err
+	if err != nil {
+		return nil, err
+	}
+	if canonical { // a canonical blob's lists are within the cap
+		v.capped = true
+		return v, nil
 	}
 	s, err := NewSketch(v.params)
 	if err != nil {

@@ -17,7 +17,10 @@ import (
 // budget B (the minimal such prefix). Evictions always remove the
 // current largest-priority element, so an evicted element is never
 // readmitted — the eviction bar only moves down. Arriving edges of
-// elements at or above the bar are discarded in O(1).
+// elements at or above the bar are discarded in O(1). Since every
+// eviction takes the largest, the kept elements sit in a pop-only max-heap
+// whose entries carry their priority inline, so a shrink or a shed pops
+// without reading the slot array.
 type Sketch struct {
 	params Params
 	budget int
@@ -30,7 +33,11 @@ type Sketch struct {
 	index map[uint32]int32 // element id -> slot index
 	slots []slot
 	free  []int32
-	heap  []int32 // max-heap over slots by (hash, elem)
+	// heap is a max-heap of the kept elements by (hash, elem), each entry
+	// carrying its priority inline: every eviction takes the root (shrink
+	// and foldBar), so a shed compares and moves entries without reading
+	// the slot array, and no slot records where its entry sits.
+	heap []heapEntry
 	// dirty lists the slots that stored an edge since the last Cut, each
 	// once (slot.dirty says whether a slot is on it), so it is bounded by
 	// the slot count. Eviction leaves both alone: a freed slot is skipped
@@ -55,15 +62,25 @@ type Sketch struct {
 	dropHash   int64
 }
 
+// slot is one element's storage. Fields are ordered widest first so the
+// struct packs into 40 bytes.
 type slot struct {
-	elem uint32
 	hash uint64
 	// sets holds the element's distinct set ids ascending, at most degCap
 	// of them: the degCap smallest ids of the element's edges seen so far
 	// (see addToSlot).
 	sets  []uint32
-	dirty bool  // on Sketch.dirty
-	hpos  int32 // position in heap, -1 if free
+	elem  uint32
+	dirty bool // on Sketch.dirty
+	kept  bool // holds a kept element, so it has a heap entry; false once freed
+}
+
+// heapEntry is a kept element's place in the eviction heap: its priority
+// and its slot.
+type heapEntry struct {
+	hash uint64
+	elem uint32
+	slot int32
 }
 
 // NewSketch returns an empty sketch for the given parameters.
@@ -252,15 +269,15 @@ func (s *Sketch) alloc(elem uint32, h uint64) int32 {
 	if len(s.free) > 0 {
 		si = s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
-		s.slots[si].elem = elem
-		s.slots[si].hash = h
-		s.slots[si].sets = s.slots[si].sets[:0]
+		sl := &s.slots[si]
+		sl.hash, sl.elem, sl.kept = h, elem, true
+		sl.sets = sl.sets[:0]
 	} else {
-		s.slots = append(s.slots, slot{elem: elem, hash: h})
+		s.slots = append(s.slots, slot{hash: h, elem: elem, kept: true})
 		si = int32(len(s.slots) - 1)
 	}
 	s.index[elem] = si
-	s.heapPush(si)
+	s.heapPush(heapEntry{hash: h, elem: elem, slot: si})
 	return si
 }
 
@@ -344,89 +361,79 @@ func (s *Sketch) addToSlot(si int32, set uint32, count bool) {
 // largest-priority element still leaves >= budget edges, remove it.
 func (s *Sketch) shrink() {
 	for len(s.heap) > 1 {
-		top := s.heap[0]
-		if s.totalEdges-len(s.slots[top].sets) < s.budget {
+		if s.totalEdges-len(s.slots[s.heap[0].slot].sets) < s.budget {
 			return
 		}
-		s.evict(top)
+		s.evictTop()
 	}
 }
 
-func (s *Sketch) evict(si int32) {
-	sl := &s.slots[si]
-	if !s.evicted || priorityLess(sl.hash, sl.elem, s.barHash, s.barElem) {
+// evictTop evicts the largest-priority kept element, the heap's root, and
+// lowers the bar to it.
+func (s *Sketch) evictTop() {
+	top := s.heap[0]
+	if !s.evicted || priorityLess(top.hash, top.elem, s.barHash, s.barElem) {
 		s.evicted = true
-		s.barHash = sl.hash
-		s.barElem = sl.elem
+		s.barHash = top.hash
+		s.barElem = top.elem
 	}
+	sl := &s.slots[top.slot]
 	s.totalEdges -= len(sl.sets)
-	delete(s.index, sl.elem)
-	s.heapRemove(sl.hpos)
-	sl.hpos = -1
+	delete(s.index, top.elem)
+	sl.kept = false
 	sl.sets = sl.sets[:0]
-	s.free = append(s.free, si)
+	s.free = append(s.free, top.slot)
+	s.heapPop()
 }
 
-// --- max-heap over slots keyed by (hash, elem) ---
+// --- max-heap of kept elements keyed by (hash, elem) ---
+//
+// Entries are only pushed (alloc) and popped at the root (evictTop), so
+// both sifts move a hole and write each entry they pass once.
 
-func (s *Sketch) heapAbove(a, b int32) bool {
-	sa, sb := &s.slots[a], &s.slots[b]
-	return priorityLess(sb.hash, sb.elem, sa.hash, sa.elem) // a above b iff a > b
-}
+// above reports whether a sits above b in the heap: a's priority is larger.
+func (a heapEntry) above(b heapEntry) bool { return priorityLess(b.hash, b.elem, a.hash, a.elem) }
 
-func (s *Sketch) heapPush(si int32) {
-	s.heap = append(s.heap, si)
-	i := int32(len(s.heap) - 1)
-	s.slots[si].hpos = i
-	s.heapUp(i)
-}
-
-func (s *Sketch) heapRemove(pos int32) {
-	last := int32(len(s.heap) - 1)
-	if pos != last {
-		s.heapSwap(pos, last)
-	}
-	s.heap = s.heap[:last]
-	if pos != last && pos < int32(len(s.heap)) {
-		s.heapDown(pos)
-		s.heapUp(pos)
-	}
-}
-
-func (s *Sketch) heapSwap(i, j int32) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.slots[s.heap[i]].hpos = i
-	s.slots[s.heap[j]].hpos = j
-}
-
-func (s *Sketch) heapUp(i int32) {
+func (s *Sketch) heapPush(x heapEntry) {
+	s.heap = append(s.heap, x)
+	h := s.heap
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.heapAbove(s.heap[i], s.heap[parent]) {
-			return
+		if !x.above(h[parent]) {
+			break
 		}
-		s.heapSwap(i, parent)
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = x
 }
 
-func (s *Sketch) heapDown(i int32) {
-	n := int32(len(s.heap))
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && s.heapAbove(s.heap[l], s.heap[best]) {
-			best = l
-		}
-		if r < n && s.heapAbove(s.heap[r], s.heap[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		s.heapSwap(i, best)
-		i = best
+// heapPop removes the root: the last entry fills the hole the root left,
+// sifted down past every larger child.
+func (s *Sketch) heapPop() {
+	n := len(s.heap) - 1
+	x, h := s.heap[n], s.heap[:n]
+	s.heap = h
+	if n == 0 {
+		return
 	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].above(h[c]) {
+			c = r
+		}
+		if !h[c].above(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // --- accessors ---
@@ -468,8 +475,8 @@ func (s *Sketch) SetsOf(elem uint32) []uint32 {
 // |Γ(H≤n, S)| for S = {s : selected(s)}.
 func (s *Sketch) Coverage(selected func(set uint32) bool) int {
 	covered := 0
-	for _, si := range s.heap {
-		for _, set := range s.slots[si].sets {
+	for _, x := range s.heap {
+		for _, set := range s.slots[x.slot].sets {
 			if selected(set) {
 				covered++
 				break
@@ -528,7 +535,7 @@ type Stats struct {
 // Stats returns a snapshot of the sketch accounting.
 func (s *Sketch) Stats() Stats {
 	bytes := 24*int64(len(s.slots)) /* slot headers */ + 4*s.setCap +
-		int64(len(s.heap))*4 + int64(len(s.index))*12
+		int64(len(s.heap))*16 + int64(len(s.index))*12
 	return Stats{
 		EdgesSeen:    s.edgesSeen,
 		EdgesKept:    s.totalEdges,

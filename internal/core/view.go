@@ -41,6 +41,11 @@ type View struct {
 	barElem uint32
 
 	edgesSeen int64
+
+	// capped holds when no list is longer than params' degree cap. Every
+	// constructor sets it; only a view built by hand lacks it, and
+	// MergeViews then looks for over-cap lists in it.
+	capped bool
 }
 
 // Freeze returns the sketch's canonical view. It only reads the sketch
@@ -48,11 +53,9 @@ type View struct {
 // the view shares no storage with it, so further ingest never shows
 // through.
 func (s *Sketch) Freeze() *View {
-	kept := make([]int32, 0, len(s.heap))
-	for i := range s.slots {
-		if s.slots[i].hpos >= 0 {
-			kept = append(kept, int32(i))
-		}
+	kept := make([]int32, len(s.heap))
+	for i, x := range s.heap {
+		kept[i] = x.slot
 	}
 	return s.freeze(kept, s.totalEdges)
 }
@@ -77,7 +80,7 @@ func (s *Sketch) Cut(delta bool) *View {
 	for _, si := range s.dirty {
 		sl := &s.slots[si]
 		sl.dirty = false
-		if sl.hpos >= 0 {
+		if sl.kept {
 			changed = append(changed, si)
 			edges += len(sl.sets)
 		}
@@ -103,6 +106,7 @@ func (s *Sketch) freeze(idx []int32, edges int) *View {
 		barHash:   s.barHash,
 		barElem:   s.barElem,
 		edgesSeen: s.edgesSeen,
+		capped:    true,
 	}
 	if n == 0 {
 		return v
@@ -269,16 +273,22 @@ func (v *View) WriteTo(w io.Writer) (int64, error) {
 // budget, and later inputs only grow that prefix.
 //
 // Most merges are one large view plus small ones (a published view and
-// shard deltas, a cluster view and peer deltas), so the walk copies each
-// stretch of the top input that no other input interleaves with in one go
-// (copyRun) and takes elements one at a time only where inputs meet.
+// shard deltas, a cluster view and peer deltas), so the input with the
+// most elements is not walked at all: the others are, in a heap of
+// cursors, and each element they yield is found in the large one by a
+// galloping search forward from the last. The stretch of the large input
+// before it is copied as one run, its budget checked once, and an element
+// several inputs hold gets the linear union of their ascending lists.
+// A list longer than the cap, which only a hand-built view holds (one
+// not capped), ends a run and is taken on its own.
 func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	out := &View{params: params, edgesSeen: edgesSeen}
+	out := &View{params: params, edgesSeen: edgesSeen, capped: true}
 	var (
 		heads       []viewCursor
+		big         *View
 		elems, sets int
 	)
 	for _, v := range views {
@@ -292,11 +302,20 @@ func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
 		if v.evicted && (!out.evicted || priorityLess(v.barHash, v.barElem, out.barHash, out.barElem)) {
 			out.evicted, out.barHash, out.barElem = true, v.barHash, v.barElem
 		}
-		if len(v.elems) > 0 {
-			heads = append(heads, viewCursor{v: v})
-		}
 		elems += len(v.elems)
 		sets += len(v.sets)
+		if len(v.elems) > 0 {
+			if big == nil || len(v.elems) > len(big.elems) {
+				big, v = v, big
+			}
+			if v != nil {
+				heads = append(heads, viewCursor{v: v})
+			}
+		}
+	}
+	if big == nil {
+		out.off = []int64{0}
+		return out, nil
 	}
 	budget, degCap := params.EffectiveEdgeBudget(), params.EffectiveDegreeCap()
 	// Size the output for the cut, not for the inputs: at most budget+D
@@ -314,8 +333,60 @@ func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftCursor(heads, i)
 	}
-	for len(heads) > 0 {
-		h, e := heads[0].head()
+	// Each pass copies big[bi:end] as one run, end being the first of the
+	// merged bar's position (bigEnd), the next list over the cap (long)
+	// and the position of the next element another input yields, then
+	// takes that element.
+	bigEnd := len(big.elems)
+	if out.evicted {
+		bigEnd = big.search(0, out.barHash, out.barElem)
+	}
+	bi, long := 0, bigEnd
+	if !big.capped {
+		long = big.overCap(0, bigEnd, degCap)
+	}
+	var (
+		lists   [][]uint32
+		scratch []uint32
+	)
+	for {
+		if bi > long {
+			long = big.overCap(bi, bigEnd, degCap)
+		}
+		end := long
+		if len(heads) > 0 {
+			h, e := heads[0].head()
+			end = min(end, big.search(bi, h, e))
+		}
+		if end > bi {
+			// Element j of the run is taken while the edges before it stay
+			// below the budget: off[j] < room. The first one that is not is
+			// the merged bar.
+			room := int64(budget-len(out.sets)) + big.off[bi]
+			if big.off[end-1] >= room {
+				stop, _ := slices.BinarySearch(big.off[bi:end], room)
+				out.appendRun(big, bi, bi+stop)
+				out.evicted, out.barHash, out.barElem = true, big.hashes[bi+stop], big.elems[bi+stop]
+				break
+			}
+			out.appendRun(big, bi, end)
+			bi = end
+		}
+		// The next element: big's, the heap's, or both.
+		inBig := bi < len(big.elems)
+		if !inBig && len(heads) == 0 {
+			break
+		}
+		var h uint64
+		var e uint32
+		if inBig {
+			h, e = big.hashes[bi], big.elems[bi]
+		}
+		if len(heads) > 0 {
+			if ch, ce := heads[0].head(); !inBig || priorityLess(ch, ce, h, e) {
+				h, e, inBig = ch, ce, false
+			}
+		}
 		if out.evicted && !priorityLess(h, e, out.barHash, out.barElem) {
 			break
 		}
@@ -323,28 +394,29 @@ func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
 			out.evicted, out.barHash, out.barElem = true, h, e
 			break
 		}
-		if out.copyRun(heads, budget, degCap) {
-			heads = settle(heads)
-			continue
+		lists = lists[:0]
+		if inBig {
+			lists = append(lists, big.sets[big.off[bi]:big.off[bi+1]])
+			bi++
 		}
-		start, lists := len(out.sets), 0
 		for len(heads) > 0 {
 			c := &heads[0]
 			if ch, ce := c.head(); ch != h || ce != e {
 				break
 			}
-			out.sets = append(out.sets, c.v.sets[c.v.off[c.i]:c.v.off[c.i+1]]...)
-			lists++
+			lists = append(lists, c.v.sets[c.v.off[c.i]:c.v.off[c.i+1]])
 			c.i++
 			heads = settle(heads)
 		}
-		if lists > 1 {
-			seg := out.sets[start:]
-			sortSets(seg)
-			out.sets = out.sets[:start+len(slices.Compact(seg))]
-		}
-		if len(out.sets)-start > degCap {
-			out.sets = out.sets[:start+degCap]
+		start := len(out.sets)
+		if len(lists) == 1 {
+			out.sets = append(out.sets, lists[0][:min(len(lists[0]), degCap)]...)
+		} else {
+			out.sets = appendUnion(out.sets, lists[0], lists[1], degCap)
+			for _, l := range lists[2:] {
+				scratch = append(scratch[:0], out.sets[start:]...)
+				out.sets = appendUnion(out.sets[:start], scratch, l, degCap)
+			}
 		}
 		out.hashes = append(out.hashes, h)
 		out.elems = append(out.elems, e)
@@ -353,45 +425,53 @@ func MergeViews(params Params, edgesSeen int64, views ...*View) (*View, error) {
 	return out, nil
 }
 
-// copyRun appends, in one go, the stretch of the top cursor's input that
-// the element walk would take one element at a time without another
-// input taking part: elements strictly below every other head and below
-// the bar, each with a list within the cap, while the budget is not yet
-// full before it. Those are single-list elements, which the walk appends
-// unsorted and uncut, so the copy is byte for byte the walk. It advances
-// the cursor past the stretch and reports whether it was non-empty; the
-// caller settles the heap.
-func (out *View) copyRun(heads []viewCursor, budget, degCap int) bool {
-	limitHash, limitElem, limited := out.barHash, out.barElem, out.evicted
-	for _, i := range [2]int{1, 2} { // the smallest other head is a child of the root
-		if i < len(heads) {
-			if h, e := heads[i].head(); !limited || priorityLess(h, e, limitHash, limitElem) {
-				limitHash, limitElem, limited = h, e, true
-			}
-		}
-	}
-	c := &heads[0]
-	v, start := c.v, c.i
-	// Element j is taken while len(out.sets) + off[j] - off[start] < budget.
-	room := int64(budget-len(out.sets)) + v.off[start]
-	j := start
-	for j < len(v.elems) && v.off[j] < room && v.off[j+1]-v.off[j] <= int64(degCap) &&
-		(!limited || priorityLess(v.hashes[j], v.elems[j], limitHash, limitElem)) {
-		j++
-	}
-	if j == start {
-		return false
-	}
-	shift, n := int64(len(out.sets))-v.off[start], len(out.off)
-	out.hashes = append(out.hashes, v.hashes[start:j]...)
-	out.elems = append(out.elems, v.elems[start:j]...)
-	out.sets = append(out.sets, v.sets[v.off[start]:v.off[j]]...)
-	out.off = append(out.off, v.off[start+1:j+1]...)
+// appendRun appends v's elements [i, j) with their lists as they are.
+func (out *View) appendRun(v *View, i, j int) {
+	shift, n := int64(len(out.sets))-v.off[i], len(out.off)
+	out.hashes = append(out.hashes, v.hashes[i:j]...)
+	out.elems = append(out.elems, v.elems[i:j]...)
+	out.sets = append(out.sets, v.sets[v.off[i]:v.off[j]]...)
+	out.off = append(out.off, v.off[i+1:j+1]...)
 	for k := n; k < len(out.off); k++ {
 		out.off[k] += shift
 	}
-	c.i = j
-	return true
+}
+
+// overCap returns the first position in [from, to) whose list is longer
+// than degCap, or to if there is none.
+func (v *View) overCap(from, to, degCap int) int {
+	for i := from; i < to; i++ {
+		if v.off[i+1]-v.off[i] > int64(degCap) {
+			return i
+		}
+	}
+	return to
+}
+
+// appendUnion appends to dst the union of the ascending, duplicate-free
+// lists a and b, ascending and cut to its limit smallest ids.
+func appendUnion(dst, a, b []uint32, limit int) []uint32 {
+	n := len(dst)
+	dst = slices.Grow(dst, min(len(a)+len(b), limit))
+	out := dst[n : n+min(len(a)+len(b), limit)]
+	i, j, k := 0, 0, 0
+	for ; k < len(out) && i < len(a) && j < len(b); k++ {
+		if x, y := a[i], b[j]; x <= y {
+			out[k] = x
+			i++
+			if x == y {
+				j++
+			}
+		} else {
+			out[k] = y
+			j++
+		}
+	}
+	if i == len(a) {
+		a, i = b, j
+	}
+	k += copy(out[k:], a[i:])
+	return dst[:n+k]
 }
 
 // Restrict returns v restricted to the elements any of deltas holds: those
@@ -407,7 +487,7 @@ func (v *View) Restrict(deltas ...*View) *View {
 	for _, p := range idx {
 		edges += int(v.off[p+1] - v.off[p])
 	}
-	out := &View{params: v.params, evicted: v.evicted, barHash: v.barHash, barElem: v.barElem, edgesSeen: v.edgesSeen}
+	out := &View{params: v.params, evicted: v.evicted, barHash: v.barHash, barElem: v.barElem, edgesSeen: v.edgesSeen, capped: v.capped}
 	out.hashes = make([]uint64, len(idx))
 	out.elems = make([]uint32, len(idx))
 	out.off = make([]int64, len(idx)+1)
@@ -473,24 +553,6 @@ func (v *View) search(from int, h uint64, e uint32) int {
 		}
 	}
 	return lo
-}
-
-// sortSets sorts a set list ascending: the concatenated lists of one
-// element that several MergeViews inputs hold. Each is at most D long and
-// an element rarely sits in many inputs, so the short case is an inline
-// insertion sort; the generic sort takes the rest.
-func sortSets(a []uint32) {
-	if len(a) > 32 {
-		slices.Sort(a)
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		x, j := a[i], i
-		for ; j > 0 && a[j-1] > x; j-- {
-			a[j] = a[j-1]
-		}
-		a[j] = x
-	}
 }
 
 // viewCursor is one input's position in the k-way walk.
