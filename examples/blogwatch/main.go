@@ -51,10 +51,3 @@ func main() {
 		inst.NumEdges(), float64(inst.NumEdges())/nBlogs)
 	fmt.Println("\ntop picked blogs:", res.Sets[:min(5, len(res.Sets))], "...")
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

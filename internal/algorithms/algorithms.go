@@ -95,15 +95,8 @@ type KCoverResult struct {
 func KCoverParams(numSets, k int, opt Options) core.Params {
 	eps := opt.eps()
 	epsP := eps / 12 // Algorithm 3 line 1: ε′ = ε/12
-	deltaPP := 2 + math.Log(float64(maxInt(numSets, 2)))
+	deltaPP := 2 + math.Log(float64(max(numSets, 2)))
 	return opt.sketchParams(numSets, k, epsP, deltaPP)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // KCover runs Algorithm 3: build H≤n(k, ε/12, 2+ln n) over a single pass

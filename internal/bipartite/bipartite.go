@@ -326,17 +326,6 @@ func (g *Graph) Coverage(sets []int) int {
 	return c.Add(sets...)
 }
 
-// MaxSetLen returns the largest set size (0 for an empty family).
-func (g *Graph) MaxSetLen() int {
-	best := 0
-	for s := 0; s < g.numSets; s++ {
-		if l := g.SetLen(s); l > best {
-			best = l
-		}
-	}
-	return best
-}
-
 // MaxElemDegree returns the largest element degree.
 func (g *Graph) MaxElemDegree() int {
 	best := 0

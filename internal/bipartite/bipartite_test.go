@@ -167,9 +167,6 @@ func TestCovererEpochWrap(t *testing.T) {
 
 func TestDegreeStats(t *testing.T) {
 	g := tinyGraph(t)
-	if g.MaxSetLen() != 3 {
-		t.Fatalf("MaxSetLen = %d", g.MaxSetLen())
-	}
 	if g.MaxElemDegree() != 2 {
 		t.Fatalf("MaxElemDegree = %d", g.MaxElemDegree())
 	}

@@ -15,17 +15,11 @@ func New(n int) Bitset {
 	return make(Bitset, (n+63)/64)
 }
 
-// Words returns the number of 64-bit words backing the set.
-func (b Bitset) Words() int { return len(b) }
-
 // Capacity returns the number of representable values.
 func (b Bitset) Capacity() int { return len(b) * 64 }
 
 // Set inserts i.
 func (b Bitset) Set(i int) { b[i>>6] |= 1 << uint(i&63) }
-
-// Clear removes i.
-func (b Bitset) Clear(i int) { b[i>>6] &^= 1 << uint(i&63) }
 
 // Get reports whether i is present.
 func (b Bitset) Get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
@@ -63,29 +57,6 @@ func (b Bitset) Or(other Bitset) {
 	}
 }
 
-// And sets b to b ∩ other.
-func (b Bitset) And(other Bitset) {
-	for i, w := range other {
-		b[i] &= w
-	}
-}
-
-// AndNot sets b to b \ other.
-func (b Bitset) AndNot(other Bitset) {
-	for i, w := range other {
-		b[i] &^= w
-	}
-}
-
-// OrCount returns |b ∪ other| without modifying either set.
-func (b Bitset) OrCount(other Bitset) int {
-	c := 0
-	for i, w := range other {
-		c += bits.OnesCount64(b[i] | w)
-	}
-	return c
-}
-
 // AndNotCount returns |other \ b|: the number of members of other that are
 // not in b. This is the marginal-gain primitive of greedy algorithms.
 func (b Bitset) AndNotCount(other Bitset) int {
@@ -111,19 +82,6 @@ func (b Bitset) UnionCount(other Bitset) int {
 	return c
 }
 
-// Equal reports whether b and other contain the same members.
-func (b Bitset) Equal(other Bitset) bool {
-	if len(b) != len(other) {
-		return false
-	}
-	for i, w := range other {
-		if b[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
 // IsSubsetOf reports whether every member of b is a member of other.
 func (b Bitset) IsSubsetOf(other Bitset) bool {
 	for i, w := range b {
@@ -132,16 +90,6 @@ func (b Bitset) IsSubsetOf(other Bitset) bool {
 		}
 	}
 	return true
-}
-
-// Any reports whether the set is non-empty.
-func (b Bitset) Any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // IterOnes calls fn for every member in increasing order. If fn returns

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/hashing"
+	"repro/internal/stream"
 )
 
 // Ensemble maintains R independent H≤n sketches (distinct derived seeds)
@@ -59,10 +60,8 @@ func (e *Ensemble) AddEdges(edges []bipartite.Edge) {
 
 // AddStream drains st into every replica (batched) and returns the edge
 // count.
-func (e *Ensemble) AddStream(st interface {
-	Next() (bipartite.Edge, bool)
-}) int {
-	return drainBatches(st, e.AddEdges)
+func (e *Ensemble) AddStream(st stream.Stream) int {
+	return addStream(st, e.AddEdges)
 }
 
 // EstimateCoverage returns the median of the replicas' coverage

@@ -107,7 +107,7 @@ func (p Params) deltaPP() float64 {
 	if p.DeltaPP > 0 {
 		return p.DeltaPP
 	}
-	return 2 + math.Log(float64(maxInt(p.NumSets, 2)))
+	return 2 + math.Log(float64(max(p.NumSets, 2)))
 }
 
 // Delta returns δ = δ″ · ln(µ) where µ = log_{1/(1−ε)} m is the number of
@@ -118,7 +118,7 @@ func (p Params) Delta() float64 {
 	if m < 4 {
 		m = 1 << 20
 	}
-	mu := math.Log(float64(m)) / math.Log(1/(1-minFloat(p.Eps, 0.999)))
+	mu := math.Log(float64(m)) / math.Log(1/(1-min(p.Eps, 0.999)))
 	if mu < 2 {
 		mu = 2
 	}
@@ -156,8 +156,8 @@ func (p Params) EffectiveEdgeBudget() int {
 		return p.EdgeBudget
 	}
 	n := float64(p.NumSets)
-	b := 24 * n * p.Delta() * math.Log(1/p.Eps) * math.Log(maxFloat(n, 2)) /
-		((1 - minFloat(p.Eps, 0.999)) * p.Eps * p.Eps * p.Eps)
+	b := 24 * n * p.Delta() * math.Log(1/p.Eps) * math.Log(max(n, 2)) /
+		((1 - min(p.Eps, 0.999)) * p.Eps * p.Eps * p.Eps)
 	if p.SpaceFactor > 0 {
 		b *= p.SpaceFactor
 	}
@@ -168,25 +168,4 @@ func (p Params) EffectiveEdgeBudget() int {
 		return int(1e15)
 	}
 	return int(math.Ceil(b))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

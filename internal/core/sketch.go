@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/bipartite"
 	"repro/internal/hashing"
+	"repro/internal/stream"
 )
 
 // Sketch is the H≤n coverage sketch (Definition 2.1) with the one-pass
@@ -222,37 +223,23 @@ func (s *Sketch) insert(e bipartite.Edge, count bool) {
 // streamBatch is the internal batch size AddStream feeds to AddEdges.
 const streamBatch = 2048
 
-// drainBatches reads st into streamBatch-sized chunks, hands each chunk
-// to fn (including a final partial one), and returns the number of edges
-// consumed. Shared by Sketch.AddStream and Ensemble.AddStream.
-func drainBatches(st interface {
-	Next() (bipartite.Edge, bool)
-}, fn func([]bipartite.Edge)) int {
-	buf := make([]bipartite.Edge, 0, streamBatch)
-	count := 0
-	for {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, e)
-		if len(buf) == streamBatch {
-			fn(buf)
-			count += len(buf)
-			buf = buf[:0]
-		}
-	}
-	fn(buf)
-	return count + len(buf)
-}
-
 // AddStream drains st into the sketch and returns the number of edges
 // consumed. It is the whole single pass of Algorithm 2, fed through the
 // batched AddEdges path.
-func (s *Sketch) AddStream(st interface {
-	Next() (bipartite.Edge, bool)
-}) int {
-	return drainBatches(st, s.AddEdges)
+func (s *Sketch) AddStream(st stream.Stream) int {
+	return addStream(st, s.AddEdges)
+}
+
+// addStream feeds st to add in streamBatch-sized batches and returns the
+// number of edges consumed. Shared by Sketch.AddStream and
+// Ensemble.AddStream.
+func addStream(st stream.Stream, add func([]bipartite.Edge)) int {
+	// The callback never fails, so neither does Batches.
+	n, _ := stream.Batches(st, streamBatch, func(b []bipartite.Edge) error {
+		add(b)
+		return nil
+	})
+	return int(n)
 }
 
 // absorb is the merge/restore ingest path: it inserts an edge with the

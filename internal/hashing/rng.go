@@ -110,19 +110,6 @@ func (r *RNG) Sample(n, k int) []int {
 	return out
 }
 
-// NormFloat64 returns a standard normal variate (Box–Muller, using only
-// one of the pair for simplicity).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
 // Zipf draws values in [0, n) with probability proportional to
 // 1/(i+1)^alpha. It uses a precomputed cumulative table, so construct one
 // Zipf per distribution and reuse it.

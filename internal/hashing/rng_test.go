@@ -179,25 +179,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(37)
-	const n = 50000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.03 {
-		t.Fatalf("normal mean %v too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance %v too far from 1", variance)
-	}
-}
-
 func TestZipfBoundsAndSkew(t *testing.T) {
 	r := NewRNG(41)
 	z := NewZipf(r, 100, 1.2)

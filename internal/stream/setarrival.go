@@ -51,18 +51,3 @@ func (s *GraphSetStream) ResetSets() { s.pos = 0 }
 
 // NumSets returns the number of sets the stream will deliver per pass.
 func (s *GraphSetStream) NumSets() int { return len(s.order) }
-
-// CollectSets drains a SetStream into explicit (id, elems) pairs,
-// copying element slices; test helper.
-func CollectSets(ss SetStream) (ids []uint32, sets [][]uint32) {
-	for {
-		id, elems, ok := ss.NextSet()
-		if !ok {
-			return ids, sets
-		}
-		cp := make([]uint32, len(elems))
-		copy(cp, elems)
-		ids = append(ids, id)
-		sets = append(sets, cp)
-	}
-}

@@ -1,8 +1,8 @@
 // Package stream provides the edge-arrival streaming substrate: streams of
 // (set, element) membership edges in arbitrary order, resettable streams
-// for multi-pass algorithms, instrumented wrappers that count traffic, and
-// a set-arrival adapter for the prior-work baselines that require whole
-// sets (the model this paper improves on).
+// for multi-pass algorithms, a drain that feeds a stream to the batched
+// ingest paths, and a set-arrival adapter for the prior-work baselines
+// that require whole sets (the model this paper improves on).
 package stream
 
 import (
@@ -117,78 +117,35 @@ func Adversarial(g *bipartite.Graph) *Slice {
 	return NewSlice(edges)
 }
 
-// Counter wraps a stream and counts the edges delivered; used for
-// verifying single-pass claims and for reporting stream sizes.
-type Counter struct {
-	inner Stream
-	seen  int64
-}
-
-// NewCounter wraps inner.
-func NewCounter(inner Stream) *Counter { return &Counter{inner: inner} }
-
-// Next implements Stream.
-func (c *Counter) Next() (bipartite.Edge, bool) {
-	e, ok := c.inner.Next()
-	if ok {
-		c.seen++
-	}
-	return e, ok
-}
-
-// Seen returns the number of edges delivered so far.
-func (c *Counter) Seen() int64 { return c.seen }
-
-// Reset implements Resettable when the inner stream does; it panics
-// otherwise. The edge count accumulates across passes.
-func (c *Counter) Reset() {
-	r, ok := c.inner.(Resettable)
-	if !ok {
-		panic("stream: Reset on non-resettable inner stream")
-	}
-	r.Reset()
-}
-
-// Limit wraps a stream and stops after max edges; used in failure
-// injection tests (truncated streams).
-type Limit struct {
-	inner Stream
-	left  int
-}
-
-// NewLimit wraps inner, delivering at most max edges.
-func NewLimit(inner Stream, max int) *Limit { return &Limit{inner: inner, left: max} }
-
-// Next implements Stream.
-func (l *Limit) Next() (bipartite.Edge, bool) {
-	if l.left <= 0 {
-		return bipartite.Edge{}, false
-	}
-	e, ok := l.inner.Next()
-	if ok {
-		l.left--
-	}
-	return e, ok
-}
-
-// Concat chains streams back to back.
-type Concat struct {
-	streams []Stream
-	idx     int
-}
-
-// NewConcat returns a stream that yields all edges of each input in turn.
-func NewConcat(streams ...Stream) *Concat { return &Concat{streams: streams} }
-
-// Next implements Stream.
-func (c *Concat) Next() (bipartite.Edge, bool) {
-	for c.idx < len(c.streams) {
-		if e, ok := c.streams[c.idx].Next(); ok {
-			return e, true
+// Batches drains st into one reused buffer of size edges and hands each
+// non-empty batch to fn, in stream order, until the stream ends or fn
+// fails. The buffer is refilled once fn returns, so fn must not retain
+// the batch. Batches returns the number of edges in the batches fn
+// accepted, and fn's first error. It is the one drain behind every
+// stream-taking ingest call (sketches, weight-class banks, services and
+// wire connections), each of which keeps its own batch size.
+func Batches(st Stream, size int, fn func([]bipartite.Edge) error) (int64, error) {
+	buf := make([]bipartite.Edge, 0, size)
+	var n int64
+	for {
+		e, ok := st.Next()
+		if ok {
+			buf = append(buf, e)
+			if len(buf) < size {
+				continue
+			}
 		}
-		c.idx++
+		if len(buf) > 0 {
+			if err := fn(buf); err != nil {
+				return n, err
+			}
+			n += int64(len(buf))
+			buf = buf[:0]
+		}
+		if !ok {
+			return n, nil
+		}
 	}
-	return bipartite.Edge{}, false
 }
 
 // Func adapts a closure to the Stream interface.

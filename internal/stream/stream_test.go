@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -123,47 +125,65 @@ func TestAdversarialOrdersByElementDegree(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	g := testGraph(t)
-	c := NewCounter(Shuffled(g, 1))
-	Drain(c)
-	if c.Seen() != int64(g.NumEdges()) {
-		t.Fatalf("Seen = %d, want %d", c.Seen(), g.NumEdges())
-	}
-	c.Reset()
-	Drain(c)
-	if c.Seen() != 2*int64(g.NumEdges()) {
-		t.Fatalf("Seen after second pass = %d", c.Seen())
-	}
-}
-
-func TestCounterResetPanicsOnNonResettable(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset on non-resettable stream did not panic")
+func TestBatchesSplitsAtSizeAndCountsAccepted(t *testing.T) {
+	g := testGraph(t) // 8 edges
+	for _, size := range []int{1, 3, 4, 8, 100} {
+		var got []bipartite.Edge
+		var lens []int
+		n, err := Batches(Shuffled(g, 1), size, func(b []bipartite.Edge) error {
+			lens = append(lens, len(b))
+			got = append(got, b...)
+			return nil
+		})
+		if err != nil || n != int64(g.NumEdges()) {
+			t.Fatalf("size %d: Batches = %d, %v", size, n, err)
 		}
-	}()
-	c := NewCounter(Func(func() (bipartite.Edge, bool) { return bipartite.Edge{}, false }))
-	c.Reset()
+		if !slices.Equal(got, Drain(Shuffled(g, 1))) {
+			t.Fatalf("size %d: batches do not replay the stream in order", size)
+		}
+		for i, l := range lens {
+			last := i == len(lens)-1
+			if l == 0 || l > size || (!last && l != size) {
+				t.Fatalf("size %d: batch lengths %v", size, lens)
+			}
+		}
+	}
+	// An empty stream hands fn nothing, not an empty batch.
+	n, err := Batches(NewSlice(nil), 4, func([]bipartite.Edge) error {
+		t.Fatal("fn called on an empty stream")
+		return nil
+	})
+	if n != 0 || err != nil {
+		t.Fatalf("empty stream: Batches = %d, %v", n, err)
+	}
 }
 
-func TestLimit(t *testing.T) {
+func TestBatchesStopsAtFirstError(t *testing.T) {
 	g := testGraph(t)
-	got := Drain(NewLimit(Shuffled(g, 1), 3))
-	if len(got) != 3 {
-		t.Fatalf("Limit delivered %d edges", len(got))
-	}
-	if got2 := Drain(NewLimit(Shuffled(g, 1), 100)); len(got2) != g.NumEdges() {
-		t.Fatalf("generous Limit delivered %d edges", len(got2))
+	boom := errors.New("boom")
+	calls := 0
+	n, err := Batches(Shuffled(g, 1), 3, func([]bipartite.Edge) error {
+		calls++
+		if calls == 2 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || n != 3 || calls != 2 {
+		t.Fatalf("Batches = %d, %v after %d calls; want 3, boom after 2", n, err, calls)
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := NewSlice([]bipartite.Edge{{Set: 0, Elem: 0}})
-	b := NewSlice([]bipartite.Edge{{Set: 1, Elem: 1}, {Set: 2, Elem: 2}})
-	got := Drain(NewConcat(a, b))
-	if len(got) != 3 || got[0].Set != 0 || got[2].Set != 2 {
-		t.Fatalf("Concat = %v", got)
+// collectSets drains a SetStream into explicit (id, elems) pairs, copying
+// the element slices the stream reuses.
+func collectSets(ss SetStream) (ids []uint32, sets [][]uint32) {
+	for {
+		id, elems, ok := ss.NextSet()
+		if !ok {
+			return ids, sets
+		}
+		ids = append(ids, id)
+		sets = append(sets, append([]uint32(nil), elems...))
 	}
 }
 
@@ -173,7 +193,7 @@ func TestGraphSetStream(t *testing.T) {
 	if ss.NumSets() != g.NumSets() {
 		t.Fatalf("NumSets = %d", ss.NumSets())
 	}
-	ids, sets := CollectSets(ss)
+	ids, sets := collectSets(ss)
 	if len(ids) != g.NumSets() {
 		t.Fatalf("collected %d sets", len(ids))
 	}
@@ -197,7 +217,7 @@ func TestGraphSetStream(t *testing.T) {
 	}
 	// Resettable.
 	ss.ResetSets()
-	ids2, _ := CollectSets(ss)
+	ids2, _ := collectSets(ss)
 	if len(ids2) != len(ids) {
 		t.Fatal("ResetSets did not replay")
 	}

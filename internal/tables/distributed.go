@@ -69,14 +69,7 @@ func RunDistMerge(cfg Config) []*stats.Table {
 			}
 		}
 		t.AddRow(w, same, res.Stats.MergedEdges, shipped, maxShare,
-			fmt.Sprintf("%.2fx", float64(elapsed)/float64(maxDuration(singleElapsed, 1))))
+			fmt.Sprintf("%.2fx", float64(elapsed)/float64(max(singleElapsed, 1))))
 	}
 	return []*stats.Table{t}
-}
-
-func maxDuration(d time.Duration, floor time.Duration) time.Duration {
-	if d < floor {
-		return floor
-	}
-	return d
 }

@@ -172,17 +172,10 @@ func RunThm34SetCover(cfg Config) []*stats.Table {
 			panic(err)
 		}
 		t2.AddRow(r, res.Passes, len(res.Sets),
-			float64(len(res.Sets))/float64(maxIntT(greedySize, 1)),
+			float64(len(res.Sets))/float64(max(greedySize, 1)),
 			res.ResidualEdges, instHard.G.NumEdges())
 	}
 	return []*stats.Table{t, t2}
-}
-
-func maxIntT(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // RunLem22Accuracy verifies Lemma 2.2/2.3 empirically: for random

@@ -158,18 +158,19 @@ func (b *Bank) AddEdges(edges []bipartite.Edge) {
 	}
 }
 
+// streamBatch is the buffer AddStream drains through. AddEdges is Add
+// per edge, so the size only sets how often the buffer is refilled.
+const streamBatch = 2048
+
 // AddStream drains st into the bank and returns the number of edges
 // consumed.
 func (b *Bank) AddStream(st stream.Stream) int {
-	n := 0
-	for {
-		e, ok := st.Next()
-		if !ok {
-			return n
-		}
-		b.Add(e)
-		n++
-	}
+	// The callback never fails, so neither does Batches.
+	n, _ := stream.Batches(st, streamBatch, func(edges []bipartite.Edge) error {
+		b.AddEdges(edges)
+		return nil
+	})
+	return int(n)
 }
 
 // Classes returns the number of non-empty weight classes sketched.

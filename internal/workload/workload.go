@@ -283,10 +283,3 @@ func ensureNoIsolated(edges *[]bipartite.Edge, n, m int, rng *hashing.RNG) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

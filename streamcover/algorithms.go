@@ -76,7 +76,7 @@ type MaxCoverageResult struct {
 // probability 1 − 1/n, using O~(n) space. numSets is n, the number of
 // sets edges may refer to.
 func MaxCoverage(st Stream, numSets, k int, opt Options) (*MaxCoverageResult, error) {
-	res, err := algorithms.KCover(publicToInternal{inner: st}, numSets, k, opt.internal())
+	res, err := algorithms.KCover(st, numSets, k, opt.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ type OutlierCoverResult struct {
 // the optimal full set cover (Algorithm 5 / Theorem 3.3). λ must lie in
 // (0, 1/e].
 func SetCoverWithOutliers(st Stream, numSets int, lambda float64, opt Options) (*OutlierCoverResult, error) {
-	res, err := algorithms.SetCoverOutliers(publicToInternal{inner: st}, numSets, lambda, opt.internal())
+	res, err := algorithms.SetCoverOutliers(st, numSets, lambda, opt.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -140,11 +140,7 @@ type SetCoverResult struct {
 // (1+ε)·ln(m) times optimal w.h.p., holding O~(n·m^{3/(2+r)} + m) edges
 // (Algorithm 6 / Theorem 3.4). Larger r trades passes for space.
 func SetCover(st ResettableStream, numSets, numElems, r int, opt Options) (*SetCoverResult, error) {
-	wrapped := publicToInternalResettable{
-		publicToInternal: publicToInternal{inner: st},
-		reset:            st.Reset,
-	}
-	res, err := algorithms.SetCoverMultiPass(wrapped, numSets, numElems, r, opt.internal())
+	res, err := algorithms.SetCoverMultiPass(st, numSets, numElems, r, opt.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +196,7 @@ func BuildSketch(st Stream, p SketchParams) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner.AddStream(publicToInternal{inner: st})
+	inner.AddStream(st)
 	return &Sketch{inner: inner}, nil
 }
 

@@ -5,29 +5,13 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/distributed"
-	"repro/internal/stream"
 )
 
 // Shards partitions the instance's edges into `workers` disjoint streams
 // by a seeded hash — the random partition a distributed file system
 // provides. Feed them to MaxCoverageSharded.
 func (i *Instance) Shards(workers int, seed uint64) []Stream {
-	internal := distributed.ShardGraph(i.g, workers, seed)
-	out := make([]Stream, len(internal))
-	for j, sh := range internal {
-		out[j] = &internalAnyStreamAdapter{inner: sh}
-	}
-	return out
-}
-
-// internalAnyStreamAdapter bridges any internal stream to the public one.
-type internalAnyStreamAdapter struct {
-	inner stream.Stream
-}
-
-func (a *internalAnyStreamAdapter) Next() (Edge, bool) {
-	e, ok := a.inner.Next()
-	return Edge{Set: e.Set, Elem: e.Elem}, ok
+	return distributed.ShardGraph(i.g, workers, seed)
 }
 
 // ShardedResult reports a distributed MaxCoverage round.
@@ -57,12 +41,8 @@ func MaxCoverageSharded(shards []Stream, numSets, k int, opt Options) (*ShardedR
 	if numSets <= 0 || k <= 0 {
 		return nil, fmt.Errorf("streamcover: MaxCoverageSharded needs positive numSets and k")
 	}
-	internalShards := make([]stream.Stream, len(shards))
-	for i, sh := range shards {
-		internalShards[i] = publicToInternal{inner: sh}
-	}
 	params := algorithms.KCoverParams(numSets, k, opt.internal())
-	res, err := distributed.KCover(internalShards, params, k)
+	res, err := distributed.KCover(shards, params, k)
 	if err != nil {
 		return nil, err
 	}

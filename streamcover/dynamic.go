@@ -39,25 +39,25 @@ func NewDynamicService(numSets int, opt ServiceOptions) (*Service, error) {
 // (server.ErrDeletesUnsupported) on the append-only engines. Safe for
 // concurrent use; all-or-nothing like Ingest.
 func (s *Service) ApplyOps(ops []Op) error {
+	_, err := s.engine.IngestOps(engineOps(ops))
+	return err
+}
+
+// engineOps spells each op's kind as the engine's bipartite.Op does.
+func engineOps(ops []Op) []bipartite.Op {
 	conv := make([]bipartite.Op, len(ops))
 	for i, op := range ops {
-		kind := bipartite.OpInsert
+		conv[i] = bipartite.Op{Kind: bipartite.OpInsert, Edge: op.Edge}
 		if op.Delete {
-			kind = bipartite.OpDelete
+			conv[i].Kind = bipartite.OpDelete
 		}
-		conv[i] = bipartite.Op{Kind: kind, Edge: bipartite.Edge{Set: op.Edge.Set, Elem: op.Edge.Elem}}
 	}
-	_, err := s.engine.IngestOps(conv)
-	return err
+	return conv
 }
 
 // Delete retracts a batch of previously inserted edges — ApplyOps with
 // every op a delete. Dynamic services only.
 func (s *Service) Delete(edges []Edge) error {
-	conv := make([]bipartite.Edge, len(edges))
-	for i, e := range edges {
-		conv[i] = bipartite.Edge{Set: e.Set, Elem: e.Elem}
-	}
-	_, err := s.engine.IngestOps(bipartite.Deletes(conv))
+	_, err := s.engine.IngestOps(bipartite.Deletes(edges))
 	return err
 }

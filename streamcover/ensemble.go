@@ -38,7 +38,7 @@ func MaxCoverageEnsemble(st Stream, numSets, k, replicas int, opt Options) (*Ens
 	if err != nil {
 		return nil, err
 	}
-	ens.AddStream(publicToInternal{inner: st})
+	ens.AddStream(st)
 	sets, est := ens.BestSolution(func(g *bipartite.Graph) []int {
 		return greedy.MaxCover(g, k).Sets
 	})

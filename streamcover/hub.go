@@ -95,7 +95,7 @@ func (h *Hub) OpenNamespace(name string, numSets int, opt ServiceOptions) (*Serv
 	if err != nil {
 		return nil, err
 	}
-	return &Service{engine: eng, numSets: numSets}, nil
+	return &Service{engine: eng}, nil
 }
 
 // RestoreNamespace creates namespace name seeded from a single-service
@@ -116,7 +116,7 @@ func (h *Hub) RestoreNamespace(name string, r io.Reader, numSets int, opt Servic
 	if err != nil {
 		return nil, err
 	}
-	return &Service{engine: eng, numSets: numSets}, nil
+	return &Service{engine: eng}, nil
 }
 
 // Namespace returns the Service handle for an existing namespace.
@@ -125,7 +125,7 @@ func (h *Hub) Namespace(name string) (*Service, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &Service{engine: eng, numSets: eng.Config().NumSets}, true
+	return &Service{engine: eng}, true
 }
 
 // Namespaces lists the hub's namespace names, sorted (List returns

@@ -3,11 +3,10 @@ package streamcover
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
-	"repro/internal/bipartite"
 	"repro/internal/server"
+	"repro/internal/stream"
 )
 
 // ServiceOptions configures a long-running coverage service (see
@@ -68,13 +67,7 @@ type ServiceOptions struct {
 // The zero Service is not usable; construct with NewService and Close
 // when done. cmd/covserved exposes a Service over HTTP.
 type Service struct {
-	engine  *server.Engine
-	numSets int
-	// convPool recycles the public-to-internal edge conversion buffers of
-	// Ingest: the engine copies edges into its own pooled per-shard
-	// buffers before returning, so a conversion buffer is reusable the
-	// moment the engine call returns.
-	convPool sync.Pool
+	engine *server.Engine
 }
 
 // NewService starts a coverage service for instances with numSets sets
@@ -88,7 +81,7 @@ func NewService(numSets int, opt ServiceOptions) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{engine: eng, numSets: numSets}, nil
+	return &Service{engine: eng}, nil
 }
 
 // NewWeightedService starts a weighted coverage service: KCover picks k
@@ -117,7 +110,7 @@ func RestoreService(r io.Reader, numSets int, opt ServiceOptions) (*Service, err
 	if err != nil {
 		return nil, err
 	}
-	return &Service{engine: eng, numSets: numSets}, nil
+	return &Service{engine: eng}, nil
 }
 
 // Engine exposes the underlying engine, e.g. to mount its HTTP handler.
@@ -131,17 +124,7 @@ func (s *Service) Weighted() bool { return s.engine.Weighted() }
 // for backpressure when shard queues are full. The caller's slice may be
 // reused as soon as Ingest returns.
 func (s *Service) Ingest(edges []Edge) error {
-	var conv []bipartite.Edge
-	if v := s.convPool.Get(); v != nil {
-		conv = (*v.(*[]bipartite.Edge))[:0]
-	} else {
-		conv = make([]bipartite.Edge, 0, len(edges))
-	}
-	for _, e := range edges {
-		conv = append(conv, bipartite.Edge{Set: e.Set, Elem: e.Elem})
-	}
-	_, err := s.engine.Ingest(conv)
-	s.convPool.Put(&conv)
+	_, err := s.engine.Ingest(edges)
 	return err
 }
 
@@ -151,31 +134,7 @@ func (s *Service) IngestStream(st Stream, batchSize int) (int64, error) {
 	if batchSize < 1 {
 		batchSize = 1024
 	}
-	var total int64
-	buf := make([]bipartite.Edge, 0, batchSize)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		if _, err := s.engine.Ingest(buf); err != nil {
-			return err
-		}
-		total += int64(len(buf))
-		buf = buf[:0]
-		return nil
-	}
-	for {
-		e, ok := st.Next()
-		if !ok {
-			return total, flush()
-		}
-		buf = append(buf, bipartite.Edge{Set: e.Set, Elem: e.Elem})
-		if len(buf) == batchSize {
-			if err := flush(); err != nil {
-				return total, err
-			}
-		}
-	}
+	return stream.Batches(st, batchSize, s.Ingest)
 }
 
 // Refresh forces a coordinator merge so subsequent queries reflect every

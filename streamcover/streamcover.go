@@ -35,30 +35,20 @@ import (
 func newPeekReader(r io.Reader) *bufio.Reader { return bufio.NewReader(r) }
 
 // Edge is one (set, element) membership pair — the streaming unit of the
-// edge-arrival model.
-type Edge struct {
-	// Set is the set id, in [0, n).
-	Set uint32
-	// Elem is the element id, in [0, m).
-	Elem uint32
-}
+// edge-arrival model. Set is the set id, in [0, n); Elem is the element
+// id, in [0, m). It is the engine's own edge type, so batches pass from
+// this API to the shards without a copy.
+type Edge = bipartite.Edge
 
 // Stream delivers edges one at a time; Next reports ok=false after the
 // last edge. Implementations may generate edges lazily (e.g. from disk).
-type Stream interface {
-	// Next returns the next edge, or ok=false when the stream is drained.
-	Next() (e Edge, ok bool)
-}
+type Stream = stream.Stream
 
 // ResettableStream is a Stream that can be replayed from the start, as
 // required by the multi-pass SetCover. Each pass must deliver the same
-// edge multiset (order may vary).
-type ResettableStream interface {
-	Stream
-	// Reset rewinds the stream so the next Next call replays it from the
-	// start.
-	Reset()
-}
+// edge multiset (order may vary); Reset rewinds the stream so the next
+// Next call replays it from the start.
+type ResettableStream = stream.Resettable
 
 // SliceStream adapts an in-memory edge slice to ResettableStream.
 type SliceStream struct {
@@ -104,11 +94,7 @@ type PlantedInfo struct {
 // NewInstance builds an instance from explicit edges. Ids must lie in
 // [0, numSets) and [0, numElems); duplicate edges are coalesced.
 func NewInstance(numSets, numElems int, edges []Edge) (*Instance, error) {
-	conv := make([]bipartite.Edge, len(edges))
-	for i, e := range edges {
-		conv[i] = bipartite.Edge{Set: e.Set, Elem: e.Elem}
-	}
-	g, err := bipartite.FromEdges(numSets, numElems, conv)
+	g, err := bipartite.FromEdges(numSets, numElems, edges)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +133,7 @@ func (i *Instance) CoveredElems() int { return i.g.CoveredElems() }
 // EdgeStream returns a resettable edge-arrival stream of the instance in
 // a pseudo-random order determined by seed.
 func (i *Instance) EdgeStream(seed uint64) ResettableStream {
-	return &internalStreamAdapter{inner: stream.Shuffled(i.g, seed)}
+	return stream.Shuffled(i.g, seed)
 }
 
 // GreedyMaxCoverage runs the offline 1−1/e greedy on the full instance —
@@ -193,34 +179,3 @@ func ReadInstance(r io.Reader) (*Instance, error) {
 
 // graph exposes the internal graph to sibling files of this package.
 func (i *Instance) graph() *bipartite.Graph { return i.g }
-
-// internalStreamAdapter bridges an internal resettable stream to the
-// public interface.
-type internalStreamAdapter struct {
-	inner *stream.Slice
-}
-
-func (a *internalStreamAdapter) Next() (Edge, bool) {
-	e, ok := a.inner.Next()
-	return Edge{Set: e.Set, Elem: e.Elem}, ok
-}
-
-func (a *internalStreamAdapter) Reset() { a.inner.Reset() }
-
-// publicToInternal bridges a public Stream to the internal interface.
-type publicToInternal struct {
-	inner Stream
-}
-
-func (a publicToInternal) Next() (bipartite.Edge, bool) {
-	e, ok := a.inner.Next()
-	return bipartite.Edge{Set: e.Set, Elem: e.Elem}, ok
-}
-
-// publicToInternalResettable additionally forwards Reset.
-type publicToInternalResettable struct {
-	publicToInternal
-	reset func()
-}
-
-func (a publicToInternalResettable) Reset() { a.reset() }

@@ -10,7 +10,7 @@ func TestNewInstanceValidation(t *testing.T) {
 	if _, err := NewInstance(2, 2, []Edge{{Set: 5, Elem: 0}}); err == nil {
 		t.Fatal("out-of-range set accepted")
 	}
-	inst, err := NewInstance(2, 3, []Edge{{0, 0}, {0, 1}, {1, 2}, {0, 0}})
+	inst, err := NewInstance(2, 3, []Edge{{Set: 0, Elem: 0}, {Set: 0, Elem: 1}, {Set: 1, Elem: 2}, {Set: 0, Elem: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestGeneratorsExposePlanted(t *testing.T) {
 }
 
 func TestSliceStream(t *testing.T) {
-	s := &SliceStream{Edges: []Edge{{0, 1}, {1, 2}}}
+	s := &SliceStream{Edges: []Edge{{Set: 0, Elem: 1}, {Set: 1, Elem: 2}}}
 	e, ok := s.Next()
 	if !ok || e.Set != 0 {
 		t.Fatal("first edge wrong")

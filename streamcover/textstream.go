@@ -31,11 +31,7 @@ func (t *TextEdgeStream) prime() {
 		return
 	}
 	t.primed = true
-	e, ok := t.ts.Next()
-	if ok {
-		t.pending = Edge{Set: e.Set, Elem: e.Elem}
-		t.hasPend = true
-	}
+	t.pending, t.hasPend = t.ts.Next()
 }
 
 // Header returns the dimensions declared by the file's "c n m" line;
@@ -52,8 +48,7 @@ func (t *TextEdgeStream) Next() (Edge, bool) {
 		t.hasPend = false
 		return t.pending, true
 	}
-	e, ok := t.ts.Next()
-	return Edge{Set: e.Set, Elem: e.Elem}, ok
+	return t.ts.Next()
 }
 
 // Err returns the first parse or I/O error, if any.

@@ -53,7 +53,7 @@ type WeightedResult struct {
 // (1−1/e for weighted coverage) runs on the scaled union. Space is
 // O~(n · log(w_max/w_min)).
 func MaxWeightedCoverage(st Stream, numSets, k int, weightOf func(elem uint32) float64, opt Options) (*WeightedResult, error) {
-	res, err := weighted.KCover(publicToInternal{inner: st}, numSets, k, weightOf,
+	res, err := weighted.KCover(st, numSets, k, weightOf,
 		weighted.Options{
 			Eps:         opt.Eps,
 			Seed:        opt.Seed,

@@ -2,9 +2,8 @@ package streamcover
 
 import (
 	"net"
-	"sync"
 
-	"repro/internal/bipartite"
+	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
@@ -49,9 +48,6 @@ type WireHello struct {
 // goroutine; concurrent Send calls are serialized.
 type IngestConn struct {
 	c *wire.Conn
-
-	mu   sync.Mutex
-	conv []bipartite.Edge
 }
 
 // DialIngest connects to a covserved wire listener (-wire-addr) and
@@ -91,19 +87,7 @@ func (c *IngestConn) Watermark() int64 { return c.c.Watermark() }
 
 // Send streams one edge batch (pipelined; the slice is reusable on
 // return).
-func (c *IngestConn) Send(edges []Edge) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	conv := c.conv[:0]
-	if cap(conv) < len(edges) {
-		conv = make([]bipartite.Edge, 0, len(edges))
-	}
-	for _, e := range edges {
-		conv = append(conv, bipartite.Edge{Set: e.Set, Elem: e.Elem})
-	}
-	c.conv = conv
-	return c.c.Send(conv)
-}
+func (c *IngestConn) Send(edges []Edge) error { return c.c.Send(edges) }
 
 // SendOps streams one operation batch (inserts and deletes, pipelined;
 // the slice is reusable on return). The connection must have been
@@ -111,17 +95,7 @@ func (c *IngestConn) Send(edges []Edge) error {
 // op count, so Flush and reconnect-resume cover deletes exactly like
 // inserts.
 func (c *IngestConn) SendOps(ops []Op) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	conv := make([]bipartite.Op, len(ops))
-	for i, op := range ops {
-		kind := bipartite.OpInsert
-		if op.Delete {
-			kind = bipartite.OpDelete
-		}
-		conv[i] = bipartite.Op{Kind: kind, Edge: bipartite.Edge{Set: op.Edge.Set, Elem: op.Edge.Elem}}
-	}
-	return c.c.SendOps(conv)
+	return c.c.SendOps(engineOps(ops))
 }
 
 // SendStream drains st over the connection in batches of batchSize
@@ -130,29 +104,7 @@ func (c *IngestConn) SendStream(st Stream, batchSize int) (int64, error) {
 	if batchSize < 1 {
 		batchSize = 1024
 	}
-	buf := make([]Edge, 0, batchSize)
-	var total int64
-	for {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, e)
-		if len(buf) == batchSize {
-			if err := c.Send(buf); err != nil {
-				return total, err
-			}
-			total += int64(len(buf))
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if err := c.Send(buf); err != nil {
-			return total, err
-		}
-		total += int64(len(buf))
-	}
-	return total, nil
+	return stream.Batches(st, batchSize, c.Send)
 }
 
 // Flush blocks until the server has acknowledged every edge sent so

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -284,5 +285,82 @@ func TestWireHandshakeStrictness(t *testing.T) {
 	svc, _ := hub.Namespace(DefaultNamespace)
 	if got := svc.Engine().IngestedEdges(); got != 1 {
 		t.Fatalf("ingested %d, want 1", got)
+	}
+}
+
+// TestIngestConnConcurrentSends: an IngestConn's sends share one wire
+// connection, whose writer serializes them, so goroutines sending on it
+// at once deliver every edge exactly once, and the namespace answers as a
+// Service fed the same edges directly.
+func TestIngestConnConcurrentSends(t *testing.T) {
+	const n, k, senders, batch = 40, 4, 4, 64
+	var edges []Edge
+	for st := GenerateUniform(n, 2000, 0.05, 1).EdgeStream(3); ; {
+		e, ok := st.Next()
+		if !ok {
+			break
+		}
+		edges = append(edges, e)
+	}
+	opt := ServiceOptions{Options: Options{Eps: 0.4, Seed: 5, EdgeBudget: 50 * n}, K: k, Shards: 2}
+
+	hub := NewHub()
+	defer hub.Close()
+	svc, err := hub.OpenNamespace(DefaultNamespace, n, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wsrv := hub.ServeWire(ln, wire.Options{AckEvery: 3})
+	defer wsrv.Close()
+	c, err := DialIngest(ln.Addr().String(), WireHello{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range senders {
+		part := edges[g*len(edges)/senders : (g+1)*len(edges)/senders]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if sent, err := c.SendStream(&SliceStream{Edges: part}, batch); err != nil || sent != int64(len(part)) {
+				t.Errorf("sender %d: sent %d of %d: %v", g, sent, len(part), err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	direct, err := NewService(n, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	if err := direct.Ingest(edges); err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.IngestedEdges != int64(len(edges)) {
+		t.Fatalf("namespace ingested %d edges, want %d", st.IngestedEdges, len(edges))
+	}
+	got, err := svc.KCover(k, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.KCover(k, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Sets, want.Sets) || got.EstimatedCoverage != want.EstimatedCoverage {
+		t.Fatalf("concurrent wire sends answered %v (%v), direct ingest %v (%v)",
+			got.Sets, got.EstimatedCoverage, want.Sets, want.EstimatedCoverage)
 	}
 }
