@@ -428,11 +428,11 @@ func TestDeltaCutSharesNoStorage(t *testing.T) {
 			t.Fatal(err)
 		}
 		sh.AddEdges(randomBatch(rng, cfg, &sent, 400))
-		cut := sh.Freeze(published).(*sketchCut)
-		if cut.base != published || cut.Stats().ElementsKept == 0 {
-			t.Fatalf("second cut: base %p (published %p), %d elements; want a non-empty delta", cut.base, published, cut.Stats().ElementsKept)
+		cut := sh.Freeze(published)
+		if cut.Stats().ElementsKept == 0 {
+			t.Fatalf("second cut: %d elements; want a non-empty delta", cut.Stats().ElementsKept)
 		}
-		merged, err := mode.MergeStates([]FrozenState{cut}, 0)
+		merged, err := mode.MergeStates([]FrozenState{cut, published}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,4 +512,179 @@ func TestDeltaCutSharesNoStorage(t *testing.T) {
 			t.Fatal("no refresh cut a delta")
 		}
 	})
+}
+
+// baseProbe wraps a mode and records the base every shard's Freeze
+// receives, in arrival order.
+type baseProbe struct {
+	Mode
+
+	mu    sync.Mutex
+	bases []FrozenState
+}
+
+type baseProbeShard struct {
+	ShardState
+	p *baseProbe
+}
+
+func (p *baseProbe) NewShardState() (ShardState, error) {
+	st, err := p.Mode.NewShardState()
+	if err != nil {
+		return nil, err
+	}
+	return &baseProbeShard{ShardState: st, p: p}, nil
+}
+
+func (s *baseProbeShard) Freeze(base FrozenState) FrozenState {
+	s.p.mu.Lock()
+	s.p.bases = append(s.p.bases, base)
+	s.p.mu.Unlock()
+	return s.ShardState.Freeze(base)
+}
+
+// take returns the bases recorded since the last take.
+func (p *baseProbe) take() []FrozenState {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	bases := p.bases
+	p.bases = nil
+	return bases
+}
+
+// TestOnlySketchShardsCutAgainstABase: a sketch shard's freeze carries the
+// published state as its base exactly when that state folded every shard's
+// last cut — not on an engine's first refresh, not on the first one after a
+// restore, not in the round after a failed merge, and otherwise always,
+// across Stats calls and checkpoints. Weighted and dynamic shards never get
+// a base.
+func TestOnlySketchShardsCutAgainstABase(t *testing.T) {
+	weighted := deltaConfig(t, 3, false)
+	weighted.Weights = &WeightConfig{Default: 2}
+	dynamic := deltaConfig(t, 3, false)
+	dynamic.Engine = ModeDynamic
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sketch/shards=1", deltaConfig(t, 1, false)},
+		{"sketch/shards=3", deltaConfig(t, 3, false)},
+		{"weighted/shards=3", weighted},
+		{"dynamic/shards=3", dynamic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			sketch := cfg.engineName() == ModeSketch
+			rng := rand.New(rand.NewPCG(12, uint64(cfg.Shards)))
+			var sent []bipartite.Edge
+
+			// start builds an engine on a fresh probe; on a sketch engine the
+			// probe wraps probeMode, whose merges can be told to fail.
+			var (
+				e     *Engine
+				probe *baseProbe
+				fails *probeMode
+			)
+			start := func(cfg Config) {
+				t.Helper()
+				mode, err := cfg.EngineMode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sketch {
+					fails = newProbeMode(t, cfg)
+					mode = fails
+				}
+				probe = &baseProbe{Mode: mode}
+				if e, err = newEngine(cfg, probe); err != nil {
+					t.Fatal(err)
+				}
+			}
+			start(cfg)
+			defer func() { e.Close() }()
+
+			ingest := func() {
+				t.Helper()
+				batch := randomBatch(rng, cfg, &sent, 300)
+				for len(batch) == 0 { // an empty batch would make the next refresh idle
+					batch = randomBatch(rng, cfg, &sent, 300)
+				}
+				if _, err := e.Ingest(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// build ingests, runs one snapshot-building call and checks that
+			// every shard's freeze got the state published before the call as
+			// its base when withBase holds on a sketch engine, else nil. The
+			// call fails exactly when the probe was told to fail it.
+			failing := false
+			build := func(step string, withBase bool, call func() (*Snapshot, error)) {
+				t.Helper()
+				ingest()
+				prev := e.snap.Load()
+				if _, err := call(); failing && !errors.Is(err, errProbeMerge) || !failing && err != nil {
+					t.Fatalf("%s: error %v (the probe failed it: %v)", step, err, failing)
+				}
+				var want FrozenState
+				if withBase && sketch {
+					want = prev.state
+				}
+				bases := probe.take()
+				if len(bases) != cfg.Shards {
+					t.Fatalf("%s: %d freezes, want %d", step, len(bases), cfg.Shards)
+				}
+				describe := func(b FrozenState) string {
+					switch {
+					case b == nil:
+						return "no base"
+					case prev != nil && b == prev.state:
+						return "the published state"
+					}
+					return fmt.Sprintf("some other %T", b)
+				}
+				for i, b := range bases {
+					if b != want {
+						t.Fatalf("%s: shard freeze %d got %s, want %s", step, i, describe(b), describe(want))
+					}
+				}
+			}
+
+			build("first refresh", false, e.Refresh)
+			build("second refresh", true, e.Refresh)
+			ingest()
+			if _, err := e.Stats(); err != nil {
+				t.Fatal(err)
+			}
+			if bases := probe.take(); len(bases) != 0 {
+				t.Fatalf("Stats froze %d shards", len(bases))
+			}
+			build("refresh after Stats", true, e.Refresh)
+			build("checkpoint", true, e.Checkpoint)
+			build("refresh after a checkpoint", true, e.Refresh)
+			if sketch {
+				fails.mu.Lock()
+				fails.failBefore = 1
+				fails.mu.Unlock()
+				failing = true
+				build("failing refresh", true, e.Refresh)
+				failing = false
+				build("refresh after a failed merge", false, e.Refresh)
+				build("refresh after that", true, e.Refresh)
+			}
+
+			var saved bytes.Buffer
+			if _, err := e.WriteSnapshot(&saved); err != nil {
+				t.Fatal(err)
+			}
+			probe.take()
+			e.Close()
+			restoreCfg, err := ReadRestore(cfg, &saved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start(restoreCfg)
+			build("first refresh after a restore", false, e.Refresh)
+			build("second refresh after a restore", true, e.Refresh)
+		})
+	}
 }

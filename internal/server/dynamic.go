@@ -101,8 +101,9 @@ func (d *dynamicState) appliesDeletes() {}
 // read.
 type dynamicCut struct{ dynamicState }
 
-// Freeze ignores the published state: a delete can move the recovered
-// sample's cut back up, so nothing the last merge excluded may be shed.
+// Freeze ignores base, which the engine never passes to a dynamic shard: a
+// delete can move the recovered sample's cut back up, so nothing the last
+// merge excluded may be shed.
 // The copy lands in a recycled array when the free list has one.
 func (d *dynamicState) Freeze(FrozenState) FrozenState {
 	cut := &dynamicCut{dynamicState{opsSeen: d.opsSeen, deletes: d.deletes}}

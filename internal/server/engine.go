@@ -19,21 +19,21 @@
 // unless, on a sketch engine, the refresh was one delta on a snapshot
 // whose graph exists and carried that graph forward at the cost of the
 // delta (querygraph.go) — and one executor answers every mode's queries
-// (executeQuery). For the default
-// sketch mode no sketch is rebuilt on that path: the request carries the
-// merged state published last, the shard drops what it holds at or
-// above that state's bar (on an append-only stream the merged cut only
-// moves down, so no later merge can keep it — DESIGN.md §11), freezes
-// the rest into the canonical flat core.View (elements in hash order
-// with sorted set lists — Definition 2.1's prefix written down) — all of
-// it on an engine's first refresh and
-// after a refresh that failed, otherwise only the elements that gained an
-// edge since the shard's last cut, which the published view already folded
-// (a delta; §11 again) — core.MergeViews walks the shard views, and beside
-// deltas the published view, in priority order up to the budget cut, which
-// is exactly the sketch a single machine would have built over every edge
-// ingested before the request (internal/core/merge.go, view.go); the
-// merged view's own arrays are adopted as the element side of a first
+// (executeQuery). For the default sketch mode no sketch is rebuilt on that
+// path. The engine keeps one bit, the published snapshot folded every
+// shard's last cut (cutsFolded), and while it is set the request carries
+// that snapshot's view as the cuts' base: the shard drops what it holds at
+// or above the base's bar (on an append-only stream the merged cut only
+// moves down, so no later merge can keep it — DESIGN.md §11) and freezes
+// only the elements that gained an edge since its last cut into the
+// canonical flat core.View (elements in hash order with sorted set lists —
+// Definition 2.1's prefix written down), a delta (§11 again). On an
+// engine's first refresh and after a refresh that failed there is no base
+// and every shard freezes all it holds. core.MergeViews walks the shard
+// views, and beside deltas the base, in priority order up to the budget
+// cut, which is exactly the sketch a single machine would have built over
+// every edge ingested before the request (internal/core/merge.go,
+// view.go); the merged view's own arrays are adopted as the element side of a first
 // query's graph and walked once more to emit the snapshot bytes. Those bytes decode straight back
 // into a view (core.ReadView), which is what a restore and a cluster
 // peer's pull hold. The weighted mode does the same once per weight class
@@ -247,10 +247,10 @@ type shardMsg struct {
 	reply chan shardReply // non-nil: respond with the shard's state
 	// freeze asks for a read-only cut of the state (a merge is coming);
 	// stats-only requests leave it false and skip the O(budget) copy.
-	// published is the merged state of the last published snapshot (nil
-	// before the first), handed to ShardState.Freeze.
-	freeze    bool
-	published FrozenState
+	// base is what ShardState.Freeze cuts against: the published merged
+	// state while cutsFolded holds, else nil.
+	freeze bool
+	base   FrozenState
 }
 
 // shardReply is a shard's answer to a state request: a frozen cut of its
@@ -275,7 +275,7 @@ func (sh *shard) run(st ShardState) {
 		if msg.reply != nil {
 			var rep shardReply
 			if msg.freeze {
-				rep.frozen = st.Freeze(msg.published)
+				rep.frozen = st.Freeze(msg.base)
 			}
 			rep.stats = st.Stats()
 			msg.reply <- rep
@@ -528,6 +528,13 @@ type Engine struct {
 	refreshMu sync.Mutex // serializes coordinator merges
 	snap      atomic.Pointer[Snapshot]
 	seq       atomic.Uint64
+	// cutsFolded says the published snapshot folded every shard's last cut,
+	// so the next freeze may cut deltas against it. Guarded by refreshMu:
+	// a round cuts every shard under it and then publishes or fails, so
+	// this one bit is the whole of what shards and merge need to agree on.
+	// Only a sketch engine ever sets it; a new engine (a restore, a WAL
+	// replay) starts without it.
+	cutsFolded bool
 
 	// chain is a sketch engine's query graph carried from snapshot to
 	// snapshot (querygraph.go); nil until a first materialization of the
@@ -584,9 +591,10 @@ type Engine struct {
 	// replies of the last freeze (0 before the first).
 	shardKept atomic.Int64
 	// fullCuts and deltaCuts count the cuts sketch shards answered freeze
-	// requests with, by kind, and deltaEdges sums the edges the delta cuts
-	// carried; beside shardKept that is the share of shard state a refresh
-	// re-cuts. All three stay 0 on the other modes.
+	// requests with, by kind (a round's cuts are all of the kind cutsFolded
+	// picked), and deltaEdges sums the edges the delta cuts carried; beside
+	// shardKept that is the share of shard state a refresh re-cuts. All
+	// three stay 0 on the other modes.
 	fullCuts   atomic.Int64
 	deltaCuts  atomic.Int64
 	deltaEdges atomic.Int64
@@ -960,14 +968,14 @@ func (e *Engine) submit(recs []bipartite.Edge, setMask uint32, replay []ShardSta
 // freeze) in every shard mailbox and returns the reply channels. A
 // request rides the same mailbox as the batches, so each reply reflects
 // every batch enqueued to that shard before it. A freeze request carries
-// the published merged state — this engine instance's own, so a restored
-// or re-created engine starts with none. The caller holds ingestMu
-// (shared or exclusive) and has checked e.closed; a freezing caller also
-// holds refreshMu, so the published snapshot cannot change under it.
+// the published merged state as the cuts' base while cutsFolded holds.
+// The caller holds ingestMu (shared or exclusive) and has checked
+// e.closed; a freezing caller also holds refreshMu, so neither the bit nor
+// the published snapshot can change before its buildSnapshot reads them.
 func (e *Engine) requestStates(freeze bool) []chan shardReply {
 	msg := shardMsg{freeze: freeze}
-	if snap := e.snap.Load(); freeze && snap != nil {
-		msg.published = snap.state
+	if freeze && e.cutsFolded {
+		msg.base = e.snap.Load().state
 	}
 	replies := make([]chan shardReply, len(e.shards))
 	for i, sh := range e.shards {
@@ -1033,38 +1041,38 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 	// merge contains nor claim one it missed. Restored edges never passed
 	// a shard's stream counter and ride e.restored.
 	applied := e.restored
-	states := make([]FrozenState, len(replies))
+	states := make([]FrozenState, len(replies), len(replies)+1)
 	shardKept := int64(0)
-	// The snapshot is one delta on prev when every shard cut a delta against
-	// prev's view (the request carried it, and refreshMu kept it published).
-	prev := e.snap.Load()
-	oneDelta := prev != nil
-	var deltas []*core.View
 	for i, ch := range replies {
 		rep := <-ch
 		applied += rep.stats.EdgesSeen
 		shardKept += int64(rep.stats.EdgesKept)
 		states[i] = rep.frozen
-		cut, isCut := rep.frozen.(*sketchCut)
-		if isCut {
-			if cut.base == nil {
-				e.fullCuts.Add(1)
-			} else {
-				e.deltaCuts.Add(1)
-				e.deltaEdges.Add(int64(cut.Stats().EdgesKept))
-			}
-		}
-		if oneDelta = oneDelta && isCut && prev.state == FrozenState(cut.base); oneDelta {
-			deltas = append(deltas, cut.View)
-		}
 	}
 	e.shardKept.Store(shardKept)
+	// The cuts are deltas on prev exactly when the requests carried its view
+	// as their base; it joins them as one more merge input.
+	prev, oneDelta := e.snap.Load(), e.cutsFolded
+	e.cutsFolded = false
+	var deltas []*core.View
+	switch {
+	case oneDelta:
+		deltas = make([]*core.View, len(states))
+		for i, st := range states {
+			deltas[i] = st.(*core.View)
+			e.deltaEdges.Add(int64(deltas[i].Stats().EdgesKept))
+		}
+		e.deltaCuts.Add(int64(len(deltas)))
+		states = append(states, prev.state)
+	case e.mode.Name() == ModeSketch:
+		e.fullCuts.Add(int64(len(states)))
+	}
 	snap, err := MergeSnapshot(e.mode, e.seq.Add(1), applied, states)
 	if err != nil {
 		// Counted here, whoever asked: the ticker, a ?refresh=1 query, a
 		// snapshot GET, a peer's pull or a checkpoint. The shards have cut
-		// and nothing was published, so a sketch shard's next cut is full,
-		// and the graph chain goes with it.
+		// and nothing was published, so the next round cuts in full, with
+		// no base and no shed, and the graph chain goes with it.
 		e.refreshErrors.Add(1)
 		e.chainMu.Lock()
 		e.chain = nil
@@ -1074,10 +1082,9 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 	snap.instance, snap.eng = e.instance, e
 	if oneDelta {
 		snap.delta = &snapshotDelta{baseSeq: prev.Seq, baseEdges: prev.IngestedEdges, cuts: deltas}
-	} else {
-		deltas = nil
 	}
 	e.publish(snap, prev, deltas)
+	e.cutsFolded = e.mode.Name() == ModeSketch
 	e.refreshes.Add(1)
 	e.refreshNanos.Add(int64(time.Since(start)))
 	return snap, nil
@@ -1159,7 +1166,8 @@ type Counters struct {
 	// ShardKeptEdges sums what the shard states held right after the last
 	// freeze. On a sketch engine it tracks SnapshotKeptEdges from the
 	// second refresh on (shards shed above the published bar) rather than
-	// Shards × budget.
+	// Shards × budget — except after a round that follows a failed
+	// refresh, which cuts without a base and so sheds nothing.
 	ShardKeptEdges int64
 	// BarDrops counts the inserts the router dropped against their shard's
 	// published bar, never copied or enqueued; always 0 on modes whose

@@ -83,14 +83,16 @@ type ShardState interface {
 	// Freeze returns a read-only cut of the state that later ingest never
 	// shows through. Taken inside the shard mailbox, it is a consistent
 	// cut of the shard's stream, and it is handed to exactly one
-	// Mode.MergeStates call. published is the merged state the engine
-	// last published (nil before the first refresh): a mode whose merged
-	// cut only ever moves down may first discard whatever that state
-	// already excludes, since no later merge can take it back, and may
-	// answer with only what changed since the cut that state folded. The
-	// sketch mode does both; the weighted and dynamic modes ignore it
-	// (dynamic must: deletes move its cut both ways).
-	Freeze(published FrozenState) FrozenState
+	// Mode.MergeStates call. base is nil, or the published merged state
+	// that folded this shard's previous cut: the engine passes one only on
+	// a sketch engine whose last refresh published (Engine.cutsFolded).
+	// Given a base, a sketch shard first discards whatever base already
+	// excludes — on an append-only stream no later merge can take it back
+	// — and answers with only what changed since its previous cut, which
+	// the refresh merges together with base. Given nil, it answers with its
+	// whole state. The weighted and dynamic modes never get a base (dynamic
+	// must not: deletes move its cut both ways).
+	Freeze(base FrozenState) FrozenState
 }
 
 // deleteApplier marks a shard state whose AddEdges applies delete
@@ -120,9 +122,9 @@ type barPublisher interface {
 // FrozenState is a state nobody mutates any more: what Freeze,
 // Mode.MergeStates and Mode.ReadState return, what a Snapshot carries
 // and what the cluster layer stores per peer. Its consumed-edge total is
-// fixed when it is built. The sketch mode's merged and decoded states are
-// the canonical *core.View and its shards hand out a sketchCut (that view,
-// or after the first publish a delta of it); the weighted mode's states are
+// fixed when it is built. The sketch mode's states are all the canonical
+// *core.View: merged, decoded, and a shard's cut, whole or a delta against
+// the base its freeze request carried; the weighted mode's states are
 // all the *weighted.BankView, that same view once per weight class; the
 // dynamic mode's shards hand out a dynamicCut (the cells copied once into
 // a recycled array, dynamic.go) and its merged and decoded states are
@@ -218,30 +220,14 @@ func (c Config) engineName() ModeName {
 // ---- sketch mode (unweighted H≤n sketch, the default) ----
 
 // sketchState is the shard-owned half. What crosses to the coordinator is
-// a sketchCut; the merged state — what a Snapshot, a restore and a peer
-// hold — is always a complete *core.View, which the refresh merges,
+// a *core.View cut of sk; the merged state — what a Snapshot, a restore and
+// a peer hold — is always a complete *core.View, which the refresh merges,
 // materializes and serializes without ever rebuilding a sketch.
 type sketchState struct {
 	sk *core.Sketch
-	// consumedBy is the last cut's receipt: MergeStates stores the merged
-	// view there once it has folded that cut. It holds nil while no merge
-	// has, and before the first cut.
-	consumedBy *atomic.Pointer[core.View]
 	// bar is the hash half of sk's eviction bar (barPublisher), stored
 	// after every call that may lower it.
 	bar atomic.Uint64
-}
-
-// sketchCut is a shard's answer to a freeze request. When base is nil the
-// view is the shard's whole state. Otherwise it is a delta (core.Sketch.Cut):
-// only the elements that gained an edge since the shard's previous cut,
-// meaningful only merged together with base, the published view that
-// already folded that previous cut. It goes from Freeze to the one
-// MergeStates call of the same buildSnapshot and nowhere else.
-type sketchCut struct {
-	*core.View
-	base       *core.View
-	consumedBy *atomic.Pointer[core.View] // shared with the shard; see sketchState
 }
 
 func (s *sketchState) AddEdges(edges []bipartite.Edge) {
@@ -263,32 +249,23 @@ func (s *sketchState) publishBar() {
 	s.bar.Store(hash)
 }
 
-// Freeze first lowers the shard's bar to the published merged bar: on an
-// append-only stream no later merge can keep an element at or above it,
-// and the merged view is the same with or without the shed (DESIGN.md
-// §11). N shards then hold, freeze and scan about one budget between
-// them instead of one each.
-//
-// The cut is a delta exactly when published is the view that folded this
-// shard's previous cut — read off that cut's receipt, not assumed from the
-// order refreshes happen to run in. It is a full cut the first time, after
-// a restore (a new engine has published nothing) and after any merge that
-// took a cut and published nothing, since the shard forgot what was dirty
-// when it cut.
-func (s *sketchState) Freeze(published FrozenState) FrozenState {
-	cut := &sketchCut{consumedBy: new(atomic.Pointer[core.View])}
-	if v, ok := published.(*core.View); ok {
+// Freeze given a base first lowers the shard's bar to the base's merged
+// bar: on an append-only stream no later merge can keep an element at or
+// above it, and the merged view is the same with or without the shed
+// (DESIGN.md §11). N shards then hold, freeze and scan about one budget
+// between them instead of one each. It then cuts a delta (core.Sketch.Cut):
+// the elements that gained an edge since the shard's previous cut, which
+// base folded. Without a base — an engine's first refresh, the one after a
+// restore and the one after a failed merge — it cuts the whole state.
+func (s *sketchState) Freeze(base FrozenState) FrozenState {
+	v, delta := base.(*core.View)
+	if delta {
 		if hash, elem, evicted := v.Bar(); evicted {
 			s.sk.LowerBar(hash, elem)
 			s.publishBar()
 		}
-		if s.consumedBy.Load() == v {
-			cut.base = v
-		}
 	}
-	cut.View = s.sk.Cut(cut.base != nil)
-	s.consumedBy = cut.consumedBy
-	return cut
+	return s.sk.Cut(delta)
 }
 
 func (s *sketchState) MergeFrom(other FrozenState) error {
@@ -310,44 +287,26 @@ func (m sketchMode) NewShardState() (ShardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &sketchState{sk: sk, consumedBy: new(atomic.Pointer[core.View])}
+	st := &sketchState{sk: sk}
 	st.publishBar()
 	return st, nil
 }
 
-// MergeStates folds complete views (a published state, a decoded peer or
-// restore state) and shard cuts with the one core.MergeViews. A delta cut
-// brings the published view it was cut against along as one more input:
-// base ∪ deltas is an ordinary k-way merge (DESIGN.md §11). On success
-// every cut's receipt names the merged view, which is how a shard later
-// recognizes the published state its next delta is valid against.
+// MergeStates folds sketch views — published, decoded, whole shard cuts,
+// and delta cuts beside the base they were cut against — with the one
+// core.MergeViews: base ∪ deltas is an ordinary k-way merge (DESIGN.md §11).
 func (m sketchMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
-	views := make([]*core.View, 0, len(states)+1)
-	var (
-		cuts []*sketchCut
-		base *core.View
-	)
-	for _, st := range states {
-		switch in := st.(type) {
-		case *core.View:
-			views = append(views, in)
-		case *sketchCut:
-			views = append(views, in.View)
-			cuts = append(cuts, in)
-			if in.base != nil && in.base != base {
-				base = in.base
-				views = append(views, base)
-			}
-		default:
+	views := make([]*core.View, len(states))
+	for i, st := range states {
+		v, ok := st.(*core.View)
+		if !ok {
 			return nil, fmt.Errorf("server: cannot merge %T state into a sketch engine", st)
 		}
+		views[i] = v
 	}
 	merged, err := core.MergeViews(m.params, edges, views...)
 	if err != nil {
 		return nil, err
-	}
-	for _, c := range cuts {
-		c.consumedBy.Store(merged)
 	}
 	return merged, nil
 }
