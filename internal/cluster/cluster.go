@@ -113,6 +113,11 @@ type remoteState struct {
 	edges   int64              // ingested-edge total the state reflects
 	state   server.FrozenState // decoded blob in the namespace's engine mode
 	version uint64             // node-unique, never 0; drives cluster-view invalidation
+	// instance is the local engine the state was decoded and validated for
+	// (server.Engine.Instance). A namespace deleted and re-created since
+	// holds another engine, perhaps of another mode or budget: the state is
+	// not merged into its views until a pull validates it again.
+	instance uint64
 	// delta is set when the state came as a 226: it is the decoded delta
 	// that was folded into the stored state of version base to give state.
 	// A cluster view built from version base folds it too.
@@ -388,6 +393,10 @@ func (p *peer) fail(err error, transport bool, interval, maxBackoff time.Duratio
 // its Delta-Base must name; it is decoded like a full blob and folded into
 // that state (server.FoldDelta), giving byte for byte what a full pull
 // would have stored. A peer that ignores A-IM answers 200 as before.
+//
+// A state stored for another local engine (remoteState.instance) is offered
+// without A-IM; a 304 then re-validates its bytes for this engine as a full
+// pull would, and only a state that passes is stored for it.
 func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	interval, maxBackoff := n.opt.pullInterval(), n.opt.maxBackoff()
 	if interval < 0 {
@@ -399,9 +408,12 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 		return p.fail(err, false, interval, maxBackoff)
 	}
 	prev := p.state(name)
+	stale := prev != nil && prev.instance != e.Instance()
 	if prev != nil && prev.etag != "" {
 		req.Header.Set("If-None-Match", prev.etag)
-		req.Header.Set(server.HeaderAIM, server.DeltaIM)
+		if !stale {
+			req.Header.Set(server.HeaderAIM, server.DeltaIM)
+		}
 	}
 	resp, err := n.cl.Do(req)
 	if err != nil {
@@ -410,10 +422,12 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	defer resp.Body.Close()
 
 	delta := resp.StatusCode == http.StatusIMUsed
+	notModified := resp.StatusCode == http.StatusNotModified
 	switch {
-	case resp.StatusCode == http.StatusNotModified:
+	case notModified && !stale:
 		p.answered(true)
 		return nil
+	case notModified: // validated below, from the stored bytes
 	case resp.StatusCode == http.StatusNotFound:
 		// The peer does not (or no longer does) serve this namespace:
 		// not an error — drop any stale state so queries stop counting a
@@ -428,7 +442,7 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	case delta:
 		// Only a delta on exactly the state held here can be folded.
 		if im, base := resp.Header.Get(server.HeaderIM), resp.Header.Get(server.HeaderDeltaBase); im != server.DeltaIM ||
-			prev == nil || prev.etag == "" || base != prev.etag {
+			prev == nil || stale || prev.etag == "" || base != prev.etag {
 			return p.fail(fmt.Errorf("peer sent a %q delta on %s; this node holds %s", im, base, etagOf(prev)), false, interval, maxBackoff)
 		}
 	case resp.StatusCode != http.StatusOK:
@@ -457,18 +471,23 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 
 	maxBytes := n.opt.maxStateBytes()
 	var body bytes.Buffer
-	if cl := resp.ContentLength; cl > 0 && cl <= maxBytes {
-		// One allocation for a body of the announced size (MinRead spare so
-		// ReadFrom sees EOF without growing) instead of doubling up from
-		// 512 B; a peer that lies still meets the limit below.
-		body.Grow(int(cl) + bytes.MinRead)
-	}
-	_, err = body.ReadFrom(io.LimitReader(resp.Body, maxBytes+1))
-	p.mu.Lock()
-	p.bytes += int64(body.Len())
-	p.mu.Unlock()
-	if err != nil {
-		return p.fail(fmt.Errorf("reading state: %w", err), true, interval, maxBackoff)
+	if notModified {
+		// The peer still serves the stored state: its bytes are the body.
+		prev.state.WriteTo(&body) // a bytes.Buffer write cannot fail
+	} else {
+		if cl := resp.ContentLength; cl > 0 && cl <= maxBytes {
+			// One allocation for a body of the announced size (MinRead spare
+			// so ReadFrom sees EOF without growing) instead of doubling up
+			// from 512 B; a peer that lies still meets the limit below.
+			body.Grow(int(cl) + bytes.MinRead)
+		}
+		_, err = body.ReadFrom(io.LimitReader(resp.Body, maxBytes+1))
+		p.mu.Lock()
+		p.bytes += int64(body.Len())
+		p.mu.Unlock()
+		if err != nil {
+			return p.fail(fmt.Errorf("reading state: %w", err), true, interval, maxBackoff)
+		}
 	}
 	if int64(body.Len()) > maxBytes {
 		return p.fail(fmt.Errorf("state exceeds %d bytes", maxBytes), false, interval, maxBackoff)
@@ -482,7 +501,7 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 	if err != nil {
 		return p.fail(fmt.Errorf("decoding %s state: %w", e.ModeName(), err), false, interval, maxBackoff)
 	}
-	st := &remoteState{etag: resp.Header.Get("ETag"), state: decoded, version: n.versions.Add(1)}
+	st := &remoteState{etag: resp.Header.Get("ETag"), state: decoded, version: n.versions.Add(1), instance: e.Instance()}
 	if delta {
 		if st.state, err = server.FoldDelta(mode, prev.state, decoded); err != nil {
 			return p.fail(fmt.Errorf("folding %s delta: %w", e.ModeName(), err), false, interval, maxBackoff)
@@ -493,9 +512,14 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 
 	p.mu.Lock()
 	p.ns[name] = st
-	p.pulls++
-	if delta {
+	switch {
+	case notModified:
+		p.notModified++
+	case delta:
 		p.deltas++
+		fallthrough
+	default:
+		p.pulls++
 	}
 	p.consecFails = 0
 	p.nextAttempt = time.Time{}
@@ -527,9 +551,12 @@ func etagOf(st *remoteState) string {
 // built — the local snapshot by its own (server.Snapshot.Delta), a peer by
 // the 226 it was pulled with: the new view is the cached one merged with
 // those deltas, byte for byte the rebuild (DESIGN.md §11, with peers in
-// the role of shards). Anything else — a peer that appeared or answered
-// 404, a full pull, two local snapshots or two pulls since the view, a
-// new engine instance — rebuilds.
+// the role of shards), and takes the cached view's query graph forward
+// (server.Engine.MergeSnapshot with the cached view as its base). Anything
+// else — a peer that appeared or answered 404, a full pull, two local
+// snapshots or two pulls since the view, a new engine instance — rebuilds.
+// A peer state stored for a namespace since re-created is left out until a
+// pull validates it for the new engine (remoteState.instance).
 func (n *Node) snapshot(name string, e *server.Engine, fresh bool) (*server.Snapshot, error) {
 	var (
 		local *server.Snapshot
@@ -547,7 +574,7 @@ func (n *Node) snapshot(name string, e *server.Engine, fresh bool) (*server.Snap
 	versions := make([]uint64, len(n.peers))
 	edges, pulled := local.IngestedEdges, false
 	for i, p := range n.peers {
-		if st := p.state(name); st != nil {
+		if st := p.state(name); st != nil && st.instance == e.Instance() {
 			remotes[i], versions[i], pulled = st, st.version, true
 			edges += st.edges
 		}
@@ -567,8 +594,8 @@ func (n *Node) snapshot(name string, e *server.Engine, fresh bool) (*server.Snap
 	// Frozen states are only read by the merge, so the cached view, the
 	// local snapshot state and the stored remote states and deltas go in as
 	// they are; the merged output is privately owned.
-	states, folded := foldInputs(old, local, remotes)
-	if !folded {
+	base, states := foldInputs(old, local, remotes)
+	if base == nil {
 		states = append(states[:0], local.State())
 		for _, st := range remotes {
 			if st != nil {
@@ -576,12 +603,12 @@ func (n *Node) snapshot(name string, e *server.Engine, fresh bool) (*server.Snap
 			}
 		}
 	}
-	snap, err := server.MergeSnapshot(e.EngineMode(), n.viewSeq.Add(1), edges, states)
+	snap, err := e.MergeSnapshot(n.viewSeq.Add(1), edges, base, states)
 	if err != nil {
 		return nil, err
 	}
 	n.views[name] = &view{local: local.ID(), peers: versions, snap: snap}
-	if folded {
+	if base != nil {
 		n.viewFolds.Add(1)
 	} else {
 		n.viewRebuilds.Add(1)
@@ -589,34 +616,33 @@ func (n *Node) snapshot(name string, e *server.Engine, fresh bool) (*server.Snap
 	return snap, nil
 }
 
-// foldInputs returns the cached view's state and one delta per input that
+// foldInputs returns old's view as the base and one delta per input that
 // moved, when every input is unchanged or one delta away from what old was
-// built from; folded is false otherwise.
-func foldInputs(old *view, local *server.Snapshot, remotes []*remoteState) (states []server.FrozenState, folded bool) {
+// built from; base is nil otherwise.
+func foldInputs(old *view, local *server.Snapshot, remotes []*remoteState) (base *server.Snapshot, deltas []server.FrozenState) {
 	if old == nil {
-		return nil, false
+		return nil, nil
 	}
-	states = append(states, old.snap.State())
 	if id := local.ID(); id != old.local {
-		base, delta, ok := local.Delta()
-		if !ok || base != old.local {
-			return states, false
+		from, delta, ok := local.Delta()
+		if !ok || from != old.local {
+			return nil, deltas
 		}
-		states = append(states, delta)
+		deltas = append(deltas, delta)
 	}
 	for i, st := range remotes {
 		switch was := old.peers[i]; {
 		case st == nil && was == 0:
 		case st == nil || was == 0: // answered 404, or appeared
-			return states, false
+			return nil, deltas
 		case st.version == was:
 		case st.delta != nil && st.base == was:
-			states = append(states, st.delta)
+			deltas = append(deltas, st.delta)
 		default:
-			return states, false
+			return nil, deltas
 		}
 	}
-	return states, true
+	return old.snap, deltas
 }
 
 // Query answers q for namespace name from the cluster-wide merged

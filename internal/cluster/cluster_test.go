@@ -709,6 +709,9 @@ func TestClusterETagShortCircuit(t *testing.T) {
 // covserved_queries_total on a node with peers) — and the cached view runs
 // its greedy once like any snapshot: a repeat and a smaller k on an
 // unchanged view need no new pick, on the sketch and the weighted route.
+// The view's graph work is the namespace's too: the first view's graph is
+// one full build, and the view a delta pull folds carries it forward, one
+// graph fold.
 func TestClusterQueriesAreCounted(t *testing.T) {
 	edges := testEdges(t)
 	nodes := startCluster(t, 2, 2)
@@ -735,6 +738,10 @@ func TestClusterQueriesAreCounted(t *testing.T) {
 				t.Fatalf("%s after %d cluster queries: queries=%d hits=%d, want %d and %d",
 					ns, i+1, c.Queries, c.QueryCacheHits, i+1, i)
 			}
+			if c := e.Counters(); c.GraphBuilds != 1 || c.GraphFolds != 0 || c.MaterializeNanos <= 0 {
+				t.Fatalf("%s after %d cluster queries: %d graph builds, %d folds, %d ns; want the view's one build",
+					ns, i+1, c.GraphBuilds, c.GraphFolds, c.MaterializeNanos)
+			}
 		}
 		if _, err := n0.Query(ns, server.Query{Algo: server.AlgoKCover}); err == nil {
 			t.Fatalf("%s: a kcover query without k was answered", ns)
@@ -745,6 +752,28 @@ func TestClusterQueriesAreCounted(t *testing.T) {
 	}
 	if st := n0.Stats(); st.ViewRebuilds != 2 {
 		t.Fatalf("%d view rebuilds over two namespaces: the queries did not share their view", st.ViewRebuilds)
+	}
+
+	// The peer takes node 0's half too (edges new to it), and the pull
+	// brings them as a delta that the next view folds.
+	var other []bipartite.Edge
+	for j := 0; j < len(edges); j += len(nodes) {
+		other = append(other, edges[j])
+	}
+	e1, _ := nodes[1].multi.Get(server.DefaultNamespace)
+	if _, err := e1.Ingest(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := n0.PullNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n0.Query(server.DefaultNamespace, server.Query{Algo: server.AlgoKCover, K: tK}); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := nodes[0].multi.Get(server.DefaultNamespace)
+	if st, c := n0.Stats(), e.Counters(); st.Peers[0].Deltas != 1 || st.ViewFolds != 1 || c.GraphBuilds != 1 || c.GraphFolds != 1 {
+		t.Fatalf("after a delta pull and a query: %d deltas, %d view folds, %d graph builds, %d graph folds; want one fold of each and the first build",
+			st.Peers[0].Deltas, st.ViewFolds, c.GraphBuilds, c.GraphFolds)
 	}
 }
 

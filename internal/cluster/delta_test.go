@@ -7,12 +7,15 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bipartite"
+	"repro/internal/core"
+	"repro/internal/greedy"
 	"repro/internal/server"
 )
 
@@ -158,8 +161,105 @@ func TestClusterViewFollowsARecreatedNamespace(t *testing.T) {
 	}
 }
 
+// TestPeerStatesFollowARecreatedLocalNamespace: a stored peer state was
+// validated for the local engine it was pulled for. A pulls B's state of x,
+// then deletes x and re-creates it with another budget, and again as a
+// dynamic namespace. B's state is unchanged, so its pull answers 304, which
+// re-validates the stored bytes for the new engine: PullNow reports the
+// mismatch, and every cluster query answers as A's own engine does, before
+// that pull and after it. Re-created with x's first config, one pull makes
+// the answer a single node's fed both halves again.
+func TestPeerStatesFollowARecreatedLocalNamespace(t *testing.T) {
+	edges := testEdges(t)
+	half := len(edges) / 2
+	nodes := startNodes(t, 2, []nsConfig{{"x", testConfig(2)}})
+	a, b := nodes[0], nodes[1]
+	eb, _ := b.multi.Get("x")
+	if _, err := eb.Ingest(edges[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.node.PullNow(); err != nil {
+		t.Fatal(err)
+	}
+	q := server.Query{Algo: server.AlgoKCover, K: tK, Refresh: true}
+	recreate := func(cfg server.Config) *server.Engine {
+		t.Helper()
+		if err := a.multi.Delete("x"); err != nil {
+			t.Fatal(err)
+		}
+		e, err := a.multi.Create("x", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Ingest(edges[:half]); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	same := func(what string, got, want *server.QueryResult) {
+		t.Helper()
+		assertSameSets(t, what, got.Sets, want.Sets)
+		if got.SketchCoverage != want.SketchCoverage || got.EstimatedCoverage != want.EstimatedCoverage || got.SnapshotEdges != want.SnapshotEdges {
+			t.Fatalf("%s: covered %d (estimate %v) of %d edges, want %d (%v) of %d", what,
+				got.SketchCoverage, got.EstimatedCoverage, got.SnapshotEdges, want.SketchCoverage, want.EstimatedCoverage, want.SnapshotEdges)
+		}
+	}
+
+	budget := testConfig(2)
+	budget.EdgeBudget = 5000
+	for _, c := range []struct {
+		name string
+		cfg  server.Config
+	}{{"budget 5000", budget}, {"dynamic", dynamicClusterConfig()}} {
+		e := recreate(c.cfg)
+		want, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, when := range []string{"before the pull", "after the pull"} {
+			if when == "after the pull" {
+				before := a.node.Stats().Peers[0].Rejected
+				if err := a.node.PullNow(); err == nil || a.node.Stats().Peers[0].Rejected != before+1 {
+					t.Fatalf("%s: the pull of a state this engine cannot merge returned %v", c.name, err)
+				}
+			}
+			got, err := a.node.Query("x", q)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", c.name, when, err)
+			}
+			same(c.name+", "+when, got, want)
+		}
+	}
+
+	recreate(testConfig(2))
+	before := a.node.Stats().Peers[0].NotModified
+	if err := a.node.PullNow(); err != nil {
+		t.Fatal(err)
+	}
+	if a.node.Stats().Peers[0].NotModified != before+1 {
+		t.Fatal("the peer's unchanged state was pulled again; the test needs a 304")
+	}
+	single, err := server.New(testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	if _, err := single.Ingest(edges); err != nil {
+		t.Fatal(err)
+	}
+	want, err := single.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.node.Query("x", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("re-created with the first config", got, want)
+}
+
 // deltaCounts sums what one model run exercised.
-type deltaCounts struct{ deltas, fulls, folds, rebuilds int64 }
+type deltaCounts struct{ deltas, fulls, folds, rebuilds, graphFolds int64 }
 
 // TestDeltaPullsEqualFullPulls is the model test of the delta exchange.
 // Random schedules of ingest on both nodes, local and peer refreshes (two
@@ -171,7 +271,10 @@ type deltaCounts struct{ deltas, fulls, folds, rebuilds int64 }
 // peer state serializes to the bytes a full pull (no A-IM) returned right
 // after A's last pull; after two steps in three, A's cluster view (built
 // then, so inputs sometimes move twice between views) serializes to the
-// bytes of MergeStates over A's local state and that full peer state.
+// bytes of MergeStates over A's local state and that full peer state, and
+// its query graph — carried forward from the previous view's when the view
+// folded — answers greedy at k = 1…6 as View.Graph of its state does, pick
+// for pick; across the seeds A's engine folds such graphs.
 //
 // A failing seed is printed with the schedule that led to it.
 func TestDeltaPullsEqualFullPulls(t *testing.T) {
@@ -187,10 +290,12 @@ func TestDeltaPullsEqualFullPulls(t *testing.T) {
 			total.fulls += got.fulls
 			total.folds += got.folds
 			total.rebuilds += got.rebuilds
+			total.graphFolds += got.graphFolds
 		}
 	}
-	t.Logf("pulls: %d deltas, %d full; views: %d folds, %d rebuilds", total.deltas, total.fulls, total.folds, total.rebuilds)
-	if total.deltas == 0 || total.fulls == 0 || total.folds == 0 || total.rebuilds == 0 {
+	t.Logf("pulls: %d deltas, %d full; views: %d folds, %d rebuilds; %d graph folds",
+		total.deltas, total.fulls, total.folds, total.rebuilds, total.graphFolds)
+	if total.deltas == 0 || total.fulls == 0 || total.folds == 0 || total.rebuilds == 0 || total.graphFolds == 0 {
 		t.Fatalf("the schedules did not exercise every path: %+v", total)
 	}
 }
@@ -328,13 +433,27 @@ func deltaModel(t *testing.T, name string, cfg server.Config, edges []bipartite.
 		if !bytes.Equal(stateBytes(t, view.State()), stateBytes(t, want)) {
 			fail("the cluster view differs from the merge of the local state and the full peer state")
 		}
+		g, err := view.Graph()
+		if err != nil {
+			fail("view graph: %v", err)
+		}
+		full, _, err := view.State().(*core.View).Graph()
+		if err != nil {
+			fail("full build: %v", err)
+		}
+		for k := 1; k <= 6; k++ {
+			if got, want := greedy.MaxCover(g, k), greedy.MaxCover(full, k); !slices.Equal(got.Sets, want.Sets) || got.Covered != want.Covered {
+				fail("k=%d on the view's graph: %v covering %d, on the full build %v covering %d", k, got.Sets, got.Covered, want.Sets, want.Covered)
+			}
+		}
 	}
 	st := a.node.Stats()
 	return deltaCounts{
-		deltas:   st.Peers[0].Deltas,
-		fulls:    st.Peers[0].Pulls - st.Peers[0].Deltas,
-		folds:    st.ViewFolds,
-		rebuilds: st.ViewRebuilds,
+		deltas:     st.Peers[0].Deltas,
+		fulls:      st.Peers[0].Pulls - st.Peers[0].Deltas,
+		folds:      st.ViewFolds,
+		rebuilds:   st.ViewRebuilds,
+		graphFolds: ea.Counters().GraphFolds,
 	}
 }
 
@@ -546,8 +665,10 @@ func TestClusterMetrics(t *testing.T) {
 // TestFoldedViewsUnderConcurrentPulls runs queries that share folded
 // cluster views while pulls replace A's peer state, B publishes the next
 // snapshot while A's pull reads the previous one's delta, and both nodes
-// ingest and refresh. Run with -race. At the end the cluster answer is
-// the single engine's.
+// ingest and refresh. The folded views carry their query graphs forward, so
+// queries read old views' graphs while the next view's chain appends to the
+// lists they share. Run with -race. At the end the cluster answer is the
+// single engine's.
 func TestFoldedViewsUnderConcurrentPulls(t *testing.T) {
 	const rounds = 30
 	edges := testEdges(t)
@@ -619,6 +740,9 @@ func TestFoldedViewsUnderConcurrentPulls(t *testing.T) {
 	}
 	if st := a.node.Stats(); st.Peers[0].Deltas == 0 || st.ViewFolds == 0 {
 		t.Fatalf("no delta or no fold under concurrency: %+v", st)
+	}
+	if c := ea.Counters(); c.GraphFolds == 0 {
+		t.Fatalf("no cluster view carried its graph forward under concurrency: %+v", c)
 	}
 
 	if _, err := ea.Ingest(edges[:half]); err != nil {

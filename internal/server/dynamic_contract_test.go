@@ -194,7 +194,7 @@ func TestDynamicSnapshotIsTheSketchOfTheNetEdges(t *testing.T) {
 				states = append(states, snap.State())
 				edges += snap.IngestedEdges
 			}
-			view, err := MergeSnapshot(mode, 1, edges, states)
+			view, err := (&Engine{mode: mode}).MergeSnapshot(1, edges, nil, states)
 			if err != nil {
 				t.Fatalf("%s cluster fold: %v", where, err)
 			}

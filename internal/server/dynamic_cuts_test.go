@@ -150,7 +150,7 @@ func TestDynamicCutsNeverReachASnapshot(t *testing.T) {
 				}
 				held = append(held, snap)
 				old := held[round/2]
-				folded, err := MergeSnapshot(e.EngineMode(), uint64(round), old.IngestedEdges+remote.Stats().EdgesSeen, []FrozenState{old.State(), remote})
+				folded, err := e.MergeSnapshot(uint64(round), old.IngestedEdges+remote.Stats().EdgesSeen, nil, []FrozenState{old.State(), remote})
 				if err != nil {
 					return err
 				}

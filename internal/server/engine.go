@@ -304,19 +304,21 @@ type Snapshot struct {
 	// counted.
 	IngestedEdges int64
 
-	instance uint64      // the publishing engine's instance; 0 for a cluster view
+	instance uint64      // the publishing engine's instance (Engine.Instance); 0 for a cluster view
 	mode     Mode        // the engine mode the state belongs to
 	state    FrozenState // merged state (sketch view / bank / sampler)
-	// delta, when non-nil, says state is the engine's previous snapshot
-	// folded with sketch shard deltas (see Delta).
+	// delta, when non-nil, says state is the snapshot it was built on folded
+	// with sketch deltas (see Delta).
 	delta *snapshotDelta
 
-	// eng is the engine that published the snapshot (nil for a cluster
-	// view): it counts the snapshot's materialization, and a sketch
-	// engine's graph chain may start from it. folded is the graph the
-	// refresh carried forward from the chain (querygraph.go), when it did.
+	// eng is the engine that merged the snapshot, a refresh of its own or a
+	// cluster view of its namespace: it counts the snapshot's graph work.
+	// folded is the graph the merge carried forward from its base's chain
+	// (querygraph.go), when it did. chain is the chain a sketch snapshot
+	// holds until a snapshot built on it takes it (then chainTaken).
 	eng    *Engine
 	folded *bipartite.Graph
+	chain  atomic.Pointer[graphChain]
 
 	// The materialized graph queries run on, with its cover index, built
 	// by the first query.
@@ -333,9 +335,10 @@ type Snapshot struct {
 }
 
 // snapshotDelta is what a sketch snapshot keeps to describe itself as a
-// delta on its predecessor: the shard Cut(true) views its merge folded
-// into that snapshot's view, and the predecessor's identity — its sequence
-// number and edge total, never a pointer, so snapshots do not chain. The
+// delta on the snapshot it was built on: the deltas its merge folded into
+// that snapshot's view (on an engine, the shard Cut(true) views), and the
+// predecessor's identity — its sequence number and edge total, never a
+// pointer, so snapshots do not chain. The
 // restriction of the snapshot's view to the cuts' elements is built once,
 // on first request, and serialized with it; a node nobody pulls from never
 // builds it.
@@ -367,16 +370,17 @@ func (d *snapshotDelta) build(state FrozenState) (*core.View, []byte) {
 // namespace never repeats one) and its sequence number in that engine.
 type SnapshotID struct{ Instance, Seq uint64 }
 
-// ID returns the snapshot's identity. A cluster view merged by
-// MergeSnapshot has instance 0.
+// ID returns the snapshot's identity. A cluster view has instance 0 and a
+// sequence number of its node's own.
 func (s *Snapshot) ID() SnapshotID { return SnapshotID{s.instance, s.Seq} }
 
-// Delta describes a sketch snapshot as one delta on the snapshot its engine
-// published before it: base names that snapshot, and MergeStates over its
-// state and delta, reporting this snapshot's edge total, is this snapshot's
-// state byte for byte (DESIGN.md §11). delta holds this snapshot's view
-// restricted to the elements its shards' delta cuts held; it is built on
-// the first call and shared. ok is false when the snapshot is not one delta
+// Delta describes a sketch snapshot as one delta on the snapshot it was
+// built on — its engine's previous one; for a cluster view, the node's
+// previous view: base names that snapshot, and MergeStates over its state
+// and delta, reporting this snapshot's edge total, is this snapshot's state
+// byte for byte (DESIGN.md §11). delta holds this snapshot's view
+// restricted to the elements its deltas held; it is built on the first
+// call and shared. ok is false when the snapshot is not one delta
 // away from its predecessor: any shard cut full (an engine's first refresh,
 // a restore, the build after a failed merge), or a weighted or dynamic
 // state.
@@ -389,8 +393,8 @@ func (s *Snapshot) Delta() (base SnapshotID, delta FrozenState, ok bool) {
 }
 
 // materialized renders the snapshot's state queryable on first use: the
-// graph a refresh folded, else the mode's full build, which on a sketch
-// engine's own snapshot may start the engine's graph chain.
+// graph its merge folded, else the mode's full build, from which a sketch
+// snapshot starts a graph chain.
 func (s *Snapshot) materialized() (*materialized, error) {
 	s.matOnce.Do(func() {
 		start := time.Now()
@@ -398,19 +402,17 @@ func (s *Snapshot) materialized() (*materialized, error) {
 			s.mat = &materialized{graph: s.folded}
 		} else if s.mat, s.matErr = s.mode.Materialize(s.state); s.matErr != nil {
 			return
-		} else if s.eng != nil && s.mode.Name() == ModeSketch {
-			s.eng.startChain(s, s.mat.graph)
+		} else if s.mode.Name() == ModeSketch {
+			s.startChain(s.mat.graph)
 		}
 		// The bitset coverage index is built with the graph (when
 		// profitable for it) so no query pays it: snapshots are immutable
 		// and the index is shared by every greedy run against them.
 		s.mat.graph.BuildCoverIndex()
-		if s.eng != nil {
-			if s.folded == nil {
-				s.eng.graphBuilds.Add(1)
-			}
-			s.eng.materializeNanos.Add(int64(time.Since(start)))
+		if s.folded == nil {
+			s.eng.graphBuilds.Add(1)
 		}
+		s.eng.materializeNanos.Add(int64(time.Since(start)))
 	})
 	return s.mat, s.matErr
 }
@@ -447,13 +449,13 @@ func (s *Snapshot) pStar() float64 { return s.state.Stats().PStar }
 
 // Graph returns the snapshot state materialized as the bipartite graph
 // its queries run on, with the bitset coverage index already built when
-// profitable; the first call (or query) builds it unless the refresh
-// already carried it forward. Set ids are preserved. On a sketch engine's
-// own snapshot the elements are slots of the engine's graph chain: stable
-// numbers in no particular relation to the view's priority order, some
-// of them absent (bipartite.Graph.Absent) — elements that left the sketch
-// or whose list a later delta replaced, still named in the set lists,
-// covered from the start by every evaluator and never counted. Elsewhere
+// profitable; the first call (or query) builds it unless its merge
+// already carried it forward. Set ids are preserved. On a sketch snapshot,
+// an engine's or a cluster view, the elements are slots of its graph
+// chain: stable numbers in no particular relation to the view's priority
+// order, some of them absent (bipartite.Graph.Absent) — elements that left
+// the sketch or whose list a later delta replaced, still named in the set
+// lists, covered from the start by every evaluator and never counted. Elsewhere
 // they are the state's elements numbered in its order, none absent.
 // Read-only: the graph is shared with every query running against this
 // snapshot.
@@ -475,29 +477,38 @@ func (s *Snapshot) WriteState(w io.Writer) error {
 	return err
 }
 
-// MergeSnapshot folds frozen states of the given mode into one merged
-// state and wraps it as a queryable Snapshot. It is the snapshot-building
-// tail of a coordinator refresh, exported so the cluster layer can publish
-// a cluster-wide view (local state folded with decoded peer states) that
-// queries exactly like an engine snapshot. edges is the ingested-edge
-// total the states reflect together (a merge only replays kept edges, so
-// the caller supplies the true total). Published and decoded states are
-// only read; shard cuts fresh from Freeze are the merge's to consume
-// (Mode.MergeStates). The first query builds the graph, so a snapshot
-// that only serves its bytes — a peer's pull, a checkpoint, a snapshot
-// GET — never pays for it.
-func MergeSnapshot(mode Mode, seq uint64, edges int64, states []FrozenState) (*Snapshot, error) {
-	merged, err := mode.MergeStates(states, edges)
+// MergeSnapshot is the one way a snapshot is made: it merges states of the
+// engine's mode, beside base's state when base is non-nil (the states are
+// then deltas on it, DESIGN.md §11), into a queryable Snapshot of
+// IngestedEdges edges — the total the inputs reflect together, which a
+// merge of kept edges cannot count. A refresh passes its shard cuts and,
+// when they are delta cuts, the published snapshot; a cluster view the local
+// and peer states, or its previous view and the inputs' deltas. A snapshot
+// built on a base takes the base's graph chain, when it has one, folded
+// over the deltas; any other's first query builds the graph, so a snapshot
+// that only serves its bytes never pays for it. Published and decoded states are only read;
+// shard cuts fresh from Freeze are the merge's to consume.
+func (e *Engine) MergeSnapshot(seq uint64, edges int64, base *Snapshot, states []FrozenState) (*Snapshot, error) {
+	inputs := states
+	if base != nil {
+		inputs = append(states, base.state)
+	}
+	merged, err := e.mode.MergeStates(inputs, edges)
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{
-		Seq:           seq,
-		CreatedAt:     time.Now(),
-		IngestedEdges: edges,
-		mode:          mode,
-		state:         merged,
-	}, nil
+	snap := &Snapshot{Seq: seq, CreatedAt: time.Now(), IngestedEdges: edges, mode: e.mode, state: merged, eng: e}
+	if base != nil {
+		deltas := make([]*core.View, 0, len(states))
+		for _, st := range states {
+			if v, ok := st.(*core.View); ok {
+				deltas = append(deltas, v)
+			}
+		}
+		snap.delta = &snapshotDelta{baseSeq: base.Seq, baseEdges: base.IngestedEdges, cuts: deltas}
+		snap.takeChain(base, deltas)
+	}
+	return snap, nil
 }
 
 // Engine is the concurrent sharded ingest engine.
@@ -536,16 +547,10 @@ type Engine struct {
 	// replay) starts without it.
 	cutsFolded bool
 
-	// chain is a sketch engine's query graph carried from snapshot to
-	// snapshot (querygraph.go); nil until a first materialization of the
-	// published snapshot starts it, and after any build that was not one
-	// delta on it. chainMu guards it and orders it with snap: a refresh
-	// advances it and publishes under chainMu (holding refreshMu too).
-	chainMu sync.Mutex
-	chain   *graphChain
-	// graphFolds counts the graphs a refresh carried forward from the chain;
-	// graphBuilds the full transposes, compactions of the chain included;
-	// materializeNanos sums the time both took, cover index included.
+	// graphFolds counts the graphs a merge carried forward from its base's
+	// chain; graphBuilds the full transposes, compactions of a chain
+	// included; materializeNanos sums the time both took, cover index
+	// included. Cluster views of the engine's namespace count here too.
 	graphFolds       atomic.Int64
 	graphBuilds      atomic.Int64
 	materializeNanos atomic.Int64
@@ -722,6 +727,10 @@ func (e *Engine) SupportsDeletes() bool { return e.deletable }
 // a single comparison, unlike Config(), which deep-copies the weight
 // table and is therefore not for hot read paths.
 func (e *Engine) Weighted() bool { return e.mode.Name() == ModeWeighted }
+
+// Instance identifies the engine: drawn once per New, so a restarted engine
+// or a re-created namespace never repeats it (SnapshotID.Instance).
+func (e *Engine) Instance() uint64 { return e.instance }
 
 // WeightSig fingerprints the engine's weight mapping (0 when
 // unweighted) — see WeightConfig.Signature. Cluster peers and wire
@@ -1050,40 +1059,30 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 		states[i] = rep.frozen
 	}
 	e.shardKept.Store(shardKept)
-	// The cuts are deltas on prev exactly when the requests carried its view
-	// as their base; it joins them as one more merge input.
-	prev, oneDelta := e.snap.Load(), e.cutsFolded
-	e.cutsFolded = false
-	var deltas []*core.View
-	switch {
-	case oneDelta:
-		deltas = make([]*core.View, len(states))
-		for i, st := range states {
-			deltas[i] = st.(*core.View)
-			e.deltaEdges.Add(int64(deltas[i].Stats().EdgesKept))
+	// The cuts are deltas on the published snapshot exactly when the
+	// requests carried its view as their base.
+	var base *Snapshot
+	if e.cutsFolded {
+		base = e.snap.Load()
+		for _, st := range states {
+			e.deltaEdges.Add(int64(st.Stats().EdgesKept))
 		}
-		e.deltaCuts.Add(int64(len(deltas)))
-		states = append(states, prev.state)
-	case e.mode.Name() == ModeSketch:
+		e.deltaCuts.Add(int64(len(states)))
+	} else if e.mode.Name() == ModeSketch {
 		e.fullCuts.Add(int64(len(states)))
 	}
-	snap, err := MergeSnapshot(e.mode, e.seq.Add(1), applied, states)
+	e.cutsFolded = false
+	snap, err := e.MergeSnapshot(e.seq.Add(1), applied, base, states)
 	if err != nil {
 		// Counted here, whoever asked: the ticker, a ?refresh=1 query, a
 		// snapshot GET, a peer's pull or a checkpoint. The shards have cut
 		// and nothing was published, so the next round cuts in full, with
-		// no base and no shed, and the graph chain goes with it.
+		// no base and no shed.
 		e.refreshErrors.Add(1)
-		e.chainMu.Lock()
-		e.chain = nil
-		e.chainMu.Unlock()
 		return nil, err
 	}
-	snap.instance, snap.eng = e.instance, e
-	if oneDelta {
-		snap.delta = &snapshotDelta{baseSeq: prev.Seq, baseEdges: prev.IngestedEdges, cuts: deltas}
-	}
-	e.publish(snap, prev, deltas)
+	snap.instance = e.instance
+	e.snap.Store(snap)
 	e.cutsFolded = e.mode.Name() == ModeSketch
 	e.refreshes.Add(1)
 	e.refreshNanos.Add(int64(time.Since(start)))
@@ -1402,7 +1401,7 @@ func (e *Engine) Query(q Query) (*QueryResult, error) {
 }
 
 // QuerySnapshot answers q from snap — one of the engine's own snapshots,
-// or a cluster view merged from one (MergeSnapshot) — and counts it in
+// or a cluster view of its namespace (MergeSnapshot) — and counts it in
 // the engine's Queries and QueryCacheHits. q.Refresh is ignored; the
 // caller picked the snapshot.
 func (e *Engine) QuerySnapshot(snap *Snapshot, q Query) (*QueryResult, error) {

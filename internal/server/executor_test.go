@@ -84,7 +84,7 @@ func TestQueryResultShapePerMode(t *testing.T) {
 	for _, name := range []ModeName{ModeSketch, ModeWeighted, ModeDynamic} {
 		e1, s1 := executorEngine(t, name, 1)
 		_, s2 := executorEngine(t, name, 2)
-		view, err := MergeSnapshot(e1.EngineMode(), 1, s1.IngestedEdges+s2.IngestedEdges, []FrozenState{s1.State(), s2.State()})
+		view, err := e1.MergeSnapshot(1, s1.IngestedEdges+s2.IngestedEdges, nil, []FrozenState{s1.State(), s2.State()})
 		if err != nil {
 			t.Fatal(err)
 		}

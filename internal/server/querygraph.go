@@ -1,23 +1,25 @@
 package server
 
 import (
-	"fmt"
+	"errors"
 	"time"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
 )
 
-// This file carries a sketch engine's query graph from one snapshot to the
-// next at the cost of what changed (DESIGN.md §7, "Adopt"). A one-delta
-// refresh publishes the previous view with the shard delta cuts merged in,
-// so the graph of the new view is the previous graph less the elements
-// that left — the previous view's priority suffix at or above the new bar,
-// and the elements whose lists a delta replaced — plus the delta elements
-// the new view keeps, each with its final list. Elements are slots of one
-// bipartite.SlotSets that the engine owns: a leaving element's slot is
-// marked absent, a kept delta element gets a new slot appended to its sets,
-// and every snapshot reads its own version.
+// This file carries a sketch snapshot's query graph to the snapshot built
+// on it at the cost of what changed (DESIGN.md §7, "Adopt"). A snapshot
+// built on a base (Engine.MergeSnapshot) is the base's view with deltas
+// merged in — shard delta cuts on an engine refresh, the inputs' deltas on
+// a cluster view — so its graph is the base's graph less the elements that
+// left — the base view's priority suffix at or above the new bar, and the
+// elements whose lists a delta replaced — plus the delta elements the new
+// view keeps, each with its final list. Elements are slots of one
+// bipartite.SlotSets that the chain owns and hands from snapshot to
+// snapshot: a leaving element's slot is marked absent, a kept delta element
+// gets a new slot appended to its sets, and every snapshot reads its own
+// version.
 
 // compactAbsentShare is the share of list entries that absent slots may
 // hold before a fold compacts the chain back to a plain transpose of its
@@ -29,30 +31,28 @@ import (
 // at most about a third more (DESIGN.md §7 has the measurements).
 const compactAbsentShare = 1.0 / 4
 
-// graphChain is the engine's slot structure: the graph of the published
-// snapshot seq, whose view is view, as a version of sets, in which the
-// element at position i of view is slot slots[i]. The engine reads and
-// advances it only under chainMu.
+// graphChain is a sketch snapshot's slot structure: the graph of the
+// snapshot whose view is view, as a version of sets, in which the element at
+// position i of view is slot slots[i]. A snapshot holds it until a snapshot
+// built on it takes it (Snapshot.chain); only the holder advances it.
 type graphChain struct {
-	seq   uint64
 	view  *core.View
 	sets  *bipartite.SlotSets
 	slots []uint32
 }
 
-// newGraphChain starts a chain at snapshot seq from g, the full transpose
-// of its view v (View.Graph), whose lists it copies: the element at
-// position i is slot i.
-func newGraphChain(seq uint64, v *core.View, g *bipartite.Graph) *graphChain {
-	c := &graphChain{seq: seq, view: v, sets: bipartite.NewSlotSets(g), slots: make([]uint32, g.NumElems())}
+// newGraphChain starts a chain at view v from g, its full transpose
+// (View.Graph), whose lists it copies: the element at position i is slot i.
+func newGraphChain(v *core.View, g *bipartite.Graph) *graphChain {
+	c := &graphChain{view: v, sets: bipartite.NewSlotSets(g), slots: make([]uint32, g.NumElems())}
 	for i := range c.slots {
 		c.slots[i] = uint32(i)
 	}
 	return c
 }
 
-// fold advances the chain to next, the view snapshot seq publishes, which
-// MergeViews made of the chain's view and deltas (the shard delta cuts), and
+// fold advances the chain to next, which MergeViews made of the chain's view
+// and deltas (shard delta cuts, or a cluster view's input deltas), and
 // returns next's graph. Between two consecutive kept delta elements next and
 // the chain's view hold the same elements, so their slots are copied in
 // runs, and a kept delta element the chain's view held is the one at the
@@ -60,19 +60,19 @@ func newGraphChain(seq uint64, v *core.View, g *bipartite.Graph) *graphChain {
 // When absent slots already hold more than compactAbsentShare of the
 // entries, it compacts instead: next's graph is a full transpose, and the
 // chain starts again from it. An error leaves the chain unusable.
-func (c *graphChain) fold(seq uint64, next *core.View, deltas []*core.View) (g *bipartite.Graph, compacted bool, err error) {
+func (c *graphChain) fold(next *core.View, deltas []*core.View) (g *bipartite.Graph, compacted bool, err error) {
 	if all, absent := c.sets.Entries(); float64(absent) > compactAbsentShare*float64(all) {
 		if g, _, err = next.Graph(); err != nil {
 			return nil, false, err
 		}
-		*c = *newGraphChain(seq, next, g)
+		*c = *newGraphChain(next, g)
 		return g, true, nil
 	}
 	slots := make([]uint32, next.Stats().ElementsKept)
 	i, j := 0, 0 // positions in next and in the chain's view
 	for _, at := range next.Positions(deltas...) {
 		if at-i > len(c.slots)-j {
-			return nil, false, fmt.Errorf("server: query graph: snapshot %d is not the previous view with its deltas folded in", seq)
+			return nil, false, errNotAFold
 		}
 		j += copy(slots[i:at], c.slots[j:])
 		elem, sets := next.At(at)
@@ -86,51 +86,55 @@ func (c *graphChain) fold(seq uint64, next *core.View, deltas []*core.View) (g *
 		i = at + 1
 	}
 	if len(slots)-i > len(c.slots)-j {
-		return nil, false, fmt.Errorf("server: query graph: snapshot %d is not the previous view with its deltas folded in", seq)
+		return nil, false, errNotAFold
 	}
 	j += copy(slots[i:], c.slots[j:])
 	for ; j < len(c.slots); j++ { // at or above next's bar
 		_, old := c.view.At(j)
 		c.sets.Remove(c.slots[j], old)
 	}
-	c.seq, c.view, c.slots = seq, next, slots
+	c.view, c.slots = next, slots
 	return c.sets.Graph(), false, nil
 }
 
-// startChain offers the chain g, the graph of snapshot s's first
-// materialization (the mode's full build): when s is the published
-// snapshot of a sketch engine and no chain runs, the chain starts there.
-func (e *Engine) startChain(s *Snapshot, g *bipartite.Graph) {
-	v, ok := s.state.(*core.View)
-	e.chainMu.Lock()
-	defer e.chainMu.Unlock()
-	if ok && e.chain == nil && e.snap.Load() == s {
-		e.chain = newGraphChain(s.Seq, v, g)
+// errNotAFold reports a fold asked of a view the chain's view and the
+// deltas did not make; the chain is then unusable.
+var errNotAFold = errors.New("server: query graph: the view is not the chain's view with its deltas folded in")
+
+// chainTaken is what a snapshot's chain pointer holds once a snapshot built
+// on it has taken its chain, or found none to take.
+var chainTaken = new(graphChain)
+
+// startChain starts s's chain from g, the full build of its view, unless a
+// snapshot built on s came first: nothing would take the chain then.
+func (s *Snapshot) startChain(g *bipartite.Graph) {
+	if s.chain.Load() == nil {
+		s.chain.CompareAndSwap(nil, newGraphChain(s.state.(*core.View), g))
 	}
 }
 
-// publish stores snap as the published snapshot. When the build was one
-// delta on the snapshot the chain describes, it first folds the chain
-// forward and hands snap the graph; any other build drops the chain. The
-// caller holds refreshMu.
-func (e *Engine) publish(snap *Snapshot, prev *Snapshot, deltas []*core.View) {
-	e.chainMu.Lock()
-	defer e.chainMu.Unlock()
-	c := e.chain
-	e.chain = nil
-	next, isView := snap.state.(*core.View)
-	if deltas != nil && c != nil && c.seq == prev.Seq && isView {
-		start := time.Now()
-		g, compacted, err := c.fold(snap.Seq, next, deltas)
-		if err == nil {
-			e.chain, snap.folded = c, g
-			if compacted {
-				e.graphBuilds.Add(1)
-			} else {
-				e.graphFolds.Add(1)
-			}
-			e.materializeNanos.Add(int64(time.Since(start)))
-		}
+// takeChain moves base's chain to s, which MergeViews made of base's view
+// and deltas, folded over them: s's first query finds its graph built. A
+// chain moves once; when base has none (no query built its graph, or it is
+// not a sketch snapshot) or the fold fails, s's first query builds in full
+// and may start a chain there.
+func (s *Snapshot) takeChain(base *Snapshot, deltas []*core.View) {
+	c := base.chain.Swap(chainTaken)
+	next, ok := s.state.(*core.View)
+	if c == nil || c == chainTaken || !ok {
+		return
 	}
-	e.snap.Store(snap)
+	start := time.Now()
+	g, compacted, err := c.fold(next, deltas)
+	if err != nil {
+		return
+	}
+	s.chain.Store(c)
+	s.folded = g
+	if compacted {
+		s.eng.graphBuilds.Add(1)
+	} else {
+		s.eng.graphFolds.Add(1)
+	}
+	s.eng.materializeNanos.Add(int64(time.Since(start)))
 }

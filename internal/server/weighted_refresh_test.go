@@ -29,12 +29,13 @@ func TestWeightedRefreshThawsNothing(t *testing.T) {
 		states[i].AddEdges(edges[i*len(edges)/shards : (i+1)*len(edges)/shards])
 	}
 	var snap *Snapshot
+	merger := &Engine{mode: mode}
 	allocs := testing.AllocsPerRun(5, func() {
 		cuts := make([]FrozenState, shards)
 		for i, st := range states {
 			cuts[i] = st.Freeze(nil)
 		}
-		if snap, err = MergeSnapshot(mode, 1, int64(len(edges)), cuts); err != nil {
+		if snap, err = merger.MergeSnapshot(1, int64(len(edges)), nil, cuts); err != nil {
 			t.Fatal(err)
 		}
 	})
