@@ -68,9 +68,6 @@ type Options struct {
 	// timeout — never http.DefaultClient, whose zero timeout would let
 	// a hung peer pin the loop).
 	Client *http.Client
-	// MaxStateBytes rejects remote state blobs larger than this
-	// (default 256 MiB) before decoding, bounding memory per pull.
-	MaxStateBytes int64
 	// OnPullError, when non-nil, observes every failed or rejected pull
 	// (transport errors, oversized/truncated blobs, config mismatches).
 	// Called from the pull goroutine; keep it fast.
@@ -98,12 +95,9 @@ func (o Options) maxBackoff() time.Duration {
 	return o.MaxBackoff
 }
 
-func (o Options) maxStateBytes() int64 {
-	if o.MaxStateBytes <= 0 {
-		return 256 << 20
-	}
-	return o.MaxStateBytes
-}
+// maxStateBytes rejects remote state blobs larger than this before
+// decoding, bounding memory per pull.
+const maxStateBytes = 256 << 20
 
 // remoteState is one peer's last successfully decoded state for one
 // namespace. Immutable once stored (a failed refresh never replaces a
@@ -469,19 +463,18 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 		}
 	}
 
-	maxBytes := n.opt.maxStateBytes()
 	var body bytes.Buffer
 	if notModified {
 		// The peer still serves the stored state: its bytes are the body.
 		prev.state.WriteTo(&body) // a bytes.Buffer write cannot fail
 	} else {
-		if cl := resp.ContentLength; cl > 0 && cl <= maxBytes {
+		if cl := resp.ContentLength; cl > 0 && cl <= maxStateBytes {
 			// One allocation for a body of the announced size (MinRead spare
 			// so ReadFrom sees EOF without growing) instead of doubling up
 			// from 512 B; a peer that lies still meets the limit below.
 			body.Grow(int(cl) + bytes.MinRead)
 		}
-		_, err = body.ReadFrom(io.LimitReader(resp.Body, maxBytes+1))
+		_, err = body.ReadFrom(io.LimitReader(resp.Body, maxStateBytes+1))
 		p.mu.Lock()
 		p.bytes += int64(body.Len())
 		p.mu.Unlock()
@@ -489,8 +482,8 @@ func (n *Node) pullOne(p *peer, name string, e *server.Engine) error {
 			return p.fail(fmt.Errorf("reading state: %w", err), true, interval, maxBackoff)
 		}
 	}
-	if int64(body.Len()) > maxBytes {
-		return p.fail(fmt.Errorf("state exceeds %d bytes", maxBytes), false, interval, maxBackoff)
+	if int64(body.Len()) > maxStateBytes {
+		return p.fail(fmt.Errorf("state exceeds %d bytes", maxStateBytes), false, interval, maxBackoff)
 	}
 
 	// Decode through the namespace's engine mode: each mode validates its

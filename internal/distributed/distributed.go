@@ -38,10 +38,9 @@ type Stats struct {
 }
 
 // NewSketches allocates n worker sketches with identical parameters —
-// the precondition for mergeability. Both the one-shot simulation below
-// and the long-running serving engine (internal/server) build their
-// shard sketches through this function so they share one kept-edge
-// policy.
+// the precondition for mergeability. The serving engine (internal/server)
+// does not call it: each of its sketch shards is a core.NewSketch of the
+// one core.Params its Config derives, which is the same precondition.
 func NewSketches(params core.Params, n int) ([]*core.Sketch, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("distributed: need at least one sketch, got %d", n)

@@ -56,8 +56,9 @@ func (d *WALConfig) clone() *WALConfig {
 }
 
 // walConfigName is the per-WAL-dir sidecar persisting the engine's
-// configFrame, so Multi.RecoverNamespaces can rebuild a namespace that
-// was never captured in a snapshot container.
+// Config JSON (the snapshot container's config frame, byte for byte), so
+// Multi.RecoverNamespaces can rebuild a namespace that was never
+// captured in a snapshot container.
 const walConfigName = "config.json"
 
 // openWAL opens (and replays) the engine's write-ahead log during New,
@@ -88,7 +89,7 @@ func (e *Engine) openWAL(states []ShardState, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("server: recovering WAL: %w", err)
 	}
-	if err := writeWALConfig(d.Dir, e.cfg); err != nil {
+	if err := writeWALConfig(d.Dir, &e.cfg); err != nil {
 		wlog.Close()
 		return err
 	}
@@ -96,9 +97,9 @@ func (e *Engine) openWAL(states []ShardState, seed int64) error {
 	return nil
 }
 
-// writeWALConfig persists the engine's configFrame beside its segments.
-func writeWALConfig(dir string, cfg Config) error {
-	frame, err := json.Marshal(frameFromConfig(cfg))
+// writeWALConfig persists the engine's Config beside its segments.
+func writeWALConfig(dir string, cfg *Config) error {
+	frame, err := json.Marshal(cfg)
 	if err != nil {
 		return err
 	}
@@ -276,11 +277,11 @@ func (m *Multi) RecoverNamespaces() ([]string, error) {
 		if err != nil {
 			return names, fmt.Errorf("server: recovering namespace %q: %w", name, err)
 		}
-		var frame configFrame
-		if err := json.Unmarshal(data, &frame); err != nil {
+		var cfg Config
+		if err := json.Unmarshal(data, &cfg); err != nil {
 			return names, fmt.Errorf("server: recovering namespace %q: decoding %s: %w", name, walConfigName, err)
 		}
-		if _, err := m.Create(name, frame.config()); err != nil {
+		if _, err := m.Create(name, cfg); err != nil {
 			return names, fmt.Errorf("server: recovering namespace %q: %w", name, err)
 		}
 		names = append(names, name)

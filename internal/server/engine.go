@@ -77,41 +77,49 @@ import (
 // Algorithm 3 parameters, so a kcover query with k = K returns the same
 // solution as the offline single-pass streamcover.MaxCoverage run with
 // the same Options over the same edges.
+//
+// A Config's JSON is the one encoding of a namespace's configuration:
+// the snapshot-v2 container's config frame, the WAL's config.json
+// sidecar and the POST /v1/ns body. Zero fields are omitted and
+// MergeEvery is integer nanoseconds, so a default-heavy config stays
+// short; the Go-only fields (WAL, OnRefreshError, RestoreState) are
+// never encoded, and a client cannot set them.
 type Config struct {
 	// NumSets is n, the number of sets edges may refer to. Required.
-	NumSets int
+	NumSets int `json:"num_sets"`
 	// K is the solution size the sketch is provisioned for. Required.
 	// Queries may use any k; the approximation guarantee holds for k ≤ K.
-	K int
+	K int `json:"k"`
 	// Eps is the accuracy parameter (default 0.5, as in streamcover).
-	Eps float64
+	Eps float64 `json:"eps,omitempty"`
 	// Seed drives hashing, making the service deterministic.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// NumElems is m when known (tunes a log log m budget factor only).
-	NumElems int
+	NumElems int `json:"num_elems,omitempty"`
 	// EdgeBudget / SpaceFactor override the sketch budget (per shard
 	// sketch), as in streamcover.Options.
-	EdgeBudget  int
-	SpaceFactor float64
+	EdgeBudget  int     `json:"edge_budget,omitempty"`
+	SpaceFactor float64 `json:"space_factor,omitempty"`
 
 	// Shards is the number of ingest workers (default 4).
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// QueueDepth is the per-shard mailbox capacity in messages (default
 	// 64), each a state request or a routed sub-batch: 1 024 / Shards
 	// records, a 1 024-record batch's share of a shard (fewer than twice
 	// that on a sketch engine, whose router packs what its bar drop
 	// leaves of several shares into one). Ingest blocks when a shard's
 	// mailbox is full — backpressure, not loss.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth,omitempty"`
 	// MergeEvery, when positive, refreshes the snapshot on a timer so
 	// queries see recent edges without paying a merge themselves.
-	MergeEvery time.Duration
+	MergeEvery time.Duration `json:"merge_every_ns,omitempty"`
 
 	// Engine selects the engine mode by name: ModeSketch (the default),
 	// ModeWeighted (also implied by Weights) or ModeDynamic, the
 	// insert/delete L0-sampler engine. See EngineMode for the resolution
-	// rules.
-	Engine ModeName
+	// rules. New stores "" for a mode the rest of the config implies, so
+	// an engine's Config names only a mode that cannot be re-derived.
+	Engine ModeName `json:"engine,omitempty"`
 
 	// Weights, when non-nil, switches the engine into weighted-coverage
 	// mode: every shard owns a bank of per-weight-class sketches
@@ -119,7 +127,7 @@ type Config struct {
 	// publish the scaled union of the merged class bank, and kcover
 	// queries run the weighted greedy on it. Outliers and full-greedy
 	// queries are not defined for weighted instances and are rejected.
-	Weights *WeightConfig
+	Weights *WeightConfig `json:"weights,omitempty"`
 
 	// WAL, when non-nil, makes the engine durable (DESIGN.md §12): every
 	// accepted Ingest batch is appended to a write-ahead log in WAL.Dir
@@ -130,21 +138,21 @@ type Config struct {
 	// CheckpointMulti) truncates the log behind a durable snapshot. Nil
 	// (the default) keeps the engine purely in-memory with zero logging
 	// overhead.
-	WAL *WALConfig
+	WAL *WALConfig `json:"-"`
 
 	// OnRefreshError, when non-nil, is invoked with the first error of
 	// the periodic merge loop (Config.MergeEvery) — at most once per
 	// engine, so a supervisor can log the failure without being flooded.
 	// Every failed refresh, the loop's or a caller's, is also counted in
 	// Stats.RefreshErrors.
-	OnRefreshError func(error)
+	OnRefreshError func(error) `json:"-"`
 
 	// RestoreState, when non-nil, seeds the engine with a decoded state
 	// of the configured mode, produced by a service with the same Config
 	// — the one restore slot. ReadRestore fills it from WriteSnapshot
 	// bytes; a caller holding a sketch passes sk.Freeze(). A state of
 	// another mode is refused.
-	RestoreState FrozenState
+	RestoreState FrozenState `json:"-"`
 }
 
 func (c Config) shards() int {
@@ -634,6 +642,9 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if name := mode.Name(); name == ModeSketch || name == ModeWeighted {
+		cfg.Engine = "" // implied by whether Weights is set
+	}
 	return newEngine(cfg, mode)
 }
 
@@ -1105,17 +1116,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	return e.refreshLocked()
 }
 
-// Config returns a copy of the configuration the engine was built with
-// (with the restore state cleared — it is consumed at construction).
-// The namespace layer persists this alongside the merged state so a
-// snapshot-v2 restore can rebuild the engine identically.
-func (e *Engine) Config() Config {
-	cfg := e.cfg
-	cfg.RestoreState = nil
-	cfg.Weights = cfg.Weights.clone()
-	return cfg
-}
-
 // RefreshErrors reports the number of refreshes that failed, whoever
 // asked: the merge ticker, a refreshing query, a snapshot read, a peer's
 // pull or a checkpoint. A single atomic load — unlike Stats it stays
@@ -1438,15 +1438,12 @@ func safeEstimate(covered int, pStar float64) float64 {
 // merged state only counts the kept edges it replayed), so accounting
 // survives restore.
 func (e *Engine) WriteSnapshot(w io.Writer) (*Snapshot, error) {
-	// A durable engine snapshots through the batch-aligned Checkpoint so
-	// the persisted edge total always lands on a WAL record boundary —
-	// restoring these bytes next to the engine's own WAL must never
-	// split a frame. (Callers wanting truncation too use CheckpointEngine.)
-	snapFn := e.Refresh
-	if e.wal != nil {
-		snapFn = e.Checkpoint
-	}
-	snap, err := snapFn()
+	// Every persisted snapshot is a batch-aligned Checkpoint, so the
+	// persisted edge total lands on a WAL record boundary — restoring
+	// these bytes next to the engine's own WAL must never split a frame.
+	// Without a WAL it is a Refresh cut under the exclusive ingest lock.
+	// (Callers wanting truncation too use CheckpointEngine.)
+	snap, err := e.Checkpoint()
 	if err != nil {
 		return nil, err
 	}

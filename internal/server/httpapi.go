@@ -621,68 +621,24 @@ type ingestResponse struct {
 	IngestedTotal int64 `json:"ingested_total"`
 }
 
-// createNamespaceRequest is the POST /v1/ns body. Name, NumSets and K
-// are required; the rest default as in Config. A weights object makes
-// the namespace a weighted-coverage dataset (element weights are
-// namespace configuration; kcover queries then run the weighted plane).
+// createNamespaceRequest is the POST /v1/ns body: the namespace's name
+// and its Config's JSON. NumSets and K are required; the rest default
+// as in Config. A weights object makes the namespace a weighted-coverage
+// dataset (element weights are namespace configuration; kcover queries
+// then run the weighted plane).
 type createNamespaceRequest struct {
-	Name        string  `json:"name"`
-	NumSets     int     `json:"num_sets"`
-	K           int     `json:"k"`
-	Eps         float64 `json:"eps"`
-	Seed        uint64  `json:"seed"`
-	NumElems    int     `json:"num_elems"`
-	EdgeBudget  int     `json:"edge_budget"`
-	SpaceFactor float64 `json:"space_factor"`
-	Shards      int     `json:"shards"`
-	QueueDepth  int     `json:"queue_depth"`
-	// MergeEveryMS enables the periodic snapshot merge, in milliseconds.
-	MergeEveryMS int64         `json:"merge_every_ms"`
-	Weights      *weightsFrame `json:"weights,omitempty"`
-	// Engine selects the engine mode by name ("sketch", "weighted",
-	// "dynamic"); empty defaults as in Config.EngineMode.
-	Engine string `json:"engine,omitempty"`
-}
-
-// weightsFrame is the wire/persisted form of a WeightConfig, shared by
-// the POST /v1/ns body and the snapshot-v2 config frame.
-type weightsFrame struct {
-	// Table[e] is element e's weight (finite, non-negative).
-	Table []float64 `json:"table"`
-	// Default is the weight of elements at or beyond the table (0 =
-	// ignore them).
-	Default float64 `json:"default,omitempty"`
-}
-
-func weightsFromConfig(w *WeightConfig) *weightsFrame {
-	if w == nil {
-		return nil
-	}
-	return &weightsFrame{Table: w.Table, Default: w.Default}
-}
-
-func (f *weightsFrame) config() *WeightConfig {
-	if f == nil {
-		return nil
-	}
-	return &WeightConfig{Table: f.Table, Default: f.Default}
+	Name string `json:"name"`
+	Config
+	// MergeEveryMS sets Config.MergeEvery in milliseconds, when nonzero.
+	MergeEveryMS int64 `json:"merge_every_ms"`
 }
 
 func (r createNamespaceRequest) config() Config {
-	return Config{
-		NumSets:     r.NumSets,
-		K:           r.K,
-		Eps:         r.Eps,
-		Seed:        r.Seed,
-		NumElems:    r.NumElems,
-		EdgeBudget:  r.EdgeBudget,
-		SpaceFactor: r.SpaceFactor,
-		Shards:      r.Shards,
-		QueueDepth:  r.QueueDepth,
-		MergeEvery:  time.Duration(r.MergeEveryMS) * time.Millisecond,
-		Weights:     r.Weights.config(),
-		Engine:      ModeName(r.Engine),
+	cfg := r.Config
+	if r.MergeEveryMS != 0 {
+		cfg.MergeEvery = time.Duration(r.MergeEveryMS) * time.Millisecond
 	}
+	return cfg
 }
 
 // listNamespacesResponse is the GET /v1/ns body.

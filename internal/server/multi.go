@@ -220,8 +220,7 @@ type NamespaceInfo struct {
 }
 
 func infoFor(name string, e *Engine, isDefault bool) NamespaceInfo {
-	// Read the config fields directly: Engine.Config() deep-copies the
-	// weight table, which directory listings must not pay per entry.
+	// e.cfg is fixed at New, so listings read it in place.
 	cfg := &e.cfg
 	info := NamespaceInfo{
 		Name:          name,
@@ -232,7 +231,7 @@ func infoFor(name string, e *Engine, isDefault bool) NamespaceInfo {
 		Seed:          cfg.Seed,
 		Shards:        cfg.shards(),
 		Weighted:      cfg.Weights != nil,
-		Engine:        nonDefaultEngine(*cfg),
+		Engine:        cfg.Engine,
 		IngestedEdges: e.IngestedEdges(),
 	}
 	if snap := e.snap.Load(); snap != nil {

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/core"
 )
@@ -18,7 +17,7 @@ import (
 //	uint32 count                    number of namespace frames
 //	count × frame:
 //	  uint32 len, name bytes        namespace name (UTF-8, validated)
-//	  uint32 len, config JSON       the namespace's Config (configFrame)
+//	  uint32 len, config JSON       the namespace's Config, in its own JSON encoding
 //	  uint64 len, sketch blob       core.Sketch WriteTo bytes (format v1)
 //
 // All integers are little-endian, matching the sketch format. Each
@@ -38,95 +37,18 @@ const (
 	maxSketchFrameBytes = 1 << 30
 )
 
-// configFrame is the JSON encoding of a namespace's Config inside a v2
-// snapshot. Durations are persisted in nanoseconds. A weighted
-// namespace additionally frames its element-weight table (weights is
-// omitted entirely for unweighted namespaces, so files written before
-// the weighted extension — and files written for unweighted namespaces
-// today — are byte-identical and restore unchanged).
-type configFrame struct {
-	NumSets     int           `json:"num_sets"`
-	K           int           `json:"k"`
-	Eps         float64       `json:"eps,omitempty"`
-	Seed        uint64        `json:"seed,omitempty"`
-	NumElems    int           `json:"num_elems,omitempty"`
-	EdgeBudget  int           `json:"edge_budget,omitempty"`
-	SpaceFactor float64       `json:"space_factor,omitempty"`
-	Shards      int           `json:"shards,omitempty"`
-	QueueDepth  int           `json:"queue_depth,omitempty"`
-	MergeEvery  int64         `json:"merge_every_ns,omitempty"`
-	Weights     *weightsFrame `json:"weights,omitempty"`
-	// Engine names an engine mode selected by name ("dynamic"). Omitted
-	// for sketch and weighted namespaces, so files written before the
-	// engine-mode plane — and files those modes write today — stay
-	// byte-identical.
-	Engine ModeName `json:"engine,omitempty"`
-}
-
-func frameFromConfig(cfg Config) configFrame {
-	return configFrame{
-		NumSets:     cfg.NumSets,
-		K:           cfg.K,
-		Eps:         cfg.Eps,
-		Seed:        cfg.Seed,
-		NumElems:    cfg.NumElems,
-		EdgeBudget:  cfg.EdgeBudget,
-		SpaceFactor: cfg.SpaceFactor,
-		Shards:      cfg.Shards,
-		QueueDepth:  cfg.QueueDepth,
-		MergeEvery:  int64(cfg.MergeEvery),
-		Weights:     weightsFromConfig(cfg.Weights),
-		Engine:      nonDefaultEngine(cfg),
-	}
-}
-
-// nonDefaultEngine reports the config's engine name when it cannot be
-// re-derived from the frame's other fields ("sketch" is the default,
-// "weighted" is implied by the weights frame).
-func nonDefaultEngine(cfg Config) ModeName {
-	if name := cfg.engineName(); name != ModeSketch && name != ModeWeighted {
-		return name
-	}
-	return ""
-}
-
-func (f configFrame) config() Config {
-	return Config{
-		NumSets:     f.NumSets,
-		K:           f.K,
-		Eps:         f.Eps,
-		Seed:        f.Seed,
-		NumElems:    f.NumElems,
-		EdgeBudget:  f.EdgeBudget,
-		SpaceFactor: f.SpaceFactor,
-		Shards:      f.Shards,
-		QueueDepth:  f.QueueDepth,
-		MergeEvery:  time.Duration(f.MergeEvery),
-		Weights:     f.Weights.config(),
-		Engine:      f.Engine,
-	}
-}
-
 // WriteSnapshot merges every namespace and writes the v2 container.
 // Namespaces are framed in sorted name order, so two Multis with equal
 // state serialize to equal bytes. Each namespace's frame carries its
 // Config, making the file self-describing: RestoreAll rebuilds every
 // engine without the caller re-supplying parameters.
 func (m *Multi) WriteSnapshot(w io.Writer) error {
-	return m.writeSnapshotWith(w, func(e *Engine) (*Snapshot, error) {
-		// Durable engines cut batch-aligned checkpoints (see
-		// Engine.WriteSnapshot); WriteSnapshot's Refresh does the right
-		// thing either way, minus this container's own buffering.
-		if e.wal != nil {
-			return e.Checkpoint()
-		}
-		return e.Refresh()
-	})
+	return m.writeSnapshotWith(w, (*Engine).Checkpoint)
 }
 
 // writeSnapshotWith writes the v2 container, obtaining each namespace's
-// snapshot through snapFor — Refresh for a plain WriteSnapshot,
-// Checkpoint when CheckpointMulti needs batch-aligned, truncatable cuts.
+// snapshot through snapFor: Engine.Checkpoint, which CheckpointMulti
+// wraps to record each cut for WAL truncation.
 func (m *Multi) writeSnapshotWith(w io.Writer, snapFor func(*Engine) (*Snapshot, error)) error {
 	infos := m.List()
 	bw := bufio.NewWriter(w)
@@ -150,7 +72,7 @@ func (m *Multi) writeSnapshotWith(w io.Writer, snapFor func(*Engine) (*Snapshot,
 		if err != nil {
 			return fmt.Errorf("server: snapshotting namespace %q: %w", info.Name, err)
 		}
-		cfgJSON, err := json.Marshal(frameFromConfig(e.Config()))
+		cfgJSON, err := json.Marshal(&e.cfg)
 		if err != nil {
 			return err
 		}
@@ -199,8 +121,8 @@ func (m *Multi) RestoreAll(r io.Reader) (int, error) {
 		if err != nil {
 			return restored, fmt.Errorf("server: reading namespace %q config: %w", name, err)
 		}
-		var frame configFrame
-		if err := json.Unmarshal(cfgJSON, &frame); err != nil {
+		var cfg Config
+		if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
 			return restored, fmt.Errorf("server: decoding namespace %q config: %w", name, err)
 		}
 		var blobLen uint64
@@ -223,7 +145,7 @@ func (m *Multi) RestoreAll(r io.Reader) (int, error) {
 		// The frame's config decides the blob format: weighted namespaces
 		// persist a class bank, unweighted ones a v1 sketch. ReadRestore
 		// fills the matching Config restore field.
-		cfg, err := ReadRestore(frame.config(), bytes.NewReader(blob.Bytes()))
+		cfg, err = ReadRestore(cfg, bytes.NewReader(blob.Bytes()))
 		if err != nil {
 			return restored, fmt.Errorf("server: decoding namespace %q state: %w", name, err)
 		}

@@ -17,11 +17,11 @@ type WeightConfig struct {
 	// Table[e] is the weight of element e for e < len(Table). Entries
 	// must be finite and non-negative; zero-weight elements are ignored
 	// by the sketch (they never contribute coverage).
-	Table []float64
+	Table []float64 `json:"table"`
 	// Default is the weight of every element at or beyond len(Table).
 	// Zero (the zero value) ignores such elements; must be finite and
 	// non-negative.
-	Default float64
+	Default float64 `json:"default,omitempty"`
 }
 
 // Validate checks the weight ranges.
