@@ -1,6 +1,6 @@
 // Command covcli is the client for covserved: it replays a coverage
 // instance file (as written by covgen) against a running server in
-// batched POSTs, triggers a snapshot merge, queries k-cover, and —
+// batched POSTs, queries k-cover on a fresh merge (refresh=1), and —
 // with -compare — runs the offline single-pass algorithm locally on the
 // same instance and verifies the server returns the same answer (the
 // merge-composability guarantee, end to end over the wire).
@@ -375,14 +375,6 @@ func main() {
 		if resp.StatusCode != http.StatusOK {
 			fatal(fmt.Errorf("POST /v1/cluster/pull: %s: %s", resp.Status, bytes.TrimSpace(msg)))
 		}
-	} else {
-		// Merge, then query.
-		resp, err := client.Post(queryBase+"/snapshot", "", nil)
-		if err != nil {
-			fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 
 	algo := "kcover"

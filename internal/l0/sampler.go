@@ -34,6 +34,13 @@ import (
 // net op multiset, independent of shard count, batch boundaries, or op
 // order.
 //
+// A floor f drops the levels below it for good, for a caller that will
+// never decode there again: the sampler holds cells for levels
+// f…Levels−1 only, every verb skips the rest, and the floor only rises
+// (RaiseFloor). An element of priority above FloorBar(f) sits on no kept
+// level, so its ops may be dropped before they reach the sampler. Two
+// samplers of different floors merge at the larger one.
+//
 // The fingerprint and row hashes are hashing.Mix2(seed word, x) =
 // SplitMix64(SplitMix64(seed word) ^ (x + γ)). The inner round depends on
 // the sampler's seed alone, so deriveSeeds evaluates it once per seed
@@ -59,7 +66,8 @@ type SamplerParams struct {
 const (
 	maxLevels       = 48
 	maxCellsTotal   = 1 << 24 // read-side allocation cap (512 MiB of cells)
-	samplerMagic    = "L0SAMP2\n"
+	samplerMagic    = "L0SAMP3\n"
+	samplerMagicV2  = "L0SAMP2\n" // no floor field: read as floor 0
 	samplerRowCount = 3
 
 	fpSalt  = 0xc2b2ae3d27d4eb4f
@@ -122,7 +130,9 @@ type Sampler struct {
 	prio   core.Priority
 	fpMix  uint64
 	rowMix [][samplerRowCount]uint64
-	// cells holds Levels consecutive blocks of p.Cells cells.
+	// floor is the shallowest level held; cells holds the Levels − floor
+	// consecutive blocks of p.Cells cells of levels floor…Levels−1.
+	floor int
 	cells []cell
 }
 
@@ -148,6 +158,33 @@ func (s *Sampler) deriveSeeds() {
 
 // Params returns the sampler's (normalized) parameters.
 func (s *Sampler) Params() SamplerParams { return s.p }
+
+// Floor returns the shallowest level the sampler holds.
+func (s *Sampler) Floor() int { return s.floor }
+
+// FloorBar is the largest element priority a sampler of floor f keeps
+// ops of: an element of priority h sits on levels up to lz(h), so it
+// touches a level ≥ f exactly when h ≤ 2^(64−f) − 1. MaxUint64 at floor 0.
+func FloorBar(f int) uint64 { return ^uint64(0) >> f }
+
+// RaiseFloor drops the levels below f (a no-op when f is not above the
+// floor; f is clamped to Levels−1). The kept levels are resliced, not
+// copied, so their array stays as large as it was: a sampler that lives
+// on after the raise releases the rest by cloning itself.
+func (s *Sampler) RaiseFloor(f int) {
+	f = min(f, s.p.Levels-1)
+	if f <= s.floor {
+		return
+	}
+	s.cells = s.cells[(f-s.floor)*s.p.Cells:]
+	s.floor = f
+}
+
+// level returns the cells of level l ≥ floor.
+func (s *Sampler) level(l int) []cell {
+	at := (l - s.floor) * s.p.Cells
+	return s.cells[at : at+s.p.Cells]
+}
 
 // Bytes returns the allocated cell-array footprint.
 func (s *Sampler) Bytes() int { return len(s.cells) * 32 }
@@ -204,8 +241,8 @@ func (s *Sampler) Update(set, elem uint32, delta int64) {
 		}
 	}
 	w := uint64(s.p.Cells / samplerRowCount)
-	for l, top := 0, s.elemLevel(elem); l <= top; l++ {
-		level := s.cells[l*s.p.Cells : (l+1)*s.p.Cells]
+	for l, top := s.floor, s.elemLevel(elem); l <= top; l++ {
+		level := s.level(l)
 		mix := &s.rowMix[l]
 		for r := uint64(0); r < samplerRowCount; r++ {
 			pos, _ := bits.Mul64(premixed(mix[r], kg), w)
@@ -239,13 +276,17 @@ func (s *Sampler) AddEdges(edges []bipartite.Edge) {
 
 // Merge folds other into s cell-wise; the samplers must share params.
 // Because the structure is linear, merging shard-local samplers yields
-// exactly the sampler of the concatenated op streams.
+// exactly the sampler of the concatenated op streams, at the larger of
+// the two floors: s raises its floor to other's first, and other's levels
+// below s's are skipped.
 func (s *Sampler) Merge(other *Sampler) error {
 	if other.p != s.p {
 		return fmt.Errorf("l0: cannot merge samplers with different params (%+v vs %+v)", s.p, other.p)
 	}
+	s.RaiseFloor(other.floor)
+	from := other.cells[(s.floor-other.floor)*s.p.Cells:]
 	for i := range s.cells {
-		a, b := &s.cells[i], &other.cells[i]
+		a, b := &s.cells[i], &from[i]
 		a.count += b.count
 		var carry uint64
 		a.keyLo, carry = bits.Add64(a.keyLo, b.keyLo, 0)
@@ -263,11 +304,14 @@ func (s *Sampler) Clone() *Sampler {
 }
 
 // CopyTo overwrites dst's cells with s's — Clone into an array that
-// already exists (a recycled refresh cut). The samplers must share params.
+// already exists (a recycled refresh cut). The samplers must share params
+// and hold the same levels: a dst of another floor is refused, so an array
+// recycled from below a floor that has since risen is not reused.
 func (s *Sampler) CopyTo(dst *Sampler) error {
-	if dst.p != s.p {
-		return fmt.Errorf("l0: cannot copy into a sampler with different params (%+v vs %+v)", s.p, dst.p)
+	if dst.p != s.p || len(dst.cells) != len(s.cells) {
+		return fmt.Errorf("l0: cannot copy into a sampler with different params or levels (%+v floor %d vs %+v floor %d)", s.p, s.floor, dst.p, dst.floor)
 	}
+	dst.floor = s.floor
 	copy(dst.cells, s.cells)
 	return nil
 }
@@ -289,14 +333,14 @@ type RecoverResult struct {
 	Level int
 }
 
-// Recover peels the levels shallowest-first and returns the first one
-// that decodes completely. Level 0 holds everything, so on streams
-// small enough to fit it the result is the exact live edge set — in
-// particular a fully cancelled stream decodes at level 0 to no edges.
+// Recover peels the levels shallowest-first, from the floor, and returns
+// the first one that decodes completely. Level 0 holds everything, so on
+// streams small enough to fit it the result is the exact live edge set —
+// in particular a fully cancelled stream decodes at the floor to no edges.
 // The sampler is only read.
 func (s *Sampler) Recover() (RecoverResult, error) {
 	var scratch peelScratch
-	for l := 0; l < s.p.Levels; l++ {
+	for l := s.floor; l < s.p.Levels; l++ {
 		if !s.peelLevel(l, &scratch) {
 			continue
 		}
@@ -360,7 +404,7 @@ func (s *Sampler) pure(c *cell, level, pos int) (key, m uint64, ok bool) {
 // unwritten cells skips tests whose outcome is known, so the decode
 // sequence is that of sweeping every cell every time.
 func (s *Sampler) peelLevel(level int, sc *peelScratch) bool {
-	cells := s.cells[level*s.p.Cells : (level+1)*s.p.Cells]
+	cells := s.level(level)
 	first, empty := -1, true
 	for pos := range cells {
 		c := &cells[pos]
@@ -453,28 +497,35 @@ var ErrCorruptSampler = errors.New("l0: corrupt sampler state")
 var ErrParamsMismatch = errors.New("l0: sampler parameter mismatch")
 
 // samplerEntryLen is one serialized non-zero cell: index, count, key sum
-// (lo, hi), fingerprint sum.
-const samplerEntryLen = 4 + 4*8
+// (lo, hi), fingerprint sum. samplerHeaderLen is the v3 header: levels,
+// cells, seed, floor, non-zero cell count (v2 has no floor).
+const (
+	samplerEntryLen  = 4 + 4*8
+	samplerHeaderLen = 4 + 4 + 8 + 4 + 8
+)
 
-// WriteTo serializes the sampler deterministically: a fixed header,
-// the non-zero cells in ascending index order, and a CRC. Equal cell
-// states — and by linearity, equal net op multisets — produce
+// WriteTo serializes the sampler deterministically: a fixed header, the
+// non-zero cells of the levels it holds in ascending index order (an index
+// counts from level 0, whatever the floor), and a CRC. Equal cell states
+// at equal floors — and by linearity, equal net op multisets — produce
 // byte-identical output regardless of how the state was assembled.
 func (s *Sampler) WriteTo(wr io.Writer) (int64, error) {
 	nnz := s.NonZeroCells()
-	buf := make([]byte, 0, len(samplerMagic)+24+nnz*samplerEntryLen+4)
+	buf := make([]byte, 0, len(samplerMagic)+samplerHeaderLen+nnz*samplerEntryLen+4)
 	buf = append(buf, samplerMagic...)
 	payload := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.p.Levels))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.p.Cells))
 	buf = binary.LittleEndian.AppendUint64(buf, s.p.Seed)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.floor))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(nnz))
+	base := s.floor * s.p.Cells
 	for i := range s.cells {
 		c := &s.cells[i]
 		if c.zero() {
 			continue
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(base+i))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.count))
 		buf = binary.LittleEndian.AppendUint64(buf, c.keyLo)
 		buf = binary.LittleEndian.AppendUint64(buf, c.keyHi)
@@ -490,29 +541,40 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ReadSampler decodes a sampler serialized by WriteTo that must have been
 // built with want (normalized parameters — the geometry the caller is
-// about to merge the result with). Corruption yields a typed error
-// (wrapping ErrCorruptSampler), never a panic. Nothing is allocated
-// before the header has been checked against want and, when rd knows its
-// remaining length (bytes.Reader, bytes.Buffer), against the bytes that
-// are left — so a blob costs at most the geometry the caller already
-// runs, whatever its header claims.
+// about to merge the result with). A v2 blob (L0SAMP2, no floor field)
+// decodes at floor 0. Corruption yields a typed error (wrapping
+// ErrCorruptSampler), never a panic. Nothing is allocated before the
+// header has been checked against want and, when rd knows its remaining
+// length (bytes.Reader, bytes.Buffer), against the bytes that are left —
+// so a blob costs at most the geometry the caller already runs, whatever
+// its header claims.
 func ReadSampler(rd io.Reader, want SamplerParams) (*Sampler, error) {
 	var magic [len(samplerMagic)]byte
 	if _, err := io.ReadFull(rd, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorruptSampler, err)
 	}
-	if string(magic[:]) != samplerMagic {
+	hdrLen := samplerHeaderLen
+	switch string(magic[:]) {
+	case samplerMagic:
+	case samplerMagicV2:
+		hdrLen -= 4
+	default:
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptSampler, magic[:])
 	}
-	var hdr [24]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+	var hdrBuf [samplerHeaderLen]byte
+	hdr := hdrBuf[:hdrLen]
+	if _, err := io.ReadFull(rd, hdr); err != nil {
 		return nil, fmt.Errorf("%w: reading header: %v", ErrCorruptSampler, err)
 	}
-	crc := crc32.Checksum(hdr[:], crcTable)
+	crc := crc32.Checksum(hdr, crcTable)
 	p := SamplerParams{
 		Levels: int(binary.LittleEndian.Uint32(hdr[0:4])),
 		Cells:  int(binary.LittleEndian.Uint32(hdr[4:8])),
 		Seed:   binary.LittleEndian.Uint64(hdr[8:16]),
+	}
+	floor, rest := uint32(0), hdr[16:]
+	if hdrLen == samplerHeaderLen {
+		floor, rest = binary.LittleEndian.Uint32(rest[0:4]), rest[4:]
 	}
 	if err := p.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptSampler, err)
@@ -520,25 +582,29 @@ func ReadSampler(rd io.Reader, want SamplerParams) (*Sampler, error) {
 	if p != want {
 		return nil, fmt.Errorf("%w: built with %+v, expected %+v", ErrParamsMismatch, p, want)
 	}
-	nnz := binary.LittleEndian.Uint64(hdr[16:24])
-	if nnz > uint64(p.Levels*p.Cells) {
-		return nil, fmt.Errorf("%w: %d non-zero cells exceed capacity %d", ErrCorruptSampler, nnz, p.Levels*p.Cells)
+	if floor >= uint32(p.Levels) {
+		return nil, fmt.Errorf("%w: floor %d beyond %d levels", ErrCorruptSampler, floor, p.Levels)
+	}
+	held := (p.Levels - int(floor)) * p.Cells
+	nnz := binary.LittleEndian.Uint64(rest)
+	if nnz > uint64(held) {
+		return nil, fmt.Errorf("%w: %d non-zero cells exceed capacity %d", ErrCorruptSampler, nnz, held)
 	}
 	if l, ok := rd.(interface{ Len() int }); ok && nnz*samplerEntryLen+4 > uint64(l.Len()) {
 		return nil, fmt.Errorf("%w: %d non-zero cells announced, %d bytes left", ErrCorruptSampler, nnz, l.Len())
 	}
-	s := &Sampler{p: p, cells: make([]cell, p.Levels*p.Cells)}
+	s := &Sampler{p: p, floor: int(floor), cells: make([]cell, held)}
 	s.deriveSeeds()
 	var ent [samplerEntryLen]byte
-	prev := -1
+	base, prev := s.floor*p.Cells, -1
 	for i := uint64(0); i < nnz; i++ {
 		if _, err := io.ReadFull(rd, ent[:]); err != nil {
 			return nil, fmt.Errorf("%w: reading cell %d: %v", ErrCorruptSampler, i, err)
 		}
 		crc = crc32.Update(crc, crcTable, ent[:])
-		idx := int(binary.LittleEndian.Uint32(ent[0:4]))
+		idx := int(binary.LittleEndian.Uint32(ent[0:4])) - base
 		if idx <= prev || idx >= len(s.cells) {
-			return nil, fmt.Errorf("%w: cell index %d out of order or range", ErrCorruptSampler, idx)
+			return nil, fmt.Errorf("%w: cell index %d out of order or range", ErrCorruptSampler, idx+base)
 		}
 		prev = idx
 		s.cells[idx] = cell{

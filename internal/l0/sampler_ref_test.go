@@ -443,9 +443,9 @@ func TestReadSamplerRejectsCellCountBeyondTheBlob(t *testing.T) {
 // header announcing nnz, CRC over the header.
 func headerOnlySampler(t testing.TB, p SamplerParams, nnz uint64) []byte {
 	blob := serialize(t, &Sampler{p: p})
-	hdr := blob[len(samplerMagic) : len(samplerMagic)+24]
+	hdr := blob[len(samplerMagic) : len(samplerMagic)+samplerHeaderLen]
 	for i := 0; i < 8; i++ {
-		hdr[16+i] = byte(nnz >> (8 * i))
+		hdr[samplerHeaderLen-8+i] = byte(nnz >> (8 * i))
 	}
 	crc := crc32.Checksum(hdr, crcTable)
 	for i := 0; i < 4; i++ {

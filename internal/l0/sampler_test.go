@@ -2,9 +2,12 @@ package l0
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bipartite"
@@ -317,5 +320,126 @@ func TestSamplerLevelsFollowTheSketchPriority(t *testing.T) {
 				t.Fatalf("seed %d: the last level is empty; the test checks nothing there", seed)
 			}
 		}
+	}
+}
+
+// floorOps is a valid insert/delete mix over elements of every priority.
+func floorOps(n int, seed int64) []bipartite.Op {
+	edges := genEdges(n, seed)
+	ops := bipartite.Inserts(edges)
+	return append(ops, bipartite.Deletes(edges[:n/3])...)
+}
+
+// TestSamplerFloorKeepsTheLevelsAboveIt: a sampler raised to floor f is
+// the floor-0 sampler with the levels below f cut off — whether the ops
+// arrived before or after the raise, and however the ops of elements above
+// FloorBar(f) were split off: they touch nothing it holds. It decodes the
+// first level from f on that the floor-0 sampler decodes, serializes only
+// the levels it holds, and round-trips with its floor.
+func TestSamplerFloorKeepsTheLevelsAboveIt(t *testing.T) {
+	p := SamplerParams{Levels: 12, Cells: 96, Seed: 5}.Normalize()
+	ops := floorOps(600, 8)
+	full := NewSampler(p)
+	full.Apply(ops)
+	for _, f := range []int{1, 2, 4, p.Levels - 1} {
+		late := full.Clone()
+		late.RaiseFloor(f)
+		if late.Floor() != f || len(late.cells) != (p.Levels-f)*p.Cells {
+			t.Fatalf("floor %d: raised to %d holding %d cells", f, late.Floor(), len(late.cells))
+		}
+		// Raised first, then fed only the ops below the floor's bar.
+		early := NewSampler(p)
+		early.RaiseFloor(f)
+		for _, op := range ops {
+			if early.prio.Of(op.Edge.Elem) <= FloorBar(f) {
+				early.Apply([]bipartite.Op{op})
+			}
+		}
+		// Raised first, fed everything.
+		all := NewSampler(p)
+		all.RaiseFloor(f)
+		all.Apply(ops)
+		for name, s := range map[string]*Sampler{"raised first, fed below the bar": early, "raised first, fed all": all} {
+			if !bytes.Equal(serialize(t, s), serialize(t, late)) {
+				t.Fatalf("floor %d, %s: differs from the floor-0 sampler raised afterwards", f, name)
+			}
+		}
+		// The floor-0 sampler's first level from f on that peels.
+		var sc peelScratch
+		level := f
+		for !full.peelLevel(level, &sc) {
+			level++
+		}
+		slices.Sort(sc.keys)
+		got, err := late.Recover()
+		if err != nil || got.Level != level || len(got.Edges) != len(slices.Compact(sc.keys)) {
+			t.Fatalf("floor %d: decoded %d edges at level %d (%v), the floor-0 sampler peels %d at %d", f, len(got.Edges), got.Level, err, len(sc.keys), level)
+		}
+		blob := serialize(t, late)
+		back, err := ReadSampler(bytes.NewReader(blob), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Floor() != f || !slices.Equal(back.cells, late.cells) {
+			t.Fatalf("floor %d: round trip gave floor %d", f, back.Floor())
+		}
+		if len(blob) > len(serialize(t, full)) {
+			t.Fatalf("floor %d: %d bytes, more than the floor-0 sampler's", f, len(blob))
+		}
+	}
+}
+
+// TestSamplerMergeTakesTheLargerFloor: merging samplers of floors f1 < f2,
+// either way round, is the merge of both raised to f2; CopyTo refuses a
+// target of another floor.
+func TestSamplerMergeTakesTheLargerFloor(t *testing.T) {
+	p := SamplerParams{Levels: 12, Cells: 96, Seed: 6}.Normalize()
+	a, b := NewSampler(p), NewSampler(p)
+	a.Apply(floorOps(300, 1))
+	b.Apply(floorOps(300, 2))
+	want := a.Clone()
+	if err := want.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	want.RaiseFloor(3)
+	low, high := a.Clone(), b.Clone()
+	low.RaiseFloor(1)
+	high.RaiseFloor(3)
+	for name, pair := range map[string][2]*Sampler{"low into high": {high, low}, "high into low": {low, high}} {
+		into := pair[0].Clone()
+		if err := into.Merge(pair[1]); err != nil {
+			t.Fatal(err)
+		}
+		if into.Floor() != 3 || !bytes.Equal(serialize(t, into), serialize(t, want)) {
+			t.Fatalf("%s: floor %d, or cells differ from the merge raised to 3", name, into.Floor())
+		}
+	}
+	if err := high.CopyTo(low.Clone()); err == nil {
+		t.Fatal("CopyTo into a sampler of another floor succeeded")
+	}
+	dst := NewSampler(p)
+	dst.RaiseFloor(3)
+	if err := high.CopyTo(dst); err != nil || !bytes.Equal(serialize(t, dst), serialize(t, high)) {
+		t.Fatalf("CopyTo at equal floors: %v", err)
+	}
+}
+
+// TestSamplerReadsV2AsFloor0: an L0SAMP2 blob — the v3 layout without the
+// floor field — decodes at floor 0 to the same cells.
+func TestSamplerReadsV2AsFloor0(t *testing.T) {
+	p := testParams()
+	s := NewSampler(p)
+	s.Apply(floorOps(120, 3))
+	v3 := serialize(t, s)
+	body := append([]byte(nil), v3[len(samplerMagic):len(v3)-4]...)
+	body = append(body[:16], body[20:]...) // drop the floor field
+	v2 := append([]byte(samplerMagicV2), body...)
+	v2 = binary.LittleEndian.AppendUint32(v2, crc32.Checksum(body, crcTable))
+	got, err := ReadSampler(bytes.NewReader(v2), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Floor() != 0 || !slices.Equal(got.cells, s.cells) {
+		t.Fatal("a v2 blob decoded to other cells or another floor")
 	}
 }

@@ -19,23 +19,37 @@ import (
 // mode parameter.
 type noBarMode struct{ Mode }
 
-// noBarState hides every method of the wrapped state but ShardState's.
-type noBarState struct{ ShardState }
+// noBarState hides every method of the wrapped state but ShardState's;
+// noBarDeletes keeps the deleteApplier marker of a state that has it.
+type (
+	noBarState   struct{ ShardState }
+	noBarDeletes struct{ noBarState }
+)
+
+func (noBarDeletes) appliesDeletes() {}
 
 func (m noBarMode) NewShardState() (ShardState, error) {
 	st, err := m.Mode.NewShardState()
+	if _, ok := st.(deleteApplier); ok {
+		return noBarDeletes{noBarState{st}}, err
+	}
 	return noBarState{st}, err
 }
 
 // TestRouterBarDropIsInvisible is a seeded model test of the router's
-// drop. Two durable sketch engines take the same random schedule of
-// Ingest, insert-only IngestOps, Refresh, Checkpoint, Stats, WriteSnapshot
-// and close + reopen (restoring the last checkpoint file and replaying the
-// WAL tail); one drops inserts above its shards' published bars, the other
-// has the drop turned off. After every step both hold the same per-shard
-// stats, published the same snapshot bytes, and logged the same WAL bytes —
-// over shard counts 1, 2 and 4, degree caps that bind and caps that do not,
-// and batches that route cuts into several sub-batches per shard. The drop must fire. A failure names its seed.
+// drop. Two durable engines take the same random schedule of Ingest,
+// IngestOps, Refresh, Checkpoint, Stats, WriteSnapshot and close + reopen
+// (restoring the last checkpoint file and replaying the WAL tail); one
+// drops records above its shards' published bars, the other has the drop
+// turned off. After every step both hold the same per-shard stats,
+// published the same snapshot bytes, and logged the same WAL bytes — over
+// shard counts 1, 2 and 4 and batches that route cuts into several
+// sub-batches per shard. Sketch engines take insert-only ops, under degree
+// caps that bind and caps that do not. Dynamic engines take random insert
+// and delete batches, some retracting most of what is live, so the floor
+// rises and the decoded level then comes back up to it; their bar is the
+// floor's, and inserts and deletes stop at it alike. The drop must fire.
+// A failure names its seed.
 func TestRouterBarDropIsInvisible(t *testing.T) {
 	const (
 		numSets = 16
@@ -54,6 +68,18 @@ func TestRouterBarDropIsInvisible(t *testing.T) {
 				rng := rand.New(rand.NewPCG(seed, uint64(shards)))
 				runBarDropModel(t, name, cfg, sketchMode{params: params}, rng, steps)
 			}
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("dynamic/shards=%d/seed=%d", shards, seed)
+			cfg := Config{NumSets: numSets, K: 4, Eps: 0.5, Seed: seed, EdgeBudget: 48, Shards: shards, QueueDepth: 4, Engine: ModeDynamic}
+			mode, err := cfg.EngineMode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(seed, uint64(shards)))
+			// More steps: only a refresh raises the floor, and a reopen
+			// before the next checkpoint forgets it.
+			runBarDropModel(t, name, cfg, mode, rng, 3*steps/2)
 		}
 	}
 }
@@ -100,8 +126,10 @@ func runBarDropModel(t *testing.T, name string, cfg Config, mode Mode, rng *rand
 	}()
 	var (
 		sent    []bipartite.Edge
-		dropped int64 // router drops, summed over the drop side's opens
+		live    []bipartite.Edge // dynamic: the live edges, one entry per copy
+		dropped int64            // router drops, summed over the drop side's opens
 	)
+	dynamic := cfg.Engine == ModeDynamic
 	randomBatch := func() []bipartite.Edge {
 		// Every third batch is several times a sub-batch, so route splits a
 		// shard's share at every shard count.
@@ -123,7 +151,30 @@ func runBarDropModel(t *testing.T, name string, cfg Config, mode Mode, rng *rand
 			}
 		}
 		sent = append(sent, edges...)
+		if dynamic {
+			live = append(live, edges...)
+		}
 		return edges
+	}
+	// randomOps is an insert batch; on a dynamic engine, beside retracting
+	// live copies: usually a few, one time in four most of them.
+	randomOps := func() []bipartite.Op {
+		ops := bipartite.Inserts(randomBatch())
+		if !dynamic {
+			return ops
+		}
+		n := rng.IntN(len(live)/4 + 1)
+		if rng.IntN(4) == 0 {
+			n = len(live) * 4 / 5
+		}
+		for range n {
+			i := rng.IntN(len(live))
+			ops = append(ops, bipartite.Op{Kind: bipartite.OpDelete, Edge: live[i]})
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+		return ops
 	}
 	snapBytes := func(s *Snapshot) []byte {
 		var buf bytes.Buffer
@@ -148,7 +199,7 @@ func runBarDropModel(t *testing.T, name string, cfg Config, mode Mode, rng *rand
 			}
 		case r < 12:
 			op = "IngestOps"
-			ops := bipartite.Inserts(randomBatch())
+			ops := randomOps()
 			for _, s := range sides {
 				if _, err := s.e.IngestOps(ops); err != nil {
 					t.Fatalf("%s step %d: %v", name, step, err)
@@ -221,7 +272,7 @@ func runBarDropModel(t *testing.T, name string, cfg Config, mode Mode, rng *rand
 		}
 	}
 	if dropped += drop.e.Counters().BarDrops; dropped == 0 {
-		t.Fatalf("%s: the router never dropped an insert; the model tests nothing", name)
+		t.Fatalf("%s: the router never dropped a record; the model tests nothing", name)
 	}
 }
 

@@ -556,8 +556,10 @@ func (p *baseProbe) take() []FrozenState {
 // published state as its base exactly when that state folded every shard's
 // last cut — not on an engine's first refresh, not on the first one after a
 // restore, not in the round after a failed merge, and otherwise always,
-// across Stats calls and checkpoints. Weighted and dynamic shards never get
-// a base.
+// across Stats calls and checkpoints. Weighted shards never get a base. A
+// dynamic shard gets the published state whenever there is one — it reads
+// only the floor there and still cuts in full — so in this schedule exactly
+// when a sketch shard does.
 func TestOnlySketchShardsCutAgainstABase(t *testing.T) {
 	weighted := deltaConfig(t, 3, false)
 	weighted.Weights = &WeightConfig{Default: 2}
@@ -575,6 +577,7 @@ func TestOnlySketchShardsCutAgainstABase(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			sketch := cfg.engineName() == ModeSketch
+			floored := sketch || cfg.engineName() == ModeDynamic
 			rng := rand.New(rand.NewPCG(12, uint64(cfg.Shards)))
 			var sent []bipartite.Edge
 
@@ -615,8 +618,8 @@ func TestOnlySketchShardsCutAgainstABase(t *testing.T) {
 			}
 			// build ingests, runs one snapshot-building call and checks that
 			// every shard's freeze got the state published before the call as
-			// its base when withBase holds on a sketch engine, else nil. The
-			// call fails exactly when the probe was told to fail it.
+			// its base when withBase holds on a sketch or dynamic engine, else
+			// nil. The call fails exactly when the probe was told to fail it.
 			failing := false
 			build := func(step string, withBase bool, call func() (*Snapshot, error)) {
 				t.Helper()
@@ -626,7 +629,7 @@ func TestOnlySketchShardsCutAgainstABase(t *testing.T) {
 					t.Fatalf("%s: error %v (the probe failed it: %v)", step, err, failing)
 				}
 				var want FrozenState
-				if withBase && sketch {
+				if withBase && floored {
 					want = prev.state
 				}
 				bases := probe.take()

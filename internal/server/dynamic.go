@@ -13,6 +13,15 @@ package server
 // cuts the level it decodes, a priority prefix of the live elements, with
 // the sketch's rule into a *core.View (DESIGN.md §14).
 //
+// The levels below the decoded one are never read again unless the live
+// set shrinks, so the merge raises the state's floor to one level below
+// the decoded one (dynamicFloorMargin) and keeps only the levels from
+// there. The floor only rises: the engine publishes its bar to the router
+// as soon as the snapshot is published, so the ops of every element that
+// touches no kept level stop there, deletes included, and the next freeze
+// request carries the published state to the shards, which release their
+// levels below its floor.
+//
 // A refresh copies each shard's cells once and nothing twice. A shard
 // answers a freeze request with a dynamicCut: its cells copied into an
 // array from the mode's free list. The cut belongs to the one merge it
@@ -29,6 +38,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
@@ -59,6 +69,10 @@ const (
 	dynamicLevels   = 16
 	minDynamicCells = 96
 	maxDynamicCells = 1 << 14
+	// dynamicFloorMargin is how far below the decoded level a merge raises
+	// the floor: the live set may halve before a refresh would have decoded
+	// below the floor (DESIGN.md §14).
+	dynamicFloorMargin = 1
 )
 
 // dynamicState is the per-shard (and merged-snapshot) state of the
@@ -72,6 +86,10 @@ type dynamicState struct {
 	opsSeen int64
 	// deletes counts delete ops applied.
 	deletes int64
+	// bar (shard states only, barPublisher) is l0.FloorBar of the floor
+	// the engine last published; the engine stores it (publishFloor), the
+	// router reads it.
+	bar atomic.Uint64
 
 	// view is the sketch's cut of the level the L0 peel MergeStates ends
 	// with decoded: set on merged states only, immutable afterwards.
@@ -93,6 +111,23 @@ func (d *dynamicState) AddEdges(recs []bipartite.Edge) {
 
 func (d *dynamicState) appliesDeletes() {}
 
+func (d *dynamicState) publishedBar() *atomic.Uint64 { return &d.bar }
+
+// addDropped accounts ops the router dropped above the published floor's
+// bar: they count as applied, and touch no level the state keeps.
+func (d *dynamicState) addDropped(ops, deletes int64) {
+	d.opsSeen += ops
+	d.deletes += deletes
+}
+
+// raiseFloor drops the shard's levels below f and releases their memory.
+func (d *dynamicState) raiseFloor(f int) {
+	if f > d.sam.Floor() {
+		d.sam.RaiseFloor(f)
+		d.sam = d.sam.Clone()
+	}
+}
+
 // dynamicCut is a shard's answer to a freeze request: the shard's cells
 // at the cut, in an array that belongs to exactly one MergeStates call,
 // which consumes it (the array becomes the merged state or returns to the
@@ -101,11 +136,15 @@ func (d *dynamicState) appliesDeletes() {}
 // read.
 type dynamicCut struct{ dynamicState }
 
-// Freeze ignores base, which the engine never passes to a dynamic shard: a
-// delete can move the recovered sample's cut back up, so nothing the last
-// merge excluded may be shed.
-// The copy lands in a recycled array when the free list has one.
-func (d *dynamicState) Freeze(FrozenState) FrozenState {
+// Freeze given a base (the published merged state) first raises the
+// shard's floor to the base's, releasing the levels below it; the cut is
+// always the whole state, since a delete can move the recovered sample's
+// cut back up past anything else the last merge excluded. The copy lands
+// in a recycled array when the free list has one of the shard's size.
+func (d *dynamicState) Freeze(base FrozenState) FrozenState {
+	if b, ok := base.(*dynamicState); ok {
+		d.raiseFloor(b.sam.Floor())
+	}
 	cut := &dynamicCut{dynamicState{opsSeen: d.opsSeen, deletes: d.deletes}}
 	if sam, ok := d.free.Get().(*l0.Sampler); ok && d.sam.CopyTo(sam) == nil {
 		cut.sam = sam
@@ -119,6 +158,9 @@ func (d *dynamicState) MergeFrom(other FrozenState) error {
 	o, ok := other.(*dynamicState)
 	if !ok {
 		return fmt.Errorf("server: cannot merge %T state into a dynamic engine", other)
+	}
+	if o.sam.Params() == d.sam.Params() {
+		d.raiseFloor(o.sam.Floor())
 	}
 	if err := d.sam.Merge(o.sam); err != nil {
 		return err
@@ -143,10 +185,12 @@ func (d *dynamicState) Stats() core.Stats {
 	return st
 }
 
-// dynMagic frames the dynamic state: op counters, then the sampler's
-// own self-checksummed bytes. dynMagicV1's sampler used retired level and
-// row hashes, so it is refused by name.
-const dynMagic, dynMagicV1 = "L0DYNS2\n", "L0DYNS1\n"
+// dynMagic frames the dynamic state: op counters, then the sampler's own
+// self-checksummed bytes, an L0SAMP3 sampler whose header carries the
+// floor. dynMagicV2 frames the same counters and an L0SAMP2 sampler, which
+// decodes at floor 0. dynMagicV1's sampler used retired level and row
+// hashes, so it is refused by name.
+const dynMagic, dynMagicV2, dynMagicV1 = "L0DYNS3\n", "L0DYNS2\n", "L0DYNS1\n"
 
 func (d *dynamicState) WriteTo(w io.Writer) (int64, error) {
 	hdr := make([]byte, 0, len(dynMagic)+20)
@@ -178,7 +222,9 @@ type dynamicMode struct {
 func (m dynamicMode) Name() ModeName { return ModeDynamic }
 
 func (m dynamicMode) NewShardState() (ShardState, error) {
-	return &dynamicState{sam: l0.NewSampler(m.params), free: m.free}, nil
+	d := &dynamicState{sam: l0.NewSampler(m.params), free: m.free}
+	d.bar.Store(l0.FloorBar(0))
+	return d, nil
 }
 
 // MergeStates sums the inputs cell-wise. A *dynamicCut is consumed: the
@@ -188,9 +234,11 @@ func (m dynamicMode) NewShardState() (ShardState, error) {
 // After a failure the loop goes on only to consume the remaining cuts, so
 // every cut's array is recycled exactly once either way.
 //
-// The merge ends with the L0 peel of the sum and the sketch's cut of the
-// level it decodes; when no level decodes, the merge fails (a refresh
-// error) and the sum is recycled too.
+// The sum holds the levels from the largest input floor on. The merge ends
+// with the L0 peel of the sum, from that floor, and the sketch's cut of the
+// level ℓ it decodes, and raises the sum's floor to ℓ − dynamicFloorMargin;
+// when no level decodes, the merge fails (a refresh error) and the sum is
+// recycled too.
 func (m dynamicMode) MergeStates(states []FrozenState, edges int64) (FrozenState, error) {
 	merged := &dynamicState{opsSeen: edges}
 	var err error
@@ -239,7 +287,10 @@ func (m dynamicMode) MergeStates(states []FrozenState, edges int64) (FrozenState
 		if merged.sam == nil {
 			merged.sam = l0.NewSampler(m.params)
 		}
-		merged.view, err = m.cut(merged.sam, edges)
+		var level int
+		if merged.view, level, err = m.cut(merged.sam, edges); err == nil {
+			merged.sam.RaiseFloor(level - dynamicFloorMargin)
+		}
 	}
 	if err != nil {
 		if merged.sam != nil {
@@ -258,7 +309,7 @@ func (m dynamicMode) ReadState(r io.Reader) (FrozenState, error) {
 	if string(hdr[:len(dynMagic)]) == dynMagicV1 {
 		return nil, fmt.Errorf("decoding dynamic state: %q is the v1 layout, whose sampler used retired level and row hashes; this version reads %q", dynMagicV1, dynMagic)
 	}
-	if string(hdr[:len(dynMagic)]) != dynMagic {
+	if magic := string(hdr[:len(dynMagic)]); magic != dynMagic && magic != dynMagicV2 {
 		return nil, fmt.Errorf("decoding dynamic state: bad magic %q", hdr[:len(dynMagic)])
 	}
 	body := hdr[len(dynMagic):]
@@ -291,24 +342,25 @@ func (m dynamicMode) Materialize(st FrozenState) (*materialized, error) {
 	return sketchMode{m.sketch}.Materialize(d.view)
 }
 
-// cut recovers the shallowest level ℓ of sam that decodes and returns the
-// H≤n sketch of its edges with the bar lowered to the level's bound
-// 2^(64−ℓ), so p* = min(sketch bar, 2^−ℓ). The level holds every live
-// element below that bound, so this is the sketch of the net edge set cut
-// there. edges is the op total the view reports.
-func (m dynamicMode) cut(sam *l0.Sampler, edges int64) (*core.View, error) {
+// cut recovers the shallowest level ℓ of sam from its floor on that
+// decodes and returns ℓ and the H≤n sketch of its edges with the bar
+// lowered to the level's bound 2^(64−ℓ), so p* = min(sketch bar, 2^−ℓ).
+// The level holds every live element below that bound, so this is the
+// sketch of the net edge set cut there. edges is the op total the view
+// reports.
+func (m dynamicMode) cut(sam *l0.Sampler, edges int64) (*core.View, int, error) {
 	rec, err := sam.Recover()
 	if err != nil {
-		return nil, fmt.Errorf("server: dynamic engine: %w", err)
+		return nil, 0, fmt.Errorf("server: dynamic engine: %w", err)
 	}
 	sk, err := core.NewSketch(m.sketch)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sk.AddEdges(rec.Edges)
 	if rec.Level > 0 {
 		sk.LowerBar(1<<(64-rec.Level), 0)
 	}
 	sk.SetEdgesSeen(edges)
-	return sk.Freeze(), nil
+	return sk.Freeze(), rec.Level, nil
 }

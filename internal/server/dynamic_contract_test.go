@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bipartite"
 	"repro/internal/core"
+	"repro/internal/l0"
 	"repro/internal/workload"
 )
 
@@ -20,13 +21,17 @@ import (
 //	BuildOffline(net edge set), LowerBar(1<<(64−ℓ), 0) when ℓ > 0
 //
 // whatever the schedule of inserts, deletes and refreshes, the shard count
-// or the cluster fold that produced the sampler.
+// or the cluster fold that produced the sampler. The level is max(f, ℓ*):
+// ℓ* is the shallowest level a sampler of the net multiset decodes, f the
+// floor the engine's earlier refreshes raised, so the two differ only once
+// the live set has shrunk by more than half since the floor last rose.
 
 // contractSchedule is a random insert/delete schedule over g's edges: every
 // edge is inserted once in shuffled order, some a second time, and live
-// edges are deleted along the way, never below zero. It returns the ops in
-// batches and the net multiplicity of every edge it touched.
-func contractSchedule(g *bipartite.Graph, seed uint64) ([][]bipartite.Op, map[bipartite.Edge]int) {
+// edges are deleted along the way, never below zero. A heavy schedule then
+// retracts all but an eighth of what is live. It returns the ops in batches
+// and the net multiplicity of every edge it touched.
+func contractSchedule(g *bipartite.Graph, seed uint64, heavy bool) ([][]bipartite.Op, map[bipartite.Edge]int) {
 	rng := rand.New(rand.NewPCG(seed, 91))
 	var edges []bipartite.Edge
 	for e := 0; e < g.NumElems(); e++ {
@@ -43,18 +48,26 @@ func contractSchedule(g *bipartite.Graph, seed uint64) ([][]bipartite.Op, map[bi
 		net[e]++
 		live = append(live, e)
 	}
+	remove := func() {
+		i := rng.IntN(len(live))
+		d := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		ops = append(ops, bipartite.Op{Kind: bipartite.OpDelete, Edge: d})
+		net[d]--
+	}
 	for _, e := range edges {
 		insert(e)
 		if rng.IntN(16) == 0 {
 			insert(e)
 		}
 		if len(live) > 0 && rng.IntN(3) == 0 {
-			i := rng.IntN(len(live))
-			d := live[i]
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			ops = append(ops, bipartite.Op{Kind: bipartite.OpDelete, Edge: d})
-			net[d]--
+			remove()
+		}
+	}
+	if heavy {
+		for len(live) > len(edges)/8 {
+			remove()
 		}
 	}
 	var batches [][]bipartite.Op
@@ -92,6 +105,23 @@ func offlineView(t *testing.T, params core.Params, numElems int, net map[biparti
 	return writeToBytes(t, sk.Freeze())
 }
 
+// netLevel is ℓ*: the level a floor-0 sampler of cfg's geometry holding
+// the net multiset decodes at.
+func netLevel(t *testing.T, cfg Config, net map[bipartite.Edge]int) int {
+	t.Helper()
+	sam := l0.NewSampler(cfg.DynamicParams())
+	for e, m := range net {
+		for range m {
+			sam.Update(e.Set, e.Elem, 1)
+		}
+	}
+	rec, err := sam.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Level
+}
+
 // snapshotView returns a dynamic snapshot's view bytes and the level its
 // sampler decodes at, read off the sampler itself.
 func snapshotView(t *testing.T, snap *Snapshot) ([]byte, int) {
@@ -111,103 +141,109 @@ func TestDynamicSnapshotIsTheSketchOfTheNetEdges(t *testing.T) {
 		workload.PlantedKCover(40, 800, 5, 0.8, 30, 5),
 		workload.UniformFixedSize(30, 700, 40, 6),
 	}
-	var subsampled, budgetCut, levelCut int
+	var subsampled, budgetCut, levelCut, floorCut int
 	for _, inst := range insts {
 		n, m := inst.G.NumSets(), inst.G.NumElems()
 		for _, budget := range []int{48, 150, 400} {
-			seed := uint64(budget) + uint64(n)
-			batches, net := contractSchedule(inst.G, seed)
-			cfg := Config{NumSets: n, K: 4, Eps: 0.4, Seed: seed, NumElems: m, EdgeBudget: budget, Engine: ModeDynamic}
-			params := cfg.Params()
-			where := fmt.Sprintf("%s B=%d", inst.Name, budget)
+			for _, heavy := range []bool{false, true} {
+				seed := uint64(budget) + uint64(n)
+				batches, net := contractSchedule(inst.G, seed, heavy)
+				cfg := Config{NumSets: n, K: 4, Eps: 0.4, Seed: seed, NumElems: m, EdgeBudget: budget, Engine: ModeDynamic}
+				params := cfg.Params()
+				where := fmt.Sprintf("%s B=%d heavy=%v", inst.Name, budget, heavy)
+				free := netLevel(t, cfg, net)
 
-			var want []byte
-			for _, shards := range []int{1, 2, 3, 5} {
-				cfg.Shards = shards
-				e, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewPCG(seed, uint64(shards)))
-				for _, b := range batches {
-					if _, err := e.IngestOps(b); err != nil {
+				for _, shards := range []int{1, 2, 3, 5} {
+					cfg.Shards = shards
+					e, err := New(cfg)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if rng.IntN(4) == 0 {
-						// A refresh that fails to decode keeps the last snapshot;
-						// only the final one is held to the contract.
-						e.Refresh()
+					rng := rand.New(rand.NewPCG(seed, uint64(shards)))
+					for _, b := range batches {
+						if _, err := e.IngestOps(b); err != nil {
+							t.Fatal(err)
+						}
+						if rng.IntN(4) == 0 {
+							// A refresh that fails to decode keeps the last snapshot;
+							// only the final one is held to the contract.
+							e.Refresh()
+						}
 					}
-				}
-				snap, err := e.Refresh()
-				e.Close()
-				if err != nil {
-					t.Fatalf("%s shards=%d: %v", where, shards, err)
-				}
-				got, level := snapshotView(t, snap)
-				if want == nil {
-					want = offlineView(t, params, m, net, level, snap.IngestedEdges)
-					st := snap.State().Stats()
-					if level > 0 {
+					floor := e.Counters().DynamicFloor
+					snap, err := e.Refresh()
+					e.Close()
+					if err != nil {
+						t.Fatalf("%s shards=%d: %v", where, shards, err)
+					}
+					got, level := snapshotView(t, snap)
+					if want := max(floor, free); level != want {
+						t.Fatalf("%s shards=%d: decoded level %d at floor %d, the net multiset decodes at %d: want %d", where, shards, level, floor, free, want)
+					}
+					if floor > free {
+						floorCut++
+					}
+					if shards == 1 && level > 0 {
 						subsampled++
-						if st.PStar < 1/float64(uint64(1)<<level) {
+						if snap.State().Stats().PStar < 1/float64(uint64(1)<<level) {
 							budgetCut++
 						} else {
 							levelCut++
 						}
 					}
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s shards=%d level %d: the snapshot's view is not the offline sketch of the net edges cut at the level", where, shards, level)
-				}
-			}
-
-			// One cluster fold: the schedule split by element between two
-			// nodes (a delete lands where its insert did), their published
-			// states folded as a cluster view.
-			var states []FrozenState
-			var edges int64
-			var mode Mode
-			for node := uint32(0); node < 2; node++ {
-				cfg.Shards = 2
-				e, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mode = e.EngineMode()
-				for _, b := range batches {
-					var part []bipartite.Op
-					for _, op := range b {
-						if op.Edge.Elem%2 == node {
-							part = append(part, op)
-						}
+					if !bytes.Equal(got, offlineView(t, params, m, net, level, snap.IngestedEdges)) {
+						t.Fatalf("%s shards=%d level %d: the snapshot's view is not the offline sketch of the net edges cut at the level", where, shards, level)
 					}
-					if _, err := e.IngestOps(part); err != nil {
+				}
+
+				// One cluster fold: the schedule split by element between two
+				// nodes (a delete lands where its insert did), their published
+				// states folded as a cluster view.
+				var states []FrozenState
+				var edges int64
+				var mode Mode
+				for node := uint32(0); node < 2; node++ {
+					cfg.Shards = 2
+					e, err := New(cfg)
+					if err != nil {
 						t.Fatal(err)
 					}
+					mode = e.EngineMode()
+					for _, b := range batches {
+						var part []bipartite.Op
+						for _, op := range b {
+							if op.Edge.Elem%2 == node {
+								part = append(part, op)
+							}
+						}
+						if _, err := e.IngestOps(part); err != nil {
+							t.Fatal(err)
+						}
+					}
+					snap, err := e.Refresh()
+					e.Close()
+					if err != nil {
+						t.Fatalf("%s node %d: %v", where, node, err)
+					}
+					states = append(states, snap.State())
+					edges += snap.IngestedEdges
 				}
-				snap, err := e.Refresh()
-				e.Close()
+				view, err := (&Engine{mode: mode}).MergeSnapshot(1, edges, nil, states)
 				if err != nil {
-					t.Fatalf("%s node %d: %v", where, node, err)
+					t.Fatalf("%s cluster fold: %v", where, err)
 				}
-				states = append(states, snap.State())
-				edges += snap.IngestedEdges
-			}
-			view, err := (&Engine{mode: mode}).MergeSnapshot(1, edges, nil, states)
-			if err != nil {
-				t.Fatalf("%s cluster fold: %v", where, err)
-			}
-			got, level := snapshotView(t, view)
-			if !bytes.Equal(got, offlineView(t, params, m, net, level, edges)) {
-				t.Fatalf("%s cluster fold level %d: the view is not the offline sketch of the net edges cut at the level", where, level)
+				got, level := snapshotView(t, view)
+				if !bytes.Equal(got, offlineView(t, params, m, net, level, edges)) {
+					t.Fatalf("%s cluster fold level %d: the view is not the offline sketch of the net edges cut at the level", where, level)
+				}
 			}
 		}
 	}
 	// The instances must reach both regimes of the cut: a level whose
 	// prefix reaches the budget (p* from the sketch's own bar) and one
-	// that does not (p* = 2^−ℓ).
-	if budgetCut == 0 || levelCut == 0 {
-		t.Fatalf("%d subsampled cases: %d cut by the budget, %d by the level bound; want both", subsampled, budgetCut, levelCut)
+	// that does not (p* = 2^−ℓ); and the delete-heavy schedules must leave
+	// a floor above the level the net multiset decodes at.
+	if budgetCut == 0 || levelCut == 0 || floorCut == 0 {
+		t.Fatalf("%d subsampled cases: %d cut by the budget, %d by the level bound; %d runs cut at the floor; want all three", subsampled, budgetCut, levelCut, floorCut)
 	}
 }

@@ -358,7 +358,7 @@ func TestReadStateRejectsForeignGeometryBeforeAllocating(t *testing.T) {
 	sampler = binary.LittleEndian.AppendUint64(sampler, 5)
 	sampler = binary.LittleEndian.AppendUint64(sampler, 0)
 	sampler = binary.LittleEndian.AppendUint32(sampler, crc32.Checksum(sampler[8:], crcTable))
-	state := []byte(dynMagic)
+	state := []byte(dynMagicV2)
 	state = binary.LittleEndian.AppendUint64(state, 1000)
 	state = binary.LittleEndian.AppendUint64(state, 10)
 	state = binary.LittleEndian.AppendUint32(state, crc32.Checksum(state[len(dynMagic):], crcTable))

@@ -14,10 +14,11 @@ import (
 )
 
 // goldenDynamicConfig and goldenDynamicSchedule are the fixed instance
-// behind testdata/dynamic_v1.l0dyn and dynamic_v2.l0dyn: 2 shards, the smallest cell count
-// (96 per level), and an insert/delete schedule that leaves more live
-// edges than level 0 decodes, so the blob holds overloaded levels, a
-// decodable one and a cut that moved across the deletes.
+// behind testdata/dynamic_v1.l0dyn, dynamic_v2.l0dyn and dynamic_v3.l0dyn:
+// 2 shards, the smallest cell count (96 per level), and an insert/delete
+// schedule that leaves more live edges than level 0 decodes, so the blob
+// holds overloaded levels, a decodable one and a cut that moved across the
+// deletes.
 func goldenDynamicConfig() Config {
 	return Config{NumSets: 24, K: 4, Eps: 0.4, Seed: 17, NumElems: 4096, EdgeBudget: 48, Engine: ModeDynamic, Shards: 2}
 }
@@ -47,15 +48,15 @@ func goldenDynamicSchedule() [][]bipartite.Op {
 	}
 }
 
-// TestDynamicStateGoldenBytes pins the L0DYNS2 format: levels read off
-// the sketch priority, row cells by multiply-shift.
-// testdata/dynamic_v2.l0dyn is what the first writer of that format wrote
-// for the schedule above (refreshed after every batch, 2 shards).
-// Re-feeding the schedule must write those bytes, and decoding them — an
-// older node's snapshot file or cluster blob — must restore the same level
-// and answer.
+// TestDynamicStateGoldenBytes pins the L0DYNS3 format: the counters, then
+// an L0SAMP3 sampler whose header carries the floor and which writes the
+// levels from the floor on only. testdata/dynamic_v3.l0dyn is what the
+// first writer of that format wrote for the schedule above (refreshed after
+// every batch, 2 shards: the floor rose to 1 on the way). Re-feeding the
+// schedule must write those bytes, and decoding them — an older node's
+// snapshot file or cluster blob — must restore the same level and answer.
 func TestDynamicStateGoldenBytes(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "dynamic_v2.l0dyn"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "dynamic_v3.l0dyn"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +77,9 @@ func TestDynamicStateGoldenBytes(t *testing.T) {
 	if got := stateBytes(t, e); !bytes.Equal(got, golden) {
 		t.Fatalf("the schedule no longer writes the golden bytes (%d bytes, golden %d)", len(got), len(golden))
 	}
+	if f := e.Counters().DynamicFloor; f != 1 {
+		t.Fatalf("floor %d after the schedule, its first writer published 1", f)
+	}
 	q := Query{Algo: AlgoKCover, K: cfg.K, Refresh: true}
 	want, err := e.Query(q)
 	if err != nil {
@@ -84,21 +88,12 @@ func TestDynamicStateGoldenBytes(t *testing.T) {
 	if want.PStar >= 1 {
 		t.Fatalf("golden instance decodes at level 0 (p* = %v); it should subsample", want.PStar)
 	}
-
-	restored, err := NewFromSnapshot(bytes.NewReader(golden), cfg)
-	if err != nil {
-		t.Fatalf("decoding the golden blob: %v", err)
-	}
-	defer restored.Close()
-	got, err := restored.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, state := goldenRestore(t, golden, q)
 	assertSameAnswer(t, "restored from the golden blob", got, want)
 	if got.PStar != want.PStar {
 		t.Fatalf("restored level p* %v != %v", got.PStar, want.PStar)
 	}
-	if !bytes.Equal(stateBytes(t, restored), golden) {
+	if !bytes.Equal(state, golden) {
 		t.Fatal("golden blob does not survive decode + restore + encode")
 	}
 	// The numbers the parent commit answered with, so a change that moved
@@ -106,6 +101,52 @@ func TestDynamicStateGoldenBytes(t *testing.T) {
 	if s := fmt.Sprint(want.Sets, want.SketchCoverage, want.PStar, want.SnapshotEdges); s != goldenDynamicAnswer {
 		t.Fatalf("answer %s, the golden blob's writer answered %s", s, goldenDynamicAnswer)
 	}
+}
+
+// TestDynamicV2StateStillAnswers: testdata/dynamic_v2.l0dyn is the schedule
+// above as the L0DYNS2 writer left it — every level held, no floor field.
+// It decodes at floor 0, restores, and answers exactly as its writer did;
+// the restored engine then writes the current format.
+func TestDynamicV2StateStillAnswers(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "dynamic_v2.l0dyn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := goldenDynamicConfig()
+	mode, err := cfg.EngineMode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mode.ReadState(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("decoding the v2 blob: %v", err)
+	}
+	if f := st.(*dynamicState).sam.Floor(); f != 0 {
+		t.Fatalf("a v2 blob decoded at floor %d, want 0", f)
+	}
+	got, state := goldenRestore(t, blob, Query{Algo: AlgoKCover, K: cfg.K, Refresh: true})
+	if s := fmt.Sprint(got.Sets, got.SketchCoverage, got.PStar, got.SnapshotEdges); s != goldenDynamicAnswer {
+		t.Fatalf("restored from the v2 blob: answer %s, its writer answered %s", s, goldenDynamicAnswer)
+	}
+	if !bytes.HasPrefix(state, []byte(dynMagic)) {
+		t.Fatalf("a node restored from a v2 blob writes %q, want %q", state[:len(dynMagic)], dynMagic)
+	}
+}
+
+// goldenRestore restores an engine from blob, answers q on it and
+// serializes its state.
+func goldenRestore(t *testing.T, blob []byte, q Query) (*QueryResult, []byte) {
+	t.Helper()
+	restored, err := NewFromSnapshot(bytes.NewReader(blob), goldenDynamicConfig())
+	if err != nil {
+		t.Fatalf("decoding the golden blob: %v", err)
+	}
+	defer restored.Close()
+	res, err := restored.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, stateBytes(t, restored)
 }
 
 // goldenDynamicAnswer is fmt.Sprint(Sets, SketchCoverage, PStar,

@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -68,6 +69,7 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/greedy"
+	"repro/internal/l0"
 	"repro/internal/wal"
 	"repro/internal/weighted"
 )
@@ -220,11 +222,12 @@ type subBatch struct {
 }
 
 // stateCall is one AddEdges call of a sub-batch: its records up to end,
-// and the inserts among the routed ones that the router dropped against
-// the shard's published bar instead of copying.
+// and the records among the routed ones that the router dropped against
+// the shard's published bar instead of copying, deletes of them
+// droppedDeletes.
 type stateCall struct {
-	end     int
-	dropped int64
+	end                     int
+	dropped, droppedDeletes int64
 }
 
 // subBatchBase is the batch whose per-shard share is one state call
@@ -235,12 +238,12 @@ const subBatchBase = 1024
 // the sketch's deferred-shrink core.Sketch.AddEdges). A record carries a
 // delete only on an engine whose states are deleteAppliers: check refuses
 // deletes everywhere else before anything is logged or routed. A call
-// drops inserts only on an engine whose states are barPublishers.
+// drops records only on an engine whose states are barPublishers.
 func (b *subBatch) applyTo(st ShardState) {
 	start := 0
 	for _, c := range b.calls {
 		if c.dropped > 0 {
-			st.(barPublisher).addDropped(c.dropped)
+			st.(barPublisher).addDropped(c.dropped, c.droppedDeletes)
 		}
 		if c.end > start {
 			st.AddEdges(b.recs[start:c.end])
@@ -476,7 +479,7 @@ func (s *Snapshot) Graph() (*bipartite.Graph, error) {
 }
 
 // WriteState serializes the snapshot's merged state in its mode's wire
-// format (v1 sketch, weighted.BankMagic bank, or "L0DYNS2" sampler
+// format (v1 sketch, weighted.BankMagic bank, or "L0DYNS3" sampler
 // state). These are the exact bytes Engine.WriteSnapshot persists and
 // /v1/cluster/sketch serves — one wire format for disk and peers. Safe
 // on a published snapshot: a frozen state's WriteTo only reads.
@@ -581,7 +584,7 @@ type Engine struct {
 	// priority is params' element hash, the one hash route evaluates per
 	// record: it picks the record's shard and, when the mode's states are
 	// barPublishers, meets the shard's published bar in bars (nil
-	// otherwise); barDrops counts the inserts route dropped against them.
+	// otherwise); barDrops counts the records route dropped against them.
 	priority core.Priority
 	bars     []*atomic.Uint64
 	barDrops atomic.Int64
@@ -600,9 +603,11 @@ type Engine struct {
 	refreshes    atomic.Int64
 	refreshNanos atomic.Int64
 	refreshSkips atomic.Int64
-	// shardKept is the edge total the shard states held, summed over the
-	// replies of the last freeze (0 before the first).
-	shardKept atomic.Int64
+	// shardKept and shardBytes are the edge total the shard states held and
+	// their resident bytes (core.Stats.Bytes), summed over the replies of
+	// the last freeze (0 before the first).
+	shardKept  atomic.Int64
+	shardBytes atomic.Int64
 	// fullCuts and deltaCuts count the cuts sketch shards answered freeze
 	// requests with, by kind (a round's cuts are all of the kind cutsFolded
 	// picked), and deltaEdges sums the edges the delta cuts carried; beside
@@ -692,6 +697,8 @@ func newEngine(cfg Config, mode Mode) (*Engine, error) {
 			e.bars[i] = st.(barPublisher).publishedBar()
 		}
 	}
+	// A restored dynamic state's floor holds before the WAL tail replays.
+	e.publishFloor(restore)
 	// Recovery: replay the WAL tail the restore state does not cover into
 	// the still-private shard states (no goroutines yet, so the replay is
 	// exactly as deterministic as the original sequential Ingest calls),
@@ -847,21 +854,22 @@ func (e *Engine) setRangeError(set uint32) error {
 // sub-batch goes to emit at the end of the first call that leaves it
 // holding e.subBatchCap records or more, the rest at the end of recs.
 //
-// On an engine whose shard states publish their bars, an insert whose
+// On an engine whose shard states publish their bars, a record whose
 // element priority is strictly above its shard's published bar hash is
-// counted in its call instead of copied: the shard would drop it too. It
-// still counts toward its call's e.subBatchCap records, so every shard
-// makes the calls it would make with the drop off (DESIGN.md §6), and a
-// sub-batch packs what the drop leaves of several calls — fewer than
-// twice e.subBatchCap records. route returns the number of inserts it
-// dropped.
+// counted in its call instead of copied: the shard would drop it too, or
+// (dynamic) it touches no level the shard keeps. It still counts toward
+// its call's e.subBatchCap records, so every shard makes the calls it
+// would make with the drop off (DESIGN.md §6), and a sub-batch packs what
+// the drop leaves of several calls — fewer than twice e.subBatchCap
+// records. route returns the number of records it dropped.
 func (e *Engine) route(recs []bipartite.Edge, emit func(w int, sb *subBatch)) int64 {
 	// Per shard: the open sub-batch, the records routed into its open call
-	// and the inserts dropped among them; on the stack for up to 16 shards.
+	// and those dropped among them, deletes counted apart; on the stack for
+	// up to 16 shards.
 	type shardCut struct {
-		sb      *subBatch
-		routed  int
-		dropped int64
+		sb                      *subBatch
+		routed                  int
+		dropped, droppedDeletes int64
 	}
 	var (
 		cutBuf  [16]shardCut
@@ -874,14 +882,15 @@ func (e *Engine) route(recs []bipartite.Edge, emit func(w int, sb *subBatch)) in
 		cuts = make([]shardCut, n)
 	}
 	endCall := func(c *shardCut) {
-		c.sb.calls = append(c.sb.calls, stateCall{end: len(c.sb.recs), dropped: c.dropped})
-		c.routed, c.dropped = 0, 0
+		c.sb.calls = append(c.sb.calls, stateCall{end: len(c.sb.recs), dropped: c.dropped, droppedDeletes: c.droppedDeletes})
+		dropped += c.dropped
+		c.routed, c.dropped, c.droppedDeletes = 0, 0, 0
 	}
 	for _, r := range recs {
 		// One hash per record. Its low 32 bits pick the shard (DESIGN.md
 		// §6), so every edge of an element, delete or insert, lands on
-		// the shard that holds the element. Only a sketch engine has
-		// bars, and check refuses deletes there.
+		// the shard that holds the element. A sketch and a dynamic engine
+		// have bars; only the dynamic one sees deletes.
 		h := e.priority.Of(r.Elem)
 		w := int(uint64(uint32(h)) * uint64(len(e.shards)) >> 32)
 		c := &cuts[w]
@@ -890,7 +899,7 @@ func (e *Engine) route(recs []bipartite.Edge, emit func(w int, sb *subBatch)) in
 		}
 		if e.bars != nil && h > e.bars[w].Load() {
 			c.dropped++
-			dropped++
+			c.droppedDeletes += int64(r.Set >> 31)
 		} else {
 			c.sb.recs = append(c.sb.recs, r)
 		}
@@ -988,14 +997,15 @@ func (e *Engine) submit(recs []bipartite.Edge, setMask uint32, replay []ShardSta
 // freeze) in every shard mailbox and returns the reply channels. A
 // request rides the same mailbox as the batches, so each reply reflects
 // every batch enqueued to that shard before it. A freeze request carries
-// the published merged state as the cuts' base while cutsFolded holds.
-// The caller holds ingestMu (shared or exclusive) and has checked
+// the published merged state as the cuts' base while cutsFolded holds,
+// and on a dynamic engine whenever one is published (the shards read its
+// floor). The caller holds ingestMu (shared or exclusive) and has checked
 // e.closed; a freezing caller also holds refreshMu, so neither the bit nor
 // the published snapshot can change before its buildSnapshot reads them.
 func (e *Engine) requestStates(freeze bool) []chan shardReply {
 	msg := shardMsg{freeze: freeze}
-	if freeze && e.cutsFolded {
-		msg.base = e.snap.Load().state
+	if snap := e.snap.Load(); freeze && snap != nil && (e.cutsFolded || e.mode.Name() == ModeDynamic) {
+		msg.base = snap.state
 	}
 	replies := make([]chan shardReply, len(e.shards))
 	for i, sh := range e.shards {
@@ -1062,14 +1072,16 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 	// a shard's stream counter and ride e.restored.
 	applied := e.restored
 	states := make([]FrozenState, len(replies), len(replies)+1)
-	shardKept := int64(0)
+	var shardKept, shardBytes int64
 	for i, ch := range replies {
 		rep := <-ch
 		applied += rep.stats.EdgesSeen
 		shardKept += int64(rep.stats.EdgesKept)
+		shardBytes += rep.stats.Bytes
 		states[i] = rep.frozen
 	}
 	e.shardKept.Store(shardKept)
+	e.shardBytes.Store(shardBytes)
 	// The cuts are deltas on the published snapshot exactly when the
 	// requests carried its view as their base.
 	var base *Snapshot
@@ -1094,10 +1106,31 @@ func (e *Engine) buildSnapshot(replies []chan shardReply) (*Snapshot, error) {
 	}
 	snap.instance = e.instance
 	e.snap.Store(snap)
+	e.publishFloor(snap.state)
 	e.cutsFolded = e.mode.Name() == ModeSketch
 	e.refreshes.Add(1)
 	e.refreshNanos.Add(int64(time.Since(start)))
 	return snap, nil
+}
+
+// publishFloor stores the bar of a dynamic state's floor (l0.FloorBar) in
+// every shard's published bar, when it lies below it: the router then
+// drops the ops of every element that touches no level the floor keeps.
+// Called with the restored state before a WAL replay, and with each
+// published snapshot's state as soon as it is published. The shards
+// learn the floor at their next freeze and release the levels below it;
+// until then those levels only miss ops that no later merge reads.
+func (e *Engine) publishFloor(st FrozenState) {
+	d, ok := st.(*dynamicState)
+	if !ok || e.bars == nil {
+		return
+	}
+	bar := l0.FloorBar(d.sam.Floor())
+	for _, b := range e.bars {
+		if bar < b.Load() {
+			b.Store(bar)
+		}
+	}
 }
 
 // Snapshot returns the current snapshot, building the first one on
@@ -1168,10 +1201,18 @@ type Counters struct {
 	// Shards × budget — except after a round that follows a failed
 	// refresh, which cuts without a base and so sheds nothing.
 	ShardKeptEdges int64
-	// BarDrops counts the inserts the router dropped against their shard's
-	// published bar, never copied or enqueued; always 0 on modes whose
-	// shard states publish no bar.
+	// ShardStateBytes sums the shard states' resident bytes
+	// (core.Stats.Bytes) at the last freeze.
+	ShardStateBytes int64
+	// BarDrops counts the records the router dropped against their shard's
+	// published bar, never copied or enqueued: inserts above a sketch
+	// shard's eviction bar, inserts and deletes above a dynamic engine's
+	// floor. Always 0 on modes whose shard states publish no bar.
 	BarDrops int64
+	// DynamicFloor is the floor level a dynamic engine's bars are
+	// published at (0 until a refresh or a restore raises it, and on the
+	// other modes).
+	DynamicFloor int
 	// GraphFolds counts the query graphs a refresh carried forward from
 	// the previous snapshot's (sketch engines only); GraphBuilds the full
 	// transposes of the engine's snapshots, on a first query or when a
@@ -1197,10 +1238,14 @@ func (e *Engine) Counters() Counters {
 		RefreshSkips:     e.refreshSkips.Load(),
 		RefreshErrors:    e.refreshErrors.Load(),
 		ShardKeptEdges:   e.shardKept.Load(),
+		ShardStateBytes:  e.shardBytes.Load(),
 		BarDrops:         e.barDrops.Load(),
 		GraphFolds:       e.graphFolds.Load(),
 		GraphBuilds:      e.graphBuilds.Load(),
 		MaterializeNanos: e.materializeNanos.Load(),
+	}
+	if e.bars != nil && e.mode.Name() == ModeDynamic {
+		c.DynamicFloor = bits.LeadingZeros64(e.bars[0].Load())
 	}
 	if snap := e.snap.Load(); snap != nil {
 		st := snap.state.Stats()
@@ -1432,7 +1477,7 @@ func safeEstimate(covered int, pStar float64) float64 {
 // WriteSnapshot merges and persists the service state in the engine
 // mode's wire format: a sketch engine writes its merged sketch (v1
 // format), a weighted engine its merged class bank (weighted.BankMagic
-// framing), a dynamic engine its merged L0 sampler ("L0DYNS2" framing).
+// framing), a dynamic engine its merged L0 sampler ("L0DYNS3" framing).
 // ReadRestore / NewFromSnapshot decode any of them from the config. The
 // persisted state carries the engine's true ingested-edge total (a
 // merged state only counts the kept edges it replayed), so accounting

@@ -115,7 +115,10 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Counter("covserved_deleted_edges_total", "Delete records accepted (0 on append-only engines).", ns, float64(c.DeletedEdges))
 		w.Counter("covserved_ingest_stalls_total", "Shard-mailbox sends that found the mailbox full (backpressure).", ns, float64(c.IngestStalls))
 		if e.bars != nil {
-			w.Counter("covserved_ingest_bar_drops_total", "Edges the router dropped against their sketch shard's published bar, never copied or enqueued; beside covserved_ingested_edges_total, the share of edges that stop early.", ns, float64(c.BarDrops))
+			w.Counter("covserved_ingest_bar_drops_total", "Records the router dropped against their shard's published bar, never copied or enqueued: inserts above a sketch shard's eviction bar, inserts and deletes above a dynamic namespace's floor; beside covserved_ingested_edges_total, the share of records that stop early.", ns, float64(c.BarDrops))
+		}
+		if e.mode.Name() == ModeDynamic {
+			w.Gauge("covserved_dynamic_floor", "Floor level of a dynamic namespace: its shards keep the L0 levels from this one on, and the router drops the records of elements that touch none of them.", ns, float64(c.DynamicFloor))
 		}
 		w.Counter("covserved_queries_total", "Queries served, from the local snapshot or the cluster view (hits included).", ns, float64(c.Queries))
 		w.Counter("covserved_query_cache_hits_total", "Queries that needed no new greedy pick: their snapshot's run already held the answer.", ns, float64(c.QueryCacheHits))
@@ -131,6 +134,7 @@ func appendMultiMetrics(w *MetricsWriter, m *Multi) {
 		w.Gauge("covserved_snapshot_kept_edges", "Edges the current snapshot's merged state holds.", ns, float64(c.SnapshotKeptEdges))
 		w.Gauge("covserved_snapshot_p_star", "Element-sampling probability p* of the current snapshot's merged state (dynamic: the smaller of the sketch bar and 2^-level of the decoded L0 level; 0 before the first snapshot).", ns, c.SnapshotPStar)
 		w.Gauge("covserved_shard_kept_edges", "Edges the shard states held after the last freeze, summed over shards.", ns, float64(c.ShardKeptEdges))
+		w.Gauge("covserved_shard_state_bytes", "Resident bytes of the shard states after the last freeze, summed over shards.", ns, float64(c.ShardStateBytes))
 		if e.mode.Name() == ModeSketch {
 			const cutsHelp = "Cuts the shards answered refreshes with: full (the whole shard state) or delta (only what changed since the last publish)."
 			w.Counter("covserved_shard_cuts_total", cutsHelp, []Label{{"ns", name}, {"kind", "delta"}}, float64(e.deltaCuts.Load()))

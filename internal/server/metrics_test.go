@@ -181,6 +181,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"covserved_snapshot_kept_edges":       "gauge",
 		"covserved_snapshot_p_star":           "gauge",
 		"covserved_shard_kept_edges":          "gauge",
+		"covserved_shard_state_bytes":         "gauge",
+		"covserved_dynamic_floor":             "gauge",
 		"covserved_shard_cuts_total":          "counter",
 		"covserved_refresh_delta_edges_total": "counter",
 		"covserved_wal_appends_total":         "counter",
@@ -413,12 +415,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsBarDrops: a sketch namespace exposes the inserts its router
-// dropped against the shards' published bars. Over a budget small enough
-// to evict, the second batch of new elements mostly stops at the router:
-// the counter grows, stays within what the shards report as hash drops
-// (every router drop is one of those) and below the edges ingested, and a
-// dynamic namespace, whose shards publish no bar, has no sample.
+// TestMetricsBarDrops: a namespace exposes the records its router dropped
+// against the shards' published bars. On a sketch namespace over a budget
+// small enough to evict, the second batch of new elements mostly stops at
+// the router: the counter grows, stays within what the shards report as
+// hash drops (every router drop is one of those) and below the edges
+// ingested. On a dynamic namespace the bar is the floor's: after a refresh
+// decodes a deep level, the floor gauge reads one level below it, and
+// inserts and deletes of elements above the floor's bar stop at the router
+// — counted as drops, and the deletes among them as deletes all the same.
 func TestMetricsBarDrops(t *testing.T) {
 	m := NewMulti("")
 	defer m.Close()
@@ -472,7 +477,51 @@ func TestMetricsBarDrops(t *testing.T) {
 	if drops-before < 2000 || drops > float64(hashDrops) || drops >= s.value(t, `covserved_ingested_edges_total{ns="tight"}`) {
 		t.Fatalf("bar drops %v (%v after the first batch), shard hash drops %d, ingested 8000: want most of the second batch, within the hash drops", drops, before, hashDrops)
 	}
-	if _, ok := s.samples[`covserved_ingest_bar_drops_total{ns="dyn"}`]; ok {
-		t.Fatal("a bar-drop sample for a dynamic namespace, whose shards publish no bar")
+	if _, ok := s.samples[`covserved_dynamic_floor{ns="tight"}`]; ok {
+		t.Fatal("a floor sample for a sketch namespace")
+	}
+
+	dyn, _ := m.Get("dyn")
+	first := batch(0)
+	if _, err := dyn.Ingest(first); err != nil {
+		t.Fatal(err)
+	}
+	if s := scrape(); s.value(t, `covserved_ingest_bar_drops_total{ns="dyn"}`) != 0 || s.value(t, `covserved_dynamic_floor{ns="dyn"}`) != 0 {
+		t.Fatal("a dynamic namespace dropped or raised its floor before its first refresh")
+	}
+	snap, err := dyn.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, level := snapshotView(t, snap)
+	if level < 3 {
+		t.Fatalf("the dynamic namespace decoded at level %d; the test needs a deep one", level)
+	}
+	s = scrape()
+	if got := s.value(t, `covserved_dynamic_floor{ns="dyn"}`); got != float64(level-1) {
+		t.Fatalf("floor %v after decoding level %d, want %d", got, level, level-1)
+	}
+	ops := append(bipartite.Inserts(batch(4000)), bipartite.Deletes(first)...)
+	if _, err := dyn.IngestOps(ops); err != nil {
+		t.Fatal(err)
+	}
+	s = scrape()
+	drops = s.value(t, `covserved_ingest_bar_drops_total{ns="dyn"}`)
+	// An element stays below the floor's bar with probability 2^−floor.
+	if kept := float64(len(ops)) / float64(int(1)<<(level-1)); drops < float64(len(ops))-3*kept {
+		t.Fatalf("the dynamic router dropped %v of %d ops above floor %d", drops, len(ops), level-1)
+	}
+	if got := s.value(t, `covserved_deleted_edges_total{ns="dyn"}`); got != float64(len(first)) {
+		t.Fatalf("deleted %v, want %d: a delete dropped at the router still counts", got, len(first))
+	}
+	if st, err = dyn.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	var seen int64
+	for _, sh := range st.ShardStats {
+		seen += sh.EdgesSeen
+	}
+	if want := int64(len(first) + len(ops)); seen != want {
+		t.Fatalf("the dynamic shards account %d ops, want %d: dropped ops count as applied", seen, want)
 	}
 }

@@ -83,15 +83,16 @@ type ShardState interface {
 	// Freeze returns a read-only cut of the state that later ingest never
 	// shows through. Taken inside the shard mailbox, it is a consistent
 	// cut of the shard's stream, and it is handed to exactly one
-	// Mode.MergeStates call. base is nil, or the published merged state
-	// that folded this shard's previous cut: the engine passes one only on
-	// a sketch engine whose last refresh published (Engine.cutsFolded).
-	// Given a base, a sketch shard first discards whatever base already
-	// excludes — on an append-only stream no later merge can take it back
-	// — and answers with only what changed since its previous cut, which
-	// the refresh merges together with base. Given nil, it answers with its
-	// whole state. The weighted and dynamic modes never get a base (dynamic
-	// must not: deletes move its cut both ways).
+	// Mode.MergeStates call. base is nil or the published merged state. A
+	// sketch engine passes it only when it folded this shard's previous cut
+	// (Engine.cutsFolded): a sketch shard then first discards whatever base
+	// already excludes — on an append-only stream no later merge can take
+	// it back — and answers with only what changed since its previous cut,
+	// which the refresh merges together with base. Given nil, it answers
+	// with its whole state. A dynamic engine passes the published state
+	// whenever there is one: the shard raises its floor to the base's and
+	// still cuts its whole state (deletes move the decoded level both ways
+	// above the floor). The weighted mode never gets a base.
 	Freeze(base FrozenState) FrozenState
 }
 
@@ -101,22 +102,25 @@ type ShardState interface {
 // reject them before any state mutates.
 type deleteApplier interface{ appliesDeletes() }
 
-// barPublisher is the narrow extra a shard state implements when it drops
-// an insert by its element's priority against an eviction bar that only
-// moves down (today only the sketch mode's). It publishes the hash half
-// of that bar after every change, so the router can drop, before copying
-// or enqueueing it, an insert whose priority is strictly above the
-// published hash — one the state would drop too (DESIGN.md §6) — and it
-// accounts those drops exactly as its AddEdges would have. A weighted
-// bank has one bar per weight class and an element's class depends on
-// the set, and a dynamic sampler has no bar at all, so neither publishes.
+// barPublisher is the narrow extra a shard state implements when the
+// router may drop its records by their element's priority against a bar
+// that only moves down: a record whose priority is strictly above the
+// published hash is dropped before it is copied or enqueued, and the state
+// accounts those drops exactly as its AddEdges would have (DESIGN.md §6).
+// The sketch mode's states drop inserts above their eviction bar and
+// publish its hash after every change. The dynamic mode's hold no level an
+// element above its floor's bar (l0.FloorBar) touches, so its inserts and
+// deletes alike change nothing the state keeps; the engine publishes that
+// bar from the published snapshot's floor (Engine.publishFloor). A weighted
+// bank has one bar per weight class and an element's class depends on the
+// set, so it publishes none.
 type barPublisher interface {
-	// publishedBar is the atomic the state stores its bar's hash in
-	// (MaxUint64 while nothing was evicted); any goroutine may read it.
+	// publishedBar is the atomic the bar's hash is stored in (MaxUint64
+	// while nothing is dropped); any goroutine may read it.
 	publishedBar() *atomic.Uint64
-	// addDropped accounts n inserts the router dropped against the
-	// published bar.
-	addDropped(n int64)
+	// addDropped accounts ops records the router dropped against the
+	// published bar, deletes of them deletes.
+	addDropped(ops, deletes int64)
 }
 
 // FrozenState is a state nobody mutates any more: what Freeze,
@@ -237,7 +241,7 @@ func (s *sketchState) AddEdges(edges []bipartite.Edge) {
 
 func (s *sketchState) Stats() core.Stats            { return s.sk.Stats() }
 func (s *sketchState) publishedBar() *atomic.Uint64 { return &s.bar }
-func (s *sketchState) addDropped(n int64)           { s.sk.AddDropped(n) }
+func (s *sketchState) addDropped(n, _ int64)        { s.sk.AddDropped(n) }
 
 // publishBar stores the hash half of the sketch's bar, MaxUint64 while
 // nothing was evicted: no priority is strictly above that.

@@ -128,20 +128,27 @@ func restoreEngine(cfg Config, path string) (*Engine, error) {
 	return NewFromSnapshot(bytes.NewReader(data), cfg)
 }
 
-// TestDynamicShardsIgnoreThePublishedState: deletes move the dynamic
-// mode's cut back up, so its shards must shed nothing however often a
-// state is published. An engine refreshed and checkpointed between
-// every phase of an insert-then-delete stream ends byte for byte where
-// a one-shard engine that never refreshed in between does, and a
-// refresh leaves every shard's accounting as it found it.
-func TestDynamicShardsIgnoreThePublishedState(t *testing.T) {
+// TestDynamicShardsShedOnlyBelowTheFloor: a dynamic shard sheds the levels
+// below the published floor and nothing else, because deletes move the
+// decoded level back up. An engine refreshed and checkpointed between
+// every phase of an insert-then-delete stream: the floor it publishes is
+// one level below the deepest level decoded so far, and a refresh leaves
+// each shard's op accounting as it found it and the shard holding
+// (Levels − f) × Cells cells, f the floor published before it (the one its
+// freeze request carried). When phase 2 retracts all but a twentieth, the cut comes back up
+// to the floor and no further, where a one-shard engine that never
+// refreshed in between decodes shallower, and the final snapshot is the
+// offline sketch of the net edges cut at the floor.
+func TestDynamicShardsShedOnlyBelowTheFloor(t *testing.T) {
 	inst := workload.Zipf(40, 3000, 600, 0.9, 0.7, 8)
 	edges := stream.Drain(stream.Shuffled(inst.G, 2))
 	cfg := Config{NumSets: 40, K: 4, Eps: 0.4, Seed: 5, NumElems: 3000, EdgeBudget: 100, Engine: ModeDynamic, Shards: 4}
-	// Phase 2 retracts all but a twentieth of phase 1: the sample the
-	// first publish cut at a deep level must come back from level 0.
 	keep := len(edges) / 20
 	phases := [][]bipartite.Op{bipartite.Inserts(edges), bipartite.Deletes(edges[keep:]), bipartite.Inserts(edges[keep : 2*keep])}
+	net := make(map[bipartite.Edge]int)
+	for _, e := range edges[:2*keep] {
+		net[e] = 1
+	}
 
 	often, err := New(cfg)
 	if err != nil {
@@ -156,7 +163,10 @@ func TestDynamicShardsIgnoreThePublishedState(t *testing.T) {
 	}
 	defer never.Close()
 
-	pStars := make([]float64, len(phases))
+	sp := cfg.DynamicParams()
+	levels := make([]int, len(phases))
+	floor := 0
+	var last *Snapshot
 	for i, ops := range phases {
 		if _, err := often.IngestOps(ops); err != nil {
 			t.Fatal(err)
@@ -168,11 +178,12 @@ func TestDynamicShardsIgnoreThePublishedState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := often.Refresh()
-		if err != nil {
+		if last, err = often.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		pStars[i] = snap.pStar()
+		_, levels[i] = snapshotView(t, last)
+		carried := floor
+		floor = max(floor, levels[i]-dynamicFloorMargin)
 		if _, err := often.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -180,24 +191,30 @@ func TestDynamicShardsIgnoreThePublishedState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(before.ShardStats) != fmt.Sprint(after.ShardStats) {
-			t.Fatalf("phase %d: a refresh changed the dynamic shards: %v -> %v", i, before.ShardStats, after.ShardStats)
+		if got := often.Counters().DynamicFloor; got != floor {
+			t.Fatalf("phase %d: published floor %d after decoding levels %v, want %d", i, got, levels[:i+1], floor)
+		}
+		for j, a := range after.ShardStats {
+			if want := int64((sp.Levels - carried) * sp.Cells * 32); a.Bytes != want {
+				t.Fatalf("phase %d shard %d: %d resident bytes at floor %d, want %d", i, j, a.Bytes, carried, want)
+			}
+			if a.Bytes = before.ShardStats[j].Bytes; a != before.ShardStats[j] {
+				t.Fatalf("phase %d: a refresh changed shard %d's accounting: %v -> %v", i, j, before.ShardStats[j], a)
+			}
 		}
 	}
-	if !(pStars[0] < 1 && pStars[1] > pStars[0]) {
-		t.Fatalf("test needs a cut that moves back up across the deletes, got p* %v", pStars)
+	if !(levels[0] > 1 && levels[1] == levels[0]-dynamicFloorMargin && levels[2] == levels[1]) {
+		t.Fatalf("decoded levels %v: the test needs a cut that moves back up across the deletes, to the floor", levels)
 	}
-	if !bytes.Equal(stateBytes(t, often), stateBytes(t, never)) {
-		t.Fatal("dynamic engine refreshed between phases diverged from the one that was not")
-	}
-	q := Query{Algo: AlgoKCover, K: cfg.K, Refresh: true}
-	got, err := often.Query(q)
+	snap, err := never.Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := never.Query(q)
-	if err != nil {
-		t.Fatal(err)
+	if _, l := snapshotView(t, snap); l >= floor {
+		t.Fatalf("the engine that never refreshed decodes at level %d, not above floor %d: the floor binds nothing", l, floor)
 	}
-	assertSameAnswer(t, "dynamic, refreshed between phases vs not", got, want)
+	got, _ := snapshotView(t, last)
+	if !bytes.Equal(got, offlineView(t, cfg.Params(), inst.G.NumElems(), net, floor, last.IngestedEdges)) {
+		t.Fatal("the final snapshot is not the offline sketch of the net edges cut at the floor")
+	}
 }
