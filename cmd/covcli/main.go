@@ -269,7 +269,7 @@ func main() {
 			if err := streamDeletes(inst, *seed, delCount, *batch, func(edges []streamcover.Edge) error {
 				ops := make([]streamcover.Op, len(edges))
 				for i, e := range edges {
-					ops[i] = streamcover.Op{Delete: true, Edge: e}
+					ops[i] = streamcover.Op{Kind: streamcover.OpDelete, Edge: e}
 				}
 				deleted += len(ops)
 				delBatches++

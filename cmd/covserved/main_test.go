@@ -484,7 +484,7 @@ func TestWireIngestAndMetricsEndToEnd(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := conn.ResumeOffset(); got != 150 {
+	if got := conn.Handshake().Watermark; got != 150 {
 		t.Fatalf("resumed at %d, want 150", got)
 	}
 	if err := conn.Send(edges[150:]); err != nil {

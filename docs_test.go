@@ -6,6 +6,9 @@ package repro_test
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -111,6 +114,52 @@ func TestDocsCiteOnlyWhatExists(t *testing.T) {
 			for _, name := range cited.FindAllString(readDoc(t, path), -1) {
 				if !declared[name] {
 					t.Errorf("%s cites %s, which no _test.go file declares", path, name)
+				}
+			}
+		}
+	})
+
+	t.Run("cited streamcover identifiers are exported", func(t *testing.T) {
+		// A rename in the public package leaves no compile error in prose.
+		files, err := filepath.Glob("streamcover/*.go")
+		if err != nil {
+			t.Fatal(err)
+		}
+		exported := map[string]bool{}
+		fset := token.NewFileSet()
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						exported[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							exported[sp.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, name := range sp.Names {
+								exported[name.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		cited := regexp.MustCompile(`\bstreamcover\.([A-Z][A-Za-z0-9_]*)`)
+		for _, path := range []string{"README.md", "DESIGN.md", "doc.go", ".claude/skills/verify/SKILL.md"} {
+			for _, m := range cited.FindAllStringSubmatch(readDoc(t, path), -1) {
+				if !exported[m[1]] {
+					t.Errorf("%s cites streamcover.%s, which the package does not declare", path, m[1])
 				}
 			}
 		}

@@ -259,7 +259,7 @@ func TestClusterMatchesOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	wopt := weighted.Options{Eps: 0.4, Seed: tSeed, NumElems: tElems, EdgeBudget: 60 * tNumSets}
-	woffline, err := weighted.KCover(stream.NewSlice(edges), tNumSets, tK, testWeights().Fn(), wopt)
+	woffline, err := weighted.KCover(stream.NewSlice(edges), tNumSets, tK, testWeights().WeightOf, wopt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestHTTPWeightedNamespace(t *testing.T) {
 
 	cfg := Config{NumSets: n, NumElems: m, K: k, Eps: 0.4, Seed: 7, EdgeBudget: 60 * n,
 		Weights: &WeightConfig{Table: table}}
-	oneshot, err := weighted.KCover(stream.NewSlice(edges), n, k, cfg.Weights.Fn(), cfg.WeightedOptions())
+	oneshot, err := weighted.KCover(stream.NewSlice(edges), n, k, cfg.Weights.WeightOf, cfg.WeightedOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

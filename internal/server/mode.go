@@ -202,7 +202,7 @@ func (c Config) EngineMode() (Mode, error) {
 			numSets: c.NumSets,
 			k:       c.K,
 			opt:     c.WeightedOptions(),
-			fn:      c.Weights.Fn(),
+			fn:      c.Weights.WeightOf,
 		}, nil
 	case ModeDynamic:
 		return dynamicMode{sketch: c.Params(), params: c.DynamicParams(), free: new(sync.Pool)}, nil

@@ -53,7 +53,7 @@ func TestWeightedEngineMatchesOneShot(t *testing.T) {
 	)
 	inst := workload.Zipf(n, m, 700, 0.9, 0.7, seed)
 	cfg := weightedTestConfig(n, m, k, seed, 1)
-	fn := cfg.Weights.Fn()
+	fn := cfg.Weights.WeightOf
 
 	oneshot, err := weighted.KCover(stream.Shuffled(inst.G, 3), n, k, fn, cfg.WeightedOptions())
 	if err != nil {

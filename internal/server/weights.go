@@ -49,15 +49,14 @@ func (w *WeightConfig) clone() *WeightConfig {
 	return &WeightConfig{Table: append([]float64(nil), w.Table...), Default: w.Default}
 }
 
-// Fn returns the element-weight oracle the config describes.
-func (w *WeightConfig) Fn() func(uint32) float64 {
-	table, def := w.Table, w.Default
-	return func(e uint32) float64 {
-		if int(e) < len(table) {
-			return table[e]
-		}
-		return def
+// WeightOf returns the weight of element e: Table[e] for e <
+// len(Table), Default otherwise. The method value w.WeightOf is the
+// element-weight oracle the weighted sketches consume.
+func (w *WeightConfig) WeightOf(e uint32) float64 {
+	if int(e) < len(w.Table) {
+		return w.Table[e]
 	}
+	return w.Default
 }
 
 // Signature fingerprints the weight mapping: a SplitMix64-style fold

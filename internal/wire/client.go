@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/bipartite"
+	"repro/internal/stream"
 )
 
 // Conn is a client-side wire ingest connection: it streams batch
@@ -198,6 +199,15 @@ func (c *Conn) Send(edges []bipartite.Edge) error {
 // identical to the edge plane's.
 func (c *Conn) SendOps(ops []bipartite.Op) error {
 	return send(c, FrameOpBatch, ops, AppendOpBatch)
+}
+
+// SendStream drains st over the connection in batches of batchSize
+// (default 1024) and returns the number of edges sent.
+func (c *Conn) SendStream(st stream.Stream, batchSize int) (int64, error) {
+	if batchSize < 1 {
+		batchSize = 1024
+	}
+	return stream.Batches(st, batchSize, c.Send)
 }
 
 // send is the one client send path: encode recs at the current offset

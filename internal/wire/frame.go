@@ -174,7 +174,8 @@ func ReadFrame(r io.Reader, buf []byte, maxBody uint32) (typ byte, body []byte, 
 // Hello is the client's opening frame: which namespace (and resumable
 // stream) it feeds, and what engine configuration it expects.
 type Hello struct {
-	// Namespace is the target namespace name (required).
+	// Namespace is the target namespace name; empty selects the server's
+	// default namespace (Directory.DefaultName).
 	Namespace string
 	// Stream is a client-chosen resumable stream id. A named stream's
 	// acknowledged watermark survives reconnects (the server remembers

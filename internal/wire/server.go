@@ -16,9 +16,11 @@ import (
 
 // Directory resolves namespace names to live engines — satisfied by
 // *server.Multi, so one wire listener serves every namespace a
-// covserved process hosts.
+// covserved process hosts. DefaultName is the namespace an empty hello
+// name selects, as the unprefixed HTTP routes do.
 type Directory interface {
 	Get(name string) (*server.Engine, bool)
+	DefaultName() string
 }
 
 // Options tunes a wire Server.
@@ -328,6 +330,11 @@ func (s *Server) handleConn(c net.Conn) error {
 	hello, err := DecodeHello(body)
 	if err != nil {
 		return s.reject(bw, CodeBadFrame, "%v", err)
+	}
+	// Resolved before the lookup and the stream key, so a stream dialed
+	// with and without the default's name keeps one watermark.
+	if hello.Namespace == "" {
+		hello.Namespace = s.dir.DefaultName()
 	}
 	eng, ok := s.dir.Get(hello.Namespace)
 	if !ok {

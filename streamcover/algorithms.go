@@ -5,7 +5,9 @@ import (
 	"repro/internal/core"
 )
 
-// Options tunes the streaming algorithms.
+// Options tunes the streaming algorithms. It is a type of its own, not
+// an alias of the engine's options, so that the internal tuning knobs
+// (degree cap, guess-grid step) stay unpublished.
 type Options struct {
 	// Eps is the accuracy parameter ε ∈ (0, 1] of the approximation
 	// guarantees (default 0.5). Smaller ε tightens the guarantee and

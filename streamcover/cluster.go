@@ -2,7 +2,6 @@ package streamcover
 
 import (
 	"net/http"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/server"
@@ -14,24 +13,9 @@ import (
 // pulls every peer's serialized sketches and cluster queries answer
 // from the merged view — bit-identical to a single hub fed the whole
 // stream, degree caps binding or not (the sketch's mergeability result,
-// the same property that makes shards exact).
-type ClusterOptions struct {
-	// NodeID names this node in cluster headers and stats.
-	NodeID string
-	// Peers lists the base URLs of the other cluster nodes; this node
-	// must not list itself.
-	Peers []string
-	// PullInterval is the anti-entropy period (default 2s); negative
-	// disables the background loop — drive exchange with PullNow.
-	PullInterval time.Duration
-	// MaxBackoff caps the exponential retry backoff applied to an
-	// unreachable peer (default 30s).
-	MaxBackoff time.Duration
-	// Client issues the pull requests (default: 10s timeout).
-	Client *http.Client
-	// OnPullError observes failed or rejected pulls (may be nil).
-	OnPullError func(peer, namespace string, err error)
-}
+// the same property that makes shards exact). A negative PullInterval
+// disables the background loop, so that PullNow drives the exchange.
+type ClusterOptions = cluster.Options
 
 // ClusterNode is a hub joined to a cluster: the hub keeps working
 // exactly as before (ingest, namespaces, snapshots — all local), and
@@ -39,7 +23,6 @@ type ClusterOptions struct {
 // cluster HTTP surface; Close leaves the cluster without closing the
 // hub.
 type ClusterNode struct {
-	hub  *Hub
 	node *cluster.Node
 }
 
@@ -49,18 +32,11 @@ type ClusterNode struct {
 // weight table and sketch parameters (mismatches are rejected and
 // counted, never merged). Close the returned node before the hub.
 func (h *Hub) JoinCluster(opt ClusterOptions) (*ClusterNode, error) {
-	node, err := cluster.NewNode(h.multi, cluster.Options{
-		NodeID:       opt.NodeID,
-		Peers:        opt.Peers,
-		PullInterval: opt.PullInterval,
-		MaxBackoff:   opt.MaxBackoff,
-		Client:       opt.Client,
-		OnPullError:  opt.OnPullError,
-	})
+	node, err := cluster.NewNode(h.multi, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterNode{hub: h, node: node}, nil
+	return &ClusterNode{node: node}, nil
 }
 
 // Handler serves the cluster HTTP surface: everything the hub's
@@ -82,11 +58,7 @@ func (c *ClusterNode) PullNow() error { return c.node.PullNow() }
 // weighted namespace the result is the weighted plane's, exactly as
 // with Service.KCover.
 func (c *ClusterNode) KCover(namespace string, k int, fresh bool) (*ServiceQueryResult, error) {
-	res, err := c.node.Query(namespace, server.Query{Algo: server.AlgoKCover, K: k, Refresh: fresh})
-	if err != nil {
-		return nil, err
-	}
-	return fromEngineResult(res), nil
+	return c.node.Query(namespace, server.Query{Algo: server.AlgoKCover, K: k, Refresh: fresh})
 }
 
 // Stats reports the node's anti-entropy accounting: per-peer pull,

@@ -12,7 +12,9 @@ import (
 // workers, and construction replays any log tail a restored snapshot
 // does not cover — so a crash loses at most what the fsync policy had
 // not yet forced to stable storage, and recovery rebuilds the exact
-// pre-crash state.
+// pre-crash state. It is a type of its own, not an alias of the engine's
+// WAL configuration, so that the log's fault-injection hook stays
+// unpublished.
 type Durability struct {
 	// Dir is the log directory. For a Service it holds the log directly;
 	// for a Hub it is the root, with one subdirectory per namespace.

@@ -12,14 +12,21 @@ import (
 	"repro/internal/server"
 )
 
-// Op is one element of a dynamic stream: an edge plus whether it is
-// being retracted. The zero Op inserts.
-type Op struct {
-	// Delete retracts one previously inserted copy of Edge. A stream is
-	// valid when no edge is ever deleted more times than it was inserted.
-	Delete bool
-	Edge   Edge
-}
+// Op is one element of a dynamic stream: an edge plus its kind. The
+// zero Op inserts; Op{Kind: OpDelete, Edge: e} retracts one previously
+// inserted copy of e. A stream is valid when no edge is ever deleted
+// more times than it was inserted. It is the engine's own op type, so
+// batches pass from this API to the shards and the wire without a copy.
+type Op = bipartite.Op
+
+// OpKind is an Op's kind: OpInsert or OpDelete.
+type OpKind = bipartite.OpKind
+
+// The two op kinds.
+const (
+	OpInsert = bipartite.OpInsert
+	OpDelete = bipartite.OpDelete
+)
 
 // NewDynamicService starts a dynamic coverage service: the only engine
 // mode that accepts deletes. Its sampler is a linear function of the
@@ -39,20 +46,8 @@ func NewDynamicService(numSets int, opt ServiceOptions) (*Service, error) {
 // (server.ErrDeletesUnsupported) on the append-only engines. Safe for
 // concurrent use; all-or-nothing like Ingest.
 func (s *Service) ApplyOps(ops []Op) error {
-	_, err := s.engine.IngestOps(engineOps(ops))
+	_, err := s.engine.IngestOps(ops)
 	return err
-}
-
-// engineOps spells each op's kind as the engine's bipartite.Op does.
-func engineOps(ops []Op) []bipartite.Op {
-	conv := make([]bipartite.Op, len(ops))
-	for i, op := range ops {
-		conv[i] = bipartite.Op{Kind: bipartite.OpInsert, Edge: op.Edge}
-		if op.Delete {
-			conv[i].Kind = bipartite.OpDelete
-		}
-	}
-	return conv
 }
 
 // Delete retracts a batch of previously inserted edges — ApplyOps with

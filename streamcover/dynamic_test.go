@@ -108,7 +108,7 @@ func TestDynamicServiceDeleteAll(t *testing.T) {
 	}
 	ops := make([]Op, 0, len(edges)-half)
 	for _, e := range edges[half:] {
-		ops = append(ops, Op{Delete: true, Edge: e})
+		ops = append(ops, Op{Kind: OpDelete, Edge: e})
 	}
 	if err := svc.ApplyOps(ops); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestDeleteRejectedOnLegacyServices(t *testing.T) {
 		if err := svc.Delete([]Edge{{Set: 1, Elem: 2}}); !errors.Is(err, server.ErrDeletesUnsupported) {
 			t.Fatalf("%s: Delete err = %v, want ErrDeletesUnsupported", name, err)
 		}
-		if err := svc.ApplyOps([]Op{{Delete: true, Edge: Edge{Set: 1, Elem: 2}}}); !errors.Is(err, server.ErrDeletesUnsupported) {
+		if err := svc.ApplyOps([]Op{{Kind: OpDelete, Edge: Edge{Set: 1, Elem: 2}}}); !errors.Is(err, server.ErrDeletesUnsupported) {
 			t.Fatalf("%s: delete ApplyOps err = %v, want ErrDeletesUnsupported", name, err)
 		}
 		st, err := svc.Stats()

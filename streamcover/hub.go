@@ -56,7 +56,7 @@ func serviceConfig(numSets int, opt ServiceOptions) (server.Config, error) {
 	if opt.K <= 0 {
 		return server.Config{}, fmt.Errorf("streamcover: ServiceOptions.K must be positive")
 	}
-	cfg := server.Config{
+	return server.Config{
 		NumSets:     numSets,
 		K:           opt.K,
 		Eps:         opt.Eps,
@@ -68,14 +68,11 @@ func serviceConfig(numSets int, opt ServiceOptions) (server.Config, error) {
 		QueueDepth:  opt.BatchQueue,
 		MergeEvery:  opt.MergeEvery,
 		Engine:      server.ModeName(opt.Engine),
-		WAL:         opt.Durability.walConfig(),
-	}
-	if opt.Weights != nil {
 		// The engine clones the table, so the caller may keep mutating its
 		// copy without aliasing the namespace's weights.
-		cfg.Weights = &server.WeightConfig{Table: opt.Weights.Table, Default: opt.Weights.Default}
-	}
-	return cfg, nil
+		Weights: opt.Weights,
+		WAL:     opt.Durability.walConfig(),
+	}, nil
 }
 
 // OpenNamespace creates namespace name for instances with numSets sets

@@ -12,7 +12,8 @@ import (
 // ServiceOptions configures a long-running coverage service (see
 // internal/server for the engine architecture). The embedded Options
 // carry the usual accuracy/seed/budget knobs; a Service additionally
-// needs K, the solution size the sketch is provisioned for.
+// needs K, the solution size the sketch is provisioned for. It keeps its
+// own type because it embeds Options and Durability, which do.
 type ServiceOptions struct {
 	// Options are the accuracy/seed/space knobs shared with the one-shot
 	// algorithms. A Service and a MaxCoverage run with identical Options
@@ -144,28 +145,15 @@ func (s *Service) Refresh() error {
 	return err
 }
 
-// ServiceQueryResult reports a service query.
-type ServiceQueryResult struct {
-	// Sets is the chosen solution.
-	Sets []int
-	// EstimatedCoverage estimates C(Sets) on everything ingested up to the
-	// snapshot the query ran on (Lemma 2.2).
-	EstimatedCoverage float64
-	// SketchCoverage is the raw covered-count inside the snapshot sketch.
-	SketchCoverage int
-	// SnapshotEdges is the ingested-edge count of that snapshot — how
-	// fresh the answer is.
-	SnapshotEdges int64
-}
-
-func fromEngineResult(r *server.QueryResult) *ServiceQueryResult {
-	return &ServiceQueryResult{
-		Sets:              r.Sets,
-		EstimatedCoverage: r.EstimatedCoverage,
-		SketchCoverage:    r.SketchCoverage,
-		SnapshotEdges:     r.SnapshotEdges,
-	}
-}
+// ServiceQueryResult reports a service query. It is the engine's own
+// result (the JSON body covserved answers with), so a query passes it
+// through without a copy. Sets is the chosen solution; EstimatedCoverage
+// estimates C(Sets) on everything ingested up to the snapshot the query
+// ran on (Lemma 2.2; the covered weight on a weighted service);
+// SketchCoverage is the raw covered count inside the snapshot sketch;
+// SnapshotEdges is that snapshot's ingested-edge count — how fresh the
+// answer is.
+type ServiceQueryResult = server.QueryResult
 
 // KCover answers a max-k-cover query against the current snapshot (stale
 // by design; call Refresh first — or pass fresh=true — for a fully
@@ -174,81 +162,30 @@ func fromEngineResult(r *server.QueryResult) *ServiceQueryResult {
 // weighted service it runs the weighted greedy and equals the one-shot
 // MaxWeightedCoverage (EstimatedCoverage is then the covered weight).
 func (s *Service) KCover(k int, fresh bool) (*ServiceQueryResult, error) {
-	r, err := s.engine.Query(server.Query{Algo: server.AlgoKCover, K: k, Refresh: fresh})
-	if err != nil {
-		return nil, err
-	}
-	return fromEngineResult(r), nil
+	return s.engine.Query(server.Query{Algo: server.AlgoKCover, K: k, Refresh: fresh})
 }
 
 // CoverWithOutliers greedily covers a 1−lambda fraction of the sampled
 // elements on the current snapshot.
 func (s *Service) CoverWithOutliers(lambda float64, fresh bool) (*ServiceQueryResult, error) {
-	r, err := s.engine.Query(server.Query{Algo: server.AlgoOutliers, Lambda: lambda, Refresh: fresh})
-	if err != nil {
-		return nil, err
-	}
-	return fromEngineResult(r), nil
+	return s.engine.Query(server.Query{Algo: server.AlgoOutliers, Lambda: lambda, Refresh: fresh})
 }
 
 // GreedyCover runs the full greedy set cover over the snapshot sketch.
 func (s *Service) GreedyCover(fresh bool) (*ServiceQueryResult, error) {
-	r, err := s.engine.Query(server.Query{Algo: server.AlgoGreedy, Refresh: fresh})
-	if err != nil {
-		return nil, err
-	}
-	return fromEngineResult(r), nil
+	return s.engine.Query(server.Query{Algo: server.AlgoGreedy, Refresh: fresh})
 }
 
-// ServiceStats reports service accounting.
-type ServiceStats struct {
-	// Shards is the ingest worker count.
-	Shards int
-	// IngestedEdges is the total number of edges accepted.
-	IngestedEdges int64
-	// SnapshotEdges is the ingested-edge count of the current snapshot
-	// (0 when no merge has happened yet).
-	SnapshotEdges int64
-	// SketchEdges is the number of edges the current merged sketch holds.
-	SketchEdges int
-	// SketchElements is the number of sampled elements the current merged
-	// sketch holds.
-	SketchElements int
-	// PStar is the snapshot's sampling probability.
-	PStar float64
-	// Queries counts queries served (hits included).
-	Queries int64
-	// QueryCacheHits counts queries that needed no new greedy pick: a
-	// snapshot runs its greedy once and every query is a prefix of that
-	// run, so only a query asking for more picks than any before it on
-	// the same snapshot computes anything.
-	QueryCacheHits int64
-	// Weighted reports whether the service runs the weighted query
-	// plane; WeightClasses counts the non-empty weight classes in the
-	// current snapshot (weighted services only).
-	Weighted      bool
-	WeightClasses int
-}
+// ServiceStats reports service accounting. It is the engine's own
+// stats (the JSON body of covserved's /v1/stats): IngestedEdges counts
+// the edges accepted, SnapshotEdges those the current snapshot reflects
+// (0 before the first merge), SnapshotKept, SnapshotElements and
+// SnapshotPStar describe the merged sketch, and Queries/QueryCacheHits
+// count the queries served and those that needed no new greedy pick.
+type ServiceStats = server.Stats
 
 // Stats returns a consistent accounting of the service.
-func (s *Service) Stats() (*ServiceStats, error) {
-	st, err := s.engine.Stats()
-	if err != nil {
-		return nil, err
-	}
-	return &ServiceStats{
-		Shards:         st.Shards,
-		IngestedEdges:  st.IngestedEdges,
-		SnapshotEdges:  st.SnapshotEdges,
-		SketchEdges:    st.SnapshotKept,
-		SketchElements: st.SnapshotElements,
-		PStar:          st.SnapshotPStar,
-		Queries:        st.Queries,
-		QueryCacheHits: st.QueryCacheHits,
-		Weighted:       st.Weighted,
-		WeightClasses:  st.WeightClasses,
-	}, nil
-}
+func (s *Service) Stats() (*ServiceStats, error) { return s.engine.Stats() }
 
 // WriteSnapshot merges and serializes the service state; restore it with
 // RestoreService.

@@ -1,32 +1,20 @@
 package streamcover
 
 import (
+	"repro/internal/server"
 	"repro/internal/weighted"
 )
 
 // Weights is a serializable element-weight assignment for weighted
 // coverage services: weight(e) = Table[e] for e < len(Table), Default
-// otherwise. Weights are instance configuration — fixed when a service
-// or namespace is created — so every shard, snapshot and restart of a
-// weighted service resolves the same weight for the same element. All
-// weights must be finite and non-negative; zero-weight elements never
-// contribute coverage and are skipped by the sketches.
-type Weights struct {
-	// Table[e] is the weight of element e for e < len(Table).
-	Table []float64
-	// Default is the weight of every element at or beyond len(Table);
-	// the zero value ignores such elements.
-	Default float64
-}
-
-// WeightOf returns the weight of element e — the oracle form of the
-// table, as MaxWeightedCoverage consumes it.
-func (w *Weights) WeightOf(e uint32) float64 {
-	if int(e) < len(w.Table) {
-		return w.Table[e]
-	}
-	return w.Default
-}
+// otherwise (the zero Default ignores such elements). Weights are
+// instance configuration — fixed when a service or namespace is created,
+// which keeps its own copy of the table — so every shard, snapshot and
+// restart of a weighted service resolves the same weight for the same
+// element. All weights must be finite and non-negative; zero-weight
+// elements never contribute coverage and are skipped by the sketches.
+// The method value w.WeightOf is the oracle MaxWeightedCoverage takes.
+type Weights = server.WeightConfig
 
 // WeightedResult reports a MaxWeightedCoverage run.
 type WeightedResult struct {
@@ -53,14 +41,7 @@ type WeightedResult struct {
 // (1−1/e for weighted coverage) runs on the scaled union. Space is
 // O~(n · log(w_max/w_min)).
 func MaxWeightedCoverage(st Stream, numSets, k int, weightOf func(elem uint32) float64, opt Options) (*WeightedResult, error) {
-	res, err := weighted.KCover(st, numSets, k, weightOf,
-		weighted.Options{
-			Eps:         opt.Eps,
-			Seed:        opt.Seed,
-			NumElems:    opt.NumElems,
-			EdgeBudget:  opt.EdgeBudget,
-			SpaceFactor: opt.SpaceFactor,
-		})
+	res, err := weighted.KCover(st, numSets, k, weightOf, weighted.Options(opt))
 	if err != nil {
 		return nil, err
 	}

@@ -44,8 +44,8 @@ func dialWireRetry(t *testing.T, addr string, h WireHello) *IngestConn {
 func ingestOverWire(t *testing.T, addr string, h WireHello, edges []Edge, batch int) {
 	t.Helper()
 	c := dialWireRetry(t, addr, h)
-	if c.ResumeOffset() != 0 {
-		t.Fatalf("fresh stream resumed at %d", c.ResumeOffset())
+	if c.Handshake().Watermark != 0 {
+		t.Fatalf("fresh stream resumed at %d", c.Handshake().Watermark)
 	}
 	half := (len(edges) / batch / 2) * batch
 	for off := 0; off < half; off += batch {
@@ -60,13 +60,13 @@ func ingestOverWire(t *testing.T, addr string, h WireHello, edges []Edge, batch 
 	c.Abort() // unflushed: an unknown suffix of the sent batches is acked
 
 	c = dialWireRetry(t, addr, h)
-	resume := c.ResumeOffset()
+	resume := c.Handshake().Watermark
 	if resume < 0 || resume > int64(half) {
 		t.Fatalf("resume offset %d outside [0,%d]", resume, half)
 	}
 	// Resume exactly at the acknowledged watermark — the client stamps
 	// stream offsets itself, so the producer's contract is to continue
-	// from ResumeOffset (server-side overlap trimming for hand-rolled
+	// from Handshake().Watermark (server-side overlap trimming for hand-rolled
 	// offsets is covered by the internal/wire protocol tests).
 	for off := int(resume); off < len(edges); off += batch {
 		end := off + batch
@@ -273,8 +273,8 @@ func TestWireHandshakeStrictness(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DialIngest: %v", err)
 	}
-	if c.Engine() != "sketch" {
-		t.Fatalf("handshake engine %q, want sketch", c.Engine())
+	if c.Handshake().Engine != "sketch" {
+		t.Fatalf("handshake engine %q, want sketch", c.Handshake().Engine)
 	}
 	if err := c.Send([]Edge{{Set: 1, Elem: 2}}); err != nil {
 		t.Fatalf("Send: %v", err)
@@ -285,6 +285,53 @@ func TestWireHandshakeStrictness(t *testing.T) {
 	svc, _ := hub.Namespace(DefaultNamespace)
 	if got := svc.Engine().IngestedEdges(); got != 1 {
 		t.Fatalf("ingested %d, want 1", got)
+	}
+}
+
+// TestDialIngestEmptyNamespaceIsTheServerDefault: an empty wire
+// namespace selects the directory's default namespace, as the
+// unprefixed HTTP routes do, and a named stream keeps one watermark
+// whether it is dialed by the empty name or by the default's own name.
+func TestDialIngestEmptyNamespaceIsTheServerDefault(t *testing.T) {
+	multi := server.NewMulti("prod")
+	defer multi.Close()
+	eng, err := multi.Create("prod", server.Config{NumSets: 16, K: 2, Eps: 0.5, Seed: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := wire.NewServer(multi, wire.Options{})
+	go srv.Serve(ln)
+	defer srv.Close()
+	addr := ln.Addr().String()
+
+	edges := make([]Edge, 150)
+	for i := range edges {
+		edges[i] = Edge{Set: uint32(i % 16), Elem: uint32(i)}
+	}
+	c := dialWireRetry(t, addr, WireHello{Stream: "s"})
+	if err := c.Send(edges[:100]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c.Abort()
+	c = dialWireRetry(t, addr, WireHello{Namespace: "prod", Stream: "s"})
+	if got := c.Handshake().Watermark; got != 100 {
+		t.Fatalf("stream dialed as %q resumed at %d, want 100", "prod", got)
+	}
+	if err := c.Send(edges[100:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.IngestedEdges(); got != int64(len(edges)) {
+		t.Fatalf("prod ingested %d edges, want %d", got, len(edges))
 	}
 }
 
